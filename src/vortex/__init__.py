@@ -2,68 +2,3 @@
 stochastic Navier-Stokes equations in velocity and vorticity form."""
 
 __version__ = "0.1.0"
-
-from .spectral import (
-    ScalarField,
-    SpectralGrid,
-    VectorField,
-    bessel_multiplier,
-    dealias,
-    l2_inner,
-    l2_norm,
-    lq_norm,
-    read_snapshot,
-    regrid,
-    sobolev_norm,
-    sobolev_norm_spectral,
-    to_physical,
-    to_spectral,
-    write_snapshot,
-)
-from .operators import (
-    bilinear_B,
-    bilinear_F,
-    biot_savart,
-    bracket,
-    curl,
-    divergence,
-    gradient,
-    leray_project,
-    random_divfree_field,
-    random_scalar_field,
-)
-from .noise import (
-    CovarianceSpec,
-    NoiseBasis,
-    WienerIncrement,
-    apply_G,
-    build_noise_basis,
-    hille_yosida,
-    operator_norms,
-    sample_increment,
-    sigma_eval,
-)
-from .integrator import (
-    BlowupError,
-    CoupledState,
-    HolderReport,
-    SolverConfig,
-    TrajectoryStats,
-    beta_step,
-    ou_step,
-    run_trajectory,
-    velocity_step,
-    vorticity_step,
-)
-from .harness import (
-    CheckResult,
-    bdg_report,
-    energy_report,
-    gronwall_uniqueness,
-    hy_uniformity,
-    identity_suite,
-    zeta_regularity,
-)
-from .config import ExperimentConfig, load_config, parse_config
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    CheckConfig,
     ConfigError,
     ExperimentConfig,
     load_config,

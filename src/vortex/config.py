@@ -216,7 +216,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             blowup_threshold=_take(solver_tbl, "blowup_threshold", "solver", 1e6, float),
         )
     except ValueError as err:
-        raise ConfigError(f"solver.dt/t_end: {err}") from err
+        # SolverConfig messages start with the offending field's name
+        raise ConfigError(f"solver.{err}") from err
     _reject_unknown(solver_tbl, "solver")
 
     noise_tbl = dict(_take(doc, "noise", "", default={}, kind=dict))

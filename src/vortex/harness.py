@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from . import noise as noise_mod
 from .integrator import (
     CoupledState,
     SolverConfig,
@@ -30,7 +29,6 @@ from .integrator import (
 from .noise import (
     CovarianceSpec,
     NoiseBasis,
-    apply_G,
     basis_l2_sq_sum,
     operator_norms,
     sample_increment,
@@ -45,7 +43,6 @@ from .operators import (
     curl,
     divergence_defect,
     grad_norm_l2,
-    grad_norm_l2_scalar,
     random_divfree_field,
     random_scalar_field,
 )
@@ -659,11 +656,12 @@ def bdg_report(
 
     fine = SpectralGrid(2 * grid.modes_per_dim, grid.domain_length,
                         grid.dealias_fraction)
+    # sigma reads the pivot, so it moves to the fine grid with v0
+    fine_spec = spec if spec.pivot is None else replace(spec, pivot=regrid(spec.pivot, fine))
     constants = {m: {} for m in m_list}
-    for g in (grid, fine):
-        vg = v0 if g is grid else regrid(v0, g)
-        phi_norm = operator_norms(vg, spec, 0.0, q)["radonifying"]
-        sups = simulate_bdg_sups(spec, g, vg, q, n_paths, base_seed, t_end, dt)
+    for g, gspec, vg in ((grid, spec, v0), (fine, fine_spec, regrid(v0, fine))):
+        phi_norm = operator_norms(vg, gspec, 0.0, q)["radonifying"]
+        sups = simulate_bdg_sups(gspec, g, vg, q, n_paths, base_seed, t_end, dt)
         for m in m_list:
             for col, horizon in ((0, t_end / 2.0), (1, t_end)):
                 mean = float(np.mean(sups[:, col] ** m))

@@ -1,15 +1,21 @@
-"""Exponential-Euler time stepping for the velocity equation, the vorticity
-equation and the Ornstein-Uhlenbeck / remainder splitting.
+"""Exponential-Euler time stepping for the velocity equation and the
+Ornstein-Uhlenbeck part of the vorticity splitting xi = zeta + beta.
 
 The integrating factor exp(-|k|^2 dt) applies the heat semigroup exactly;
 nonlinear and noise terms are explicit at the start-of-step state (Ito
-convention).  All four fields of a coupled trajectory consume the same
-Wiener increments, and the mean (k=0) vorticity mode is never forced, so
-mean-zero vorticity is preserved exactly.
+convention).  A trajectory evolves only the independent fields, the
+velocity v and the stochastic convolution zeta, on the same Wiener
+increments; the vorticity xi = curl v and the remainder beta = xi - zeta
+are derived after each step.  Under the 2/3 rule curl P B(v,v) equals
+F(v, curl v) on the retained band (Orszag 1971), so the derived fields
+agree with the discretised vorticity and remainder equations
+(`vorticity_step`, `beta_step`, kept as test oracles) to rounding.  The
+curl has no mean mode, so mean-zero vorticity is preserved exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +24,6 @@ import numpy as np
 from .noise import CovarianceSpec, NoiseBasis, WienerIncrement, apply_G, sample_increment
 from .operators import (
     MEAN_ZERO_RTOL,
-    _advection_inputs,
     bilinear_B,
     bilinear_F,
     biot_savart,
@@ -29,7 +34,6 @@ from .operators import (
 )
 from .spectral import (
     ScalarField,
-    SpectralGrid,
     VectorField,
     heat_decay,
     l2_norm,
@@ -52,16 +56,17 @@ class SolverConfig:
     blowup_threshold: float = 1e6
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        # every message starts with the field it names
+        for name in ("dt", "t_end", "blowup_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
         if self.scheme != "exp_euler":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"scheme must be 'exp_euler', got {self.scheme!r}")
         steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > 1e-8 * max(1.0, steps):
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-8 * max(1.0, steps)):
             raise ValueError("t_end must be an integral number of steps")
 
     @property
@@ -72,7 +77,11 @@ class SolverConfig:
 @dataclass(frozen=True)
 class CoupledState:
     """One time slice: velocity v, vorticity xi and its splitting
-    xi = zeta + beta (Ornstein-Uhlenbeck part + remainder)."""
+    xi = zeta + beta (Ornstein-Uhlenbeck part + remainder).
+
+    run_trajectory evolves v and zeta; xi = curl v and beta = xi - zeta are
+    derived from them (xi at t = 0 is the given initial vorticity).
+    """
 
     t: float
     v: VectorField
@@ -142,6 +151,13 @@ def _stepped(decay: np.ndarray, base: ScalarField, *terms: ScalarField,
     return ScalarField(base.grid, out)
 
 
+def _guarded(field, name: str, cfg: SolverConfig, t: float):
+    """Fail closed: a norm above the threshold, inf or NaN is a blow-up."""
+    if not l2_norm(field) <= cfg.blowup_threshold:
+        raise BlowupError(f"{name} L2 norm exceeded {cfg.blowup_threshold:g} at t={t:g}")
+    return field
+
+
 def velocity_step(
     state: CoupledState,
     dW: WienerIncrement,
@@ -149,22 +165,19 @@ def velocity_step(
     cfg: SolverConfig,
     basis: NoiseBasis | None = None,
     decay: np.ndarray | None = None,
-    u_phys=None,
 ) -> VectorField:
     """One step of dv + [Av + B(v,v)] dt = G(v) dW:
     v+ = exp(-|k|^2 dt) [v - dt P B(v,v) + G(v) dW], P the Leray projection."""
     v = state.v
     if decay is None:
         decay = heat_decay(v.grid, dW.dt)
-    pb = leray_project(bilinear_B(v, v, u_phys))
+    pb = leray_project(bilinear_B(v, v))
     noise = apply_G(v, dW, spec, "velocity_noise", basis)
     new = VectorField(
         _stepped(decay, v.vx, -dW.dt * pb.vx, noise.vx),
         _stepped(decay, v.vy, -dW.dt * pb.vy, noise.vy),
     )
-    if l2_norm(new) > cfg.blowup_threshold:
-        raise BlowupError(f"velocity L2 norm exceeded {cfg.blowup_threshold:g} at t={state.t:g}")
-    return new
+    return _guarded(new, "velocity", cfg, state.t)
 
 
 def vorticity_step(
@@ -172,22 +185,14 @@ def vorticity_step(
     dW: WienerIncrement,
     spec: CovarianceSpec,
     cfg: SolverConfig,
-    basis: NoiseBasis | None = None,
-    decay: np.ndarray | None = None,
-    u_phys=None,
-    noise: ScalarField | None = None,
 ) -> ScalarField:
     """One step of dxi + [A xi + v.grad xi] dt = curl(G(v)) dW, with v taken
-    from the coupled state; preserves mean zero."""
-    if decay is None:
-        decay = heat_decay(state.xi.grid, dW.dt)
-    adv = bilinear_F(state.v, state.xi, u_phys)
-    if noise is None:
-        noise = apply_G(state.v, dW, spec, "vorticity_noise", basis)
-    new = _stepped(decay, state.xi, -dW.dt * adv, noise, mean_free=True)
-    if l2_norm(new) > cfg.blowup_threshold:
-        raise BlowupError(f"vorticity L2 norm exceeded {cfg.blowup_threshold:g} at t={state.t:g}")
-    return new
+    from the coupled state; preserves mean zero.  A test oracle:
+    run_trajectory derives xi = curl v instead."""
+    decay = heat_decay(state.xi.grid, dW.dt)
+    adv = bilinear_F(state.v, state.xi)
+    noise = apply_G(state.v, dW, spec, "vorticity_noise")
+    return _stepped(decay, state.xi, -dW.dt * adv, noise, mean_free=True)
 
 
 def ou_step(
@@ -197,31 +202,26 @@ def ou_step(
     cfg: SolverConfig,
     basis: NoiseBasis | None = None,
     decay: np.ndarray | None = None,
-    noise: ScalarField | None = None,
 ) -> ScalarField:
     """Stochastic convolution step: zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]."""
     if decay is None:
         decay = heat_decay(state.zeta.grid, dW.dt)
-    if noise is None:
-        noise = apply_G(state.v, dW, spec, "vorticity_noise", basis)
+    noise = apply_G(state.v, dW, spec, "vorticity_noise", basis)
     return _stepped(decay, state.zeta, noise)
 
 
-def beta_step(
-    state: CoupledState,
-    cfg: SolverConfig,
-    dt: float | None = None,
-    decay: np.ndarray | None = None,
-    u_phys=None,
-) -> ScalarField:
+def beta_step(state: CoupledState, cfg: SolverConfig) -> ScalarField:
     """Deterministic remainder step:
-    beta+ = exp(-|k|^2 dt)[beta - dt F(v, zeta + beta)]."""
-    if dt is None:
-        dt = cfg.dt
-    if decay is None:
-        decay = heat_decay(state.beta.grid, dt)
-    adv = bilinear_F(state.v, state.zeta + state.beta, u_phys)
-    return _stepped(decay, state.beta, -dt * adv, mean_free=True)
+    beta+ = exp(-|k|^2 dt)[beta - dt F(v, zeta + beta)].  A test oracle:
+    run_trajectory derives beta = curl v - zeta instead."""
+    decay = heat_decay(state.beta.grid, cfg.dt)
+    adv = bilinear_F(state.v, state.zeta + state.beta)
+    return _stepped(decay, state.beta, -cfg.dt * adv, mean_free=True)
+
+
+def _sup(a: float, b: float) -> float:
+    """max(a, b) that keeps a NaN from either side, as a Python float."""
+    return float(np.maximum(a, b))
 
 
 def holder_quotient(
@@ -272,12 +272,16 @@ def run_trajectory(
     snapshot_stride: int = 0,
     observer=None,
 ) -> TrajectoryResult:
-    """Integrate v, xi, zeta, beta over [0, t_end] with shared increments.
+    """Integrate the velocity v and the stochastic convolution zeta over
+    [0, t_end] on shared increments; each step derives the vorticity
+    xi = curl v and the remainder beta = xi - zeta.
 
     v0 = None derives the velocity from xi0 by Biot-Savart; otherwise
-    curl(v0) must match xi0 to 1e-10 relative.  Returns early with status
-    'blowup' if the guard trips.  Deterministic given (seed, path_index).
-    An observer callable, if given, sees every visited CoupledState.
+    curl(v0) must match xi0 to 1e-10 relative.  The state at t = 0 carries
+    xi0 itself.  Returns early with status 'blowup' if the L2 norm of v or
+    xi leaves the threshold or is not finite.  Deterministic given
+    (seed, path_index).  An observer callable, if given, sees every visited
+    CoupledState.
     """
     grid = xi0.grid
     scale = np.max(np.abs(xi0.coeffs))
@@ -305,10 +309,10 @@ def run_trajectory(
     def observe(st: CoupledState, step_index: int, last: bool):
         if observer is not None:
             observer(st)
-        stats.sup_v_l2sq = max(stats.sup_v_l2sq, l2_norm(st.v) ** 2)
-        stats.sup_xi_lq = max(stats.sup_xi_lq, lq_norm(st.xi, lq_exponent))
-        stats.sup_beta_l2 = max(stats.sup_beta_l2, l2_norm(st.beta))
-        stats.sup_beta_lq = max(stats.sup_beta_lq, lq_norm(st.beta, lq_exponent))
+        stats.sup_v_l2sq = _sup(stats.sup_v_l2sq, l2_norm(st.v) ** 2)
+        stats.sup_xi_lq = _sup(stats.sup_xi_lq, lq_norm(st.xi, lq_exponent))
+        stats.sup_beta_l2 = _sup(stats.sup_beta_l2, l2_norm(st.beta))
+        stats.sup_beta_lq = _sup(stats.sup_beta_lq, lq_norm(st.beta, lq_exponent))
         if not last:
             stats.int_grad_v += cfg.dt * grad_norm_l2(st.v) ** 2
             stats.int_grad_beta += cfg.dt * grad_norm_l2_scalar(st.beta) ** 2
@@ -328,14 +332,11 @@ def run_trajectory(
         for step in range(cfg.n_steps):
             observe(state, step, last=False)
             dW = sample_increment(seed, path_index, step, spec, cfg.dt)
-            u_phys = _advection_inputs(state.v)
-            vor_noise = apply_G(state.v, dW, spec, "vorticity_noise", basis)
-            v_new = velocity_step(state, dW, spec, cfg, basis, decay, u_phys)
-            xi_new = vorticity_step(state, dW, spec, cfg, basis, decay, u_phys,
-                                    vor_noise)
-            zeta_new = ou_step(state, dW, spec, cfg, basis, decay, vor_noise)
-            beta_new = beta_step(state, cfg, cfg.dt, decay, u_phys)
-            state = CoupledState((step + 1) * cfg.dt, v_new, xi_new, zeta_new, beta_new)
+            v_new = velocity_step(state, dW, spec, cfg, basis, decay)
+            zeta_new = ou_step(state, dW, spec, cfg, basis, decay)
+            xi_new = _guarded(curl(v_new), "vorticity", cfg, state.t)
+            state = CoupledState((step + 1) * cfg.dt, v_new, xi_new, zeta_new,
+                                 xi_new - zeta_new)
         observe(state, cfg.n_steps, last=True)
     except BlowupError:
         stats.status = "blowup"

@@ -18,7 +18,6 @@ from .spectral import (
     VectorField,
     dealias,
     to_physical,
-    zero_vector,
     _require_same_grid,
 )
 
@@ -89,11 +88,6 @@ def leray_project(u: VectorField) -> VectorField:
     )
 
 
-def _advection_inputs(u: VectorField):
-    ub = dealias(u)
-    return to_physical(ub.vx), to_physical(ub.vy)
-
-
 def _advect_scalar(u1p, u2p, f: ScalarField) -> np.ndarray:
     """Physical values of u.grad f with dealiased f; u already physical."""
     g = f.grid
@@ -108,34 +102,30 @@ def _spectral_of(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return (np.fft.fft2(values) / (n * n)) * grid.dealias_mask
 
 
-def advection_values(u: VectorField, target, u_phys=None):
+def advection_values(u: VectorField, target):
     """Physical grid values of (u.grad) target with dealiased inputs, before
     any output truncation; the weighted cancellation tests pair these
-    pointwise against non-band-limited factors.
-
-    u_phys, when given, supplies the dealiased physical components of u
-    (one transform pair shared across several evaluations per time step).
-    """
+    pointwise against non-band-limited factors."""
     _require_same_grid(u, target)
-    u1p, u2p = u_phys if u_phys is not None else _advection_inputs(u)
+    u1p, u2p = to_physical(dealias(u))
     if isinstance(target, VectorField):
         return (_advect_scalar(u1p, u2p, target.vx),
                 _advect_scalar(u1p, u2p, target.vy))
     return _advect_scalar(u1p, u2p, target)
 
 
-def bilinear_B(u: VectorField, v: VectorField, u_phys=None) -> VectorField:
+def bilinear_B(u: VectorField, v: VectorField) -> VectorField:
     """(u.grad)v, pseudo-spectral and dealiased; not Leray-projected."""
     g = u.grid
-    wx, wy = advection_values(u, v, u_phys)
+    wx, wy = advection_values(u, v)
     return VectorField(ScalarField(g, _spectral_of(wx, g)),
                        ScalarField(g, _spectral_of(wy, g)))
 
 
-def bilinear_F(u: VectorField, xi: ScalarField, u_phys=None) -> ScalarField:
+def bilinear_F(u: VectorField, xi: ScalarField) -> ScalarField:
     """u.grad xi, pseudo-spectral and dealiased."""
     g = u.grid
-    return ScalarField(g, _spectral_of(advection_values(u, xi, u_phys), g))
+    return ScalarField(g, _spectral_of(advection_values(u, xi), g))
 
 
 def bracket(f, g) -> float:

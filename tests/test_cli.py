@@ -85,6 +85,33 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", "Infinity"), ("dt", "NaN"), ("blowup_threshold", "NaN"),
+        ("blowup_threshold", "Infinity"), ("blowup_threshold", "0.0"),
+    ])
+    def test_non_finite_solver_value_exits_2(self, tmp_path, capsys, field, value):
+        solver = {"dt": 0.005, "t_end": 0.05}
+        solver[field] = "@"
+        doc = dict(SMALL_CONFIG, solver=solver)
+        # JSON spells the non-finite numbers Infinity and NaN
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc).replace('"@"', value))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"solver.{field}" in err
+        assert not out.exists()
+
+    def test_bdg_under_default_sigma_writes_checks(self, tmp_path):
+        doc = dict(SMALL_CONFIG, noise={"mode_band": 1, "coefficient_base": 0.2},
+                   checks=[{"name": "bdg"}])
+        doc["solver"] = {"dt": 0.01, "t_end": 0.05}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        checks = json.loads((out / "checks.json").read_text())
+        assert [c["name"] for c in checks] == ["bdg.C2", "bdg.C4"]
+
     def test_failed_check_exits_1(self, tmp_path):
         doc = dict(SMALL_CONFIG)
         doc["checks"] = [{"name": "energy", "ceilings": {"sup_v_l2sq": 1e-12}}]

@@ -26,10 +26,10 @@ from vortex.harness import (
     weighted_identity_refinement,
     zeta_regularity,
 )
-from vortex.integrator import SolverConfig, TrajectoryStats
+from vortex.integrator import SolverConfig, TrajectoryStats, run_trajectory
 from vortex.noise import CovarianceSpec
 from vortex.operators import biot_savart, random_divfree_field, random_scalar_field
-from vortex.spectral import SpectralGrid, l2_norm
+from vortex.spectral import ScalarField, SpectralGrid, l2_norm
 
 ZERO_NOISE = CovarianceSpec(((1, 0),), (0.1,), 0.5, "zero")
 SMALL_NOISE = CovarianceSpec(((1, 0), (0, 1), (1, 1), (-1, 0)),
@@ -99,6 +99,18 @@ class TestEnergyReport:
     def test_requires_two_paths(self):
         with pytest.raises(ValueError):
             energy_report([make_stats()], {}, seed=1)
+
+    def test_nan_initial_vorticity_fails_closed(self, grid16, rng):
+        coeffs = random_scalar_field(grid16, rng).coeffs.copy()
+        coeffs[1, 2] = np.nan
+        xi0 = ScalarField(grid16, coeffs)
+        cfg = SolverConfig(dt=0.01, t_end=0.05)
+        stats = [run_trajectory(None, xi0, SMALL_NOISE, cfg, seed=3, path_index=p).stats
+                 for p in range(2)]
+        assert all(s.status != "completed" for s in stats)
+        assert all(math.isnan(s.sup_v_l2sq) for s in stats)
+        out = energy_report(stats, {}, seed=3)
+        assert out and not any(r.passed for r in out)
 
     def test_seed_split_stability(self, grid16):
         # disjoint seed batches agree on the means to within 20 percent
@@ -275,6 +287,16 @@ class TestBdg:
         v0 = biot_savart(random_scalar_field(grid16, rng))
         with pytest.raises(ValueError):
             bdg_report(SMALL_NOISE, grid16, v0, 4.0, [3], 4, 0, 0.1, 0.01)
+
+    def test_rational_square_sigma_gives_verdicts(self, grid16, rng):
+        # sigma reads the pivot, which must follow v0 onto the doubled grid
+        spec = CovarianceSpec(SMALL_NOISE.mode_indices, SMALL_NOISE.coefficients, 0.5,
+                              "rational_square", _single_mode_vector(grid16, (1, 0), 32.0))
+        v0 = random_divfree_field(grid16, rng)
+        out = bdg_report(spec, grid16, v0, 4.0, [2, 4], 16, 5, 0.1, 0.01)
+        assert [r.name for r in out] == ["bdg.C2", "bdg.C4"]
+        assert all(math.isfinite(r.observed) for r in out)
+        assert len(out[0].extra["constants"]) == 4
 
     def test_small_scale_stability(self, grid16, rng):
         v0 = biot_savart(random_scalar_field(grid16, rng))

@@ -17,7 +17,13 @@ from vortex.integrator import (
     vorticity_step,
 )
 from vortex.noise import CovarianceSpec, NoiseBasis, WienerIncrement, sample_increment
-from vortex.operators import biot_savart, curl, grad_norm_l2, random_scalar_field
+from vortex.operators import (
+    biot_savart,
+    curl,
+    grad_norm_l2,
+    random_divfree_field,
+    random_scalar_field,
+)
 from vortex.spectral import (
     ScalarField,
     SpectralGrid,
@@ -58,6 +64,21 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, t_end=1.0, scheme="rk4")
         assert SolverConfig(dt=1e-3, t_end=0.5).n_steps == 500
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", math.inf), ("dt", math.nan), ("t_end", math.inf), ("t_end", math.nan),
+        ("blowup_threshold", math.inf), ("blowup_threshold", math.nan),
+        ("blowup_threshold", 0.0), ("blowup_threshold", -1.0),
+    ])
+    def test_non_finite_or_nonpositive_rejected(self, field, value):
+        kwargs = {"dt": 0.01, "t_end": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+            SolverConfig(**kwargs)
+
+    def test_step_count_overflow_rejected(self):
+        # t_end / dt overflows to inf: a ValueError, not an OverflowError
+        with pytest.raises(ValueError, match="^t_end"):
+            SolverConfig(dt=1e-10, t_end=1e300)
 
 
 class TestVelocityStep:
@@ -299,3 +320,53 @@ class TestRunTrajectory:
         assert abs(sup_v - res.stats.sup_v_l2sq) <= 1e-12 * max(1.0, sup_v)
         assert abs(int_grad - res.stats.int_grad_v) <= 1e-12 * max(1.0, int_grad)
         assert abs(sup_xi - res.stats.sup_xi_lq) <= 1e-12 * max(1.0, sup_xi)
+
+
+class TestDerivedFields:
+    """run_trajectory evolves v and zeta and derives xi = curl v and
+    beta = xi - zeta; the four-field loop stepping the vorticity and
+    remainder equations as well is the oracle it must reproduce."""
+
+    @staticmethod
+    def four_field_states(xi0, spec, cfg, seed):
+        st = CoupledState(0.0, biot_savart(xi0), xi0, zero_scalar(xi0.grid), xi0)
+        states = [st]
+        for step in range(cfg.n_steps):
+            dW = sample_increment(seed, 0, step, spec, cfg.dt)
+            st = CoupledState((step + 1) * cfg.dt,
+                              velocity_step(st, dW, spec, cfg),
+                              vorticity_step(st, dW, spec, cfg),
+                              ou_step(st, dW, spec, cfg),
+                              beta_step(st, cfg))
+            states.append(st)
+        return states
+
+    @pytest.mark.parametrize("sigma_kind", ["constant_one", "rational_square"])
+    def test_matches_four_field_loop(self, grid32, rng, sigma_kind):
+        pivot = None
+        if sigma_kind == "rational_square":
+            pivot = random_divfree_field(grid32, rng, amplitude=4.0)
+        spec = CovarianceSpec(((1, 0), (0, 1), (1, 1), (-2, 1)), (1.0, 0.8, 0.6, 0.5),
+                              0.5, sigma_kind, pivot)
+        cfg = SolverConfig(dt=2e-3, t_end=0.12)
+        xi0 = random_scalar_field(grid32, rng, amplitude=3.0)
+        res = run_trajectory(None, xi0, spec, cfg, seed=13, record_stride=1)
+        oracle = self.four_field_states(xi0, spec, cfg, 13)
+        assert cfg.n_steps >= 50
+        assert len(res.recorded) == len(oracle) == cfg.n_steps + 1
+        assert l2_norm(oracle[-1].zeta) > 0.1 * l2_norm(oracle[-1].xi)
+        for got, want in zip(res.recorded, oracle):
+            assert got.t == want.t
+            for name in ("v", "xi", "zeta", "beta"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert l2_norm(a - b) <= 1e-12 * l2_norm(b), (got.t, name)
+
+    def test_vorticity_blowup_guard(self, grid16, rng):
+        # a threshold between ||v|| and ||curl v|| trips only the derived-xi guard
+        xi0 = random_scalar_field(grid16, rng, decay=0.0)
+        v_norm, xi_norm = l2_norm(biot_savart(xi0)), l2_norm(xi0)
+        assert v_norm < xi_norm
+        cfg = SolverConfig(dt=0.01, t_end=0.1,
+                           blowup_threshold=0.5 * (v_norm + xi_norm))
+        res = run_trajectory(None, xi0, ZERO_NOISE, cfg, seed=0)
+        assert res.stats.status == "blowup"
