@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -32,17 +31,19 @@ from .config import (
 )
 from .harness import (
     CheckResult,
+    HolderProbe,
     bdg_report,
     energy_report,
     gronwall_uniqueness,
     hy_uniformity,
     identity_suite,
-    run_paths,
+    sweep,
     weighted_identity_refinement,
+    zeta_budget,
     zeta_regularity,
 )
-from .integrator import TrajectoryStats, run_trajectory
-from .operators import random_divfree_field
+from .integrator import TrajectoryStats
+from .operators import biot_savart, random_divfree_field
 from .spectral import SpectralGrid, l2_norm
 
 STATS_HEADER = ("path_index", "sup_v_l2sq", "int_grad_v", "sup_xi_lq",
@@ -113,97 +114,71 @@ def write_outputs(stats, checks, outdir, resolved, force: bool = False) -> dict:
     return manifest
 
 
-def _levels_from(params, default):
-    raw = params.get("levels", default)
-    return [math.inf if v is None else float(v) for v in raw]
+def run_experiment(config: ExperimentConfig):
+    """The main Monte-Carlo stats and the configured checks' results, in
+    config order, reproducibly.
 
-
-def run_configured_checks(config: ExperimentConfig,
-                          stats: list[TrajectoryStats]) -> list[CheckResult]:
+    zeta_regularity budgets are checked before any path runs.  One `sweep`
+    then integrates, once each, the (Hille-Yosida level, path) pairs of the
+    main Monte-Carlo, hy_uniformity and zeta_regularity, and writes the
+    snapshots; energy and those two checks reduce its results.  gronwall,
+    bdg and identities integrate their own processes.
+    """
     grid = config.grid
     spec = config.build_noise_spec()
     v0, xi0 = config.build_initial()
     seed = config.mc.base_seed
-    out: list[CheckResult] = []
-    for chk in config.checks:
-        params = chk.param_dict()
+    n_main = config.mc.n_paths
+    demands, probes = [], {}
+    for i, chk in enumerate(config.checks):
+        if chk.name == "hy_uniformity":
+            demands.append((chk.value("levels"), chk.value("n_paths", n_main), None))
+        elif chk.name == "zeta_regularity":
+            zeta_budget(spec.roughness, chk.value("beta"), chk.value("delta"), chk.value("p"))
+            probes[i] = HolderProbe(chk.value("beta"), chk.value("delta"), chk.value("q"),
+                                    chk.value("stride"))
+            demands.append((chk.value("levels"), chk.value("n_paths"), probes[i]))
+    out = config.output
+    snapshot_dir = Path(out.directory) / "snapshots" if out.directory else None
+    levels = sweep(spec, v0, xi0, config.solver, seed, n_main, config.lq_exponent,
+                   demands, snapshot_dir, out.snapshot_stride)
+    stats = [r.stats for r in levels[spec.hy_level][:n_main]]
+
+    checks: list[CheckResult] = []
+    for i, chk in enumerate(config.checks):
         if chk.name == "energy":
-            out.extend(energy_report(stats, dict(params.get("ceilings", {})), seed))
+            checks.extend(energy_report(stats, chk.value("ceilings"), seed))
         elif chk.name == "identities":
-            trials = int(params.get("trials", 100))
-            out.extend(identity_suite(grid, trials, seed))
-            if params.get("refine", False):
-                out.append(weighted_identity_refinement(
-                    grid, int(params.get("refine_trials", 10)), seed))
+            checks.extend(identity_suite(grid, chk.value("trials"), seed))
+            if chk.value("refine"):
+                checks.append(weighted_identity_refinement(
+                    grid, chk.value("refine_trials"), seed))
         elif chk.name == "hy_uniformity":
-            out.append(hy_uniformity(
-                _levels_from(params, [1, 10, 100, None]), spec, v0, xi0,
-                config.solver, int(params.get("n_paths", config.mc.n_paths)),
-                seed, float(params.get("factor", 1.5)), config.lq_exponent,
-            ))
+            checks.append(hy_uniformity(levels, chk.value("levels"),
+                                        chk.value("n_paths", n_main), seed, chk.value("factor")))
         elif chk.name == "gronwall":
             rng = np.random.default_rng(seed + 1)
             v0a = random_divfree_field(grid, rng)
-            eps = float(params.get("perturbation", 1e-3))
+            eps = chk.value("perturbation")
             if eps == 0.0:
                 v0b = v0a
             else:
                 bump = random_divfree_field(grid, rng)
                 v0b = v0a + bump * (eps / l2_norm(bump))
-            out.append(gronwall_uniqueness(
-                v0a, v0b, spec, config.solver,
-                int(params.get("n_paths", config.mc.n_paths)), seed,
-                float(params.get("slack", 1.05)),
-                int(params.get("gn_trials", 10000)),
+            checks.append(gronwall_uniqueness(
+                v0a, v0b, spec, config.solver, chk.value("n_paths", n_main), seed,
+                chk.value("slack"), chk.value("gn_trials"),
             ))
         elif chk.name == "zeta_regularity":
-            out.append(zeta_regularity(
-                spec, v0, xi0, config.solver,
-                _levels_from(params, [1, 100, None]),
-                int(params.get("n_paths", 8)), seed,
-                beta=float(params.get("beta", 0.2)),
-                delta=float(params.get("delta", 0.0)),
-                p=float(params.get("p", 32)),
-                q=float(params.get("q", 2)),
-                stride=int(params.get("stride", 8)),
-                stability_factor=float(params.get("stability", 2.0)),
-            ))
+            checks.append(zeta_regularity(levels, chk.value("levels"), chk.value("n_paths"),
+                                          seed, probes[i], chk.value("p"),
+                                          chk.value("stability")))
         elif chk.name == "bdg":
-            v0_built = v0
-            if v0_built is None:
-                from .operators import biot_savart
-
-                v0_built = biot_savart(xi0)
-            out.extend(bdg_report(
-                spec, grid, v0_built, float(params.get("q", 4)),
-                [int(m) for m in params.get("m_list", [2, 4])],
-                int(params.get("n_paths", 500)), seed,
-                config.solver.t_end, config.solver.dt,
-                float(params.get("stability", 0.5)),
+            checks.extend(bdg_report(
+                spec, grid, biot_savart(xi0) if v0 is None else v0, chk.value("q"),
+                chk.value("m_list"), chk.value("n_paths"), seed,
+                config.solver.t_end, config.solver.dt, chk.value("stability"),
             ))
-    return out
-
-
-def run_experiment(config: ExperimentConfig):
-    """All Monte-Carlo paths plus the configured checks, reproducibly."""
-    spec = config.build_noise_spec()
-    v0, xi0 = config.build_initial()
-    snapshot_dir = None
-    if config.output.directory and config.output.snapshot_stride > 0:
-        snapshot_dir = Path(config.output.directory) / "snapshots"
-        snapshot_dir.mkdir(parents=True, exist_ok=True)
-
-    def worker(p):
-        return run_trajectory(
-            v0, xi0, spec, config.solver,
-            seed=config.mc.base_seed, path_index=p,
-            lq_exponent=config.lq_exponent,
-            snapshot_dir=snapshot_dir,
-            snapshot_stride=config.output.snapshot_stride,
-        ).stats
-
-    stats = run_paths(worker, config.mc.n_paths)
-    checks = run_configured_checks(config, stats)
     return stats, checks
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .integrator import SolverConfig
+from .integrator import SolverConfig, TrajectoryStats
 from .noise import CovarianceSpec, initial_rng
 from .operators import random_scalar_field
 from .spectral import ScalarField, SpectralGrid, VectorField, zero_scalar
@@ -116,21 +116,146 @@ class OutputConfig:
             raise ConfigError("'output.snapshot_stride' must be >= 0")
 
 
-KNOWN_CHECKS = ("energy", "identities", "hy_uniformity", "gronwall",
-                "zeta_regularity", "bdg")
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{path}' must be a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ConfigError(f"'{path}' must be finite, got {value}")
+    return float(value)
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{path}' must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{path}' must be a boolean, got {type(value).__name__}")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"'{path}' must be a list, got {type(value).__name__}")
+    return value
+
+
+def _levels(value, path: str) -> list[float]:
+    """Hille-Yosida levels: positive numbers, null meaning infinity."""
+    out = []
+    for i, n in enumerate(_list(value, path)):
+        level = math.inf if n is None else _number(n, f"{path}[{i}]")
+        if not level > 0:
+            raise ConfigError(f"'{path}[{i}]' must be a positive number or null, got {n}")
+        out.append(level)
+    return out
+
+
+def _moments(value, path: str) -> list[int]:
+    out = [_integer(m, f"{path}[{i}]") for i, m in enumerate(_list(value, path))]
+    for i, m in enumerate(out):
+        if m < 2 or m % 2 != 0:
+            raise ConfigError(f"'{path}[{i}]' must be an even integer >= 2, got {m}")
+    return out
+
+
+def _ceilings(value, path: str) -> dict[str, float]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{path}' must be an object, got {type(value).__name__}")
+    for key in value:
+        if key not in TrajectoryStats.FUNCTIONALS:
+            raise ConfigError(f"unknown key '{path}.{key}'")
+    return {key: _number(v, f"{path}.{key}") for key, v in value.items()}
+
+
+_AT_LEAST_1 = (lambda x: x >= 1, "must be >= 1")
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_NON_NEGATIVE = (lambda x: x >= 0, "must be >= 0")
+_NON_EMPTY = (lambda x: len(x) >= 1, "must not be empty")
+_TWO_OR_MORE = (lambda x: len(x) >= 2, "must list at least 2 levels")
+
+# Every check's parameters: key -> (reader, default, requirement).  A reader
+# checks the type and returns the value as the drivers take it; a default of
+# None is the run's mc.n_paths; a requirement is (predicate, message).
+CHECK_PARAMS = {
+    "energy": {
+        "ceilings": (_ceilings, {}, None),
+    },
+    "identities": {
+        "trials": (_integer, 100, _AT_LEAST_1),
+        "refine": (_boolean, False, None),
+        "refine_trials": (_integer, 10, _AT_LEAST_1),
+    },
+    "hy_uniformity": {
+        "levels": (_levels, (1.0, 10.0, 100.0, math.inf), _TWO_OR_MORE),
+        "n_paths": (_integer, None, _AT_LEAST_1),
+        "factor": (_number, 1.5, _POSITIVE),
+    },
+    "gronwall": {
+        "perturbation": (_number, 1e-3, _NON_NEGATIVE),
+        "n_paths": (_integer, None, _AT_LEAST_1),
+        "slack": (_number, 1.05, _POSITIVE),
+        "gn_trials": (_integer, 10000, _AT_LEAST_1),
+    },
+    "zeta_regularity": {
+        "levels": (_levels, (1.0, 100.0, math.inf), _NON_EMPTY),
+        "n_paths": (_integer, 8, _AT_LEAST_1),
+        "beta": (_number, 0.2, _NON_NEGATIVE),
+        "delta": (_number, 0.0, _NON_NEGATIVE),
+        "p": (_number, 32.0, _AT_LEAST_1),
+        "q": (_number, 2.0, _AT_LEAST_1),
+        "stride": (_integer, 8, _AT_LEAST_1),
+        "stability": (_number, 2.0, _POSITIVE),
+    },
+    "bdg": {
+        "q": (_number, 4.0, _AT_LEAST_1),
+        "m_list": (_moments, (2, 4), _NON_EMPTY),
+        "n_paths": (_integer, 500, _AT_LEAST_1),
+        "stability": (_number, 0.5, _POSITIVE),
+    },
+}
 
 
 @dataclass(frozen=True)
 class CheckConfig:
+    """One `checks` entry; params keeps the keys as the config gave them."""
+
     name: str
     params: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
-        if self.name not in KNOWN_CHECKS:
+        if self.name not in CHECK_PARAMS:
             raise ConfigError(f"'checks' entry has unknown name {self.name!r}")
 
     def param_dict(self) -> dict:
         return dict(self.params)
+
+    def value(self, key: str, mc_paths: int | None = None):
+        """The parameter as the drivers take it, or its default; mc_paths
+        stands in for a default of None."""
+        read, default, _ = CHECK_PARAMS[self.name][key]
+        params = self.param_dict()
+        if key in params:
+            return read(params[key], f"checks.{key}")
+        return mc_paths if default is None else default
+
+
+def _check_entry(entry: dict, path: str) -> CheckConfig:
+    """Validate one `checks` entry against CHECK_PARAMS; errors name path.key."""
+    entry = dict(entry)
+    check = CheckConfig(name=_take(entry, "name", path, kind=str),
+                        params=tuple(sorted(entry.items())))
+    table = CHECK_PARAMS[check.name]
+    for key, value in check.params:
+        if key not in table:
+            raise ConfigError(f"unknown key '{path}.{key}'")
+        read, _, requirement = table[key]
+        typed = read(value, f"{path}.{key}")
+        if requirement is not None and not requirement[0](typed):
+            raise ConfigError(f"'{path}.{key}' {requirement[1]}, got {value}")
+    return check
 
 
 @dataclass(frozen=True)
@@ -270,9 +395,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for i, entry in enumerate(checks_raw):
         if not isinstance(entry, dict):
             raise ConfigError(f"'checks[{i}]' must be an object")
-        entry = dict(entry)
-        name = _take(entry, "name", f"checks[{i}]", kind=str)
-        checks.append(CheckConfig(name=name, params=tuple(sorted(entry.items()))))
+        checks.append(_check_entry(entry, f"checks[{i}]"))
 
     output_tbl = dict(_take(doc, "output", "", default={}, kind=dict))
     directory = _take(output_tbl, "directory", "output", None)

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .noise import CovarianceSpec, NoiseBasis, WienerIncrement, apply_G, sample_increment
+from .noise import CovarianceSpec, WienerIncrement, apply_G, sample_increment
 from .operators import (
     MEAN_ZERO_RTOL,
     bilinear_B,
@@ -39,7 +38,6 @@ from .spectral import (
     l2_norm,
     lq_norm,
     sobolev_norm,
-    write_snapshot,
     zero_scalar,
 )
 
@@ -90,15 +88,6 @@ class CoupledState:
     beta: ScalarField
 
 
-@dataclass(frozen=True)
-class HolderReport:
-    """sup over sampled dyadic pairs of ||u(t)-u(r)||_{W^{s,2}} / |t-r|^beta."""
-
-    space_order: float
-    exponent: float
-    quotient: float
-
-
 @dataclass
 class TrajectoryStats:
     """Per-path functionals feeding the estimate checks.
@@ -113,7 +102,6 @@ class TrajectoryStats:
     sup_beta_l2: float = 0.0
     int_grad_beta: float = 0.0
     sup_beta_lq: float = 0.0
-    zeta_holder: HolderReport | None = None
     status: str = "completed"
 
     FUNCTIONALS = (
@@ -163,16 +151,13 @@ def velocity_step(
     dW: WienerIncrement,
     spec: CovarianceSpec,
     cfg: SolverConfig,
-    basis: NoiseBasis | None = None,
-    decay: np.ndarray | None = None,
 ) -> VectorField:
     """One step of dv + [Av + B(v,v)] dt = G(v) dW:
     v+ = exp(-|k|^2 dt) [v - dt P B(v,v) + G(v) dW], P the Leray projection."""
     v = state.v
-    if decay is None:
-        decay = heat_decay(v.grid, dW.dt)
+    decay = heat_decay(v.grid, dW.dt)
     pb = leray_project(bilinear_B(v, v))
-    noise = apply_G(v, dW, spec, "velocity_noise", basis)
+    noise = apply_G(v, dW, spec, "velocity_noise")
     new = VectorField(
         _stepped(decay, v.vx, -dW.dt * pb.vx, noise.vx),
         _stepped(decay, v.vy, -dW.dt * pb.vy, noise.vy),
@@ -200,13 +185,10 @@ def ou_step(
     dW: WienerIncrement,
     spec: CovarianceSpec,
     cfg: SolverConfig,
-    basis: NoiseBasis | None = None,
-    decay: np.ndarray | None = None,
 ) -> ScalarField:
     """Stochastic convolution step: zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]."""
-    if decay is None:
-        decay = heat_decay(state.zeta.grid, dW.dt)
-    noise = apply_G(state.v, dW, spec, "vorticity_noise", basis)
+    decay = heat_decay(state.zeta.grid, dW.dt)
+    noise = apply_G(state.v, dW, spec, "vorticity_noise")
     return _stepped(decay, state.zeta, noise)
 
 
@@ -264,12 +246,7 @@ def run_trajectory(
     seed: int,
     path_index: int = 0,
     lq_exponent: float = 4.0,
-    holder_exponent: float = 0.2,
-    holder_space_order: float = 0.0,
-    holder_stride: int = 8,
     record_stride: int = 0,
-    snapshot_dir: str | Path | None = None,
-    snapshot_stride: int = 0,
     observer=None,
 ) -> TrajectoryResult:
     """Integrate the velocity v and the stochastic convolution zeta over
@@ -280,8 +257,12 @@ def run_trajectory(
     curl(v0) must match xi0 to 1e-10 relative.  The state at t = 0 carries
     xi0 itself.  Returns early with status 'blowup' if the L2 norm of v or
     xi leaves the threshold or is not finite.  Deterministic given
-    (seed, path_index).  An observer callable, if given, sees every visited
-    CoupledState.
+    (seed, path_index).  The stats hold the path functionals only;
+    `record_stride` > 0 keeps every record_stride-th state and the final
+    one in `recorded`, else the final state alone.  An observer callable, if
+    given, sees each visited CoupledState once, in step order (its k-th call
+    the state after k steps); callers derive from it whatever else they need
+    of a path, such as snapshot files or zeta samples.
     """
     grid = xi0.grid
     scale = np.max(np.abs(xi0.coeffs))
@@ -296,15 +277,10 @@ def run_trajectory(
                 f"curl(v0) does not match xi0 (L2 defect {defect:.3e}); "
                 "pass v0=None to derive it by Biot-Savart"
             )
-    basis = NoiseBasis(spec, grid)
-    decay = heat_decay(grid, cfg.dt)
     state = CoupledState(0.0, v0, xi0, zero_scalar(grid), xi0)
 
     stats = TrajectoryStats()
     recorded: list[CoupledState] = []
-    zeta_snaps: list[ScalarField] = []
-    zeta_times: list[float] = []
-    snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
 
     def observe(st: CoupledState, step_index: int, last: bool):
         if observer is not None:
@@ -316,24 +292,16 @@ def run_trajectory(
         if not last:
             stats.int_grad_v += cfg.dt * grad_norm_l2(st.v) ** 2
             stats.int_grad_beta += cfg.dt * grad_norm_l2_scalar(st.beta) ** 2
-        if holder_stride > 0 and (step_index % holder_stride == 0 or last):
-            if not zeta_times or st.t > zeta_times[-1]:
-                zeta_snaps.append(st.zeta)
-                zeta_times.append(st.t)
         if record_stride > 0 and (step_index % record_stride == 0 or last):
             if not recorded or st.t > recorded[-1].t:
                 recorded.append(st)
-        if (snapshot_dir is not None and snapshot_stride > 0
-                and step_index % snapshot_stride == 0):
-            name = f"path{path_index:04d}_step{step_index:06d}.vspd"
-            write_snapshot(st.xi, snapshot_dir / name)
 
     try:
         for step in range(cfg.n_steps):
             observe(state, step, last=False)
             dW = sample_increment(seed, path_index, step, spec, cfg.dt)
-            v_new = velocity_step(state, dW, spec, cfg, basis, decay)
-            zeta_new = ou_step(state, dW, spec, cfg, basis, decay)
+            v_new = velocity_step(state, dW, spec, cfg)
+            zeta_new = ou_step(state, dW, spec, cfg)
             xi_new = _guarded(curl(v_new), "vorticity", cfg, state.t)
             state = CoupledState((step + 1) * cfg.dt, v_new, xi_new, zeta_new,
                                  xi_new - zeta_new)
@@ -341,12 +309,6 @@ def run_trajectory(
     except BlowupError:
         stats.status = "blowup"
 
-    if holder_stride > 0 and len(zeta_snaps) >= 2:
-        stats.zeta_holder = HolderReport(
-            holder_space_order,
-            holder_exponent,
-            holder_quotient(zeta_snaps, zeta_times, holder_exponent, holder_space_order),
-        )
     if record_stride <= 0:
         recorded = [state]
     return TrajectoryResult(final=state, recorded=recorded, stats=stats)

@@ -12,7 +12,9 @@ n = inf means no regularization.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,6 +188,25 @@ class NoiseBasis:
         )
 
 
+_BASIS_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=2)  # room for a grid and its refinement, as BDG uses
+def _cached_basis(mode_indices, roughness: float, grid: SpectralGrid) -> NoiseBasis:
+    # a basis reads only the mode list and the roughness of its spec
+    basis = NoiseBasis(CovarianceSpec(mode_indices, (1.0,) * len(mode_indices), roughness), grid)
+    for shared in (basis.vel_stack, basis.vor_stack, basis.mode_ksq):  # one copy for all callers
+        shared.setflags(write=False)
+    return basis
+
+
+def noise_basis(spec: CovarianceSpec, grid: SpectralGrid) -> NoiseBasis:
+    """The basis of spec's modes on grid, built once for every path, level
+    and step; concurrent first callers wait for one build, not build copies."""
+    with _BASIS_LOCK:
+        return _cached_basis(spec.mode_indices, spec.roughness, grid)
+
+
 def sigma_eval(v: VectorField, spec: CovarianceSpec) -> float:
     """Noise intensity sigma(v); rational_square maps into [0, 1)."""
     if spec.sigma_kind == "zero":
@@ -224,7 +245,6 @@ def apply_G(
     dW: WienerIncrement,
     spec: CovarianceSpec,
     output: str = "velocity_noise",
-    basis: NoiseBasis | None = None,
 ) -> Field:
     """R_n [ sum_k c_k sigma(v) g_k sqrt(dt) e_k ]; linear in the increment.
 
@@ -238,8 +258,7 @@ def apply_G(
             f"increment has {len(dW.gaussians)} draws for {spec.n_modes} modes"
         )
     grid = v.grid
-    if basis is None:
-        basis = NoiseBasis(spec, grid)
+    basis = noise_basis(spec, grid)
     sig = sigma_eval(v, spec)
     weights = np.asarray(spec.coefficients) * (sig * np.sqrt(dW.dt)) * dW.gaussians
     if output == "velocity_noise":
@@ -254,11 +273,9 @@ def noise_mode_fields(
     spec: CovarianceSpec,
     v: VectorField,
     output: str = "velocity_noise",
-    basis: NoiseBasis | None = None,
 ) -> list[Field]:
     """The images G_n(v) h_k = R_n[c_k sigma(v) e_k] (or their curls)."""
-    if basis is None:
-        basis = NoiseBasis(spec, v.grid)
+    basis = noise_basis(spec, v.grid)
     sig = sigma_eval(v, spec)
     elems = basis.velocity if output == "velocity_noise" else basis.vorticity
     return [hille_yosida(e * (c * sig), spec.hy_level)
@@ -271,7 +288,6 @@ def operator_norms(
     s: float,
     q: float,
     output: str = "velocity_noise",
-    basis: NoiseBasis | None = None,
 ) -> dict[str, float]:
     """Hilbert-Schmidt and gamma-radonifying norms of the noise operator.
 
@@ -284,7 +300,7 @@ def operator_norms(
         raise ValueError("radonifying norm is not defined for q = inf")
     if not q >= 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    fields = noise_mode_fields(spec, v, output, basis)
+    fields = noise_mode_fields(spec, v, output)
     hs_sq = 0.0
     square_fn = np.zeros((v.grid.modes_per_dim,) * 2)
     for f in fields:
@@ -307,12 +323,9 @@ def _bessel(field: Field, s: float) -> Field:
     return bessel_multiplier(field, s)
 
 
-def basis_l2_sq_sum(spec: CovarianceSpec, grid: SpectralGrid,
-                    basis: NoiseBasis | None = None) -> float:
+def basis_l2_sq_sum(spec: CovarianceSpec, grid: SpectralGrid) -> float:
     """sum_k c_k^2 ||e_k||^2_{L^2}; the covariance factor in the Lipschitz
     bound ||G(v1)-G(v2)||_{HS(H;L^2)} <= Lip(sigma) (sum c^2 ||e||^2)^(1/2)
     ||v1-v2||."""
-    if basis is None:
-        basis = NoiseBasis(spec, grid)
     return float(sum(c * c * l2_norm(e) ** 2
-                     for c, e in zip(spec.coefficients, basis.velocity)))
+                     for c, e in zip(spec.coefficients, noise_basis(spec, grid).velocity)))

@@ -1,11 +1,13 @@
 """CLI orchestration: run/check/report, output files, determinism."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from vortex import harness
 from vortex.cli import main
 
 SMALL_CONFIG = {
@@ -158,6 +160,81 @@ class TestRunCommand:
             "path0000_step000000.vspd", "path0000_step000005.vspd",
             "path0000_step000010.vspd",
         ]
+
+
+class TestSharedSweep:
+    @staticmethod
+    def count_trajectories(monkeypatch):
+        calls = []
+        original = harness.run_trajectory
+
+        def counted(v0, xi0, spec, cfg, seed, path_index=0, **kwargs):
+            calls.append((spec.hy_level, path_index))
+            return original(v0, xi0, spec, cfg, seed, path_index, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trajectory", counted)
+        return calls
+
+    def test_each_level_and_path_integrated_once(self, tmp_path, monkeypatch):
+        calls = self.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG, checks=[
+            {"name": "energy"},
+            {"name": "hy_uniformity", "levels": [10, None], "n_paths": 2},
+            {"name": "zeta_regularity", "levels": [10, None], "n_paths": 4,
+             "q": 4, "stride": 3},
+        ])
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        # main Monte-Carlo 3 paths at infinity; both checks share both levels
+        expected = [(n, p) for n in (math.inf, 10.0) for p in range(4)]
+        assert sorted(calls) == sorted(expected)
+        names = [c["name"] for c in json.loads((out / "checks.json").read_text())]
+        assert names[-2:] == ["hy_uniformity", "zeta_regularity"]
+        assert len((out / "stats.csv").read_text().strip().split("\n")) == 4
+
+    def test_refused_zeta_budget_integrates_nothing(self, tmp_path, monkeypatch, capsys):
+        calls = self.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG, checks=[{"name": "zeta_regularity", "p": 4}])
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "refused" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "stats.csv").exists()
+
+
+class TestCheckParameters:
+    @pytest.mark.parametrize("entry, field", [
+        ({"name": "bdg", "n_paths": [3]}, "checks[1].n_paths"),
+        ({"name": "zeta_regularity", "stride": 0}, "checks[1].stride"),
+        ({"name": "hy_uniformity", "levls": [5, None]}, "checks[1].levls"),
+        ({"name": "hy_uniformity", "levels": [5]}, "checks[1].levels"),
+        ({"name": "hy_uniformity", "levels": [5, -1]}, "checks[1].levels[1]"),
+        ({"name": "bdg", "m_list": [3]}, "checks[1].m_list[0]"),
+        ({"name": "identities", "refine": 1}, "checks[1].refine"),
+        ({"name": "energy", "ceilings": {"sup_v": 1.0}}, "checks[1].ceilings.sup_v"),
+    ])
+    def test_bad_entry_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys,
+                                                entry, field):
+        calls = TestSharedSweep.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG, checks=[{"name": "energy"}, entry])
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert calls == []
+        assert not out.exists()
+
+    def test_resolved_config_keeps_the_given_keys(self, tmp_path):
+        given = [{"name": "energy"},
+                 {"name": "hy_uniformity", "levels": [10, None], "n_paths": 2}]
+        cfg = write_config(tmp_path, dict(SMALL_CONFIG, checks=given))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["checks"] == given
 
 
 class TestCheckCommand:

@@ -173,3 +173,36 @@ class TestBuilders:
         doc["mc"] = {"base_seed": 6}
         c = parse_config(doc).build_initial()[1]
         assert not np.array_equal(a.coeffs, c.coeffs)
+
+
+class TestCheckParameters:
+    def test_values_typed_with_defaults(self):
+        doc = dict(MINIMAL, checks=[
+            {"name": "zeta_regularity", "levels": [10, None], "p": 16},
+            {"name": "hy_uniformity"},
+        ])
+        zeta, hy = parse_config(doc).checks
+        assert zeta.value("levels") == [10.0, math.inf]
+        assert zeta.value("p") == 16.0 and isinstance(zeta.value("p"), float)
+        assert zeta.value("n_paths") == 8
+        assert hy.value("n_paths", 5) == 5
+        assert list(hy.value("levels")) == [1.0, 10.0, 100.0, math.inf]
+
+    def test_defaults_meet_their_requirements(self):
+        from vortex.config import CHECK_PARAMS
+
+        for table in CHECK_PARAMS.values():
+            for read, default, requirement in table.values():
+                if default is not None and requirement is not None:
+                    assert requirement[0](default)
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "gronwall", "slack": float("nan")}, "checks[0].slack' must be finite"),
+        ({"name": "bdg", "q": True}, "checks[0].q' must be a number"),
+        ({"name": "zeta_regularity", "n_paths": 2.0}, "checks[0].n_paths' must be an integer"),
+        ({"name": "identities", "trials": 0}, "checks[0].trials' must be >= 1"),
+    ])
+    def test_rejections_name_the_field(self, entry, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(dict(MINIMAL, checks=[entry]))
+        assert message in str(err.value)

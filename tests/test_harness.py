@@ -9,6 +9,7 @@ import pytest
 from vortex.config import _single_mode_vector
 from vortex.harness import (
     CheckResult,
+    HolderProbe,
     abs_brownian_sup_moment,
     bdg_report,
     convergence_check,
@@ -23,10 +24,12 @@ from vortex.harness import (
     measure_gn_constant,
     run_paths,
     simulate_bdg_sups,
+    sweep,
     weighted_identity_refinement,
+    zeta_budget,
     zeta_regularity,
 )
-from vortex.integrator import SolverConfig, TrajectoryStats, run_trajectory
+from vortex.integrator import SolverConfig, TrajectoryStats, holder_quotient, run_trajectory
 from vortex.noise import CovarianceSpec
 from vortex.operators import biot_savart, random_divfree_field, random_scalar_field
 from vortex.spectral import ScalarField, SpectralGrid, l2_norm
@@ -38,8 +41,7 @@ SMALL_NOISE = CovarianceSpec(((1, 0), (0, 1), (1, 1), (-1, 0)),
 
 def make_stats(**kw):
     base = dict(sup_v_l2sq=1.0, int_grad_v=2.0, sup_xi_lq=0.5, sup_beta_l2=0.4,
-                int_grad_beta=1.0, sup_beta_lq=0.6, zeta_holder=None,
-                status="completed")
+                int_grad_beta=1.0, sup_beta_lq=0.6, status="completed")
     base.update(kw)
     return TrajectoryStats(**base)
 
@@ -125,7 +127,7 @@ class TestEnergyReport:
             vals = []
             for p in range(8):
                 res = run_trajectory(None, xi0, SMALL_NOISE, cfg, seed=seed,
-                                     path_index=p, holder_stride=0)
+                                     path_index=p)
                 vals.append(res.stats.sup_v_l2sq)
             return np.mean(vals)
 
@@ -133,20 +135,34 @@ class TestEnergyReport:
         assert abs(a - b) <= 0.2 * max(a, b)
 
 
+def swept_hy(levels, spec, xi0, cfg, n_paths, base_seed):
+    """hy_uniformity reduced from a sweep that integrates exactly its paths."""
+    results = sweep(spec, None, xi0, cfg, base_seed, 0, demands=[(levels, n_paths, None)])
+    return hy_uniformity(results, levels, n_paths, base_seed)
+
+
+def swept_zeta(spec, xi0, cfg, levels, n_paths, base_seed, beta, delta, p, q, stride):
+    """zeta_regularity reduced from a sweep that integrates exactly its paths."""
+    zeta_budget(spec.roughness, beta, delta, p)
+    probe = HolderProbe(beta, delta, q, stride)
+    results = sweep(spec, None, xi0, cfg, base_seed, 0, demands=[(levels, n_paths, probe)])
+    return zeta_regularity(results, levels, n_paths, base_seed, probe, p)
+
+
 class TestHyUniformity:
     def test_noise_off_ratio_exactly_one(self, grid16, rng):
         xi0 = random_scalar_field(grid16, rng)
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
-        out = hy_uniformity([1.0, 10.0, math.inf], ZERO_NOISE, None, xi0, cfg,
-                            n_paths=2, base_seed=4)
+        out = swept_hy([1.0, 10.0, math.inf], ZERO_NOISE, xi0, cfg,
+                       n_paths=2, base_seed=4)
         assert out.observed == 1.0
         assert out.passed
 
     def test_reduced_scale_uniformity(self, grid16, rng):
         xi0 = random_scalar_field(grid16, rng)
         cfg = SolverConfig(dt=5e-3, t_end=0.1)
-        out = hy_uniformity([1.0, 10.0, math.inf], SMALL_NOISE, None, xi0, cfg,
-                            n_paths=4, base_seed=4)
+        out = swept_hy([1.0, 10.0, math.inf], SMALL_NOISE, xi0, cfg,
+                       n_paths=4, base_seed=4)
         assert out.passed
         assert out.observed >= 1.0
 
@@ -154,7 +170,7 @@ class TestHyUniformity:
         xi0 = random_scalar_field(grid16, rng)
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
         with pytest.raises(ValueError):
-            hy_uniformity([1.0], ZERO_NOISE, None, xi0, cfg, 2, 0)
+            swept_hy([1.0], ZERO_NOISE, xi0, cfg, 2, 0)
 
 
 class TestZetaRegularity:
@@ -163,15 +179,15 @@ class TestZetaRegularity:
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
         # beta + delta/2 + 1/p = 0.2 + 0 + 0.25 = 0.45 >= (1-0.5)/2
         with pytest.raises(ValueError, match="refused"):
-            zeta_regularity(SMALL_NOISE, None, xi0, cfg, [1.0, math.inf],
-                            2, 0, beta=0.2, delta=0.0, p=4.0, q=2.0)
+            swept_zeta(SMALL_NOISE, xi0, cfg, [1.0, math.inf],
+                       2, 0, beta=0.2, delta=0.0, p=4.0, q=2.0, stride=8)
 
     def test_runs_and_reports_stability(self, grid16, rng):
         xi0 = random_scalar_field(grid16, rng)
         cfg = SolverConfig(dt=2e-3, t_end=0.128)
-        out = zeta_regularity(SMALL_NOISE, None, xi0, cfg, [10.0, math.inf],
-                              n_paths=6, base_seed=11,
-                              beta=0.2, delta=0.0, p=32.0, q=2.0, stride=4)
+        out = swept_zeta(SMALL_NOISE, xi0, cfg, [10.0, math.inf],
+                         n_paths=6, base_seed=11,
+                         beta=0.2, delta=0.0, p=32.0, q=2.0, stride=4)
         assert np.isfinite(out.observed)
         assert out.passed, out.extra
         assert len(out.extra["moment_means"]) == 2
@@ -184,11 +200,101 @@ class TestZetaRegularity:
         quotients = []
         for dt in (4e-3, 2e-3):
             cfg = SolverConfig(dt=dt, t_end=0.128)
-            out = zeta_regularity(SMALL_NOISE, None, xi0, cfg, [math.inf],
-                                  n_paths=4, base_seed=13, beta=0.2, delta=0.0,
-                                  p=32.0, q=2.0, stride=4)
+            out = swept_zeta(SMALL_NOISE, xi0, cfg, [math.inf],
+                             n_paths=4, base_seed=13, beta=0.2, delta=0.0,
+                             p=32.0, q=2.0, stride=4)
             quotients.append(out.extra["quotient_means"][0])
         assert quotients[1] <= 1.5 * quotients[0]
+
+
+class TestSweep:
+    def test_snapshot_emission(self, grid16, rng, tmp_path):
+        # the main Monte-Carlo paths write xi every stride steps; paths a
+        # check adds at the main level write none
+        from vortex.spectral import read_snapshot
+
+        cfg = SolverConfig(dt=0.01, t_end=0.05)
+        xi0 = random_scalar_field(grid16, rng)
+        sweep(ZERO_NOISE, None, xi0, cfg, 0, 3, demands=[([math.inf], 5, None)],
+              snapshot_dir=tmp_path, snapshot_stride=2)
+        files = sorted(tmp_path.glob("*.vspd"))
+        assert [f.name for f in files] == [
+            f"path{p:04d}_step{s:06d}.vspd" for p in range(3) for s in (0, 2, 4)
+        ]
+        first = read_snapshot(files[0])
+        assert np.max(np.abs(first.coeffs - xi0.coeffs)) < 1e-13
+
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_reductions_match_one_trajectory_per_level_and_path(self, grid16, rng, q):
+        xi0 = random_scalar_field(grid16, rng)
+        cfg = SolverConfig(dt=5e-3, t_end=0.05)
+        levels, n_paths, seed, stride = [10.0, math.inf], 3, 6, 3  # 10 steps: the end counts
+        probe = HolderProbe(0.2, 0.5 if q == 4.0 else 0.0, q, stride)
+        # the main level asks for fewer paths than the checks
+        results = sweep(SMALL_NOISE, None, xi0, cfg, seed, 2,
+                        demands=[(levels, n_paths, None), (levels, n_paths, probe)])
+        assert {n: len(r) for n, r in results.items()} == {math.inf: 3, 10.0: 3}
+
+        means, moments, quotient_means = [], [], []
+        for n in levels:
+            stats, quots = [], []
+            for p in range(n_paths):
+                res = run_trajectory(None, xi0, SMALL_NOISE.with_hy_level(n), cfg,
+                                     seed=seed, path_index=p, record_stride=stride)
+                stats.append(res.stats)
+                quots.append(holder_quotient([st.zeta for st in res.recorded],
+                                             [st.t for st in res.recorded],
+                                             probe.beta, probe.delta, q))
+            assert [repr(r.stats) for r in results[n]] == [repr(s) for s in stats]
+            means.append({f: float(np.mean([s.functional(f) for s in stats]))
+                          for f in TrajectoryStats.FUNCTIONALS})
+            quots = np.asarray(quots)
+            moments.append(float(np.mean(quots**32.0)))
+            quotient_means.append(float(np.mean(quots)))
+
+        hy = hy_uniformity(results, levels, n_paths, seed)
+        worst = 1.0
+        for f in TrajectoryStats.FUNCTIONALS:
+            vals = [m[f] for m in means]
+            assert hy.extra["functionals"][f]["means"] == vals
+            worst = max(worst, max(vals) / min(vals))
+        assert hy.observed == worst
+
+        zeta = zeta_regularity(results, levels, n_paths, seed, probe, 32.0)
+        assert zeta.extra["moment_means"] == moments
+        assert zeta.extra["quotient_means"] == quotient_means
+        scales = [m ** (1.0 / 32.0) for m in moments]
+        assert zeta.observed == max(scales) / min(scales)
+
+    def test_blown_up_paths_fail_both_drivers(self, grid16):
+        # a threshold just above the initial norms blows 5 of 6 paths up at
+        # each level; the truncated paths still give finite quotients
+        spec = CovarianceSpec(((1, 0), (0, 1), (1, 1), (-1, 0)), (2.0, 1.5, 1.0, 1.0),
+                              0.5, "constant_one")
+        xi0 = random_scalar_field(grid16, np.random.default_rng(3))
+        threshold = 1.1 * max(l2_norm(biot_savart(xi0)), l2_norm(xi0))
+        cfg = SolverConfig(dt=2e-3, t_end=0.128, blowup_threshold=threshold)
+        levels, probe = [10.0, math.inf], HolderProbe(0.2, 0.0, 2.0, 4)
+        results = sweep(spec, None, xi0, cfg, 11, 0, demands=[(levels, 6, probe)])
+        blown = {n: sum(r.stats.status != "completed" for r in results[n]) for n in levels}
+        assert blown[10.0] == 5
+        hy = hy_uniformity(results, levels, 6, 11)
+        zeta = zeta_regularity(results, levels, 6, 11, probe, 32.0)
+        for out, name in ((hy, "hy_uniformity.status"), (zeta, "zeta_regularity.status")):
+            assert out.name == name
+            assert not out.passed
+            assert out.observed == float(sum(blown.values()))
+            assert "5 of 6 paths at level 10" in out.extra["diagnostic"]
+
+    def test_blowup_before_the_second_zeta_sample_fails_closed(self, grid16, rng):
+        xi0 = random_scalar_field(grid16, rng)
+        cfg = SolverConfig(dt=0.01, t_end=0.1, blowup_threshold=1e-9)
+        probe = HolderProbe(0.2, 0.0, 2.0, 4)
+        results = sweep(SMALL_NOISE, None, xi0, cfg, 2, 0,
+                        demands=[([1.0, math.inf], 2, probe)])
+        out = zeta_regularity(results, [1.0, math.inf], 2, 2, probe, 32.0)
+        assert out.name == "zeta_regularity.status" and not out.passed
+        assert out.observed == 4.0
 
 
 class TestGronwall:
@@ -274,7 +380,7 @@ class TestBdg:
         spec = CovarianceSpec(((1, 0),), (0.4,), 0.5, "constant_one")
         v0 = biot_savart(random_scalar_field(grid16, np.random.default_rng(1)))
         T, dt, n_paths = 0.5, 1e-3, 600
-        sups = simulate_bdg_sups(spec, grid16, v0, 2.0, n_paths, 77, T, dt)
+        sups = simulate_bdg_sups([(spec, v0)], 2.0, n_paths, 77, T, dt)[:, 0]
         from vortex.noise import operator_norms
 
         phi = operator_norms(v0, spec, 0.0, 2.0)["radonifying"]
@@ -282,6 +388,29 @@ class TestBdg:
         target = discrete_sup_sq_oracle(T, dt) / T
         stderr = np.std(ratios, ddof=1) / math.sqrt(n_paths)
         assert abs(np.mean(ratios) - target) <= 3.0 * stderr
+
+    def test_shared_draws_match_single_grid_sums(self, grid16, rng, monkeypatch):
+        # both grids read each path's increments, drawn once
+        from vortex import harness
+        from vortex.spectral import regrid
+
+        v0 = random_divfree_field(grid16, rng)
+        fine = SpectralGrid(32)
+        frames = [(SMALL_NOISE, v0), (SMALL_NOISE, regrid(v0, fine))]
+        draws = []
+        original = harness.sample_increment
+
+        def counted(*args, **kwargs):
+            draws.append(args[:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_increment", counted)
+        both = simulate_bdg_sups(frames, 4.0, 5, 3, 0.1, 0.01)
+        assert len(draws) == len(set(draws)) == 5 * 10
+        assert both.shape == (5, 2, 2)
+        for i, frame in enumerate(frames):
+            alone = simulate_bdg_sups([frame], 4.0, 5, 3, 0.1, 0.01)
+            assert np.array_equal(both[:, i], alone[:, 0])
 
     def test_moment_validation(self, grid16, rng):
         v0 = biot_savart(random_scalar_field(grid16, rng))

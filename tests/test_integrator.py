@@ -264,11 +264,15 @@ class TestRunTrajectory:
     def test_deterministic_given_seed(self, grid16, rng):
         cfg = SolverConfig(dt=1e-2, t_end=0.1)
         xi0 = random_scalar_field(grid16, rng)
-        a = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=5, path_index=3)
-        b = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=5, path_index=3)
+        a = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=5, path_index=3,
+                           record_stride=1)
+        b = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=5, path_index=3,
+                           record_stride=1)
         assert np.array_equal(a.final.xi.coeffs, b.final.xi.coeffs)
         assert a.stats.sup_v_l2sq == b.stats.sup_v_l2sq
-        assert a.stats.zeta_holder.quotient == b.stats.zeta_holder.quotient
+        # every zeta sample, hence any Holder quotient of the path, repeats
+        assert all(np.array_equal(x.zeta.coeffs, y.zeta.coeffs)
+                   for x, y in zip(a.recorded, b.recorded))
 
     def test_nonzero_mean_rejected(self, grid16):
         cfg = SolverConfig(dt=0.01, t_end=0.1)
@@ -290,21 +294,6 @@ class TestRunTrajectory:
         xi0 = random_scalar_field(grid16, rng)
         res = run_trajectory(None, xi0, ZERO_NOISE, cfg, seed=0)
         assert res.stats.status == "blowup"
-
-    def test_snapshot_emission(self, grid16, rng, tmp_path):
-        from vortex.spectral import read_snapshot
-
-        cfg = SolverConfig(dt=0.01, t_end=0.05)
-        xi0 = random_scalar_field(grid16, rng)
-        res = run_trajectory(None, xi0, ZERO_NOISE, cfg, seed=0, path_index=2,
-                             snapshot_dir=tmp_path, snapshot_stride=2)
-        files = sorted(tmp_path.glob("*.vspd"))
-        assert [f.name for f in files] == [
-            "path0002_step000000.vspd", "path0002_step000002.vspd",
-            "path0002_step000004.vspd",
-        ]
-        first = read_snapshot(files[0])
-        assert np.max(np.abs(first.coeffs - xi0.coeffs)) < 1e-13
 
     def test_recorded_series_matches_stats(self, grid16, rng):
         # the recorded snapshots recompute the stats functionals exactly

@@ -14,6 +14,7 @@ from vortex.noise import (
     apply_G,
     build_noise_basis,
     hille_yosida,
+    noise_basis,
     noise_mode_fields,
     operator_norms,
     sample_increment,
@@ -58,6 +59,58 @@ class TestCovarianceSpec:
 
 
 class TestNoiseBasis:
+    def test_shared_per_mode_list_roughness_and_grid(self, grid16, grid32):
+        spec = make_spec()
+        basis = noise_basis(spec, grid16)
+        # coefficients, sigma and the Hille-Yosida level do not enter a basis
+        other = make_spec(coeffs=(1.0, 1.0, 1.0, 1.0), sigma="zero", hy=3.0)
+        assert noise_basis(other, grid16) is basis
+        # a grid and its refinement stay cached together
+        fine = noise_basis(spec, grid32)
+        assert noise_basis(spec, grid16) is basis
+        assert noise_basis(spec, grid32) is fine
+        assert noise_basis(make_spec(g=0.4), grid16) is not basis
+        fresh = NoiseBasis(spec, grid16)
+        assert np.array_equal(basis.vel_stack, fresh.vel_stack)
+        assert np.array_equal(basis.vor_stack, fresh.vor_stack)
+        assert np.array_equal(basis.mode_ksq, fresh.mode_ksq)
+        assert not basis.vel_stack.flags.writeable
+
+    def test_concurrent_first_calls_build_once(self, monkeypatch):
+        import sys
+        import threading
+
+        from vortex import noise
+
+        builds = []
+        original = NoiseBasis.__init__
+
+        def counted(basis, *args, **kwargs):
+            builds.append(threading.get_ident())
+            original(basis, *args, **kwargs)
+
+        monkeypatch.setattr(NoiseBasis, "__init__", counted)
+        grid = SpectralGrid(24)  # a grid no other test uses: the cache is cold
+        got, barrier = [], threading.Barrier(8)
+
+        def call():
+            barrier.wait(timeout=10)
+            got.append(noise.noise_basis(make_spec(), grid))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and all(b is got[0] for b in got)
+        assert len(builds) == 1
+
     def test_unit_sobolev_norm(self, grid32):
         spec = make_spec(g=0.5)
         for e in build_noise_basis(spec, grid32):
@@ -185,7 +238,7 @@ class TestApplyG:
         spec = make_spec(modes=((1, 0),), coeffs=(0.7,))
         basis = NoiseBasis(spec, grid32)
         dW = WienerIncrement(0.04, np.array([1.0]))
-        out = apply_G(zero_vector(grid32), dW, spec, "velocity_noise", basis)
+        out = apply_G(zero_vector(grid32), dW, spec, "velocity_noise")
         expected = basis.velocity[0] * (0.7 * math.sqrt(0.04))
         assert l2_norm(out - expected) <= 1e-14
 
@@ -194,8 +247,8 @@ class TestApplyG:
         basis = NoiseBasis(spec, grid32)
         v = random_divfree_field(grid32, rng)
         dW = sample_increment(3, 1, 4, spec, 0.01)
-        vel = apply_G(v, dW, spec, "velocity_noise", basis)
-        vor = apply_G(v, dW, spec, "vorticity_noise", basis)
+        vel = apply_G(v, dW, spec, "velocity_noise")
+        vor = apply_G(v, dW, spec, "vorticity_noise")
         assert l2_norm(curl(vel) - vor) <= 1e-13
 
     def test_length_mismatch(self, grid32):
@@ -217,7 +270,7 @@ class TestApplyG:
         proj = np.zeros((n_draws, spec.n_modes))
         for i in range(n_draws):
             dW = sample_increment(99, 0, i, spec, dt)
-            out = apply_G(v, dW, spec, "velocity_noise", basis)
+            out = apply_G(v, dW, spec, "velocity_noise")
             out_s = bessel_multiplier(out, s)
             proj[i] = [l2_inner(out_s, e) for e in smoothed]
         for k, c in enumerate(spec.coefficients):
@@ -239,8 +292,8 @@ class TestApplyG:
         samples_inf, samples_n = [], []
         for i in range(800):
             dW = sample_increment(5, 0, i, spec_inf, dt)
-            samples_inf.append(l2_norm(apply_G(v, dW, spec_inf, "velocity_noise", basis)) ** 2)
-            samples_n.append(l2_norm(apply_G(v, dW, spec_n, "velocity_noise", basis)) ** 2)
+            samples_inf.append(l2_norm(apply_G(v, dW, spec_inf, "velocity_noise")) ** 2)
+            samples_n.append(l2_norm(apply_G(v, dW, spec_n, "velocity_noise")) ** 2)
         ratio = np.mean(samples_n) / np.mean(samples_inf)
         assert ratio == pytest.approx(ratio_expected, rel=1e-10)
 
