@@ -118,7 +118,8 @@ def run_experiment(config: ExperimentConfig):
     """The main Monte-Carlo stats and the configured checks' results, in
     config order, reproducibly.
 
-    zeta_regularity budgets are checked before any path runs.  One `sweep`
+    zeta_regularity budgets, and the two main paths the energy check needs,
+    are checked before any path runs.  One `sweep`
     then integrates, once each, the (Hille-Yosida level, path) pairs of the
     main Monte-Carlo, hy_uniformity and zeta_regularity, and writes the
     snapshots; energy and those two checks reduce its results.  gronwall,
@@ -131,6 +132,8 @@ def run_experiment(config: ExperimentConfig):
     n_main = config.mc.n_paths
     demands, probes = [], {}
     for i, chk in enumerate(config.checks):
+        if chk.name == "energy" and n_main < 2:
+            raise ConfigError(f"'mc.n_paths' must be >= 2 for the energy check, got {n_main}")
         if chk.name == "hy_uniformity":
             demands.append((chk.value("levels"), chk.value("n_paths", n_main), None))
         elif chk.name == "zeta_regularity":

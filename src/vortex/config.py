@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .integrator import SolverConfig, TrajectoryStats
-from .noise import CovarianceSpec, initial_rng
+from .noise import CovarianceSpec, initial_rng, require_in_band
 from .operators import random_scalar_field
 from .spectral import ScalarField, SpectralGrid, VectorField, zero_scalar
 
@@ -458,6 +458,12 @@ def _single_mode_vector(grid: SpectralGrid, j: tuple[int, int],
 
 def build_noise_spec(noise: NoiseConfig, grid: SpectralGrid) -> CovarianceSpec:
     modes = noise.modes if noise.modes is not None else tuple(_band_modes(noise.mode_band))
+    try:
+        require_in_band(modes, grid)
+    except ValueError as err:
+        field = "noise.modes" if noise.modes is not None else "noise.mode_band"
+        raise ConfigError(
+            f"'{field}': {err} of grid.modes_per_dim {grid.modes_per_dim}") from err
     k0 = 2.0 * np.pi / grid.domain_length
     coeffs = []
     for j1, j2 in modes:

@@ -7,6 +7,13 @@ c_k * sigma(v) * e_k, where e_k is normalized to unit W^{1-g,2} norm.
 Vorticity noise takes the curl of each basis element, losing one order
 of differentiability.  R_n = n (nI - Laplacian)^{-1} smooths the noise;
 n = inf means no regularization.
+
+Each e_k has at most two nonzero spectral coefficients, at +-k.  A
+`ScatterPlan` lists them per mode, with the velocity and vorticity
+amplitudes there, and `apply_G` scatters the weighted amplitudes into a
+zeroed array, so a time step never touches a dense N x N basis.  The
+dense `NoiseBasis` is filled from the same plan; the check-time code
+(operator norms, BDG sums) reads it.
 """
 
 from __future__ import annotations
@@ -130,27 +137,50 @@ def _canonical(j: tuple[int, int]) -> tuple[bool, tuple[int, int]]:
     return False, (-j1, -j2)
 
 
-def build_noise_basis(spec: CovarianceSpec, grid: SpectralGrid) -> list[VectorField]:
-    """Velocity basis elements e_k: divergence-free single-frequency modes
-    aligned with k-perp, normalized so ||e_k||_{W^{1-g,2}} = 1.
+def require_in_band(mode_indices, grid: SpectralGrid) -> None:
+    """Every noise mode must lie strictly inside the Nyquist band: there
+    +-k are two distinct indices, so e_k is a real field with its full
+    amplitude."""
+    half = grid.modes_per_dim // 2
+    for j in mode_indices:
+        if max(abs(j[0]), abs(j[1])) >= half:
+            raise ValueError(
+                f"noise mode {tuple(j)} lies outside the grid band max(|j1|, |j2|) < {half}"
+            )
 
-    A raw cosine/sine mode has L^2 norm L/sqrt(2), so the normalization
-    divides by (1+|k|^2)^((1-g)/2) * L/sqrt(2); the constant mode (0,0) is
-    the unit-L^2 field (1/L, 0).
+
+@dataclass(frozen=True)
+class ScatterPlan:
+    """The nonzero spectral coefficients of every basis element on a grid,
+    as one entry list in mode order (each mode's entries adjacent).
+
+    mode: the mode each entry belongs to.
+    index: the entry's flat index into the N x N coefficients.
+    velocity: (2, entries) x and y amplitudes of e_k there.
+    vorticity: the amplitudes of curl e_k there.
+    touched: the distinct flat indices, and touched_ksq their |k|^2.
     """
+
+    mode: np.ndarray
+    index: np.ndarray
+    velocity: np.ndarray
+    vorticity: np.ndarray
+    touched: np.ndarray
+    touched_ksq: np.ndarray
+
+
+def _build_plan(mode_indices, roughness: float, grid: SpectralGrid) -> ScatterPlan:
+    require_in_band(mode_indices, grid)
     n = grid.modes_per_dim
-    half = n // 2
     k0 = 2.0 * np.pi / grid.domain_length
-    out: list[VectorField] = []
-    for j in spec.mode_indices:
+    mode, rows, cols, velocity = [], [], [], []
+    for m, j in enumerate(mode_indices):
         j1, j2 = j
-        if max(abs(j1), abs(j2)) > half:
-            raise ValueError(f"noise mode {j} lies outside the grid band |j| <= {half}")
-        coeffs_x = np.zeros((n, n), dtype=np.complex128)
-        coeffs_y = np.zeros((n, n), dtype=np.complex128)
         if j1 == 0 and j2 == 0:
-            coeffs_x[0, 0] = 1.0 / grid.domain_length
-            out.append(VectorField(ScalarField(grid, coeffs_x), ScalarField(grid, coeffs_y)))
+            mode.append(m)
+            rows.append(0)
+            cols.append(0)
+            velocity.append(np.array([[1.0 / grid.domain_length], [0.0]], dtype=np.complex128))
             continue
         is_cos, (c1, c2) = _canonical(j)
         kvec = k0 * np.array([c1, c2])
@@ -158,15 +188,58 @@ def build_noise_basis(spec: CovarianceSpec, grid: SpectralGrid) -> list[VectorFi
         qhat = np.array([-kvec[1], kvec[0]]) / knorm
         # cos: coeff(+-jc) = qhat/2 ; sin: coeff(+jc) = -i qhat/2, conj at -jc
         amp = 0.5 if is_cos else -0.5j
-        ip, im = (c1 % n, c2 % n), (-c1 % n, -c2 % n)
-        coeffs_x[ip], coeffs_x[im] = amp * qhat[0], np.conj(amp) * qhat[0]
-        coeffs_y[ip], coeffs_y[im] = amp * qhat[1], np.conj(amp) * qhat[1]
+        pair = np.array([[amp * qhat[0], np.conj(amp) * qhat[0]],
+                         [amp * qhat[1], np.conj(amp) * qhat[1]]], dtype=np.complex128)
         ksq = knorm * knorm
-        norm = (1.0 + ksq) ** ((1.0 - spec.roughness) / 2.0)
+        norm = (1.0 + ksq) ** ((1.0 - roughness) / 2.0)
         norm *= grid.domain_length / np.sqrt(2.0)
-        coeffs_x /= norm
-        coeffs_y /= norm
-        out.append(VectorField(ScalarField(grid, coeffs_x), ScalarField(grid, coeffs_y)))
+        pair /= norm
+        mode += [m, m]
+        rows += [c1 % n, -c1 % n]
+        cols += [c2 % n, -c2 % n]
+        velocity.append(pair)
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    index = rows * n + cols
+    velocity = np.concatenate(velocity, axis=1)
+    # operators.curl, entry by entry
+    vorticity = 1j * (grid.diff_kx[rows, 0] * velocity[1] - grid.diff_ky[0, cols] * velocity[0])
+    touched = np.unique(index)
+    plan = ScatterPlan(np.array(mode, dtype=np.intp), index, velocity, vorticity,
+                       touched, grid.ksq.ravel()[touched])
+    for array in vars(plan).values():  # one copy for all callers
+        array.setflags(write=False)
+    return plan
+
+
+@lru_cache(maxsize=8)  # a plan is a few hundred bytes
+def _cached_plan(mode_indices, roughness: float, grid: SpectralGrid) -> ScatterPlan:
+    return _build_plan(mode_indices, roughness, grid)
+
+
+def scatter_plan(spec: CovarianceSpec, grid: SpectralGrid) -> ScatterPlan:
+    """The plan of spec's modes on grid; like a basis, it reads only the
+    mode list and the roughness."""
+    return _cached_plan(spec.mode_indices, spec.roughness, grid)
+
+
+def build_noise_basis(spec: CovarianceSpec, grid: SpectralGrid) -> list[VectorField]:
+    """Velocity basis elements e_k: divergence-free single-frequency modes
+    aligned with k-perp, normalized so ||e_k||_{W^{1-g,2}} = 1.
+
+    A raw cosine/sine mode has L^2 norm L/sqrt(2), so the normalization
+    divides by (1+|k|^2)^((1-g)/2) * L/sqrt(2); the constant mode (0,0) is
+    the unit-L^2 field (1/L, 0).  The dense fields hold the amplitudes of
+    `scatter_plan`.
+    """
+    plan = scatter_plan(spec, grid)
+    n = grid.modes_per_dim
+    out: list[VectorField] = []
+    for m in range(spec.n_modes):
+        at = plan.mode == m
+        coeffs = np.zeros((2, n * n), dtype=np.complex128)
+        coeffs[:, plan.index[at]] = plan.velocity[:, at]
+        coeffs = coeffs.reshape(2, n, n)
+        out.append(VectorField(ScalarField(grid, coeffs[0]), ScalarField(grid, coeffs[1])))
     return out
 
 
@@ -250,6 +323,10 @@ def apply_G(
 
     output 'velocity_noise' returns the vector field; 'vorticity_noise'
     takes the curl of each basis element first and returns a scalar field.
+    Each mode's weight c_k sigma(v) g_k sqrt(dt) times its amplitudes is
+    added, in mode order, into the coefficients its `scatter_plan` entries
+    name; at a finite level n only those coefficients are multiplied by
+    n/(n+|k|^2).  Every other coefficient stays zero.
     """
     if output not in ("velocity_noise", "vorticity_noise"):
         raise ValueError(f"unknown output kind {output!r}")
@@ -258,15 +335,22 @@ def apply_G(
             f"increment has {len(dW.gaussians)} draws for {spec.n_modes} modes"
         )
     grid = v.grid
-    basis = noise_basis(spec, grid)
+    plan = scatter_plan(spec, grid)
     sig = sigma_eval(v, spec)
     weights = np.asarray(spec.coefficients) * (sig * np.sqrt(dW.dt)) * dW.gaussians
+    amplitudes = plan.velocity if output == "velocity_noise" else plan.vorticity[None]
+    n = grid.modes_per_dim
+    coeffs = np.zeros((len(amplitudes), n * n), dtype=np.complex128)
+    entry_weights = weights[plan.mode]
+    for row, amplitude in zip(coeffs, amplitudes):
+        np.add.at(row, plan.index, entry_weights * amplitude)
+    level = spec.hy_level
+    if level != math.inf:
+        coeffs[:, plan.touched] *= level / (level + plan.touched_ksq)
+    coeffs = coeffs.reshape(-1, n, n)
     if output == "velocity_noise":
-        stacked = np.einsum("m,mcij->cij", weights, basis.vel_stack)
-        field: Field = VectorField(ScalarField(grid, stacked[0]), ScalarField(grid, stacked[1]))
-    else:
-        field = ScalarField(grid, np.einsum("m,mij->ij", weights, basis.vor_stack))
-    return hille_yosida(field, spec.hy_level)
+        return VectorField(ScalarField(grid, coeffs[0]), ScalarField(grid, coeffs[1]))
+    return ScalarField(grid, coeffs[0])
 
 
 def noise_mode_fields(

@@ -148,12 +148,13 @@ class TestRunCommand:
         assert len(rows) == 3
 
     def test_snapshots_emitted(self, tmp_path):
-        doc = dict(SMALL_CONFIG)
+        # one path: no energy check, which needs two
+        doc = dict(SMALL_CONFIG, checks=[])
         doc["output"] = {"snapshot_stride": 5}
         doc["mc"] = {"n_paths": 1, "base_seed": 1}
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        main(["run", "--config", str(cfg), "--out", str(out)])
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         snaps = sorted((out / "snapshots").glob("*.vspd"))
         # 10 steps at stride 5: the final state is itself a stride multiple
         assert [s.name for s in snaps] == [
@@ -200,6 +201,31 @@ class TestSharedSweep:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "refused" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "stats.csv").exists()
+
+    @pytest.mark.parametrize("n_paths, override", [(1, []), (3, ["--paths", "1"])])
+    def test_energy_with_one_path_integrates_nothing(self, tmp_path, monkeypatch, capsys,
+                                                     n_paths, override):
+        calls = self.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG, mc={"n_paths": n_paths, "base_seed": 11})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), *override]) == 2
+        err = capsys.readouterr().err
+        assert "mc.n_paths" in err and "Traceback" not in err
+        assert calls == []
+        assert not (out / "stats.csv").exists()
+
+    def test_nyquist_noise_mode_integrates_nothing(self, tmp_path, monkeypatch, capsys):
+        calls = self.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG, grid={"modes_per_dim": 8})
+        doc["noise"] = {"modes": [[-4, 0], [1, 0]], "sigma_kind": "constant_one"}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "noise.modes" in err and "grid band" in err
         assert calls == []
         assert not (out / "stats.csv").exists()
 

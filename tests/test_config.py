@@ -143,6 +143,18 @@ class TestBuilders:
         spec = parse_config(doc).build_noise_spec()
         assert spec.mode_indices == ((3, 0), (0, 3))
 
+    @pytest.mark.parametrize("noise, field", [
+        ({"modes": [[-4, 0], [1, 0]]}, "noise.modes"),
+        ({"modes": [[1, 0], [3, 4]]}, "noise.modes"),
+        ({"mode_band": 4}, "noise.mode_band"),
+    ])
+    def test_modes_outside_the_grid_band_rejected(self, noise, field):
+        doc = dict(MINIMAL, grid={"modes_per_dim": 8})
+        doc["noise"] = dict(noise, sigma_kind="constant_one")
+        with pytest.raises(ConfigError, match="grid band") as err:
+            parse_config(doc).build_noise_spec()
+        assert field in str(err.value)
+
     def test_pivot_norm(self):
         doc = dict(MINIMAL)
         doc["noise"] = {"pivot_norm": 1.7}

@@ -18,6 +18,7 @@ from vortex.noise import (
     noise_mode_fields,
     operator_norms,
     sample_increment,
+    scatter_plan,
     sigma_eval,
     sigma_lipschitz_bound,
 )
@@ -151,6 +152,130 @@ class TestNoiseBasis:
         spec = make_spec(modes=((9, 0),), coeffs=(1.0,))
         with pytest.raises(ValueError, match="grid band"):
             build_noise_basis(spec, grid16)
+
+    @pytest.mark.parametrize("mode", [(4, 0), (-4, 0), (0, 4), (2, -4), (-4, -4)])
+    def test_mode_on_the_nyquist_line_rejected(self, mode):
+        # +-k coincide there, so e_k could be neither real nor of full amplitude
+        grid = SpectralGrid(8)
+        spec = make_spec(modes=(mode, (1, 0)), coeffs=(1.0, 1.0))
+        dW = sample_increment(1, 0, 0, spec, 0.01)
+        for build in (build_noise_basis, scatter_plan, NoiseBasis):
+            with pytest.raises(ValueError, match="grid band"):
+                build(spec, grid)
+        with pytest.raises(ValueError, match="grid band"):
+            apply_G(zero_vector(grid), dW, spec)
+
+    def test_band_edge_modes_are_real_unit_fields(self, grid16):
+        spec = make_spec(modes=((7, 0), (-7, 0), (7, -7), (-7, 7), (0, -7)),
+                         coeffs=(1.0,) * 5)
+        for (j1, j2), e in zip(spec.mode_indices, build_noise_basis(spec, grid16)):
+            for c in (e.vx.coeffs, e.vy.coeffs):
+                assert c[-j1 % 16, -j2 % 16] == np.conj(c[j1 % 16, j2 % 16])
+                assert np.count_nonzero(c) <= 2
+            assert sobolev_norm(e, 1.0 - spec.roughness, 2.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def bits(array):
+    """An array's float64 words as integers: equal iff equal bit for bit."""
+    return np.ascontiguousarray(array).view(np.float64).view(np.uint64)
+
+
+def dense_apply_G(v, dW, spec, output="velocity_noise"):
+    """The dense oracle of apply_G: a fixed-order sum over the whole basis
+    stack, then R_n over the whole grid."""
+    basis = NoiseBasis(spec, v.grid)
+    weights = (np.asarray(spec.coefficients) * (sigma_eval(v, spec) * np.sqrt(dW.dt))
+               * dW.gaussians)
+    stack = basis.vel_stack if output == "velocity_noise" else basis.vor_stack
+    total = np.zeros(stack.shape[1:], dtype=np.complex128)
+    for w, element in zip(weights, stack):
+        total += w * element
+    if output == "velocity_noise":
+        field = VectorField(ScalarField(v.grid, total[0]), ScalarField(v.grid, total[1]))
+    else:
+        field = ScalarField(v.grid, total)
+    return hille_yosida(field, spec.hy_level)
+
+
+def coefficient_bits(field):
+    if isinstance(field, VectorField):
+        return np.stack([bits(field.vx.coeffs), bits(field.vy.coeffs)])
+    return bits(field.coeffs)
+
+
+# cosine/sine pairs j and -j, the constant mode and modes at the band edge of N = 16
+SCATTER_MODES = ((1, 0), (0, 0), (-1, 0), (2, 1), (0, 1), (-2, -1), (0, -1), (7, -3),
+                 (-7, 3), (3, 7), (1, 1))
+
+
+class TestScatterAgainstDenseOracle:
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("level", [math.inf, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("sigma", ["constant_one", "rational_square"])
+    def test_bit_for_bit(self, n, level, sigma):
+        grid = SpectralGrid(n)
+        pivot = _single_mode_vector(grid, (1, 0), 3.0) if sigma == "rational_square" else None
+        coeffs = tuple(0.1 + 0.13 * i for i in range(len(SCATTER_MODES)))
+        spec = make_spec(modes=SCATTER_MODES, coeffs=coeffs, sigma=sigma, pivot=pivot,
+                         hy=level)
+        v = random_divfree_field(grid, np.random.default_rng(n))
+        for step in range(3):
+            dW = sample_increment(5, 1, step, spec, 0.01)
+            for output in ("velocity_noise", "vorticity_noise"):
+                got = apply_G(v, dW, spec, output)
+                want = dense_apply_G(v, dW, spec, output)
+                assert type(got) is type(want)
+                assert np.array_equal(coefficient_bits(got), coefficient_bits(want))
+
+    def test_plan_is_shared_and_read_only(self, grid16):
+        spec = make_spec(modes=SCATTER_MODES, coeffs=(1.0,) * len(SCATTER_MODES))
+        plan = scatter_plan(spec, grid16)
+        # like a basis, a plan reads only the mode list and the roughness
+        assert scatter_plan(make_spec(modes=SCATTER_MODES, coeffs=(0.5,) * 11,
+                                      sigma="zero", hy=2.0), grid16) is plan
+        # two entries per mode, one for the constant mode, each mode's adjacent
+        assert plan.mode.tolist() == sorted(plan.mode.tolist())
+        assert len(plan.index) == 2 * len(SCATTER_MODES) - 1
+        assert plan.touched.tolist() == sorted(set(plan.index.tolist()))
+        for name, array in vars(plan).items():
+            assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            plan.velocity[0, 0] = 0.0
+
+    def test_a_step_builds_no_dense_basis(self, grid32, monkeypatch):
+        builds = []
+        monkeypatch.setattr(NoiseBasis, "__init__", lambda *a, **k: builds.append(a))
+        spec = make_spec(modes=SCATTER_MODES[:4], coeffs=(1.0,) * 4, hy=10.0)
+        dW = sample_increment(1, 0, 0, spec, 0.01)
+        apply_G(zero_vector(grid32), dW, spec, "velocity_noise")
+        apply_G(zero_vector(grid32), dW, spec, "vorticity_noise")
+        assert builds == []
+
+    def test_trajectory_matches_the_dense_oracle(self, grid32, monkeypatch):
+        from vortex import integrator
+        from vortex.integrator import SolverConfig, run_trajectory
+
+        h = _single_mode_vector(grid32, (1, 0), 3.0)
+        spec = make_spec(modes=SCATTER_MODES[:10], coeffs=(0.4,) * 10,
+                         sigma="rational_square", pivot=h, hy=10.0)
+        cfg = SolverConfig(dt=0.005, t_end=0.1)  # 20 steps
+        xi0 = curl(random_divfree_field(grid32, np.random.default_rng(3)))
+
+        def run():
+            return run_trajectory(None, xi0, spec, cfg, seed=4, path_index=2, record_stride=5)
+
+        scattered = run()
+        monkeypatch.setattr(integrator, "apply_G", dense_apply_G)
+        dense = run()
+        assert scattered.stats.status == dense.stats.status == "completed"
+        for name in scattered.stats.FUNCTIONALS:
+            assert np.array_equal(bits(np.float64(scattered.stats.functional(name))),
+                                  bits(np.float64(dense.stats.functional(name))))
+        assert len(scattered.recorded) == len(dense.recorded) == 5
+        for a, b in zip(scattered.recorded + [scattered.final], dense.recorded + [dense.final]):
+            assert a.t == b.t
+            for fa, fb in ((a.v, b.v), (a.xi, b.xi), (a.zeta, b.zeta), (a.beta, b.beta)):
+                assert np.array_equal(coefficient_bits(fa), coefficient_bits(fb))
 
 
 class TestSigma:
