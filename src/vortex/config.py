@@ -446,6 +446,11 @@ def _single_mode_vector(grid: SpectralGrid, j: tuple[int, int],
     knorm = float(np.hypot(kvec[0], kvec[1]))
     if knorm == 0.0:
         raise ConfigError("'noise.pivot_mode' must be a nonzero wavevector")
+    try:
+        require_in_band((j,), grid)
+    except ValueError as err:
+        raise ConfigError(
+            f"'noise.pivot_mode': {err} of grid.modes_per_dim {n}") from err
     qhat = np.array([-kvec[1], kvec[0]]) / knorm
     cx = np.zeros((n, n), dtype=np.complex128)
     cy = np.zeros((n, n), dtype=np.complex128)

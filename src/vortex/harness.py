@@ -53,6 +53,7 @@ from .operators import (
     grad_norm_l2,
     random_divfree_field,
     random_scalar_field,
+    vorticity_values,
 )
 from .spectral import (
     ScalarField,
@@ -408,8 +409,8 @@ def gronwall_pair(
         t = step * cfg.dt
         st1 = CoupledState(t, v1, dummy, dummy, dummy)
         st2 = CoupledState(t, v2, dummy, dummy, dummy)
-        v1 = velocity_step(st1, dW, spec, cfg)
-        v2 = velocity_step(st2, dW, spec, cfg)
+        v1 = velocity_step(st1, vorticity_values(v1), dW, spec, cfg)
+        v2 = velocity_step(st2, vorticity_values(v2), dW, spec, cfg)
         int_psi += cfg.dt * psi
         vnorm = l2_norm(v1 - v2)
         sup_v = max(sup_v, vnorm)

@@ -11,6 +11,16 @@ F(v, curl v) on the retained band (Orszag 1971), so the derived fields
 agree with the discretised vorticity and remainder equations
 (`vorticity_step`, `beta_step`, kept as test oracles) to rounding.  The
 curl has no mean mode, so mean-zero vorticity is preserved exactly.
+
+The velocity nonlinearity is taken in rotational form,
+P B(v,v) = P[w (-u_y, u_x)] with u the dealiased v and w its curl, so
+each step transforms the vorticity to physical space once and shares it
+between the nonlinearity and the L^q statistic.  The sharing is exact
+when v0 and every noise mode lie inside the dealias band: the projected
+product is dealiased and the heat decay is diagonal, so curl v then has
+no coefficient outside the band at any step, and its physical values are
+the dealiased w.  Otherwise each step transforms the dealiased curl once
+more.
 """
 
 from __future__ import annotations
@@ -20,16 +30,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import CovarianceSpec, WienerIncrement, apply_G, sample_increment
+from .noise import (
+    CovarianceSpec,
+    WienerIncrement,
+    apply_G,
+    sample_increment,
+    scatter_plan,
+)
 from .operators import (
     MEAN_ZERO_RTOL,
-    bilinear_B,
     bilinear_F,
     biot_savart,
     curl,
     grad_norm_l2,
     grad_norm_l2_scalar,
     leray_project,
+    rotational_advection,
+    vorticity_values,
 )
 from .spectral import (
     ScalarField,
@@ -37,7 +54,9 @@ from .spectral import (
     heat_decay,
     l2_norm,
     lq_norm,
+    lq_norm_values,
     sobolev_norm,
+    to_physical,
     zero_scalar,
 )
 
@@ -148,15 +167,21 @@ def _guarded(field, name: str, cfg: SolverConfig, t: float):
 
 def velocity_step(
     state: CoupledState,
+    vorticity: np.ndarray,
     dW: WienerIncrement,
     spec: CovarianceSpec,
     cfg: SolverConfig,
 ) -> VectorField:
     """One step of dv + [Av + B(v,v)] dt = G(v) dW:
-    v+ = exp(-|k|^2 dt) [v - dt P B(v,v) + G(v) dW], P the Leray projection."""
+    v+ = exp(-|k|^2 dt) [v - dt P B(v,v) + G(v) dW], P the Leray projection.
+
+    P B(v,v) is evaluated in rotational form, P[w (-u_y, u_x)] with u the
+    dealiased v; `vorticity` holds w, the physical values of the dealiased
+    curl of state.v (`operators.vorticity_values`).  It agrees with
+    leray_project(bilinear_B(v, v)) to rounding."""
     v = state.v
     decay = heat_decay(v.grid, dW.dt)
-    pb = leray_project(bilinear_B(v, v))
+    pb = leray_project(rotational_advection(v, vorticity))
     noise = apply_G(v, dW, spec, "velocity_noise")
     new = VectorField(
         _stepped(decay, v.vx, -dW.dt * pb.vx, noise.vx),
@@ -238,6 +263,15 @@ def holder_quotient(
     return worst
 
 
+def _inside_dealias_band(v: VectorField, spec: CovarianceSpec) -> bool:
+    """v and every noise mode lie inside the dealias band, so no step
+    creates a coefficient outside it (see the module docstring)."""
+    g = v.grid
+    outside = ~g.dealias_mask
+    return (not np.any(v.vx.coeffs[outside]) and not np.any(v.vy.coeffs[outside])
+            and bool(np.all(g.dealias_mask.ravel()[scatter_plan(spec, g).touched])))
+
+
 def run_trajectory(
     v0: VectorField | None,
     xi0: ScalarField,
@@ -278,15 +312,19 @@ def run_trajectory(
                 "pass v0=None to derive it by Biot-Savart"
             )
     state = CoupledState(0.0, v0, xi0, zero_scalar(grid), xi0)
+    in_band = _inside_dealias_band(v0, spec)
+    xi_values = to_physical(xi0)
+    # curl(v0) may differ from xi0 by up to the tolerance above
+    vorticity = vorticity_values(v0)
 
     stats = TrajectoryStats()
     recorded: list[CoupledState] = []
 
-    def observe(st: CoupledState, step_index: int, last: bool):
+    def observe(st: CoupledState, xi_values: np.ndarray, step_index: int, last: bool):
         if observer is not None:
             observer(st)
         stats.sup_v_l2sq = _sup(stats.sup_v_l2sq, l2_norm(st.v) ** 2)
-        stats.sup_xi_lq = _sup(stats.sup_xi_lq, lq_norm(st.xi, lq_exponent))
+        stats.sup_xi_lq = _sup(stats.sup_xi_lq, lq_norm_values(xi_values, lq_exponent, grid))
         stats.sup_beta_l2 = _sup(stats.sup_beta_l2, l2_norm(st.beta))
         stats.sup_beta_lq = _sup(stats.sup_beta_lq, lq_norm(st.beta, lq_exponent))
         if not last:
@@ -298,14 +336,16 @@ def run_trajectory(
 
     try:
         for step in range(cfg.n_steps):
-            observe(state, step, last=False)
+            observe(state, xi_values, step, last=False)
             dW = sample_increment(seed, path_index, step, spec, cfg.dt)
-            v_new = velocity_step(state, dW, spec, cfg)
+            v_new = velocity_step(state, vorticity, dW, spec, cfg)
             zeta_new = ou_step(state, dW, spec, cfg)
             xi_new = _guarded(curl(v_new), "vorticity", cfg, state.t)
+            xi_values = to_physical(xi_new)
+            vorticity = xi_values if in_band else vorticity_values(v_new)
             state = CoupledState((step + 1) * cfg.dt, v_new, xi_new, zeta_new,
                                  xi_new - zeta_new)
-        observe(state, cfg.n_steps, last=True)
+        observe(state, xi_values, cfg.n_steps, last=True)
     except BlowupError:
         stats.status = "blowup"
 

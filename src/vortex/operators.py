@@ -1,11 +1,19 @@
 """Differential and bilinear operators on spectral fields.
 
-curl, Biot-Savart inversion, Leray projection and the advection
-operators B(u,v) = (u.grad)v and F(u,xi) = u.grad xi.  Nonlinearities are
-evaluated pseudo-spectrally: differentiate in spectral space, multiply in
-physical space, transform back, dealias.  With the 2/3 mask this keeps the
-retained band alias-free, so the cancellation identities of the continuum
-operators hold to near machine precision.
+curl, Biot-Savart inversion, Leray projection, the advection operators
+B(u,v) = (u.grad)v and F(u,xi) = u.grad xi, and the rotational form of
+the velocity nonlinearity.  In 2D (u.grad)u = grad |u|^2/2 + w (-u_y, u_x)
+with w = curl u, and the Leray projection removes the gradient, so
+P B(u,u) = P[w (-u_y, u_x)] (Orszag 1971; Canuto et al., Spectral Methods,
+2007, sec. 3.4).  The time step uses the rotational form: from the
+physical w it costs two transforms for u and two for the products, where
+B(u,u) costs eight.  B and F remain for the identity checks.
+
+Nonlinearities are evaluated pseudo-spectrally: differentiate in spectral
+space, multiply in physical space, transform back, dealias.  With the 2/3
+mask this keeps the retained band alias-free, so the cancellation
+identities of the continuum operators hold to near machine precision, and
+the rotational and advective forms agree to rounding.
 """
 
 from __future__ import annotations
@@ -67,21 +75,15 @@ def biot_savart(xi: ScalarField) -> VectorField:
             "biot_savart requires mean-zero vorticity "
             f"(|mean| = {abs(xi.coeffs[0, 0]):.3e}, field scale {scale:.3e})"
         )
-    inv_ksq = np.zeros_like(g.ksq)
-    nonzero = g.ksq > 0
-    inv_ksq[nonzero] = 1.0 / g.ksq[nonzero]
-    vx = 1j * g.diff_ky * xi.coeffs * inv_ksq
-    vy = -1j * g.diff_kx * xi.coeffs * inv_ksq
+    vx = 1j * g.diff_ky * xi.coeffs * g.inv_ksq
+    vy = -1j * g.diff_kx * xi.coeffs * g.inv_ksq
     return VectorField(ScalarField(g, vx), ScalarField(g, vy))
 
 
 def leray_project(u: VectorField) -> VectorField:
     """Remove the gradient part: u(k) - k (k.u(k)) / |k|^2, zero mode kept."""
     g = u.grid
-    inv_ksq = np.zeros_like(g.ksq)
-    nonzero = g.ksq > 0
-    inv_ksq[nonzero] = 1.0 / g.ksq[nonzero]
-    kdotu = (g.kx * u.vx.coeffs + g.ky * u.vy.coeffs) * inv_ksq
+    kdotu = (g.kx * u.vx.coeffs + g.ky * u.vy.coeffs) * g.inv_ksq
     return VectorField(
         ScalarField(g, u.vx.coeffs - g.kx * kdotu),
         ScalarField(g, u.vy.coeffs - g.ky * kdotu),
@@ -126,6 +128,22 @@ def bilinear_F(u: VectorField, xi: ScalarField) -> ScalarField:
     """u.grad xi, pseudo-spectral and dealiased."""
     g = u.grid
     return ScalarField(g, _spectral_of(advection_values(u, xi), g))
+
+
+def vorticity_values(v: VectorField) -> np.ndarray:
+    """Physical grid values of the dealiased vorticity curl(v), the w that
+    `rotational_advection` takes."""
+    return to_physical(dealias(curl(v)))
+
+
+def rotational_advection(v: VectorField, vorticity: np.ndarray) -> VectorField:
+    """w (-u_y, u_x) with u the dealiased v and w = vorticity_values(v) given
+    as physical values; pseudo-spectral and dealiased.  Its Leray projection
+    equals leray_project(bilinear_B(v, v)) to rounding."""
+    g = v.grid
+    ux, uy = to_physical(dealias(v))
+    return VectorField(ScalarField(g, _spectral_of(-vorticity * uy, g)),
+                       ScalarField(g, _spectral_of(vorticity * ux, g)))
 
 
 def bracket(f, g) -> float:

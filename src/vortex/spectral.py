@@ -64,6 +64,16 @@ class SpectralGrid:
         return self.kx**2 + self.ky**2
 
     @cached_property
+    def inv_ksq(self) -> np.ndarray:
+        """1/|k|^2 with the zero mode set to 0: the inverse Laplacian symbol
+        of Biot-Savart and the Leray projection.  Read-only, shared by callers."""
+        out = np.zeros_like(self.ksq)
+        nonzero = self.ksq > 0
+        out[nonzero] = 1.0 / self.ksq[nonzero]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def diff_kx(self) -> np.ndarray:
         """kx with the Nyquist line zeroed; used in odd (derivative) multipliers.
 
@@ -262,10 +272,16 @@ def lq_norm(field: Field, q: float) -> float:
         cell = field.grid.cell_area
         total = np.sum(np.abs(px) ** q) + np.sum(np.abs(py) ** q)
         return float((total * cell) ** (1.0 / q))
-    phys = to_physical(field)
+    return lq_norm_values(to_physical(field), q, field.grid)
+
+
+def lq_norm_values(values: np.ndarray, q: float, grid: SpectralGrid) -> float:
+    """lq_norm of a scalar field given its physical values on grid, so a
+    caller that already holds them pays no second transform."""
+    _validate_q(q)
     if q == np.inf:
-        return float(np.max(np.abs(phys)))
-    return float((np.sum(np.abs(phys) ** q) * field.grid.cell_area) ** (1.0 / q))
+        return float(np.max(np.abs(values)))
+    return float((np.sum(np.abs(values) ** q) * grid.cell_area) ** (1.0 / q))
 
 
 def sobolev_norm(field: Field, s: float, q: float = 2.0) -> float:
@@ -283,9 +299,10 @@ def sobolev_norm_spectral(field: Field, s: float) -> float:
         return float(np.hypot(sobolev_norm_spectral(field.vx, s),
                               sobolev_norm_spectral(field.vy, s)))
     g = field.grid
-    weights = (1.0 + g.ksq) ** s
-    total = np.sum(weights * np.abs(field.coeffs) ** 2)
-    return float(np.sqrt(total) * g.domain_length)
+    total = np.abs(field.coeffs) ** 2
+    if s != 0.0:  # the weight (1+|k|^2)^0 is exactly 1
+        total = (1.0 + g.ksq) ** s * total
+    return float(np.sqrt(np.sum(total)) * g.domain_length)
 
 
 def l2_norm(field: Field) -> float:

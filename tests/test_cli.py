@@ -229,6 +229,21 @@ class TestSharedSweep:
         assert calls == []
         assert not (out / "stats.csv").exists()
 
+    @pytest.mark.parametrize("pivot_mode", [[8, 0], [20, 3]])
+    def test_pivot_mode_outside_the_band_integrates_nothing(self, tmp_path, monkeypatch,
+                                                            capsys, pivot_mode):
+        calls = self.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG)
+        doc["noise"] = {"mode_band": 1, "sigma_kind": "rational_square",
+                        "pivot_mode": pivot_mode, "pivot_norm": 2.0}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "noise.pivot_mode" in err and "Traceback" not in err
+        assert calls == []
+        assert not (out / "stats.csv").exists()
+
 
 class TestCheckParameters:
     @pytest.mark.parametrize("entry, field", [

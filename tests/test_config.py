@@ -161,6 +161,20 @@ class TestBuilders:
         spec = parse_config(doc).build_noise_spec()
         assert l2_norm(spec.pivot) == pytest.approx(1.7, rel=1e-12)
 
+    @pytest.mark.parametrize("pivot_mode", [[8, 0], [20, 3], [-3, -8]])
+    def test_pivot_mode_outside_the_grid_band_rejected(self, pivot_mode):
+        # [8, 0] would land on the Nyquist line, [20, 3] alias to (4, 3)
+        doc = dict(MINIMAL)
+        doc["noise"] = {"pivot_mode": pivot_mode, "pivot_norm": 2.0}
+        with pytest.raises(ConfigError, match="^'noise.pivot_mode': .*grid band"):
+            parse_config(doc).build_noise_spec()
+
+    def test_pivot_mode_inside_the_grid_band_keeps_its_norm(self):
+        doc = dict(MINIMAL)
+        doc["noise"] = {"pivot_mode": [7, 0], "pivot_norm": 2.0}
+        spec = parse_config(doc).build_noise_spec()
+        assert l2_norm(spec.pivot) == pytest.approx(2.0, rel=1e-12)
+
     def test_initial_kinds(self):
         cfg = parse_config(dict(MINIMAL))
         for kind, amp in (("zero", 0.0), ("random_vorticity", 1.0),

@@ -29,9 +29,15 @@ from vortex.harness import (
     zeta_budget,
     zeta_regularity,
 )
+from vortex import integrator
 from vortex.integrator import SolverConfig, TrajectoryStats, holder_quotient, run_trajectory
 from vortex.noise import CovarianceSpec
-from vortex.operators import biot_savart, random_divfree_field, random_scalar_field
+from vortex.operators import (
+    bilinear_B,
+    biot_savart,
+    random_divfree_field,
+    random_scalar_field,
+)
 from vortex.spectral import ScalarField, SpectralGrid, l2_norm
 
 ZERO_NOISE = CovarianceSpec(((1, 0),), (0.1,), 0.5, "zero")
@@ -320,6 +326,23 @@ class TestGronwall:
         m = res["m_series"]
         for x, y in zip(m, m[1:]):
             assert y <= x * (1 + 1e-6)
+
+    @pytest.mark.parametrize("modes", [((1, 0), (0, 1), (1, 1)), ((1, 0), (12, 0))])
+    def test_pair_matches_advective_form(self, grid32, rng, monkeypatch, modes):
+        # the pair steps with P B(v,v) in rotational form; bilinear_B is the oracle
+        pivot = random_divfree_field(grid32, rng, amplitude=4.0)
+        spec = CovarianceSpec(modes, (1.0,) * len(modes), 0.5, "rational_square", pivot)
+        v0a = biot_savart(random_scalar_field(grid32, rng, amplitude=3.0))
+        bump = random_divfree_field(grid32, rng)
+        v0b = v0a + bump * (1e-2 / l2_norm(bump))
+        cfg = SolverConfig(dt=2e-3, t_end=0.12)
+        res = gronwall_pair(v0a, v0b, spec, cfg, seed=4, path_index=1, a_const=0.3, lg=0.5)
+        monkeypatch.setattr(integrator, "rotational_advection", lambda v, w: bilinear_B(v, v))
+        oracle = gronwall_pair(v0a, v0b, spec, cfg, seed=4, path_index=1, a_const=0.3, lg=0.5)
+        assert len(res["m_series"]) == len(oracle["m_series"]) == cfg.n_steps + 1
+        for a, b in zip(res["m_series"], oracle["m_series"]):
+            assert abs(a - b) <= 1e-12 * b
+        assert abs(res["sup_v"] - oracle["sup_v"]) <= 1e-12 * oracle["sup_v"]
 
     def test_perturbed_supermartingale_small_scale(self, grid16, rng):
         xi0 = random_scalar_field(grid16, rng)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vortex import integrator
 from vortex.integrator import (
     BlowupError,
     CoupledState,
@@ -18,11 +19,13 @@ from vortex.integrator import (
 )
 from vortex.noise import CovarianceSpec, NoiseBasis, WienerIncrement, sample_increment
 from vortex.operators import (
+    bilinear_B,
     biot_savart,
     curl,
     grad_norm_l2,
     random_divfree_field,
     random_scalar_field,
+    vorticity_values,
 )
 from vortex.spectral import (
     ScalarField,
@@ -86,7 +89,7 @@ class TestVelocityStep:
         cfg = SolverConfig(dt=0.01, t_end=0.1)
         st = state_from(grid16)
         dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
-        assert l2_norm(velocity_step(st, dW, ZERO_NOISE, cfg)) == 0.0
+        assert l2_norm(velocity_step(st, vorticity_values(st.v), dW, ZERO_NOISE, cfg)) == 0.0
 
     def test_single_mode_exact_decay(self, grid32):
         # v = (0, sin x1) has B(v,v) = 0: one step is exactly exp(-dt)
@@ -95,7 +98,7 @@ class TestVelocityStep:
         v = biot_savart(xi)
         st = state_from(grid32, v=v, xi=xi, beta=xi)
         dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
-        out = velocity_step(st, dW, ZERO_NOISE, cfg)
+        out = velocity_step(st, vorticity_values(st.v), dW, ZERO_NOISE, cfg)
         expect = math.exp(-cfg.dt) * l2_norm(v)
         assert abs(l2_norm(out) - expect) <= 1e-12 * expect
 
@@ -107,7 +110,7 @@ class TestVelocityStep:
             v = biot_savart(xi)
             st = state_from(grid32, v=v, xi=xi, beta=xi)
             dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
-            out = velocity_step(st, dW, ZERO_NOISE, cfg)
+            out = velocity_step(st, vorticity_values(st.v), dW, ZERO_NOISE, cfg)
             drop = l2_norm(v) ** 2 - l2_norm(out) ** 2
             assert drop >= 2.0 * cfg.dt * grad_norm_l2(out) ** 2 / 1.1
 
@@ -117,7 +120,7 @@ class TestVelocityStep:
         st = state_from(grid16, v=biot_savart(xi), xi=xi, beta=xi)
         dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
         with pytest.raises(BlowupError):
-            velocity_step(st, dW, ZERO_NOISE, cfg)
+            velocity_step(st, vorticity_values(st.v), dW, ZERO_NOISE, cfg)
 
 
 class TestVorticityStep:
@@ -323,7 +326,7 @@ class TestDerivedFields:
         for step in range(cfg.n_steps):
             dW = sample_increment(seed, 0, step, spec, cfg.dt)
             st = CoupledState((step + 1) * cfg.dt,
-                              velocity_step(st, dW, spec, cfg),
+                              velocity_step(st, vorticity_values(st.v), dW, spec, cfg),
                               vorticity_step(st, dW, spec, cfg),
                               ou_step(st, dW, spec, cfg),
                               beta_step(st, cfg))
@@ -359,3 +362,73 @@ class TestDerivedFields:
                            blowup_threshold=0.5 * (v_norm + xi_norm))
         res = run_trajectory(None, xi0, ZERO_NOISE, cfg, seed=0)
         assert res.stats.status == "blowup"
+
+
+class TestRotationalForm:
+    """run_trajectory takes P B(v,v) in rotational form from the vorticity
+    values it also uses for sup_xi_lq; the advective form P B(v,v) of
+    `bilinear_B` is the oracle it must reproduce."""
+
+    MODES = ((1, 0), (0, 1), (1, 1), (-2, 1))
+
+    @staticmethod
+    def spec(grid, rng, sigma_kind, modes=MODES):
+        pivot = None
+        if sigma_kind == "rational_square":
+            pivot = random_divfree_field(grid, rng, amplitude=4.0)
+        return CovarianceSpec(modes, (1.0, 0.8, 0.6, 0.5, 0.4)[:len(modes)], 0.5,
+                              sigma_kind, pivot)
+
+    @pytest.mark.parametrize("case", ["constant_one", "rational_square",
+                                      "noise_out_of_band", "v0_out_of_band"])
+    def test_matches_advective_form(self, grid32, rng, monkeypatch, case):
+        modes = self.MODES + ((12, 0),) if case == "noise_out_of_band" else self.MODES
+        sigma_kind = "rational_square" if case == "rational_square" else "constant_one"
+        spec = self.spec(grid32, rng, sigma_kind, modes)
+        xi0 = random_scalar_field(grid32, rng, amplitude=3.0)
+        if case == "v0_out_of_band":
+            c = xi0.coeffs.copy()
+            c[12, 3] = c[-12, -3] = 0.05
+            xi0 = ScalarField(grid32, c)
+        cfg = SolverConfig(dt=2e-3, t_end=0.12)
+        res = run_trajectory(None, xi0, spec, cfg, seed=13, record_stride=1)
+        monkeypatch.setattr(integrator, "rotational_advection", lambda v, w: bilinear_B(v, v))
+        oracle = run_trajectory(None, xi0, spec, cfg, seed=13, record_stride=1)
+        assert cfg.n_steps == 60 and res.stats.status == oracle.stats.status == "completed"
+        outside = ~grid32.dealias_mask
+        assert np.any(res.final.xi.coeffs[outside]) == case.endswith("out_of_band")
+        assert len(res.recorded) == len(oracle.recorded) == cfg.n_steps + 1
+        for got, want in zip(res.recorded, oracle.recorded):
+            assert got.t == want.t
+            for name in ("v", "xi", "zeta", "beta"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert l2_norm(a - b) <= 1e-12 * l2_norm(b), (got.t, name)
+            if not case.endswith("out_of_band") and got.t > 0:
+                # the step's shared values are exactly the dealiased vorticity
+                assert np.array_equal(to_physical(got.xi), vorticity_values(got.v))
+        for name in res.stats.FUNCTIONALS:
+            a, b = res.stats.functional(name), oracle.stats.functional(name)
+            assert abs(a - b) <= 1e-12 * abs(b), name
+
+    @pytest.mark.parametrize("case, per_step", [("in_band", 6), ("out_of_band", 7)])
+    def test_transforms_per_step(self, grid32, rng, monkeypatch, case, per_step):
+        # per step: u (2), the products (2), beta's L^q norm (1) and the new
+        # vorticity (1), plus the dealiased vorticity once more out of band;
+        # before the loop xi0 and curl v0 (2), after it beta's norm (1)
+        modes = self.MODES + ((12, 0),) if case == "out_of_band" else self.MODES
+        spec = self.spec(grid32, rng, "rational_square", modes)
+        xi0 = random_scalar_field(grid32, rng)
+        calls = []
+        for name in ("fft2", "ifft2"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        for n in (5, 10):
+            calls.clear()
+            cfg = SolverConfig(dt=1e-3, t_end=n * 1e-3)
+            assert run_trajectory(None, xi0, spec, cfg, seed=3).stats.status == "completed"
+            assert len(calls) == per_step * n + 3

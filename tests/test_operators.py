@@ -17,12 +17,15 @@ from vortex.operators import (
     leray_project,
     random_divfree_field,
     random_scalar_field,
+    rotational_advection,
+    vorticity_values,
 )
 from vortex.spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
     bessel_multiplier,
+    dealias,
     l2_norm,
     lq_norm,
     sobolev_norm_spectral,
@@ -152,6 +155,31 @@ class TestBilinearB:
         with pytest.raises(ValueError):
             bilinear_B(random_divfree_field(grid16, rng),
                        random_divfree_field(grid32, rng))
+
+
+class TestRotationalAdvection:
+    """P[w (-u_y, u_x)] against the advective oracle P B(v, v)."""
+
+    @staticmethod
+    def gap(v):
+        rotational = leray_project(rotational_advection(v, vorticity_values(v)))
+        advective = leray_project(bilinear_B(v, v))
+        return l2_norm(rotational - advective) / l2_norm(advective)
+
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_matches_projected_advection(self, rng, n):
+        grid = SpectralGrid(n)
+        for _ in range(3):
+            v = random_divfree_field(grid, rng, decay=1.0, amplitude=rng.uniform(0.5, 5.0))
+            assert self.gap(v) <= 1e-13
+
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_out_of_band_content_is_dealiased_on_both_sides(self, rng, n):
+        grid = SpectralGrid(n)
+        raw = rng.standard_normal((2, n, n))
+        v = leray_project(VectorField(to_spectral(raw[0], grid), to_spectral(raw[1], grid)))
+        assert l2_norm(v - dealias(v)) > 0.5 * l2_norm(v)
+        assert self.gap(v) <= 1e-13
 
 
 class TestBilinearF:

@@ -60,6 +60,13 @@ class TestSpectralGrid:
         assert not mask[32, 0]  # Nyquist always outside for 2/3
 
 
+    def test_inverse_laplacian_symbol_shared_read_only(self, grid16):
+        inv = grid16.inv_ksq
+        assert inv is grid16.inv_ksq and not inv.flags.writeable
+        assert inv[0, 0] == 0.0
+        assert np.array_equal(inv.ravel()[1:], 1.0 / grid16.ksq.ravel()[1:])
+
+
 class TestTransforms:
     def test_zero_field_round_trip(self, grid16):
         f = zero_scalar(grid16)
