@@ -38,7 +38,6 @@ from .harness import (
     hy_uniformity,
     identity_suite,
     sweep,
-    weighted_identity_refinement,
     zeta_budget,
     zeta_regularity,
 )
@@ -153,9 +152,6 @@ def run_experiment(config: ExperimentConfig):
             checks.extend(energy_report(stats, chk.value("ceilings"), seed))
         elif chk.name == "identities":
             checks.extend(identity_suite(grid, chk.value("trials"), seed))
-            if chk.value("refine"):
-                checks.append(weighted_identity_refinement(
-                    grid, chk.value("refine_trials"), seed))
         elif chk.name == "hy_uniformity":
             checks.append(hy_uniformity(levels, chk.value("levels"),
                                         chk.value("n_paths", n_main), seed, chk.value("factor")))
@@ -218,13 +214,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.suite != "identities":
-        raise ConfigError(f"unknown check suite {args.suite!r}")
-    grid = SpectralGrid(args.grid)
-    results = identity_suite(grid, args.trials, args.seed)
-    if args.refine:
-        results.append(weighted_identity_refinement(grid, max(1, args.trials // 10),
-                                                    args.seed))
+    results = identity_suite(SpectralGrid(args.grid), args.trials, args.seed)
     payload = render_checks_json(results)
     if args.out:
         _atomic_write(Path(args.out), payload)
@@ -279,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--grid", type=int, default=64, help="modes per dimension")
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--refine", action="store_true",
-                         help="also run the grid-refinement study")
     p_check.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_check.set_defaults(func=cmd_check)
 

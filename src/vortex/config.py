@@ -47,6 +47,11 @@ def _take(table: dict, key: str, path: str, default=_REQUIRED, kind=None):
     return value
 
 
+def _take_number(table: dict, key: str, path: str, default: float) -> float:
+    """A finite number (an integer is taken as a float); errors name the key."""
+    return _number(_take(table, key, path, default), f"{path}.{key}" if path else key)
+
+
 def _reject_unknown(table: dict, path: str):
     if table:
         key = sorted(table)[0]
@@ -130,12 +135,6 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _boolean(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"'{path}' must be a boolean, got {type(value).__name__}")
-    return value
-
-
 def _list(value, path: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"'{path}' must be a list, got {type(value).__name__}")
@@ -185,8 +184,6 @@ CHECK_PARAMS = {
     },
     "identities": {
         "trials": (_integer, 100, _AT_LEAST_1),
-        "refine": (_boolean, False, None),
-        "refine_trials": (_integer, 10, _AT_LEAST_1),
     },
     "hy_uniformity": {
         "levels": (_levels, (1.0, 10.0, 100.0, math.inf), _TWO_OR_MORE),
@@ -325,8 +322,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     try:
         grid = SpectralGrid(
             modes_per_dim=_take(grid_tbl, "modes_per_dim", "grid", 64, int),
-            domain_length=_take(grid_tbl, "domain_length", "grid", 2.0 * np.pi, float),
-            dealias_fraction=_take(grid_tbl, "dealias_fraction", "grid", 2.0 / 3.0, float),
+            domain_length=_take_number(grid_tbl, "domain_length", "grid", 2.0 * np.pi),
+            dealias_fraction=_take_number(grid_tbl, "dealias_fraction", "grid", 2.0 / 3.0),
         )
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
@@ -362,13 +359,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     noise_cfg = NoiseConfig(
         mode_band=_take(noise_tbl, "mode_band", "noise", 2, int),
         modes=modes,
-        coefficient_base=_take(noise_tbl, "coefficient_base", "noise", 1.0, float),
-        coefficient_decay=_take(noise_tbl, "coefficient_decay", "noise", 1.1, float),
+        coefficient_base=_take_number(noise_tbl, "coefficient_base", "noise", 1.0),
+        coefficient_decay=_take_number(noise_tbl, "coefficient_decay", "noise", 1.1),
         sigma_kind=_take(noise_tbl, "sigma_kind", "noise", "rational_square", str),
         pivot_mode=_mode_pair(_take(noise_tbl, "pivot_mode", "noise", [1, 0]),
                               "noise.pivot_mode"),
-        pivot_norm=_take(noise_tbl, "pivot_norm", "noise", 32.0, float),
-        roughness=_take(noise_tbl, "roughness", "noise", 0.5, float),
+        pivot_norm=_take_number(noise_tbl, "pivot_norm", "noise", 32.0),
+        roughness=_take_number(noise_tbl, "roughness", "noise", 0.5),
         hy_level=hy,
     )
     _reject_unknown(noise_tbl, "noise")
@@ -376,8 +373,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     initial_tbl = dict(_take(doc, "initial", "", default={}, kind=dict))
     initial = InitialConfig(
         kind=_take(initial_tbl, "kind", "initial", "random_vorticity", str),
-        amplitude=_take(initial_tbl, "amplitude", "initial", 1.0, float),
-        spectral_decay=_take(initial_tbl, "spectral_decay", "initial", 2.0, float),
+        amplitude=_take_number(initial_tbl, "amplitude", "initial", 1.0),
+        spectral_decay=_take_number(initial_tbl, "spectral_decay", "initial", 2.0),
     )
     _reject_unknown(initial_tbl, "initial")
 
@@ -407,7 +404,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
     _reject_unknown(output_tbl, "output")
 
-    lq_exponent = _take(doc, "lq_exponent", "", 4.0, float)
+    lq_exponent = _take_number(doc, "lq_exponent", "", 4.0)
     if lq_exponent < 1.0:
         raise ConfigError("'lq_exponent' must be >= 1")
     _reject_unknown(doc, "")

@@ -43,7 +43,6 @@ from .noise import (
     sigma_eval,
 )
 from .operators import (
-    advection_values,
     bilinear_B,
     bilinear_F,
     biot_savart,
@@ -51,6 +50,7 @@ from .operators import (
     curl,
     divergence_defect,
     grad_norm_l2,
+    gradient,
     random_divfree_field,
     random_scalar_field,
     vorticity_values,
@@ -467,45 +467,59 @@ def gronwall_uniqueness(
 # operator identity suite
 
 
-def _weighted_cube(px, py):
-    m2 = px * px + py * py
-    return m2 * px, m2 * py
+# Bounds of the identity suite, in its result order: the cancellations hold
+# to rounding, F obeys its W^{-1,2} bound by the L^4 norms with 1 % slack, and
+# the spectral identities hold to rounding.
+IDENTITY_BOUNDS = {
+    "b_energy": 1e-10, "b_skew": 1e-10, "f_self": 1e-10, "f_antisym": 1e-10,
+    "b_weighted_q4": 1e-10, "f_weighted_q4": 1e-10, "f_bound": 1.01,
+    "curl_grad": 1e-12, "bs_roundtrip": 1e-12, "bs_divfree": 1e-12,
+}
 
 
-def _weighted_residual_b(u: VectorField, cell: float) -> float:
-    """|<B(u,u), |u|^2 u>| / (||u||_{L2} ||u||_{H1} || |u|^2 u ||_{H1})."""
+def _weighted_residual(u: VectorField, f) -> float:
+    """|<(u.grad)f, |f|^2 f>| / (||u||_{L2} ||f||_{H1} || |f|^2 f ||_{H1}),
+    the q = 4 weighted cancellation for f = u (B) or a vorticity f (F),
+    both dealiased.
+
+    The pairing multiplies five factors band-limited to the dealias cutoff
+    c, so its frequencies reach 5c.  It is evaluated on the padded 2N grid,
+    where the rectangle rule integrates it exactly while 5c < 2N, as for
+    any dealias_fraction below 4/5 (Boyd, Chebyshev and Fourier Spectral
+    Methods, 2001, ch. 11).  The padded values are formed one component at
+    a time, from the N-grid coefficients, to keep the 4x larger arrays few.
+    """
     grid = u.grid
-    bx, by = advection_values(u, u)
-    px, py = to_physical(u)
-    wx, wy = _weighted_cube(px, py)
-    lhs = abs(float(np.sum(bx * wx + by * wy) * cell))
-    weight = VectorField(to_spectral(wx, grid), to_spectral(wy, grid))
-    scale = (l2_norm(u) * sobolev_norm_spectral(u, 1.0)
-             * sobolev_norm_spectral(weight, 1.0))
-    return lhs / scale
+    fine = SpectralGrid(2 * grid.modes_per_dim, grid.domain_length,
+                        grid.dealias_fraction)
+
+    def padded(c: ScalarField) -> np.ndarray:
+        return to_physical(regrid(c, fine))
+
+    ux, uy = padded(u.vx), padded(u.vy)
+    parts = (f.vx, f.vy) if isinstance(f, VectorField) else (f,)
+    values = (ux, uy) if f is u else [padded(c) for c in parts]  # B pairs u with itself
+    m2 = sum(p * p for p in values)
+    pairing, weight_h1_sq = 0.0, 0.0
+    for c, p in zip(parts, values):
+        w = m2 * p
+        weight_h1_sq += sobolev_norm_spectral(to_spectral(w, fine), 1.0) ** 2
+        grad_c = gradient(c)
+        advection = ux * padded(grad_c.vx)
+        advection += uy * padded(grad_c.vy)
+        pairing += float(np.sum(advection * w))
+    scale = l2_norm(u) * sobolev_norm_spectral(f, 1.0) * math.sqrt(weight_h1_sq)
+    return abs(pairing) * fine.cell_area / scale
 
 
-def identity_suite(
-    grid: SpectralGrid,
-    trials: int,
-    seed: int = 0,
-    tol_exact: float = 1e-10,
-    tol_weighted: float = 1e-6,
-    tol_bound: float = 1.01,
-    tol_spectral: float = 1e-12,
-) -> list[CheckResult]:
+def identity_suite(grid: SpectralGrid, trials: int, seed: int = 0) -> list[CheckResult]:
     """Worst relative residuals of the bilinear-operator identities over
     fresh random fields (|k|^-2 spectral decay, random phases, dealiased,
-    divergence-freed)."""
+    divergence-freed), held to IDENTITY_BOUNDS."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    cell = grid.cell_area
-    worst = {
-        "b_energy": 0.0, "b_skew": 0.0, "f_self": 0.0, "f_antisym": 0.0,
-        "b_weighted_q4": 0.0, "f_weighted_q4": 0.0, "f_bound": 0.0,
-        "curl_grad": 0.0, "bs_roundtrip": 0.0, "bs_divfree": 0.0,
-    }
+    worst = dict.fromkeys(IDENTITY_BOUNDS, 0.0)
     for _ in range(trials):
         u = random_divfree_field(grid, rng)
         v = random_divfree_field(grid, rng)
@@ -535,21 +549,12 @@ def identity_suite(
             / (u_l2 * xi_w1 * zeta_w1),
         )
 
-        # q = 4 weighted identities: the cubic test factor is evaluated
-        # pointwise and is not band-limited, so the pairing (against the raw
-        # advection values, inputs dealiased) only tends to zero under grid
-        # refinement; residuals are measured in the same relative sense as
-        # the energy cancellation, |.| / (||u|| ||b||_H1 ||c||_H1).
-        wr = _weighted_residual_b(u, cell)
-        worst["b_weighted_q4"] = max(worst["b_weighted_q4"], wr)
-
-        fp = advection_values(u, xi)
-        xp = to_physical(xi)
-        wf = xp * np.abs(xp) ** 2
-        lhs_f = abs(float(np.sum(fp * wf) * cell))
-        scale_f = (l2_norm(u) * sobolev_norm_spectral(xi, 1.0)
-                   * sobolev_norm_spectral(to_spectral(wf, grid), 1.0))
-        worst["f_weighted_q4"] = max(worst["f_weighted_q4"], lhs_f / scale_f)
+        # q = 4 weighted identities: the cubic test factor is not in the
+        # dealias band, so the pairing is taken on the padded grid, where
+        # its quadrature is exact and the residual is rounding alone;
+        # measured in the same relative sense as the energy cancellation
+        worst["b_weighted_q4"] = max(worst["b_weighted_q4"], _weighted_residual(u, u))
+        worst["f_weighted_q4"] = max(worst["f_weighted_q4"], _weighted_residual(u, xi))
 
         dual = sobolev_norm_spectral(bessel_multiplier(fuxi, -1.0), 0.0)
         worst["f_bound"] = max(worst["f_bound"],
@@ -563,38 +568,8 @@ def identity_suite(
                                     l2_norm(curl(bs) - xi) / l2_norm(xi))
         worst["bs_divfree"] = max(worst["bs_divfree"], divergence_defect(bs))
 
-    bounds = {
-        "b_energy": tol_exact, "b_skew": tol_exact, "f_self": tol_exact,
-        "f_antisym": tol_exact, "b_weighted_q4": tol_weighted,
-        "f_weighted_q4": tol_weighted, "f_bound": tol_bound,
-        "curl_grad": tol_spectral, "bs_roundtrip": tol_spectral,
-        "bs_divfree": tol_spectral,
-    }
-    return [CheckResult.evaluate(f"identity.{k}", worst[k], bounds[k], trials, seed)
+    return [CheckResult.evaluate(f"identity.{k}", worst[k], IDENTITY_BOUNDS[k], trials, seed)
             for k in worst]
-
-
-def weighted_identity_refinement(
-    grid: SpectralGrid, trials: int, seed: int = 0
-) -> CheckResult:
-    """Residuals of the q=4 weighted identities must shrink when the same
-    fields are re-evaluated on the doubled grid."""
-    fine = SpectralGrid(2 * grid.modes_per_dim, grid.domain_length,
-                        grid.dealias_fraction)
-    rng = np.random.default_rng(seed)
-    worst_ratio = 0.0
-    detail = []
-    for _ in range(trials):
-        u = random_divfree_field(grid, rng)
-        coarse = _weighted_residual_b(u, grid.cell_area)
-        refined = _weighted_residual_b(regrid(u, fine), fine.cell_area)
-        detail.append((coarse, refined))
-        if coarse > 0:
-            worst_ratio = max(worst_ratio, refined / coarse)
-    return CheckResult.evaluate(
-        "identity.weighted_refinement", worst_ratio, 1.0, trials, seed,
-        extra={"pairs": detail},
-    )
 
 
 # ---------------------------------------------------------------------------

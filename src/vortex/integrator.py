@@ -287,6 +287,7 @@ def run_trajectory(
     [0, t_end] on shared increments; each step derives the vorticity
     xi = curl v and the remainder beta = xi - zeta.
 
+    xi0 must be finite with zero mean.
     v0 = None derives the velocity from xi0 by Biot-Savart; otherwise
     curl(v0) must match xi0 to 1e-10 relative.  The state at t = 0 carries
     xi0 itself.  Returns early with status 'blowup' if the L2 norm of v or
@@ -300,6 +301,8 @@ def run_trajectory(
     """
     grid = xi0.grid
     scale = np.max(np.abs(xi0.coeffs))
+    if not np.isfinite(scale):
+        raise ValueError("initial vorticity must be finite")
     if scale > 0 and abs(xi0.coeffs[0, 0]) > MEAN_ZERO_RTOL * scale:
         raise ValueError("initial vorticity must have zero mean")
     if v0 is None:

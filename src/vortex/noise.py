@@ -31,6 +31,7 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    bessel_multiplier,
     l2_inner,
     l2_norm,
     sobolev_norm_spectral,
@@ -389,7 +390,7 @@ def operator_norms(
     square_fn = np.zeros((v.grid.modes_per_dim,) * 2)
     for f in fields:
         hs_sq += sobolev_norm_spectral(f, s) ** 2
-        smoothed = _bessel(f, s)
+        smoothed = bessel_multiplier(f, s)
         if isinstance(smoothed, VectorField):
             px, py = to_physical(smoothed)
             square_fn += px * px + py * py
@@ -399,12 +400,6 @@ def operator_norms(
     cell = v.grid.cell_area
     radonifying = float((np.sum(square_fn ** (q / 2.0)) * cell) ** (1.0 / q))
     return {"hs": float(np.sqrt(hs_sq)), "radonifying": radonifying}
-
-
-def _bessel(field: Field, s: float) -> Field:
-    from .spectral import bessel_multiplier
-
-    return bessel_multiplier(field, s)
 
 
 def basis_l2_sq_sum(spec: CovarianceSpec, grid: SpectralGrid) -> float:

@@ -65,11 +65,13 @@ def biot_savart(xi: ScalarField) -> VectorField:
     """Divergence-free velocity with the given vorticity and zero mean.
 
     Spectrally v(k) = i (k2, -k1) xi(k) / |k|^2 (so curl(biot_savart(xi)) = xi),
-    v(0) = 0.  Mean-zero vorticity is required: the inversion kernel is not
-    defined at k = 0.
+    v(0) = 0.  The vorticity must be finite and mean-zero: the inversion
+    kernel is not defined at k = 0.
     """
     g = xi.grid
     scale = np.max(np.abs(xi.coeffs))
+    if not np.isfinite(scale):
+        raise ValueError("biot_savart requires finite vorticity")
     if scale > 0 and abs(xi.coeffs[0, 0]) > MEAN_ZERO_RTOL * scale:
         raise ValueError(
             "biot_savart requires mean-zero vorticity "
@@ -106,8 +108,7 @@ def _spectral_of(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 def advection_values(u: VectorField, target):
     """Physical grid values of (u.grad) target with dealiased inputs, before
-    any output truncation; the weighted cancellation tests pair these
-    pointwise against non-band-limited factors."""
+    any output truncation."""
     _require_same_grid(u, target)
     u1p, u2p = to_physical(dealias(u))
     if isinstance(target, VectorField):

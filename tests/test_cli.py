@@ -104,6 +104,31 @@ class TestRunCommand:
         assert f"solver.{field}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("table, key", [
+        ("initial", "amplitude"), ("initial", "spectral_decay"),
+        ("noise", "coefficient_base"), ("noise", "coefficient_decay"),
+        ("noise", "pivot_norm"), ("noise", "roughness"), ("grid", "domain_length"),
+        ("grid", "dealias_fraction"), (None, "lq_exponent"),
+    ])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_number_exits_2_naming_the_field(self, tmp_path, monkeypatch,
+                                                        capsys, table, key, value):
+        calls = TestSharedSweep.count_trajectories(monkeypatch)
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        if table is None:
+            doc[key] = "@"
+        else:
+            doc.setdefault(table, {})[key] = "@"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc).replace('"@"', value))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        field = key if table is None else f"{table}.{key}"
+        assert f"'{field}' must be finite" in err and "Traceback" not in err
+        assert calls == []
+        assert not out.exists()
+
     def test_bdg_under_default_sigma_writes_checks(self, tmp_path):
         doc = dict(SMALL_CONFIG, noise={"mode_band": 1, "coefficient_base": 0.2},
                    checks=[{"name": "bdg"}])
@@ -255,6 +280,7 @@ class TestCheckParameters:
         ({"name": "bdg", "m_list": [3]}, "checks[1].m_list[0]"),
         ({"name": "identities", "refine": 1}, "checks[1].refine"),
         ({"name": "energy", "ceilings": {"sup_v": 1.0}}, "checks[1].ceilings.sup_v"),
+        ({"name": "identities", "refine_trials": 5}, "checks[1].refine_trials"),
     ])
     def test_bad_entry_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys,
                                                 entry, field):
@@ -286,6 +312,12 @@ class TestCheckCommand:
         names = {c["name"] for c in payload}
         assert "identity.b_energy" in names
         assert all(c["passed"] for c in payload)
+
+    def test_refine_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "identities", "--grid", "32", "--trials", "1", "--refine"])
+        assert exit_info.value.code == 2
+        assert "--refine" in capsys.readouterr().err
 
     def test_identities_to_file(self, tmp_path):
         target = tmp_path / "identities.json"

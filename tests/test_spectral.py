@@ -96,6 +96,16 @@ class TestTransforms:
             scale = np.max(np.abs(f.coeffs))
             assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-13 * scale
 
+    def test_scaling_matches_the_out_of_place_reference(self, rng):
+        # both transforms scale their result in place; the bits must not move
+        for n in (16, 64):
+            grid = SpectralGrid(n)
+            f = random_scalar_field(grid, rng)
+            assert np.array_equal(to_physical(f), (np.fft.ifft2(f.coeffs) * (n * n)).real)
+            values = rng.standard_normal((n, n))
+            assert np.array_equal(to_spectral(values, grid).coeffs,
+                                  np.fft.fft2(values) / (n * n))
+
     def test_hermitian_symmetry_of_random_fields(self, grid32, rng):
         for _ in range(10):
             assert hermitian_defect(random_scalar_field(grid32, rng)) <= 1e-13
