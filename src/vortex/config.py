@@ -326,7 +326,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             dealias_fraction=_take_number(grid_tbl, "dealias_fraction", "grid", 2.0 / 3.0),
         )
     except ValueError as err:
-        raise ConfigError(f"grid: {err}") from err
+        # SpectralGrid messages start with the offending field's name
+        raise ConfigError(f"grid.{err}") from err
     _reject_unknown(grid_tbl, "grid")
 
     solver_tbl = dict(_take(doc, "solver", "", kind=dict))

@@ -55,6 +55,7 @@ from .spectral import (
     l2_norm,
     lq_norm,
     lq_norm_values,
+    require_real,
     sobolev_norm,
     to_physical,
     zero_scalar,
@@ -258,7 +259,7 @@ def holder_quotient(
                 norm = float(np.sqrt(np.sum(w * np.abs(diff.coeffs) ** 2)) * grid.domain_length)
             else:
                 norm = sobolev_norm(diff, space_order, q)
-            worst = max(worst, norm / (times[j] - times[i]) ** exponent)
+            worst = _sup(worst, norm / (times[j] - times[i]) ** exponent)
         gap *= 2
     return worst
 
@@ -287,10 +288,11 @@ def run_trajectory(
     [0, t_end] on shared increments; each step derives the vorticity
     xi = curl v and the remainder beta = xi - zeta.
 
-    xi0 must be finite with zero mean.
-    v0 = None derives the velocity from xi0 by Biot-Savart; otherwise
-    curl(v0) must match xi0 to 1e-10 relative.  The state at t = 0 carries
-    xi0 itself.  Returns early with status 'blowup' if the L2 norm of v or
+    xi0 must be finite and real with zero mean.
+    v0 = None derives the velocity from xi0 by Biot-Savart; otherwise v0
+    must be real and curl(v0) must match xi0 to 1e-10 relative.  Realness
+    is checked here once, not per transform (see `spectral`).  The state at
+    t = 0 carries xi0 itself.  Returns early with status 'blowup' if the L2 norm of v or
     xi leaves the threshold or is not finite.  Deterministic given
     (seed, path_index).  The stats hold the path functionals only;
     `record_stride` > 0 keeps every record_stride-th state and the final
@@ -306,10 +308,12 @@ def run_trajectory(
     if scale > 0 and abs(xi0.coeffs[0, 0]) > MEAN_ZERO_RTOL * scale:
         raise ValueError("initial vorticity must have zero mean")
     if v0 is None:
-        v0 = biot_savart(xi0)
+        v0 = biot_savart(xi0)  # refuses a non-real xi0
     else:
+        require_real(xi0, "initial vorticity")
+        require_real(v0, "initial velocity")
         defect = l2_norm(curl(v0) - xi0)
-        if defect > 1e-10 * max(1.0, l2_norm(xi0)):
+        if not defect <= 1e-10 * max(1.0, l2_norm(xi0)):
             raise ValueError(
                 f"curl(v0) does not match xi0 (L2 defect {defect:.3e}); "
                 "pass v0=None to derive it by Biot-Savart"

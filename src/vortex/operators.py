@@ -25,6 +25,8 @@ from .spectral import (
     SpectralGrid,
     VectorField,
     dealias,
+    hermitian_amplitudes,
+    require_real,
     to_physical,
     _require_same_grid,
 )
@@ -65,13 +67,14 @@ def biot_savart(xi: ScalarField) -> VectorField:
     """Divergence-free velocity with the given vorticity and zero mean.
 
     Spectrally v(k) = i (k2, -k1) xi(k) / |k|^2 (so curl(biot_savart(xi)) = xi),
-    v(0) = 0.  The vorticity must be finite and mean-zero: the inversion
-    kernel is not defined at k = 0.
+    v(0) = 0.  The vorticity must be finite, real and mean-zero: the
+    inversion kernel is not defined at k = 0.
     """
     g = xi.grid
     scale = np.max(np.abs(xi.coeffs))
     if not np.isfinite(scale):
         raise ValueError("biot_savart requires finite vorticity")
+    require_real(xi, "biot_savart vorticity")
     if scale > 0 and abs(xi.coeffs[0, 0]) > MEAN_ZERO_RTOL * scale:
         raise ValueError(
             "biot_savart requires mean-zero vorticity "
@@ -102,8 +105,9 @@ def _advect_scalar(u1p, u2p, f: ScalarField) -> np.ndarray:
 
 
 def _spectral_of(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    n = grid.modes_per_dim
-    return (np.fft.fft2(values) / (n * n)) * grid.dealias_mask
+    """Dealiased mode amplitudes of real grid values, filled only inside the
+    dealias band, so no mask multiply follows."""
+    return hermitian_amplitudes(values, grid.dealias_limit)
 
 
 def advection_values(u: VectorField, target):

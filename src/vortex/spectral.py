@@ -5,6 +5,15 @@ lattice over the torus [0, L)^2: the physical field is
 sum_k coeff(k) exp(i k.x), so a constant field c has coeff(0) = c.
 Fields are immutable values; every operation here is a pure function,
 safe to evaluate concurrently.
+
+Every field is real, so its full (N, N) storage is Hermitian:
+coeff(-k) = conj(coeff(k)).  The transforms use that.  `to_physical` is
+an irfft2 of the stored half spectrum (columns 0..N/2); `to_spectral`
+is an rfft2 whose other half is written as the exact conjugate mirror,
+so a transformed spectrum is Hermitian by construction.  Nothing checks
+realness per transform: the entry points that take caller-made fields
+(`operators.biot_savart`, `integrator.run_trajectory`) refuse a
+non-Hermitian one with `require_real`.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import numpy as np
 SNAPSHOT_MAGIC = b"VSPD"
 SNAPSHOT_VERSION = 1
 TWO_THIRDS = 2.0 / 3.0
+REALNESS_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -27,7 +37,9 @@ class SpectralGrid:
     Wavevectors are k = (2*pi/L) * (j1, j2) with j in {-N/2+1, ..., N/2};
     the Nyquist line is labelled +N/2.  The dealias mask zeroes every mode
     with max(|j1|, |j2|) > dealias_fraction * N/2 (default 2/3 rule, which
-    makes quadratic products alias-free on grids not divisible by 6).
+    makes quadratic products alias-free on grids not divisible by 6).  A
+    larger fraction lets the quadratic products alias, and at 1 the mask
+    keeps the Nyquist line, so dealias_fraction must lie in (0, 2/3].
     """
 
     modes_per_dim: int
@@ -40,8 +52,9 @@ class SpectralGrid:
             raise ValueError(f"modes_per_dim must be even and >= 8, got {n}")
         if not self.domain_length > 0:
             raise ValueError(f"domain_length must be positive, got {self.domain_length}")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError(f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}")
+        if not 0.0 < self.dealias_fraction <= TWO_THIRDS:
+            raise ValueError("dealias_fraction must lie in (0, 2/3] to keep quadratic "
+                             f"products alias-free, got {self.dealias_fraction}")
 
     @cached_property
     def mode_numbers(self) -> np.ndarray:
@@ -96,6 +109,11 @@ class SpectralGrid:
         j = np.abs(self.mode_numbers)
         cutoff = self.dealias_fraction * self.modes_per_dim / 2.0
         return (np.maximum(j[:, None], j[None, :]) <= cutoff)
+
+    @cached_property
+    def dealias_limit(self) -> int:
+        """The largest |j| the dealias mask keeps; below N/2."""
+        return int(np.max(np.abs(self.mode_numbers)[self.dealias_mask[:, 0]]))
 
     @property
     def cell_area(self) -> float:
@@ -198,23 +216,18 @@ def zero_vector(grid: SpectralGrid) -> VectorField:
     return VectorField(zero_scalar(grid), zero_scalar(grid))
 
 
-def to_physical(field: Field, imag_tol: float = 1e-10):
-    """Evaluate the field on the grid points; raises if it is not real.
+def to_physical(field: Field):
+    """Evaluate the real field on the grid points, from its half spectrum.
 
-    A Hermitian-symmetric coefficient array yields a real field; an imaginary
-    residual above imag_tol (relative to the field scale) means the
-    precondition is violated.
+    The conjugate half of the storage is not read: a non-Hermitian array
+    is evaluated as its Hermitian part, so callers that take fields from
+    outside check them once with `require_real`.
     """
     if isinstance(field, VectorField):
-        return to_physical(field.vx, imag_tol), to_physical(field.vy, imag_tol)
+        return to_physical(field.vx), to_physical(field.vy)
     n = field.grid.modes_per_dim
-    phys = np.fft.ifft2(field.coeffs)
-    phys *= n * n  # in place: one complex array fewer, same bits
-    real = np.ascontiguousarray(phys.real)
-    scale = max(np.max(real), -np.min(real))
-    imag_max = max(np.max(phys.imag), -np.min(phys.imag))
-    if imag_max > imag_tol * max(scale, imag_max):
-        raise ValueError("field is not Hermitian-symmetric (non-real physical values)")
+    real = np.fft.irfft2(field.coeffs[:, : n // 2 + 1], s=(n, n))
+    real *= n * n  # in place: same bits as the out-of-place product
     return real
 
 
@@ -224,9 +237,30 @@ def to_spectral(values: np.ndarray, grid: SpectralGrid) -> ScalarField:
     values = np.asarray(values)
     if values.shape != (n, n):
         raise ValueError(f"value array shape {values.shape} does not match grid {n}x{n}")
-    coeffs = np.fft.fft2(values)
-    coeffs /= n * n
-    return ScalarField(grid, coeffs)
+    return ScalarField(grid, hermitian_amplitudes(values, n // 2))
+
+
+def hermitian_amplitudes(values: np.ndarray, width: int) -> np.ndarray:
+    """(N, N) mode amplitudes of real (N, N) values with max(|j1|, |j2|) <=
+    width, zero outside: the kept part of the rfft2 half spectrum, scaled
+    by 1/N^2, and its conjugate mirror coeff(-k) = conj(coeff(k)).  Column 0
+    and, at width N/2, the Nyquist column are their own mirror; the four
+    self-conjugate amplitudes are made real."""
+    n = values.shape[0]
+    h = n // 2
+    half = np.fft.rfft2(values)
+    out = np.zeros((n, n), dtype=np.complex128)
+    # rows -width..width of the half's columns 0..width, scaled into place
+    np.divide(half[: width + 1, : width + 1], n * n, out=out[: width + 1, : width + 1])
+    np.divide(half[n - width:, 1: width + 1], n * n, out=out[n - width:, 1: width + 1])
+    # coeff(-k) = conj(coeff(k)): row i mirrors row N - i, column j column N - j
+    for j in (0, h) if width == h else (0,):
+        np.conjugate(out[h - 1: 0: -1, j], out=out[h + 1:, j])
+    out.imag[::h, ::h] = 0.0
+    m = min(width, h - 1)
+    np.conjugate(out[0, m: 0: -1], out=out[0, n - m:])
+    np.conjugate(out[: 0: -1, m: 0: -1], out=out[1:, n - m:])
+    return out
 
 
 def hermitian_defect(field: ScalarField) -> float:
@@ -237,6 +271,19 @@ def hermitian_defect(field: ScalarField) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(flipped - np.conj(c))) / scale)
+
+
+def require_real(field: Field, name: str) -> None:
+    """Raise ValueError naming `name` unless the field is finite and real:
+    its coefficients Hermitian to REALNESS_RTOL relative (per component)."""
+    parts = (field.vx, field.vy) if isinstance(field, VectorField) else (field,)
+    for part in parts:
+        defect = hermitian_defect(part)
+        if not np.isfinite(defect):  # only a non-finite coefficient gives one
+            raise ValueError(f"{name} must be finite")
+        if defect > REALNESS_RTOL:
+            raise ValueError(f"{name} is not real: its coefficients are not "
+                             f"Hermitian-symmetric (defect {defect:.3e})")
 
 
 def dealias(field: Field) -> Field:

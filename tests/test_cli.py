@@ -269,6 +269,27 @@ class TestSharedSweep:
         assert calls == []
         assert not (out / "stats.csv").exists()
 
+    @pytest.mark.parametrize("fraction", [0.8, 1.0])
+    def test_aliasing_dealias_fraction_integrates_nothing(self, tmp_path, monkeypatch,
+                                                          capsys, fraction):
+        # above 2/3 the quadratic products alias; at 1 the Nyquist line is kept
+        calls = self.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG, grid={"modes_per_dim": 16, "dealias_fraction": fraction})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "grid.dealias_fraction must lie in (0, 2/3]" in err and "Traceback" not in err
+        assert calls == []
+        assert not (out / "stats.csv").exists()
+
+    def test_two_thirds_dealias_fraction_runs(self, tmp_path):
+        doc = dict(SMALL_CONFIG, grid={"modes_per_dim": 16, "dealias_fraction": 2.0 / 3.0})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        assert len((out / "stats.csv").read_text().strip().split("\n")) == 4
+
 
 class TestCheckParameters:
     @pytest.mark.parametrize("entry, field", [

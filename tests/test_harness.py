@@ -28,7 +28,7 @@ from vortex.harness import (
     zeta_budget,
     zeta_regularity,
 )
-from vortex import integrator
+from vortex import harness, integrator
 from vortex.integrator import SolverConfig, TrajectoryStats, holder_quotient, run_trajectory
 from vortex.noise import CovarianceSpec
 from vortex.operators import (
@@ -215,6 +215,21 @@ class TestZetaRegularity:
             quotients.append(out.extra["quotient_means"][0])
         assert quotients[1] <= 1.5 * quotients[0]
 
+    def test_nan_quotient_fails(self, grid16, rng, monkeypatch):
+        # one NaN pair per path: the quotient keeps it, and the check FAILs
+        def nan_last(zetas, times, *args):
+            zetas = zetas[:-1] + [zetas[-1] * np.nan]
+            return holder_quotient(zetas, times, *args)
+
+        monkeypatch.setattr(harness, "holder_quotient", nan_last)
+        xi0 = random_scalar_field(grid16, rng)
+        cfg = SolverConfig(dt=2e-3, t_end=0.064)
+        out = swept_zeta(SMALL_NOISE, xi0, cfg, [10.0, math.inf], n_paths=2, base_seed=11,
+                         beta=0.2, delta=0.0, p=32.0, q=2.0, stride=4)
+        assert out.name == "zeta_regularity"
+        assert not out.passed and out.observed == math.inf
+        assert all(math.isnan(m) for m in out.extra["quotient_means"])
+
 
 class TestSweep:
     def test_snapshot_emission(self, grid16, rng, tmp_path):
@@ -373,6 +388,26 @@ class TestMeasuredConstants:
         assert lg > 0.0
         assert estimate_lipschitz_lg(ZERO_NOISE, grid16) == 0.0
 
+    @staticmethod
+    def nan_on_call(monkeypatch, name, k):
+        # the k-th call of harness.<name> returns NaN, the others the real value
+        real, calls = getattr(harness, name), []
+
+        def patched(*args, **kwargs):
+            calls.append(1)
+            return math.nan if len(calls) == k else real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, patched)
+
+    def test_nan_ratio_kept(self, grid16, monkeypatch):
+        # a NaN trial among finite ones is the worst case, not dropped
+        self.nan_on_call(monkeypatch, "lq_norm", 3)
+        assert math.isnan(measure_gn_constant.__wrapped__(grid16, 5, 7))
+        h = _single_mode_vector(grid16, (1, 0), 1.0)
+        spec = CovarianceSpec(((1, 0),), (0.5,), 0.5, "rational_square", h)
+        self.nan_on_call(monkeypatch, "sigma_eval", 5)
+        assert math.isnan(estimate_sigma_lipschitz(spec, grid16, trials=5))
+
 
 class TestIdentitySuite:
     def test_full_suite_passes(self, grid64):
@@ -389,6 +424,13 @@ class TestIdentitySuite:
     def test_trials_validated(self, grid16):
         with pytest.raises(ValueError):
             identity_suite(grid16, trials=0)
+
+    def test_nan_operator_fails(self, monkeypatch):
+        monkeypatch.setattr(harness, "bilinear_B", lambda u, v: bilinear_B(u, v) * math.nan)
+        results = {r.name: r for r in identity_suite(SpectralGrid(32), 2, 0)}
+        for name in ("identity.b_energy", "identity.b_skew"):
+            assert math.isnan(results[name].observed) and not results[name].passed, name
+        assert results["identity.f_self"].passed
 
 
 class TestBdg:

@@ -227,6 +227,15 @@ class TestHolderQuotient:
         expected = math.sqrt(1.0) * l2_norm(phi)
         assert holder_quotient(snaps, times, 0.5) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_nan_pair_kept(self, grid16, rng, q):
+        # the worst case keeps a NaN quotient even after finite ones
+        f = random_scalar_field(grid16, rng)
+        c = f.coeffs.copy()
+        c[1, 0] = c[-1, 0] = np.nan
+        snaps = [f, f * 2.0, f * 3.0, ScalarField(grid16, c)]
+        assert math.isnan(holder_quotient(snaps, [0.0, 0.25, 0.5, 0.75], 0.3, q=q))
+
 
 class TestRunTrajectory:
     def test_zero_data_zero_noise(self, grid16):
@@ -414,16 +423,17 @@ class TestRotationalForm:
     def test_transforms_per_step(self, grid32, rng, monkeypatch, case, per_step):
         # per step: u (2), the products (2), beta's L^q norm (1) and the new
         # vorticity (1), plus the dealiased vorticity once more out of band;
-        # before the loop xi0 and curl v0 (2), after it beta's norm (1)
+        # before the loop xi0 and curl v0 (2), after it beta's norm (1).
+        # Every one is real-to-complex: no complex transform is left.
         modes = self.MODES + ((12, 0),) if case == "out_of_band" else self.MODES
         spec = self.spec(grid32, rng, "rational_square", modes)
         xi0 = random_scalar_field(grid32, rng)
         calls = []
-        for name in ("fft2", "ifft2"):
+        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
             original = getattr(np.fft, name)
 
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
@@ -432,3 +442,80 @@ class TestRotationalForm:
             cfg = SolverConfig(dt=1e-3, t_end=n * 1e-3)
             assert run_trajectory(None, xi0, spec, cfg, seed=3).stats.status == "completed"
             assert len(calls) == per_step * n + 3
+            assert calls.count("rfft2") == 2 * n
+            assert calls.count("fft2") == calls.count("ifft2") == 0
+
+
+def complex_to_physical(field):
+    """The complex-transform reference: ifft2 of the full spectrum, real part."""
+    if isinstance(field, VectorField):
+        return complex_to_physical(field.vx), complex_to_physical(field.vy)
+    n = field.grid.modes_per_dim
+    return (np.fft.ifft2(field.coeffs) * (n * n)).real
+
+
+def complex_spectral_of(values, grid):
+    """The complex-transform reference of operators._spectral_of."""
+    n = grid.modes_per_dim
+    return np.fft.fft2(values) / (n * n) * grid.dealias_mask
+
+
+class TestRealTransforms:
+    """The step's transforms read and write half spectra; the complex
+    transforms of the full spectrum are the reference they must match, to
+    rounding, over a whole trajectory."""
+
+    @pytest.mark.parametrize("sigma_kind", ["constant_one", "rational_square"])
+    @pytest.mark.parametrize("band", ["in_band", "noise_out_of_band"])
+    def test_matches_the_complex_transforms(self, grid32, rng, monkeypatch, sigma_kind, band):
+        from vortex import operators, spectral
+
+        modes = TestRotationalForm.MODES
+        if band == "noise_out_of_band":
+            modes += ((12, 0),)
+        spec = TestRotationalForm.spec(grid32, rng, sigma_kind, modes)
+        xi0 = random_scalar_field(grid32, rng, amplitude=3.0)
+        cfg = SolverConfig(dt=2e-3, t_end=0.12)
+        res = run_trajectory(None, xi0, spec, cfg, seed=13, record_stride=1)
+        for module in (spectral, operators, integrator):
+            monkeypatch.setattr(module, "to_physical", complex_to_physical)
+        monkeypatch.setattr(operators, "_spectral_of", complex_spectral_of)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a real transform ran in the reference trajectory")
+
+        monkeypatch.setattr(np.fft, "rfft2", refused)
+        monkeypatch.setattr(np.fft, "irfft2", refused)
+        oracle = run_trajectory(None, xi0, spec, cfg, seed=13, record_stride=1)
+        assert cfg.n_steps == 60 and res.stats.status == oracle.stats.status == "completed"
+        outside = ~grid32.dealias_mask
+        assert np.any(res.final.xi.coeffs[outside]) == (band == "noise_out_of_band")
+        assert len(res.recorded) == len(oracle.recorded) == cfg.n_steps + 1
+        for got, want in zip(res.recorded, oracle.recorded):
+            assert got.t == want.t
+            for name in ("v", "xi", "zeta", "beta"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert l2_norm(a - b) <= 1e-12 * l2_norm(b), (got.t, name)
+        for name in res.stats.FUNCTIONALS:
+            a, b = res.stats.functional(name), oracle.stats.functional(name)
+            assert abs(a - b) <= 1e-12 * abs(b), name
+
+    def test_non_real_initial_fields_rejected(self, grid16, rng):
+        cfg = SolverConfig(dt=0.01, t_end=0.1)
+        c = np.zeros((16, 16), dtype=complex)
+        c[1, 0] = 1.0  # no conjugate partner
+        odd = ScalarField(grid16, c)
+        with pytest.raises(ValueError, match="vorticity is not real"):
+            run_trajectory(None, odd, ZERO_NOISE, cfg, seed=0)
+        with pytest.raises(ValueError, match="^initial vorticity is not real"):
+            run_trajectory(zero_vector(grid16), odd, ZERO_NOISE, cfg, seed=0)
+        xi0 = random_scalar_field(grid16, rng)
+        v0 = biot_savart(xi0)
+        with pytest.raises(ValueError, match="^initial velocity is not real"):
+            run_trajectory(VectorField(v0.vx + odd * 1e-3, v0.vy), xi0, ZERO_NOISE, cfg,
+                           seed=0)
+        nan = c * 0.0
+        nan[2, 3] = np.nan
+        with pytest.raises(ValueError, match="^initial velocity must be finite"):
+            run_trajectory(VectorField(v0.vx, v0.vy + ScalarField(grid16, nan)), xi0,
+                           ZERO_NOISE, cfg, seed=0)

@@ -65,6 +65,19 @@ class TestCurl:
 
 
 class TestBiotSavart:
+    def test_non_real_vorticity_rejected(self, grid16):
+        def field(partner):
+            c = np.zeros((16, 16), dtype=complex)
+            c[1, 0], c[-1, 0] = 1.0, partner
+            return ScalarField(grid16, c)
+
+        with pytest.raises(ValueError, match="^biot_savart vorticity is not real"):
+            biot_savart(field(0.0))  # no conjugate partner
+        with pytest.raises(ValueError, match="Hermitian"):
+            biot_savart(field(1.0 + 1e-6j))
+        xi = field(1.0)
+        assert l2_norm(curl(biot_savart(xi)) - xi) < 1e-15
+
     def test_zero_maps_to_zero(self, grid16):
         v = biot_savart(zero_scalar(grid16))
         assert l2_norm(v) == 0.0

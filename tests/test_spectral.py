@@ -7,16 +7,19 @@ import pytest
 
 from vortex.operators import random_scalar_field
 from vortex.spectral import (
+    TWO_THIRDS,
     ScalarField,
     SpectralGrid,
     VectorField,
     bessel_multiplier,
     dealias,
+    hermitian_amplitudes,
     hermitian_defect,
     l2_inner,
     lq_norm,
     read_snapshot,
     regrid,
+    require_real,
     sobolev_norm,
     sobolev_norm_spectral,
     to_physical,
@@ -24,6 +27,23 @@ from vortex.spectral import (
     write_snapshot,
     zero_scalar,
 )
+
+
+def mirrored(half: np.ndarray, n: int) -> np.ndarray:
+    """The (N, N) Hermitian completion of an rfft2 half, index by index:
+    coeff(i, j) = conj(coeff(-i, -j)) where (i, j) is not in the half, or is
+    in a self-conjugate column's lower rows."""
+    h = n // 2
+    full = np.zeros((n, n), dtype=complex)
+    full[:, : h + 1] = half
+    for i in range(n):
+        for j in range(n):
+            if j > h or (j in (0, h) and i > h):
+                full[i, j] = np.conj(full[(-i) % n, (-j) % n])
+    for i in (0, h):
+        for j in (0, h):
+            full[i, j] = full[i, j].real
+    return full
 
 
 class TestSpectralGrid:
@@ -38,6 +58,21 @@ class TestSpectralGrid:
             SpectralGrid(16, dealias_fraction=0.0)
         with pytest.raises(ValueError):
             SpectralGrid(16, dealias_fraction=1.5)
+
+    @pytest.mark.parametrize("fraction", [0.8, 1.0, TWO_THIRDS + 1e-12])
+    def test_dealias_fraction_above_two_thirds_refused(self, fraction):
+        # above 2/3 the quadratic products alias; at 1 the Nyquist line is kept
+        with pytest.raises(ValueError, match="^dealias_fraction must lie in \\(0, 2/3\\]"):
+            SpectralGrid(16, dealias_fraction=fraction)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
+    def test_two_thirds_accepted_and_its_band_limit(self, n):
+        grid = SpectralGrid(n, dealias_fraction=2.0 / 3.0)
+        b = grid.dealias_limit
+        assert b < n // 2
+        j = np.abs(grid.mode_numbers)
+        assert np.array_equal(grid.dealias_mask,
+                              (j[:, None] <= b) & (j[None, :] <= b))
 
     def test_mode_numbers_cover_band(self, grid16):
         j = grid16.mode_numbers
@@ -97,24 +132,62 @@ class TestTransforms:
             assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-13 * scale
 
     def test_scaling_matches_the_out_of_place_reference(self, rng):
-        # both transforms scale their result in place; the bits must not move
-        for n in (16, 64):
+        # both transforms are real-to-complex and scale in place; the bits
+        # must equal their out-of-place irfft2 / rfft2 reference, and the
+        # values the complex transforms of the full spectrum to rounding
+        for n in (16, 48, 64, 256):
             grid = SpectralGrid(n)
             f = random_scalar_field(grid, rng)
-            assert np.array_equal(to_physical(f), (np.fft.ifft2(f.coeffs) * (n * n)).real)
+            phys = to_physical(f)
+            assert np.array_equal(phys, np.fft.irfft2(f.coeffs[:, : n // 2 + 1], s=(n, n))
+                                  * (n * n))
+            complex_phys = (np.fft.ifft2(f.coeffs) * (n * n)).real
+            assert np.max(np.abs(phys - complex_phys)) <= 1e-14 * np.max(np.abs(complex_phys))
             values = rng.standard_normal((n, n))
-            assert np.array_equal(to_spectral(values, grid).coeffs,
-                                  np.fft.fft2(values) / (n * n))
+            coeffs = to_spectral(values, grid).coeffs
+            assert np.array_equal(coeffs, mirrored(np.fft.rfft2(values) / (n * n), n))
+            complex_coeffs = np.fft.fft2(values) / (n * n)
+            assert (np.max(np.abs(coeffs - complex_coeffs))
+                    <= 1e-14 * np.max(np.abs(complex_coeffs)))
+
+    @pytest.mark.parametrize("n", [8, 16, 48, 64])
+    def test_band_amplitudes_match_the_masked_transform(self, rng, n):
+        grid = SpectralGrid(n)
+        values = rng.standard_normal((n, n))
+        band = hermitian_amplitudes(values, grid.dealias_limit)
+        assert np.all(band[~grid.dealias_mask] == 0.0)
+        masked = np.fft.fft2(values) / (n * n) * grid.dealias_mask
+        assert np.max(np.abs(band - masked)) <= 1e-14 * np.max(np.abs(masked))
+        assert hermitian_defect(ScalarField(grid, band)) == 0.0
+
+    def test_to_spectral_output_is_hermitian(self, rng):
+        # the conjugate half is written as the mirror: exact by construction
+        for n in (8, 16, 24, 48, 64, 256):
+            grid = SpectralGrid(n)
+            for _ in range(5):
+                assert hermitian_defect(to_spectral(rng.standard_normal((n, n)), grid)) == 0.0
 
     def test_hermitian_symmetry_of_random_fields(self, grid32, rng):
         for _ in range(10):
             assert hermitian_defect(random_scalar_field(grid32, rng)) <= 1e-13
 
-    def test_non_real_field_rejected(self, grid16):
+    def test_non_real_field_rejected(self, grid16, rng):
+        # realness is checked once, where a caller hands a field in; the
+        # transforms read the half spectrum and check nothing
         c = np.zeros((16, 16), dtype=complex)
         c[1, 0] = 1.0  # no conjugate partner
-        with pytest.raises(ValueError, match="Hermitian"):
-            to_physical(ScalarField(grid16, c))
+        odd = ScalarField(grid16, c)
+        with pytest.raises(ValueError, match="^xi is not real.*Hermitian"):
+            require_real(odd, "xi")
+        real = random_scalar_field(grid16, rng)
+        with pytest.raises(ValueError, match="^v is not real"):
+            require_real(VectorField(real, odd), "v")
+        bad = c.copy()
+        bad[2, 3] = np.nan
+        with pytest.raises(ValueError, match="^xi must be finite"):
+            require_real(ScalarField(grid16, bad), "xi")
+        require_real(real, "xi")
+        require_real(VectorField(real, real * 2.0), "v")
 
     def test_shape_mismatch_rejected(self, grid16):
         with pytest.raises(ValueError, match="shape"):
