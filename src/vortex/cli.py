@@ -8,8 +8,9 @@ report  re-renders a summary from stored outputs.
 Exit status: 0 when every enabled check passes, 1 on any failed check,
 2 on configuration or IO errors.  Outputs are written atomically and a
 rerun into a populated directory is refused unless --force is given.
-The worker count is capped by the VORTEX_THREADS environment variable;
-results are independent of its value.
+Paths run one after another on grids below `harness.POOL_MIN_GRID` modes
+per dimension and on a thread pool from there on; results do not depend
+on the worker count.
 """
 
 from __future__ import annotations

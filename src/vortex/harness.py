@@ -12,7 +12,8 @@ integrate their own, different processes.
 
 Every check is reproducible bit-for-bit from (config, seed): paths use
 counter-based RNG streams keyed by (seed, path, step) and reductions run
-in fixed path order, so results do not depend on the worker count.
+in fixed path order, so results do not depend on the worker count, which
+follows from the grid alone (`path_workers`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .integrator import (
+    BlowupError,
     CoupledState,
     SolverConfig,
     TrajectoryStats,
@@ -38,7 +40,8 @@ from .integrator import (
 from .noise import (
     CovarianceSpec,
     basis_l2_sq_sum,
-    noise_basis,
+    build_noise_basis,
+    mode_ksq,
     operator_norms,
     sample_increment,
     sigma_eval,
@@ -102,18 +105,21 @@ class CheckResult:
         }
 
 
-def default_workers() -> int:
-    env = os.environ.get("VORTEX_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+# Below this grid a step is mostly per-call Python work, which the GIL
+# serialises, so paths run one after another.  In `vortex run` on 2 CPUs one
+# worker beat two by ~20 % at N = 32 and 64, tied at 96, and lost by ~10 % at
+# 128 and by ~40 % at 256.
+POOL_MIN_GRID = 128
 
 
-def run_paths(worker, n_paths: int, workers: int | None = None) -> list:
+def path_workers(grid: SpectralGrid) -> int:
+    """Threads for the paths of a grid: 1 below POOL_MIN_GRID, else up to 4."""
+    return 1 if grid.modes_per_dim < POOL_MIN_GRID else min(4, os.cpu_count() or 1)
+
+
+def run_paths(worker, n_paths: int, workers: int) -> list:
     """Evaluate worker(0..n_paths-1); results ordered by path index, so the
     reduction is independent of the worker count."""
-    if workers is None:
-        workers = default_workers()
     if workers <= 1 or n_paths <= 1:
         return [worker(i) for i in range(n_paths)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -179,12 +185,12 @@ def estimate_lipschitz_lg(spec: CovarianceSpec, grid: SpectralGrid,
 # energy / uniformity reports
 
 
-def _status_failure(name: str, groups: dict[str, list[TrajectoryStats]],
+def _status_failure(name: str, groups: dict[str, list[str]],
                     seed: int) -> CheckResult | None:
     """A FAIL named <name>.status that counts the blown-up paths among the
-    groups a check reads, or None; a truncated path's numbers are finite
-    but meaningless."""
-    blown = {where: sum(s.status != "completed" for s in g) for where, g in groups.items()}
+    groups of path statuses a check reads, or None; a truncated path's numbers
+    are finite but meaningless."""
+    blown = {where: sum(s != "completed" for s in g) for where, g in groups.items()}
     if not any(blown.values()):
         return None
     where = ", ".join(f"{b} of {len(groups[w])} paths{w}" for w, b in blown.items() if b)
@@ -201,7 +207,7 @@ def energy_report(stats: list[TrajectoryStats], ceilings: dict[str, float],
     """
     if len(stats) < 2:
         raise ValueError("energy_report needs at least 2 completed paths")
-    failed = _status_failure("energy", {"": stats}, seed)
+    failed = _status_failure("energy", {"": [s.status for s in stats]}, seed)
     if failed is not None:
         return [failed]
     out = []
@@ -307,7 +313,7 @@ def sweep(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
             probe: holder_quotient(*samples[probe.stride], probe.beta, probe.delta, probe.q)
             for probe in probes[level]})
 
-    done = run_paths(worker, len(jobs))
+    done = run_paths(worker, len(jobs), path_workers(xi0.grid))
     return {n: [r for (m, _), r in zip(jobs, done) if m == n] for n in counts}
 
 
@@ -317,8 +323,9 @@ def _read_levels(name: str, results, levels, n_paths: int, seed: int):
     paths = {n: results[n][:n_paths] for n in levels}
     if any(len(got) < n_paths for got in paths.values()):
         raise ValueError(f"{name} reads {n_paths} paths per level; the sweep holds fewer")
-    return paths, _status_failure(name, {f" at level {_level_tag(n)}": [r.stats for r in got]
-                                         for n, got in paths.items()}, seed)
+    statuses = {f" at level {_level_tag(n)}": [r.stats.status for r in got]
+                for n, got in paths.items()}
+    return paths, _status_failure(name, statuses, seed)
 
 
 def hy_uniformity(results: dict[float, list[PathResult]], levels, n_paths: int,
@@ -396,27 +403,31 @@ def gronwall_pair(
     """Two coupled velocity solutions under identical increments.
 
     Returns the weighted-difference series M(t) = exp(-int_0^t psi) ||V(t)||^2
-    with psi = a ||grad v1||^2 + L_g^2 (left-endpoint quadrature) plus the
-    raw sup of ||V||.
+    with psi = a ||grad v1||^2 + L_g^2 (left-endpoint quadrature), the raw
+    sup of ||V||, and the status, 'blowup' if either solution blew up (the
+    series end there) or else 'completed'.
     """
     dummy = zero_scalar(v0_a.grid)
     v1, v2 = v0_a, v0_b
     int_psi = 0.0
     m_series = [l2_norm(v1 - v2) ** 2]
     sup_v = l2_norm(v1 - v2)
-    for step in range(cfg.n_steps):
-        psi = a_const * grad_norm_l2(v1) ** 2 + lg * lg
-        dW = sample_increment(seed, path_index, step, spec, cfg.dt)
-        t = step * cfg.dt
-        st1 = CoupledState(t, v1, dummy, dummy, dummy)
-        st2 = CoupledState(t, v2, dummy, dummy, dummy)
-        v1 = velocity_step(st1, vorticity_values(v1), dW, spec, cfg)
-        v2 = velocity_step(st2, vorticity_values(v2), dW, spec, cfg)
-        int_psi += cfg.dt * psi
-        vnorm = l2_norm(v1 - v2)
-        sup_v = max(sup_v, vnorm)
-        m_series.append(math.exp(-int_psi) * vnorm**2)
-    return {"m_series": m_series, "sup_v": sup_v}
+    try:
+        for step in range(cfg.n_steps):
+            psi = a_const * grad_norm_l2(v1) ** 2 + lg * lg
+            dW = sample_increment(seed, path_index, step, spec, cfg.dt)
+            t = step * cfg.dt
+            st1 = CoupledState(t, v1, dummy, dummy, dummy)
+            st2 = CoupledState(t, v2, dummy, dummy, dummy)
+            v1 = velocity_step(st1, vorticity_values(v1), dW, spec, cfg)
+            v2 = velocity_step(st2, vorticity_values(v2), dW, spec, cfg)
+            int_psi += cfg.dt * psi
+            vnorm = l2_norm(v1 - v2)
+            sup_v = max(sup_v, vnorm)
+            m_series.append(math.exp(-int_psi) * vnorm**2)
+    except BlowupError:
+        return {"m_series": m_series, "sup_v": sup_v, "status": "blowup"}
+    return {"m_series": m_series, "sup_v": sup_v, "status": "completed"}
 
 
 def gronwall_uniqueness(
@@ -436,7 +447,8 @@ def gronwall_uniqueness(
     must keep the MC mean of the exponentially weighted squared difference
     below slack * ||V(0)||^2 (the supermartingale property of the weight).
     The Young constant a is calibrated from the measured Gagliardo-Nirenberg
-    ratio, and L_g from the empirical sigma slope.
+    ratio, and L_g from the empirical sigma slope.  A pair that blew up
+    fails the check as gronwall.status.
     """
     grid = v0_a.grid
     identical = np.array_equal(v0_a.vx.coeffs, v0_b.vx.coeffs) and np.array_equal(
@@ -448,7 +460,10 @@ def gronwall_uniqueness(
     def worker(p):
         return gronwall_pair(v0_a, v0_b, spec, cfg, base_seed, p, a_const, lg)
 
-    results = run_paths(worker, n_paths)
+    results = run_paths(worker, n_paths, path_workers(grid))
+    failed = _status_failure("gronwall", {"": [r["status"] for r in results]}, base_seed)
+    if failed is not None:
+        return failed
     if identical:
         observed = max(r["sup_v"] for r in results)
         return CheckResult.evaluate(
@@ -605,13 +620,12 @@ def simulate_bdg_sups(frames, q: float, n_paths: int, base_seed: int, t_end: flo
     half = n_steps // 2
     operators = []
     for spec, v0 in frames:
-        basis = noise_basis(spec, v0.grid)
         n = spec.hy_level
-        hy = 1.0 if n == math.inf else n / (n + basis.mode_ksq)
+        hy = 1.0 if n == math.inf else n / (n + mode_ksq(spec, v0.grid))
         amps = np.asarray(spec.coefficients) * sigma_eval(v0, spec) * hy
         # each mode's physical velocity, both components: (m, 2 N^2)
         e_phys = np.stack([np.concatenate([c.ravel() for c in to_physical(e)])
-                           for e in basis.velocity])
+                           for e in build_noise_basis(spec, v0.grid)])
         operators.append((amps, e_phys, v0.grid))
     draw_spec = frames[0][0]
 
@@ -637,7 +651,8 @@ def simulate_bdg_sups(frames, q: float, n_paths: int, base_seed: int, t_end: flo
             sups.append((float(norms[: half + 1].max()), float(norms.max())))
         return sups
 
-    return np.array(run_paths(worker, n_paths))
+    largest = max((v0.grid for _, v0 in frames), key=lambda g: g.modes_per_dim)
+    return np.array(run_paths(worker, n_paths, path_workers(largest)))
 
 
 def bdg_report(
@@ -675,9 +690,9 @@ def bdg_report(
     fine_spec = spec if spec.pivot is None else replace(spec, pivot=regrid(spec.pivot, fine))
     frames = [(spec, v0), (fine_spec, regrid(v0, fine))]
     sups = simulate_bdg_sups(frames, q, n_paths, base_seed, t_end, dt)
+    phi_norms = [norm0, operator_norms(frames[1][1], fine_spec, 0.0, q)["radonifying"]]
     constants = {m: {} for m in m_list}
-    for i, (gspec, vg) in enumerate(frames):
-        phi_norm = operator_norms(vg, gspec, 0.0, q)["radonifying"]
+    for i, ((_, vg), phi_norm) in enumerate(zip(frames, phi_norms)):
         for m in m_list:
             for col, horizon in ((0, t_end / 2.0), (1, t_end)):
                 mean = float(np.mean(sups[:, i, col] ** m))

@@ -57,6 +57,7 @@ from .spectral import (
     lq_norm_values,
     require_real,
     sobolev_norm,
+    sobolev_norm_spectral,
     to_physical,
     zero_scalar,
 )
@@ -142,7 +143,6 @@ class TrajectoryStats:
 @dataclass
 class TrajectoryResult:
     final: CoupledState
-    recorded: list[CoupledState]
     stats: TrajectoryStats
 
 
@@ -254,9 +254,7 @@ def holder_quotient(
             j = i + gap
             diff = snapshots[j] - snapshots[i]
             if q == 2.0:
-                grid = diff.grid
-                w = (1.0 + grid.ksq) ** space_order
-                norm = float(np.sqrt(np.sum(w * np.abs(diff.coeffs) ** 2)) * grid.domain_length)
+                norm = sobolev_norm_spectral(diff, space_order)
             else:
                 norm = sobolev_norm(diff, space_order, q)
             worst = _sup(worst, norm / (times[j] - times[i]) ** exponent)
@@ -281,7 +279,6 @@ def run_trajectory(
     seed: int,
     path_index: int = 0,
     lq_exponent: float = 4.0,
-    record_stride: int = 0,
     observer=None,
 ) -> TrajectoryResult:
     """Integrate the velocity v and the stochastic convolution zeta over
@@ -294,12 +291,11 @@ def run_trajectory(
     is checked here once, not per transform (see `spectral`).  The state at
     t = 0 carries xi0 itself.  Returns early with status 'blowup' if the L2 norm of v or
     xi leaves the threshold or is not finite.  Deterministic given
-    (seed, path_index).  The stats hold the path functionals only;
-    `record_stride` > 0 keeps every record_stride-th state and the final
-    one in `recorded`, else the final state alone.  An observer callable, if
-    given, sees each visited CoupledState once, in step order (its k-th call
-    the state after k steps); callers derive from it whatever else they need
-    of a path, such as snapshot files or zeta samples.
+    (seed, path_index).  The result holds the final state and the path
+    functionals.  An observer callable, if given, sees each visited
+    CoupledState once, in step order (its k-th call the state after k
+    steps); callers derive from it whatever else they need of a path, such
+    as recorded states, snapshot files or zeta samples.
     """
     grid = xi0.grid
     scale = np.max(np.abs(xi0.coeffs))
@@ -325,9 +321,8 @@ def run_trajectory(
     vorticity = vorticity_values(v0)
 
     stats = TrajectoryStats()
-    recorded: list[CoupledState] = []
 
-    def observe(st: CoupledState, xi_values: np.ndarray, step_index: int, last: bool):
+    def observe(st: CoupledState, xi_values: np.ndarray, last: bool):
         if observer is not None:
             observer(st)
         stats.sup_v_l2sq = _sup(stats.sup_v_l2sq, l2_norm(st.v) ** 2)
@@ -337,13 +332,10 @@ def run_trajectory(
         if not last:
             stats.int_grad_v += cfg.dt * grad_norm_l2(st.v) ** 2
             stats.int_grad_beta += cfg.dt * grad_norm_l2_scalar(st.beta) ** 2
-        if record_stride > 0 and (step_index % record_stride == 0 or last):
-            if not recorded or st.t > recorded[-1].t:
-                recorded.append(st)
 
     try:
         for step in range(cfg.n_steps):
-            observe(state, xi_values, step, last=False)
+            observe(state, xi_values, last=False)
             dW = sample_increment(seed, path_index, step, spec, cfg.dt)
             v_new = velocity_step(state, vorticity, dW, spec, cfg)
             zeta_new = ou_step(state, dW, spec, cfg)
@@ -352,10 +344,8 @@ def run_trajectory(
             vorticity = xi_values if in_band else vorticity_values(v_new)
             state = CoupledState((step + 1) * cfg.dt, v_new, xi_new, zeta_new,
                                  xi_new - zeta_new)
-        observe(state, xi_values, cfg.n_steps, last=True)
+        observe(state, xi_values, last=True)
     except BlowupError:
         stats.status = "blowup"
 
-    if record_stride <= 0:
-        recorded = [state]
-    return TrajectoryResult(final=state, recorded=recorded, stats=stats)
+    return TrajectoryResult(final=state, stats=stats)

@@ -12,14 +12,14 @@ Each e_k has at most two nonzero spectral coefficients, at +-k.  A
 `ScatterPlan` lists them per mode, with the velocity and vorticity
 amplitudes there, and `apply_G` scatters the weighted amplitudes into a
 zeroed array, so a time step never touches a dense N x N basis.  The
-dense `NoiseBasis` is filled from the same plan; the check-time code
-(operator norms, BDG sums) reads it.
+check-time code (operator norms, BDG sums) fills dense fields from the
+plan, uncached (`build_noise_basis`).  Nothing at run time reads the
+stacked `NoiseBasis`; it is the dense reference of the plan.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -244,8 +244,15 @@ def build_noise_basis(spec: CovarianceSpec, grid: SpectralGrid) -> list[VectorFi
     return out
 
 
+def mode_ksq(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
+    """|k|^2 of each listed mode, in mode order."""
+    k0 = 2.0 * np.pi / grid.domain_length
+    return np.array([k0 * k0 * (j1 * j1 + j2 * j2) for j1, j2 in spec.mode_indices])
+
+
 class NoiseBasis:
-    """Stacked spectral arrays of a built basis; reused across time steps."""
+    """Stacked spectral arrays of a built basis; the dense reference of the
+    scatter plan."""
 
     def __init__(self, spec: CovarianceSpec, grid: SpectralGrid):
         self.spec = spec
@@ -256,29 +263,7 @@ class NoiseBasis:
             [np.stack([e.vx.coeffs, e.vy.coeffs]) for e in self.velocity]
         )
         self.vor_stack = np.stack([w.coeffs for w in self.vorticity])
-        k0 = 2.0 * np.pi / grid.domain_length
-        self.mode_ksq = np.array(
-            [k0 * k0 * (j1 * j1 + j2 * j2) for j1, j2 in spec.mode_indices]
-        )
-
-
-_BASIS_LOCK = threading.Lock()
-
-
-@lru_cache(maxsize=2)  # room for a grid and its refinement, as BDG uses
-def _cached_basis(mode_indices, roughness: float, grid: SpectralGrid) -> NoiseBasis:
-    # a basis reads only the mode list and the roughness of its spec
-    basis = NoiseBasis(CovarianceSpec(mode_indices, (1.0,) * len(mode_indices), roughness), grid)
-    for shared in (basis.vel_stack, basis.vor_stack, basis.mode_ksq):  # one copy for all callers
-        shared.setflags(write=False)
-    return basis
-
-
-def noise_basis(spec: CovarianceSpec, grid: SpectralGrid) -> NoiseBasis:
-    """The basis of spec's modes on grid, built once for every path, level
-    and step; concurrent first callers wait for one build, not build copies."""
-    with _BASIS_LOCK:
-        return _cached_basis(spec.mode_indices, spec.roughness, grid)
+        self.mode_ksq = mode_ksq(spec, grid)
 
 
 def sigma_eval(v: VectorField, spec: CovarianceSpec) -> float:
@@ -360,9 +345,10 @@ def noise_mode_fields(
     output: str = "velocity_noise",
 ) -> list[Field]:
     """The images G_n(v) h_k = R_n[c_k sigma(v) e_k] (or their curls)."""
-    basis = noise_basis(spec, v.grid)
+    elems = build_noise_basis(spec, v.grid)
+    if output != "velocity_noise":
+        elems = [operators.curl(e) for e in elems]
     sig = sigma_eval(v, spec)
-    elems = basis.velocity if output == "velocity_noise" else basis.vorticity
     return [hille_yosida(e * (c * sig), spec.hy_level)
             for c, e in zip(spec.coefficients, elems)]
 
@@ -405,6 +391,10 @@ def operator_norms(
 def basis_l2_sq_sum(spec: CovarianceSpec, grid: SpectralGrid) -> float:
     """sum_k c_k^2 ||e_k||^2_{L^2}; the covariance factor in the Lipschitz
     bound ||G(v1)-G(v2)||_{HS(H;L^2)} <= Lip(sigma) (sum c^2 ||e||^2)^(1/2)
-    ||v1-v2||."""
-    return float(sum(c * c * l2_norm(e) ** 2
-                     for c, e in zip(spec.coefficients, noise_basis(spec, grid).velocity)))
+    ||v1-v2||.
+
+    Unit W^{1-g,2} norm gives ||e_k||^2_{L^2} = (1+|k|^2)^-(1-g), and the
+    constant mode has unit L^2 norm."""
+    ksq = mode_ksq(spec, grid)
+    e_sq = np.where(ksq > 0, (1.0 + ksq) ** -(1.0 - spec.roughness), 1.0)
+    return float(sum(c * c * e for c, e in zip(spec.coefficients, e_sq)))

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -43,25 +42,34 @@ class TestRunCommand:
         checks = json.loads((out / "checks.json").read_text())
         assert all(c["passed"] for c in checks)
 
-    def test_byte_identical_reruns_across_thread_counts(self, tmp_path):
+    def test_byte_identical_reruns_across_thread_counts(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
-        payloads = []
-        for threads, sub in (("1", "a"), ("3", "b")):
+        payloads, seen, real = [], [], harness.run_paths
+
+        def spy(worker, n_paths, workers):
+            seen.append(workers)
+            return real(worker, n_paths, workers)
+
+        monkeypatch.setattr(harness, "run_paths", spy)
+        for threads, sub in ((1, "a"), (3, "b")):
             out = tmp_path / sub
-            env_before = os.environ.get("VORTEX_THREADS")
-            os.environ["VORTEX_THREADS"] = threads
-            try:
-                code = main(["run", "--config", str(cfg), "--out", str(out),
-                             "--seed", "7"])
-            finally:
-                if env_before is None:
-                    os.environ.pop("VORTEX_THREADS", None)
-                else:
-                    os.environ["VORTEX_THREADS"] = env_before
+            monkeypatch.setattr(harness, "path_workers", lambda grid, n=threads: n)
+            code = main(["run", "--config", str(cfg), "--out", str(out),
+                         "--seed", "7"])
             assert code == 0
             payloads.append(((out / "stats.csv").read_bytes(),
                              (out / "checks.json").read_bytes()))
         assert payloads[0] == payloads[1]
+        assert seen == [1, 3]
+
+    def test_blown_gronwall_pair_fails_without_traceback(self, tmp_path, capsys):
+        doc = dict(SMALL_CONFIG, solver={"dt": 0.005, "t_end": 0.05, "blowup_threshold": 0.05},
+                   mc={"n_paths": 2}, checks=[{"name": "gronwall", "gn_trials": 50}])
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert "FAIL gronwall.status: observed=2 bound=0" in out
+        assert "Traceback" not in err
 
     def test_rerun_refused_without_force(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

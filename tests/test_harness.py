@@ -37,7 +37,7 @@ from vortex.operators import (
     random_divfree_field,
     random_scalar_field,
 )
-from vortex.spectral import ScalarField, SpectralGrid, l2_norm
+from vortex.spectral import ScalarField, SpectralGrid, l2_norm, regrid
 
 ZERO_NOISE = CovarianceSpec(((1, 0),), (0.1,), 0.5, "zero")
 SMALL_NOISE = CovarianceSpec(((1, 0), (0, 1), (1, 1), (-1, 0)),
@@ -61,6 +61,36 @@ class TestCheckResult:
     def test_json_payload_fields(self):
         d = CheckResult.evaluate("x", 1.0, 2.0, 5, 7, extra={"z": 1}).to_dict()
         assert sorted(d) == ["bound", "n_samples", "name", "observed", "passed", "seed"]
+
+
+class TestPathWorkers:
+    @pytest.mark.parametrize("n, cpus, want", [
+        (32, 8, 1), (64, 8, 1), (64, 2, 1), (128, 2, 2), (256, 8, 4), (256, 2, 2),
+        (256, 1, 1), (256, None, 1),
+    ])
+    def test_serial_below_the_pool_grid(self, monkeypatch, n, cpus, want):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert harness.path_workers(SpectralGrid(n)) == want
+
+    def test_drivers_take_the_count_from_their_grid(self, grid16, rng, monkeypatch):
+        # the sweep and the Gronwall pairs run on their grid, BDG on its largest frame
+        seen, real = [], harness.run_paths
+
+        def spy(worker, n_paths, workers):
+            seen.append(workers)
+            return real(worker, n_paths, 1)
+
+        monkeypatch.setattr(harness, "run_paths", spy)
+        monkeypatch.setattr(harness, "path_workers", lambda grid: grid.modes_per_dim)
+        xi0 = random_scalar_field(grid16, rng)
+        v0 = biot_savart(xi0)
+        cfg = SolverConfig(dt=5e-3, t_end=0.01)
+        sweep(SMALL_NOISE, None, xi0, cfg, 1, 2)
+        gronwall_uniqueness(v0, v0, SMALL_NOISE, cfg, 2, 1, gn_trials=5, lg_trials=2)
+        fine = SpectralGrid(32)
+        simulate_bdg_sups([(SMALL_NOISE, v0), (SMALL_NOISE, regrid(v0, fine))],
+                          2.0, 2, 1, 0.02, 0.01)
+        assert seen == [16, 16, 32]
 
 
 class TestRunPaths:
@@ -263,11 +293,13 @@ class TestSweep:
         for n in levels:
             stats, quots = [], []
             for p in range(n_paths):
+                states = []
                 res = run_trajectory(None, xi0, SMALL_NOISE.with_hy_level(n), cfg,
-                                     seed=seed, path_index=p, record_stride=stride)
+                                     seed=seed, path_index=p, observer=states.append)
+                recorded = states[::stride] + ([states[-1]] if cfg.n_steps % stride else [])
                 stats.append(res.stats)
-                quots.append(holder_quotient([st.zeta for st in res.recorded],
-                                             [st.t for st in res.recorded],
+                quots.append(holder_quotient([st.zeta for st in recorded],
+                                             [st.t for st in recorded],
                                              probe.beta, probe.delta, q))
             assert [repr(r.stats) for r in results[n]] == [repr(s) for s in stats]
             means.append({f: float(np.mean([s.functional(f) for s in stats]))
@@ -361,6 +393,23 @@ class TestGronwall:
         for a, b in zip(res["m_series"], oracle["m_series"]):
             assert abs(a - b) <= 1e-12 * b
         assert abs(res["sup_v"] - oracle["sup_v"]) <= 1e-12 * oracle["sup_v"]
+
+    def test_blown_pair_fails_closed(self, grid16, rng):
+        v0a = biot_savart(random_scalar_field(grid16, rng))
+        bump = random_divfree_field(grid16, rng)
+        v0b = v0a + bump * (1e-3 / l2_norm(bump))
+        calm = SolverConfig(dt=5e-3, t_end=0.05)
+        cfg = SolverConfig(dt=5e-3, t_end=0.05, blowup_threshold=0.05)
+        assert l2_norm(v0a) > cfg.blowup_threshold
+        args = (SMALL_NOISE, calm, 3, 0, 0.3, 0.0)
+        assert gronwall_pair(v0a, v0b, *args)["status"] == "completed"
+        pair = gronwall_pair(v0a, v0b, SMALL_NOISE, cfg, 3, 0, 0.3, 0.0)
+        assert pair["status"] == "blowup" and len(pair["m_series"]) == 1
+        out = gronwall_uniqueness(v0a, v0b, SMALL_NOISE, cfg, n_paths=3,
+                                  base_seed=3, gn_trials=50, lg_trials=5)
+        assert out.name == "gronwall.status" and not out.passed
+        assert (out.observed, out.bound, out.n_samples) == (3.0, 0.0, 3)
+        assert out.extra["diagnostic"] == "3 of 3 paths blew up"
 
     def test_perturbed_supermartingale_small_scale(self, grid16, rng):
         xi0 = random_scalar_field(grid16, rng)

@@ -276,15 +276,16 @@ class TestRunTrajectory:
     def test_deterministic_given_seed(self, grid16, rng):
         cfg = SolverConfig(dt=1e-2, t_end=0.1)
         xi0 = random_scalar_field(grid16, rng)
+        a_states, b_states = [], []
         a = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=5, path_index=3,
-                           record_stride=1)
+                           observer=a_states.append)
         b = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=5, path_index=3,
-                           record_stride=1)
+                           observer=b_states.append)
         assert np.array_equal(a.final.xi.coeffs, b.final.xi.coeffs)
         assert a.stats.sup_v_l2sq == b.stats.sup_v_l2sq
         # every zeta sample, hence any Holder quotient of the path, repeats
         assert all(np.array_equal(x.zeta.coeffs, y.zeta.coeffs)
-                   for x, y in zip(a.recorded, b.recorded))
+                   for x, y in zip(a_states, b_states))
 
     def test_nonzero_mean_rejected(self, grid16):
         cfg = SolverConfig(dt=0.01, t_end=0.1)
@@ -314,10 +315,11 @@ class TestRunTrajectory:
 
         cfg = SolverConfig(dt=0.01, t_end=0.1)
         xi0 = random_scalar_field(grid16, rng)
-        res = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=8, record_stride=1)
-        sup_v = max(l2_norm(st.v) ** 2 for st in res.recorded)
-        int_grad = sum(gnorm(st.v) ** 2 * cfg.dt for st in res.recorded[:-1])
-        sup_xi = max(lq_norm(st.xi, 4.0) for st in res.recorded)
+        states = []
+        res = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=8, observer=states.append)
+        sup_v = max(l2_norm(st.v) ** 2 for st in states)
+        int_grad = sum(gnorm(st.v) ** 2 * cfg.dt for st in states[:-1])
+        sup_xi = max(lq_norm(st.xi, 4.0) for st in states)
         assert abs(sup_v - res.stats.sup_v_l2sq) <= 1e-12 * max(1.0, sup_v)
         assert abs(int_grad - res.stats.int_grad_v) <= 1e-12 * max(1.0, int_grad)
         assert abs(sup_xi - res.stats.sup_xi_lq) <= 1e-12 * max(1.0, sup_xi)
@@ -351,12 +353,13 @@ class TestDerivedFields:
                               0.5, sigma_kind, pivot)
         cfg = SolverConfig(dt=2e-3, t_end=0.12)
         xi0 = random_scalar_field(grid32, rng, amplitude=3.0)
-        res = run_trajectory(None, xi0, spec, cfg, seed=13, record_stride=1)
+        states = []
+        run_trajectory(None, xi0, spec, cfg, seed=13, observer=states.append)
         oracle = self.four_field_states(xi0, spec, cfg, 13)
         assert cfg.n_steps >= 50
-        assert len(res.recorded) == len(oracle) == cfg.n_steps + 1
+        assert len(states) == len(oracle) == cfg.n_steps + 1
         assert l2_norm(oracle[-1].zeta) > 0.1 * l2_norm(oracle[-1].xi)
-        for got, want in zip(res.recorded, oracle):
+        for got, want in zip(states, oracle):
             assert got.t == want.t
             for name in ("v", "xi", "zeta", "beta"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -400,14 +403,15 @@ class TestRotationalForm:
             c[12, 3] = c[-12, -3] = 0.05
             xi0 = ScalarField(grid32, c)
         cfg = SolverConfig(dt=2e-3, t_end=0.12)
-        res = run_trajectory(None, xi0, spec, cfg, seed=13, record_stride=1)
+        states, oracle_states = [], []
+        res = run_trajectory(None, xi0, spec, cfg, seed=13, observer=states.append)
         monkeypatch.setattr(integrator, "rotational_advection", lambda v, w: bilinear_B(v, v))
-        oracle = run_trajectory(None, xi0, spec, cfg, seed=13, record_stride=1)
+        oracle = run_trajectory(None, xi0, spec, cfg, seed=13, observer=oracle_states.append)
         assert cfg.n_steps == 60 and res.stats.status == oracle.stats.status == "completed"
         outside = ~grid32.dealias_mask
         assert np.any(res.final.xi.coeffs[outside]) == case.endswith("out_of_band")
-        assert len(res.recorded) == len(oracle.recorded) == cfg.n_steps + 1
-        for got, want in zip(res.recorded, oracle.recorded):
+        assert len(states) == len(oracle_states) == cfg.n_steps + 1
+        for got, want in zip(states, oracle_states):
             assert got.t == want.t
             for name in ("v", "xi", "zeta", "beta"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -476,7 +480,8 @@ class TestRealTransforms:
         spec = TestRotationalForm.spec(grid32, rng, sigma_kind, modes)
         xi0 = random_scalar_field(grid32, rng, amplitude=3.0)
         cfg = SolverConfig(dt=2e-3, t_end=0.12)
-        res = run_trajectory(None, xi0, spec, cfg, seed=13, record_stride=1)
+        states, oracle_states = [], []
+        res = run_trajectory(None, xi0, spec, cfg, seed=13, observer=states.append)
         for module in (spectral, operators, integrator):
             monkeypatch.setattr(module, "to_physical", complex_to_physical)
         monkeypatch.setattr(operators, "_spectral_of", complex_spectral_of)
@@ -486,12 +491,12 @@ class TestRealTransforms:
 
         monkeypatch.setattr(np.fft, "rfft2", refused)
         monkeypatch.setattr(np.fft, "irfft2", refused)
-        oracle = run_trajectory(None, xi0, spec, cfg, seed=13, record_stride=1)
+        oracle = run_trajectory(None, xi0, spec, cfg, seed=13, observer=oracle_states.append)
         assert cfg.n_steps == 60 and res.stats.status == oracle.stats.status == "completed"
         outside = ~grid32.dealias_mask
         assert np.any(res.final.xi.coeffs[outside]) == (band == "noise_out_of_band")
-        assert len(res.recorded) == len(oracle.recorded) == cfg.n_steps + 1
-        for got, want in zip(res.recorded, oracle.recorded):
+        assert len(states) == len(oracle_states) == cfg.n_steps + 1
+        for got, want in zip(states, oracle_states):
             assert got.t == want.t
             for name in ("v", "xi", "zeta", "beta"):
                 a, b = getattr(got, name), getattr(want, name)

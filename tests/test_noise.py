@@ -12,9 +12,9 @@ from vortex.noise import (
     NoiseBasis,
     WienerIncrement,
     apply_G,
+    basis_l2_sq_sum,
     build_noise_basis,
     hille_yosida,
-    noise_basis,
     noise_mode_fields,
     operator_norms,
     sample_increment,
@@ -60,58 +60,6 @@ class TestCovarianceSpec:
 
 
 class TestNoiseBasis:
-    def test_shared_per_mode_list_roughness_and_grid(self, grid16, grid32):
-        spec = make_spec()
-        basis = noise_basis(spec, grid16)
-        # coefficients, sigma and the Hille-Yosida level do not enter a basis
-        other = make_spec(coeffs=(1.0, 1.0, 1.0, 1.0), sigma="zero", hy=3.0)
-        assert noise_basis(other, grid16) is basis
-        # a grid and its refinement stay cached together
-        fine = noise_basis(spec, grid32)
-        assert noise_basis(spec, grid16) is basis
-        assert noise_basis(spec, grid32) is fine
-        assert noise_basis(make_spec(g=0.4), grid16) is not basis
-        fresh = NoiseBasis(spec, grid16)
-        assert np.array_equal(basis.vel_stack, fresh.vel_stack)
-        assert np.array_equal(basis.vor_stack, fresh.vor_stack)
-        assert np.array_equal(basis.mode_ksq, fresh.mode_ksq)
-        assert not basis.vel_stack.flags.writeable
-
-    def test_concurrent_first_calls_build_once(self, monkeypatch):
-        import sys
-        import threading
-
-        from vortex import noise
-
-        builds = []
-        original = NoiseBasis.__init__
-
-        def counted(basis, *args, **kwargs):
-            builds.append(threading.get_ident())
-            original(basis, *args, **kwargs)
-
-        monkeypatch.setattr(NoiseBasis, "__init__", counted)
-        grid = SpectralGrid(24)  # a grid no other test uses: the cache is cold
-        got, barrier = [], threading.Barrier(8)
-
-        def call():
-            barrier.wait(timeout=10)
-            got.append(noise.noise_basis(make_spec(), grid))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=call) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(got) == 8 and all(b is got[0] for b in got)
-        assert len(builds) == 1
-
     def test_unit_sobolev_norm(self, grid32):
         spec = make_spec(g=0.5)
         for e in build_noise_basis(spec, grid32):
@@ -251,6 +199,47 @@ class TestScatterAgainstDenseOracle:
         apply_G(zero_vector(grid32), dW, spec, "vorticity_noise")
         assert builds == []
 
+    @pytest.mark.parametrize("level", [math.inf, 3.0])
+    def test_check_time_fields_match_the_stacked_basis(self, grid16, level):
+        h = _single_mode_vector(grid16, (1, 0), 3.0)
+        coeffs = tuple(0.1 + 0.13 * i for i in range(len(SCATTER_MODES)))
+        spec = make_spec(modes=SCATTER_MODES, coeffs=coeffs, sigma="rational_square",
+                         pivot=h, hy=level)
+        v = random_divfree_field(grid16, np.random.default_rng(2))
+        basis = NoiseBasis(spec, grid16)
+        sig = sigma_eval(v, spec)
+        for output, elems in (("velocity_noise", basis.velocity),
+                              ("vorticity_noise", basis.vorticity)):
+            got = noise_mode_fields(spec, v, output)
+            want = [hille_yosida(e * (c * sig), level) for c, e in zip(coeffs, elems)]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(coefficient_bits(a), coefficient_bits(b))
+
+    @pytest.mark.parametrize("length", [2.0 * math.pi, 3.0])
+    def test_l2_sum_closed_form_matches_the_dense_sum(self, length):
+        grid = SpectralGrid(16, length)
+        rng = np.random.default_rng(5)
+        for g in (0.2, 0.5, 0.9):
+            spec = make_spec(modes=SCATTER_MODES, coeffs=tuple(rng.uniform(0.05, 1.0, 11)), g=g)
+            dense = sum(c * c * l2_norm(e) ** 2
+                        for c, e in zip(spec.coefficients, NoiseBasis(spec, grid).velocity))
+            assert basis_l2_sq_sum(spec, grid) == pytest.approx(dense, rel=1e-14)
+
+    def test_check_time_code_builds_no_stacked_basis(self, grid16, monkeypatch):
+        from vortex.harness import simulate_bdg_sups
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a stacked NoiseBasis was built")
+
+        monkeypatch.setattr(NoiseBasis, "__init__", refused)
+        spec = make_spec(modes=SCATTER_MODES[:4], coeffs=(0.5,) * 4, hy=10.0)
+        v = random_divfree_field(grid16, np.random.default_rng(1))
+        for output in ("velocity_noise", "vorticity_noise"):
+            assert operator_norms(v, spec, 0.0, 4.0, output)["hs"] > 0.0
+        assert basis_l2_sq_sum(spec, grid16) > 0.0
+        assert simulate_bdg_sups([(spec, v)], 4.0, 2, 1, 0.02, 0.01).shape == (2, 1, 2)
+
     def test_trajectory_matches_the_dense_oracle(self, grid32, monkeypatch):
         from vortex import integrator
         from vortex.integrator import SolverConfig, run_trajectory
@@ -262,17 +251,20 @@ class TestScatterAgainstDenseOracle:
         xi0 = curl(random_divfree_field(grid32, np.random.default_rng(3)))
 
         def run():
-            return run_trajectory(None, xi0, spec, cfg, seed=4, path_index=2, record_stride=5)
+            states = []
+            res = run_trajectory(None, xi0, spec, cfg, seed=4, path_index=2,
+                                 observer=states.append)
+            return res, states[::5]  # the states after 0, 5, 10, 15 and 20 steps
 
-        scattered = run()
+        scattered, scattered_states = run()
         monkeypatch.setattr(integrator, "apply_G", dense_apply_G)
-        dense = run()
+        dense, dense_states = run()
         assert scattered.stats.status == dense.stats.status == "completed"
         for name in scattered.stats.FUNCTIONALS:
             assert np.array_equal(bits(np.float64(scattered.stats.functional(name))),
                                   bits(np.float64(dense.stats.functional(name))))
-        assert len(scattered.recorded) == len(dense.recorded) == 5
-        for a, b in zip(scattered.recorded + [scattered.final], dense.recorded + [dense.final]):
+        assert len(scattered_states) == len(dense_states) == 5
+        for a, b in zip(scattered_states + [scattered.final], dense_states + [dense.final]):
             assert a.t == b.t
             for fa, fb in ((a.v, b.v), (a.xi, b.xi), (a.zeta, b.zeta), (a.beta, b.beta)):
                 assert np.array_equal(coefficient_bits(fa), coefficient_bits(fb))
