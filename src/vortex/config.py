@@ -141,15 +141,18 @@ def _list(value, path: str) -> list:
     return value
 
 
+def _level(value, path: str) -> float:
+    """A Hille-Yosida level: a finite positive number, or null meaning infinity."""
+    if value is None:
+        return math.inf
+    level = _number(value, path)
+    if not level > 0:
+        raise ConfigError(f"'{path}' must be a positive number or null, got {value}")
+    return level
+
+
 def _levels(value, path: str) -> list[float]:
-    """Hille-Yosida levels: positive numbers, null meaning infinity."""
-    out = []
-    for i, n in enumerate(_list(value, path)):
-        level = math.inf if n is None else _number(n, f"{path}[{i}]")
-        if not level > 0:
-            raise ConfigError(f"'{path}[{i}]' must be a positive number or null, got {n}")
-        out.append(level)
-    return out
+    return [_level(n, f"{path}[{i}]") for i, n in enumerate(_list(value, path))]
 
 
 def _moments(value, path: str) -> list[int]:
@@ -349,14 +352,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if modes_raw is not None:
         if not isinstance(modes_raw, list):
             raise ConfigError("'noise.modes' must be a list of integer pairs")
+        if not modes_raw:
+            raise ConfigError("'noise.modes' must list at least one mode; "
+                              "use noise.sigma_kind 'zero' to run without noise")
         modes = tuple(_mode_pair(m, "noise.modes") for m in modes_raw)
-    hy_raw = _take(noise_tbl, "hy_level", "noise", None)
-    if hy_raw is None:
-        hy = math.inf
-    elif isinstance(hy_raw, (int, float)) and not isinstance(hy_raw, bool):
-        hy = float(hy_raw)
-    else:
-        raise ConfigError("'noise.hy_level' must be a positive number or null")
     noise_cfg = NoiseConfig(
         mode_band=_take(noise_tbl, "mode_band", "noise", 2, int),
         modes=modes,
@@ -367,7 +366,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                               "noise.pivot_mode"),
         pivot_norm=_take_number(noise_tbl, "pivot_norm", "noise", 32.0),
         roughness=_take_number(noise_tbl, "roughness", "noise", 0.5),
-        hy_level=hy,
+        hy_level=_level(_take(noise_tbl, "hy_level", "noise", None), "noise.hy_level"),
     )
     _reject_unknown(noise_tbl, "noise")
 

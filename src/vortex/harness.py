@@ -39,11 +39,13 @@ from .integrator import (
 )
 from .noise import (
     CovarianceSpec,
+    apply_G,
     basis_l2_sq_sum,
     build_noise_basis,
     mode_ksq,
     operator_norms,
     sample_increment,
+    scatter_plan,
     sigma_eval,
 )
 from .operators import (
@@ -71,7 +73,6 @@ from .spectral import (
     to_physical,
     to_spectral,
     write_snapshot,
-    zero_scalar,
 )
 
 
@@ -407,7 +408,7 @@ def gronwall_pair(
     sup of ||V||, and the status, 'blowup' if either solution blew up (the
     series end there) or else 'completed'.
     """
-    dummy = zero_scalar(v0_a.grid)
+    touched = scatter_plan(spec, v0_a.grid).touched
     v1, v2 = v0_a, v0_b
     int_psi = 0.0
     m_series = [l2_norm(v1 - v2) ** 2]
@@ -417,10 +418,10 @@ def gronwall_pair(
             psi = a_const * grad_norm_l2(v1) ** 2 + lg * lg
             dW = sample_increment(seed, path_index, step, spec, cfg.dt)
             t = step * cfg.dt
-            st1 = CoupledState(t, v1, dummy, dummy, dummy)
-            st2 = CoupledState(t, v2, dummy, dummy, dummy)
-            v1 = velocity_step(st1, vorticity_values(v1), dW, spec, cfg)
-            v2 = velocity_step(st2, vorticity_values(v2), dW, spec, cfg)
+            v1 = velocity_step(v1, vorticity_values(v1), apply_G(v1, dW, spec), touched,
+                               cfg, t)
+            v2 = velocity_step(v2, vorticity_values(v2), apply_G(v2, dW, spec), touched,
+                               cfg, t)
             int_psi += cfg.dt * psi
             vnorm = l2_norm(v1 - v2)
             sup_v = max(sup_v, vnorm)
@@ -583,30 +584,6 @@ def identity_suite(grid: SpectralGrid, trials: int, seed: int = 0) -> list[Check
 # stochastic-integral (BDG) constants
 
 
-def abs_brownian_sup_moment(m: float, horizon: float = 1.0,
-                            terms: int = 64, nodes: int = 20000) -> float:
-    """E[(sup_{t<=T} |B_t|)^m] by quadrature of the reflection series for the
-    running-maximum law; an independent deterministic oracle."""
-    x = np.linspace(1e-6, 10.0, nodes)
-    k = np.arange(terms)[:, None]
-    series = ((-1.0) ** k / (2 * k + 1)) * np.exp(
-        -((2 * k + 1) ** 2) * np.pi**2 / (8.0 * x[None, :] ** 2)
-    )
-    cdf = np.clip((4.0 / np.pi) * series.sum(axis=0), 0.0, 1.0)
-    integrand = m * x ** (m - 1.0) * (1.0 - cdf)
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return float(trapezoid(integrand, x) * horizon ** (m / 2.0))
-
-
-def discrete_sup_sq_oracle(horizon: float, dt: float) -> float:
-    """E[max over the dt-grid of B_t^2], first-order corrected for discrete
-    sampling: E[S^2] - 2 E[S] * beta* sqrt(dt), beta* = -zeta(1/2)/sqrt(2 pi)."""
-    beta_star = 0.5826
-    s1 = abs_brownian_sup_moment(1.0, horizon)
-    s2 = abs_brownian_sup_moment(2.0, horizon)
-    return s2 - 2.0 * s1 * beta_star * math.sqrt(dt)
-
-
 def simulate_bdg_sups(frames, q: float, n_paths: int, base_seed: int, t_end: float,
                       dt: float) -> np.ndarray:
     """sup_t ||X(t)||_{L^q} per path for X(t) = int_0^t Phi dW with the frozen
@@ -709,35 +686,3 @@ def bdg_report(
                                  for k, v in constants[m].items()}},
         ))
     return out
-
-
-# ---------------------------------------------------------------------------
-# refinement / consistency studies
-
-
-def convergence_check(
-    name: str,
-    err_coarse: float,
-    err_fine: float,
-    seed: int,
-    n_samples: int,
-    target_ratio: float = 2.0,
-    ratio_tol: float = 0.5,
-    floor: float = 1e-9,
-) -> CheckResult:
-    """First-order convergence verdict for a dt-halving study.
-
-    PASS when err(dt)/err(dt/2) is target_ratio +- ratio_tol, or when both
-    errors sit at the roundoff floor (the discretizations agree to machine
-    precision, which satisfies the O(dt) claim vacuously; a rate cannot be
-    measured below the floor).
-    """
-    extra = {"err_coarse": err_coarse, "err_fine": err_fine, "floor": floor}
-    if max(err_coarse, err_fine) <= floor:
-        extra["at_floor"] = True
-        return CheckResult.evaluate(name, 0.0, ratio_tol, n_samples, seed, extra)
-    ratio = err_coarse / err_fine if err_fine > 0 else math.inf
-    extra["ratio"] = ratio
-    extra["at_floor"] = False
-    return CheckResult.evaluate(name, abs(ratio - target_ratio), ratio_tol,
-                                n_samples, seed, extra)

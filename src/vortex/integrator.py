@@ -8,9 +8,13 @@ velocity v and the stochastic convolution zeta, on the same Wiener
 increments; the vorticity xi = curl v and the remainder beta = xi - zeta
 are derived after each step.  Under the 2/3 rule curl P B(v,v) equals
 F(v, curl v) on the retained band (Orszag 1971), so the derived fields
-agree with the discretised vorticity and remainder equations
-(`vorticity_step`, `beta_step`, kept as test oracles) to rounding.  The
-curl has no mean mode, so mean-zero vorticity is preserved exactly.
+agree with the discretised vorticity and remainder equations (stepped by
+the oracles of the test suite) to rounding.  The curl has no mean mode,
+so mean-zero vorticity is preserved exactly.
+
+Each step evaluates the noise once (`noise.apply_G`), for v and zeta
+together, at the few coefficients the noise modes touch; both updates add
+it there in place, so a step builds no dense noise field.
 
 The velocity nonlinearity is taken in rotational form,
 P B(v,v) = P[w (-u_y, u_x)] with u the dealiased v and w its curl, so
@@ -30,16 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import (
-    CovarianceSpec,
-    WienerIncrement,
-    apply_G,
-    sample_increment,
-    scatter_plan,
-)
+from .noise import CovarianceSpec, apply_G, sample_increment, scatter_plan
 from .operators import (
     MEAN_ZERO_RTOL,
-    bilinear_F,
     biot_savart,
     curl,
     grad_norm_l2,
@@ -146,17 +143,15 @@ class TrajectoryResult:
     stats: TrajectoryStats
 
 
-def _stepped(decay: np.ndarray, base: ScalarField, *terms: ScalarField,
-             mean_free: bool = False) -> ScalarField:
+def _stepped(decay: np.ndarray, base: ScalarField, touched: np.ndarray,
+             noise: np.ndarray, drift: ScalarField | None = None) -> ScalarField:
+    """exp(-|k|^2 dt) [base + drift + noise], the noise given at the flat
+    coefficient indices `touched` and added there in place."""
     acc = base.coeffs.copy()
-    for t in terms:
-        acc += t.coeffs
-    out = decay * acc
-    if mean_free:
-        # the advection term integrates to zero for divergence-free u; clear
-        # its quadrature roundoff so mean-zero vorticity is preserved exactly
-        out[0, 0] = 0.0
-    return ScalarField(base.grid, out)
+    if drift is not None:
+        acc += drift.coeffs
+    acc.reshape(-1)[touched] += noise
+    return ScalarField(base.grid, decay * acc)
 
 
 def _guarded(field, name: str, cfg: SolverConfig, t: float):
@@ -167,64 +162,28 @@ def _guarded(field, name: str, cfg: SolverConfig, t: float):
 
 
 def velocity_step(
-    state: CoupledState,
+    v: VectorField,
     vorticity: np.ndarray,
-    dW: WienerIncrement,
-    spec: CovarianceSpec,
+    noise: np.ndarray,
+    touched: np.ndarray,
     cfg: SolverConfig,
+    t: float,
 ) -> VectorField:
-    """One step of dv + [Av + B(v,v)] dt = G(v) dW:
+    """One step of dv + [Av + B(v,v)] dt = G(v) dW from time t:
     v+ = exp(-|k|^2 dt) [v - dt P B(v,v) + G(v) dW], P the Leray projection.
 
-    P B(v,v) is evaluated in rotational form, P[w (-u_y, u_x)] with u the
-    dealiased v; `vorticity` holds w, the physical values of the dealiased
-    curl of state.v (`operators.vorticity_values`).  It agrees with
-    leray_project(bilinear_B(v, v)) to rounding."""
-    v = state.v
-    decay = heat_decay(v.grid, dW.dt)
+    `noise` is `apply_G`'s increment, whose rows 0 and 1 are G(v) dW at the
+    flat coefficient indices `touched`.  P B(v,v) is evaluated in rotational
+    form, P[w (-u_y, u_x)] with u the dealiased v; `vorticity` holds w, the
+    physical values of the dealiased curl of v (`operators.vorticity_values`).
+    It agrees with leray_project(bilinear_B(v, v)) to rounding."""
+    decay = heat_decay(v.grid, cfg.dt)
     pb = leray_project(rotational_advection(v, vorticity))
-    noise = apply_G(v, dW, spec, "velocity_noise")
     new = VectorField(
-        _stepped(decay, v.vx, -dW.dt * pb.vx, noise.vx),
-        _stepped(decay, v.vy, -dW.dt * pb.vy, noise.vy),
+        _stepped(decay, v.vx, touched, noise[0], -cfg.dt * pb.vx),
+        _stepped(decay, v.vy, touched, noise[1], -cfg.dt * pb.vy),
     )
-    return _guarded(new, "velocity", cfg, state.t)
-
-
-def vorticity_step(
-    state: CoupledState,
-    dW: WienerIncrement,
-    spec: CovarianceSpec,
-    cfg: SolverConfig,
-) -> ScalarField:
-    """One step of dxi + [A xi + v.grad xi] dt = curl(G(v)) dW, with v taken
-    from the coupled state; preserves mean zero.  A test oracle:
-    run_trajectory derives xi = curl v instead."""
-    decay = heat_decay(state.xi.grid, dW.dt)
-    adv = bilinear_F(state.v, state.xi)
-    noise = apply_G(state.v, dW, spec, "vorticity_noise")
-    return _stepped(decay, state.xi, -dW.dt * adv, noise, mean_free=True)
-
-
-def ou_step(
-    state: CoupledState,
-    dW: WienerIncrement,
-    spec: CovarianceSpec,
-    cfg: SolverConfig,
-) -> ScalarField:
-    """Stochastic convolution step: zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]."""
-    decay = heat_decay(state.zeta.grid, dW.dt)
-    noise = apply_G(state.v, dW, spec, "vorticity_noise")
-    return _stepped(decay, state.zeta, noise)
-
-
-def beta_step(state: CoupledState, cfg: SolverConfig) -> ScalarField:
-    """Deterministic remainder step:
-    beta+ = exp(-|k|^2 dt)[beta - dt F(v, zeta + beta)].  A test oracle:
-    run_trajectory derives beta = curl v - zeta instead."""
-    decay = heat_decay(state.beta.grid, cfg.dt)
-    adv = bilinear_F(state.v, state.zeta + state.beta)
-    return _stepped(decay, state.beta, -cfg.dt * adv, mean_free=True)
+    return _guarded(new, "velocity", cfg, t)
 
 
 def _sup(a: float, b: float) -> float:
@@ -316,6 +275,8 @@ def run_trajectory(
             )
     state = CoupledState(0.0, v0, xi0, zero_scalar(grid), xi0)
     in_band = _inside_dealias_band(v0, spec)
+    touched = scatter_plan(spec, grid).touched
+    decay = heat_decay(grid, cfg.dt)
     xi_values = to_physical(xi0)
     # curl(v0) may differ from xi0 by up to the tolerance above
     vorticity = vorticity_values(v0)
@@ -337,8 +298,10 @@ def run_trajectory(
         for step in range(cfg.n_steps):
             observe(state, xi_values, last=False)
             dW = sample_increment(seed, path_index, step, spec, cfg.dt)
-            v_new = velocity_step(state, vorticity, dW, spec, cfg)
-            zeta_new = ou_step(state, dW, spec, cfg)
+            noise = apply_G(state.v, dW, spec)
+            v_new = velocity_step(state.v, vorticity, noise, touched, cfg, state.t)
+            # the stochastic convolution: zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]
+            zeta_new = _stepped(decay, state.zeta, touched, noise[2])
             xi_new = _guarded(curl(v_new), "vorticity", cfg, state.t)
             xi_values = to_physical(xi_new)
             vorticity = xi_values if in_band else vorticity_values(v_new)

@@ -10,11 +10,13 @@ n = inf means no regularization.
 
 Each e_k has at most two nonzero spectral coefficients, at +-k.  A
 `ScatterPlan` lists them per mode, with the velocity and vorticity
-amplitudes there, and `apply_G` scatters the weighted amplitudes into a
-zeroed array, so a time step never touches a dense N x N basis.  The
-check-time code (operator norms, BDG sums) fills dense fields from the
-plan, uncached (`build_noise_basis`).  Nothing at run time reads the
-stacked `NoiseBasis`; it is the dense reference of the plan.
+amplitudes there, and the few distinct coefficients they touch.  `apply_G`
+evaluates sigma(v) once and returns the noise increment at those
+coefficients only, velocity and vorticity together, so a time step builds
+no dense noise field: it adds the increment in place.  The check-time code
+(operator norms, BDG sums) fills dense fields from the plan, uncached
+(`build_noise_basis`).  Nothing at run time reads the stacked `NoiseBasis`;
+it is the dense reference of the plan.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .spectral import (
     VectorField,
     bessel_multiplier,
     l2_inner,
-    l2_norm,
     sobolev_norm_spectral,
     to_physical,
 )
@@ -156,14 +157,15 @@ class ScatterPlan:
     as one entry list in mode order (each mode's entries adjacent).
 
     mode: the mode each entry belongs to.
-    index: the entry's flat index into the N x N coefficients.
+    slot: the entry's position in `touched`.
     velocity: (2, entries) x and y amplitudes of e_k there.
     vorticity: the amplitudes of curl e_k there.
-    touched: the distinct flat indices, and touched_ksq their |k|^2.
+    touched: the distinct flat indices into the N x N coefficients, and
+        touched_ksq their |k|^2.
     """
 
     mode: np.ndarray
-    index: np.ndarray
+    slot: np.ndarray
     velocity: np.ndarray
     vorticity: np.ndarray
     touched: np.ndarray
@@ -200,13 +202,12 @@ def _build_plan(mode_indices, roughness: float, grid: SpectralGrid) -> ScatterPl
         cols += [c2 % n, -c2 % n]
         velocity.append(pair)
     rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    index = rows * n + cols
     velocity = np.concatenate(velocity, axis=1)
     # operators.curl, entry by entry
     vorticity = 1j * (grid.diff_kx[rows, 0] * velocity[1] - grid.diff_ky[0, cols] * velocity[0])
-    touched = np.unique(index)
-    plan = ScatterPlan(np.array(mode, dtype=np.intp), index, velocity, vorticity,
-                       touched, grid.ksq.ravel()[touched])
+    touched, slot = np.unique(rows * n + cols, return_inverse=True)
+    plan = ScatterPlan(np.array(mode, dtype=np.intp), slot.astype(np.intp), velocity,
+                       vorticity, touched, grid.ksq.ravel()[touched])
     for array in vars(plan).values():  # one copy for all callers
         array.setflags(write=False)
     return plan
@@ -238,7 +239,7 @@ def build_noise_basis(spec: CovarianceSpec, grid: SpectralGrid) -> list[VectorFi
     for m in range(spec.n_modes):
         at = plan.mode == m
         coeffs = np.zeros((2, n * n), dtype=np.complex128)
-        coeffs[:, plan.index[at]] = plan.velocity[:, at]
+        coeffs[:, plan.touched[plan.slot[at]]] = plan.velocity[:, at]
         coeffs = coeffs.reshape(2, n, n)
         out.append(VectorField(ScalarField(grid, coeffs[0]), ScalarField(grid, coeffs[1])))
     return out
@@ -276,14 +277,6 @@ def sigma_eval(v: VectorField, spec: CovarianceSpec) -> float:
     return s * s / (1.0 + s * s)
 
 
-def sigma_lipschitz_bound(spec: CovarianceSpec) -> float:
-    """Analytic Lipschitz constant of sigma in L^2: (3 sqrt 3 / 8) ||h||_{L^2}
-    for rational_square, 0 for the constant kinds."""
-    if spec.sigma_kind != "rational_square":
-        return 0.0
-    return 3.0 * np.sqrt(3.0) / 8.0 * l2_norm(spec.pivot)
-
-
 def hille_yosida(field: Field, n: float) -> Field:
     """R_n = n (nI - Laplacian)^{-1}: per-mode multiplication by n/(n+|k|^2).
 
@@ -299,58 +292,39 @@ def hille_yosida(field: Field, n: float) -> Field:
     return ScalarField(field.grid, field.coeffs * mult)
 
 
-def apply_G(
-    v: VectorField,
-    dW: WienerIncrement,
-    spec: CovarianceSpec,
-    output: str = "velocity_noise",
-) -> Field:
-    """R_n [ sum_k c_k sigma(v) g_k sqrt(dt) e_k ]; linear in the increment.
+def apply_G(v: VectorField, dW: WienerIncrement, spec: CovarianceSpec) -> np.ndarray:
+    """R_n [ sum_k c_k sigma(v) g_k sqrt(dt) e_k ] and its curl, at the
+    coefficients `scatter_plan(spec, v.grid).touched` only; every other
+    coefficient of both is zero.  Linear in the increment.
 
-    output 'velocity_noise' returns the vector field; 'vorticity_noise'
-    takes the curl of each basis element first and returns a scalar field.
-    Each mode's weight c_k sigma(v) g_k sqrt(dt) times its amplitudes is
-    added, in mode order, into the coefficients its `scatter_plan` entries
-    name; at a finite level n only those coefficients are multiplied by
-    n/(n+|k|^2).  Every other coefficient stays zero.
+    Returns one (3, len(touched)) array whose rows are the x and y velocity
+    components and the vorticity.  sigma(v) is evaluated once.  Each mode's
+    weight c_k sigma(v) g_k sqrt(dt) times its amplitudes is added, in mode
+    order, into the slots its plan entries name; at a finite level n the
+    slots are then multiplied by n/(n+|k|^2).
     """
-    if output not in ("velocity_noise", "vorticity_noise"):
-        raise ValueError(f"unknown output kind {output!r}")
     if len(dW.gaussians) != spec.n_modes:
         raise ValueError(
             f"increment has {len(dW.gaussians)} draws for {spec.n_modes} modes"
         )
-    grid = v.grid
-    plan = scatter_plan(spec, grid)
+    plan = scatter_plan(spec, v.grid)
     sig = sigma_eval(v, spec)
     weights = np.asarray(spec.coefficients) * (sig * np.sqrt(dW.dt)) * dW.gaussians
-    amplitudes = plan.velocity if output == "velocity_noise" else plan.vorticity[None]
-    n = grid.modes_per_dim
-    coeffs = np.zeros((len(amplitudes), n * n), dtype=np.complex128)
     entry_weights = weights[plan.mode]
-    for row, amplitude in zip(coeffs, amplitudes):
-        np.add.at(row, plan.index, entry_weights * amplitude)
+    out = np.zeros((3, len(plan.touched)), dtype=np.complex128)
+    for row, amplitude in zip(out, (*plan.velocity, plan.vorticity)):
+        np.add.at(row, plan.slot, entry_weights * amplitude)
     level = spec.hy_level
     if level != math.inf:
-        coeffs[:, plan.touched] *= level / (level + plan.touched_ksq)
-    coeffs = coeffs.reshape(-1, n, n)
-    if output == "velocity_noise":
-        return VectorField(ScalarField(grid, coeffs[0]), ScalarField(grid, coeffs[1]))
-    return ScalarField(grid, coeffs[0])
+        out *= level / (level + plan.touched_ksq)
+    return out
 
 
-def noise_mode_fields(
-    spec: CovarianceSpec,
-    v: VectorField,
-    output: str = "velocity_noise",
-) -> list[Field]:
-    """The images G_n(v) h_k = R_n[c_k sigma(v) e_k] (or their curls)."""
-    elems = build_noise_basis(spec, v.grid)
-    if output != "velocity_noise":
-        elems = [operators.curl(e) for e in elems]
+def noise_mode_fields(spec: CovarianceSpec, v: VectorField) -> list[VectorField]:
+    """The images G_n(v) h_k = R_n[c_k sigma(v) e_k]."""
     sig = sigma_eval(v, spec)
     return [hille_yosida(e * (c * sig), spec.hy_level)
-            for c, e in zip(spec.coefficients, elems)]
+            for c, e in zip(spec.coefficients, build_noise_basis(spec, v.grid))]
 
 
 def operator_norms(
@@ -358,7 +332,6 @@ def operator_norms(
     spec: CovarianceSpec,
     s: float,
     q: float,
-    output: str = "velocity_noise",
 ) -> dict[str, float]:
     """Hilbert-Schmidt and gamma-radonifying norms of the noise operator.
 
@@ -371,18 +344,12 @@ def operator_norms(
         raise ValueError("radonifying norm is not defined for q = inf")
     if not q >= 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    fields = noise_mode_fields(spec, v, output)
     hs_sq = 0.0
     square_fn = np.zeros((v.grid.modes_per_dim,) * 2)
-    for f in fields:
+    for f in noise_mode_fields(spec, v):
         hs_sq += sobolev_norm_spectral(f, s) ** 2
-        smoothed = bessel_multiplier(f, s)
-        if isinstance(smoothed, VectorField):
-            px, py = to_physical(smoothed)
-            square_fn += px * px + py * py
-        else:
-            p = to_physical(smoothed)
-            square_fn += p * p
+        px, py = to_physical(bessel_multiplier(f, s))
+        square_fn += px * px + py * py
     cell = v.grid.cell_area
     radonifying = float((np.sum(square_fn ** (q / 2.0)) * cell) ** (1.0 / q))
     return {"hs": float(np.sqrt(hs_sq)), "radonifying": radonifying}

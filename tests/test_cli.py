@@ -116,7 +116,7 @@ class TestRunCommand:
         ("initial", "amplitude"), ("initial", "spectral_decay"),
         ("noise", "coefficient_base"), ("noise", "coefficient_decay"),
         ("noise", "pivot_norm"), ("noise", "roughness"), ("grid", "domain_length"),
-        ("grid", "dealias_fraction"), (None, "lq_exponent"),
+        ("grid", "dealias_fraction"), ("noise", "hy_level"), (None, "lq_exponent"),
     ])
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_number_exits_2_naming_the_field(self, tmp_path, monkeypatch,
@@ -259,6 +259,17 @@ class TestSharedSweep:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "noise.modes" in err and "grid band" in err
+        assert calls == []
+        assert not (out / "stats.csv").exists()
+
+    def test_empty_noise_modes_integrate_nothing(self, tmp_path, monkeypatch, capsys):
+        calls = self.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG, noise={"modes": []})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "noise.modes" in err and "Traceback" not in err
         assert calls == []
         assert not (out / "stats.csv").exists()
 

@@ -88,6 +88,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="hy_level"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("text, message", [
+        ("Infinity", "must be finite"), ("-Infinity", "must be finite"),
+        ("NaN", "must be finite"), ("1e400", "must be finite"),
+        ("0", "must be a positive number or null"), ("-2.5", "must be a positive number or null"),
+        ('"10"', "must be a number"), ("true", "must be a number"),
+    ])
+    def test_hy_level_read_like_check_levels(self, text, message):
+        # one reader: null means infinity, anything else is finite and positive
+        level = json.loads(text)
+        doc = dict(MINIMAL, noise={"hy_level": level})
+        with pytest.raises(ConfigError, match=f"^'noise.hy_level' {message}"):
+            parse_config(doc)
+        doc = dict(MINIMAL, checks=[{"name": "hy_uniformity", "levels": [1, level]}])
+        with pytest.raises(ConfigError, match=fr"^'checks\[0\].levels\[1\]' {message}"):
+            parse_config(doc)
+
+    def test_empty_mode_list_refused(self):
+        doc = dict(MINIMAL, noise={"modes": [], "sigma_kind": "constant_one"})
+        with pytest.raises(ConfigError, match="^'noise.modes' must list at least one mode"):
+            parse_config(doc)
+        doc["noise"] = {"modes": [], "sigma_kind": "zero"}
+        with pytest.raises(ConfigError, match="noise.modes"):
+            parse_config(doc)
+
     def test_resolved_round_trip(self):
         cfg = parse_config(full_doc())
         resolved = cfg.resolved()

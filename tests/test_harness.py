@@ -6,14 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import abs_brownian_sup_moment, discrete_sup_sq_oracle
 from vortex.config import _single_mode_vector
 from vortex.harness import (
     CheckResult,
     HolderProbe,
-    abs_brownian_sup_moment,
     bdg_report,
-    convergence_check,
-    discrete_sup_sq_oracle,
     energy_report,
     estimate_lipschitz_lg,
     estimate_sigma_lipschitz,
@@ -394,6 +392,24 @@ class TestGronwall:
             assert abs(a - b) <= 1e-12 * b
         assert abs(res["sup_v"] - oracle["sup_v"]) <= 1e-12 * oracle["sup_v"]
 
+    def test_one_noise_evaluation_per_solution_step(self, grid16, rng, monkeypatch):
+        seen = []
+        original = harness.apply_G
+
+        def counted(v, dW, spec):
+            seen.append(v)
+            return original(v, dW, spec)
+
+        monkeypatch.setattr(harness, "apply_G", counted)
+        v0a = biot_savart(random_scalar_field(grid16, rng))
+        v0b = v0a + random_divfree_field(grid16, rng) * 1e-3
+        cfg = SolverConfig(dt=5e-3, t_end=0.05)
+        res = gronwall_pair(v0a, v0b, SMALL_NOISE, cfg, 3, 0, 0.3, 0.0)
+        assert res["status"] == "completed"
+        # sigma reads each solution's own velocity: v1 then v2, every step
+        assert len(seen) == 2 * cfg.n_steps
+        assert seen[0] is v0a and seen[1] is v0b
+
     def test_blown_pair_fails_closed(self, grid16, rng):
         v0a = biot_savart(random_scalar_field(grid16, rng))
         bump = random_divfree_field(grid16, rng)
@@ -563,17 +579,3 @@ class TestBrownianOracle:
         one = abs_brownian_sup_moment(2.0, 1.0)
         half = abs_brownian_sup_moment(2.0, 0.5)
         assert half == pytest.approx(0.5 * one, rel=1e-10)
-
-
-class TestConvergenceCheck:
-    def test_ratio_branch(self):
-        out = convergence_check("c", 2e-3, 1e-3, 0, 1)
-        assert out.passed
-        assert not out.extra["at_floor"]
-        out = convergence_check("c", 4e-3, 1e-3, 0, 1)
-        assert not out.passed
-
-    def test_floor_branch(self):
-        out = convergence_check("c", 3e-13, 5e-13, 0, 1)
-        assert out.passed
-        assert out.extra["at_floor"]

@@ -5,19 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from vortex import integrator
+from oracles import beta_step, vorticity_step, zeta_step
+from vortex import integrator, noise
 from vortex.integrator import (
     BlowupError,
     CoupledState,
     SolverConfig,
-    beta_step,
     holder_quotient,
-    ou_step,
     run_trajectory,
     velocity_step,
-    vorticity_step,
 )
-from vortex.noise import CovarianceSpec, NoiseBasis, WienerIncrement, sample_increment
+from vortex.noise import (
+    CovarianceSpec,
+    NoiseBasis,
+    WienerIncrement,
+    apply_G,
+    sample_increment,
+    scatter_plan,
+)
 from vortex.operators import (
     bilinear_B,
     biot_savart,
@@ -31,6 +36,7 @@ from vortex.spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    heat_decay,
     l2_norm,
     to_physical,
     to_spectral,
@@ -49,6 +55,21 @@ def state_from(grid, v=None, xi=None, zeta=None, beta=None, t=0.0):
                         xi if xi is not None else z,
                         zeta if zeta is not None else z,
                         beta if beta is not None else z)
+
+
+def stepped_velocity(st, dW, spec, cfg):
+    """velocity_step as run_trajectory calls it, from a coupled state."""
+    return velocity_step(st.v, vorticity_values(st.v), apply_G(st.v, dW, spec),
+                         scatter_plan(spec, st.v.grid).touched, cfg, st.t)
+
+
+def stepped_zeta(st, dW, spec, cfg):
+    """run_trajectory's update of the stochastic convolution:
+    zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW], added at the touched
+    coefficients."""
+    grid = st.zeta.grid
+    return integrator._stepped(heat_decay(grid, cfg.dt), st.zeta,
+                               scatter_plan(spec, grid).touched, apply_G(st.v, dW, spec)[2])
 
 
 def cos_x1(grid, amplitude=1.0):
@@ -89,7 +110,7 @@ class TestVelocityStep:
         cfg = SolverConfig(dt=0.01, t_end=0.1)
         st = state_from(grid16)
         dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
-        assert l2_norm(velocity_step(st, vorticity_values(st.v), dW, ZERO_NOISE, cfg)) == 0.0
+        assert l2_norm(stepped_velocity(st, dW, ZERO_NOISE, cfg)) == 0.0
 
     def test_single_mode_exact_decay(self, grid32):
         # v = (0, sin x1) has B(v,v) = 0: one step is exactly exp(-dt)
@@ -98,7 +119,7 @@ class TestVelocityStep:
         v = biot_savart(xi)
         st = state_from(grid32, v=v, xi=xi, beta=xi)
         dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
-        out = velocity_step(st, vorticity_values(st.v), dW, ZERO_NOISE, cfg)
+        out = stepped_velocity(st, dW, ZERO_NOISE, cfg)
         expect = math.exp(-cfg.dt) * l2_norm(v)
         assert abs(l2_norm(out) - expect) <= 1e-12 * expect
 
@@ -110,7 +131,7 @@ class TestVelocityStep:
             v = biot_savart(xi)
             st = state_from(grid32, v=v, xi=xi, beta=xi)
             dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
-            out = velocity_step(st, vorticity_values(st.v), dW, ZERO_NOISE, cfg)
+            out = stepped_velocity(st, dW, ZERO_NOISE, cfg)
             drop = l2_norm(v) ** 2 - l2_norm(out) ** 2
             assert drop >= 2.0 * cfg.dt * grad_norm_l2(out) ** 2 / 1.1
 
@@ -120,7 +141,7 @@ class TestVelocityStep:
         st = state_from(grid16, v=biot_savart(xi), xi=xi, beta=xi)
         dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
         with pytest.raises(BlowupError):
-            velocity_step(st, vorticity_values(st.v), dW, ZERO_NOISE, cfg)
+            stepped_velocity(st, dW, ZERO_NOISE, cfg)
 
 
 class TestVorticityStep:
@@ -150,12 +171,14 @@ class TestVorticityStep:
 
 
 class TestOuStep:
+    """run_trajectory's update of the stochastic convolution zeta."""
+
     def test_zero_noise_pure_decay(self, grid32, rng):
         cfg = SolverConfig(dt=0.01, t_end=0.1)
         zeta = random_scalar_field(grid32, rng)
         st = state_from(grid32, zeta=zeta)
         dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
-        out = ou_step(st, dW, ZERO_NOISE, cfg)
+        out = stepped_zeta(st, dW, ZERO_NOISE, cfg)
         decay = np.exp(-zeta.grid.ksq * cfg.dt)
         assert np.max(np.abs(out.coeffs - decay * zeta.coeffs)) < 1e-15
 
@@ -163,7 +186,13 @@ class TestOuStep:
         cfg = SolverConfig(dt=0.01, t_end=0.1)
         st = state_from(grid16)
         dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
-        assert l2_norm(ou_step(st, dW, ZERO_NOISE, cfg)) == 0.0
+        assert l2_norm(stepped_zeta(st, dW, ZERO_NOISE, cfg)) == 0.0
+        zetas = []
+        xi0 = random_scalar_field(grid16, np.random.default_rng(1))
+        run_trajectory(None, xi0, ZERO_NOISE, cfg, seed=0,
+                       observer=lambda st: zetas.append(st.zeta))
+        assert len(zetas) == cfg.n_steps + 1
+        assert not any(np.any(z.coeffs) for z in zetas)
 
     def test_stationary_variance_oracle(self, grid16):
         # single mode |k|^2 = 1, sigma = 1: the projection coefficient is a
@@ -184,7 +213,7 @@ class TestOuStep:
             for step in range(cfg.n_steps):
                 dW = sample_increment(31, path, step, spec, cfg.dt)
                 st = CoupledState(step * cfg.dt, st.v, st.xi, zeta, st.beta)
-                zeta = ou_step(st, dW, spec, cfg)
+                zeta = stepped_zeta(st, dW, spec, cfg)
             finals.append(l2_inner(zeta, w) / w_norm)
         amp = 0.8 * w_norm
         q = math.exp(-2.0 * kappa * cfg.dt)
@@ -212,6 +241,44 @@ class TestBetaStep:
         a = vorticity_step(st, dW, ZERO_NOISE, cfg)
         b = beta_step(st, cfg)
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-16
+
+
+class TestOneNoiseEvaluation:
+    """A path-step evaluates sigma(v) and the noise once, for v and zeta
+    together, and adds it only at the coefficients the noise modes touch."""
+
+    def test_one_apply_G_and_one_sigma_per_step(self, grid32, rng, monkeypatch):
+        calls = {"apply_G": 0, "sigma_eval": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(integrator, "apply_G")
+        counted(noise, "sigma_eval")
+        spec = TestRotationalForm.spec(grid32, rng, "rational_square")
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2)
+        xi0 = random_scalar_field(grid32, rng)
+        assert run_trajectory(None, xi0, spec, cfg, seed=3).stats.status == "completed"
+        assert cfg.n_steps == 10
+        assert calls == {"apply_G": 10, "sigma_eval": 10}
+
+    def test_steps_change_only_the_touched_coefficients(self, grid32, rng):
+        # without drift or decay the step adds exactly the increment at touched
+        spec = UNIT_NOISE
+        touched = scatter_plan(spec, grid32).touched
+        v = random_divfree_field(grid32, rng)
+        inc = apply_G(v, sample_increment(2, 0, 0, spec, 0.01), spec)
+        base = random_scalar_field(grid32, rng)
+        out = integrator._stepped(np.ones((32, 32)), base, touched, inc[2])
+        got, was = out.coeffs.reshape(-1), base.coeffs.reshape(-1)
+        assert np.array_equal(got[touched], was[touched] + inc[2])
+        assert np.array_equal(np.delete(got, touched), np.delete(was, touched))
 
 
 class TestHolderQuotient:
@@ -337,9 +404,9 @@ class TestDerivedFields:
         for step in range(cfg.n_steps):
             dW = sample_increment(seed, 0, step, spec, cfg.dt)
             st = CoupledState((step + 1) * cfg.dt,
-                              velocity_step(st, vorticity_values(st.v), dW, spec, cfg),
+                              stepped_velocity(st, dW, spec, cfg),
                               vorticity_step(st, dW, spec, cfg),
-                              ou_step(st, dW, spec, cfg),
+                              zeta_step(st, dW, spec, cfg),
                               beta_step(st, cfg))
             states.append(st)
         return states

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dense_apply_G, scattered, sigma_lipschitz_bound
 from vortex.config import _single_mode_vector
 from vortex.noise import (
     CovarianceSpec,
@@ -20,7 +21,6 @@ from vortex.noise import (
     sample_increment,
     scatter_plan,
     sigma_eval,
-    sigma_lipschitz_bound,
 )
 from vortex.operators import curl, divergence_defect, random_divfree_field
 from vortex.spectral import (
@@ -31,6 +31,7 @@ from vortex.spectral import (
     l2_inner,
     l2_norm,
     sobolev_norm,
+    sobolev_norm_spectral,
     zero_vector,
 )
 
@@ -128,23 +129,6 @@ def bits(array):
     return np.ascontiguousarray(array).view(np.float64).view(np.uint64)
 
 
-def dense_apply_G(v, dW, spec, output="velocity_noise"):
-    """The dense oracle of apply_G: a fixed-order sum over the whole basis
-    stack, then R_n over the whole grid."""
-    basis = NoiseBasis(spec, v.grid)
-    weights = (np.asarray(spec.coefficients) * (sigma_eval(v, spec) * np.sqrt(dW.dt))
-               * dW.gaussians)
-    stack = basis.vel_stack if output == "velocity_noise" else basis.vor_stack
-    total = np.zeros(stack.shape[1:], dtype=np.complex128)
-    for w, element in zip(weights, stack):
-        total += w * element
-    if output == "velocity_noise":
-        field = VectorField(ScalarField(v.grid, total[0]), ScalarField(v.grid, total[1]))
-    else:
-        field = ScalarField(v.grid, total)
-    return hille_yosida(field, spec.hy_level)
-
-
 def coefficient_bits(field):
     if isinstance(field, VectorField):
         return np.stack([bits(field.vx.coeffs), bits(field.vy.coeffs)])
@@ -169,11 +153,18 @@ class TestScatterAgainstDenseOracle:
         v = random_divfree_field(grid, np.random.default_rng(n))
         for step in range(3):
             dW = sample_increment(5, 1, step, spec, 0.01)
-            for output in ("velocity_noise", "vorticity_noise"):
-                got = apply_G(v, dW, spec, output)
-                want = dense_apply_G(v, dW, spec, output)
-                assert type(got) is type(want)
-                assert np.array_equal(coefficient_bits(got), coefficient_bits(want))
+            got = scattered(apply_G(v, dW, spec), spec, grid)
+            want = dense_apply_G(v, dW, spec)
+            for a, b in zip(got, want):
+                assert np.array_equal(coefficient_bits(a), coefficient_bits(b))
+
+    def test_returns_the_touched_coefficients_only(self, grid16):
+        spec = make_spec(modes=SCATTER_MODES, coeffs=(1.0,) * len(SCATTER_MODES), hy=10.0)
+        plan = scatter_plan(spec, grid16)
+        out = apply_G(zero_vector(grid16), sample_increment(1, 0, 0, spec, 0.01), spec)
+        # rows vx, vy and the vorticity, one column per touched coefficient
+        assert out.shape == (3, len(plan.touched)) == (3, 13)  # pairs j, -j share two
+        assert out.dtype == np.complex128
 
     def test_plan_is_shared_and_read_only(self, grid16):
         spec = make_spec(modes=SCATTER_MODES, coeffs=(1.0,) * len(SCATTER_MODES))
@@ -183,8 +174,11 @@ class TestScatterAgainstDenseOracle:
                                       sigma="zero", hy=2.0), grid16) is plan
         # two entries per mode, one for the constant mode, each mode's adjacent
         assert plan.mode.tolist() == sorted(plan.mode.tolist())
-        assert len(plan.index) == 2 * len(SCATTER_MODES) - 1
-        assert plan.touched.tolist() == sorted(set(plan.index.tolist()))
+        assert len(plan.slot) == 2 * len(SCATTER_MODES) - 1
+        # each entry names its coefficient by its position among the sorted,
+        # distinct touched ones, all of which some entry names
+        assert plan.touched.tolist() == sorted(set(plan.touched.tolist()))
+        assert sorted(set(plan.slot.tolist())) == list(range(len(plan.touched)))
         for name, array in vars(plan).items():
             assert not array.flags.writeable, name
         with pytest.raises(ValueError):
@@ -195,8 +189,7 @@ class TestScatterAgainstDenseOracle:
         monkeypatch.setattr(NoiseBasis, "__init__", lambda *a, **k: builds.append(a))
         spec = make_spec(modes=SCATTER_MODES[:4], coeffs=(1.0,) * 4, hy=10.0)
         dW = sample_increment(1, 0, 0, spec, 0.01)
-        apply_G(zero_vector(grid32), dW, spec, "velocity_noise")
-        apply_G(zero_vector(grid32), dW, spec, "vorticity_noise")
+        apply_G(zero_vector(grid32), dW, spec)
         assert builds == []
 
     @pytest.mark.parametrize("level", [math.inf, 3.0])
@@ -208,13 +201,15 @@ class TestScatterAgainstDenseOracle:
         v = random_divfree_field(grid16, np.random.default_rng(2))
         basis = NoiseBasis(spec, grid16)
         sig = sigma_eval(v, spec)
-        for output, elems in (("velocity_noise", basis.velocity),
-                              ("vorticity_noise", basis.vorticity)):
-            got = noise_mode_fields(spec, v, output)
-            want = [hille_yosida(e * (c * sig), level) for c, e in zip(coeffs, elems)]
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert np.array_equal(coefficient_bits(a), coefficient_bits(b))
+        got = noise_mode_fields(spec, v)
+        want = [hille_yosida(e * (c * sig), level) for c, e in zip(coeffs, basis.velocity)]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(coefficient_bits(a), coefficient_bits(b))
+        # their curls are the stacked vorticity fields, weighted alike
+        for a, w, c in zip(got, basis.vorticity, coeffs):
+            b = hille_yosida(w * (c * sig), level)
+            assert l2_norm(curl(a) - b) <= 1e-14 * max(1.0, l2_norm(b))
 
     @pytest.mark.parametrize("length", [2.0 * math.pi, 3.0])
     def test_l2_sum_closed_form_matches_the_dense_sum(self, length):
@@ -235,8 +230,7 @@ class TestScatterAgainstDenseOracle:
         monkeypatch.setattr(NoiseBasis, "__init__", refused)
         spec = make_spec(modes=SCATTER_MODES[:4], coeffs=(0.5,) * 4, hy=10.0)
         v = random_divfree_field(grid16, np.random.default_rng(1))
-        for output in ("velocity_noise", "vorticity_noise"):
-            assert operator_norms(v, spec, 0.0, 4.0, output)["hs"] > 0.0
+        assert operator_norms(v, spec, 0.0, 4.0)["hs"] > 0.0
         assert basis_l2_sq_sum(spec, grid16) > 0.0
         assert simulate_bdg_sups([(spec, v)], 4.0, 2, 1, 0.02, 0.01).shape == (2, 1, 2)
 
@@ -256,15 +250,22 @@ class TestScatterAgainstDenseOracle:
                                  observer=states.append)
             return res, states[::5]  # the states after 0, 5, 10, 15 and 20 steps
 
-        scattered, scattered_states = run()
-        monkeypatch.setattr(integrator, "apply_G", dense_apply_G)
+        def dense_at_touched(v, dW, spec):
+            # the dense oracle read at the coefficients the step adds to
+            touched = scatter_plan(spec, v.grid).touched
+            velocity, vorticity = dense_apply_G(v, dW, spec)
+            return np.stack([f.coeffs.reshape(-1)[touched]
+                             for f in (velocity.vx, velocity.vy, vorticity)])
+
+        sparse, sparse_states = run()
+        monkeypatch.setattr(integrator, "apply_G", dense_at_touched)
         dense, dense_states = run()
-        assert scattered.stats.status == dense.stats.status == "completed"
-        for name in scattered.stats.FUNCTIONALS:
-            assert np.array_equal(bits(np.float64(scattered.stats.functional(name))),
+        assert sparse.stats.status == dense.stats.status == "completed"
+        for name in sparse.stats.FUNCTIONALS:
+            assert np.array_equal(bits(np.float64(sparse.stats.functional(name))),
                                   bits(np.float64(dense.stats.functional(name))))
-        assert len(scattered_states) == len(dense_states) == 5
-        for a, b in zip(scattered_states + [scattered.final], dense_states + [dense.final]):
+        assert len(sparse_states) == len(dense_states) == 5
+        for a, b in zip(sparse_states + [sparse.final], dense_states + [dense.final]):
             assert a.t == b.t
             for fa, fb in ((a.v, b.v), (a.xi, b.xi), (a.zeta, b.zeta), (a.beta, b.beta)):
                 assert np.array_equal(coefficient_bits(fa), coefficient_bits(fb))
@@ -349,13 +350,13 @@ class TestApplyG:
         spec = make_spec(sigma="zero")
         dW = sample_increment(1, 0, 0, spec, 0.01)
         out = apply_G(zero_vector(grid32), dW, spec)
-        assert l2_norm(out) == 0.0
+        assert not np.any(out)
 
     def test_single_mode_exact(self, grid32):
         spec = make_spec(modes=((1, 0),), coeffs=(0.7,))
         basis = NoiseBasis(spec, grid32)
         dW = WienerIncrement(0.04, np.array([1.0]))
-        out = apply_G(zero_vector(grid32), dW, spec, "velocity_noise")
+        out, _ = scattered(apply_G(zero_vector(grid32), dW, spec), spec, grid32)
         expected = basis.velocity[0] * (0.7 * math.sqrt(0.04))
         assert l2_norm(out - expected) <= 1e-14
 
@@ -364,8 +365,7 @@ class TestApplyG:
         basis = NoiseBasis(spec, grid32)
         v = random_divfree_field(grid32, rng)
         dW = sample_increment(3, 1, 4, spec, 0.01)
-        vel = apply_G(v, dW, spec, "velocity_noise")
-        vor = apply_G(v, dW, spec, "vorticity_noise")
+        vel, vor = scattered(apply_G(v, dW, spec), spec, grid32)
         assert l2_norm(curl(vel) - vor) <= 1e-13
 
     def test_length_mismatch(self, grid32):
@@ -387,7 +387,7 @@ class TestApplyG:
         proj = np.zeros((n_draws, spec.n_modes))
         for i in range(n_draws):
             dW = sample_increment(99, 0, i, spec, dt)
-            out = apply_G(v, dW, spec, "velocity_noise")
+            out, _ = scattered(apply_G(v, dW, spec), spec, grid32)
             out_s = bessel_multiplier(out, s)
             proj[i] = [l2_inner(out_s, e) for e in smoothed]
         for k, c in enumerate(spec.coefficients):
@@ -409,8 +409,9 @@ class TestApplyG:
         samples_inf, samples_n = [], []
         for i in range(800):
             dW = sample_increment(5, 0, i, spec_inf, dt)
-            samples_inf.append(l2_norm(apply_G(v, dW, spec_inf, "velocity_noise")) ** 2)
-            samples_n.append(l2_norm(apply_G(v, dW, spec_n, "velocity_noise")) ** 2)
+            for spec, samples in ((spec_inf, samples_inf), (spec_n, samples_n)):
+                velocity, _ = scattered(apply_G(v, dW, spec), spec, grid32)
+                samples.append(l2_norm(velocity) ** 2)
         ratio = np.mean(samples_n) / np.mean(samples_inf)
         assert ratio == pytest.approx(ratio_expected, rel=1e-10)
 
@@ -444,8 +445,9 @@ class TestOperatorNorms:
         g = spec.roughness
         for _ in range(50):
             v = random_divfree_field(grid32, rng, amplitude=rng.uniform(0.1, 2.0))
-            hv = operator_norms(v, spec, 1.0 - g, 2.0, "velocity_noise")["hs"]
-            hw = operator_norms(v, spec, -g, 2.0, "vorticity_noise")["hs"]
+            hv = operator_norms(v, spec, 1.0 - g, 2.0)["hs"]
+            hw = math.sqrt(sum(sobolev_norm_spectral(curl(f), -g) ** 2
+                               for f in noise_mode_fields(spec, v)))
             assert hw <= hv * (1 + 1e-12)
 
     def test_uniform_bound_and_hy_contraction(self, grid32, rng):
