@@ -455,7 +455,8 @@ def _single_mode_vector(grid: SpectralGrid, j: tuple[int, int],
     for idx, amp in (((j[0] % n, j[1] % n), 0.5), ((-j[0] % n, -j[1] % n), 0.5)):
         cx[idx] += amp * qhat[0] * scale
         cy[idx] += amp * qhat[1] * scale
-    return VectorField(ScalarField(grid, cx), ScalarField(grid, cy))
+    return VectorField(ScalarField.from_lattice(grid, cx, "noise.pivot_mode"),
+                       ScalarField.from_lattice(grid, cy, "noise.pivot_mode"))
 
 
 def build_noise_spec(noise: NoiseConfig, grid: SpectralGrid) -> CovarianceSpec:
@@ -498,7 +499,7 @@ def build_initial(initial: InitialConfig, grid: SpectralGrid,
         c = np.zeros((n, n), dtype=np.complex128)
         c[1, 0] = initial.amplitude / 2.0
         c[-1 % n, 0] = initial.amplitude / 2.0
-        return None, ScalarField(grid, c)
+        return None, ScalarField.from_lattice(grid, c, "initial")
     rng = initial_rng(base_seed)
     xi0 = random_scalar_field(grid, rng, decay=initial.spectral_decay,
                               amplitude=initial.amplitude)

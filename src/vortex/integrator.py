@@ -12,9 +12,13 @@ agree with the discretised vorticity and remainder equations (stepped by
 the oracles of the test suite) to rounding.  The curl has no mean mode,
 so mean-zero vorticity is preserved exactly.
 
-Each step evaluates the noise once (`noise.apply_G`), for v and zeta
-together, at the few coefficients the noise modes touch; both updates add
-it there in place, so a step builds no dense noise field.
+Every field is its (N, N/2+1) rfft2 half spectrum (see `spectral`), so
+each pass of a step touches half the lattice.  Each step evaluates the
+noise once (`noise.apply_G`), for v and zeta together, at the few
+half-spectrum coefficients the noise modes touch; both updates add it
+there in place, so a step builds no dense noise field.  The blow-up guard
+measures ||v|| of each new state, and the path statistics take that value
+rather than measuring it again.
 
 The velocity nonlinearity is taken in rotational form,
 P B(v,v) = P[w (-u_y, u_x)] with u the dealiased v and w its curl, so
@@ -146,19 +150,20 @@ class TrajectoryResult:
 def _stepped(decay: np.ndarray, base: ScalarField, touched: np.ndarray,
              noise: np.ndarray, drift: ScalarField | None = None) -> ScalarField:
     """exp(-|k|^2 dt) [base + drift + noise], the noise given at the flat
-    coefficient indices `touched` and added there in place."""
-    acc = base.coeffs.copy()
-    if drift is not None:
-        acc += drift.coeffs
+    half-spectrum indices `touched` and added there in place."""
+    acc = base.half.copy() if drift is None else base.half + drift.half
     acc.reshape(-1)[touched] += noise
-    return ScalarField(base.grid, decay * acc)
+    acc *= decay  # in place: same bits as the out-of-place product
+    return ScalarField(base.grid, acc)
 
 
-def _guarded(field, name: str, cfg: SolverConfig, t: float):
-    """Fail closed: a norm above the threshold, inf or NaN is a blow-up."""
-    if not l2_norm(field) <= cfg.blowup_threshold:
+def _guarded(field, name: str, cfg: SolverConfig, t: float) -> float:
+    """The field's L2 norm.  Fail closed: a norm above the threshold, inf or
+    NaN is a blow-up."""
+    norm = l2_norm(field)
+    if not norm <= cfg.blowup_threshold:
         raise BlowupError(f"{name} L2 norm exceeded {cfg.blowup_threshold:g} at t={t:g}")
-    return field
+    return norm
 
 
 def velocity_step(
@@ -168,12 +173,13 @@ def velocity_step(
     touched: np.ndarray,
     cfg: SolverConfig,
     t: float,
-) -> VectorField:
+) -> tuple[VectorField, float]:
     """One step of dv + [Av + B(v,v)] dt = G(v) dW from time t:
     v+ = exp(-|k|^2 dt) [v - dt P B(v,v) + G(v) dW], P the Leray projection.
+    Returns v+ and its L2 norm, which the blow-up guard measured.
 
     `noise` is `apply_G`'s increment, whose rows 0 and 1 are G(v) dW at the
-    flat coefficient indices `touched`.  P B(v,v) is evaluated in rotational
+    flat half-spectrum indices `touched`.  P B(v,v) is evaluated in rotational
     form, P[w (-u_y, u_x)] with u the dealiased v; `vorticity` holds w, the
     physical values of the dealiased curl of v (`operators.vorticity_values`).
     It agrees with leray_project(bilinear_B(v, v)) to rounding."""
@@ -183,7 +189,7 @@ def velocity_step(
         _stepped(decay, v.vx, touched, noise[0], -cfg.dt * pb.vx),
         _stepped(decay, v.vy, touched, noise[1], -cfg.dt * pb.vy),
     )
-    return _guarded(new, "velocity", cfg, t)
+    return new, _guarded(new, "velocity", cfg, t)
 
 
 def _sup(a: float, b: float) -> float:
@@ -226,7 +232,7 @@ def _inside_dealias_band(v: VectorField, spec: CovarianceSpec) -> bool:
     creates a coefficient outside it (see the module docstring)."""
     g = v.grid
     outside = ~g.dealias_mask
-    return (not np.any(v.vx.coeffs[outside]) and not np.any(v.vy.coeffs[outside])
+    return (not np.any(v.vx.half[outside]) and not np.any(v.vy.half[outside])
             and bool(np.all(g.dealias_mask.ravel()[scatter_plan(spec, g).touched])))
 
 
@@ -257,10 +263,10 @@ def run_trajectory(
     as recorded states, snapshot files or zeta samples.
     """
     grid = xi0.grid
-    scale = np.max(np.abs(xi0.coeffs))
+    scale = np.max(np.abs(xi0.half))
     if not np.isfinite(scale):
         raise ValueError("initial vorticity must be finite")
-    if scale > 0 and abs(xi0.coeffs[0, 0]) > MEAN_ZERO_RTOL * scale:
+    if scale > 0 and abs(xi0.half[0, 0]) > MEAN_ZERO_RTOL * scale:
         raise ValueError("initial vorticity must have zero mean")
     if v0 is None:
         v0 = biot_savart(xi0)  # refuses a non-real xi0
@@ -281,12 +287,13 @@ def run_trajectory(
     # curl(v0) may differ from xi0 by up to the tolerance above
     vorticity = vorticity_values(v0)
 
+    v_norm = l2_norm(v0)
     stats = TrajectoryStats()
 
-    def observe(st: CoupledState, xi_values: np.ndarray, last: bool):
+    def observe(st: CoupledState, xi_values: np.ndarray, v_norm: float, last: bool):
         if observer is not None:
             observer(st)
-        stats.sup_v_l2sq = _sup(stats.sup_v_l2sq, l2_norm(st.v) ** 2)
+        stats.sup_v_l2sq = _sup(stats.sup_v_l2sq, v_norm ** 2)
         stats.sup_xi_lq = _sup(stats.sup_xi_lq, lq_norm_values(xi_values, lq_exponent, grid))
         stats.sup_beta_l2 = _sup(stats.sup_beta_l2, l2_norm(st.beta))
         stats.sup_beta_lq = _sup(stats.sup_beta_lq, lq_norm(st.beta, lq_exponent))
@@ -296,18 +303,19 @@ def run_trajectory(
 
     try:
         for step in range(cfg.n_steps):
-            observe(state, xi_values, last=False)
+            observe(state, xi_values, v_norm, last=False)
             dW = sample_increment(seed, path_index, step, spec, cfg.dt)
             noise = apply_G(state.v, dW, spec)
-            v_new = velocity_step(state.v, vorticity, noise, touched, cfg, state.t)
+            v_new, v_norm = velocity_step(state.v, vorticity, noise, touched, cfg, state.t)
             # the stochastic convolution: zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]
             zeta_new = _stepped(decay, state.zeta, touched, noise[2])
-            xi_new = _guarded(curl(v_new), "vorticity", cfg, state.t)
+            xi_new = curl(v_new)
+            _guarded(xi_new, "vorticity", cfg, state.t)
             xi_values = to_physical(xi_new)
             vorticity = xi_values if in_band else vorticity_values(v_new)
             state = CoupledState((step + 1) * cfg.dt, v_new, xi_new, zeta_new,
                                  xi_new - zeta_new)
-        observe(state, xi_values, last=True)
+        observe(state, xi_values, v_norm, last=True)
     except BlowupError:
         stats.status = "blowup"
 

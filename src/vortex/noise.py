@@ -8,15 +8,18 @@ Vorticity noise takes the curl of each basis element, losing one order
 of differentiability.  R_n = n (nI - Laplacian)^{-1} smooths the noise;
 n = inf means no regularization.
 
-Each e_k has at most two nonzero spectral coefficients, at +-k.  A
-`ScatterPlan` lists them per mode, with the velocity and vorticity
-amplitudes there, and the few distinct coefficients they touch.  `apply_G`
-evaluates sigma(v) once and returns the noise increment at those
-coefficients only, velocity and vorticity together, so a time step builds
-no dense noise field: it adds the increment in place.  The check-time code
-(operator norms, BDG sums) fills dense fields from the plan, uncached
+Each e_k has at most two nonzero spectral coefficients, at +-k, and a
+field stores the rfft2 half of its spectrum (see `spectral`), so e_k has
+one coefficient there, or two when k lies on the self-conjugate column
+j2 = 0, where both +-k are in the half.  A `ScatterPlan` lists them per
+mode, with the velocity and vorticity amplitudes there, and the few
+distinct half-spectrum coefficients they touch.  `apply_G` evaluates
+sigma(v) once and returns the noise increment at those coefficients only,
+velocity and vorticity together, so a time step builds no dense noise
+field: it adds the increment in place.  The check-time code (operator
+norms, BDG sums) fills dense half-spectrum fields from the plan, uncached
 (`build_noise_basis`).  Nothing at run time reads the stacked `NoiseBasis`;
-it is the dense reference of the plan.
+it is the dense full-lattice reference of the plan.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import operators
 from .spectral import (
     Field,
     ScalarField,
@@ -35,6 +37,7 @@ from .spectral import (
     VectorField,
     bessel_multiplier,
     l2_inner,
+    lattice,
     sobolev_norm_spectral,
     to_physical,
 )
@@ -153,14 +156,15 @@ def require_in_band(mode_indices, grid: SpectralGrid) -> None:
 
 @dataclass(frozen=True)
 class ScatterPlan:
-    """The nonzero spectral coefficients of every basis element on a grid,
-    as one entry list in mode order (each mode's entries adjacent).
+    """The nonzero half-spectrum coefficients of every basis element on a
+    grid, as one entry list in mode order (each mode's entries adjacent):
+    one entry per mode, two for a mode on column 0.
 
     mode: the mode each entry belongs to.
     slot: the entry's position in `touched`.
     velocity: (2, entries) x and y amplitudes of e_k there.
     vorticity: the amplitudes of curl e_k there.
-    touched: the distinct flat indices into the N x N coefficients, and
+    touched: the distinct flat indices into the (N, N/2+1) half, and
         touched_ksq their |k|^2.
     """
 
@@ -197,15 +201,17 @@ def _build_plan(mode_indices, roughness: float, grid: SpectralGrid) -> ScatterPl
         norm = (1.0 + ksq) ** ((1.0 - roughness) / 2.0)
         norm *= grid.domain_length / np.sqrt(2.0)
         pair /= norm
-        mode += [m, m]
-        rows += [c1 % n, -c1 % n]
-        cols += [c2 % n, -c2 % n]
-        velocity.append(pair)
+        # +jc lies in the half (c2 >= 0); -jc only on column 0
+        on_column_0 = c2 == 0
+        mode += [m, m] if on_column_0 else [m]
+        rows += [c1 % n, -c1 % n] if on_column_0 else [c1 % n]
+        cols += [0, 0] if on_column_0 else [c2]
+        velocity.append(pair if on_column_0 else pair[:, :1])
     rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
     velocity = np.concatenate(velocity, axis=1)
     # operators.curl, entry by entry
     vorticity = 1j * (grid.diff_kx[rows, 0] * velocity[1] - grid.diff_ky[0, cols] * velocity[0])
-    touched, slot = np.unique(rows * n + cols, return_inverse=True)
+    touched, slot = np.unique(rows * (n // 2 + 1) + cols, return_inverse=True)
     plan = ScatterPlan(np.array(mode, dtype=np.intp), slot.astype(np.intp), velocity,
                        vorticity, touched, grid.ksq.ravel()[touched])
     for array in vars(plan).values():  # one copy for all callers
@@ -230,7 +236,7 @@ def build_noise_basis(spec: CovarianceSpec, grid: SpectralGrid) -> list[VectorFi
 
     A raw cosine/sine mode has L^2 norm L/sqrt(2), so the normalization
     divides by (1+|k|^2)^((1-g)/2) * L/sqrt(2); the constant mode (0,0) is
-    the unit-L^2 field (1/L, 0).  The dense fields hold the amplitudes of
+    the unit-L^2 field (1/L, 0).  The dense halves hold the amplitudes of
     `scatter_plan`.
     """
     plan = scatter_plan(spec, grid)
@@ -238,10 +244,10 @@ def build_noise_basis(spec: CovarianceSpec, grid: SpectralGrid) -> list[VectorFi
     out: list[VectorField] = []
     for m in range(spec.n_modes):
         at = plan.mode == m
-        coeffs = np.zeros((2, n * n), dtype=np.complex128)
-        coeffs[:, plan.touched[plan.slot[at]]] = plan.velocity[:, at]
-        coeffs = coeffs.reshape(2, n, n)
-        out.append(VectorField(ScalarField(grid, coeffs[0]), ScalarField(grid, coeffs[1])))
+        half = np.zeros((2, n * (n // 2 + 1)), dtype=np.complex128)
+        half[:, plan.touched[plan.slot[at]]] = plan.velocity[:, at]
+        half = half.reshape(2, n, n // 2 + 1)
+        out.append(VectorField(ScalarField(grid, half[0]), ScalarField(grid, half[1])))
     return out
 
 
@@ -252,18 +258,22 @@ def mode_ksq(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
 
 
 class NoiseBasis:
-    """Stacked spectral arrays of a built basis; the dense reference of the
-    scatter plan."""
+    """The dense full-lattice reference of the scatter plan: each basis
+    element's velocity and vorticity on the whole (N, N) lattice, stacked
+    (`vel_stack` (modes, 2, N, N), `vor_stack` (modes, N, N)) and per mode
+    (`velocity`, `vorticity`, views into the stacks)."""
 
     def __init__(self, spec: CovarianceSpec, grid: SpectralGrid):
         self.spec = spec
         self.grid = grid
-        self.velocity = build_noise_basis(spec, grid)
-        self.vorticity = [operators.curl(e) for e in self.velocity]
-        self.vel_stack = np.stack(
-            [np.stack([e.vx.coeffs, e.vy.coeffs]) for e in self.velocity]
-        )
-        self.vor_stack = np.stack([w.coeffs for w in self.vorticity])
+        plan = scatter_plan(spec, grid)
+        n = grid.modes_per_dim
+        half = np.zeros((spec.n_modes, 3, n * (n // 2 + 1)), dtype=np.complex128)
+        half[plan.mode, :, plan.touched[plan.slot]] = np.vstack(
+            (plan.velocity, plan.vorticity)).T
+        full = lattice(half.reshape(spec.n_modes, 3, n, n // 2 + 1))
+        self.vel_stack, self.vor_stack = full[:, :2], full[:, 2]
+        self.velocity, self.vorticity = list(self.vel_stack), list(self.vor_stack)
         self.mode_ksq = mode_ksq(spec, grid)
 
 
@@ -289,7 +299,7 @@ def hille_yosida(field: Field, n: float) -> Field:
     if isinstance(field, VectorField):
         return VectorField(hille_yosida(field.vx, n), hille_yosida(field.vy, n))
     mult = n / (n + field.grid.ksq)
-    return ScalarField(field.grid, field.coeffs * mult)
+    return ScalarField(field.grid, field.half * mult)
 
 
 def apply_G(v: VectorField, dW: WienerIncrement, spec: CovarianceSpec) -> np.ndarray:

@@ -25,7 +25,11 @@ from .spectral import (
     SpectralGrid,
     VectorField,
     dealias,
+    gradient_weight,
+    half_sum,
     hermitian_amplitudes,
+    l2_norm,
+    lattice,
     require_real,
     to_physical,
     _require_same_grid,
@@ -37,21 +41,21 @@ MEAN_ZERO_RTOL = 1e-10
 def gradient(f: ScalarField) -> VectorField:
     g = f.grid
     return VectorField(
-        ScalarField(g, 1j * g.diff_kx * f.coeffs),
-        ScalarField(g, 1j * g.diff_ky * f.coeffs),
+        ScalarField(g, 1j * g.diff_kx * f.half),
+        ScalarField(g, 1j * g.diff_ky * f.half),
     )
 
 
 def divergence(v: VectorField) -> ScalarField:
     g = v.grid
-    return ScalarField(g, 1j * (g.diff_kx * v.vx.coeffs + g.diff_ky * v.vy.coeffs))
+    return ScalarField(g, 1j * (g.diff_kx * v.vx.half + g.diff_ky * v.vy.half))
 
 
 def divergence_defect(v: VectorField) -> float:
     """max_k |k . v(k)| / max_k |v(k)|; ~0 for divergence-free fields."""
     g = v.grid
-    div = np.abs(g.diff_kx * v.vx.coeffs + g.diff_ky * v.vy.coeffs)
-    scale = max(np.max(np.abs(v.vx.coeffs)), np.max(np.abs(v.vy.coeffs)))
+    div = np.abs(g.diff_kx * v.vx.half + g.diff_ky * v.vy.half)
+    scale = max(np.max(np.abs(v.vx.half)), np.max(np.abs(v.vy.half)))
     if scale == 0.0:
         return 0.0
     return float(np.max(div) / scale)
@@ -60,7 +64,7 @@ def divergence_defect(v: VectorField) -> float:
 def curl(v: VectorField) -> ScalarField:
     """Scalar curl of a planar field: coeff(k) = i (k1 vy(k) - k2 vx(k))."""
     g = v.grid
-    return ScalarField(g, 1j * (g.diff_kx * v.vy.coeffs - g.diff_ky * v.vx.coeffs))
+    return ScalarField(g, 1j * (g.diff_kx * v.vy.half - g.diff_ky * v.vx.half))
 
 
 def biot_savart(xi: ScalarField) -> VectorField:
@@ -71,42 +75,42 @@ def biot_savart(xi: ScalarField) -> VectorField:
     inversion kernel is not defined at k = 0.
     """
     g = xi.grid
-    scale = np.max(np.abs(xi.coeffs))
+    scale = np.max(np.abs(xi.half))
     if not np.isfinite(scale):
         raise ValueError("biot_savart requires finite vorticity")
     require_real(xi, "biot_savart vorticity")
-    if scale > 0 and abs(xi.coeffs[0, 0]) > MEAN_ZERO_RTOL * scale:
+    if scale > 0 and abs(xi.half[0, 0]) > MEAN_ZERO_RTOL * scale:
         raise ValueError(
             "biot_savart requires mean-zero vorticity "
-            f"(|mean| = {abs(xi.coeffs[0, 0]):.3e}, field scale {scale:.3e})"
+            f"(|mean| = {abs(xi.half[0, 0]):.3e}, field scale {scale:.3e})"
         )
-    vx = 1j * g.diff_ky * xi.coeffs * g.inv_ksq
-    vy = -1j * g.diff_kx * xi.coeffs * g.inv_ksq
+    vx = 1j * g.diff_ky * xi.half * g.inv_ksq
+    vy = -1j * g.diff_kx * xi.half * g.inv_ksq
     return VectorField(ScalarField(g, vx), ScalarField(g, vy))
 
 
 def leray_project(u: VectorField) -> VectorField:
     """Remove the gradient part: u(k) - k (k.u(k)) / |k|^2, zero mode kept."""
     g = u.grid
-    kdotu = (g.kx * u.vx.coeffs + g.ky * u.vy.coeffs) * g.inv_ksq
+    kdotu = (g.kx * u.vx.half + g.ky * u.vy.half) * g.inv_ksq
     return VectorField(
-        ScalarField(g, u.vx.coeffs - g.kx * kdotu),
-        ScalarField(g, u.vy.coeffs - g.ky * kdotu),
+        ScalarField(g, u.vx.half - g.kx * kdotu),
+        ScalarField(g, u.vy.half - g.ky * kdotu),
     )
 
 
 def _advect_scalar(u1p, u2p, f: ScalarField) -> np.ndarray:
     """Physical values of u.grad f with dealiased f; u already physical."""
     g = f.grid
-    fb = f.coeffs * g.dealias_mask
+    fb = f.half * g.dealias_mask
     dfx = to_physical(ScalarField(g, 1j * g.diff_kx * fb))
     dfy = to_physical(ScalarField(g, 1j * g.diff_ky * fb))
     return u1p * dfx + u2p * dfy
 
 
 def _spectral_of(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Dealiased mode amplitudes of real grid values, filled only inside the
-    dealias band, so no mask multiply follows."""
+    """Dealiased half-spectrum amplitudes of real grid values, filled only
+    inside the dealias band, so no mask multiply follows."""
     return hermitian_amplitudes(values, grid.dealias_limit)
 
 
@@ -164,19 +168,15 @@ def bracket(f, g) -> float:
 def grad_norm_l2(v: VectorField) -> float:
     """||grad v||_{L^2} via the spectral sum (L^2 sum_k |k|^2 |v(k)|^2)^(1/2)."""
     g = v.grid
-    total = np.sum(g.ksq * (np.abs(v.vx.coeffs) ** 2 + np.abs(v.vy.coeffs) ** 2))
+    w = gradient_weight(g)
+    total = half_sum(v.vx.half, v.vx.half, w) + half_sum(v.vy.half, v.vy.half, w)
     return float(np.sqrt(total) * g.domain_length)
 
 
 def grad_norm_l2_scalar(f: ScalarField) -> float:
     g = f.grid
-    total = np.sum(g.ksq * np.abs(f.coeffs) ** 2)
+    total = half_sum(f.half, f.half, gradient_weight(g))
     return float(np.sqrt(total) * g.domain_length)
-
-
-def _hermitize(coeffs: np.ndarray) -> np.ndarray:
-    flipped = np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1))
-    return 0.5 * (coeffs + np.conj(flipped))
 
 
 def random_scalar_field(
@@ -186,16 +186,24 @@ def random_scalar_field(
     amplitude: float = 1.0,
 ) -> ScalarField:
     """Mean-zero random field: |k|^-decay spectral amplitudes, random phases,
-    Hermitian-symmetrized, dealiased, scaled to ||f||_{L^2} = amplitude."""
+    Hermitian-symmetrized, dealiased, scaled to ||f||_{L^2} = amplitude.
+
+    The draws fill the whole (N, N) lattice, so a seed gives the same field
+    however it is stored; the half of their Hermitian part is kept."""
     n = grid.modes_per_dim
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    shape = np.zeros_like(grid.ksq)
-    nonzero = grid.ksq > 0
-    shape[nonzero] = grid.ksq[nonzero] ** (-decay / 2.0)
-    coeffs = _hermitize(raw * shape * grid.dealias_mask)
-    coeffs[0, 0] = 0.0
-    field = ScalarField(grid, coeffs)
-    norm = np.sqrt(np.sum(np.abs(coeffs) ** 2)) * grid.domain_length
+    ksq = lattice(grid.ksq).real
+    shape = np.zeros_like(ksq)
+    nonzero = ksq > 0
+    shape[nonzero] = ksq[nonzero] ** (-decay / 2.0)
+    weighted = raw * shape * lattice(grid.dealias_mask.astype(float)).real
+    # the half of the Hermitian part (c(k) + conj(c(-k))) / 2
+    flip = -np.arange(n) % n
+    mirror = np.conj(weighted[np.ix_(flip, flip[: n // 2 + 1])])
+    half = 0.5 * (weighted[:, : n // 2 + 1] + mirror)
+    half[0, 0] = 0.0
+    field = ScalarField(grid, half)
+    norm = l2_norm(field)
     if norm == 0.0:
         return field
     return field * (amplitude / norm)
@@ -213,8 +221,7 @@ def random_divfree_field(
         random_scalar_field(grid, rng, decay, 1.0),
     )
     v = leray_project(raw)
-    norm = np.sqrt(np.sum(np.abs(v.vx.coeffs) ** 2 + np.abs(v.vy.coeffs) ** 2))
-    norm *= grid.domain_length
+    norm = l2_norm(v)
     if norm == 0.0:
         return v
     return v * (amplitude / norm)

@@ -1,19 +1,28 @@
 """Periodic spectral grid, field containers, transforms and norms.
 
-Fields are stored as complex mode amplitudes on an N x N wavevector
-lattice over the torus [0, L)^2: the physical field is
-sum_k coeff(k) exp(i k.x), so a constant field c has coeff(0) = c.
-Fields are immutable values; every operation here is a pure function,
-safe to evaluate concurrently.
+Fields are complex mode amplitudes on an N x N wavevector lattice over
+the torus [0, L)^2: the physical field is sum_k coeff(k) exp(i k.x), so a
+constant field c has coeff(0) = c.  Fields are immutable values; every
+operation here is a pure function, safe to evaluate concurrently.
 
-Every field is real, so its full (N, N) storage is Hermitian:
-coeff(-k) = conj(coeff(k)).  The transforms use that.  `to_physical` is
-an irfft2 of the stored half spectrum (columns 0..N/2); `to_spectral`
-is an rfft2 whose other half is written as the exact conjugate mirror,
-so a transformed spectrum is Hermitian by construction.  Nothing checks
-realness per transform: the entry points that take caller-made fields
-(`operators.biot_savart`, `integrator.run_trajectory`) refuse a
-non-Hermitian one with `require_real`.
+Every field is real, so its lattice is Hermitian, coeff(-k) =
+conj(coeff(k)), and half of it is redundant.  A field stores only its
+rfft2 half spectrum `half`, the (N, N/2+1) columns j2 = 0..N/2
+(Frigo & Johnson, The Design and Implementation of FFTW3, Proc. IEEE
+93, 2005).  Columns 1..N/2-1 stand for themselves and their mirror, so
+norms and inner products weight them twice; columns 0 and N/2 are their
+own mirror, and within them row i mirrors row N-i.  Every grid symbol
+(`kx`, `ky`, `ksq`, `inv_ksq`, `diff_kx`, `diff_ky`, `dealias_mask`,
+`heat_decay`) is shaped to the half.
+
+`to_physical` is an irfft2 of the half.  `to_spectral` is an rfft2 with
+the two self-conjugate columns mirrored within themselves, so a
+transformed spectrum is Hermitian by construction.  Only those two
+columns can break realness; the entry points that take caller-made
+fields (`operators.biot_savart`, `integrator.run_trajectory`) check them
+with `require_real`.  A full (N, N) lattice enters only through
+`ScalarField.from_lattice`, which checks it, and leaves only through the
+derived, read-only `ScalarField.coeffs`, which nothing here reads.
 """
 
 from __future__ import annotations
@@ -66,11 +75,14 @@ class SpectralGrid:
 
     @cached_property
     def kx(self) -> np.ndarray:
+        """(N, 1): the row wavenumber of the half spectrum."""
         return (2.0 * np.pi / self.domain_length) * self.mode_numbers[:, None].astype(float)
 
     @cached_property
     def ky(self) -> np.ndarray:
-        return (2.0 * np.pi / self.domain_length) * self.mode_numbers[None, :].astype(float)
+        """(1, N/2+1): the column wavenumber of the half spectrum, 0..N/2."""
+        h = self.modes_per_dim // 2
+        return (2.0 * np.pi / self.domain_length) * self.mode_numbers[None, : h + 1].astype(float)
 
     @cached_property
     def ksq(self) -> np.ndarray:
@@ -108,7 +120,7 @@ class SpectralGrid:
     def dealias_mask(self) -> np.ndarray:
         j = np.abs(self.mode_numbers)
         cutoff = self.dealias_fraction * self.modes_per_dim / 2.0
-        return (np.maximum(j[:, None], j[None, :]) <= cutoff)
+        return (np.maximum(j[:, None], j[None, : self.modes_per_dim // 2 + 1]) <= cutoff)
 
     @cached_property
     def dealias_limit(self) -> int:
@@ -131,40 +143,64 @@ class SpectralGrid:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """A real scalar field stored as complex mode amplitudes on its grid."""
+    """A real scalar field stored as its (N, N/2+1) rfft2 half spectrum."""
 
     grid: SpectralGrid
-    coeffs: np.ndarray
+    half: np.ndarray
 
     def __post_init__(self):
         n = self.grid.modes_per_dim
-        if self.coeffs.shape != (n, n):
-            raise ValueError(
-                f"coefficient array shape {self.coeffs.shape} does not match grid {n}x{n}"
-            )
-        if self.coeffs.dtype != np.complex128:
-            object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
-        self.coeffs.setflags(write=False)
+        if self.half.shape != (n, n // 2 + 1):
+            raise ValueError(f"half-spectrum shape {self.half.shape} does not match "
+                             f"grid {n}x{n}: expected {(n, n // 2 + 1)}")
+        if self.half.dtype != np.complex128 or not self.half.flags.c_contiguous:
+            object.__setattr__(self, "half", np.ascontiguousarray(self.half, np.complex128))
+        self.half.setflags(write=False)
+
+    @classmethod
+    def from_lattice(cls, grid: SpectralGrid, coeffs: np.ndarray,
+                     name: str = "field") -> "ScalarField":
+        """The field of a full (N, N) lattice, which must be finite and
+        Hermitian to REALNESS_RTOL relative; a ValueError names `name`."""
+        n = grid.modes_per_dim
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        if coeffs.shape != (n, n):
+            raise ValueError(f"{name}: lattice shape {coeffs.shape} does not match grid {n}x{n}")
+        scale = np.max(np.abs(coeffs))
+        if not np.isfinite(scale):
+            raise ValueError(f"{name} must be finite")
+        flip = -np.arange(n) % n
+        defect = np.max(np.abs(coeffs[np.ix_(flip, flip)] - np.conj(coeffs)))
+        _require_hermitian(defect, scale, name)
+        return cls(grid, coeffs[:, : n // 2 + 1].copy())
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The full (N, N) lattice, mirrored from the half on first read.
+        Read-only; for readers that want the whole lattice."""
+        full = lattice(self.half)
+        full.setflags(write=False)
+        return full
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         _require_same_grid(self, other)
-        return ScalarField(self.grid, self.coeffs + other.coeffs)
+        return ScalarField(self.grid, self.half + other.half)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         _require_same_grid(self, other)
-        return ScalarField(self.grid, self.coeffs - other.coeffs)
+        return ScalarField(self.grid, self.half - other.half)
 
     def __mul__(self, a: float) -> "ScalarField":
-        return ScalarField(self.grid, self.coeffs * a)
+        return ScalarField(self.grid, self.half * a)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.coeffs)
+        return ScalarField(self.grid, -self.half)
 
     @property
     def mean_value(self) -> complex:
-        return complex(self.coeffs[0, 0])
+        return complex(self.half[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +243,20 @@ def _require_same_grid(a, b):
         raise ValueError("fields live on different grids")
 
 
+def lattice(half: np.ndarray) -> np.ndarray:
+    """The full (..., N, N) lattices of (..., N, N/2+1) halves:
+    coeff(i, j) = conj(coeff(-i, -j)) for the columns j > N/2."""
+    n = half.shape[-2]
+    h = n // 2
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., : h + 1] = half
+    np.conjugate(half[..., -np.arange(n) % n, h - 1: 0: -1], out=full[..., h + 1:])
+    return full
+
+
 def zero_scalar(grid: SpectralGrid) -> ScalarField:
     n = grid.modes_per_dim
-    return ScalarField(grid, np.zeros((n, n), dtype=np.complex128))
+    return ScalarField(grid, np.zeros((n, n // 2 + 1), dtype=np.complex128))
 
 
 def zero_vector(grid: SpectralGrid) -> VectorField:
@@ -217,16 +264,16 @@ def zero_vector(grid: SpectralGrid) -> VectorField:
 
 
 def to_physical(field: Field):
-    """Evaluate the real field on the grid points, from its half spectrum.
+    """Evaluate the real field on the grid points: an irfft2 of the half.
 
-    The conjugate half of the storage is not read: a non-Hermitian array
-    is evaluated as its Hermitian part, so callers that take fields from
-    outside check them once with `require_real`.
+    Within columns 0 and N/2 the transform reads the Hermitian part, so
+    callers that take fields from outside check them once with
+    `require_real`.
     """
     if isinstance(field, VectorField):
         return to_physical(field.vx), to_physical(field.vy)
     n = field.grid.modes_per_dim
-    real = np.fft.irfft2(field.coeffs[:, : n // 2 + 1], s=(n, n))
+    real = np.fft.irfft2(field.half, s=(n, n))
     real *= n * n  # in place: same bits as the out-of-place product
     return real
 
@@ -241,56 +288,52 @@ def to_spectral(values: np.ndarray, grid: SpectralGrid) -> ScalarField:
 
 
 def hermitian_amplitudes(values: np.ndarray, width: int) -> np.ndarray:
-    """(N, N) mode amplitudes of real (N, N) values with max(|j1|, |j2|) <=
-    width, zero outside: the kept part of the rfft2 half spectrum, scaled
-    by 1/N^2, and its conjugate mirror coeff(-k) = conj(coeff(k)).  Column 0
-    and, at width N/2, the Nyquist column are their own mirror; the four
-    self-conjugate amplitudes are made real."""
+    """(N, N/2+1) half-spectrum amplitudes of real (N, N) values with
+    max(|j1|, |j2|) <= width, zero outside: the rfft2 scaled by 1/N^2.
+    Within column 0 and, at width N/2, the Nyquist column, row N - i is
+    written as the conjugate of row i, and the four self-conjugate
+    amplitudes are made real, so the half is exactly Hermitian."""
     n = values.shape[0]
     h = n // 2
-    half = np.fft.rfft2(values)
-    out = np.zeros((n, n), dtype=np.complex128)
-    # rows -width..width of the half's columns 0..width, scaled into place
-    np.divide(half[: width + 1, : width + 1], n * n, out=out[: width + 1, : width + 1])
-    np.divide(half[n - width:, 1: width + 1], n * n, out=out[n - width:, 1: width + 1])
-    # coeff(-k) = conj(coeff(k)): row i mirrors row N - i, column j column N - j
+    out = np.fft.rfft2(values)
+    out[width + 1: n - width] = 0.0
+    out[:, width + 1:] = 0.0
+    out /= n * n  # in place: same bits as the out-of-place quotient
+    # coeff(-k) = conj(coeff(k)) within the self-conjugate columns
     for j in (0, h) if width == h else (0,):
         np.conjugate(out[h - 1: 0: -1, j], out=out[h + 1:, j])
     out.imag[::h, ::h] = 0.0
-    m = min(width, h - 1)
-    np.conjugate(out[0, m: 0: -1], out=out[0, n - m:])
-    np.conjugate(out[: 0: -1, m: 0: -1], out=out[1:, n - m:])
     return out
 
 
-def hermitian_defect(field: ScalarField) -> float:
-    """max |coeff(-k) - conj(coeff(k))| relative to the largest amplitude."""
-    c = field.coeffs
-    flipped = np.roll(c[::-1, ::-1], 1, axis=(0, 1))
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(flipped - np.conj(c))) / scale)
+def _require_hermitian(defect: float, scale: float, name: str) -> None:
+    if scale > 0 and defect > REALNESS_RTOL * scale:
+        raise ValueError(f"{name} is not real: its coefficients are not "
+                         f"Hermitian-symmetric (defect {defect / scale:.3e})")
 
 
 def require_real(field: Field, name: str) -> None:
     """Raise ValueError naming `name` unless the field is finite and real:
-    its coefficients Hermitian to REALNESS_RTOL relative (per component)."""
+    within the self-conjugate columns 0 and N/2 of each component's half,
+    row N - i the conjugate of row i to REALNESS_RTOL relative to the
+    largest amplitude.  The other columns cannot break realness."""
     parts = (field.vx, field.vy) if isinstance(field, VectorField) else (field,)
     for part in parts:
-        defect = hermitian_defect(part)
-        if not np.isfinite(defect):  # only a non-finite coefficient gives one
+        c = part.half
+        scale = np.max(np.abs(c))
+        if not np.isfinite(scale):  # only a non-finite coefficient gives one
             raise ValueError(f"{name} must be finite")
-        if defect > REALNESS_RTOL:
-            raise ValueError(f"{name} is not real: its coefficients are not "
-                             f"Hermitian-symmetric (defect {defect:.3e})")
+        h = part.grid.modes_per_dim // 2
+        column = c[:, ::h]
+        defect = np.max(np.abs(column[-np.arange(len(c)) % len(c)] - np.conj(column)))
+        _require_hermitian(defect, scale, name)
 
 
 def dealias(field: Field) -> Field:
     """Zero every mode outside the grid's dealias mask (a projection)."""
     if isinstance(field, VectorField):
         return VectorField(dealias(field.vx), dealias(field.vy))
-    return ScalarField(field.grid, field.coeffs * field.grid.dealias_mask)
+    return ScalarField(field.grid, field.half * field.grid.dealias_mask)
 
 
 def bessel_multiplier(field: Field, s: float) -> Field:
@@ -298,7 +341,7 @@ def bessel_multiplier(field: Field, s: float) -> Field:
     if isinstance(field, VectorField):
         return VectorField(bessel_multiplier(field.vx, s), bessel_multiplier(field.vy, s))
     mult = (1.0 + field.grid.ksq) ** (s / 2.0)
-    return ScalarField(field.grid, field.coeffs * mult)
+    return ScalarField(field.grid, field.half * mult)
 
 
 def _validate_q(q: float):
@@ -349,10 +392,8 @@ def sobolev_norm_spectral(field: Field, s: float) -> float:
         return float(np.hypot(sobolev_norm_spectral(field.vx, s),
                               sobolev_norm_spectral(field.vy, s)))
     g = field.grid
-    total = np.abs(field.coeffs) ** 2
-    if s != 0.0:  # the weight (1+|k|^2)^0 is exactly 1
-        total = (1.0 + g.ksq) ** s * total
-    return float(np.sqrt(np.sum(total)) * g.domain_length)
+    return float(np.sqrt(half_sum(field.half, field.half, sobolev_weight(g, s)))
+                 * g.domain_length)
 
 
 def l2_norm(field: Field) -> float:
@@ -366,8 +407,40 @@ def l2_inner(f: Field, g: Field) -> float:
     if isinstance(f, VectorField):
         return l2_inner(f.vx, g.vx) + l2_inner(f.vy, g.vy)
     _require_same_grid(f, g)
-    total = np.sum(f.coeffs * np.conj(g.coeffs)).real
-    return float(total * f.grid.domain_length**2)
+    return float(half_sum(f.half, g.half, sobolev_weight(f.grid, 0.0))
+                 * f.grid.domain_length**2)
+
+
+def half_sum(a: np.ndarray, b: np.ndarray, weight: np.ndarray) -> float:
+    """sum_k w(k) Re(a(k) conj(b(k))) over the full lattice, from the halves
+    a and b of two real fields.  `weight` is w times each column's
+    multiplicity, repeated over the real and imaginary parts
+    (`sobolev_weight`, `gradient_weight`).  einsum, not a BLAS dot: the
+    path workers would contend for OpenBLAS's own threads."""
+    return float(np.einsum("ij,ij,ij->", a.view(np.float64), b.view(np.float64), weight))
+
+
+def _half_weight(grid: SpectralGrid, symbol: np.ndarray) -> np.ndarray:
+    # a column stands for itself and its mirror, but for the self-conjugate
+    # columns 0 and N/2: the first and last two of the real view
+    out = np.repeat(2.0 * symbol, 2, axis=1)
+    out[:, [0, 1, -2, -1]] /= 2.0
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
+def sobolev_weight(grid: SpectralGrid, s: float) -> np.ndarray:
+    """The `half_sum` weight of the W^{s,2} norm, (1+|k|^2)^s.  Read-only,
+    shared by callers."""
+    return _half_weight(grid, (1.0 + grid.ksq) ** s)
+
+
+@lru_cache(maxsize=16)
+def gradient_weight(grid: SpectralGrid) -> np.ndarray:
+    """The `half_sum` weight of ||grad f||_{L^2}^2, |k|^2.  Read-only, shared
+    by callers."""
+    return _half_weight(grid, grid.ksq)
 
 
 def regrid(field: Field, grid: SpectralGrid) -> Field:
@@ -384,14 +457,14 @@ def regrid(field: Field, grid: SpectralGrid) -> Field:
     if grid.modes_per_dim < old.modes_per_dim:
         raise ValueError("regrid only refines; target grid is coarser")
     if grid.modes_per_dim == old.modes_per_dim:
-        return ScalarField(grid, field.coeffs.copy())
-    n_old = old.modes_per_dim
-    nyq = n_old // 2
-    if np.max(np.abs(field.coeffs[nyq, :])) > 0 or np.max(np.abs(field.coeffs[:, nyq])) > 0:
+        return ScalarField(grid, field.half.copy())
+    c = field.half
+    nyq = old.modes_per_dim // 2  # the Nyquist row, and the half's last column
+    if np.max(np.abs(c[nyq, :])) > 0 or np.max(np.abs(c[:, nyq])) > 0:
         raise ValueError("cannot regrid a field with Nyquist-line content")
-    new = np.zeros((grid.modes_per_dim, grid.modes_per_dim), dtype=np.complex128)
-    idx = old.mode_numbers % grid.modes_per_dim
-    new[np.ix_(idx, idx)] = field.coeffs
+    n = grid.modes_per_dim
+    new = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    new[old.mode_numbers % n, : nyq + 1] = c
     return ScalarField(grid, new)
 
 

@@ -14,19 +14,19 @@ from vortex.spectral import ScalarField, VectorField, heat_decay, l2_norm
 
 
 def scattered(noise, spec, grid):
-    """apply_G's rows written into zeroed N x N coefficients: the velocity
+    """apply_G's rows written into zeroed (N, N/2+1) halves: the velocity
     increment and its vorticity, as dense fields."""
     n = grid.modes_per_dim
-    dense = np.zeros((3, n * n), dtype=np.complex128)
+    dense = np.zeros((3, n * (n // 2 + 1)), dtype=np.complex128)
     dense[:, scatter_plan(spec, grid).touched] = noise
-    vx, vy, vorticity = (ScalarField(grid, c) for c in dense.reshape(3, n, n))
+    vx, vy, vorticity = (ScalarField(grid, c) for c in dense.reshape(3, n, n // 2 + 1))
     return VectorField(vx, vy), vorticity
 
 
 def dense_apply_G(v, dW, spec):
     """The dense oracle of apply_G: a fixed-order sum over the whole stacked
-    basis, then R_n over the whole grid; the velocity increment and its
-    vorticity, as dense fields."""
+    full-lattice basis, then R_n over the whole grid; the velocity increment
+    and its vorticity, as dense fields."""
     basis = NoiseBasis(spec, v.grid)
     weights = (np.asarray(spec.coefficients) * (sigma_eval(v, spec) * np.sqrt(dW.dt))
                * dW.gaussians)
@@ -36,17 +36,19 @@ def dense_apply_G(v, dW, spec):
         for w, element in zip(weights, stack):
             total += w * element
         totals.append(total)
-    velocity = VectorField(ScalarField(v.grid, totals[0][0]), ScalarField(v.grid, totals[0][1]))
+    g = v.grid
+    velocity = VectorField(ScalarField.from_lattice(g, totals[0][0]),
+                           ScalarField.from_lattice(g, totals[0][1]))
     return (hille_yosida(velocity, spec.hy_level),
-            hille_yosida(ScalarField(v.grid, totals[1]), spec.hy_level))
+            hille_yosida(ScalarField.from_lattice(g, totals[1]), spec.hy_level))
 
 
 def _mean_free_step(decay, base, *terms):
     # the advection term integrates to zero for divergence-free u; clear its
     # quadrature roundoff so mean-zero vorticity is preserved exactly
-    acc = base.coeffs.copy()
+    acc = base.half.copy()
     for t in terms:
-        acc += t.coeffs
+        acc += t.half
     out = decay * acc
     out[0, 0] = 0.0
     return ScalarField(base.grid, out)
@@ -66,7 +68,7 @@ def zeta_step(state, dW, spec, cfg):
     zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]."""
     _, noise = scattered(apply_G(state.v, dW, spec), spec, state.v.grid)
     return ScalarField(state.zeta.grid,
-                       heat_decay(state.zeta.grid, cfg.dt) * (state.zeta.coeffs + noise.coeffs))
+                       heat_decay(state.zeta.grid, cfg.dt) * (state.zeta.half + noise.half))
 
 
 def beta_step(state, cfg):

@@ -136,9 +136,9 @@ class TestEnergyReport:
             energy_report([make_stats()], {}, seed=1)
 
     def test_nan_initial_vorticity_fails_closed(self, grid16, rng):
-        coeffs = random_scalar_field(grid16, rng).coeffs.copy()
-        coeffs[1, 2] = np.nan
-        xi0 = ScalarField(grid16, coeffs)
+        half = random_scalar_field(grid16, rng).half.copy()
+        half[1, 2] = np.nan
+        xi0 = ScalarField(grid16, half)
         cfg = SolverConfig(dt=0.01, t_end=0.05)
         with pytest.raises(ValueError, match="initial vorticity must be finite"):
             run_trajectory(None, xi0, SMALL_NOISE, cfg, seed=3)

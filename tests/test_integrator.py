@@ -17,9 +17,9 @@ from vortex.integrator import (
 )
 from vortex.noise import (
     CovarianceSpec,
-    NoiseBasis,
     WienerIncrement,
     apply_G,
+    build_noise_basis,
     sample_increment,
     scatter_plan,
 )
@@ -58,9 +58,11 @@ def state_from(grid, v=None, xi=None, zeta=None, beta=None, t=0.0):
 
 
 def stepped_velocity(st, dW, spec, cfg):
-    """velocity_step as run_trajectory calls it, from a coupled state."""
-    return velocity_step(st.v, vorticity_values(st.v), apply_G(st.v, dW, spec),
+    """velocity_step as run_trajectory calls it, from a coupled state; the
+    new velocity only."""
+    v, _ = velocity_step(st.v, vorticity_values(st.v), apply_G(st.v, dW, spec),
                          scatter_plan(spec, st.v.grid).touched, cfg, st.t)
+    return v
 
 
 def stepped_zeta(st, dW, spec, cfg):
@@ -167,7 +169,7 @@ class TestVorticityStep:
         st = state_from(grid32, v=biot_savart(xi), xi=xi, beta=xi)
         dW = sample_increment(4, 0, 0, UNIT_NOISE, cfg.dt)
         out = vorticity_step(st, dW, UNIT_NOISE, cfg)
-        assert out.coeffs[0, 0] == 0.0
+        assert out.half[0, 0] == 0.0
 
 
 class TestOuStep:
@@ -180,7 +182,7 @@ class TestOuStep:
         dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
         out = stepped_zeta(st, dW, ZERO_NOISE, cfg)
         decay = np.exp(-zeta.grid.ksq * cfg.dt)
-        assert np.max(np.abs(out.coeffs - decay * zeta.coeffs)) < 1e-15
+        assert np.max(np.abs(out.half - decay * zeta.half)) < 1e-15
 
     def test_starts_and_stays_zero_without_noise(self, grid16):
         cfg = SolverConfig(dt=0.01, t_end=0.1)
@@ -192,15 +194,14 @@ class TestOuStep:
         run_trajectory(None, xi0, ZERO_NOISE, cfg, seed=0,
                        observer=lambda st: zetas.append(st.zeta))
         assert len(zetas) == cfg.n_steps + 1
-        assert not any(np.any(z.coeffs) for z in zetas)
+        assert not any(np.any(z.half) for z in zetas)
 
     def test_stationary_variance_oracle(self, grid16):
         # single mode |k|^2 = 1, sigma = 1: the projection coefficient is a
         # scalar OU process whose discrete variance is
         # A^2 dt e^{-2k dt} (1 - e^{-2kMdt}) / (1 - e^{-2k dt})
         spec = CovarianceSpec(((1, 0),), (0.8,), 0.5, "constant_one")
-        basis = NoiseBasis(spec, grid16)
-        w = basis.vorticity[0]
+        w = curl(build_noise_basis(spec, grid16)[0])
         w_norm = l2_norm(w)
         cfg = SolverConfig(dt=5e-3, t_end=0.5)
         kappa, n_paths = 1.0, 400
@@ -230,7 +231,7 @@ class TestBetaStep:
         st = state_from(grid32, beta=beta)
         out = beta_step(st, cfg)
         decay = np.exp(-beta.grid.ksq * cfg.dt)
-        assert np.max(np.abs(out.coeffs - decay * beta.coeffs)) < 1e-15
+        assert np.max(np.abs(out.half - decay * beta.half)) < 1e-15
 
     def test_reduces_to_noiseless_vorticity_step(self, grid32, rng):
         # with zeta = 0 and beta = xi the two updates coincide
@@ -240,7 +241,7 @@ class TestBetaStep:
         dW = WienerIncrement(cfg.dt, np.zeros(1))
         a = vorticity_step(st, dW, ZERO_NOISE, cfg)
         b = beta_step(st, cfg)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-16
+        assert np.max(np.abs(a.half - b.half)) < 1e-16
 
 
 class TestOneNoiseEvaluation:
@@ -275,8 +276,8 @@ class TestOneNoiseEvaluation:
         v = random_divfree_field(grid32, rng)
         inc = apply_G(v, sample_increment(2, 0, 0, spec, 0.01), spec)
         base = random_scalar_field(grid32, rng)
-        out = integrator._stepped(np.ones((32, 32)), base, touched, inc[2])
-        got, was = out.coeffs.reshape(-1), base.coeffs.reshape(-1)
+        out = integrator._stepped(np.ones((32, 17)), base, touched, inc[2])
+        got, was = out.half.reshape(-1), base.half.reshape(-1)
         assert np.array_equal(got[touched], was[touched] + inc[2])
         assert np.array_equal(np.delete(got, touched), np.delete(was, touched))
 
@@ -298,7 +299,7 @@ class TestHolderQuotient:
     def test_nan_pair_kept(self, grid16, rng, q):
         # the worst case keeps a NaN quotient even after finite ones
         f = random_scalar_field(grid16, rng)
-        c = f.coeffs.copy()
+        c = f.half.copy()
         c[1, 0] = c[-1, 0] = np.nan
         snaps = [f, f * 2.0, f * 3.0, ScalarField(grid16, c)]
         assert math.isnan(holder_quotient(snaps, [0.0, 0.25, 0.5, 0.75], 0.3, q=q))
@@ -360,7 +361,7 @@ class TestRunTrajectory:
         c[0, 0] = 1.0
         c[1, 0] = c[-1, 0] = 0.3
         with pytest.raises(ValueError, match="zero mean"):
-            run_trajectory(None, ScalarField(grid16, c), ZERO_NOISE, cfg, seed=0)
+            run_trajectory(None, ScalarField.from_lattice(grid16, c), ZERO_NOISE, cfg, seed=0)
 
     def test_inconsistent_initial_pair_rejected(self, grid32, rng):
         cfg = SolverConfig(dt=0.01, t_end=0.1)
@@ -468,7 +469,7 @@ class TestRotationalForm:
         if case == "v0_out_of_band":
             c = xi0.coeffs.copy()
             c[12, 3] = c[-12, -3] = 0.05
-            xi0 = ScalarField(grid32, c)
+            xi0 = ScalarField.from_lattice(grid32, c)
         cfg = SolverConfig(dt=2e-3, t_end=0.12)
         states, oracle_states = [], []
         res = run_trajectory(None, xi0, spec, cfg, seed=13, observer=states.append)
@@ -476,7 +477,7 @@ class TestRotationalForm:
         oracle = run_trajectory(None, xi0, spec, cfg, seed=13, observer=oracle_states.append)
         assert cfg.n_steps == 60 and res.stats.status == oracle.stats.status == "completed"
         outside = ~grid32.dealias_mask
-        assert np.any(res.final.xi.coeffs[outside]) == case.endswith("out_of_band")
+        assert np.any(res.final.xi.half[outside]) == case.endswith("out_of_band")
         assert len(states) == len(oracle_states) == cfg.n_steps + 1
         for got, want in zip(states, oracle_states):
             assert got.t == want.t
@@ -526,9 +527,10 @@ def complex_to_physical(field):
 
 
 def complex_spectral_of(values, grid):
-    """The complex-transform reference of operators._spectral_of."""
+    """The complex-transform reference of operators._spectral_of, cut to
+    the half spectrum."""
     n = grid.modes_per_dim
-    return np.fft.fft2(values) / (n * n) * grid.dealias_mask
+    return (np.fft.fft2(values) / (n * n))[:, : n // 2 + 1] * grid.dealias_mask
 
 
 class TestRealTransforms:
@@ -561,7 +563,7 @@ class TestRealTransforms:
         oracle = run_trajectory(None, xi0, spec, cfg, seed=13, observer=oracle_states.append)
         assert cfg.n_steps == 60 and res.stats.status == oracle.stats.status == "completed"
         outside = ~grid32.dealias_mask
-        assert np.any(res.final.xi.coeffs[outside]) == (band == "noise_out_of_band")
+        assert np.any(res.final.xi.half[outside]) == (band == "noise_out_of_band")
         assert len(states) == len(oracle_states) == cfg.n_steps + 1
         for got, want in zip(states, oracle_states):
             assert got.t == want.t
@@ -573,14 +575,17 @@ class TestRealTransforms:
             assert abs(a - b) <= 1e-12 * abs(b), name
 
     def test_non_real_initial_fields_rejected(self, grid16, rng):
+        # only the self-conjugate columns 0 and N/2 of a half can break
+        # realness: there row 1 and row N - 1 must be conjugate
         cfg = SolverConfig(dt=0.01, t_end=0.1)
-        c = np.zeros((16, 16), dtype=complex)
-        c[1, 0] = 1.0  # no conjugate partner
-        odd = ScalarField(grid16, c)
-        with pytest.raises(ValueError, match="vorticity is not real"):
-            run_trajectory(None, odd, ZERO_NOISE, cfg, seed=0)
-        with pytest.raises(ValueError, match="^initial vorticity is not real"):
-            run_trajectory(zero_vector(grid16), odd, ZERO_NOISE, cfg, seed=0)
+        for column in (8, 0):
+            c = np.zeros((16, 9), dtype=complex)
+            c[1, column] = 1.0  # row 15 is not its conjugate
+            odd = ScalarField(grid16, c)
+            with pytest.raises(ValueError, match="vorticity is not real"):
+                run_trajectory(None, odd, ZERO_NOISE, cfg, seed=0)
+            with pytest.raises(ValueError, match="^initial vorticity is not real"):
+                run_trajectory(zero_vector(grid16), odd, ZERO_NOISE, cfg, seed=0)
         xi0 = random_scalar_field(grid16, rng)
         v0 = biot_savart(xi0)
         with pytest.raises(ValueError, match="^initial velocity is not real"):

@@ -131,8 +131,16 @@ def bits(array):
 
 def coefficient_bits(field):
     if isinstance(field, VectorField):
-        return np.stack([bits(field.vx.coeffs), bits(field.vy.coeffs)])
-    return bits(field.coeffs)
+        return np.stack([bits(field.vx.half), bits(field.vy.half)])
+    return bits(field.half)
+
+
+def lattice_field(grid, lattice):
+    """The field of one of NoiseBasis's full lattices: (2, N, N) velocity
+    or (N, N) vorticity."""
+    if lattice.ndim == 3:
+        return VectorField(*(ScalarField.from_lattice(grid, c) for c in lattice))
+    return ScalarField.from_lattice(grid, lattice)
 
 
 # cosine/sine pairs j and -j, the constant mode and modes at the band edge of N = 16
@@ -162,8 +170,9 @@ class TestScatterAgainstDenseOracle:
         spec = make_spec(modes=SCATTER_MODES, coeffs=(1.0,) * len(SCATTER_MODES), hy=10.0)
         plan = scatter_plan(spec, grid16)
         out = apply_G(zero_vector(grid16), sample_increment(1, 0, 0, spec, 0.01), spec)
-        # rows vx, vy and the vorticity, one column per touched coefficient
-        assert out.shape == (3, len(plan.touched)) == (3, 13)  # pairs j, -j share two
+        # rows vx, vy and the vorticity, one column per touched coefficient of
+        # the half: pairs j, -j share one, or two on column 0
+        assert out.shape == (3, len(plan.touched)) == (3, 8)
         assert out.dtype == np.complex128
 
     def test_plan_is_shared_and_read_only(self, grid16):
@@ -172,9 +181,10 @@ class TestScatterAgainstDenseOracle:
         # like a basis, a plan reads only the mode list and the roughness
         assert scatter_plan(make_spec(modes=SCATTER_MODES, coeffs=(0.5,) * 11,
                                       sigma="zero", hy=2.0), grid16) is plan
-        # two entries per mode, one for the constant mode, each mode's adjacent
+        # one entry per mode, two for the modes (1, 0) and (-1, 0) on column
+        # 0, each mode's adjacent
         assert plan.mode.tolist() == sorted(plan.mode.tolist())
-        assert len(plan.slot) == 2 * len(SCATTER_MODES) - 1
+        assert len(plan.slot) == len(SCATTER_MODES) + 2
         # each entry names its coefficient by its position among the sorted,
         # distinct touched ones, all of which some entry names
         assert plan.touched.tolist() == sorted(set(plan.touched.tolist()))
@@ -202,13 +212,14 @@ class TestScatterAgainstDenseOracle:
         basis = NoiseBasis(spec, grid16)
         sig = sigma_eval(v, spec)
         got = noise_mode_fields(spec, v)
-        want = [hille_yosida(e * (c * sig), level) for c, e in zip(coeffs, basis.velocity)]
+        want = [hille_yosida(lattice_field(grid16, e) * (c * sig), level)
+                for c, e in zip(coeffs, basis.velocity)]
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(coefficient_bits(a), coefficient_bits(b))
         # their curls are the stacked vorticity fields, weighted alike
         for a, w, c in zip(got, basis.vorticity, coeffs):
-            b = hille_yosida(w * (c * sig), level)
+            b = hille_yosida(lattice_field(grid16, w) * (c * sig), level)
             assert l2_norm(curl(a) - b) <= 1e-14 * max(1.0, l2_norm(b))
 
     @pytest.mark.parametrize("length", [2.0 * math.pi, 3.0])
@@ -217,7 +228,8 @@ class TestScatterAgainstDenseOracle:
         rng = np.random.default_rng(5)
         for g in (0.2, 0.5, 0.9):
             spec = make_spec(modes=SCATTER_MODES, coeffs=tuple(rng.uniform(0.05, 1.0, 11)), g=g)
-            dense = sum(c * c * l2_norm(e) ** 2
+            # L^2 sum_k |e(k)|^2 over the full lattice
+            dense = sum(c * c * length**2 * np.sum(np.abs(e) ** 2)
                         for c, e in zip(spec.coefficients, NoiseBasis(spec, grid).velocity))
             assert basis_l2_sq_sum(spec, grid) == pytest.approx(dense, rel=1e-14)
 
@@ -254,7 +266,7 @@ class TestScatterAgainstDenseOracle:
             # the dense oracle read at the coefficients the step adds to
             touched = scatter_plan(spec, v.grid).touched
             velocity, vorticity = dense_apply_G(v, dW, spec)
-            return np.stack([f.coeffs.reshape(-1)[touched]
+            return np.stack([f.half.reshape(-1)[touched]
                              for f in (velocity.vx, velocity.vy, vorticity)])
 
         sparse, sparse_states = run()
@@ -315,14 +327,14 @@ class TestHilleYosida:
     def test_single_mode_factor(self):
         # |k|^2 = 3 via L = 2 pi / sqrt(3); n = 1 gives factor 1/4
         g = SpectralGrid(16, domain_length=2.0 * np.pi / math.sqrt(3.0))
-        c = np.zeros((16, 16), dtype=complex)
+        c = np.zeros((16, 9), dtype=complex)
         c[1, 0] = c[-1, 0] = 0.5
         f = ScalarField(g, c)
         out = hille_yosida(f, 1)
         assert out.coeffs[1, 0] == pytest.approx(0.125, rel=1e-12)
 
     def test_zero_mode_unchanged(self, grid16):
-        c = np.zeros((16, 16), dtype=complex)
+        c = np.zeros((16, 9), dtype=complex)
         c[0, 0] = 2.5
         for n in (1, 10, 1000):
             assert hille_yosida(ScalarField(grid16, c), n).coeffs[0, 0] == pytest.approx(2.5)
@@ -354,15 +366,14 @@ class TestApplyG:
 
     def test_single_mode_exact(self, grid32):
         spec = make_spec(modes=((1, 0),), coeffs=(0.7,))
-        basis = NoiseBasis(spec, grid32)
+        (e,) = build_noise_basis(spec, grid32)
         dW = WienerIncrement(0.04, np.array([1.0]))
         out, _ = scattered(apply_G(zero_vector(grid32), dW, spec), spec, grid32)
-        expected = basis.velocity[0] * (0.7 * math.sqrt(0.04))
+        expected = e * (0.7 * math.sqrt(0.04))
         assert l2_norm(out - expected) <= 1e-14
 
     def test_vorticity_output_is_curl(self, grid32, rng):
         spec = make_spec()
-        basis = NoiseBasis(spec, grid32)
         v = random_divfree_field(grid32, rng)
         dW = sample_increment(3, 1, 4, spec, 0.01)
         vel, vor = scattered(apply_G(v, dW, spec), spec, grid32)
@@ -379,10 +390,9 @@ class TestApplyG:
         # within 3 standard errors of c^2 sigma^2 dt (per mode)
         dt = 0.02
         spec = make_spec(modes=((1, 0), (2, 1)), coeffs=(0.6, 0.3))
-        basis = NoiseBasis(spec, grid32)
         v = zero_vector(grid32)
         s = 1.0 - spec.roughness
-        smoothed = [bessel_multiplier(e, s) for e in basis.velocity]
+        smoothed = [bessel_multiplier(e, s) for e in build_noise_basis(spec, grid32)]
         n_draws = 2000
         proj = np.zeros((n_draws, spec.n_modes))
         for i in range(n_draws):
@@ -403,7 +413,6 @@ class TestApplyG:
         ksq = 1.0
         spec_inf = make_spec(modes=((1, 0),), coeffs=(0.5,))
         spec_n = spec_inf.with_hy_level(level)
-        basis = NoiseBasis(spec_inf, grid32)
         v = zero_vector(grid32)
         ratio_expected = (level / (level + ksq)) ** 2
         samples_inf, samples_n = [], []

@@ -14,7 +14,6 @@ from vortex.spectral import (
     bessel_multiplier,
     dealias,
     hermitian_amplitudes,
-    hermitian_defect,
     l2_inner,
     lq_norm,
     read_snapshot,
@@ -22,6 +21,7 @@ from vortex.spectral import (
     require_real,
     sobolev_norm,
     sobolev_norm_spectral,
+    sobolev_weight,
     to_physical,
     to_spectral,
     write_snapshot,
@@ -44,6 +44,15 @@ def mirrored(half: np.ndarray, n: int) -> np.ndarray:
         for j in (0, h):
             full[i, j] = full[i, j].real
     return full
+
+
+def column_defect(half: np.ndarray) -> float:
+    """max |coeff(-i, j) - conj(coeff(i, j))| over the self-conjugate
+    columns j = 0 and N/2 of a half: the only place a half can break
+    realness."""
+    n = half.shape[0]
+    column = half[:, :: n // 2]
+    return float(np.max(np.abs(column[-np.arange(n) % n] - np.conj(column))))
 
 
 class TestSpectralGrid:
@@ -72,7 +81,7 @@ class TestSpectralGrid:
         assert b < n // 2
         j = np.abs(grid.mode_numbers)
         assert np.array_equal(grid.dealias_mask,
-                              (j[:, None] <= b) & (j[None, :] <= b))
+                              (j[:, None] <= b) & (j[None, : n // 2 + 1] <= b))
 
     def test_mode_numbers_cover_band(self, grid16):
         j = grid16.mode_numbers
@@ -119,7 +128,7 @@ class TestTransforms:
         c = np.zeros((n, n), dtype=complex)
         c[1, 0] = 0.5
         c[-1, 0] = 0.5
-        f = ScalarField(grid32, c)
+        f = ScalarField.from_lattice(grid32, c)
         xx, _ = grid32.meshgrid()
         expected = np.cos(2.0 * np.pi * xx / grid32.domain_length)
         assert np.max(np.abs(to_physical(f) - expected)) < 1e-14
@@ -155,39 +164,58 @@ class TestTransforms:
         grid = SpectralGrid(n)
         values = rng.standard_normal((n, n))
         band = hermitian_amplitudes(values, grid.dealias_limit)
+        assert band.shape == (n, n // 2 + 1)
         assert np.all(band[~grid.dealias_mask] == 0.0)
-        masked = np.fft.fft2(values) / (n * n) * grid.dealias_mask
+        masked = (np.fft.fft2(values) / (n * n))[:, : n // 2 + 1] * grid.dealias_mask
         assert np.max(np.abs(band - masked)) <= 1e-14 * np.max(np.abs(masked))
-        assert hermitian_defect(ScalarField(grid, band)) == 0.0
+        assert column_defect(band) == 0.0
 
     def test_to_spectral_output_is_hermitian(self, rng):
-        # the conjugate half is written as the mirror: exact by construction
+        # the self-conjugate columns are written as their own mirror: exact
+        # by construction
         for n in (8, 16, 24, 48, 64, 256):
             grid = SpectralGrid(n)
             for _ in range(5):
-                assert hermitian_defect(to_spectral(rng.standard_normal((n, n)), grid)) == 0.0
+                assert column_defect(to_spectral(rng.standard_normal((n, n)), grid).half) == 0.0
 
     def test_hermitian_symmetry_of_random_fields(self, grid32, rng):
         for _ in range(10):
-            assert hermitian_defect(random_scalar_field(grid32, rng)) <= 1e-13
+            assert column_defect(random_scalar_field(grid32, rng).half) <= 1e-13
 
     def test_non_real_field_rejected(self, grid16, rng):
         # realness is checked once, where a caller hands a field in; the
-        # transforms read the half spectrum and check nothing
-        c = np.zeros((16, 16), dtype=complex)
-        c[1, 0] = 1.0  # no conjugate partner
-        odd = ScalarField(grid16, c)
-        with pytest.raises(ValueError, match="^xi is not real.*Hermitian"):
-            require_real(odd, "xi")
+        # transforms read the half spectrum and check nothing.  Only the
+        # self-conjugate columns 0 and N/2 of a half can break it.
         real = random_scalar_field(grid16, rng)
-        with pytest.raises(ValueError, match="^v is not real"):
-            require_real(VectorField(real, odd), "v")
-        bad = c.copy()
+        for column in (0, 8):
+            c = np.zeros((16, 9), dtype=complex)
+            c[1, column] = 1.0  # row 15 is not its conjugate
+            odd = ScalarField(grid16, c)
+            with pytest.raises(ValueError, match="^xi is not real.*Hermitian"):
+                require_real(odd, "xi")
+            with pytest.raises(ValueError, match="^v is not real"):
+                require_real(VectorField(real, odd), "v")
+        bad = np.zeros((16, 9), dtype=complex)
         bad[2, 3] = np.nan
         with pytest.raises(ValueError, match="^xi must be finite"):
             require_real(ScalarField(grid16, bad), "xi")
         require_real(real, "xi")
         require_real(VectorField(real, real * 2.0), "v")
+
+    def test_from_lattice_refuses_non_finite_and_non_hermitian(self, grid16, rng):
+        lattice = random_scalar_field(grid16, rng).coeffs.copy()
+        assert np.array_equal(ScalarField.from_lattice(grid16, lattice).half,
+                              lattice[:, :9])
+        odd = lattice.copy()
+        odd[3, 12] += 1e-3  # its partner (13, 4) lies in the half
+        with pytest.raises(ValueError, match="^xi0 is not real.*Hermitian"):
+            ScalarField.from_lattice(grid16, odd, "xi0")
+        bad = lattice.copy()
+        bad[2, 11] = np.nan  # outside the half, still refused
+        with pytest.raises(ValueError, match="^xi0 must be finite"):
+            ScalarField.from_lattice(grid16, bad, "xi0")
+        with pytest.raises(ValueError, match="^xi0: lattice shape"):
+            ScalarField.from_lattice(grid16, lattice[:, :9], "xi0")
 
     def test_shape_mismatch_rejected(self, grid16):
         with pytest.raises(ValueError, match="shape"):
@@ -204,12 +232,12 @@ class TestDealias:
 
     def test_nyquist_mode_zeroed(self, grid16):
         n = grid16.modes_per_dim
-        c = np.zeros((n, n), dtype=complex)
+        c = np.zeros((n, n // 2 + 1), dtype=complex)
         c[n // 2, 0] = 1.0
-        assert np.all(dealias(ScalarField(grid16, c)).coeffs == 0.0)
+        assert np.all(dealias(ScalarField(grid16, c)).half == 0.0)
 
     def test_idempotent(self, grid32, rng):
-        c = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        c = rng.standard_normal((32, 17)) + 1j * rng.standard_normal((32, 17))
         f = ScalarField(grid32, c)
         once = dealias(f)
         twice = dealias(once)
@@ -229,7 +257,7 @@ class TestBesselMultiplier:
     def test_single_mode_scaling(self):
         # |k|^2 = 3 via L = 2 pi / sqrt(3), j = (1, 0); s = 2 scales by 4
         g = SpectralGrid(16, domain_length=2.0 * np.pi / math.sqrt(3.0))
-        c = np.zeros((16, 16), dtype=complex)
+        c = np.zeros((16, 9), dtype=complex)
         c[1, 0] = 0.5
         c[-1, 0] = 0.5
         out = bessel_multiplier(ScalarField(g, c), 2.0)
@@ -306,6 +334,16 @@ class TestSobolevNorm:
             b = sobolev_norm_spectral(f, s)
             assert abs(a - b) <= 1e-10 * max(a, 1e-30)
 
+    def test_weight_cached_per_grid_and_order_read_only(self, grid16, rng):
+        w = sobolev_weight(grid16, 0.5)
+        assert w is sobolev_weight(grid16, 0.5) and not w.flags.writeable
+        assert w is not sobolev_weight(grid16, 1.0)
+        assert w is not sobolev_weight(SpectralGrid(16, dealias_fraction=0.5), 0.5)
+        f = random_scalar_field(grid16, rng)
+        full = np.sum((1.0 + mirrored(grid16.ksq, 16).real) ** 0.5 * np.abs(f.coeffs) ** 2)
+        assert sobolev_norm_spectral(f, 0.5) == pytest.approx(
+            math.sqrt(full) * grid16.domain_length, rel=1e-14)
+
     def test_monotone_in_s(self, grid32, rng):
         for _ in range(25):
             f = random_scalar_field(grid32, rng)
@@ -316,6 +354,8 @@ class TestSobolevNorm:
 class TestFieldAlgebra:
     def test_immutability(self, grid16, rng):
         f = random_scalar_field(grid16, rng)
+        with pytest.raises(ValueError):
+            f.half[0, 0] = 1.0
         with pytest.raises(ValueError):
             f.coeffs[0, 0] = 1.0
 
