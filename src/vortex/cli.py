@@ -6,8 +6,11 @@ check   runs the operator-identity suite standalone;
 report  re-renders a summary from stored outputs.
 
 Exit status: 0 when every enabled check passes, 1 on any failed check,
-2 on configuration or IO errors.  Outputs are written atomically and a
-rerun into a populated directory is refused unless --force is given.
+2 on configuration or IO errors.  `run`'s --seed, --paths and --out replace
+mc.base_seed, mc.n_paths and output.directory in the config document before
+it is read, so they are read like file values and errors name those
+fields.  Outputs are written atomically and a rerun into a populated
+directory is refused unless --force is given.
 Paths run one after another on grids below `harness.POOL_MIN_GRID` modes
 per dimension and on a thread pool from there on; results do not depend
 on the worker count.
@@ -16,7 +19,6 @@ on the worker count.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -25,11 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    load_config,
-)
+from .config import MC, ConfigError, ExperimentConfig, load_config
 from .harness import (
     CheckResult,
     HolderProbe,
@@ -182,20 +180,14 @@ def run_experiment(config: ExperimentConfig):
     return stats, checks
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    mc = config.mc
-    if args.seed is not None:
-        mc = dataclasses.replace(mc, base_seed=args.seed)
-    if args.paths is not None:
-        mc = dataclasses.replace(mc, n_paths=args.paths)
-    output = config.output
-    if args.out is not None:
-        output = dataclasses.replace(output, directory=args.out)
-    return dataclasses.replace(config, mc=mc, output=output)
+# `run` flag -> the config field it replaces
+OVERRIDES = {"seed": "mc.base_seed", "paths": "mc.n_paths", "out": "output.directory"}
 
 
 def cmd_run(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = load_config(args.config, {field: getattr(args, flag)
+                                       for flag, field in OVERRIDES.items()
+                                       if getattr(args, flag) is not None})
     if not config.output.directory:
         raise ConfigError("no output directory: set output.directory or pass --out")
     resolved = config.resolved()
@@ -215,6 +207,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
+    holds, message = MC["base_seed"][2]
+    if not holds(args.seed):
+        raise ConfigError(f"'--seed' {message}, got {args.seed}")
     results = identity_suite(SpectralGrid(args.grid), args.trials, args.seed)
     payload = render_checks_json(results)
     if args.out:

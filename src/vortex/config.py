@@ -1,9 +1,14 @@
 """Experiment configuration: JSON loading, fail-closed validation and the
 resolved-config dump.
 
-Unknown keys are rejected anywhere in the document; every invariant of the
-owning module (grid, solver, noise) is re-validated at load time, and
-validation errors name the offending field path.  A resolved config dump
+Every value is read by one reader, `_read`, against a table that maps each
+key to (reader, default, requirement): one table per section (GRID, SOLVER,
+NOISE, INITIAL, MC, OUTPUT), one for the top level (TOP) and one per check
+(CHECK_PARAMS).  Each default is stated once, in its table.  Unknown keys
+are rejected anywhere in the document, SpectralGrid and SolverConfig
+re-validate their own invariants at load time, and every error names the
+offending field path.  Command-line overrides replace document values before
+they are read, so they meet the same requirements.  A resolved config dump
 reloads to an identical configuration.
 """
 
@@ -11,15 +16,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .integrator import SolverConfig, TrajectoryStats
-from .noise import CovarianceSpec, initial_rng, require_in_band
+from .noise import SIGMA_KINDS, CovarianceSpec, initial_rng, require_in_band
 from .operators import random_scalar_field
-from .spectral import ScalarField, SpectralGrid, VectorField, zero_scalar
+from .spectral import TWO_THIRDS, ScalarField, SpectralGrid, VectorField, zero_scalar
 
 _REQUIRED = object()
 
@@ -28,105 +33,40 @@ class ConfigError(ValueError):
     pass
 
 
-def _take(table: dict, key: str, path: str, default=_REQUIRED, kind=None):
-    if key not in table:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key '{path}.{key}'")
-        return default
-    value = table.pop(key)
-    if kind is not None:
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if kind is int and isinstance(value, bool):
-            raise ConfigError(f"'{path}.{key}' must be an integer, got a boolean")
-        if not isinstance(value, kind):
-            raise ConfigError(
-                f"'{path}.{key}' must be {getattr(kind, '__name__', kind)}, "
-                f"got {type(value).__name__}"
-            )
-    return value
+def _read(table: dict, given: dict, path: str) -> dict:
+    """Every key of table, read from the JSON object given or defaulted.
 
-
-def _take_number(table: dict, key: str, path: str, default: float) -> float:
-    """A finite number (an integer is taken as a float); errors name the key."""
-    return _number(_take(table, key, path, default), f"{path}.{key}" if path else key)
-
-
-def _reject_unknown(table: dict, path: str):
-    if table:
-        key = sorted(table)[0]
-        raise ConfigError(f"unknown key '{path}.{key}'")
-
-
-def _mode_pair(value, path: str) -> tuple[int, int]:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)):
-        raise ConfigError(f"'{path}' must be a pair of integers")
-    return int(value[0]), int(value[1])
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    mode_band: int = 2
-    modes: tuple[tuple[int, int], ...] | None = None
-    coefficient_base: float = 1.0
-    coefficient_decay: float = 1.1
-    sigma_kind: str = "rational_square"
-    pivot_mode: tuple[int, int] = (1, 0)
-    # sigma(v) responds at order one when <v,h> does; a unit-norm pivot would
-    # leave the worked-example noise intensity near zero for O(1) velocities
-    pivot_norm: float = 32.0
-    roughness: float = 0.5
-    hy_level: float = math.inf
-
-    def __post_init__(self):
-        if self.modes is None and self.mode_band < 1:
-            raise ConfigError("'noise.mode_band' must be >= 1")
-        if not 0.0 < self.roughness < 1.0:
-            raise ConfigError("'noise.roughness' must lie in (0, 1)")
-        if not (self.hy_level == math.inf or self.hy_level > 0):
-            raise ConfigError("'noise.hy_level' must be positive or null (= infinity)")
-
-
-@dataclass(frozen=True)
-class InitialConfig:
-    kind: str = "random_vorticity"
-    amplitude: float = 1.0
-    spectral_decay: float = 2.0
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "random_vorticity", "single_mode"):
-            raise ConfigError(f"'initial.kind' unknown: {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class McConfig:
-    n_paths: int = 32
-    base_seed: int = 2026
-
-    def __post_init__(self):
-        if self.n_paths < 1:
-            raise ConfigError("'mc.n_paths' must be >= 1")
-        if not 0 <= self.base_seed < 2**63:
-            raise ConfigError("'mc.base_seed' must be a nonnegative 63-bit integer")
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    directory: str | None = None
-    snapshot_stride: int = 0
-
-    def __post_init__(self):
-        if self.snapshot_stride < 0:
-            raise ConfigError("'output.snapshot_stride' must be >= 0")
+    table maps key -> (reader, default, requirement).  A reader checks the
+    type and returns the value as the program takes it; a default is such a
+    value (_REQUIRED: the key must be given); a requirement is (predicate,
+    message) on the read value.  Errors name path.key."""
+    values = {}
+    for key, (read, default, requirement) in table.items():
+        field = f"{path}.{key}" if path else key
+        if key not in given:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key '{field}'")
+            values[key] = default
+            continue
+        values[key] = read(given[key], field)
+        if requirement is not None and not requirement[0](values[key]):
+            raise ConfigError(f"'{field}' {requirement[1]}, got {given[key]!r}")
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key '{path}.{unknown[0]}'")
+    return values
 
 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{path}' must be a number, got {type(value).__name__}")
-    if not math.isfinite(value):
-        raise ConfigError(f"'{path}' must be finite, got {value}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"'{path}' must be finite, got {number}")
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -135,10 +75,38 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"'{path}' must be a string, got {type(value).__name__}")
+    return value
+
+
 def _list(value, path: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"'{path}' must be a list, got {type(value).__name__}")
     return value
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{path}' must be an object, got {type(value).__name__}")
+    return value
+
+
+def _optional(read):
+    """A reader that takes null as None and anything else through read."""
+    return lambda value, path: None if value is None else read(value, path)
+
+
+def _mode_pair(value, path: str) -> tuple[int, int]:
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)):
+        raise ConfigError(f"'{path}' must be a pair of integers")
+    return value[0], value[1]
+
+
+def _modes(value, path: str) -> tuple[tuple[int, int], ...]:
+    return tuple(_mode_pair(m, f"{path}[{i}]") for i, m in enumerate(_list(value, path)))
 
 
 def _level(value, path: str) -> float:
@@ -164,23 +132,87 @@ def _moments(value, path: str) -> list[int]:
 
 
 def _ceilings(value, path: str) -> dict[str, float]:
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{path}' must be an object, got {type(value).__name__}")
-    for key in value:
+    for key in _object(value, path):
         if key not in TrajectoryStats.FUNCTIONALS:
             raise ConfigError(f"unknown key '{path}.{key}'")
     return {key: _number(v, f"{path}.{key}") for key, v in value.items()}
+
+
+def _one_of(choices) -> tuple:
+    return (lambda x: x in choices, "must be one of " + ", ".join(map(repr, choices)))
 
 
 _AT_LEAST_1 = (lambda x: x >= 1, "must be >= 1")
 _POSITIVE = (lambda x: x > 0, "must be positive")
 _NON_NEGATIVE = (lambda x: x >= 0, "must be >= 0")
 _NON_EMPTY = (lambda x: len(x) >= 1, "must not be empty")
-_TWO_OR_MORE = (lambda x: len(x) >= 2, "must list at least 2 levels")
+# 10 and 10.0 are one level; a repeated level would be compared with itself
+_TWO_OR_MORE_LEVELS = (lambda x: len(set(x)) == len(x) >= 2,
+                       "must list at least 2 levels, each once")
+_ONE_OR_MORE_LEVELS = (lambda x: len(set(x)) == len(x) >= 1,
+                       "must list at least 1 level, each once")
 
-# Every check's parameters: key -> (reader, default, requirement).  A reader
-# checks the type and returns the value as the drivers take it; a default of
-# None is the run's mc.n_paths; a requirement is (predicate, message).
+GRID = {
+    "modes_per_dim": (_integer, 64, None),
+    # the noise coefficients and the pivot need the wavenumber 2*pi/L
+    "domain_length": (_number, 2.0 * math.pi,
+                      (lambda x: x > 0 and math.isfinite(2.0 * math.pi / x),
+                       "must be positive with 2*pi/domain_length finite")),
+    "dealias_fraction": (_number, TWO_THIRDS, None),
+}
+
+SOLVER = {
+    "dt": (_number, _REQUIRED, None),
+    "t_end": (_number, _REQUIRED, None),
+    "blowup_threshold": (_number, 1e6, None),
+}
+
+NOISE = {
+    "mode_band": (_integer, 2, _AT_LEAST_1),
+    "modes": (_optional(_modes), None,
+              (lambda m: m is None or len(set(m)) == len(m) >= 1,
+               "must list at least one mode, each once; "
+               "use noise.sigma_kind 'zero' to run without noise")),
+    "coefficient_base": (_number, 1.0, None),
+    "coefficient_decay": (_number, 1.1, None),
+    "sigma_kind": (_string, "rational_square", _one_of(SIGMA_KINDS)),
+    "pivot_mode": (_mode_pair, (1, 0), (lambda j: j != (0, 0), "must be a nonzero wavevector")),
+    # sigma(v) responds at order one when <v,h> does; a unit-norm pivot would
+    # leave the worked-example noise intensity near zero for O(1) velocities
+    "pivot_norm": (_number, 32.0, None),
+    "roughness": (_number, 0.5, (lambda g: 0.0 < g < 1.0, "must lie in (0, 1)")),
+    "hy_level": (_level, math.inf, None),
+}
+
+INITIAL = {
+    "kind": (_string, "random_vorticity", _one_of(("zero", "random_vorticity", "single_mode"))),
+    "amplitude": (_number, 1.0, None),
+    "spectral_decay": (_number, 2.0, None),
+}
+
+MC = {
+    "n_paths": (_integer, 32, _AT_LEAST_1),
+    "base_seed": (_integer, 2026, (lambda s: 0 <= s < 2**63,
+                                   "must be a nonnegative 63-bit integer")),
+}
+
+OUTPUT = {
+    "directory": (_optional(_string), None, None),
+    "snapshot_stride": (_integer, 0, _NON_NEGATIVE),
+}
+
+TOP = {
+    "grid": (_object, _REQUIRED, None),
+    "solver": (_object, _REQUIRED, None),
+    "noise": (_object, {}, None),
+    "initial": (_object, {}, None),
+    "mc": (_object, {}, None),
+    "checks": (_list, [], None),
+    "output": (_object, {}, None),
+    "lq_exponent": (_number, 4.0, _AT_LEAST_1),
+}
+
+# Every check's parameters; a default of None is the run's mc.n_paths.
 CHECK_PARAMS = {
     "energy": {
         "ceilings": (_ceilings, {}, None),
@@ -189,7 +221,7 @@ CHECK_PARAMS = {
         "trials": (_integer, 100, _AT_LEAST_1),
     },
     "hy_uniformity": {
-        "levels": (_levels, (1.0, 10.0, 100.0, math.inf), _TWO_OR_MORE),
+        "levels": (_levels, (1.0, 10.0, 100.0, math.inf), _TWO_OR_MORE_LEVELS),
         "n_paths": (_integer, None, _AT_LEAST_1),
         "factor": (_number, 1.5, _POSITIVE),
     },
@@ -200,7 +232,7 @@ CHECK_PARAMS = {
         "gn_trials": (_integer, 10000, _AT_LEAST_1),
     },
     "zeta_regularity": {
-        "levels": (_levels, (1.0, 100.0, math.inf), _NON_EMPTY),
+        "levels": (_levels, (1.0, 100.0, math.inf), _ONE_OR_MORE_LEVELS),
         "n_paths": (_integer, 8, _AT_LEAST_1),
         "beta": (_number, 0.2, _NON_NEGATIVE),
         "delta": (_number, 0.0, _NON_NEGATIVE),
@@ -217,45 +249,56 @@ CHECK_PARAMS = {
     },
 }
 
+_CHECK_NAME = (_string, _REQUIRED, _one_of(tuple(CHECK_PARAMS)))
+
+
+# the sections this module builds; their fields are their tables' keys
+NoiseConfig = make_dataclass("NoiseConfig", NOISE, frozen=True)
+InitialConfig = make_dataclass("InitialConfig", INITIAL, frozen=True)
+McConfig = make_dataclass("McConfig", MC, frozen=True)
+OutputConfig = make_dataclass("OutputConfig", OUTPUT, frozen=True)
+
+# section -> (the class it builds, its table)
+SECTIONS = {
+    "grid": (SpectralGrid, GRID),
+    "solver": (SolverConfig, SOLVER),
+    "noise": (NoiseConfig, NOISE),
+    "initial": (InitialConfig, INITIAL),
+    "mc": (McConfig, MC),
+    "output": (OutputConfig, OUTPUT),
+}
+
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """One `checks` entry; params keeps the keys as the config gave them."""
+    """One `checks` entry: given keeps its parameters as the config gave
+    them, values holds every parameter as the drivers take it."""
 
     name: str
-    params: tuple[tuple[str, object], ...] = ()
-
-    def __post_init__(self):
-        if self.name not in CHECK_PARAMS:
-            raise ConfigError(f"'checks' entry has unknown name {self.name!r}")
-
-    def param_dict(self) -> dict:
-        return dict(self.params)
+    given: dict
+    values: dict
 
     def value(self, key: str, mc_paths: int | None = None):
-        """The parameter as the drivers take it, or its default; mc_paths
-        stands in for a default of None."""
-        read, default, _ = CHECK_PARAMS[self.name][key]
-        params = self.param_dict()
-        if key in params:
-            return read(params[key], f"checks.{key}")
-        return mc_paths if default is None else default
+        """The parameter, or its default; mc_paths stands in for a default
+        of None."""
+        value = self.values[key]
+        return mc_paths if value is None else value
 
 
-def _check_entry(entry: dict, path: str) -> CheckConfig:
-    """Validate one `checks` entry against CHECK_PARAMS; errors name path.key."""
-    entry = dict(entry)
-    check = CheckConfig(name=_take(entry, "name", path, kind=str),
-                        params=tuple(sorted(entry.items())))
-    table = CHECK_PARAMS[check.name]
-    for key, value in check.params:
-        if key not in table:
-            raise ConfigError(f"unknown key '{path}.{key}'")
-        read, _, requirement = table[key]
-        typed = read(value, f"{path}.{key}")
-        if requirement is not None and not requirement[0](typed):
-            raise ConfigError(f"'{path}.{key}' {requirement[1]}, got {value}")
-    return check
+def _check(entry, path: str) -> CheckConfig:
+    """One `checks` entry, read against its name's CHECK_PARAMS table."""
+    name = _object(entry, path).get("name")
+    params = CHECK_PARAMS.get(name, {}) if isinstance(name, str) else {}
+    values = _read({"name": _CHECK_NAME, **params}, entry, path)
+    return CheckConfig(values.pop("name"),
+                       {k: v for k, v in entry.items() if k != "name"}, values)
+
+
+def _json(value):
+    """A read value as the JSON that reads back to it."""
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return None if value == math.inf else value
 
 
 @dataclass(frozen=True)
@@ -267,7 +310,7 @@ class ExperimentConfig:
     mc: McConfig
     checks: tuple[CheckConfig, ...]
     output: OutputConfig
-    lq_exponent: float = 4.0
+    lq_exponent: float
 
     def build_noise_spec(self) -> CovarianceSpec:
         return build_noise_spec(self.noise, self.grid)
@@ -276,144 +319,37 @@ class ExperimentConfig:
         return build_initial(self.initial, self.grid, self.mc.base_seed)
 
     def resolved(self) -> dict:
-        hy = self.noise.hy_level
+        """Every section key, tuples as lists and infinity as null; checks
+        keep their given keys."""
         return {
-            "grid": {
-                "modes_per_dim": self.grid.modes_per_dim,
-                "domain_length": self.grid.domain_length,
-                "dealias_fraction": self.grid.dealias_fraction,
-            },
-            "solver": {
-                "dt": self.solver.dt,
-                "t_end": self.solver.t_end,
-                "scheme": self.solver.scheme,
-                "blowup_threshold": self.solver.blowup_threshold,
-            },
-            "noise": {
-                "mode_band": self.noise.mode_band,
-                "modes": None if self.noise.modes is None
-                else [list(m) for m in self.noise.modes],
-                "coefficient_base": self.noise.coefficient_base,
-                "coefficient_decay": self.noise.coefficient_decay,
-                "sigma_kind": self.noise.sigma_kind,
-                "pivot_mode": list(self.noise.pivot_mode),
-                "pivot_norm": self.noise.pivot_norm,
-                "roughness": self.noise.roughness,
-                "hy_level": None if hy == math.inf else hy,
-            },
-            "initial": {
-                "kind": self.initial.kind,
-                "amplitude": self.initial.amplitude,
-                "spectral_decay": self.initial.spectral_decay,
-            },
-            "mc": {"n_paths": self.mc.n_paths, "base_seed": self.mc.base_seed},
-            "checks": [{"name": c.name, **c.param_dict()} for c in self.checks],
-            "output": {
-                "directory": self.output.directory,
-                "snapshot_stride": self.output.snapshot_stride,
-            },
+            **{name: {key: _json(getattr(getattr(self, name), key)) for key in table}
+               for name, (_, table) in SECTIONS.items()},
+            "checks": [{"name": c.name, **c.given} for c in self.checks],
             "lq_exponent": self.lq_exponent,
         }
 
 
-def parse_config(doc: dict) -> ExperimentConfig:
+def parse_config(doc, overrides: dict | None = None) -> ExperimentConfig:
+    """The experiment of a JSON document.  overrides maps 'section.key' to a
+    value that replaces the document's before it is read."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    doc = dict(doc)
-
-    grid_tbl = dict(_take(doc, "grid", "", kind=dict))
-    try:
-        grid = SpectralGrid(
-            modes_per_dim=_take(grid_tbl, "modes_per_dim", "grid", 64, int),
-            domain_length=_take_number(grid_tbl, "domain_length", "grid", 2.0 * np.pi),
-            dealias_fraction=_take_number(grid_tbl, "dealias_fraction", "grid", 2.0 / 3.0),
-        )
-    except ValueError as err:
-        # SpectralGrid messages start with the offending field's name
-        raise ConfigError(f"grid.{err}") from err
-    _reject_unknown(grid_tbl, "grid")
-
-    solver_tbl = dict(_take(doc, "solver", "", kind=dict))
-    try:
-        solver = SolverConfig(
-            dt=_take(solver_tbl, "dt", "solver", kind=float),
-            t_end=_take(solver_tbl, "t_end", "solver", kind=float),
-            scheme=_take(solver_tbl, "scheme", "solver", "exp_euler", str),
-            blowup_threshold=_take(solver_tbl, "blowup_threshold", "solver", 1e6, float),
-        )
-    except ValueError as err:
-        # SolverConfig messages start with the offending field's name
-        raise ConfigError(f"solver.{err}") from err
-    _reject_unknown(solver_tbl, "solver")
-
-    noise_tbl = dict(_take(doc, "noise", "", default={}, kind=dict))
-    modes_raw = _take(noise_tbl, "modes", "noise", None)
-    modes = None
-    if modes_raw is not None:
-        if not isinstance(modes_raw, list):
-            raise ConfigError("'noise.modes' must be a list of integer pairs")
-        if not modes_raw:
-            raise ConfigError("'noise.modes' must list at least one mode; "
-                              "use noise.sigma_kind 'zero' to run without noise")
-        modes = tuple(_mode_pair(m, "noise.modes") for m in modes_raw)
-    noise_cfg = NoiseConfig(
-        mode_band=_take(noise_tbl, "mode_band", "noise", 2, int),
-        modes=modes,
-        coefficient_base=_take_number(noise_tbl, "coefficient_base", "noise", 1.0),
-        coefficient_decay=_take_number(noise_tbl, "coefficient_decay", "noise", 1.1),
-        sigma_kind=_take(noise_tbl, "sigma_kind", "noise", "rational_square", str),
-        pivot_mode=_mode_pair(_take(noise_tbl, "pivot_mode", "noise", [1, 0]),
-                              "noise.pivot_mode"),
-        pivot_norm=_take_number(noise_tbl, "pivot_norm", "noise", 32.0),
-        roughness=_take_number(noise_tbl, "roughness", "noise", 0.5),
-        hy_level=_level(_take(noise_tbl, "hy_level", "noise", None), "noise.hy_level"),
-    )
-    _reject_unknown(noise_tbl, "noise")
-
-    initial_tbl = dict(_take(doc, "initial", "", default={}, kind=dict))
-    initial = InitialConfig(
-        kind=_take(initial_tbl, "kind", "initial", "random_vorticity", str),
-        amplitude=_take_number(initial_tbl, "amplitude", "initial", 1.0),
-        spectral_decay=_take_number(initial_tbl, "spectral_decay", "initial", 2.0),
-    )
-    _reject_unknown(initial_tbl, "initial")
-
-    mc_tbl = dict(_take(doc, "mc", "", default={}, kind=dict))
-    mc = McConfig(
-        n_paths=_take(mc_tbl, "n_paths", "mc", 32, int),
-        base_seed=_take(mc_tbl, "base_seed", "mc", 2026, int),
-    )
-    _reject_unknown(mc_tbl, "mc")
-
-    checks_raw = _take(doc, "checks", "", default=[])
-    if not isinstance(checks_raw, list):
-        raise ConfigError("'checks' must be a list")
-    checks = []
-    for i, entry in enumerate(checks_raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"'checks[{i}]' must be an object")
-        checks.append(_check_entry(entry, f"checks[{i}]"))
-
-    output_tbl = dict(_take(doc, "output", "", default={}, kind=dict))
-    directory = _take(output_tbl, "directory", "output", None)
-    if directory is not None and not isinstance(directory, str):
-        raise ConfigError("'output.directory' must be a string or null")
-    output = OutputConfig(
-        directory=directory,
-        snapshot_stride=_take(output_tbl, "snapshot_stride", "output", 0, int),
-    )
-    _reject_unknown(output_tbl, "output")
-
-    lq_exponent = _take_number(doc, "lq_exponent", "", 4.0)
-    if lq_exponent < 1.0:
-        raise ConfigError("'lq_exponent' must be >= 1")
-    _reject_unknown(doc, "")
-
-    return ExperimentConfig(grid, solver, noise_cfg, initial, mc,
-                            tuple(checks), output, lq_exponent)
+    top = _read(TOP, doc, "")
+    for field, value in (overrides or {}).items():
+        section, key = field.split(".")
+        top[section] = {**top[section], key: value}
+    for name, (build, table) in SECTIONS.items():
+        values = _read(table, top[name], name)
+        try:
+            top[name] = build(**values)
+        except ValueError as err:
+            # SpectralGrid and SolverConfig messages start with the field's name
+            raise ConfigError(f"{name}.{err}") from err
+    top["checks"] = tuple(_check(entry, f"checks[{i}]") for i, entry in enumerate(top["checks"]))
+    return ExperimentConfig(**top)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -421,7 +357,7 @@ def load_config(path) -> ExperimentConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
-    return parse_config(doc)
+    return parse_config(doc, overrides)
 
 
 def _band_modes(band: int) -> list[tuple[int, int]]:
@@ -434,24 +370,27 @@ def _band_modes(band: int) -> list[tuple[int, int]]:
     return out
 
 
+def _require_in_band(modes, grid: SpectralGrid, field: str) -> None:
+    try:
+        require_in_band(modes, grid)
+    except ValueError as err:
+        raise ConfigError(
+            f"'{field}': {err} of grid.modes_per_dim {grid.modes_per_dim}") from err
+
+
 def _single_mode_vector(grid: SpectralGrid, j: tuple[int, int],
                         l2_amplitude: float) -> VectorField:
     """Divergence-free cosine mode along k-perp with prescribed L^2 norm."""
+    _require_in_band((j,), grid, "noise.pivot_mode")
+    scale = l2_amplitude / (grid.domain_length / math.sqrt(2.0))
+    if not math.isfinite(scale):
+        raise ConfigError(f"'noise.pivot_norm' gives a non-finite pivot, got {l2_amplitude}")
     n = grid.modes_per_dim
     k0 = 2.0 * np.pi / grid.domain_length
     kvec = k0 * np.array([j[0], j[1]])
-    knorm = float(np.hypot(kvec[0], kvec[1]))
-    if knorm == 0.0:
-        raise ConfigError("'noise.pivot_mode' must be a nonzero wavevector")
-    try:
-        require_in_band((j,), grid)
-    except ValueError as err:
-        raise ConfigError(
-            f"'noise.pivot_mode': {err} of grid.modes_per_dim {n}") from err
-    qhat = np.array([-kvec[1], kvec[0]]) / knorm
+    qhat = np.array([-kvec[1], kvec[0]]) / float(np.hypot(kvec[0], kvec[1]))
     cx = np.zeros((n, n), dtype=np.complex128)
     cy = np.zeros((n, n), dtype=np.complex128)
-    scale = l2_amplitude / (grid.domain_length / np.sqrt(2.0))
     for idx, amp in (((j[0] % n, j[1] % n), 0.5), ((-j[0] % n, -j[1] % n), 0.5)):
         cx[idx] += amp * qhat[0] * scale
         cy[idx] += amp * qhat[1] * scale
@@ -460,33 +399,39 @@ def _single_mode_vector(grid: SpectralGrid, j: tuple[int, int],
 
 
 def build_noise_spec(noise: NoiseConfig, grid: SpectralGrid) -> CovarianceSpec:
-    modes = noise.modes if noise.modes is not None else tuple(_band_modes(noise.mode_band))
-    try:
-        require_in_band(modes, grid)
-    except ValueError as err:
-        field = "noise.modes" if noise.modes is not None else "noise.mode_band"
-        raise ConfigError(
-            f"'{field}': {err} of grid.modes_per_dim {grid.modes_per_dim}") from err
+    if noise.modes is None:
+        # the band's corner is its outermost mode; check it before enumerating
+        _require_in_band(((noise.mode_band, noise.mode_band),), grid, "noise.mode_band")
+        modes = tuple(_band_modes(noise.mode_band))
+    else:
+        _require_in_band(noise.modes, grid, "noise.modes")
+        modes = noise.modes
     k0 = 2.0 * np.pi / grid.domain_length
     coeffs = []
     for j1, j2 in modes:
         knorm = k0 * math.hypot(j1, j2)
-        coeffs.append(noise.coefficient_base * (knorm ** -noise.coefficient_decay
-                                                if knorm > 0 else 1.0))
+        try:
+            weight = knorm ** -noise.coefficient_decay if knorm > 0 else 1.0
+        except OverflowError as err:
+            raise ConfigError(
+                f"'noise.coefficient_decay' overflows |k|^-decay at mode {(j1, j2)}, "
+                f"got {noise.coefficient_decay}") from err
+        coeffs.append(noise.coefficient_base * weight)
+        if not math.isfinite(coeffs[-1]):
+            raise ConfigError(
+                f"'noise.coefficient_base' gives a non-finite coefficient at mode {(j1, j2)}, "
+                f"got {noise.coefficient_base}")
     pivot = None
     if noise.sigma_kind == "rational_square":
         pivot = _single_mode_vector(grid, noise.pivot_mode, noise.pivot_norm)
-    try:
-        return CovarianceSpec(
-            mode_indices=tuple(modes),
-            coefficients=tuple(coeffs),
-            roughness=noise.roughness,
-            sigma_kind=noise.sigma_kind,
-            pivot=pivot,
-            hy_level=noise.hy_level,
-        )
-    except ValueError as err:
-        raise ConfigError(f"noise: {err}") from err
+    return CovarianceSpec(
+        mode_indices=modes,
+        coefficients=tuple(coeffs),
+        roughness=noise.roughness,
+        sigma_kind=noise.sigma_kind,
+        pivot=pivot,
+        hy_level=noise.hy_level,
+    )
 
 
 def build_initial(initial: InitialConfig, grid: SpectralGrid,

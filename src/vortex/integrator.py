@@ -72,7 +72,6 @@ class BlowupError(RuntimeError):
 class SolverConfig:
     dt: float
     t_end: float
-    scheme: str = "exp_euler"
     blowup_threshold: float = 1e6
 
     def __post_init__(self):
@@ -83,8 +82,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
-        if self.scheme != "exp_euler":
-            raise ValueError(f"scheme must be 'exp_euler', got {self.scheme!r}")
         steps = self.t_end / self.dt
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-8 * max(1.0, steps)):
             raise ValueError("t_end must be an integral number of steps")

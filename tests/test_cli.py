@@ -137,6 +137,35 @@ class TestRunCommand:
         assert calls == []
         assert not out.exists()
 
+    def test_overflowing_noise_coefficient_exits_2(self, tmp_path, monkeypatch, capsys):
+        calls = TestSharedSweep.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG, grid={"modes_per_dim": 16, "domain_length": 1000},
+                   noise={"coefficient_decay": 400})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'noise.coefficient_decay'" in err and "Traceback" not in err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, field", [
+        (["--paths", "0"], "mc.n_paths"),
+        (["--seed", "-1"], "mc.base_seed"),
+        (["--seed", "9223372036854775808"], "mc.base_seed"),
+    ])
+    def test_bad_override_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys,
+                                                   override, field):
+        # overrides are read like file values, so they meet the same requirements
+        calls = TestSharedSweep.count_trajectories(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path)),
+                     "--out", str(out), *override]) == 2
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err and "Traceback" not in err
+        assert calls == []
+        assert not out.exists()
+
     def test_bdg_under_default_sigma_writes_checks(self, tmp_path):
         doc = dict(SMALL_CONFIG, noise={"mode_band": 1, "coefficient_base": 0.2},
                    checks=[{"name": "bdg"}])
@@ -321,6 +350,8 @@ class TestCheckParameters:
         ({"name": "identities", "refine": 1}, "checks[1].refine"),
         ({"name": "energy", "ceilings": {"sup_v": 1.0}}, "checks[1].ceilings.sup_v"),
         ({"name": "identities", "refine_trials": 5}, "checks[1].refine_trials"),
+        ({"name": "hy_uniformity", "levels": [None, None]}, "checks[1].levels"),
+        ({"name": "zeta_regularity", "levels": [10, 10.0]}, "checks[1].levels"),
     ])
     def test_bad_entry_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys,
                                                 entry, field):
@@ -352,6 +383,12 @@ class TestCheckCommand:
         names = {c["name"] for c in payload}
         assert "identity.b_energy" in names
         assert all(c["passed"] for c in payload)
+
+    def test_negative_seed_exits_2_naming_the_flag(self, capsys):
+        assert main(["check", "identities", "--grid", "16", "--trials", "1",
+                     "--seed", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert "'--seed' must be a nonnegative 63-bit integer" in err
 
     def test_refine_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

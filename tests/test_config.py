@@ -24,8 +24,7 @@ MINIMAL = {
 def full_doc():
     return {
         "grid": {"modes_per_dim": 32, "domain_length": 6.0, "dealias_fraction": 0.5},
-        "solver": {"dt": 0.002, "t_end": 0.1, "scheme": "exp_euler",
-                   "blowup_threshold": 500.0},
+        "solver": {"dt": 0.002, "t_end": 0.1, "blowup_threshold": 500.0},
         "noise": {"mode_band": 1, "coefficient_base": 0.1, "coefficient_decay": 1.5,
                   "sigma_kind": "constant_one", "pivot_mode": [1, 1],
                   "pivot_norm": 2.0, "roughness": 0.4, "hy_level": 10},
@@ -104,6 +103,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=fr"^'checks\[0\].levels\[1\]' {message}"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("table, key, value, message", [
+        ("noise", "sigma_kind", "bogus", "must be one of 'constant_one'"),
+        ("initial", "kind", "bogus", "must be one of 'zero'"),
+        ("noise", "modes", [[1, 0], [1, 0]], "must list at least one mode, each once"),
+        ("noise", "pivot_mode", [0, 0], "must be a nonzero wavevector"),
+        ("noise", "roughness", 1.0, "must lie in (0, 1)"),
+        ("mc", "n_paths", 0, "must be >= 1"),
+        ("mc", "base_seed", -1, "must be a nonnegative 63-bit integer"),
+        ("mc", "base_seed", 2**63, "must be a nonnegative 63-bit integer"),
+        ("output", "snapshot_stride", -1, "must be >= 0"),
+        ("output", "directory", 3, "must be a string"),
+        ("grid", "domain_length", 1e-320, "must be positive with 2*pi/domain_length finite"),
+    ])
+    def test_section_rejections_name_the_field(self, table, key, value, message):
+        doc = dict(MINIMAL, **{table: {**MINIMAL.get(table, {}), key: value}})
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value).startswith(f"'{table}.{key}' {message}")
+
     def test_empty_mode_list_refused(self):
         doc = dict(MINIMAL, noise={"modes": [], "sigma_kind": "constant_one"})
         with pytest.raises(ConfigError, match="^'noise.modes' must list at least one mode"):
@@ -179,6 +197,20 @@ class TestBuilders:
             parse_config(doc).build_noise_spec()
         assert field in str(err.value)
 
+    @pytest.mark.parametrize("length, noise, field", [
+        # on a long domain |k| is small, so |k|^-decay overflows
+        (1000.0, {"coefficient_decay": 400.0}, "noise.coefficient_decay"),
+        (1000.0, {"coefficient_decay": 100.0, "coefficient_base": 1e100},
+         "noise.coefficient_base"),
+        # the pivot's amplitude is pivot_norm / (L / sqrt 2)
+        (1e-300, {"sigma_kind": "rational_square", "pivot_norm": 1e10}, "noise.pivot_norm"),
+    ])
+    def test_overflow_names_the_field(self, length, noise, field):
+        doc = dict(MINIMAL, grid={"modes_per_dim": 16, "domain_length": length},
+                   noise={"sigma_kind": "constant_one", **noise})
+        with pytest.raises(ConfigError, match=f"^'{field}'"):
+            parse_config(doc).build_noise_spec()
+
     def test_pivot_norm(self):
         doc = dict(MINIMAL)
         doc["noise"] = {"pivot_norm": 1.7}
@@ -239,9 +271,10 @@ class TestCheckParameters:
         assert list(hy.value("levels")) == [1.0, 10.0, 100.0, math.inf]
 
     def test_defaults_meet_their_requirements(self):
-        from vortex.config import CHECK_PARAMS
+        from vortex.config import CHECK_PARAMS, SECTIONS, TOP
 
-        for table in CHECK_PARAMS.values():
+        tables = [*CHECK_PARAMS.values(), *(table for _, table in SECTIONS.values()), TOP]
+        for table in tables:
             for read, default, requirement in table.values():
                 if default is not None and requirement is not None:
                     assert requirement[0](default)
@@ -251,6 +284,12 @@ class TestCheckParameters:
         ({"name": "bdg", "q": True}, "checks[0].q' must be a number"),
         ({"name": "zeta_regularity", "n_paths": 2.0}, "checks[0].n_paths' must be an integer"),
         ({"name": "identities", "trials": 0}, "checks[0].trials' must be >= 1"),
+        # a repeated level, also when spelled differently, would be compared with itself
+        ({"name": "hy_uniformity", "levels": [None, None]},
+         "checks[0].levels' must list at least 2 levels, each once"),
+        ({"name": "zeta_regularity", "levels": [10, 10.0]},
+         "checks[0].levels' must list at least 1 level, each once"),
+        ({"name": "bogus"}, "checks[0].name' must be one of 'energy'"),
     ])
     def test_rejections_name_the_field(self, entry, message):
         with pytest.raises(ConfigError) as err:

@@ -87,8 +87,6 @@ class TestSolverConfig:
             SolverConfig(dt=0.5, t_end=0.1)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.3, t_end=1.0)  # not an integral number of steps
-        with pytest.raises(ValueError):
-            SolverConfig(dt=0.1, t_end=1.0, scheme="rk4")
         assert SolverConfig(dt=1e-3, t_end=0.5).n_steps == 500
 
     @pytest.mark.parametrize("field, value", [
