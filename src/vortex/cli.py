@@ -44,8 +44,7 @@ from .integrator import TrajectoryStats
 from .operators import biot_savart, random_divfree_field
 from .spectral import SpectralGrid, l2_norm
 
-STATS_HEADER = ("path_index", "sup_v_l2sq", "int_grad_v", "sup_xi_lq",
-                "sup_beta_l2", "int_grad_beta", "sup_beta_lq", "status")
+STATS_HEADER = ("path_index", *TrajectoryStats.FUNCTIONALS, "status")
 
 
 def config_hash(resolved: dict) -> str:
@@ -76,14 +75,8 @@ def render_checks_json(checks: list[CheckResult]) -> str:
     return json.dumps([c.to_dict() for c in checks], indent=2, sort_keys=True) + "\n"
 
 
-def write_outputs(stats, checks, outdir, resolved, force: bool = False) -> dict:
-    """Persist stats.csv, checks.json, resolved_config.json and manifest.json.
-
-    Writes are temp-file-then-rename; an already-populated directory is
-    refused unless force is set, and nothing is written before validation.
-    """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _refuse_populated(outdir: Path, force: bool) -> None:
+    """Refuse, unless force, an output directory that holds results."""
     existing = [p for p in ("stats.csv", "checks.json", "manifest.json")
                 if (outdir / p).exists()]
     if existing and not force:
@@ -91,6 +84,18 @@ def write_outputs(stats, checks, outdir, resolved, force: bool = False) -> dict:
             f"output directory {outdir} already holds {existing[0]}; "
             "rerun with --force to overwrite"
         )
+
+
+def write_outputs(stats, checks, outdir, resolved, force: bool = False) -> dict:
+    """Persist stats.csv, checks.json, resolved_config.json and manifest.json.
+
+    Writes are temp-file-then-rename; an already-populated directory is
+    refused unless force is set (`_refuse_populated`), and nothing is written
+    before validation.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _refuse_populated(outdir, force)
     files = {
         "resolved_config.json": json.dumps(resolved, indent=2, sort_keys=True) + "\n",
         "stats.csv": render_stats_csv(stats),
@@ -120,8 +125,9 @@ def run_experiment(config: ExperimentConfig):
     are checked before any path runs.  One `sweep`
     then integrates, once each, the (Hille-Yosida level, path) pairs of the
     main Monte-Carlo, hy_uniformity and zeta_regularity, and writes the
-    snapshots; energy and those two checks reduce its results.  gronwall,
-    bdg and identities integrate their own processes.
+    snapshots; energy and those two checks reduce its results.  gronwall
+    steps its own pairs through the same loop; bdg and identities integrate
+    their own processes.
     """
     grid = config.grid
     spec = config.build_noise_spec()
@@ -133,11 +139,14 @@ def run_experiment(config: ExperimentConfig):
         if chk.name == "energy" and n_main < 2:
             raise ConfigError(f"'mc.n_paths' must be >= 2 for the energy check, got {n_main}")
         if chk.name == "hy_uniformity":
-            demands.append((chk.value("levels"), chk.value("n_paths", n_main), None))
+            demands.append((chk.value("levels"), chk.value("n_paths"), None))
         elif chk.name == "zeta_regularity":
-            zeta_budget(spec.roughness, chk.value("beta"), chk.value("delta"), chk.value("p"))
             probes[i] = HolderProbe(chk.value("beta"), chk.value("delta"), chk.value("q"),
                                     chk.value("stride"))
+            try:
+                zeta_budget(spec.roughness, probes[i].beta, probes[i].delta, chk.value("p"))
+            except ValueError as err:
+                raise ConfigError(f"'checks[{i}]' {err}") from err
             demands.append((chk.value("levels"), chk.value("n_paths"), probes[i]))
     out = config.output
     snapshot_dir = Path(out.directory) / "snapshots" if out.directory else None
@@ -152,8 +161,8 @@ def run_experiment(config: ExperimentConfig):
         elif chk.name == "identities":
             checks.extend(identity_suite(grid, chk.value("trials"), seed))
         elif chk.name == "hy_uniformity":
-            checks.append(hy_uniformity(levels, chk.value("levels"),
-                                        chk.value("n_paths", n_main), seed, chk.value("factor")))
+            checks.append(hy_uniformity(levels, chk.value("levels"), chk.value("n_paths"), seed,
+                                        chk.value("factor")))
         elif chk.name == "gronwall":
             rng = np.random.default_rng(seed + 1)
             v0a = random_divfree_field(grid, rng)
@@ -163,10 +172,8 @@ def run_experiment(config: ExperimentConfig):
             else:
                 bump = random_divfree_field(grid, rng)
                 v0b = v0a + bump * (eps / l2_norm(bump))
-            checks.append(gronwall_uniqueness(
-                v0a, v0b, spec, config.solver, chk.value("n_paths", n_main), seed,
-                chk.value("slack"), chk.value("gn_trials"),
-            ))
+            checks.append(gronwall_uniqueness(v0a, v0b, spec, config.solver, chk.value("n_paths"),
+                                              seed, chk.value("slack"), chk.value("gn_trials")))
         elif chk.name == "zeta_regularity":
             checks.append(zeta_regularity(levels, chk.value("levels"), chk.value("n_paths"),
                                           seed, probes[i], chk.value("p"),
@@ -192,11 +199,7 @@ def cmd_run(args) -> int:
         raise ConfigError("no output directory: set output.directory or pass --out")
     resolved = config.resolved()
     outdir = Path(config.output.directory)
-    # fail-closed before any computation
-    if (outdir / "stats.csv").exists() and not args.force:
-        raise ConfigError(
-            f"output directory {outdir} already holds stats.csv; use --force"
-        )
+    _refuse_populated(outdir, args.force)  # fail-closed before any computation
     stats, checks = run_experiment(config)
     write_outputs(stats, checks, outdir, resolved, force=args.force)
     for c in checks:

@@ -212,7 +212,8 @@ TOP = {
     "lq_exponent": (_number, 4.0, _AT_LEAST_1),
 }
 
-# Every check's parameters; a default of None is the run's mc.n_paths.
+# Every check's parameters; a default of None is the run's mc.n_paths, filled
+# in when the check is read.
 CHECK_PARAMS = {
     "energy": {
         "ceilings": (_ceilings, {}, None),
@@ -278,20 +279,20 @@ class CheckConfig:
     given: dict
     values: dict
 
-    def value(self, key: str, mc_paths: int | None = None):
-        """The parameter, or its default; mc_paths stands in for a default
-        of None."""
-        value = self.values[key]
-        return mc_paths if value is None else value
+    def value(self, key: str):
+        """The parameter, or its default."""
+        return self.values[key]
 
 
-def _check(entry, path: str) -> CheckConfig:
-    """One `checks` entry, read against its name's CHECK_PARAMS table."""
+def _check(entry, path: str, mc_paths: int) -> CheckConfig:
+    """One `checks` entry, read against its name's CHECK_PARAMS table;
+    mc_paths stands in for a default of None."""
     name = _object(entry, path).get("name")
     params = CHECK_PARAMS.get(name, {}) if isinstance(name, str) else {}
     values = _read({"name": _CHECK_NAME, **params}, entry, path)
     return CheckConfig(values.pop("name"),
-                       {k: v for k, v in entry.items() if k != "name"}, values)
+                       {k: v for k, v in entry.items() if k != "name"},
+                       {k: mc_paths if v is None else v for k, v in values.items()})
 
 
 def _json(value):
@@ -345,7 +346,8 @@ def parse_config(doc, overrides: dict | None = None) -> ExperimentConfig:
         except ValueError as err:
             # SpectralGrid and SolverConfig messages start with the field's name
             raise ConfigError(f"{name}.{err}") from err
-    top["checks"] = tuple(_check(entry, f"checks[{i}]") for i, entry in enumerate(top["checks"]))
+    top["checks"] = tuple(_check(entry, f"checks[{i}]", top["mc"].n_paths)
+                          for i, entry in enumerate(top["checks"]))
     return ExperimentConfig(**top)
 
 
@@ -445,7 +447,10 @@ def build_initial(initial: InitialConfig, grid: SpectralGrid,
         c[1, 0] = initial.amplitude / 2.0
         c[-1 % n, 0] = initial.amplitude / 2.0
         return None, ScalarField.from_lattice(grid, c, "initial")
-    rng = initial_rng(base_seed)
-    xi0 = random_scalar_field(grid, rng, decay=initial.spectral_decay,
-                              amplitude=initial.amplitude)
+    try:
+        xi0 = random_scalar_field(grid, initial_rng(base_seed), decay=initial.spectral_decay,
+                                  amplitude=initial.amplitude)
+    except ValueError as err:
+        raise ConfigError("'initial.spectral_decay' overflows the |k|^-decay spectrum "
+                          f"on this grid, got {initial.spectral_decay}") from err
     return None, xi0

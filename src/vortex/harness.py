@@ -7,8 +7,11 @@ The solutions of the coupled system are integrated in one place: `sweep`
 runs each (Hille-Yosida level, path) a run needs exactly once, and keeps
 per path only scalars (the stats and the zeta Holder quotients).  The
 energy report, `hy_uniformity` and `zeta_regularity` are pure reductions
-over its results.  The Gronwall pair, the BDG sums and the identity suites
-integrate their own, different processes.
+over its results.  The Gronwall pair steps its two solutions through the
+integrator's one loop, `trajectory`, and keeps only the weighted
+difference.  The BDG sums integrate the frozen operator G_n(v0) from the
+noise's `mode_weights` and `basis_values`, and the identity suites take
+fresh random fields.
 
 Every check is reproducible bit-for-bit from (config, seed): paths use
 counter-based RNG streams keyed by (seed, path, step) and reductions run
@@ -35,17 +38,15 @@ from .integrator import (
     _sup,
     holder_quotient,
     run_trajectory,
-    velocity_step,
+    trajectory,
 )
 from .noise import (
     CovarianceSpec,
-    apply_G,
     basis_l2_sq_sum,
-    build_noise_basis,
-    mode_ksq,
+    basis_values,
+    mode_weights,
     operator_norms,
     sample_increment,
-    scatter_plan,
     sigma_eval,
 )
 from .operators import (
@@ -59,7 +60,6 @@ from .operators import (
     gradient,
     random_divfree_field,
     random_scalar_field,
-    vorticity_values,
 )
 from .spectral import (
     ScalarField,
@@ -140,7 +140,7 @@ def mc_mean_stderr(values) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=8)
-def measure_gn_constant(grid: SpectralGrid, trials: int = 10000, seed: int = 7) -> float:
+def measure_gn_constant(grid: SpectralGrid, trials: int, seed: int = 7) -> float:
     """Gagliardo-Nirenberg constant on the torus: the largest observed ratio
     ||V||^2_{L^4} / (||V||_{L^2} ||grad V||_{L^2}) over random mean-zero
     divergence-free fields."""
@@ -330,7 +330,7 @@ def _read_levels(name: str, results, levels, n_paths: int, seed: int):
 
 
 def hy_uniformity(results: dict[float, list[PathResult]], levels, n_paths: int,
-                  base_seed: int, factor: float = 1.5) -> CheckResult:
+                  base_seed: int, factor: float) -> CheckResult:
     """Uniformity in the Hille-Yosida level, reduced from a sweep: across the
     levels, the max/min ratio of every functional's mean over the first
     n_paths matched-seed paths must stay below factor.  A path among them
@@ -358,7 +358,7 @@ def hy_uniformity(results: dict[float, list[PathResult]], levels, n_paths: int,
 
 def zeta_regularity(results: dict[float, list[PathResult]], levels, n_paths: int,
                     base_seed: int, probe: HolderProbe, p: float,
-                    stability_factor: float = 2.0) -> CheckResult:
+                    stability_factor: float) -> CheckResult:
     """Holder quotients of the stochastic convolution in W^{delta,q},
     reduced from a sweep that computed `probe` at every level; check the
     parameters with zeta_budget before the sweep.
@@ -391,57 +391,36 @@ def zeta_regularity(results: dict[float, list[PathResult]], levels, n_paths: int
 # Gronwall / pathwise uniqueness
 
 
-def gronwall_pair(
-    v0_a: VectorField,
-    v0_b: VectorField,
-    spec: CovarianceSpec,
-    cfg: SolverConfig,
-    seed: int,
-    path_index: int,
-    a_const: float,
-    lg: float,
-) -> dict:
-    """Two coupled velocity solutions under identical increments.
+def gronwall_pair(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
+                  cfg: SolverConfig, seed: int, path_index: int, a_const: float,
+                  lg: float) -> dict:
+    """Two solutions under identical increments: the `trajectory` of
+    (seed, path_index) from each initial velocity, stepped side by side.
 
     Returns the weighted-difference series M(t) = exp(-int_0^t psi) ||V(t)||^2
     with psi = a ||grad v1||^2 + L_g^2 (left-endpoint quadrature), the raw
     sup of ||V||, and the status, 'blowup' if either solution blew up (the
     series end there) or else 'completed'.
     """
-    touched = scatter_plan(spec, v0_a.grid).touched
-    v1, v2 = v0_a, v0_b
-    int_psi = 0.0
-    m_series = [l2_norm(v1 - v2) ** 2]
-    sup_v = l2_norm(v1 - v2)
+    first, second = (trajectory(v0, curl(v0), spec, cfg, seed, path_index)
+                     for v0 in (v0_a, v0_b))
+    int_psi, psi = 0.0, 0.0
+    m_series, sup_v = [], 0.0
     try:
-        for step in range(cfg.n_steps):
-            psi = a_const * grad_norm_l2(v1) ** 2 + lg * lg
-            dW = sample_increment(seed, path_index, step, spec, cfg.dt)
-            t = step * cfg.dt
-            v1, _ = velocity_step(v1, vorticity_values(v1), apply_G(v1, dW, spec), touched,
-                                  cfg, t)
-            v2, _ = velocity_step(v2, vorticity_values(v2), apply_G(v2, dW, spec), touched,
-                                  cfg, t)
+        for (one, _, _), (two, _, _) in zip(first, second):
             int_psi += cfg.dt * psi
-            vnorm = l2_norm(v1 - v2)
+            vnorm = l2_norm(one.v - two.v)
             sup_v = max(sup_v, vnorm)
             m_series.append(math.exp(-int_psi) * vnorm**2)
+            psi = a_const * grad_norm_l2(one.v) ** 2 + lg * lg
     except BlowupError:
         return {"m_series": m_series, "sup_v": sup_v, "status": "blowup"}
     return {"m_series": m_series, "sup_v": sup_v, "status": "completed"}
 
 
-def gronwall_uniqueness(
-    v0_a: VectorField,
-    v0_b: VectorField,
-    spec: CovarianceSpec,
-    cfg: SolverConfig,
-    n_paths: int,
-    base_seed: int,
-    slack: float = 1.05,
-    gn_trials: int = 10000,
-    lg_trials: int = 200,
-) -> CheckResult:
+def gronwall_uniqueness(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
+                        cfg: SolverConfig, n_paths: int, base_seed: int, slack: float,
+                        gn_trials: int, lg_trials: int = 200) -> CheckResult:
     """Discrete pathwise-uniqueness check.
 
     Identical data must stay identical to machine precision; perturbed data
@@ -595,15 +574,9 @@ def simulate_bdg_sups(frames, q: float, n_paths: int, base_seed: int, t_end: flo
     """
     n_steps = int(round(t_end / dt))
     half = n_steps // 2
-    operators = []
-    for spec, v0 in frames:
-        n = spec.hy_level
-        hy = 1.0 if n == math.inf else n / (n + mode_ksq(spec, v0.grid))
-        amps = np.asarray(spec.coefficients) * sigma_eval(v0, spec) * hy
-        # each mode's physical velocity, both components: (m, 2 N^2)
-        e_phys = np.stack([np.concatenate([c.ravel() for c in to_physical(e)])
-                           for e in build_noise_basis(spec, v0.grid)])
-        operators.append((amps, e_phys, v0.grid))
+    # each mode's weight and physical velocity, both components: (m, 2 N^2)
+    operators = [(mode_weights(spec, v0), basis_values(spec, v0.grid).reshape(spec.n_modes, -1),
+                  v0.grid) for spec, v0 in frames]
     draw_spec = frames[0][0]
 
     def worker(path):
@@ -632,18 +605,9 @@ def simulate_bdg_sups(frames, q: float, n_paths: int, base_seed: int, t_end: flo
     return np.array(run_paths(worker, n_paths, path_workers(largest)))
 
 
-def bdg_report(
-    spec: CovarianceSpec,
-    grid: SpectralGrid,
-    v0: VectorField,
-    q: float,
-    m_list,
-    n_paths: int,
-    base_seed: int,
-    t_end: float,
-    dt: float,
-    stability: float = 0.5,
-) -> list[CheckResult]:
+def bdg_report(spec: CovarianceSpec, grid: SpectralGrid, v0: VectorField, q: float, m_list,
+               n_paths: int, base_seed: int, t_end: float, dt: float,
+               stability: float) -> list[CheckResult]:
     """Fitted constants C_m = E sup_t ||X||^m_{L^q} / (T ||Phi||^2_R)^{m/2}
     across two grid sizes (N, 2N) and two horizons (T/2, T); PASS when every
     constant sits within +-stability of their mean.  Both grids read the

@@ -20,6 +20,11 @@ there in place, so a step builds no dense noise field.  The blow-up guard
 measures ||v|| of each new state, and the path statistics take that value
 rather than measuring it again.
 
+One loop steps every solution the program integrates: the generator
+`trajectory` yields each visited state.  `run_trajectory` reduces it to
+the path statistics, and the harness's Gronwall pair steps two of them
+side by side, so the checks exercise the same code as a run.
+
 The velocity nonlinearity is taken in rotational form,
 P B(v,v) = P[w (-u_y, u_x)] with u the dealiased v and w its curl, so
 each step transforms the vorticity to physical space once and shares it
@@ -233,31 +238,23 @@ def _inside_dealias_band(v: VectorField, spec: CovarianceSpec) -> bool:
             and bool(np.all(g.dealias_mask.ravel()[scatter_plan(spec, g).touched])))
 
 
-def run_trajectory(
-    v0: VectorField | None,
-    xi0: ScalarField,
-    spec: CovarianceSpec,
-    cfg: SolverConfig,
-    seed: int,
-    path_index: int = 0,
-    lq_exponent: float = 4.0,
-    observer=None,
-) -> TrajectoryResult:
-    """Integrate the velocity v and the stochastic convolution zeta over
-    [0, t_end] on shared increments; each step derives the vorticity
-    xi = curl v and the remainder beta = xi - zeta.
+def trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpec,
+               cfg: SolverConfig, seed: int, path_index: int = 0):
+    """The one time-step loop: the (seed, path_index) solution over
+    [0, t_end].  The velocity v and the stochastic convolution zeta step on
+    shared increments; the vorticity xi = curl v and the remainder
+    beta = xi - zeta are derived after each step.
+
+    Yields (state, physical values of its xi, L2 norm of its v) for each
+    visited state in step order, the state after k steps k-th.  Raises
+    BlowupError when the L2 norm of v or xi leaves the threshold or is not
+    finite.  Deterministic given (seed, path_index).
 
     xi0 must be finite and real with zero mean.
     v0 = None derives the velocity from xi0 by Biot-Savart; otherwise v0
     must be real and curl(v0) must match xi0 to 1e-10 relative.  Realness
     is checked here once, not per transform (see `spectral`).  The state at
-    t = 0 carries xi0 itself.  Returns early with status 'blowup' if the L2 norm of v or
-    xi leaves the threshold or is not finite.  Deterministic given
-    (seed, path_index).  The result holds the final state and the path
-    functionals.  An observer callable, if given, sees each visited
-    CoupledState once, in step order (its k-th call the state after k
-    steps); callers derive from it whatever else they need of a path, such
-    as recorded states, snapshot files or zeta samples.
+    t = 0 carries xi0 itself.
     """
     grid = xi0.grid
     scale = np.max(np.abs(xi0.half))
@@ -283,36 +280,48 @@ def run_trajectory(
     xi_values = to_physical(xi0)
     # curl(v0) may differ from xi0 by up to the tolerance above
     vorticity = vorticity_values(v0)
-
     v_norm = l2_norm(v0)
+
+    for step in range(cfg.n_steps):
+        yield state, xi_values, v_norm
+        dW = sample_increment(seed, path_index, step, spec, cfg.dt)
+        noise = apply_G(state.v, dW, spec)
+        v_new, v_norm = velocity_step(state.v, vorticity, noise, touched, cfg, state.t)
+        # the stochastic convolution: zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]
+        zeta_new = _stepped(decay, state.zeta, touched, noise[2])
+        xi_new = curl(v_new)
+        _guarded(xi_new, "vorticity", cfg, state.t)
+        xi_values = to_physical(xi_new)
+        vorticity = xi_values if in_band else vorticity_values(v_new)
+        state = CoupledState((step + 1) * cfg.dt, v_new, xi_new, zeta_new,
+                             xi_new - zeta_new)
+    yield state, xi_values, v_norm
+
+
+def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpec,
+                   cfg: SolverConfig, seed: int, path_index: int = 0,
+                   lq_exponent: float = 4.0, observer=None) -> TrajectoryResult:
+    """The path functionals and the last visited state of the `trajectory`
+    of (seed, path_index); status 'blowup' if a step blew up, which ends the
+    path there.  An observer callable, if given, sees each visited
+    CoupledState once, in step order (its k-th call the state after k
+    steps); callers derive from it whatever else they need of a path, such
+    as recorded states, snapshot files or zeta samples.
+    """
+    grid = xi0.grid
     stats = TrajectoryStats()
-
-    def observe(st: CoupledState, xi_values: np.ndarray, v_norm: float, last: bool):
-        if observer is not None:
-            observer(st)
-        stats.sup_v_l2sq = _sup(stats.sup_v_l2sq, v_norm ** 2)
-        stats.sup_xi_lq = _sup(stats.sup_xi_lq, lq_norm_values(xi_values, lq_exponent, grid))
-        stats.sup_beta_l2 = _sup(stats.sup_beta_l2, l2_norm(st.beta))
-        stats.sup_beta_lq = _sup(stats.sup_beta_lq, lq_norm(st.beta, lq_exponent))
-        if not last:
-            stats.int_grad_v += cfg.dt * grad_norm_l2(st.v) ** 2
-            stats.int_grad_beta += cfg.dt * grad_norm_l2_scalar(st.beta) ** 2
-
     try:
-        for step in range(cfg.n_steps):
-            observe(state, xi_values, v_norm, last=False)
-            dW = sample_increment(seed, path_index, step, spec, cfg.dt)
-            noise = apply_G(state.v, dW, spec)
-            v_new, v_norm = velocity_step(state.v, vorticity, noise, touched, cfg, state.t)
-            # the stochastic convolution: zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]
-            zeta_new = _stepped(decay, state.zeta, touched, noise[2])
-            xi_new = curl(v_new)
-            _guarded(xi_new, "vorticity", cfg, state.t)
-            xi_values = to_physical(xi_new)
-            vorticity = xi_values if in_band else vorticity_values(v_new)
-            state = CoupledState((step + 1) * cfg.dt, v_new, xi_new, zeta_new,
-                                 xi_new - zeta_new)
-        observe(state, xi_values, v_norm, last=True)
+        for k, (state, xi_values, v_norm) in enumerate(
+                trajectory(v0, xi0, spec, cfg, seed, path_index)):
+            if observer is not None:
+                observer(state)
+            stats.sup_v_l2sq = _sup(stats.sup_v_l2sq, v_norm ** 2)
+            stats.sup_xi_lq = _sup(stats.sup_xi_lq, lq_norm_values(xi_values, lq_exponent, grid))
+            stats.sup_beta_l2 = _sup(stats.sup_beta_l2, l2_norm(state.beta))
+            stats.sup_beta_lq = _sup(stats.sup_beta_lq, lq_norm(state.beta, lq_exponent))
+            if k < cfg.n_steps:
+                stats.int_grad_v += cfg.dt * grad_norm_l2(state.v) ** 2
+                stats.int_grad_beta += cfg.dt * grad_norm_l2_scalar(state.beta) ** 2
     except BlowupError:
         stats.status = "blowup"
 

@@ -1,5 +1,5 @@
-"""Multiplicative noise: covariance specification, basis construction,
-Wiener increments, Hille-Yosida regularization and operator norms.
+"""Multiplicative noise: covariance specification, the scatter plan of its
+basis, Wiener increments, Hille-Yosida regularization and operator norms.
 
 The covariance acts diagonally on a finite family of divergence-free
 Fourier modes: applied to the k-th basis direction it returns
@@ -16,10 +16,13 @@ mode, with the velocity and vorticity amplitudes there, and the few
 distinct half-spectrum coefficients they touch.  `apply_G` evaluates
 sigma(v) once and returns the noise increment at those coefficients only,
 velocity and vorticity together, so a time step builds no dense noise
-field: it adds the increment in place.  The check-time code (operator
-norms, BDG sums) fills dense half-spectrum fields from the plan, uncached
-(`build_noise_basis`).  Nothing at run time reads the stacked `NoiseBasis`;
-it is the dense full-lattice reference of the plan.
+field: it adds the increment in place.  Since e_k has the single
+frequency |k|, G_n(v) h_k is e_k times the scalar `mode_weights`
+c_k sigma(v) n/(n+|k|^2), so the check-time code (operator norms, BDG
+sums) reads the plan through two helpers only: those weights and the
+physical values of every e_k (`basis_values`).  Nothing at run time reads
+the stacked `NoiseBasis`; it is the one dense full-lattice reference of
+the plan.
 """
 
 from __future__ import annotations
@@ -30,17 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (
-    Field,
-    ScalarField,
-    SpectralGrid,
-    VectorField,
-    bessel_multiplier,
-    l2_inner,
-    lattice,
-    sobolev_norm_spectral,
-    to_physical,
-)
+from .spectral import SpectralGrid, VectorField, l2_inner, lattice
 
 SIGMA_KINDS = ("constant_one", "rational_square", "zero")
 
@@ -230,31 +223,30 @@ def scatter_plan(spec: CovarianceSpec, grid: SpectralGrid) -> ScatterPlan:
     return _cached_plan(spec.mode_indices, spec.roughness, grid)
 
 
-def build_noise_basis(spec: CovarianceSpec, grid: SpectralGrid) -> list[VectorField]:
-    """Velocity basis elements e_k: divergence-free single-frequency modes
-    aligned with k-perp, normalized so ||e_k||_{W^{1-g,2}} = 1.
-
-    A raw cosine/sine mode has L^2 norm L/sqrt(2), so the normalization
-    divides by (1+|k|^2)^((1-g)/2) * L/sqrt(2); the constant mode (0,0) is
-    the unit-L^2 field (1/L, 0).  The dense halves hold the amplitudes of
-    `scatter_plan`.
-    """
-    plan = scatter_plan(spec, grid)
-    n = grid.modes_per_dim
-    out: list[VectorField] = []
-    for m in range(spec.n_modes):
-        at = plan.mode == m
-        half = np.zeros((2, n * (n // 2 + 1)), dtype=np.complex128)
-        half[:, plan.touched[plan.slot[at]]] = plan.velocity[:, at]
-        half = half.reshape(2, n, n // 2 + 1)
-        out.append(VectorField(ScalarField(grid, half[0]), ScalarField(grid, half[1])))
-    return out
-
-
 def mode_ksq(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
     """|k|^2 of each listed mode, in mode order."""
     k0 = 2.0 * np.pi / grid.domain_length
     return np.array([k0 * k0 * (j1 * j1 + j2 * j2) for j1, j2 in spec.mode_indices])
+
+
+def _dense_halves(spec: CovarianceSpec, grid: SpectralGrid,
+                  amplitudes: np.ndarray) -> np.ndarray:
+    """(modes, rows, N, N/2+1) halves holding each mode's plan amplitudes,
+    one row of `amplitudes` (rows, plan entries) per row, zero elsewhere."""
+    plan = scatter_plan(spec, grid)
+    n = grid.modes_per_dim
+    half = np.zeros((spec.n_modes, len(amplitudes), n * (n // 2 + 1)), dtype=np.complex128)
+    half[plan.mode, :, plan.touched[plan.slot]] = amplitudes.T
+    return half.reshape(spec.n_modes, len(amplitudes), n, n // 2 + 1)
+
+
+def basis_values(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
+    """The physical values of every basis element e_k, (modes, 2, N, N):
+    one batched irfft2 of the plan's velocity amplitudes."""
+    n = grid.modes_per_dim
+    values = np.fft.irfft2(_dense_halves(spec, grid, scatter_plan(spec, grid).velocity), s=(n, n))
+    values *= n * n  # in place, as to_physical scales
+    return values
 
 
 class NoiseBasis:
@@ -267,11 +259,7 @@ class NoiseBasis:
         self.spec = spec
         self.grid = grid
         plan = scatter_plan(spec, grid)
-        n = grid.modes_per_dim
-        half = np.zeros((spec.n_modes, 3, n * (n // 2 + 1)), dtype=np.complex128)
-        half[plan.mode, :, plan.touched[plan.slot]] = np.vstack(
-            (plan.velocity, plan.vorticity)).T
-        full = lattice(half.reshape(spec.n_modes, 3, n, n // 2 + 1))
+        full = lattice(_dense_halves(spec, grid, np.vstack((plan.velocity, plan.vorticity))))
         self.vel_stack, self.vor_stack = full[:, :2], full[:, 2]
         self.velocity, self.vorticity = list(self.vel_stack), list(self.vor_stack)
         self.mode_ksq = mode_ksq(spec, grid)
@@ -285,21 +273,6 @@ def sigma_eval(v: VectorField, spec: CovarianceSpec) -> float:
         return 1.0
     s = l2_inner(v, spec.pivot)
     return s * s / (1.0 + s * s)
-
-
-def hille_yosida(field: Field, n: float) -> Field:
-    """R_n = n (nI - Laplacian)^{-1}: per-mode multiplication by n/(n+|k|^2).
-
-    A contraction in every W^{s,q}; n = inf is the identity.
-    """
-    if n == math.inf:
-        return field
-    if not n > 0:
-        raise ValueError(f"Hille-Yosida level must be positive, got {n}")
-    if isinstance(field, VectorField):
-        return VectorField(hille_yosida(field.vx, n), hille_yosida(field.vy, n))
-    mult = n / (n + field.grid.ksq)
-    return ScalarField(field.grid, field.half * mult)
 
 
 def apply_G(v: VectorField, dW: WienerIncrement, spec: CovarianceSpec) -> np.ndarray:
@@ -330,22 +303,20 @@ def apply_G(v: VectorField, dW: WienerIncrement, spec: CovarianceSpec) -> np.nda
     return out
 
 
-def noise_mode_fields(spec: CovarianceSpec, v: VectorField) -> list[VectorField]:
-    """The images G_n(v) h_k = R_n[c_k sigma(v) e_k]."""
-    sig = sigma_eval(v, spec)
-    return [hille_yosida(e * (c * sig), spec.hy_level)
-            for c, e in zip(spec.coefficients, build_noise_basis(spec, v.grid))]
+def mode_weights(spec: CovarianceSpec, v: VectorField) -> np.ndarray:
+    """c_k sigma(v) n/(n+|k|^2) per mode: G_n(v) h_k = R_n[c_k sigma(v) e_k]
+    is this weight times e_k, since e_k has the single frequency |k|."""
+    n = spec.hy_level
+    hy = 1.0 if n == math.inf else n / (n + mode_ksq(spec, v.grid))
+    return np.asarray(spec.coefficients) * sigma_eval(v, spec) * hy
 
 
-def operator_norms(
-    v: VectorField,
-    spec: CovarianceSpec,
-    s: float,
-    q: float,
-) -> dict[str, float]:
+def operator_norms(v: VectorField, spec: CovarianceSpec, s: float, q: float) -> dict[str, float]:
     """Hilbert-Schmidt and gamma-radonifying norms of the noise operator.
 
-    hs          = (sum_k ||G(v)h_k||^2_{W^{s,2}})^(1/2), spectral Parseval.
+    hs          = (sum_k ||G(v)h_k||^2_{W^{s,2}})^(1/2), in closed form:
+                  J^s G(v)h_k = w_k (1+|k|^2)^(s/2) e_k with w_k the
+                  `mode_weights`, and ||e_k||^2_{L^2} is `_basis_l2_sq`.
     radonifying = || (sum_k |J^s G(v)h_k|^2)^(1/2) ||_{L^q}, the square
                   function evaluated pointwise in physical space.
     The two agree for q = 2.
@@ -354,24 +325,22 @@ def operator_norms(
         raise ValueError("radonifying norm is not defined for q = inf")
     if not q >= 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    hs_sq = 0.0
-    square_fn = np.zeros((v.grid.modes_per_dim,) * 2)
-    for f in noise_mode_fields(spec, v):
-        hs_sq += sobolev_norm_spectral(f, s) ** 2
-        px, py = to_physical(bessel_multiplier(f, s))
-        square_fn += px * px + py * py
-    cell = v.grid.cell_area
-    radonifying = float((np.sum(square_fn ** (q / 2.0)) * cell) ** (1.0 / q))
-    return {"hs": float(np.sqrt(hs_sq)), "radonifying": radonifying}
+    amps_sq = (mode_weights(spec, v) ** 2) * (1.0 + mode_ksq(spec, v.grid)) ** s
+    hs = math.sqrt(float(np.sum(amps_sq * _basis_l2_sq(spec, v.grid))))
+    values = basis_values(spec, v.grid)
+    square_fn = np.einsum("m,mcij->ij", amps_sq, values * values)
+    radonifying = float((np.sum(square_fn ** (q / 2.0)) * v.grid.cell_area) ** (1.0 / q))
+    return {"hs": hs, "radonifying": radonifying}
+
+
+def _basis_l2_sq(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
+    """||e_k||^2_{L^2} per mode: unit W^{1-g,2} norm gives (1+|k|^2)^-(1-g),
+    which is 1 for the constant mode."""
+    return (1.0 + mode_ksq(spec, grid)) ** -(1.0 - spec.roughness)
 
 
 def basis_l2_sq_sum(spec: CovarianceSpec, grid: SpectralGrid) -> float:
     """sum_k c_k^2 ||e_k||^2_{L^2}; the covariance factor in the Lipschitz
     bound ||G(v1)-G(v2)||_{HS(H;L^2)} <= Lip(sigma) (sum c^2 ||e||^2)^(1/2)
-    ||v1-v2||.
-
-    Unit W^{1-g,2} norm gives ||e_k||^2_{L^2} = (1+|k|^2)^-(1-g), and the
-    constant mode has unit L^2 norm."""
-    ksq = mode_ksq(spec, grid)
-    e_sq = np.where(ksq > 0, (1.0 + ksq) ** -(1.0 - spec.roughness), 1.0)
-    return float(sum(c * c * e for c, e in zip(spec.coefficients, e_sq)))
+    ||v1-v2||."""
+    return float(sum(c * c * e for c, e in zip(spec.coefficients, _basis_l2_sq(spec, grid))))

@@ -187,6 +187,7 @@ def random_scalar_field(
 ) -> ScalarField:
     """Mean-zero random field: |k|^-decay spectral amplitudes, random phases,
     Hermitian-symmetrized, dealiased, scaled to ||f||_{L^2} = amplitude.
+    A decay whose spectrum overflows before the scaling is a ValueError.
 
     The draws fill the whole (N, N) lattice, so a seed gives the same field
     however it is stored; the half of their Hermitian part is kept."""
@@ -195,15 +196,18 @@ def random_scalar_field(
     ksq = lattice(grid.ksq).real
     shape = np.zeros_like(ksq)
     nonzero = ksq > 0
-    shape[nonzero] = ksq[nonzero] ** (-decay / 2.0)
-    weighted = raw * shape * lattice(grid.dealias_mask.astype(float)).real
-    # the half of the Hermitian part (c(k) + conj(c(-k))) / 2
-    flip = -np.arange(n) % n
-    mirror = np.conj(weighted[np.ix_(flip, flip[: n // 2 + 1])])
-    half = 0.5 * (weighted[:, : n // 2 + 1] + mirror)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        shape[nonzero] = ksq[nonzero] ** (-decay / 2.0)
+        weighted = raw * shape * lattice(grid.dealias_mask.astype(float)).real
+        # the half of the Hermitian part (c(k) + conj(c(-k))) / 2
+        flip = -np.arange(n) % n
+        mirror = np.conj(weighted[np.ix_(flip, flip[: n // 2 + 1])])
+        half = 0.5 * (weighted[:, : n // 2 + 1] + mirror)
     half[0, 0] = 0.0
     field = ScalarField(grid, half)
     norm = l2_norm(field)
+    if not np.isfinite(norm):
+        raise ValueError(f"decay {decay} overflows the |k|^-decay spectrum")
     if norm == 0.0:
         return field
     return field * (amplitude / norm)

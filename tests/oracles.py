@@ -1,14 +1,15 @@
 """Independent oracles the tests judge the program by: the discretised
 vorticity and remainder equations, which `run_trajectory` derives instead of
-stepping; the dense noise sum that `apply_G` scatters; the analytic
-Lipschitz constant of sigma; and the running-maximum moments of a Brownian
-motion that the BDG check is measured against."""
+stepping; the dense noise sum that `apply_G` scatters, with R_n applied
+over the whole grid; the basis elements read from the dense `NoiseBasis`;
+the analytic Lipschitz constant of sigma; and the running-maximum moments
+of a Brownian motion that the BDG check is measured against."""
 
 import math
 
 import numpy as np
 
-from vortex.noise import NoiseBasis, apply_G, hille_yosida, scatter_plan, sigma_eval
+from vortex.noise import NoiseBasis, apply_G, scatter_plan, sigma_eval
 from vortex.operators import bilinear_F
 from vortex.spectral import ScalarField, VectorField, heat_decay, l2_norm
 
@@ -21,6 +22,23 @@ def scattered(noise, spec, grid):
     dense[:, scatter_plan(spec, grid).touched] = noise
     vx, vy, vorticity = (ScalarField(grid, c) for c in dense.reshape(3, n, n // 2 + 1))
     return VectorField(vx, vy), vorticity
+
+
+def basis_fields(spec, grid):
+    """The velocity basis elements e_k, as fields of the dense NoiseBasis's
+    full lattices."""
+    return [VectorField(*(ScalarField.from_lattice(grid, c) for c in e))
+            for e in NoiseBasis(spec, grid).velocity]
+
+
+def hille_yosida(field, n):
+    """R_n = n (nI - Laplacian)^{-1} over the whole grid: per-mode
+    multiplication by n/(n+|k|^2); n = inf is the identity."""
+    if n == math.inf:
+        return field
+    if isinstance(field, VectorField):
+        return VectorField(hille_yosida(field.vx, n), hille_yosida(field.vy, n))
+    return ScalarField(field.grid, field.half * (n / (n + field.grid.ksq)))
 
 
 def dense_apply_G(v, dW, spec):

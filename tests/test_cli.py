@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vortex import harness
+from vortex import cli, harness
 from vortex.cli import main
 
 SMALL_CONFIG = {
@@ -79,6 +79,18 @@ class TestRunCommand:
         assert "force" in capsys.readouterr().err
         assert main(["run", "--config", str(cfg), "--out", str(out),
                      "--force"]) == 0
+
+    def test_manifest_alone_is_refused_before_any_path(self, tmp_path, monkeypatch, capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError("sweep ran into a populated directory")
+
+        monkeypatch.setattr(cli, "sweep", refused)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}\n")
+        assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "already holds manifest.json" in err and "force" in err
 
     def test_missing_config_exits_2_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -262,7 +274,8 @@ class TestSharedSweep:
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "refused" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'checks[0]' zeta_regularity refused" in err and "Traceback" not in err
         assert calls == []
         assert not (out / "stats.csv").exists()
 

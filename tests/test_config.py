@@ -204,12 +204,19 @@ class TestBuilders:
          "noise.coefficient_base"),
         # the pivot's amplitude is pivot_norm / (L / sqrt 2)
         (1e-300, {"sigma_kind": "rational_square", "pivot_norm": 1e10}, "noise.pivot_norm"),
+        # the initial spectrum |k|^-decay overflows at the band's edge
+        (2.0 * math.pi, {"spectral_decay": -1000.0}, "initial.spectral_decay"),
     ])
     def test_overflow_names_the_field(self, length, noise, field):
+        # `noise` holds the values of the section that `field` names
+        section = field.split(".")[0]
         doc = dict(MINIMAL, grid={"modes_per_dim": 16, "domain_length": length},
-                   noise={"sigma_kind": "constant_one", **noise})
+                   noise={"sigma_kind": "constant_one"})
+        doc[section] = {**doc.get(section, {}), **noise}
+        config = parse_config(doc)
         with pytest.raises(ConfigError, match=f"^'{field}'"):
-            parse_config(doc).build_noise_spec()
+            config.build_noise_spec()
+            config.build_initial()
 
     def test_pivot_norm(self):
         doc = dict(MINIMAL)
@@ -259,7 +266,7 @@ class TestBuilders:
 
 class TestCheckParameters:
     def test_values_typed_with_defaults(self):
-        doc = dict(MINIMAL, checks=[
+        doc = dict(MINIMAL, mc={"n_paths": 5}, checks=[
             {"name": "zeta_regularity", "levels": [10, None], "p": 16},
             {"name": "hy_uniformity"},
         ])
@@ -267,7 +274,9 @@ class TestCheckParameters:
         assert zeta.value("levels") == [10.0, math.inf]
         assert zeta.value("p") == 16.0 and isinstance(zeta.value("p"), float)
         assert zeta.value("n_paths") == 8
-        assert hy.value("n_paths", 5) == 5
+        # a default of None is mc.n_paths, read with the config
+        assert hy.value("n_paths") == 5
+        assert parse_config(doc, {"mc.n_paths": 3}).checks[1].value("n_paths") == 3
         assert list(hy.value("levels")) == [1.0, 10.0, 100.0, math.inf]
 
     def test_defaults_meet_their_requirements(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import abs_brownian_sup_moment, discrete_sup_sq_oracle
-from vortex.config import _single_mode_vector
+from vortex.config import CHECK_PARAMS, _single_mode_vector
 from vortex.harness import (
     CheckResult,
     HolderProbe,
@@ -32,6 +32,8 @@ from vortex.noise import CovarianceSpec
 from vortex.operators import (
     bilinear_B,
     biot_savart,
+    curl,
+    grad_norm_l2,
     random_divfree_field,
     random_scalar_field,
 )
@@ -40,6 +42,13 @@ from vortex.spectral import ScalarField, SpectralGrid, l2_norm, regrid
 ZERO_NOISE = CovarianceSpec(((1, 0),), (0.1,), 0.5, "zero")
 SMALL_NOISE = CovarianceSpec(((1, 0), (0, 1), (1, 1), (-1, 0)),
                              (0.2, 0.15, 0.1, 0.1), 0.5, "constant_one")
+
+
+# each check's threshold at its config default, from the table that states it
+HY_FACTOR = CHECK_PARAMS["hy_uniformity"]["factor"][1]
+ZETA_STABILITY = CHECK_PARAMS["zeta_regularity"]["stability"][1]
+GRONWALL_SLACK = CHECK_PARAMS["gronwall"]["slack"][1]
+BDG_STABILITY = CHECK_PARAMS["bdg"]["stability"][1]
 
 
 def make_stats(**kw):
@@ -84,7 +93,8 @@ class TestPathWorkers:
         v0 = biot_savart(xi0)
         cfg = SolverConfig(dt=5e-3, t_end=0.01)
         sweep(SMALL_NOISE, None, xi0, cfg, 1, 2)
-        gronwall_uniqueness(v0, v0, SMALL_NOISE, cfg, 2, 1, gn_trials=5, lg_trials=2)
+        gronwall_uniqueness(v0, v0, SMALL_NOISE, cfg, 2, 1, GRONWALL_SLACK,
+                            gn_trials=5, lg_trials=2)
         fine = SpectralGrid(32)
         simulate_bdg_sups([(SMALL_NOISE, v0), (SMALL_NOISE, regrid(v0, fine))],
                           2.0, 2, 1, 0.02, 0.01)
@@ -175,7 +185,7 @@ class TestEnergyReport:
 def swept_hy(levels, spec, xi0, cfg, n_paths, base_seed):
     """hy_uniformity reduced from a sweep that integrates exactly its paths."""
     results = sweep(spec, None, xi0, cfg, base_seed, 0, demands=[(levels, n_paths, None)])
-    return hy_uniformity(results, levels, n_paths, base_seed)
+    return hy_uniformity(results, levels, n_paths, base_seed, HY_FACTOR)
 
 
 def swept_zeta(spec, xi0, cfg, levels, n_paths, base_seed, beta, delta, p, q, stride):
@@ -183,7 +193,8 @@ def swept_zeta(spec, xi0, cfg, levels, n_paths, base_seed, beta, delta, p, q, st
     zeta_budget(spec.roughness, beta, delta, p)
     probe = HolderProbe(beta, delta, q, stride)
     results = sweep(spec, None, xi0, cfg, base_seed, 0, demands=[(levels, n_paths, probe)])
-    return zeta_regularity(results, levels, n_paths, base_seed, probe, p)
+    return zeta_regularity(results, levels, n_paths, base_seed, probe, p,
+                           ZETA_STABILITY)
 
 
 class TestHyUniformity:
@@ -306,7 +317,7 @@ class TestSweep:
             moments.append(float(np.mean(quots**32.0)))
             quotient_means.append(float(np.mean(quots)))
 
-        hy = hy_uniformity(results, levels, n_paths, seed)
+        hy = hy_uniformity(results, levels, n_paths, seed, HY_FACTOR)
         worst = 1.0
         for f in TrajectoryStats.FUNCTIONALS:
             vals = [m[f] for m in means]
@@ -314,7 +325,7 @@ class TestSweep:
             worst = max(worst, max(vals) / min(vals))
         assert hy.observed == worst
 
-        zeta = zeta_regularity(results, levels, n_paths, seed, probe, 32.0)
+        zeta = zeta_regularity(results, levels, n_paths, seed, probe, 32.0, ZETA_STABILITY)
         assert zeta.extra["moment_means"] == moments
         assert zeta.extra["quotient_means"] == quotient_means
         scales = [m ** (1.0 / 32.0) for m in moments]
@@ -332,8 +343,8 @@ class TestSweep:
         results = sweep(spec, None, xi0, cfg, 11, 0, demands=[(levels, 6, probe)])
         blown = {n: sum(r.stats.status != "completed" for r in results[n]) for n in levels}
         assert blown[10.0] == 5
-        hy = hy_uniformity(results, levels, 6, 11)
-        zeta = zeta_regularity(results, levels, 6, 11, probe, 32.0)
+        hy = hy_uniformity(results, levels, 6, 11, HY_FACTOR)
+        zeta = zeta_regularity(results, levels, 6, 11, probe, 32.0, ZETA_STABILITY)
         for out, name in ((hy, "hy_uniformity.status"), (zeta, "zeta_regularity.status")):
             assert out.name == name
             assert not out.passed
@@ -346,7 +357,7 @@ class TestSweep:
         probe = HolderProbe(0.2, 0.0, 2.0, 4)
         results = sweep(SMALL_NOISE, None, xi0, cfg, 2, 0,
                         demands=[([1.0, math.inf], 2, probe)])
-        out = zeta_regularity(results, [1.0, math.inf], 2, 2, probe, 32.0)
+        out = zeta_regularity(results, [1.0, math.inf], 2, 2, probe, 32.0, ZETA_STABILITY)
         assert out.name == "zeta_regularity.status" and not out.passed
         assert out.observed == 4.0
 
@@ -357,7 +368,8 @@ class TestGronwall:
         v0 = biot_savart(xi0)
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
         out = gronwall_uniqueness(v0, v0, SMALL_NOISE, cfg, n_paths=3,
-                                  base_seed=5, gn_trials=200, lg_trials=20)
+                                  base_seed=5, slack=GRONWALL_SLACK, gn_trials=200,
+                                  lg_trials=20)
         assert out.name == "gronwall.identical"
         assert out.observed == 0.0
         assert out.passed
@@ -392,15 +404,38 @@ class TestGronwall:
             assert abs(a - b) <= 1e-12 * b
         assert abs(res["sup_v"] - oracle["sup_v"]) <= 1e-12 * oracle["sup_v"]
 
+    def test_series_is_that_of_two_run_trajectory_paths(self, grid16, rng):
+        # the pair steps the run's own loop: the states two run_trajectory
+        # observers see at the same (seed, path) give its series bit for bit
+        v0a = biot_savart(random_scalar_field(grid16, rng))
+        bump = random_divfree_field(grid16, rng)
+        v0b = v0a + bump * (1e-2 / l2_norm(bump))
+        cfg = SolverConfig(dt=5e-3, t_end=0.05)
+        a_const, lg = 0.3, 0.5
+        pair = gronwall_pair(v0a, v0b, SMALL_NOISE, cfg, 6, 2, a_const, lg)
+        seen = [[], []]
+        for v0, states in zip((v0a, v0b), seen):
+            run_trajectory(v0, curl(v0), SMALL_NOISE, cfg, seed=6, path_index=2,
+                           observer=states.append)
+        int_psi, series = 0.0, []
+        for one, two in zip(*seen):
+            series.append(math.exp(-int_psi) * l2_norm(one.v - two.v) ** 2)
+            int_psi += cfg.dt * (a_const * grad_norm_l2(one.v) ** 2 + lg * lg)
+        assert pair["status"] == "completed"
+        assert len(pair["m_series"]) == len(series) == cfg.n_steps + 1
+        assert np.array_equal(np.array(pair["m_series"]).view(np.uint64),
+                              np.array(series).view(np.uint64))
+        assert pair["sup_v"] == max(l2_norm(one.v - two.v) for one, two in zip(*seen))
+
     def test_one_noise_evaluation_per_solution_step(self, grid16, rng, monkeypatch):
         seen = []
-        original = harness.apply_G
+        original = integrator.apply_G
 
         def counted(v, dW, spec):
             seen.append(v)
             return original(v, dW, spec)
 
-        monkeypatch.setattr(harness, "apply_G", counted)
+        monkeypatch.setattr(integrator, "apply_G", counted)
         v0a = biot_savart(random_scalar_field(grid16, rng))
         v0b = v0a + random_divfree_field(grid16, rng) * 1e-3
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
@@ -422,7 +457,8 @@ class TestGronwall:
         pair = gronwall_pair(v0a, v0b, SMALL_NOISE, cfg, 3, 0, 0.3, 0.0)
         assert pair["status"] == "blowup" and len(pair["m_series"]) == 1
         out = gronwall_uniqueness(v0a, v0b, SMALL_NOISE, cfg, n_paths=3,
-                                  base_seed=3, gn_trials=50, lg_trials=5)
+                                  base_seed=3, slack=GRONWALL_SLACK, gn_trials=50,
+                                  lg_trials=5)
         assert out.name == "gronwall.status" and not out.passed
         assert (out.observed, out.bound, out.n_samples) == (3.0, 0.0, 3)
         assert out.extra["diagnostic"] == "3 of 3 paths blew up"
@@ -434,7 +470,8 @@ class TestGronwall:
         v0b = v0a + bump * (1e-3 / l2_norm(bump))
         cfg = SolverConfig(dt=2e-3, t_end=0.1)
         out = gronwall_uniqueness(v0a, v0b, SMALL_NOISE, cfg, n_paths=8,
-                                  base_seed=21, gn_trials=300, lg_trials=30)
+                                  base_seed=21, slack=GRONWALL_SLACK, gn_trials=300,
+                                  lg_trials=30)
         assert out.name == "gronwall.perturbed"
         assert out.passed, (out.observed, out.bound)
 
@@ -502,7 +539,7 @@ class TestBdg:
     def test_zero_operator_skipped(self, grid16):
         spec = CovarianceSpec(((1, 0),), (0.3,), 0.5, "zero")
         v0 = biot_savart(random_scalar_field(grid16, np.random.default_rng(0)))
-        out = bdg_report(spec, grid16, v0, 2.0, [2], 4, 0, 0.1, 0.01)
+        out = bdg_report(spec, grid16, v0, 2.0, [2], 4, 0, 0.1, 0.01, BDG_STABILITY)
         assert len(out) == 1
         assert out[0].name.endswith("skipped")
         assert out[0].passed
@@ -549,21 +586,21 @@ class TestBdg:
     def test_moment_validation(self, grid16, rng):
         v0 = biot_savart(random_scalar_field(grid16, rng))
         with pytest.raises(ValueError):
-            bdg_report(SMALL_NOISE, grid16, v0, 4.0, [3], 4, 0, 0.1, 0.01)
+            bdg_report(SMALL_NOISE, grid16, v0, 4.0, [3], 4, 0, 0.1, 0.01, BDG_STABILITY)
 
     def test_rational_square_sigma_gives_verdicts(self, grid16, rng):
         # sigma reads the pivot, which must follow v0 onto the doubled grid
         spec = CovarianceSpec(SMALL_NOISE.mode_indices, SMALL_NOISE.coefficients, 0.5,
                               "rational_square", _single_mode_vector(grid16, (1, 0), 32.0))
         v0 = random_divfree_field(grid16, rng)
-        out = bdg_report(spec, grid16, v0, 4.0, [2, 4], 16, 5, 0.1, 0.01)
+        out = bdg_report(spec, grid16, v0, 4.0, [2, 4], 16, 5, 0.1, 0.01, BDG_STABILITY)
         assert [r.name for r in out] == ["bdg.C2", "bdg.C4"]
         assert all(math.isfinite(r.observed) for r in out)
         assert len(out[0].extra["constants"]) == 4
 
     def test_small_scale_stability(self, grid16, rng):
         v0 = biot_savart(random_scalar_field(grid16, rng))
-        out = bdg_report(SMALL_NOISE, grid16, v0, 4.0, [2], 64, 5, 0.2, 2e-3)
+        out = bdg_report(SMALL_NOISE, grid16, v0, 4.0, [2], 64, 5, 0.2, 2e-3, BDG_STABILITY)
         assert len(out) == 1
         assert out[0].passed, out[0].extra
 

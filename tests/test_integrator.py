@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import beta_step, vorticity_step, zeta_step
+from oracles import basis_fields, beta_step, vorticity_step, zeta_step
 from vortex import integrator, noise
 from vortex.integrator import (
     BlowupError,
@@ -19,7 +19,6 @@ from vortex.noise import (
     CovarianceSpec,
     WienerIncrement,
     apply_G,
-    build_noise_basis,
     sample_increment,
     scatter_plan,
 )
@@ -199,7 +198,7 @@ class TestOuStep:
         # scalar OU process whose discrete variance is
         # A^2 dt e^{-2k dt} (1 - e^{-2kMdt}) / (1 - e^{-2k dt})
         spec = CovarianceSpec(((1, 0),), (0.8,), 0.5, "constant_one")
-        w = curl(build_noise_basis(spec, grid16)[0])
+        w = curl(basis_fields(spec, grid16)[0])
         w_norm = l2_norm(w)
         cfg = SolverConfig(dt=5e-3, t_end=0.5)
         kappa, n_paths = 1.0, 400

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_apply_G, scattered, sigma_lipschitz_bound
+from oracles import (
+    basis_fields,
+    dense_apply_G,
+    hille_yosida,
+    scattered,
+    sigma_lipschitz_bound,
+)
 from vortex.config import _single_mode_vector
 from vortex.noise import (
     CovarianceSpec,
@@ -14,9 +20,8 @@ from vortex.noise import (
     WienerIncrement,
     apply_G,
     basis_l2_sq_sum,
-    build_noise_basis,
-    hille_yosida,
-    noise_mode_fields,
+    basis_values,
+    mode_weights,
     operator_norms,
     sample_increment,
     scatter_plan,
@@ -32,6 +37,7 @@ from vortex.spectral import (
     l2_norm,
     sobolev_norm,
     sobolev_norm_spectral,
+    to_physical,
     zero_vector,
 )
 
@@ -63,19 +69,19 @@ class TestCovarianceSpec:
 class TestNoiseBasis:
     def test_unit_sobolev_norm(self, grid32):
         spec = make_spec(g=0.5)
-        for e in build_noise_basis(spec, grid32):
+        for e in basis_fields(spec, grid32):
             assert sobolev_norm(e, 1.0 - spec.roughness, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_mode_normalization(self, grid32):
         spec = make_spec(modes=((0, 0),), coeffs=(1.0,), g=0.3)
-        (e,) = build_noise_basis(spec, grid32)
+        (e,) = basis_fields(spec, grid32)
         # multiplier (1+0)^((1-g)/2) = 1; any Sobolev order gives norm 1
         for s in (0.0, 0.7, 1.0 - 0.3):
             assert sobolev_norm(e, s, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_pairwise_orthogonality(self, grid32):
         spec = make_spec()
-        basis = build_noise_basis(spec, grid32)
+        basis = basis_fields(spec, grid32)
         s = 1.0 - spec.roughness
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
@@ -86,12 +92,12 @@ class TestNoiseBasis:
     def test_opposite_modes_give_distinct_elements(self, grid32):
         # j and -j select the cosine and sine profiles of one wavevector
         spec = make_spec(modes=((2, 1), (-2, -1)), coeffs=(1.0, 1.0))
-        e_cos, e_sin = build_noise_basis(spec, grid32)
+        e_cos, e_sin = basis_fields(spec, grid32)
         assert l2_norm(e_cos - e_sin) > 0.1
 
     def test_divergence_free_and_curl_closed_form(self, grid32):
         spec = make_spec(modes=((3, 0),), coeffs=(1.0,), g=0.5)
-        (e,) = build_noise_basis(spec, grid32)
+        (e,) = basis_fields(spec, grid32)
         assert divergence_defect(e) <= 1e-13
         # curl of the k-perp cosine mode is -|k| sin(k.x) (same normalization)
         w = curl(e)
@@ -100,7 +106,7 @@ class TestNoiseBasis:
     def test_mode_outside_band_rejected(self, grid16):
         spec = make_spec(modes=((9, 0),), coeffs=(1.0,))
         with pytest.raises(ValueError, match="grid band"):
-            build_noise_basis(spec, grid16)
+            basis_values(spec, grid16)
 
     @pytest.mark.parametrize("mode", [(4, 0), (-4, 0), (0, 4), (2, -4), (-4, -4)])
     def test_mode_on_the_nyquist_line_rejected(self, mode):
@@ -108,7 +114,7 @@ class TestNoiseBasis:
         grid = SpectralGrid(8)
         spec = make_spec(modes=(mode, (1, 0)), coeffs=(1.0, 1.0))
         dW = sample_increment(1, 0, 0, spec, 0.01)
-        for build in (build_noise_basis, scatter_plan, NoiseBasis):
+        for build in (basis_values, scatter_plan, NoiseBasis):
             with pytest.raises(ValueError, match="grid band"):
                 build(spec, grid)
         with pytest.raises(ValueError, match="grid band"):
@@ -117,7 +123,7 @@ class TestNoiseBasis:
     def test_band_edge_modes_are_real_unit_fields(self, grid16):
         spec = make_spec(modes=((7, 0), (-7, 0), (7, -7), (-7, 7), (0, -7)),
                          coeffs=(1.0,) * 5)
-        for (j1, j2), e in zip(spec.mode_indices, build_noise_basis(spec, grid16)):
+        for (j1, j2), e in zip(spec.mode_indices, basis_fields(spec, grid16)):
             for c in (e.vx.coeffs, e.vy.coeffs):
                 assert c[-j1 % 16, -j2 % 16] == np.conj(c[j1 % 16, j2 % 16])
                 assert np.count_nonzero(c) <= 2
@@ -209,18 +215,23 @@ class TestScatterAgainstDenseOracle:
         spec = make_spec(modes=SCATTER_MODES, coeffs=coeffs, sigma="rational_square",
                          pivot=h, hy=level)
         v = random_divfree_field(grid16, np.random.default_rng(2))
-        basis = NoiseBasis(spec, grid16)
+        fields = basis_fields(spec, grid16)
+        # the batched values are to_physical of the stacked fields, bit for bit
+        values = basis_values(spec, grid16)
+        assert values.shape == (len(fields), 2, 16, 16)
+        for got, e in zip(values, fields):
+            for a, b in zip(got, to_physical(e)):
+                assert np.array_equal(bits(a), bits(b))
+        # a weight times e_k is R_n[c_k sigma(v) e_k] over the whole grid, and
+        # the curl of e_k is the stacked vorticity field
         sig = sigma_eval(v, spec)
-        got = noise_mode_fields(spec, v)
-        want = [hille_yosida(lattice_field(grid16, e) * (c * sig), level)
-                for c, e in zip(coeffs, basis.velocity)]
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert np.array_equal(coefficient_bits(a), coefficient_bits(b))
-        # their curls are the stacked vorticity fields, weighted alike
-        for a, w, c in zip(got, basis.vorticity, coeffs):
-            b = hille_yosida(lattice_field(grid16, w) * (c * sig), level)
-            assert l2_norm(curl(a) - b) <= 1e-14 * max(1.0, l2_norm(b))
+        weights = mode_weights(spec, v)
+        assert len(weights) == len(fields)
+        for w, c, e, vorticity in zip(weights, coeffs, fields, NoiseBasis(spec, grid16).vorticity):
+            want = hille_yosida(e * (c * sig), level)
+            assert l2_norm(e * w - want) <= 1e-15 * l2_norm(want)
+            b = lattice_field(grid16, vorticity)
+            assert l2_norm(curl(e) - b) <= 1e-14 * max(1.0, l2_norm(b))
 
     @pytest.mark.parametrize("length", [2.0 * math.pi, 3.0])
     def test_l2_sum_closed_form_matches_the_dense_sum(self, length):
@@ -320,41 +331,51 @@ class TestSigma:
 
 
 class TestHilleYosida:
+    """R_n as the program applies it: the check-time mode weights and the
+    increment of apply_G."""
+
     def test_identity_at_infinity(self, grid16, rng):
+        spec = make_spec()
         v = random_divfree_field(grid16, rng)
-        assert hille_yosida(v, math.inf) is v
+        assert np.array_equal(mode_weights(spec, v), np.asarray(spec.coefficients))
 
     def test_single_mode_factor(self):
         # |k|^2 = 3 via L = 2 pi / sqrt(3); n = 1 gives factor 1/4
         g = SpectralGrid(16, domain_length=2.0 * np.pi / math.sqrt(3.0))
-        c = np.zeros((16, 9), dtype=complex)
-        c[1, 0] = c[-1, 0] = 0.5
-        f = ScalarField(g, c)
-        out = hille_yosida(f, 1)
-        assert out.coeffs[1, 0] == pytest.approx(0.125, rel=1e-12)
+        spec = make_spec(modes=((1, 0),), coeffs=(0.5,), hy=1)
+        assert mode_weights(spec, zero_vector(g))[0] == pytest.approx(0.125, rel=1e-12)
 
     def test_zero_mode_unchanged(self, grid16):
-        c = np.zeros((16, 9), dtype=complex)
-        c[0, 0] = 2.5
         for n in (1, 10, 1000):
-            assert hille_yosida(ScalarField(grid16, c), n).coeffs[0, 0] == pytest.approx(2.5)
+            spec = make_spec(modes=((0, 0),), coeffs=(2.5,), hy=n)
+            assert mode_weights(spec, zero_vector(grid16))[0] == pytest.approx(2.5)
+
+    @staticmethod
+    def increment(spec, level, v, dW):
+        return scattered(apply_G(v, dW, spec.with_hy_level(level)), spec, v.grid)[0]
 
     def test_monotone_convergence_to_identity(self, grid32, rng):
-        f = random_divfree_field(grid32, rng).vx
-        errs = [l2_norm(hille_yosida(f, n) - f) for n in (1, 10, 100, 1000)]
+        spec = make_spec()
+        v = random_divfree_field(grid32, rng)
+        dW = sample_increment(4, 0, 0, spec, 0.01)
+        f = self.increment(spec, math.inf, v, dW)
+        errs = [l2_norm(self.increment(spec, n, v, dW) - f) for n in (1, 10, 100, 1000)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-2 * l2_norm(f)
 
     def test_contraction_in_sobolev_norms(self, grid32, rng):
-        f = random_divfree_field(grid32, rng).vy
+        spec = make_spec()
+        v = random_divfree_field(grid32, rng)
+        dW = sample_increment(4, 0, 1, spec, 0.01)
+        f = self.increment(spec, math.inf, v, dW)
         for n in (1, 5, 50):
-            out = hille_yosida(f, n)
+            out = self.increment(spec, n, v, dW)
             for s in (-1.0, 0.0, 1.0):
                 assert sobolev_norm(out, s, 2.0) <= sobolev_norm(f, s, 2.0) * (1 + 1e-12)
 
-    def test_invalid_level(self, grid16, rng):
-        with pytest.raises(ValueError):
-            hille_yosida(random_divfree_field(grid16, rng), -3)
+    def test_invalid_level(self):
+        with pytest.raises(ValueError, match="hy_level"):
+            make_spec().with_hy_level(-3)
 
 
 class TestApplyG:
@@ -366,7 +387,7 @@ class TestApplyG:
 
     def test_single_mode_exact(self, grid32):
         spec = make_spec(modes=((1, 0),), coeffs=(0.7,))
-        (e,) = build_noise_basis(spec, grid32)
+        (e,) = basis_fields(spec, grid32)
         dW = WienerIncrement(0.04, np.array([1.0]))
         out, _ = scattered(apply_G(zero_vector(grid32), dW, spec), spec, grid32)
         expected = e * (0.7 * math.sqrt(0.04))
@@ -392,7 +413,7 @@ class TestApplyG:
         spec = make_spec(modes=((1, 0), (2, 1)), coeffs=(0.6, 0.3))
         v = zero_vector(grid32)
         s = 1.0 - spec.roughness
-        smoothed = [bessel_multiplier(e, s) for e in build_noise_basis(spec, grid32)]
+        smoothed = [bessel_multiplier(e, s) for e in basis_fields(spec, grid32)]
         n_draws = 2000
         proj = np.zeros((n_draws, spec.n_modes))
         for i in range(n_draws):
@@ -452,12 +473,34 @@ class TestOperatorNorms:
         # velocity noise into H^{1-g,2}
         spec = make_spec()
         g = spec.roughness
+        fields = basis_fields(spec, grid32)
         for _ in range(50):
             v = random_divfree_field(grid32, rng, amplitude=rng.uniform(0.1, 2.0))
             hv = operator_norms(v, spec, 1.0 - g, 2.0)["hs"]
-            hw = math.sqrt(sum(sobolev_norm_spectral(curl(f), -g) ** 2
-                               for f in noise_mode_fields(spec, v)))
+            hw = math.sqrt(sum(sobolev_norm_spectral(curl(e * w), -g) ** 2
+                               for w, e in zip(mode_weights(spec, v), fields)))
             assert hw <= hv * (1 + 1e-12)
+
+    @pytest.mark.parametrize("level", [math.inf, 5.0])
+    def test_closed_form_matches_the_dense_sums(self, grid32, level):
+        # the images G_n(v) h_k = R_n[c_k sigma(v) e_k] of the dense basis:
+        # their Parseval sum gives hs, their square function radonifying
+        h = _single_mode_vector(grid32, (1, 0), 1.0)
+        coeffs = tuple(0.1 + 0.13 * i for i in range(len(SCATTER_MODES)))
+        spec = make_spec(modes=SCATTER_MODES, coeffs=coeffs, g=0.3, sigma="rational_square",
+                         pivot=h, hy=level)
+        v = random_divfree_field(grid32, np.random.default_rng(8), amplitude=2.0)
+        sig = sigma_eval(v, spec)
+        images = [hille_yosida(e * (c * sig), level)
+                  for c, e in zip(coeffs, basis_fields(spec, grid32))]
+        for s in (0.0, 1.0 - spec.roughness, 1.0):
+            out = operator_norms(v, spec, s, 4.0)
+            hs = math.sqrt(sum(sobolev_norm_spectral(f, s) ** 2 for f in images))
+            assert out["hs"] == pytest.approx(hs, rel=1e-13)
+            square_fn = sum(px * px + py * py
+                            for px, py in (to_physical(bessel_multiplier(f, s)) for f in images))
+            radonifying = (np.sum(square_fn ** 2.0) * grid32.cell_area) ** 0.25
+            assert out["radonifying"] == pytest.approx(radonifying, rel=1e-13)
 
     def test_uniform_bound_and_hy_contraction(self, grid32, rng):
         h = _single_mode_vector(grid32, (1, 0), 1.0)
