@@ -153,7 +153,10 @@ _ONE_OR_MORE_LEVELS = (lambda x: len(set(x)) == len(x) >= 1,
                        "must list at least 1 level, each once")
 
 GRID = {
-    "modes_per_dim": (_integer, 64, None),
+    # one full (N, N) complex lattice takes 16 N^2 bytes, 256 MiB at 4096, and a
+    # run holds tens of such arrays (the pivot and initial lattices, a path's
+    # fields, the check-time 2N grids); larger grids end in a MemoryError
+    "modes_per_dim": (_integer, 64, (lambda n: n <= 4096, "must be <= 4096")),
     # the noise coefficients and the pivot need the wavenumber 2*pi/L
     "domain_length": (_number, 2.0 * math.pi,
                       (lambda x: x > 0 and math.isfinite(2.0 * math.pi / x),
@@ -450,7 +453,7 @@ def build_initial(initial: InitialConfig, grid: SpectralGrid,
     try:
         xi0 = random_scalar_field(grid, initial_rng(base_seed), decay=initial.spectral_decay,
                                   amplitude=initial.amplitude)
-    except ValueError as err:
-        raise ConfigError("'initial.spectral_decay' overflows the |k|^-decay spectrum "
-                          f"on this grid, got {initial.spectral_decay}") from err
+    except ValueError as err:  # the |k|^-decay spectrum over- or underflows
+        raise ConfigError(f"'initial.spectral_decay' gives no usable spectrum on this grid "
+                          f"({err}), got {initial.spectral_decay}") from err
     return None, xi0

@@ -13,6 +13,15 @@ difference.  The BDG sums integrate the frozen operator G_n(v0) from the
 noise's `mode_weights` and `basis_values`, and the identity suites take
 fresh random fields.
 
+The measured constants of the Gronwall check (`measure_gn_constant`,
+`estimate_sigma_lipschitz`) draw their random trial fields in the order of
+one `random_divfree_field` call each, and evaluate them a chunk at a time
+in stacked arrays: one Hermitian half, one Leray projection, one batched
+norm sum and one irfft2 per chunk, with chunks sized to TRIAL_CHUNK_BYTES.
+Each trial's last scalar steps run on Python floats, so the constants
+have the bits of the trials taken one at a time.  Their L^4 sums, and the
+L^q sums of the BDG sups, follow the power rule `spectral.abs_power`.
+
 Every check is reproducible bit-for-bit from (config, seed): paths use
 counter-based RNG streams keyed by (seed, path, step) and reductions run
 in fixed path order, so results do not depend on the worker count, which
@@ -46,8 +55,8 @@ from .noise import (
     basis_values,
     mode_weights,
     operator_norms,
+    rational_square,
     sample_increment,
-    sigma_eval,
 )
 from .operators import (
     bilinear_B,
@@ -56,8 +65,11 @@ from .operators import (
     bracket,
     curl,
     divergence_defect,
+    divfree_draws,
+    divfree_halves,
     grad_norm_l2,
     gradient,
+    l2_norms,
     random_divfree_field,
     random_scalar_field,
 )
@@ -65,11 +77,15 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    abs_power,
     bessel_multiplier,
+    gradient_weight,
+    half_sums,
     l2_norm,
     lq_norm,
     regrid,
     sobolev_norm_spectral,
+    sobolev_weight,
     to_physical,
     to_spectral,
     write_snapshot,
@@ -139,36 +155,74 @@ def mc_mean_stderr(values) -> tuple[float, float]:
 # measured constants
 
 
+# The estimators below evaluate their random trial fields in chunks.  A
+# field's largest stacked array, its normal draws, takes 32 N^2 bytes; a
+# chunk keeps it near this working set, so the chunk shrinks as the grid grows.
+TRIAL_CHUNK_BYTES = 256 * 1024
+
+
+def _trial_chunks(grid: SpectralGrid, trials: int, fields_per_trial: int = 1):
+    """The trial counts of successive chunks, summing to trials."""
+    per_trial = 32 * grid.modes_per_dim**2 * fields_per_trial
+    size = max(1, TRIAL_CHUNK_BYTES // per_trial)
+    for lo in range(0, trials, size):
+        yield min(size, trials - lo)
+
+
 @lru_cache(maxsize=8)
 def measure_gn_constant(grid: SpectralGrid, trials: int, seed: int = 7) -> float:
     """Gagliardo-Nirenberg constant on the torus: the largest observed ratio
     ||V||^2_{L^4} / (||V||_{L^2} ||grad V||_{L^2}) over random mean-zero
-    divergence-free fields."""
+    divergence-free fields, V with the spectrum |k|^-d, d uniform in [1, 3].
+
+    The fields are drawn in the order of one random_divfree_field call each
+    and evaluated a chunk at a time: their norms in one batched sum and
+    their L^4 power sums from one irfft2.  Each trial's last steps, the
+    fourth root, the ratio and the running sup, run on scalars, as
+    `lq_norm` takes them, so the constant has the bits of the trials taken
+    one at a time."""
     rng = np.random.default_rng(seed)
+    n = grid.modes_per_dim
     best = 0.0
-    for _ in range(trials):
-        v = random_divfree_field(grid, rng, decay=rng.uniform(1.0, 3.0))
-        denom = l2_norm(v) * grad_norm_l2(v)
-        if denom == 0.0:
-            continue
-        best = _sup(best, lq_norm(v, 4.0) ** 2 / denom)
+    for size in _trial_chunks(grid, trials):
+        decays, normals = divfree_draws(grid, rng, size, (1.0, 3.0))
+        v = divfree_halves(grid, normals, decays, np.ones(size))
+        l2 = l2_norms(v, grid)
+        grad_sq = half_sums(v, v, gradient_weight(grid))
+        grad = np.sqrt(grad_sq[:, 0] + grad_sq[:, 1]) * grid.domain_length
+        values = np.fft.irfft2(v, s=(n, n))
+        values *= n * n  # in place, as to_physical scales
+        sums = abs_power(values, 4.0, out=values).sum(axis=(2, 3))
+        for a, b, (sx, sy) in zip(l2, grad, sums):
+            denom = float(a) * float(b)
+            if denom == 0.0:
+                continue
+            l4 = float(((sx + sy) * grid.cell_area) ** 0.25)
+            best = _sup(best, l4**2 / denom)
     return best
 
 
 def estimate_sigma_lipschitz(spec: CovarianceSpec, grid: SpectralGrid,
                              trials: int = 200, seed: int = 11) -> float:
-    """Empirical Lipschitz slope of sigma in L^2 over random field pairs."""
+    """Empirical Lipschitz slope of sigma in L^2 over random field pairs of
+    L^2 norms uniform in [0.1, 3], evaluated a chunk of pairs at a time like
+    measure_gn_constant; sigma and the slope of each pair run on scalars."""
     if spec.sigma_kind != "rational_square":
         return 0.0
     rng = np.random.default_rng(seed)
+    pivot = np.stack((spec.pivot.vx.half, spec.pivot.vy.half))
     worst = 0.0
-    for _ in range(trials):
-        v1 = random_divfree_field(grid, rng, amplitude=rng.uniform(0.1, 3.0))
-        v2 = random_divfree_field(grid, rng, amplitude=rng.uniform(0.1, 3.0))
-        gap = l2_norm(v1 - v2)
-        if gap == 0.0:
-            continue
-        worst = _sup(worst, abs(sigma_eval(v1, spec) - sigma_eval(v2, spec)) / gap)
+    for size in _trial_chunks(grid, trials, fields_per_trial=2):
+        amplitudes, normals = divfree_draws(grid, rng, 2 * size, (0.1, 3.0))
+        v = divfree_halves(grid, normals, [2.0] * (2 * size), amplitudes)
+        gaps = l2_norms(v[0::2] - v[1::2], grid)
+        # <v, h> by component, as l2_inner takes it
+        inner = half_sums(v, pivot, sobolev_weight(grid, 0.0)) * grid.domain_length**2
+        for gap, (ax, ay), (bx, by) in zip(gaps, inner[0::2], inner[1::2]):
+            if gap == 0.0:
+                continue
+            rise = rational_square(float(ax) + float(ay)) - rational_square(float(bx) + float(by))
+            worst = _sup(worst, abs(rise) / float(gap))
     return worst
 
 
@@ -594,8 +648,7 @@ def simulate_bdg_sups(frames, q: float, n_paths: int, base_seed: int, t_end: flo
                 hi = min(lo + 128, n_steps + 1)
                 # |x|^q in place: one large temporary per block, not three
                 powers = weighted[lo:hi] @ e_phys  # (block, 2 N^2)
-                np.abs(powers, out=powers)
-                powers **= q
+                abs_power(powers, q, out=powers)
                 norms[lo:hi] = ((powers[:, :npts].sum(axis=1)
                                  + powers[:, npts:].sum(axis=1)) * grid.cell_area) ** (1.0 / q)
             sups.append((float(norms[: half + 1].max()), float(norms.max())))

@@ -23,11 +23,18 @@ sums) reads the plan through two helpers only: those weights and the
 physical values of every e_k (`basis_values`).  Nothing at run time reads
 the stacked `NoiseBasis`; it is the one dense full-lattice reference of
 the plan.
+
+Increments come from counter-based Philox streams keyed by (seed, path) with
+the step in the counter.  Each thread keeps one Philox generator and
+`sample_increment` resets its key and counter, so a draw equals that of a
+freshly built generator without the cost of building one; `initial_rng`
+still returns a fresh generator.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,10 +128,27 @@ def initial_rng(seed: int) -> np.random.Generator:
     return _philox(seed, _INITIAL_STREAM, 0)
 
 
+_THREAD = threading.local()
+
+
+def _thread_philox(seed: int, path_index: int, step_index: int) -> np.random.Generator:
+    """This thread's one Philox generator, reset to the key and counter that
+    _philox(seed, path_index, step_index) starts from, with an empty buffer:
+    it draws what a fresh one would, without building a generator."""
+    if not hasattr(_THREAD, "philox"):
+        fresh = _philox(0, 0, 0)
+        _THREAD.philox = fresh, fresh.bit_generator.state  # the state stays fresh
+    rng, state = _THREAD.philox
+    state["state"]["key"][:] = (seed, path_index)
+    state["state"]["counter"][:] = (0, 0, step_index, 0)
+    rng.bit_generator.state = state
+    return rng
+
+
 def sample_increment(seed: int, path_index: int, step_index: int,
                      spec: CovarianceSpec, dt: float) -> WienerIncrement:
     """Deterministic given (seed, path, step); independent across all three."""
-    rng = _philox(seed, path_index, step_index)
+    rng = _thread_philox(seed, path_index, step_index)
     return WienerIncrement(dt, rng.standard_normal(spec.n_modes))
 
 
@@ -271,7 +295,11 @@ def sigma_eval(v: VectorField, spec: CovarianceSpec) -> float:
         return 0.0
     if spec.sigma_kind == "constant_one":
         return 1.0
-    s = l2_inner(v, spec.pivot)
+    return rational_square(l2_inner(v, spec.pivot))
+
+
+def rational_square(s: float) -> float:
+    """The rational_square sigma of <v, h> = s: s^2 / (1 + s^2)."""
     return s * s / (1.0 + s * s)
 
 

@@ -14,6 +14,11 @@ space, multiply in physical space, transform back, dealias.  With the 2/3
 mask this keeps the retained band alias-free, so the cancellation
 identities of the continuum operators hold to near machine precision, and
 the rotational and advective forms agree to rounding.
+
+Random fields come from one stacked generator: `divfree_draws` and
+`divfree_halves` make many divergence-free fields at once, and
+`random_divfree_field` and `random_scalar_field` are its one-field cases,
+with the same draws and the same bits.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ from .spectral import (
     dealias,
     gradient_weight,
     half_sum,
+    half_sums,
     hermitian_amplitudes,
-    l2_norm,
     lattice,
     require_real,
+    sobolev_weight,
     to_physical,
     _require_same_grid,
 )
@@ -92,11 +98,14 @@ def biot_savart(xi: ScalarField) -> VectorField:
 def leray_project(u: VectorField) -> VectorField:
     """Remove the gradient part: u(k) - k (k.u(k)) / |k|^2, zero mode kept."""
     g = u.grid
-    kdotu = (g.kx * u.vx.half + g.ky * u.vy.half) * g.inv_ksq
-    return VectorField(
-        ScalarField(g, u.vx.half - g.kx * kdotu),
-        ScalarField(g, u.vy.half - g.ky * kdotu),
-    )
+    vx, vy = _leray_halves(g, u.vx.half, u.vy.half)
+    return VectorField(ScalarField(g, vx), ScalarField(g, vy))
+
+
+def _leray_halves(grid: SpectralGrid, ux: np.ndarray, uy: np.ndarray):
+    """leray_project of the component halves (..., N, N/2+1) ux and uy."""
+    kdotu = (grid.kx * ux + grid.ky * uy) * grid.inv_ksq
+    return ux - grid.kx * kdotu, uy - grid.ky * kdotu
 
 
 def _advect_scalar(u1p, u2p, f: ScalarField) -> np.ndarray:
@@ -179,6 +188,50 @@ def grad_norm_l2_scalar(f: ScalarField) -> float:
     return float(np.sqrt(total) * g.domain_length)
 
 
+def _random_halves(grid: SpectralGrid, normals: np.ndarray, decays,
+                   amplitude: float) -> np.ndarray:
+    """Stacked random_scalar_field: the (count, C, N, N/2+1) halves of the
+    fields whose draws are normals (count, C, 2, N, N), the real then the
+    imaginary block of each.  Field i has the spectrum |k|^-decays[i] and
+    each of its C components L^2 norm `amplitude`.
+
+    A decay whose spectrum overflows is a ValueError; so is one that
+    underflows to the zero field while the dealias band holds a nonzero
+    mode, since no scaling then reaches the amplitude."""
+    n = grid.modes_per_dim
+    ksq = lattice(grid.ksq).real.copy()
+    ksq[0, 0] = 1.0  # its |k|^-decay lands on the mean mode, which is cleared
+    # in place, to keep few (count, C, N, N) temporaries; each product and
+    # sum has the bits of its out-of-place form (re + i im) |k|^-d mask
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        weighted = normals[:, :, 1] * 1j
+        weighted += normals[:, :, 0]
+        for field, d in zip(weighted, decays):
+            field *= ksq ** (-d / 2.0)
+        del ksq
+        weighted *= lattice(grid.dealias_mask.astype(float)).real
+        # the half of the Hermitian part (c(k) + conj(c(-k))) / 2
+        flip = -np.arange(n) % n
+        half = np.empty(weighted.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+        np.conjugate(weighted[..., flip[:, None], flip[None, : n // 2 + 1]], out=half)
+        half += weighted[..., : n // 2 + 1]
+        half *= 0.5
+    half[..., 0, 0] = 0.0
+    norms = np.sqrt(half_sums(half, half, sobolev_weight(grid, 0.0))) * grid.domain_length
+    if not np.isfinite(norms).all():
+        d = decays[np.argmin(np.isfinite(norms).all(axis=1))]
+        raise ValueError(f"decay {d} overflows the |k|^-decay spectrum")
+    if grid.dealias_limit > 0 and not norms.all():
+        raise ValueError(f"decay {decays[np.argmin(norms.all(axis=1))]} underflows the "
+                         "|k|^-decay spectrum to zero")
+    return half * _scale_to(amplitude, norms)[..., None, None]
+
+
+def _scale_to(amplitude, norms: np.ndarray) -> np.ndarray:
+    """amplitude / norm, or 1 (left as it is) where the norm is 0."""
+    return np.divide(amplitude, norms, out=np.ones_like(norms), where=norms != 0.0)
+
+
 def random_scalar_field(
     grid: SpectralGrid,
     rng: np.random.Generator,
@@ -187,30 +240,50 @@ def random_scalar_field(
 ) -> ScalarField:
     """Mean-zero random field: |k|^-decay spectral amplitudes, random phases,
     Hermitian-symmetrized, dealiased, scaled to ||f||_{L^2} = amplitude.
-    A decay whose spectrum overflows before the scaling is a ValueError.
+    A decay whose spectrum overflows, or underflows to zero in a nonempty
+    dealias band, is a ValueError.
 
     The draws fill the whole (N, N) lattice, so a seed gives the same field
     however it is stored; the half of their Hermitian part is kept."""
     n = grid.modes_per_dim
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    ksq = lattice(grid.ksq).real
-    shape = np.zeros_like(ksq)
-    nonzero = ksq > 0
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        shape[nonzero] = ksq[nonzero] ** (-decay / 2.0)
-        weighted = raw * shape * lattice(grid.dealias_mask.astype(float)).real
-        # the half of the Hermitian part (c(k) + conj(c(-k))) / 2
-        flip = -np.arange(n) % n
-        mirror = np.conj(weighted[np.ix_(flip, flip[: n // 2 + 1])])
-        half = 0.5 * (weighted[:, : n // 2 + 1] + mirror)
-    half[0, 0] = 0.0
-    field = ScalarField(grid, half)
-    norm = l2_norm(field)
-    if not np.isfinite(norm):
-        raise ValueError(f"decay {decay} overflows the |k|^-decay spectrum")
-    if norm == 0.0:
-        return field
-    return field * (amplitude / norm)
+    normals = rng.standard_normal((1, 1, 2, n, n))
+    return ScalarField(grid, _random_halves(grid, normals, [decay], amplitude)[0, 0])
+
+
+def divfree_draws(grid: SpectralGrid, rng: np.random.Generator, count: int,
+                  uniform: tuple[float, float] | None = None):
+    """The draws of `count` random divergence-free fields, in the order of
+    `count` random_divfree_field calls: per field, rng.uniform(*uniform)
+    when uniform is given, then its four (N, N) normal blocks.  Returns the
+    uniforms (None without uniform) and the normals (count, 2, 2, N, N)."""
+    n = grid.modes_per_dim
+    uniforms = None if uniform is None else np.empty(count)
+    normals = np.empty((count, 2, 2, n, n))
+    for i in range(count):
+        if uniforms is not None:
+            uniforms[i] = rng.uniform(*uniform)
+        rng.standard_normal(out=normals[i])
+    return uniforms, normals
+
+
+def divfree_halves(grid: SpectralGrid, normals: np.ndarray, decays,
+                   amplitudes) -> np.ndarray:
+    """The (count, 2, N, N/2+1) halves of the random divergence-free fields
+    drawn as `divfree_draws` normals: field i has the spectrum
+    |k|^-decays[i] and ||v||_{L^2} = amplitudes[i].  The whole chunk takes
+    one Hermitian half, one Leray projection and one batched norm, with
+    the bits of the fields one at a time."""
+    raw = _random_halves(grid, normals, [float(d) for d in decays], 1.0)
+    v = np.stack(_leray_halves(grid, raw[:, 0], raw[:, 1]), axis=1)
+    norms = l2_norms(v, grid)
+    return v * _scale_to(np.asarray(amplitudes, dtype=float), norms)[:, None, None, None]
+
+
+def l2_norms(v: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """l2_norm of each of the stacked vector fields v (count, 2, N, N/2+1),
+    with its bits: shape (count,)."""
+    components = np.sqrt(half_sums(v, v, sobolev_weight(grid, 0.0))) * grid.domain_length
+    return np.hypot(components[:, 0], components[:, 1])
 
 
 def random_divfree_field(
@@ -219,13 +292,8 @@ def random_divfree_field(
     decay: float = 2.0,
     amplitude: float = 1.0,
 ) -> VectorField:
-    """Random mean-zero divergence-free field, dealiased, ||v||_{L^2} = amplitude."""
-    raw = VectorField(
-        random_scalar_field(grid, rng, decay, 1.0),
-        random_scalar_field(grid, rng, decay, 1.0),
-    )
-    v = leray_project(raw)
-    norm = l2_norm(v)
-    if norm == 0.0:
-        return v
-    return v * (amplitude / norm)
+    """Random mean-zero divergence-free field, dealiased, ||v||_{L^2} = amplitude:
+    the one-field case of `divfree_draws` and `divfree_halves`."""
+    _, normals = divfree_draws(grid, rng, 1)
+    vx, vy = divfree_halves(grid, normals, [decay], [amplitude])[0]
+    return VectorField(ScalarField(grid, vx), ScalarField(grid, vy))

@@ -23,10 +23,17 @@ fields (`operators.biot_savart`, `integrator.run_trajectory`) check them
 with `require_real`.  A full (N, N) lattice enters only through
 `ScalarField.from_lattice`, which checks it, and leaves only through the
 derived, read-only `ScalarField.coeffs`, which nothing here reads.
+
+The L^q sums, sum |x|^q, follow one power rule, `abs_power`: for q a
+power of two >= 2 it squares repeatedly, with no abs and no pow, and for
+any other q it takes np.abs(x) ** q.  It serves `lq_norm`, `lq_norm_values`
+and the check-time L^q sums (the Gagliardo-Nirenberg trials, the BDG sups).  `half_sums` evaluates `half_sum` over stacked
+halves, with the bits of the sums taken one at a time.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -61,6 +68,12 @@ class SpectralGrid:
             raise ValueError(f"modes_per_dim must be even and >= 8, got {n}")
         if not self.domain_length > 0:
             raise ValueError(f"domain_length must be positive, got {self.domain_length}")
+        # the largest norm weight is 2|k|^2 at the corner mode (N/2, N/2),
+        # 4 (2 pi/L)^2 (N/2)^2; an infinite one makes the norms NaN
+        top = 2.0 * math.pi * n / self.domain_length
+        if not math.isfinite(top * top):
+            raise ValueError("domain_length must leave (2*pi*modes_per_dim/domain_length)^2 "
+                             f"finite, got {self.domain_length}")
         if not 0.0 < self.dealias_fraction <= TWO_THIRDS:
             raise ValueError("dealias_fraction must lie in (0, 2/3] to keep quadratic "
                              f"products alias-free, got {self.dealias_fraction}")
@@ -355,7 +368,7 @@ def lq_norm(field: Field, q: float) -> float:
     Vector fields use the component-sum convention
     (sum_i int |v_i|^q)^(1/q); for q = inf, the sum of component maxima.
     The rectangle rule on the periodic grid is exact for band-limited
-    integrands of matching bandwidth.
+    integrands of matching bandwidth.  |x|^q follows `abs_power`.
     """
     _validate_q(q)
     if isinstance(field, VectorField):
@@ -363,7 +376,7 @@ def lq_norm(field: Field, q: float) -> float:
         if q == np.inf:
             return float(np.max(np.abs(px)) + np.max(np.abs(py)))
         cell = field.grid.cell_area
-        total = np.sum(np.abs(px) ** q) + np.sum(np.abs(py) ** q)
+        total = np.sum(abs_power(px, q, out=px)) + np.sum(abs_power(py, q, out=py))
         return float((total * cell) ** (1.0 / q))
     return lq_norm_values(to_physical(field), q, field.grid)
 
@@ -374,7 +387,28 @@ def lq_norm_values(values: np.ndarray, q: float, grid: SpectralGrid) -> float:
     _validate_q(q)
     if q == np.inf:
         return float(np.max(np.abs(values)))
-    return float((np.sum(np.abs(values) ** q) * grid.cell_area) ** (1.0 / q))
+    return float((np.sum(abs_power(values, q)) * grid.cell_area) ** (1.0 / q))
+
+
+def abs_power(values: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|x|^q elementwise, the power rule of the L^q sums: for q = 2^k,
+    k >= 1, k repeated squarings, with no abs and no pow; for any other q,
+    np.abs(x) ** q.  out may be values itself.
+
+    Squaring rounds k times where pow rounds once, so for q = 4 and 8 a
+    value can differ from pow's in its last bits, by at most about 1e-15
+    relative; for q = 2 both are the same single rounded square."""
+    mantissa, exponent = math.frexp(q)  # q = 2^(exponent - 1) when mantissa is 1/2
+    if mantissa == 0.5 and exponent >= 2:
+        out = np.square(values, out=out)
+        for _ in range(exponent - 2):
+            np.square(out, out=out)
+        return out
+    if out is None:
+        return np.abs(values) ** q
+    np.abs(values, out=out)
+    out **= q
+    return out
 
 
 def sobolev_norm(field: Field, s: float, q: float = 2.0) -> float:
@@ -415,9 +449,16 @@ def half_sum(a: np.ndarray, b: np.ndarray, weight: np.ndarray) -> float:
     """sum_k w(k) Re(a(k) conj(b(k))) over the full lattice, from the halves
     a and b of two real fields.  `weight` is w times each column's
     multiplicity, repeated over the real and imaginary parts
-    (`sobolev_weight`, `gradient_weight`).  einsum, not a BLAS dot: the
-    path workers would contend for OpenBLAS's own threads."""
-    return float(np.einsum("ij,ij,ij->", a.view(np.float64), b.view(np.float64), weight))
+    (`sobolev_weight`, `gradient_weight`)."""
+    return float(half_sums(a, b, weight))
+
+
+def half_sums(a: np.ndarray, b: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """`half_sum` of stacked halves (..., N, N/2+1), one per leading index;
+    a and b broadcast against each other.  Each sum runs in the order of the
+    unstacked one, so it has the same bits.  einsum, not a BLAS dot: the path
+    workers would contend for OpenBLAS's own threads."""
+    return np.einsum("...ij,...ij,ij->...", a.view(np.float64), b.view(np.float64), weight)
 
 
 def _half_weight(grid: SpectralGrid, symbol: np.ndarray) -> np.ndarray:

@@ -2,16 +2,19 @@
 vorticity and remainder equations, which `run_trajectory` derives instead of
 stepping; the dense noise sum that `apply_G` scatters, with R_n applied
 over the whole grid; the basis elements read from the dense `NoiseBasis`;
-the analytic Lipschitz constant of sigma; and the running-maximum moments
-of a Brownian motion that the BDG check is measured against."""
+the analytic Lipschitz constant of sigma; the per-trial loops of the
+measured constants, which the harness evaluates a chunk at a time; and the
+running-maximum moments of a Brownian motion that the BDG check is measured
+against."""
 
 import math
 
 import numpy as np
 
+from vortex.integrator import _sup
 from vortex.noise import NoiseBasis, apply_G, scatter_plan, sigma_eval
-from vortex.operators import bilinear_F
-from vortex.spectral import ScalarField, VectorField, heat_decay, l2_norm
+from vortex.operators import bilinear_F, grad_norm_l2, leray_project, random_scalar_field
+from vortex.spectral import ScalarField, VectorField, heat_decay, l2_norm, lq_norm
 
 
 def scattered(noise, spec, grid):
@@ -95,6 +98,47 @@ def beta_step(state, cfg):
     decay = heat_decay(state.beta.grid, cfg.dt)
     adv = bilinear_F(state.v, state.zeta + state.beta)
     return _mean_free_step(decay, state.beta, -cfg.dt * adv)
+
+
+def divfree_field(grid, rng, decay=2.0, amplitude=1.0):
+    """A random divergence-free field composed one field at a time: the
+    Leray projection of two random_scalar_field components, scaled to
+    ||v||_{L^2} = amplitude."""
+    raw = VectorField(random_scalar_field(grid, rng, decay, 1.0),
+                      random_scalar_field(grid, rng, decay, 1.0))
+    v = leray_project(raw)
+    norm = l2_norm(v)
+    return v if norm == 0.0 else v * (amplitude / norm)
+
+
+def gn_constant(grid, trials, seed=7):
+    """measure_gn_constant one trial at a time: the largest
+    ||V||^2_{L^4} / (||V||_{L^2} ||grad V||_{L^2}), decay uniform in [1, 3]."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        v = divfree_field(grid, rng, decay=rng.uniform(1.0, 3.0))
+        denom = l2_norm(v) * grad_norm_l2(v)
+        if denom == 0.0:
+            continue
+        best = _sup(best, lq_norm(v, 4.0) ** 2 / denom)
+    return best
+
+
+def sigma_lipschitz(spec, grid, trials=200, seed=11):
+    """estimate_sigma_lipschitz one field pair at a time."""
+    if spec.sigma_kind != "rational_square":
+        return 0.0
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        v1 = divfree_field(grid, rng, amplitude=rng.uniform(0.1, 3.0))
+        v2 = divfree_field(grid, rng, amplitude=rng.uniform(0.1, 3.0))
+        gap = l2_norm(v1 - v2)
+        if gap == 0.0:
+            continue
+        worst = _sup(worst, abs(sigma_eval(v1, spec) - sigma_eval(v2, spec)) / gap)
+    return worst
 
 
 def sigma_lipschitz_bound(spec):

@@ -149,6 +149,27 @@ class TestRunCommand:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, initial, field", [
+        # 2 pi/L is finite, but |k|^2 at the grid's corner is not
+        ({"modes_per_dim": 16, "domain_length": 1e-160}, {}, "grid.domain_length"),
+        # |k|^-decay underflows to 0 on every mode of the dealias band
+        ({"modes_per_dim": 16, "domain_length": 6.0}, {"spectral_decay": 1e308},
+         "initial.spectral_decay"),
+        # its lattices alone would take terabytes
+        ({"modes_per_dim": 1048576}, {}, "grid.modes_per_dim"),
+    ])
+    def test_degenerate_grid_or_spectrum_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                 grid, initial, field):
+        calls = TestSharedSweep.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG, grid=grid, initial=initial)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert calls == []
+        assert not out.exists()
+
     def test_overflowing_noise_coefficient_exits_2(self, tmp_path, monkeypatch, capsys):
         calls = TestSharedSweep.count_trajectories(monkeypatch)
         doc = dict(SMALL_CONFIG, grid={"modes_per_dim": 16, "domain_length": 1000},

@@ -202,8 +202,9 @@ class TestBuilders:
         (1000.0, {"coefficient_decay": 400.0}, "noise.coefficient_decay"),
         (1000.0, {"coefficient_decay": 100.0, "coefficient_base": 1e100},
          "noise.coefficient_base"),
-        # the pivot's amplitude is pivot_norm / (L / sqrt 2)
-        (1e-300, {"sigma_kind": "rational_square", "pivot_norm": 1e10}, "noise.pivot_norm"),
+        # the pivot's amplitude is pivot_norm / (L / sqrt 2); a shorter domain
+        # would already be refused as grid.domain_length
+        (1e-100, {"sigma_kind": "rational_square", "pivot_norm": 1e300}, "noise.pivot_norm"),
         # the initial spectrum |k|^-decay overflows at the band's edge
         (2.0 * math.pi, {"spectral_decay": -1000.0}, "initial.spectral_decay"),
     ])
@@ -217,6 +218,29 @@ class TestBuilders:
         with pytest.raises(ConfigError, match=f"^'{field}'"):
             config.build_noise_spec()
             config.build_initial()
+
+    def test_underflowing_spectrum_refused_only_with_a_nonempty_band(self):
+        doc = dict(MINIMAL, grid={"modes_per_dim": 16, "domain_length": 6.0},
+                   initial={"spectral_decay": 1e308})
+        with pytest.raises(ConfigError, match="^'initial.spectral_decay'.*underflows"):
+            parse_config(doc).build_initial()
+        # a dealias band that keeps only the mean mode holds no random field
+        doc["grid"] = {"modes_per_dim": 8, "domain_length": 6.0, "dealias_fraction": 0.2}
+        _, xi0 = parse_config(doc).build_initial()
+        assert not np.any(xi0.half)
+
+    # at 5e-153 even (2 pi/L)^2 (N/2)^2 is finite, but the corner |k|^2 is not
+    @pytest.mark.parametrize("n, length", [(16, 1e-160), (16, 5e-153)])
+    def test_overflowing_wavenumbers_refused(self, n, length):
+        # 2 pi/L is finite, but (2 pi N/L)^2, the largest norm weight, is not
+        doc = dict(MINIMAL, grid={"modes_per_dim": n, "domain_length": length})
+        with pytest.raises(ConfigError, match="^grid.domain_length"):
+            parse_config(doc)
+
+    def test_grid_size_bounded(self):
+        assert parse_config(dict(MINIMAL, grid={"modes_per_dim": 4096})).grid.modes_per_dim == 4096
+        with pytest.raises(ConfigError, match="^'grid.modes_per_dim' must be <= 4096"):
+            parse_config(dict(MINIMAL, grid={"modes_per_dim": 4098}))
 
     def test_pivot_norm(self):
         doc = dict(MINIMAL)

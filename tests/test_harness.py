@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import abs_brownian_sup_moment, discrete_sup_sq_oracle
+from oracles import (
+    abs_brownian_sup_moment,
+    discrete_sup_sq_oracle,
+    divfree_field,
+    gn_constant,
+    sigma_lipschitz,
+)
 from vortex.config import CHECK_PARAMS, _single_mode_vector
 from vortex.harness import (
     CheckResult,
@@ -490,25 +496,71 @@ class TestMeasuredConstants:
         assert lg > 0.0
         assert estimate_lipschitz_lg(ZERO_NOISE, grid16) == 0.0
 
+    @pytest.mark.parametrize("n", [16, 32, 64, 256])
+    @pytest.mark.parametrize("fields_per_trial", [1, 2])
+    def test_chunks_cover_the_trials_within_the_budget(self, n, fields_per_trial):
+        grid = SpectralGrid(n)
+        for trials in (1, 7, 45, 400):
+            sizes = list(harness._trial_chunks(grid, trials, fields_per_trial))
+            assert sum(sizes) == trials and min(sizes) >= 1
+            per_trial = 32 * n * n * fields_per_trial
+            assert max(sizes) == 1 or max(sizes) * per_trial <= harness.TRIAL_CHUNK_BYTES
+
+    # trial counts that end in a partial chunk on each grid: the chunks hold
+    # 32, 8 and 2 GN trials and 16, 4 and 1 Lipschitz pairs
+    @pytest.mark.parametrize("n, trials", [(16, 45), (32, 21), (64, 7)])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_gn_constant_is_the_per_trial_loop(self, n, trials, seed):
+        grid = SpectralGrid(n)
+        assert trials % next(harness._trial_chunks(grid, 10**9)) != 0
+        got = measure_gn_constant.__wrapped__(grid, trials, seed)
+        assert got.hex() == gn_constant(grid, trials, seed).hex()
+
+    @pytest.mark.parametrize("n, trials", [(16, 23), (32, 9), (64, 3)])
+    @pytest.mark.parametrize("seed", [0, 11, 123])
+    def test_sigma_lipschitz_is_the_per_trial_loop(self, n, trials, seed):
+        grid = SpectralGrid(n)
+        h = _single_mode_vector(grid, (1, 0), 4.0)
+        spec = CovarianceSpec(((1, 0),), (0.5,), 0.5, "rational_square", h)
+        got = estimate_sigma_lipschitz(spec, grid, trials, seed)
+        assert got > 0.0
+        assert got.hex() == sigma_lipschitz(spec, grid, trials, seed).hex()
+
+    @pytest.mark.parametrize("decay, amplitude", [(2.0, 1.0), (1.37, 0.3), (-1.0, 2.0)])
+    def test_one_divfree_field_is_the_composed_one(self, grid32, decay, amplitude):
+        got = random_divfree_field(grid32, np.random.default_rng(5), decay, amplitude)
+        want = divfree_field(grid32, np.random.default_rng(5), decay, amplitude)
+        for a, b in ((got.vx, want.vx), (got.vy, want.vy)):
+            assert a.half.tobytes() == b.half.tobytes()
+
     @staticmethod
-    def nan_on_call(monkeypatch, name, k):
-        # the k-th call of harness.<name> returns NaN, the others the real value
-        real, calls = getattr(harness, name), []
+    def nan_in_chunk(monkeypatch, k):
+        # the first field of the k-th chunk gets a NaN coefficient
+        real, calls = harness.divfree_halves, []
 
-        def patched(*args, **kwargs):
+        def patched(*args):
+            v = real(*args)
             calls.append(1)
-            return math.nan if len(calls) == k else real(*args, **kwargs)
+            if len(calls) == k:
+                v[0, 0, 1, 1] = math.nan
+            return v
 
-        monkeypatch.setattr(harness, name, patched)
+        monkeypatch.setattr(harness, "divfree_halves", patched)
+        return calls
 
     def test_nan_ratio_kept(self, grid16, monkeypatch):
-        # a NaN trial among finite ones is the worst case, not dropped
-        self.nan_on_call(monkeypatch, "lq_norm", 3)
-        assert math.isnan(measure_gn_constant.__wrapped__(grid16, 5, 7))
+        # a NaN trial among finite ones is the worst case, not dropped, also
+        # when it lies in a later chunk and finite trials follow it
+        chunk = next(harness._trial_chunks(grid16, 10**9))
+        calls = self.nan_in_chunk(monkeypatch, 2)
+        assert math.isnan(measure_gn_constant.__wrapped__(grid16, 2 * chunk + 3, 7))
+        assert len(calls) == 3
         h = _single_mode_vector(grid16, (1, 0), 1.0)
         spec = CovarianceSpec(((1, 0),), (0.5,), 0.5, "rational_square", h)
-        self.nan_on_call(monkeypatch, "sigma_eval", 5)
-        assert math.isnan(estimate_sigma_lipschitz(spec, grid16, trials=5))
+        chunk = next(harness._trial_chunks(grid16, 10**9, fields_per_trial=2))
+        calls = self.nan_in_chunk(monkeypatch, 2)
+        assert math.isnan(estimate_sigma_lipschitz(spec, grid16, trials=2 * chunk + 3))
+        assert len(calls) == 3
 
 
 class TestIdentitySuite:

@@ -2,6 +2,8 @@
 Hilbert-Schmidt / gamma-radonifying norms."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -533,6 +535,45 @@ class TestIncrements:
         for seed, path, step in ((2, 2, 3), (1, 3, 3), (1, 2, 4)):
             other = sample_increment(seed, path, step, spec, 0.01).gaussians
             assert not np.array_equal(base, other)
+
+    @staticmethod
+    def fresh(seed, path, step, n):
+        # the generator sample_increment once built per (seed, path, step)
+        key = np.array([seed, path], dtype=np.uint64)
+        counter = np.array([0, 0, step, 0], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key, counter=counter)).standard_normal(n)
+
+    def test_a_fresh_philox_draw(self):
+        # draws of different lengths in turn: no buffered bits carry over
+        for spec in (make_spec(), make_spec(modes=((1, 0),), coeffs=(1.0,)), make_spec()):
+            for seed, path, step in ((0, 0, 0), (2026, 3, 7), (2**63 - 1, 0x494E4954, 10**6)):
+                got = sample_increment(seed, path, step, spec, 0.01).gaussians
+                assert got.tobytes() == self.fresh(seed, path, step, spec.n_modes).tobytes()
+
+    def test_interleaved_threads_draw_fresh(self):
+        # more threads than cores, switching often, all drawing at each step
+        spec, n_threads, n_steps = make_spec(), 4, 25
+        barrier, got = threading.Barrier(n_threads, timeout=30.0), {}
+
+        def worker(path):
+            for step in range(n_steps):
+                barrier.wait()
+                got[path, step] = sample_increment(9, path, step, spec, 0.01).gaussians
+
+        threads = [threading.Thread(target=worker, args=(p,)) for p in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == n_threads * n_steps
+        for (path, step), draws in got.items():
+            assert draws.tobytes() == self.fresh(9, path, step, spec.n_modes).tobytes()
 
     def test_moments(self):
         spec = make_spec(modes=((1, 0),), coeffs=(1.0,))

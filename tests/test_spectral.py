@@ -8,6 +8,7 @@ import pytest
 from vortex.operators import random_scalar_field
 from vortex.spectral import (
     TWO_THIRDS,
+    abs_power,
     ScalarField,
     SpectralGrid,
     VectorField,
@@ -304,6 +305,45 @@ class TestLqNorm:
     def test_q_below_one_rejected(self, grid16):
         with pytest.raises(ValueError):
             lq_norm(zero_scalar(grid16), 0.5)
+
+    @staticmethod
+    def pow_norm(parts, q, grid):
+        # the sum of |x|^q by pow, as the norms took it before the power rule
+        total = sum(np.sum(np.abs(p) ** q) for p in parts)
+        return float((total * grid.cell_area) ** (1.0 / q))
+
+    @pytest.mark.parametrize("q", [2.0, 4.0, 8.0])
+    def test_power_of_two_matches_pow(self, grid32, rng, q):
+        f = random_scalar_field(grid32, rng, amplitude=30.0)
+        g = random_scalar_field(grid32, rng)
+        values = to_physical(f)
+        squared = abs_power(values, q)
+        assert np.allclose(squared, np.abs(values) ** q, rtol=1e-14, atol=0.0)
+        assert np.sum(squared) == pytest.approx(np.sum(np.abs(values) ** q), rel=1e-14)
+        assert lq_norm(f, q) == pytest.approx(self.pow_norm([values], q, grid32), rel=1e-14)
+        v = VectorField(f, g)
+        assert lq_norm(v, q) == pytest.approx(self.pow_norm(to_physical(v), q, grid32),
+                                              rel=1e-14)
+        if q == 2.0:  # one square either way
+            assert squared.tobytes() == (np.abs(values) ** q).tobytes()
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0, 6.0, 12.5])
+    def test_other_q_unchanged(self, grid32, rng, q):
+        f, g = random_scalar_field(grid32, rng), random_scalar_field(grid32, rng)
+        values = to_physical(f)
+        want = np.abs(values) ** q
+        assert abs_power(values, q).tobytes() == want.tobytes()
+        assert abs_power(values, q, out=values.copy()).tobytes() == want.tobytes()
+        assert lq_norm(f, q) == self.pow_norm([values], q, grid32)
+        v = VectorField(f, g)
+        assert lq_norm(v, q) == self.pow_norm(to_physical(v), q, grid32)
+
+    def test_power_rule_leaves_its_input(self, grid16, rng):
+        values = to_physical(random_scalar_field(grid16, rng))
+        before = values.copy()
+        for q in (3.0, 4.0):
+            abs_power(values, q)
+        assert np.array_equal(values, before)
 
 
 class TestSobolevNorm:
