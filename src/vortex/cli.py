@@ -2,7 +2,9 @@
 
 run     executes the configured Monte-Carlo experiment and writes
         stats.csv + checks.json + manifest.json (+ optional snapshots);
-check   runs the operator-identity suite standalone;
+check   runs the operator-identity suite standalone; its --seed, --grid
+        and --trials meet the requirements of mc.base_seed,
+        grid.modes_per_dim and the identities check's trials;
 report  re-renders a summary from stored outputs.
 
 Exit status: 0 when every enabled check passes, 1 on any failed check,
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import MC, ConfigError, ExperimentConfig, load_config
+from .config import CHECK_PARAMS, GRID, MC, ConfigError, ExperimentConfig, load_config
 from .harness import (
     CheckResult,
     HolderProbe,
@@ -209,11 +211,20 @@ def cmd_run(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+# `check` flag -> the config table entry whose requirement it meets
+CHECK_FLAGS = {"seed": MC["base_seed"], "grid": GRID["modes_per_dim"],
+               "trials": CHECK_PARAMS["identities"]["trials"]}
+
+
 def cmd_check(args) -> int:
-    holds, message = MC["base_seed"][2]
-    if not holds(args.seed):
-        raise ConfigError(f"'--seed' {message}, got {args.seed}")
-    results = identity_suite(SpectralGrid(args.grid), args.trials, args.seed)
+    for flag, (_, _, (holds, message)) in CHECK_FLAGS.items():
+        if not holds(getattr(args, flag)):
+            raise ConfigError(f"'--{flag}' {message}, got {getattr(args, flag)}")
+    try:
+        grid = SpectralGrid(args.grid)
+    except ValueError as err:
+        raise ConfigError(f"'--grid': {err}") from err
+    results = identity_suite(grid, args.trials, args.seed)
     payload = render_checks_json(results)
     if args.out:
         _atomic_write(Path(args.out), payload)

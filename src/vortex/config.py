@@ -454,6 +454,8 @@ def build_initial(initial: InitialConfig, grid: SpectralGrid,
         xi0 = random_scalar_field(grid, initial_rng(base_seed), decay=initial.spectral_decay,
                                   amplitude=initial.amplitude)
     except ValueError as err:  # the |k|^-decay spectrum over- or underflows
-        raise ConfigError(f"'initial.spectral_decay' gives no usable spectrum on this grid "
-                          f"({err}), got {initial.spectral_decay}") from err
+        # |k| runs over multiples of 2*pi/L, so the decay and the domain act as a pair
+        raise ConfigError(f"'initial.spectral_decay' gives no usable spectrum with "
+                          f"'grid.domain_length' {grid.domain_length!r} ({err}), "
+                          f"got {initial.spectral_decay}") from err
     return None, xi0

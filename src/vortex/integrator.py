@@ -7,9 +7,10 @@ convention).  A trajectory evolves only the independent fields, the
 velocity v and the stochastic convolution zeta, on the same Wiener
 increments; the vorticity xi = curl v and the remainder beta = xi - zeta
 are derived after each step.  Under the 2/3 rule curl P B(v,v) equals
-F(v, curl v) on the retained band (Orszag 1971), so the derived fields
-agree with the discretised vorticity and remainder equations (stepped by
-the oracles of the test suite) to rounding.  The curl has no mean mode,
+F(v, curl v) on the retained band (Orszag 1971; the identity suite checks
+it as `drift_curl`), so the derived fields agree with the discretised
+vorticity and remainder equations (stepped by the oracles of the test
+suite) to rounding.  The curl has no mean mode,
 so mean-zero vorticity is preserved exactly.
 
 Every field is its (N, N/2+1) rfft2 half spectrum (see `spectral`), so
@@ -25,10 +26,10 @@ One loop steps every solution the program integrates: the generator
 the path statistics, and the harness's Gronwall pair steps two of them
 side by side, so the checks exercise the same code as a run.
 
-The velocity nonlinearity is taken in rotational form,
-P B(v,v) = P[w (-u_y, u_x)] with u the dealiased v and w its curl, so
-each step transforms the vorticity to physical space once and shares it
-between the nonlinearity and the L^q statistic.  The sharing is exact
+The velocity nonlinearity is `operators.velocity_drift`, the rotational
+form P B(v,v) = P[w (-u_y, u_x)] with u the dealiased v and w its curl,
+so each step transforms the vorticity to physical space once and shares
+it between the nonlinearity and the L^q statistic.  The sharing is exact
 when v0 and every noise mode lie inside the dealias band: the projected
 product is dealiased and the heat decay is diagonal, so curl v then has
 no coefficient outside the band at any step, and its physical values are
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .noise import CovarianceSpec, apply_G, sample_increment, scatter_plan
 from .operators import (
     MEAN_ZERO_RTOL,
@@ -50,8 +52,6 @@ from .operators import (
     curl,
     grad_norm_l2,
     grad_norm_l2_scalar,
-    leray_project,
-    rotational_advection,
     vorticity_values,
 )
 from .spectral import (
@@ -181,12 +181,12 @@ def velocity_step(
     Returns v+ and its L2 norm, which the blow-up guard measured.
 
     `noise` is `apply_G`'s increment, whose rows 0 and 1 are G(v) dW at the
-    flat half-spectrum indices `touched`.  P B(v,v) is evaluated in rotational
-    form, P[w (-u_y, u_x)] with u the dealiased v; `vorticity` holds w, the
-    physical values of the dealiased curl of v (`operators.vorticity_values`).
-    It agrees with leray_project(bilinear_B(v, v)) to rounding."""
+    flat half-spectrum indices `touched`.  P B(v,v) is `operators.velocity_drift`,
+    read from the module so that the identity suite judges the same
+    function; `vorticity` holds the w it takes, the physical values of the
+    dealiased curl of v (`operators.vorticity_values`)."""
     decay = heat_decay(v.grid, cfg.dt)
-    pb = leray_project(rotational_advection(v, vorticity))
+    pb = operators.velocity_drift(v, vorticity)
     new = VectorField(
         _stepped(decay, v.vx, touched, noise[0], -cfg.dt * pb.vx),
         _stepped(decay, v.vy, touched, noise[1], -cfg.dt * pb.vy),
@@ -302,11 +302,12 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
                    cfg: SolverConfig, seed: int, path_index: int = 0,
                    lq_exponent: float = 4.0, observer=None) -> TrajectoryResult:
     """The path functionals and the last visited state of the `trajectory`
-    of (seed, path_index); status 'blowup' if a step blew up, which ends the
-    path there.  An observer callable, if given, sees each visited
-    CoupledState once, in step order (its k-th call the state after k
-    steps); callers derive from it whatever else they need of a path, such
-    as recorded states, snapshot files or zeta samples.
+    of (seed, path_index); status 'blowup' if a step blew up or a functional
+    is not finite, which ends the path there.  An observer callable, if
+    given, sees each visited CoupledState once, in step order (its k-th
+    call the state after k steps); callers derive from it whatever else
+    they need of a path, such as recorded states, snapshot files or zeta
+    samples.
     """
     grid = xi0.grid
     stats = TrajectoryStats()
@@ -322,6 +323,10 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
             if k < cfg.n_steps:
                 stats.int_grad_v += cfg.dt * grad_norm_l2(state.v) ** 2
                 stats.int_grad_beta += cfg.dt * grad_norm_l2_scalar(state.beta) ** 2
+            # the guard's rule for the norms, applied to every functional:
+            # inf or NaN is a blow-up, never a completed path
+            if not all(map(math.isfinite, map(stats.functional, stats.FUNCTIONALS))):
+                raise BlowupError(f"a path functional is not finite at t={state.t:g}")
     except BlowupError:
         stats.status = "blowup"
 

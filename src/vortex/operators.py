@@ -1,19 +1,20 @@
 """Differential and bilinear operators on spectral fields.
 
-curl, Biot-Savart inversion, Leray projection, the advection operators
-B(u,v) = (u.grad)v and F(u,xi) = u.grad xi, and the rotational form of
-the velocity nonlinearity.  In 2D (u.grad)u = grad |u|^2/2 + w (-u_y, u_x)
-with w = curl u, and the Leray projection removes the gradient, so
-P B(u,u) = P[w (-u_y, u_x)] (Orszag 1971; Canuto et al., Spectral Methods,
-2007, sec. 3.4).  The time step uses the rotational form: from the
-physical w it costs two transforms for u and two for the products, where
-B(u,u) costs eight.  B and F remain for the identity checks.
+curl, Biot-Savart inversion, Leray projection, the vorticity advection
+F(u,xi) = u.grad xi and the velocity drift P B(v,v).  In 2D
+(u.grad)u = grad |u|^2/2 + w (-u_y, u_x) with w = curl u, and the Leray
+projection removes the gradient, so P B(u,u) = P[w (-u_y, u_x)] (Orszag
+1971; Canuto et al., Spectral Methods, 2007, sec. 3.4).  `velocity_drift`
+takes this rotational form: from the physical w it costs two transforms
+for u and two for the products, where the advective form costs eight.
+It is the one implementation of P B(v,v): the time step and the identity
+suite both call it, through this module's attribute.
 
 Nonlinearities are evaluated pseudo-spectrally: differentiate in spectral
 space, multiply in physical space, transform back, dealias.  With the 2/3
 mask this keeps the retained band alias-free, so the cancellation
 identities of the continuum operators hold to near machine precision, and
-the rotational and advective forms agree to rounding.
+curl P B(v,v) equals F(v, curl v) to rounding.
 
 Random fields come from one stacked generator: `divfree_draws` and
 `divfree_halves` make many divergence-free fields at once, and
@@ -50,11 +51,6 @@ def gradient(f: ScalarField) -> VectorField:
         ScalarField(g, 1j * g.diff_kx * f.half),
         ScalarField(g, 1j * g.diff_ky * f.half),
     )
-
-
-def divergence(v: VectorField) -> ScalarField:
-    g = v.grid
-    return ScalarField(g, 1j * (g.diff_kx * v.vx.half + g.diff_ky * v.vy.half))
 
 
 def divergence_defect(v: VectorField) -> float:
@@ -108,70 +104,37 @@ def _leray_halves(grid: SpectralGrid, ux: np.ndarray, uy: np.ndarray):
     return ux - grid.kx * kdotu, uy - grid.ky * kdotu
 
 
-def _advect_scalar(u1p, u2p, f: ScalarField) -> np.ndarray:
-    """Physical values of u.grad f with dealiased f; u already physical."""
-    g = f.grid
-    fb = f.half * g.dealias_mask
-    dfx = to_physical(ScalarField(g, 1j * g.diff_kx * fb))
-    dfy = to_physical(ScalarField(g, 1j * g.diff_ky * fb))
-    return u1p * dfx + u2p * dfy
-
-
 def _spectral_of(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Dealiased half-spectrum amplitudes of real grid values, filled only
     inside the dealias band, so no mask multiply follows."""
     return hermitian_amplitudes(values, grid.dealias_limit)
 
 
-def advection_values(u: VectorField, target):
-    """Physical grid values of (u.grad) target with dealiased inputs, before
-    any output truncation."""
-    _require_same_grid(u, target)
-    u1p, u2p = to_physical(dealias(u))
-    if isinstance(target, VectorField):
-        return (_advect_scalar(u1p, u2p, target.vx),
-                _advect_scalar(u1p, u2p, target.vy))
-    return _advect_scalar(u1p, u2p, target)
-
-
-def bilinear_B(u: VectorField, v: VectorField) -> VectorField:
-    """(u.grad)v, pseudo-spectral and dealiased; not Leray-projected."""
-    g = u.grid
-    wx, wy = advection_values(u, v)
-    return VectorField(ScalarField(g, _spectral_of(wx, g)),
-                       ScalarField(g, _spectral_of(wy, g)))
-
-
 def bilinear_F(u: VectorField, xi: ScalarField) -> ScalarField:
     """u.grad xi, pseudo-spectral and dealiased."""
+    _require_same_grid(u, xi)
     g = u.grid
-    return ScalarField(g, _spectral_of(advection_values(u, xi), g))
+    u1p, u2p = to_physical(dealias(u))
+    xib = xi.half * g.dealias_mask
+    dfx = to_physical(ScalarField(g, 1j * g.diff_kx * xib))
+    dfy = to_physical(ScalarField(g, 1j * g.diff_ky * xib))
+    return ScalarField(g, _spectral_of(u1p * dfx + u2p * dfy, g))
 
 
 def vorticity_values(v: VectorField) -> np.ndarray:
     """Physical grid values of the dealiased vorticity curl(v), the w that
-    `rotational_advection` takes."""
+    `velocity_drift` takes."""
     return to_physical(dealias(curl(v)))
 
 
-def rotational_advection(v: VectorField, vorticity: np.ndarray) -> VectorField:
-    """w (-u_y, u_x) with u the dealiased v and w = vorticity_values(v) given
-    as physical values; pseudo-spectral and dealiased.  Its Leray projection
-    equals leray_project(bilinear_B(v, v)) to rounding."""
+def velocity_drift(v: VectorField, vorticity: np.ndarray) -> VectorField:
+    """P B(v,v) in rotational form, P[w (-u_y, u_x)] with u the dealiased v
+    and w = vorticity_values(v) given as physical values; pseudo-spectral
+    and dealiased.  Its curl is F(v, curl v) to rounding."""
     g = v.grid
     ux, uy = to_physical(dealias(v))
-    return VectorField(ScalarField(g, _spectral_of(-vorticity * uy, g)),
-                       ScalarField(g, _spectral_of(vorticity * ux, g)))
-
-
-def bracket(f, g) -> float:
-    """Duality pairing <f, g> as physical-space quadrature of the product."""
-    if isinstance(f, VectorField) != isinstance(g, VectorField):
-        raise ValueError("cannot pair a scalar field with a vector field")
-    if isinstance(f, VectorField):
-        return bracket(f.vx, g.vx) + bracket(f.vy, g.vy)
-    _require_same_grid(f, g)
-    return float(np.sum(to_physical(f) * to_physical(g)) * f.grid.cell_area)
+    return leray_project(VectorField(ScalarField(g, _spectral_of(-vorticity * uy, g)),
+                                     ScalarField(g, _spectral_of(vorticity * ux, g))))
 
 
 def grad_norm_l2(v: VectorField) -> float:

@@ -19,7 +19,7 @@ own mirror, and within them row i mirrors row N-i.  Every grid symbol
 the two self-conjugate columns mirrored within themselves, so a
 transformed spectrum is Hermitian by construction.  Only those two
 columns can break realness; the entry points that take caller-made
-fields (`operators.biot_savart`, `integrator.run_trajectory`) check them
+fields (`operators.biot_savart`, `integrator.trajectory`) check them
 with `require_real`.  A full (N, N) lattice enters only through
 `ScalarField.from_lattice`, which checks it, and leaves only through the
 derived, read-only `ScalarField.coeffs`, which nothing here reads.
@@ -52,10 +52,12 @@ class SpectralGrid:
 
     Wavevectors are k = (2*pi/L) * (j1, j2) with j in {-N/2+1, ..., N/2};
     the Nyquist line is labelled +N/2.  The dealias mask zeroes every mode
-    with max(|j1|, |j2|) > dealias_fraction * N/2 (default 2/3 rule, which
-    makes quadratic products alias-free on grids not divisible by 6).  A
-    larger fraction lets the quadratic products alias, and at 1 the mask
-    keeps the Nyquist line, so dealias_fraction must lie in (0, 2/3].
+    with max(|j1|, |j2|) > dealias_fraction * N/2 or 3 max(|j1|, |j2|) >= N
+    (the 2/3 rule).  Quadratic products are alias-free exactly when the
+    kept |j| stay below N/3; on grids divisible by 6 the fraction 2/3 alone
+    would keep |j| = N/3, whose products alias into the band.  A larger
+    fraction lets the quadratic products alias, and at 1 the mask keeps
+    the Nyquist line, so dealias_fraction must lie in (0, 2/3].
     """
 
     modes_per_dim: int
@@ -131,9 +133,10 @@ class SpectralGrid:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
+        n = self.modes_per_dim
         j = np.abs(self.mode_numbers)
-        cutoff = self.dealias_fraction * self.modes_per_dim / 2.0
-        return (np.maximum(j[:, None], j[None, : self.modes_per_dim // 2 + 1]) <= cutoff)
+        top = np.maximum(j[:, None], j[None, : n // 2 + 1])
+        return (top <= self.dealias_fraction * n / 2.0) & (3 * top < n)
 
     @cached_property
     def dealias_limit(self) -> int:
@@ -210,10 +213,6 @@ class ScalarField:
 
     def __neg__(self) -> "ScalarField":
         return ScalarField(self.grid, -self.half)
-
-    @property
-    def mean_value(self) -> complex:
-        return complex(self.half[0, 0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,8 @@
-"""Independent oracles the tests judge the program by: the discretised
-vorticity and remainder equations, which `run_trajectory` derives instead of
-stepping; the dense noise sum that `apply_G` scatters, with R_n applied
+"""Independent oracles the tests judge the program by: the advective form
+B(u,v) = (u.grad)v of the velocity nonlinearity, whose projection the
+rotational `velocity_drift` must reproduce; the discretised vorticity and
+remainder equations, which `run_trajectory` derives instead of stepping;
+the dense noise sum that `apply_G` scatters, with R_n applied
 over the whole grid; the basis elements read from the dense `NoiseBasis`;
 the analytic Lipschitz constant of sigma; the per-trial loops of the
 measured constants, which the harness evaluates a chunk at a time; and the
@@ -15,6 +17,12 @@ from vortex.integrator import _sup
 from vortex.noise import NoiseBasis, apply_G, scatter_plan, sigma_eval
 from vortex.operators import bilinear_F, grad_norm_l2, leray_project, random_scalar_field
 from vortex.spectral import ScalarField, VectorField, heat_decay, l2_norm, lq_norm
+
+
+def bilinear_B(u, v):
+    """(u.grad)v, pseudo-spectral and dealiased, one component of v at a
+    time through F; not Leray-projected."""
+    return VectorField(bilinear_F(u, v.vx), bilinear_F(u, v.vy))
 
 
 def scattered(noise, spec, grid):

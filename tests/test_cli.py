@@ -170,6 +170,22 @@ class TestRunCommand:
         assert calls == []
         assert not out.exists()
 
+    def test_non_finite_functionals_fail_closed(self, tmp_path, capsys):
+        # on so short a domain |xi|^4 overflows while every L^2 norm is finite:
+        # the paths end as blowup, never completed with inf, and energy FAILs
+        doc = dict(SMALL_CONFIG, grid={"modes_per_dim": 16, "domain_length": 1.0053e-152},
+                   initial={"spectral_decay": 0}, mc={"n_paths": 2},
+                   checks=[{"name": "energy"}])
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(out)])
+        assert code == 1
+        assert "FAIL energy.status" in capsys.readouterr().out
+        rows = [r.split(",") for r in (out / "stats.csv").read_text().split()[1:]]
+        assert [r[-1] for r in rows] == ["blowup", "blowup"]
+        assert any(not math.isfinite(float(x)) for x in rows[0][1:-1])
+
     def test_overflowing_noise_coefficient_exits_2(self, tmp_path, monkeypatch, capsys):
         calls = TestSharedSweep.count_trajectories(monkeypatch)
         doc = dict(SMALL_CONFIG, grid={"modes_per_dim": 16, "domain_length": 1000},
@@ -415,8 +431,24 @@ class TestCheckCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         names = {c["name"] for c in payload}
-        assert "identity.b_energy" in names
+        assert {"identity.drift_curl", "identity.drift_energy",
+                "identity.drift_divfree"} <= names
         assert all(c["passed"] for c in payload)
+
+    @pytest.mark.parametrize("flags, message", [
+        # a grid whose 2N padded fields would not fit in memory
+        (["--grid", "8192"], "'--grid' must be <= 4096, got 8192"),
+        (["--grid", "7"], "'--grid': modes_per_dim must be even and >= 8, got 7"),
+        (["--trials", "0"], "'--trials' must be >= 1, got 0"),
+    ])
+    def test_bad_flags_exit_2_naming_the_flag(self, monkeypatch, capsys, flags, message):
+        def refused(*args, **kwargs):
+            raise AssertionError("the identity suite ran on a refused flag")
+
+        monkeypatch.setattr(cli, "identity_suite", refused)
+        assert main(["check", "identities", *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_negative_seed_exits_2_naming_the_flag(self, capsys):
         assert main(["check", "identities", "--grid", "16", "--trials", "1",

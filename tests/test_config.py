@@ -229,6 +229,14 @@ class TestBuilders:
         _, xi0 = parse_config(doc).build_initial()
         assert not np.any(xi0.half)
 
+    def test_underflow_names_the_domain_with_the_decay(self):
+        # |k|^-2 at |k| = 2 pi/L ~ 1e153 squares to 0 in the norm: the default
+        # decay underflows only on this domain
+        doc = dict(MINIMAL, grid={"modes_per_dim": 16, "domain_length": 7.73e-153})
+        with pytest.raises(ConfigError, match="^'initial.spectral_decay' .*"
+                           "'grid.domain_length' 7.73e-153 .*underflows"):
+            parse_config(doc).build_initial()
+
     # at 5e-153 even (2 pi/L)^2 (N/2)^2 is finite, but the corner |k|^2 is not
     @pytest.mark.parametrize("n, length", [(16, 1e-160), (16, 5e-153)])
     def test_overflowing_wavenumbers_refused(self, n, length):

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     abs_brownian_sup_moment,
+    bilinear_B,
     discrete_sup_sq_oracle,
     divfree_field,
     gn_constant,
@@ -32,18 +35,27 @@ from vortex.harness import (
     zeta_budget,
     zeta_regularity,
 )
-from vortex import harness, integrator
+from vortex import harness, integrator, operators
 from vortex.integrator import SolverConfig, TrajectoryStats, holder_quotient, run_trajectory
 from vortex.noise import CovarianceSpec
 from vortex.operators import (
-    bilinear_B,
     biot_savart,
     curl,
     grad_norm_l2,
+    leray_project,
     random_divfree_field,
     random_scalar_field,
 )
-from vortex.spectral import ScalarField, SpectralGrid, l2_norm, regrid
+from vortex.spectral import (
+    TWO_THIRDS,
+    ScalarField,
+    SpectralGrid,
+    VectorField,
+    dealias,
+    l2_norm,
+    regrid,
+    to_physical,
+)
 
 ZERO_NOISE = CovarianceSpec(((1, 0),), (0.1,), 0.5, "zero")
 SMALL_NOISE = CovarianceSpec(((1, 0), (0, 1), (1, 1), (-1, 0)),
@@ -395,7 +407,8 @@ class TestGronwall:
 
     @pytest.mark.parametrize("modes", [((1, 0), (0, 1), (1, 1)), ((1, 0), (12, 0))])
     def test_pair_matches_advective_form(self, grid32, rng, monkeypatch, modes):
-        # the pair steps with P B(v,v) in rotational form; bilinear_B is the oracle
+        # the pair steps with the rotational velocity_drift; P B(v,v) of the
+        # advective bilinear_B is the oracle
         pivot = random_divfree_field(grid32, rng, amplitude=4.0)
         spec = CovarianceSpec(modes, (1.0,) * len(modes), 0.5, "rational_square", pivot)
         v0a = biot_savart(random_scalar_field(grid32, rng, amplitude=3.0))
@@ -403,7 +416,8 @@ class TestGronwall:
         v0b = v0a + bump * (1e-2 / l2_norm(bump))
         cfg = SolverConfig(dt=2e-3, t_end=0.12)
         res = gronwall_pair(v0a, v0b, spec, cfg, seed=4, path_index=1, a_const=0.3, lg=0.5)
-        monkeypatch.setattr(integrator, "rotational_advection", lambda v, w: bilinear_B(v, v))
+        monkeypatch.setattr(operators, "velocity_drift",
+                            lambda v, w: leray_project(bilinear_B(v, v)))
         oracle = gronwall_pair(v0a, v0b, spec, cfg, seed=4, path_index=1, a_const=0.3, lg=0.5)
         assert len(res["m_series"]) == len(oracle["m_series"]) == cfg.n_steps + 1
         for a, b in zip(res["m_series"], oracle["m_series"]):
@@ -579,11 +593,74 @@ class TestIdentitySuite:
         with pytest.raises(ValueError):
             identity_suite(grid16, trials=0)
 
-    def test_nan_operator_fails(self, monkeypatch):
-        monkeypatch.setattr(harness, "bilinear_B", lambda u, v: bilinear_B(u, v) * math.nan)
-        results = {r.name: r for r in identity_suite(SpectralGrid(32), 2, 0)}
-        for name in ("identity.b_energy", "identity.b_skew"):
-            assert math.isnan(results[name].observed) and not results[name].passed, name
+    # even N from 8 to 96, N = 2 (mod 4) included; dealias fractions in (0, 2/3]
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 48).map(lambda m: 2 * m),
+           st.floats(min_value=1e-3, max_value=TWO_THIRDS), st.integers(0, 2**32 - 1))
+    def test_drift_identities_hold_on_every_grid(self, n, fraction, seed):
+        grid = SpectralGrid(n, dealias_fraction=fraction)
+        if grid.dealias_limit < 1:
+            with pytest.raises(ValueError, match="'grid.dealias_fraction'"):
+                identity_suite(grid, 1, seed)
+            return
+        results = {r.name: r for r in identity_suite(grid, 1, seed)}
+        for name in DRIFT_CHECKS:
+            assert results[name].passed, (name, results[name].observed)
+
+
+
+def unprojected_drift(v, w):
+    """w (-u_y, u_x) as velocity_drift forms it, without the Leray projection."""
+    g = v.grid
+    ux, uy = to_physical(dealias(v))
+    return VectorField(ScalarField(g, operators._spectral_of(-w * uy, g)),
+                       ScalarField(g, operators._spectral_of(w * ux, g)))
+
+
+DRIFT_CHECKS = ("identity.drift_curl", "identity.drift_energy", "identity.drift_divfree")
+
+
+class TestPlantedDriftFaults:
+    """A fault planted once, in operators.velocity_drift, reaches both the time
+    step and the identity suite: the trajectory changes and the suite FAILs."""
+
+    FAULTS = {
+        "sign_flipped": (lambda drift: lambda v, w: -drift(v, w), DRIFT_CHECKS[:1]),
+        "unprojected": (lambda drift: unprojected_drift, DRIFT_CHECKS[2:]),
+        "nan": (lambda drift: lambda v, w: drift(v, w) * math.nan, DRIFT_CHECKS),
+    }
+
+    @staticmethod
+    def run(grid):
+        xi0 = random_scalar_field(grid, np.random.default_rng(5), amplitude=3.0)
+        return run_trajectory(None, xi0, SMALL_NOISE, SolverConfig(dt=2e-3, t_end=0.02), seed=1)
+
+    @staticmethod
+    def suite():
+        return {r.name: r for r in identity_suite(SpectralGrid(32), 2, 0)}
+
+    def test_correct_drift_passes(self):
+        results = self.suite()
+        for name in DRIFT_CHECKS:
+            assert results[name].passed, (name, results[name].observed)
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_changes_the_step_and_fails_the_suite(self, grid16, monkeypatch, fault):
+        correct = self.run(grid16)
+        plant, failing = self.FAULTS[fault]
+        monkeypatch.setattr(operators, "velocity_drift", plant(operators.velocity_drift))
+        faulty = self.run(grid16)
+        if fault == "nan":
+            assert faulty.stats.status == "blowup"
+        else:
+            gap = l2_norm(faulty.final.v - correct.final.v)
+            assert gap > 1e-3 * l2_norm(correct.final.v)
+        results = self.suite()
+        for name in DRIFT_CHECKS:
+            assert results[name].passed == (name not in failing), (name, results[name].observed)
+        if fault == "nan":
+            for name in DRIFT_CHECKS:
+                assert math.isnan(results[name].observed), name
         assert results["identity.f_self"].passed
 
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import basis_fields, beta_step, vorticity_step, zeta_step
-from vortex import integrator, noise
+from oracles import basis_fields, beta_step, bilinear_B, vorticity_step, zeta_step
+from vortex import integrator, noise, operators
 from vortex.integrator import (
     BlowupError,
     CoupledState,
@@ -23,10 +23,10 @@ from vortex.noise import (
     scatter_plan,
 )
 from vortex.operators import (
-    bilinear_B,
     biot_savart,
     curl,
     grad_norm_l2,
+    leray_project,
     random_divfree_field,
     random_scalar_field,
     vorticity_values,
@@ -440,11 +440,22 @@ class TestDerivedFields:
         res = run_trajectory(None, xi0, ZERO_NOISE, cfg, seed=0)
         assert res.stats.status == "blowup"
 
+    def test_non_finite_functional_is_a_blowup(self):
+        # on so short a domain the vorticity, of order 1/L, overflows |xi|^4
+        # while every L^2 norm the guard measures stays finite
+        grid = SpectralGrid(16, domain_length=1.0053e-152)
+        xi0 = random_scalar_field(grid, np.random.default_rng(0), decay=0.0)
+        cfg = SolverConfig(dt=0.005, t_end=0.05)
+        with np.errstate(over="ignore"):
+            res = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=0)
+        assert math.isinf(res.stats.sup_xi_lq)
+        assert res.stats.status == "blowup"
+
 
 class TestRotationalForm:
-    """run_trajectory takes P B(v,v) in rotational form from the vorticity
-    values it also uses for sup_xi_lq; the advective form P B(v,v) of
-    `bilinear_B` is the oracle it must reproduce."""
+    """run_trajectory takes P B(v,v) from the rotational velocity_drift, fed
+    the vorticity values it also uses for sup_xi_lq; P B(v,v) of the
+    advective oracle `bilinear_B` is what it must reproduce."""
 
     MODES = ((1, 0), (0, 1), (1, 1), (-2, 1))
 
@@ -470,7 +481,8 @@ class TestRotationalForm:
         cfg = SolverConfig(dt=2e-3, t_end=0.12)
         states, oracle_states = [], []
         res = run_trajectory(None, xi0, spec, cfg, seed=13, observer=states.append)
-        monkeypatch.setattr(integrator, "rotational_advection", lambda v, w: bilinear_B(v, v))
+        monkeypatch.setattr(operators, "velocity_drift",
+                            lambda v, w: leray_project(bilinear_B(v, v)))
         oracle = run_trajectory(None, xi0, spec, cfg, seed=13, observer=oracle_states.append)
         assert cfg.n_steps == 60 and res.stats.status == oracle.stats.status == "completed"
         outside = ~grid32.dealias_mask

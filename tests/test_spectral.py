@@ -84,6 +84,14 @@ class TestSpectralGrid:
         assert np.array_equal(grid.dealias_mask,
                               (j[:, None] <= b) & (j[None, : n // 2 + 1] <= b))
 
+    @pytest.mark.parametrize("n", [12, 16, 42, 48, 64, 96])
+    def test_two_thirds_band_is_the_widest_alias_free_one(self, n):
+        # products of |j| <= b reach 2b, whose alias 2b - N stays out of the
+        # band only while 3b < N; on grids divisible by 6 the fraction 2/3
+        # alone would keep b = N/3
+        b = SpectralGrid(n).dealias_limit
+        assert 3 * b < n <= 3 * (b + 1)
+
     def test_mode_numbers_cover_band(self, grid16):
         j = grid16.mode_numbers
         # j in {-N/2+1, ..., N/2}, Nyquist labelled +N/2
