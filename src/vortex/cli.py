@@ -38,6 +38,7 @@ from .harness import (
     gronwall_uniqueness,
     hy_uniformity,
     identity_suite,
+    measure_gn_constant,
     sweep,
     zeta_budget,
     zeta_regularity,
@@ -123,8 +124,9 @@ def run_experiment(config: ExperimentConfig):
     """The main Monte-Carlo stats and the configured checks' results, in
     config order, reproducibly.
 
-    zeta_regularity budgets, and the two main paths the energy check needs,
-    are checked before any path runs.  One `sweep`
+    zeta_regularity budgets, the two main paths the energy check needs, and
+    the random trial fields of gronwall and identities (which underflow on a
+    short enough domain) are checked before any path runs.  One `sweep`
     then integrates, once each, the (Hille-Yosida level, path) pairs of the
     main Monte-Carlo, hy_uniformity and zeta_regularity, and writes the
     snapshots; energy and those two checks reduce its results.  gronwall
@@ -136,11 +138,22 @@ def run_experiment(config: ExperimentConfig):
     v0, xi0 = config.build_initial()
     seed = config.mc.base_seed
     n_main = config.mc.n_paths
-    demands, probes = [], {}
+    demands, probes, pairs = [], {}, {}
     for i, chk in enumerate(config.checks):
         if chk.name == "energy" and n_main < 2:
             raise ConfigError(f"'mc.n_paths' must be >= 2 for the energy check, got {n_main}")
-        if chk.name == "hy_uniformity":
+        if chk.name in ("gronwall", "identities"):
+            try:
+                if chk.name == "gronwall":
+                    pairs[i] = _gronwall_initial(grid, seed, chk.value("perturbation"))
+                    measure_gn_constant(grid, chk.value("gn_trials"))  # cached for the check
+                else:  # the suite's first field
+                    random_divfree_field(grid, np.random.default_rng(seed))
+            except ValueError as err:  # the |k|^-decay spectrum over- or underflows
+                raise ConfigError(f"'checks[{i}]' ({chk.name}) draws no usable random field "
+                                  f"with 'grid.domain_length' {grid.domain_length!r} "
+                                  f"({err})") from err
+        elif chk.name == "hy_uniformity":
             demands.append((chk.value("levels"), chk.value("n_paths"), None))
         elif chk.name == "zeta_regularity":
             probes[i] = HolderProbe(chk.value("beta"), chk.value("delta"), chk.value("q"),
@@ -166,15 +179,7 @@ def run_experiment(config: ExperimentConfig):
             checks.append(hy_uniformity(levels, chk.value("levels"), chk.value("n_paths"), seed,
                                         chk.value("factor")))
         elif chk.name == "gronwall":
-            rng = np.random.default_rng(seed + 1)
-            v0a = random_divfree_field(grid, rng)
-            eps = chk.value("perturbation")
-            if eps == 0.0:
-                v0b = v0a
-            else:
-                bump = random_divfree_field(grid, rng)
-                v0b = v0a + bump * (eps / l2_norm(bump))
-            checks.append(gronwall_uniqueness(v0a, v0b, spec, config.solver, chk.value("n_paths"),
+            checks.append(gronwall_uniqueness(*pairs[i], spec, config.solver, chk.value("n_paths"),
                                               seed, chk.value("slack"), chk.value("gn_trials")))
         elif chk.name == "zeta_regularity":
             checks.append(zeta_regularity(levels, chk.value("levels"), chk.value("n_paths"),
@@ -187,6 +192,17 @@ def run_experiment(config: ExperimentConfig):
                 config.solver.t_end, config.solver.dt, chk.value("stability"),
             ))
     return stats, checks
+
+
+def _gronwall_initial(grid: SpectralGrid, seed: int, eps: float):
+    """The gronwall check's two initial velocities, from its own stream: a
+    random field and that field moved by eps in L^2 (itself at eps = 0)."""
+    rng = np.random.default_rng(seed + 1)
+    v0a = random_divfree_field(grid, rng)
+    if eps == 0.0:
+        return v0a, v0a
+    bump = random_divfree_field(grid, rng)
+    return v0a, v0a + bump * (eps / l2_norm(bump))
 
 
 # `run` flag -> the config field it replaces

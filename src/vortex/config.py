@@ -399,8 +399,8 @@ def _single_mode_vector(grid: SpectralGrid, j: tuple[int, int],
     for idx, amp in (((j[0] % n, j[1] % n), 0.5), ((-j[0] % n, -j[1] % n), 0.5)):
         cx[idx] += amp * qhat[0] * scale
         cy[idx] += amp * qhat[1] * scale
-    return VectorField(ScalarField.from_lattice(grid, cx, "noise.pivot_mode"),
-                       ScalarField.from_lattice(grid, cy, "noise.pivot_mode"))
+    return VectorField.stack(ScalarField.from_lattice(grid, cx, "noise.pivot_mode"),
+                             ScalarField.from_lattice(grid, cy, "noise.pivot_mode"))
 
 
 def build_noise_spec(noise: NoiseConfig, grid: SpectralGrid) -> CovarianceSpec:

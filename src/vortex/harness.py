@@ -76,6 +76,7 @@ from .operators import (
     vorticity_values,
 )
 from .spectral import (
+    Field,
     ScalarField,
     SpectralGrid,
     VectorField,
@@ -213,14 +214,13 @@ def estimate_sigma_lipschitz(spec: CovarianceSpec, grid: SpectralGrid,
     if spec.sigma_kind != "rational_square":
         return 0.0
     rng = np.random.default_rng(seed)
-    pivot = np.stack((spec.pivot.vx.half, spec.pivot.vy.half))
     worst = 0.0
     for size in _trial_chunks(grid, trials, fields_per_trial=2):
         amplitudes, normals = divfree_draws(grid, rng, 2 * size, (0.1, 3.0))
         v = divfree_halves(grid, normals, [2.0] * (2 * size), amplitudes)
         gaps = l2_norms(v[0::2] - v[1::2], grid)
         # <v, h> by component, as l2_inner takes it
-        inner = half_sums(v, pivot, sobolev_weight(grid, 0.0)) * grid.domain_length**2
+        inner = half_sums(v, spec.pivot.half, sobolev_weight(grid, 0.0)) * grid.domain_length**2
         for gap, (ax, ay), (bx, by) in zip(gaps, inner[0::2], inner[1::2]):
             if gap == 0.0:
                 continue
@@ -488,9 +488,7 @@ def gronwall_uniqueness(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSp
     fails the check as gronwall.status.
     """
     grid = v0_a.grid
-    identical = np.array_equal(v0_a.vx.half, v0_b.vx.half) and np.array_equal(
-        v0_a.vy.half, v0_b.vy.half
-    )
+    identical = np.array_equal(v0_a.half, v0_b.half)
     a_const = measure_gn_constant(grid, gn_trials) ** 2
     lg = estimate_lipschitz_lg(spec, grid, lg_trials)
 
@@ -539,23 +537,22 @@ def _weighted_residual(u: VectorField, f: ScalarField) -> float:
     c, so its frequencies reach 5c.  It is evaluated on the padded 2N grid,
     where the rectangle rule integrates it exactly while 5c < 2N, as for
     any dealias_fraction below 4/5 (Boyd, Chebyshev and Fourier Spectral
-    Methods, 2001, ch. 11).  The padded values are formed one at a time,
-    from the N-grid coefficients, to keep the 4x larger arrays few.
+    Methods, 2001, ch. 11).  The padded values are formed from the N-grid
+    coefficients, u and grad f each in one stacked transform.
     """
     grid = u.grid
     fine = SpectralGrid(2 * grid.modes_per_dim, grid.domain_length,
                         grid.dealias_fraction)
 
-    def padded(c: ScalarField) -> np.ndarray:
+    def padded(c: Field) -> np.ndarray:
         return to_physical(regrid(c, fine))
 
-    ux, uy = padded(u.vx), padded(u.vy)
     p = padded(f)
     w = p * p * p
-    grad_f = gradient(f)
-    advection = ux * padded(grad_f.vx)
-    advection += uy * padded(grad_f.vy)
-    pairing = float(np.sum(advection * w))
+    del p
+    advection = padded(u)
+    advection *= padded(gradient(f))
+    pairing = float(np.sum(advection.sum(axis=0) * w))
     scale = (l2_norm(u) * sobolev_norm_spectral(f, 1.0)
              * sobolev_norm_spectral(to_spectral(w, fine), 1.0))
     return abs(pairing) * fine.cell_area / scale

@@ -28,7 +28,12 @@ Increments come from counter-based Philox streams keyed by (seed, path) with
 the step in the counter.  Each thread keeps one Philox generator and
 `sample_increment` resets its key and counter, so a draw equals that of a
 freshly built generator without the cost of building one; `initial_rng`
-still returns a fresh generator.
+still returns a fresh generator.  A step draws one Gaussian per mode, in
+mode order, from its stream, so the first m draws do not depend on how many
+modes follow.  The default mode list of a config's `noise.mode_band` runs in
+shells of max(|j1|, |j2|), so band K's modes open band 2K's and each keeps
+its Gaussian when the band grows; an explicit `noise.modes` list has this
+prefix property only when it is in shell order.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ F(u,xi) = u.grad xi and the velocity drift P B(v,v).  In 2D
 (u.grad)u = grad |u|^2/2 + w (-u_y, u_x) with w = curl u, and the Leray
 projection removes the gradient, so P B(u,u) = P[w (-u_y, u_x)] (Orszag
 1971; Canuto et al., Spectral Methods, 2007, sec. 3.4).  `velocity_drift`
-takes this rotational form: from the physical w it costs two transforms
-for u and two for the products, where the advective form costs eight.
+takes this rotational form: from the physical w it costs one batched
+transform for both components of u and one for both products, where the
+advective form costs eight single transforms.
 It is the one implementation of P B(v,v): the time step and the identity
 suite both call it, through this module's attribute.
 
@@ -27,19 +28,18 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import (
+    Field,
     ScalarField,
     SpectralGrid,
     VectorField,
     dealias,
     gradient_weight,
-    half_sum,
     half_sums,
     hermitian_amplitudes,
     lattice,
     require_real,
     sobolev_weight,
     to_physical,
-    _require_same_grid,
 )
 
 MEAN_ZERO_RTOL = 1e-10
@@ -47,17 +47,13 @@ MEAN_ZERO_RTOL = 1e-10
 
 def gradient(f: ScalarField) -> VectorField:
     g = f.grid
-    return VectorField(
-        ScalarField(g, 1j * g.diff_kx * f.half),
-        ScalarField(g, 1j * g.diff_ky * f.half),
-    )
+    return VectorField(g, 1j * g.diff_k * f.half)
 
 
 def divergence_defect(v: VectorField) -> float:
     """max_k |k . v(k)| / max_k |v(k)|; ~0 for divergence-free fields."""
-    g = v.grid
-    div = np.abs(g.diff_kx * v.vx.half + g.diff_ky * v.vy.half)
-    scale = max(np.max(np.abs(v.vx.half)), np.max(np.abs(v.vy.half)))
+    div = np.abs((v.grid.diff_k * v.half).sum(axis=0))
+    scale = np.max(np.abs(v.half))
     if scale == 0.0:
         return 0.0
     return float(np.max(div) / scale)
@@ -66,7 +62,8 @@ def divergence_defect(v: VectorField) -> float:
 def curl(v: VectorField) -> ScalarField:
     """Scalar curl of a planar field: coeff(k) = i (k1 vy(k) - k2 vx(k))."""
     g = v.grid
-    return ScalarField(g, 1j * (g.diff_kx * v.vy.half - g.diff_ky * v.vx.half))
+    vx, vy = v.half
+    return ScalarField(g, 1j * (g.diff_kx * vy - g.diff_ky * vx))
 
 
 def biot_savart(xi: ScalarField) -> VectorField:
@@ -86,22 +83,23 @@ def biot_savart(xi: ScalarField) -> VectorField:
             "biot_savart requires mean-zero vorticity "
             f"(|mean| = {abs(xi.half[0, 0]):.3e}, field scale {scale:.3e})"
         )
-    vx = 1j * g.diff_ky * xi.half * g.inv_ksq
-    vy = -1j * g.diff_kx * xi.half * g.inv_ksq
-    return VectorField(ScalarField(g, vx), ScalarField(g, vy))
+    v = np.stack(np.broadcast_arrays(1j * g.diff_ky, -1j * g.diff_kx))
+    v *= xi.half  # in place: same bits as the out-of-place products
+    v *= g.inv_ksq
+    return VectorField(g, v)
 
 
 def leray_project(u: VectorField) -> VectorField:
     """Remove the gradient part: u(k) - k (k.u(k)) / |k|^2, zero mode kept."""
-    g = u.grid
-    vx, vy = _leray_halves(g, u.vx.half, u.vy.half)
-    return VectorField(ScalarField(g, vx), ScalarField(g, vy))
+    return VectorField(u.grid, _leray_halves(u.grid, u.half))
 
 
-def _leray_halves(grid: SpectralGrid, ux: np.ndarray, uy: np.ndarray):
-    """leray_project of the component halves (..., N, N/2+1) ux and uy."""
-    kdotu = (grid.kx * ux + grid.ky * uy) * grid.inv_ksq
-    return ux - grid.kx * kdotu, uy - grid.ky * kdotu
+def _leray_halves(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    """leray_project of stacked vector halves u (..., 2, N, N/2+1)."""
+    kdotu = (grid.k * u).sum(axis=-3)
+    kdotu *= grid.inv_ksq  # in place: same bits as the out-of-place product
+    gradient_part = grid.k * kdotu[..., None, :, :]
+    return np.subtract(u, gradient_part, out=gradient_part)
 
 
 def _spectral_of(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -112,13 +110,10 @@ def _spectral_of(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 def bilinear_F(u: VectorField, xi: ScalarField) -> ScalarField:
     """u.grad xi, pseudo-spectral and dealiased."""
-    _require_same_grid(u, xi)
-    g = u.grid
-    u1p, u2p = to_physical(dealias(u))
-    xib = xi.half * g.dealias_mask
-    dfx = to_physical(ScalarField(g, 1j * g.diff_kx * xib))
-    dfy = to_physical(ScalarField(g, 1j * g.diff_ky * xib))
-    return ScalarField(g, _spectral_of(u1p * dfx + u2p * dfy, g))
+    if u.grid != xi.grid:
+        raise ValueError("fields live on different grids")
+    products = to_physical(dealias(u)) * to_physical(gradient(dealias(xi)))
+    return ScalarField(u.grid, _spectral_of(products.sum(axis=0), u.grid))
 
 
 def vorticity_values(v: VectorField) -> np.ndarray:
@@ -132,22 +127,19 @@ def velocity_drift(v: VectorField, vorticity: np.ndarray) -> VectorField:
     and w = vorticity_values(v) given as physical values; pseudo-spectral
     and dealiased.  Its curl is F(v, curl v) to rounding."""
     g = v.grid
-    ux, uy = to_physical(dealias(v))
-    return leray_project(VectorField(ScalarField(g, _spectral_of(-vorticity * uy, g)),
-                                     ScalarField(g, _spectral_of(vorticity * ux, g))))
+    wu = to_physical(dealias(v))
+    wu *= vorticity  # w u, in u's buffer
+    np.negative(wu[1], out=wu[1])  # w (u_x, -u_y)
+    products = _spectral_of(wu[::-1], g)  # of w (-u_y, u_x)
+    del wu  # before the projection's temporaries
+    return leray_project(VectorField(g, products))
 
 
-def grad_norm_l2(v: VectorField) -> float:
-    """||grad v||_{L^2} via the spectral sum (L^2 sum_k |k|^2 |v(k)|^2)^(1/2)."""
-    g = v.grid
-    w = gradient_weight(g)
-    total = half_sum(v.vx.half, v.vx.half, w) + half_sum(v.vy.half, v.vy.half, w)
-    return float(np.sqrt(total) * g.domain_length)
-
-
-def grad_norm_l2_scalar(f: ScalarField) -> float:
+def grad_norm_l2(f: Field) -> float:
+    """||grad f||_{L^2} via the spectral sum (L^2 sum_k |k|^2 |f(k)|^2)^(1/2),
+    the sum running over every component of a vector."""
     g = f.grid
-    total = half_sum(f.half, f.half, gradient_weight(g))
+    total = half_sums(f.half, f.half, gradient_weight(g)).sum()
     return float(np.sqrt(total) * g.domain_length)
 
 
@@ -237,7 +229,7 @@ def divfree_halves(grid: SpectralGrid, normals: np.ndarray, decays,
     one Hermitian half, one Leray projection and one batched norm, with
     the bits of the fields one at a time."""
     raw = _random_halves(grid, normals, [float(d) for d in decays], 1.0)
-    v = np.stack(_leray_halves(grid, raw[:, 0], raw[:, 1]), axis=1)
+    v = _leray_halves(grid, raw)
     norms = l2_norms(v, grid)
     return v * _scale_to(np.asarray(amplitudes, dtype=float), norms)[:, None, None, None]
 
@@ -258,5 +250,4 @@ def random_divfree_field(
     """Random mean-zero divergence-free field, dealiased, ||v||_{L^2} = amplitude:
     the one-field case of `divfree_draws` and `divfree_halves`."""
     _, normals = divfree_draws(grid, rng, 1)
-    vx, vy = divfree_halves(grid, normals, [decay], [amplitude])[0]
-    return VectorField(ScalarField(grid, vx), ScalarField(grid, vy))
+    return VectorField(grid, divfree_halves(grid, normals, [decay], [amplitude])[0])

@@ -7,13 +7,17 @@ operation here is a pure function, safe to evaluate concurrently.
 
 Every field is real, so its lattice is Hermitian, coeff(-k) =
 conj(coeff(k)), and half of it is redundant.  A field stores only its
-rfft2 half spectrum `half`, the (N, N/2+1) columns j2 = 0..N/2
-(Frigo & Johnson, The Design and Implementation of FFTW3, Proc. IEEE
-93, 2005).  Columns 1..N/2-1 stand for themselves and their mirror, so
-norms and inner products weight them twice; columns 0 and N/2 are their
-own mirror, and within them row i mirrors row N-i.  Every grid symbol
-(`kx`, `ky`, `ksq`, `inv_ksq`, `diff_kx`, `diff_ky`, `dealias_mask`,
-`heat_decay`) is shaped to the half.
+rfft2 half spectrum `half`, the columns j2 = 0..N/2 (Frigo & Johnson, The
+Design and Implementation of FFTW3, Proc. IEEE 93, 2005): (N, N/2+1) for
+a `ScalarField`, and for a `VectorField` its two components' halves on a
+leading axis, (2, N, N/2+1).  Every function here acts on the last two
+axes, so it takes a vector's components in one numpy call, with the bits
+of one component at a time.  Columns 1..N/2-1 stand for themselves and
+their mirror, so norms and inner products weight them twice; columns 0
+and N/2 are their own mirror, and within them row i mirrors row N-i.
+Every grid symbol (`kx`, `ky`, `ksq`, `inv_ksq`, `diff_kx`, `diff_ky`,
+`dealias_mask`, `heat_decay`) is shaped to the half; `k` and `diff_k`
+stack two of them.
 
 `to_physical` is an irfft2 of the half.  `to_spectral` is an rfft2 with
 the two self-conjugate columns mirrored within themselves, so a
@@ -22,12 +26,13 @@ columns can break realness; the entry points that take caller-made
 fields (`operators.biot_savart`, `integrator.trajectory`) check them
 with `require_real`.  A full (N, N) lattice enters only through
 `ScalarField.from_lattice`, which checks it, and leaves only through the
-derived, read-only `ScalarField.coeffs`, which nothing here reads.
+derived, read-only `coeffs`, which nothing here reads.
 
 The L^q sums, sum |x|^q, follow one power rule, `abs_power`: for q a
 power of two >= 2 it squares repeatedly, with no abs and no pow, and for
 any other q it takes np.abs(x) ** q.  It serves `lq_norm`, `lq_norm_values`
-and the check-time L^q sums (the Gagliardo-Nirenberg trials, the BDG sups).  `half_sums` evaluates `half_sum` over stacked
+and the check-time L^q sums (the Gagliardo-Nirenberg trials, the BDG
+sups).  `half_sums` evaluates the weighted spectral sums over stacked
 halves, with the bits of the sums taken one at a time.
 """
 
@@ -132,6 +137,16 @@ class SpectralGrid:
         return k
 
     @cached_property
+    def k(self) -> np.ndarray:
+        """(2, N, N/2+1): kx and ky stacked, the wavevector of each mode."""
+        return np.stack(np.broadcast_arrays(self.kx, self.ky))
+
+    @cached_property
+    def diff_k(self) -> np.ndarray:
+        """(2, N, N/2+1): diff_kx and diff_ky stacked, the gradient's symbol / i."""
+        return np.stack(np.broadcast_arrays(self.diff_kx, self.diff_ky))
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         n = self.modes_per_dim
         j = np.abs(self.mode_numbers)
@@ -158,20 +173,59 @@ class SpectralGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarField:
-    """A real scalar field stored as its (N, N/2+1) rfft2 half spectrum."""
+class Field:
+    """A real field stored as its rfft2 half spectrum: `half` is
+    COMPONENTS + (N, N/2+1), read-only.  Every operation acts on the last
+    two axes, so it treats each component alike."""
 
     grid: SpectralGrid
     half: np.ndarray
 
+    COMPONENTS = ()
+
     def __post_init__(self):
         n = self.grid.modes_per_dim
-        if self.half.shape != (n, n // 2 + 1):
+        shape = self.COMPONENTS + (n, n // 2 + 1)
+        if self.half.shape != shape:
             raise ValueError(f"half-spectrum shape {self.half.shape} does not match "
-                             f"grid {n}x{n}: expected {(n, n // 2 + 1)}")
+                             f"grid {n}x{n}: expected {shape}")
         if self.half.dtype != np.complex128 or not self.half.flags.c_contiguous:
             object.__setattr__(self, "half", np.ascontiguousarray(self.half, np.complex128))
         self.half.setflags(write=False)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The full (..., N, N) lattice, mirrored from the half on first read.
+        Read-only; for readers that want the whole lattice."""
+        full = lattice(self.half)
+        full.setflags(write=False)
+        return full
+
+    def _require_like(self, other: "Field") -> None:
+        if other.grid != self.grid:
+            raise ValueError("fields live on different grids")
+        if other.half.shape != self.half.shape:
+            raise ValueError("cannot combine a scalar field with a vector field")
+
+    def __add__(self, other):
+        self._require_like(other)
+        return type(self)(self.grid, self.half + other.half)
+
+    def __sub__(self, other):
+        self._require_like(other)
+        return type(self)(self.grid, self.half - other.half)
+
+    def __mul__(self, a: float):
+        return type(self)(self.grid, self.half * a)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return type(self)(self.grid, -self.half)
+
+
+class ScalarField(Field):
+    """A real scalar field: `half` is (N, N/2+1)."""
 
     @classmethod
     def from_lattice(cls, grid: SpectralGrid, coeffs: np.ndarray,
@@ -190,69 +244,28 @@ class ScalarField:
         _require_hermitian(defect, scale, name)
         return cls(grid, coeffs[:, : n // 2 + 1].copy())
 
+
+class VectorField(Field):
+    """A real planar vector field: `half` is (2, N, N/2+1), the x then the
+    y component."""
+
+    COMPONENTS = (2,)
+
+    @classmethod
+    def stack(cls, vx: ScalarField, vy: ScalarField) -> "VectorField":
+        """The vector field with components vx and vy."""
+        vx._require_like(vy)
+        return cls(vx.grid, np.stack((vx.half, vy.half)))
+
     @cached_property
-    def coeffs(self) -> np.ndarray:
-        """The full (N, N) lattice, mirrored from the half on first read.
-        Read-only; for readers that want the whole lattice."""
-        full = lattice(self.half)
-        full.setflags(write=False)
-        return full
+    def vx(self) -> ScalarField:
+        """Component 0, a read-only view."""
+        return ScalarField(self.grid, self.half[0])
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _require_same_grid(self, other)
-        return ScalarField(self.grid, self.half + other.half)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _require_same_grid(self, other)
-        return ScalarField(self.grid, self.half - other.half)
-
-    def __mul__(self, a: float) -> "ScalarField":
-        return ScalarField(self.grid, self.half * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.half)
-
-
-@dataclass(frozen=True, eq=False)
-class VectorField:
-    """A planar vector field with components (vx, vy)."""
-
-    vx: ScalarField
-    vy: ScalarField
-
-    def __post_init__(self):
-        if self.vx.grid != self.vy.grid:
-            raise ValueError("vector components live on different grids")
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.vx.grid
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.vx + other.vx, self.vy + other.vy)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.vx - other.vx, self.vy - other.vy)
-
-    def __mul__(self, a: float) -> "VectorField":
-        return VectorField(self.vx * a, self.vy * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(-self.vx, -self.vy)
-
-
-Field = ScalarField | VectorField
-
-
-def _require_same_grid(a, b):
-    ga = a.grid if hasattr(a, "grid") else a
-    gb = b.grid if hasattr(b, "grid") else b
-    if ga != gb:
-        raise ValueError("fields live on different grids")
+    @cached_property
+    def vy(self) -> ScalarField:
+        """Component 1, a read-only view."""
+        return ScalarField(self.grid, self.half[1])
 
 
 def lattice(half: np.ndarray) -> np.ndarray:
@@ -272,18 +285,17 @@ def zero_scalar(grid: SpectralGrid) -> ScalarField:
 
 
 def zero_vector(grid: SpectralGrid) -> VectorField:
-    return VectorField(zero_scalar(grid), zero_scalar(grid))
+    return VectorField.stack(zero_scalar(grid), zero_scalar(grid))
 
 
-def to_physical(field: Field):
-    """Evaluate the real field on the grid points: an irfft2 of the half.
+def to_physical(field: Field) -> np.ndarray:
+    """Evaluate the real field on the grid points: one irfft2 of the half,
+    (N, N) for a scalar and (2, N, N) for a vector.
 
     Within columns 0 and N/2 the transform reads the Hermitian part, so
     callers that take fields from outside check them once with
     `require_real`.
     """
-    if isinstance(field, VectorField):
-        return to_physical(field.vx), to_physical(field.vy)
     n = field.grid.modes_per_dim
     real = np.fft.irfft2(field.half, s=(n, n))
     real *= n * n  # in place: same bits as the out-of-place product
@@ -300,21 +312,21 @@ def to_spectral(values: np.ndarray, grid: SpectralGrid) -> ScalarField:
 
 
 def hermitian_amplitudes(values: np.ndarray, width: int) -> np.ndarray:
-    """(N, N/2+1) half-spectrum amplitudes of real (N, N) values with
-    max(|j1|, |j2|) <= width, zero outside: the rfft2 scaled by 1/N^2.
+    """(..., N, N/2+1) half-spectrum amplitudes of real (..., N, N) values
+    with max(|j1|, |j2|) <= width, zero outside: one rfft2 scaled by 1/N^2.
     Within column 0 and, at width N/2, the Nyquist column, row N - i is
     written as the conjugate of row i, and the four self-conjugate
-    amplitudes are made real, so the half is exactly Hermitian."""
-    n = values.shape[0]
+    amplitudes are made real, so each half is exactly Hermitian."""
+    n = values.shape[-1]
     h = n // 2
     out = np.fft.rfft2(values)
-    out[width + 1: n - width] = 0.0
-    out[:, width + 1:] = 0.0
+    out[..., width + 1: n - width, :] = 0.0
+    out[..., width + 1:] = 0.0
     out /= n * n  # in place: same bits as the out-of-place quotient
     # coeff(-k) = conj(coeff(k)) within the self-conjugate columns
     for j in (0, h) if width == h else (0,):
-        np.conjugate(out[h - 1: 0: -1, j], out=out[h + 1:, j])
-    out.imag[::h, ::h] = 0.0
+        np.conjugate(out[..., h - 1: 0: -1, j], out=out[..., h + 1:, j])
+    out.imag[..., ::h, ::h] = 0.0
     return out
 
 
@@ -328,37 +340,26 @@ def require_real(field: Field, name: str) -> None:
     """Raise ValueError naming `name` unless the field is finite and real:
     within the self-conjugate columns 0 and N/2 of each component's half,
     row N - i the conjugate of row i to REALNESS_RTOL relative to the
-    largest amplitude.  The other columns cannot break realness."""
-    parts = (field.vx, field.vy) if isinstance(field, VectorField) else (field,)
-    for part in parts:
-        c = part.half
+    component's largest amplitude.  The other columns cannot break realness."""
+    n = field.grid.modes_per_dim
+    for c in field.half.reshape(-1, n, n // 2 + 1):
         scale = np.max(np.abs(c))
         if not np.isfinite(scale):  # only a non-finite coefficient gives one
             raise ValueError(f"{name} must be finite")
-        h = part.grid.modes_per_dim // 2
-        column = c[:, ::h]
+        column = c[:, :: n // 2]
         defect = np.max(np.abs(column[-np.arange(len(c)) % len(c)] - np.conj(column)))
         _require_hermitian(defect, scale, name)
 
 
 def dealias(field: Field) -> Field:
     """Zero every mode outside the grid's dealias mask (a projection)."""
-    if isinstance(field, VectorField):
-        return VectorField(dealias(field.vx), dealias(field.vy))
-    return ScalarField(field.grid, field.half * field.grid.dealias_mask)
+    return type(field)(field.grid, field.half * field.grid.dealias_mask)
 
 
 def bessel_multiplier(field: Field, s: float) -> Field:
     """Apply (I - Laplacian)^(s/2): per-mode multiplication by (1+|k|^2)^(s/2)."""
-    if isinstance(field, VectorField):
-        return VectorField(bessel_multiplier(field.vx, s), bessel_multiplier(field.vy, s))
     mult = (1.0 + field.grid.ksq) ** (s / 2.0)
-    return ScalarField(field.grid, field.half * mult)
-
-
-def _validate_q(q: float):
-    if not (q == np.inf or q >= 1.0):
-        raise ValueError(f"L^q norm requires q >= 1 or q = inf, got {q}")
+    return type(field)(field.grid, field.half * mult)
 
 
 def lq_norm(field: Field, q: float) -> float:
@@ -369,24 +370,19 @@ def lq_norm(field: Field, q: float) -> float:
     The rectangle rule on the periodic grid is exact for band-limited
     integrands of matching bandwidth.  |x|^q follows `abs_power`.
     """
-    _validate_q(q)
-    if isinstance(field, VectorField):
-        px, py = to_physical(field)
-        if q == np.inf:
-            return float(np.max(np.abs(px)) + np.max(np.abs(py)))
-        cell = field.grid.cell_area
-        total = np.sum(abs_power(px, q, out=px)) + np.sum(abs_power(py, q, out=py))
-        return float((total * cell) ** (1.0 / q))
     return lq_norm_values(to_physical(field), q, field.grid)
 
 
 def lq_norm_values(values: np.ndarray, q: float, grid: SpectralGrid) -> float:
-    """lq_norm of a scalar field given its physical values on grid, so a
-    caller that already holds them pays no second transform."""
-    _validate_q(q)
+    """lq_norm of a field given its physical values on grid, (N, N) or
+    (2, N, N), so a caller that already holds them pays no second
+    transform."""
+    if not (q == np.inf or q >= 1.0):
+        raise ValueError(f"L^q norm requires q >= 1 or q = inf, got {q}")
     if q == np.inf:
-        return float(np.max(np.abs(values)))
-    return float((np.sum(abs_power(values, q)) * grid.cell_area) ** (1.0 / q))
+        return float(np.abs(values).max(axis=(-2, -1)).sum())
+    total = abs_power(values, q).sum(axis=(-2, -1)).sum()
+    return float((total * grid.cell_area) ** (1.0 / q))
 
 
 def abs_power(values: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -419,14 +415,12 @@ def sobolev_norm_spectral(field: Field, s: float) -> float:
     """W^{s,2} norm via Parseval: (L^2 sum_k (1+|k|^2)^s |c_k|^2)^(1/2).
 
     Must agree with sobolev_norm(field, s, 2) to ~1e-10 relative; used as
-    the fast path inside time stepping.
+    the fast path inside time stepping.  A vector's norm is the hypot of
+    its component norms.
     """
-    if isinstance(field, VectorField):
-        return float(np.hypot(sobolev_norm_spectral(field.vx, s),
-                              sobolev_norm_spectral(field.vy, s)))
     g = field.grid
-    return float(np.sqrt(half_sum(field.half, field.half, sobolev_weight(g, s)))
-                 * g.domain_length)
+    norms = np.sqrt(half_sums(field.half, field.half, sobolev_weight(g, s))) * g.domain_length
+    return float(np.hypot.reduce(norms, axis=None))
 
 
 def l2_norm(field: Field) -> float:
@@ -434,29 +428,21 @@ def l2_norm(field: Field) -> float:
 
 
 def l2_inner(f: Field, g: Field) -> float:
-    """L^2 inner product by spectral sum (exact Parseval on the torus)."""
-    if isinstance(f, VectorField) != isinstance(g, VectorField):
-        raise ValueError("cannot pair a scalar field with a vector field")
-    if isinstance(f, VectorField):
-        return l2_inner(f.vx, g.vx) + l2_inner(f.vy, g.vy)
-    _require_same_grid(f, g)
-    return float(half_sum(f.half, g.half, sobolev_weight(f.grid, 0.0))
-                 * f.grid.domain_length**2)
-
-
-def half_sum(a: np.ndarray, b: np.ndarray, weight: np.ndarray) -> float:
-    """sum_k w(k) Re(a(k) conj(b(k))) over the full lattice, from the halves
-    a and b of two real fields.  `weight` is w times each column's
-    multiplicity, repeated over the real and imaginary parts
-    (`sobolev_weight`, `gradient_weight`)."""
-    return float(half_sums(a, b, weight))
+    """L^2 inner product by spectral sum (exact Parseval on the torus); for
+    vectors, the sum of the component inner products."""
+    f._require_like(g)
+    products = half_sums(f.half, g.half, sobolev_weight(f.grid, 0.0)) * f.grid.domain_length**2
+    return float(products.sum())
 
 
 def half_sums(a: np.ndarray, b: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """`half_sum` of stacked halves (..., N, N/2+1), one per leading index;
-    a and b broadcast against each other.  Each sum runs in the order of the
-    unstacked one, so it has the same bits.  einsum, not a BLAS dot: the path
-    workers would contend for OpenBLAS's own threads."""
+    """sum_k w(k) Re(a(k) conj(b(k))) over the full lattice, from the halves
+    a and b (..., N, N/2+1) of real fields: one sum per leading index, a and
+    b broadcast against each other.  `weight` is w times each column's
+    multiplicity, repeated over the real and imaginary parts
+    (`sobolev_weight`, `gradient_weight`).  Each sum runs in the order of
+    the unstacked one, so it has the same bits.  einsum, not a BLAS dot: the
+    path workers would contend for OpenBLAS's own threads."""
     return np.einsum("...ij,...ij,ij->...", a.view(np.float64), b.view(np.float64), weight)
 
 
@@ -471,14 +457,14 @@ def _half_weight(grid: SpectralGrid, symbol: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def sobolev_weight(grid: SpectralGrid, s: float) -> np.ndarray:
-    """The `half_sum` weight of the W^{s,2} norm, (1+|k|^2)^s.  Read-only,
+    """The `half_sums` weight of the W^{s,2} norm, (1+|k|^2)^s.  Read-only,
     shared by callers."""
     return _half_weight(grid, (1.0 + grid.ksq) ** s)
 
 
 @lru_cache(maxsize=16)
 def gradient_weight(grid: SpectralGrid) -> np.ndarray:
-    """The `half_sum` weight of ||grad f||_{L^2}^2, |k|^2.  Read-only, shared
+    """The `half_sums` weight of ||grad f||_{L^2}^2, |k|^2.  Read-only, shared
     by callers."""
     return _half_weight(grid, grid.ksq)
 
@@ -489,23 +475,21 @@ def regrid(field: Field, grid: SpectralGrid) -> Field:
     Modes are copied by integer index; the source Nyquist line must be empty
     (it is, for any dealiased field).
     """
-    if isinstance(field, VectorField):
-        return VectorField(regrid(field.vx, grid), regrid(field.vy, grid))
     old = field.grid
     if grid.domain_length != old.domain_length:
         raise ValueError("regrid requires identical domain lengths")
     if grid.modes_per_dim < old.modes_per_dim:
         raise ValueError("regrid only refines; target grid is coarser")
     if grid.modes_per_dim == old.modes_per_dim:
-        return ScalarField(grid, field.half.copy())
+        return type(field)(grid, field.half.copy())
     c = field.half
     nyq = old.modes_per_dim // 2  # the Nyquist row, and the half's last column
-    if np.max(np.abs(c[nyq, :])) > 0 or np.max(np.abs(c[:, nyq])) > 0:
+    if np.max(np.abs(c[..., nyq, :])) > 0 or np.max(np.abs(c[..., nyq])) > 0:
         raise ValueError("cannot regrid a field with Nyquist-line content")
     n = grid.modes_per_dim
-    new = np.zeros((n, n // 2 + 1), dtype=np.complex128)
-    new[old.mode_numbers % n, : nyq + 1] = c
-    return ScalarField(grid, new)
+    new = np.zeros(c.shape[:-2] + (n, n // 2 + 1), dtype=np.complex128)
+    new[..., old.mode_numbers % n, : nyq + 1] = c
+    return type(field)(grid, new)
 
 
 @lru_cache(maxsize=64)

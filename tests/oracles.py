@@ -22,7 +22,7 @@ from vortex.spectral import ScalarField, VectorField, heat_decay, l2_norm, lq_no
 def bilinear_B(u, v):
     """(u.grad)v, pseudo-spectral and dealiased, one component of v at a
     time through F; not Leray-projected."""
-    return VectorField(bilinear_F(u, v.vx), bilinear_F(u, v.vy))
+    return VectorField.stack(bilinear_F(u, v.vx), bilinear_F(u, v.vy))
 
 
 def scattered(noise, spec, grid):
@@ -32,13 +32,13 @@ def scattered(noise, spec, grid):
     dense = np.zeros((3, n * (n // 2 + 1)), dtype=np.complex128)
     dense[:, scatter_plan(spec, grid).touched] = noise
     vx, vy, vorticity = (ScalarField(grid, c) for c in dense.reshape(3, n, n // 2 + 1))
-    return VectorField(vx, vy), vorticity
+    return VectorField.stack(vx, vy), vorticity
 
 
 def basis_fields(spec, grid):
     """The velocity basis elements e_k, as fields of the dense NoiseBasis's
     full lattices."""
-    return [VectorField(*(ScalarField.from_lattice(grid, c) for c in e))
+    return [VectorField.stack(*(ScalarField.from_lattice(grid, c) for c in e))
             for e in NoiseBasis(spec, grid).velocity]
 
 
@@ -48,7 +48,7 @@ def hille_yosida(field, n):
     if n == math.inf:
         return field
     if isinstance(field, VectorField):
-        return VectorField(hille_yosida(field.vx, n), hille_yosida(field.vy, n))
+        return VectorField.stack(hille_yosida(field.vx, n), hille_yosida(field.vy, n))
     return ScalarField(field.grid, field.half * (n / (n + field.grid.ksq)))
 
 
@@ -66,7 +66,7 @@ def dense_apply_G(v, dW, spec):
             total += w * element
         totals.append(total)
     g = v.grid
-    velocity = VectorField(ScalarField.from_lattice(g, totals[0][0]),
+    velocity = VectorField.stack(ScalarField.from_lattice(g, totals[0][0]),
                            ScalarField.from_lattice(g, totals[0][1]))
     return (hille_yosida(velocity, spec.hy_level),
             hille_yosida(ScalarField.from_lattice(g, totals[1]), spec.hy_level))
@@ -112,7 +112,7 @@ def divfree_field(grid, rng, decay=2.0, amplitude=1.0):
     """A random divergence-free field composed one field at a time: the
     Leray projection of two random_scalar_field components, scaled to
     ||v||_{L^2} = amplitude."""
-    raw = VectorField(random_scalar_field(grid, rng, decay, 1.0),
+    raw = VectorField.stack(random_scalar_field(grid, rng, decay, 1.0),
                       random_scalar_field(grid, rng, decay, 1.0))
     v = leray_project(raw)
     norm = l2_norm(v)

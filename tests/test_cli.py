@@ -341,6 +341,29 @@ class TestSharedSweep:
         assert calls == []
         assert not (out / "stats.csv").exists()
 
+    @pytest.mark.parametrize("grid, initial, check, decay", [
+        ({"modes_per_dim": 16, "domain_length": 1e-60}, {},
+         {"name": "gronwall", "n_paths": 2, "gn_trials": 50}, "2.9046439964507584"),
+        ({"modes_per_dim": 16, "domain_length": 1.0053e-152}, {"spectral_decay": 0},
+         {"name": "identities"}, "2.0"),
+    ])
+    def test_underflowing_trial_fields_integrate_nothing(self, tmp_path, monkeypatch, capsys,
+                                                         grid, initial, check, decay):
+        # the checks' random fields are |k|^-decay spectra, which a short
+        # enough domain underflows to zero: refused before the sweep
+        calls = self.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG, grid=grid, initial=initial,
+                   noise={"sigma_kind": "constant_one"}, mc={"n_paths": 2},
+                   checks=[{"name": "energy"}, check])
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"'checks[1]' ({check['name']})" in err and "'grid.domain_length'" in err
+        assert f"decay {decay} underflows" in err and "Traceback" not in err
+        assert calls == []
+        assert not (out / "stats.csv").exists()
+
     def test_empty_noise_modes_integrate_nothing(self, tmp_path, monkeypatch, capsys):
         calls = self.count_trajectories(monkeypatch)
         doc = dict(SMALL_CONFIG, noise={"modes": []})

@@ -16,20 +16,28 @@ from vortex.integrator import SolverConfig, run_trajectory
 from vortex.noise import CovarianceSpec, NoiseBasis, apply_G, sample_increment, scatter_plan
 from vortex.operators import (
     biot_savart,
+    curl,
     grad_norm_l2,
-    grad_norm_l2_scalar,
+    leray_project,
     random_divfree_field,
     random_scalar_field,
 )
 from vortex.spectral import (
     TWO_THIRDS,
+    Field,
     ScalarField,
     SpectralGrid,
     VectorField,
+    abs_power,
+    bessel_multiplier,
     dealias,
+    gradient_weight,
+    half_sums,
     l2_inner,
     l2_norm,
+    lq_norm,
     regrid,
+    require_real,
     sobolev_norm_spectral,
     to_physical,
     to_spectral,
@@ -37,6 +45,7 @@ from vortex.spectral import (
 
 # even N from 8 to 66, N = 2 (mod 4) included; dealias fractions in (0, 2/3]
 grid_sizes = st.integers(4, 33).map(lambda m: 2 * m)
+vector_grid_sizes = st.integers(4, 32).map(lambda m: 2 * m)  # even N from 8 to 64
 fractions = st.floats(min_value=1e-3, max_value=TWO_THIRDS)
 seeds = st.integers(0, 2**32 - 1)
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -79,8 +88,8 @@ class TestReductionsOverTheHalf:
         for s in (-1.0, 0.0, 0.5, 1.0):
             close(sobolev_norm_spectral(f, s),
                   math.sqrt(np.sum((1.0 + ksq) ** s * np.abs(a) ** 2)) * length)
-        close(grad_norm_l2_scalar(f), math.sqrt(np.sum(ksq * np.abs(a) ** 2)) * length)
-        close(grad_norm_l2(VectorField(f, g)),
+        close(grad_norm_l2(f), math.sqrt(np.sum(ksq * np.abs(a) ** 2)) * length)
+        close(grad_norm_l2(VectorField.stack(f, g)),
               math.sqrt(np.sum(ksq * (np.abs(a) ** 2 + np.abs(b) ** 2))) * length)
 
     @PROPERTY
@@ -115,6 +124,77 @@ class TestReductionsOverTheHalf:
         assert np.array_equal(regrid(f, fine).coeffs, want)
 
 
+class TestStackedStorage:
+    """A vector is its two components' halves in one (2, N, N/2+1) array;
+    every operation on it equals the per-component one bit for bit, and
+    each vector norm keeps the convention it had over two components."""
+
+    @staticmethod
+    def fields(n, fraction, seed):
+        grid = SpectralGrid(n, dealias_fraction=fraction)
+        rng = np.random.default_rng(seed)
+        a, b, c, d = (ScalarField.from_lattice(grid, hermitian_lattice(n, rng)) for _ in range(4))
+        return grid, a, b, c, d
+
+    @PROPERTY
+    @given(vector_grid_sizes, fractions, seeds)
+    def test_operations_act_per_component(self, n, fraction, seed):
+        grid, a, b, _, _ = self.fields(n, fraction, seed)
+        v = VectorField.stack(a, b)
+        assert v.half.shape == (2, n, n // 2 + 1) and not v.half.flags.writeable
+        assert np.array_equal(bits(v.vx.half), bits(a.half))
+        assert np.array_equal(bits(v.vy.half), bits(b.half))
+
+        def same(got, *want):
+            assert np.array_equal(bits(got), bits(np.stack(want)))
+
+        same(to_physical(v), to_physical(a), to_physical(b))
+        same(dealias(v).half, dealias(a).half, dealias(b).half)
+        for s in (-1.0, 0.5, 2.0):
+            same(bessel_multiplier(v, s).half, bessel_multiplier(a, s).half,
+                 bessel_multiplier(b, s).half)
+        fine = SpectralGrid(2 * n, dealias_fraction=fraction)
+        same(regrid(dealias(v), fine).half, regrid(dealias(a), fine).half,
+             regrid(dealias(b), fine).half)
+        # curl and the Leray projection, as written over two components
+        assert np.array_equal(bits(curl(v).half),
+                              bits(1j * (grid.diff_kx * b.half - grid.diff_ky * a.half)))
+        kdotu = (grid.kx * a.half + grid.ky * b.half) * grid.inv_ksq
+        same(leray_project(v).half, a.half - grid.kx * kdotu, b.half - grid.ky * kdotu)
+        w = gradient_weight(grid)
+        sums = [float(half_sums(f.half, f.half, w)) for f in (a, b)]
+        assert grad_norm_l2(v) == float(np.sqrt(sums[0] + sums[1]) * grid.domain_length)
+        assert grad_norm_l2(a) == float(np.sqrt(sums[0]) * grid.domain_length)
+
+    @PROPERTY
+    @given(vector_grid_sizes, fractions, seeds)
+    def test_norms_keep_the_component_conventions(self, n, fraction, seed):
+        grid, a, b, c, d = self.fields(n, fraction, seed)
+        v, u = VectorField.stack(a, b), VectorField.stack(c, d)
+        # the inner product sums the component products
+        assert l2_inner(v, u) == l2_inner(a, c) + l2_inner(b, d)
+        # the Sobolev norms take the hypot of the component norms
+        for s in (-1.0, 0.0, 1.0):
+            assert sobolev_norm_spectral(v, s) == float(np.hypot(
+                sobolev_norm_spectral(a, s), sobolev_norm_spectral(b, s)))
+        # L^q sums the component sums, and at q = inf the component maxima
+        px, py = to_physical(a), to_physical(b)
+        for q in (2.0, 3.0, 4.0):
+            total = np.sum(abs_power(px, q)) + np.sum(abs_power(py, q))
+            assert lq_norm(v, q) == float((total * grid.cell_area) ** (1.0 / q))
+        assert lq_norm(v, np.inf) == float(np.max(np.abs(px)) + np.max(np.abs(py)))
+
+    @PROPERTY
+    @given(vector_grid_sizes, seeds)
+    def test_a_vector_with_one_unreal_component_is_refused(self, n, seed):
+        grid, a, b, _, _ = self.fields(n, TWO_THIRDS, seed)
+        odd = b.half.copy()
+        odd[1, 0] += 1.0  # row 1 of column 0 no longer mirrors row N-1
+        require_real(VectorField.stack(a, b), "v")
+        with pytest.raises(ValueError, match="^v is not real"):
+            require_real(VectorField.stack(a, ScalarField(grid, odd)), "v")
+
+
 MODES = ((1, 0), (0, 1), (-1, 0), (1, 1), (-2, 1), (0, -2), (3, -1))
 
 
@@ -134,8 +214,8 @@ class TestTheStepStaysOnHalves:
         out_of_band = rational_spec(grid32, MODES + ((12, 0),))
         cfg = SolverConfig(dt=2e-3, t_end=2e-2)
         reads = []
-        mirror = ScalarField.__dict__["coeffs"].func
-        monkeypatch.setattr(ScalarField, "coeffs",
+        mirror = Field.__dict__["coeffs"].func
+        monkeypatch.setattr(Field, "coeffs",
                             property(lambda f: reads.append(f) or mirror(f)))
 
         for s in (spec, out_of_band):

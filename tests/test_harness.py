@@ -613,7 +613,7 @@ def unprojected_drift(v, w):
     """w (-u_y, u_x) as velocity_drift forms it, without the Leray projection."""
     g = v.grid
     ux, uy = to_physical(dealias(v))
-    return VectorField(ScalarField(g, operators._spectral_of(-w * uy, g)),
+    return VectorField.stack(ScalarField(g, operators._spectral_of(-w * uy, g)),
                        ScalarField(g, operators._spectral_of(w * ux, g)))
 
 

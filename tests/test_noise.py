@@ -15,7 +15,7 @@ from oracles import (
     scattered,
     sigma_lipschitz_bound,
 )
-from vortex.config import _single_mode_vector
+from vortex.config import _band_modes, _single_mode_vector
 from vortex.noise import (
     CovarianceSpec,
     NoiseBasis,
@@ -147,7 +147,7 @@ def lattice_field(grid, lattice):
     """The field of one of NoiseBasis's full lattices: (2, N, N) velocity
     or (N, N) vorticity."""
     if lattice.ndim == 3:
-        return VectorField(*(ScalarField.from_lattice(grid, c) for c in lattice))
+        return VectorField.stack(*(ScalarField.from_lattice(grid, c) for c in lattice))
     return ScalarField.from_lattice(grid, lattice)
 
 
@@ -574,6 +574,17 @@ class TestIncrements:
         assert len(got) == n_threads * n_steps
         for (path, step), draws in got.items():
             assert draws.tobytes() == self.fresh(9, path, step, spec.n_modes).tobytes()
+
+    @pytest.mark.parametrize("band", [1, 2, 4, 8])
+    def test_a_band_draws_the_prefix_of_the_doubled_band(self, band):
+        # the default mode list runs in shells, so band K's modes open band
+        # 2K's, and each keeps its Gaussian when the band doubles
+        small, large = _band_modes(band), _band_modes(2 * band)
+        assert large[: len(small)] == small
+        specs = [make_spec(modes=m, coeffs=(1.0,) * len(m)) for m in (small, large)]
+        for step in (0, 7):
+            got, wider = (sample_increment(2026, 3, step, s, 0.01).gaussians for s in specs)
+            assert got.tobytes() == wider[: len(small)].tobytes()
 
     def test_moments(self):
         spec = make_spec(modes=((1, 0),), coeffs=(1.0,))

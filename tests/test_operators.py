@@ -38,7 +38,7 @@ from vortex.spectral import (
 def sin_x1_field(grid):
     """v = (0, sin x1) on the 2 pi torus."""
     xx, _ = grid.meshgrid()
-    return VectorField(zero_scalar(grid), to_spectral(np.sin(xx), grid))
+    return VectorField.stack(zero_scalar(grid), to_spectral(np.sin(xx), grid))
 
 
 class TestCurl:
@@ -49,7 +49,7 @@ class TestCurl:
 
     def test_constant_field(self, grid16):
         c = to_spectral(np.full((16, 16), 1.7), grid16)
-        assert l2_norm(curl(VectorField(c, c))) == 0.0
+        assert l2_norm(curl(VectorField.stack(c, c))) == 0.0
 
     def test_curl_of_gradient_vanishes(self, grid32, rng):
         for _ in range(5):
@@ -130,7 +130,7 @@ class TestLerayProjection:
         assert np.max(np.abs(p.vy.coeffs)) <= 1e-13 * scale
 
     def test_idempotent_and_divfree(self, grid32, rng):
-        raw = VectorField(random_scalar_field(grid32, rng),
+        raw = VectorField.stack(random_scalar_field(grid32, rng),
                           random_scalar_field(grid32, rng))
         once = leray_project(raw)
         twice = leray_project(once)
@@ -141,7 +141,7 @@ class TestLerayProjection:
     def test_zero_mode_unchanged(self, grid16):
         c = np.zeros((16, 9), dtype=complex)
         c[0, 0] = 2.0
-        v = VectorField(ScalarField(grid16, c), zero_scalar(grid16))
+        v = VectorField.stack(ScalarField(grid16, c), zero_scalar(grid16))
         assert leray_project(v).vx.coeffs[0, 0] == pytest.approx(2.0)
 
 
@@ -200,7 +200,7 @@ class TestRotationalAdvection:
     def test_out_of_band_content_is_dealiased_on_both_sides(self, rng, n):
         grid = SpectralGrid(n)
         raw = rng.standard_normal((2, n, n))
-        v = leray_project(VectorField(to_spectral(raw[0], grid), to_spectral(raw[1], grid)))
+        v = leray_project(VectorField.stack(to_spectral(raw[0], grid), to_spectral(raw[1], grid)))
         assert l2_norm(v - dealias(v)) > 0.5 * l2_norm(v)
         assert self.gap(v) <= 1e-13
 
@@ -263,7 +263,7 @@ class TestWeightedIdentities:
 
     def compressible(self, grid, rng):
         # a field with divergence, for which the pairing does not cancel
-        return VectorField(random_scalar_field(grid, rng), random_scalar_field(grid, rng))
+        return VectorField.stack(random_scalar_field(grid, rng), random_scalar_field(grid, rng))
 
     def test_f_weighted_q4(self, rng):
         from vortex.harness import _weighted_residual

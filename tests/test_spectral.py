@@ -203,13 +203,13 @@ class TestTransforms:
             with pytest.raises(ValueError, match="^xi is not real.*Hermitian"):
                 require_real(odd, "xi")
             with pytest.raises(ValueError, match="^v is not real"):
-                require_real(VectorField(real, odd), "v")
+                require_real(VectorField.stack(real, odd), "v")
         bad = np.zeros((16, 9), dtype=complex)
         bad[2, 3] = np.nan
         with pytest.raises(ValueError, match="^xi must be finite"):
             require_real(ScalarField(grid16, bad), "xi")
         require_real(real, "xi")
-        require_real(VectorField(real, real * 2.0), "v")
+        require_real(VectorField.stack(real, real * 2.0), "v")
 
     def test_from_lattice_refuses_non_finite_and_non_hermitian(self, grid16, rng):
         lattice = random_scalar_field(grid16, rng).coeffs.copy()
@@ -304,7 +304,7 @@ class TestLqNorm:
     def test_vector_component_sum_convention(self, grid16):
         ones = to_spectral(np.full((16, 16), 1.0), grid16)
         twos = to_spectral(np.full((16, 16), 2.0), grid16)
-        v = VectorField(ones, twos)
+        v = VectorField.stack(ones, twos)
         L = grid16.domain_length
         expected = ((1.0 + 2.0**4) * L * L) ** 0.25
         assert lq_norm(v, 4.0) == pytest.approx(expected, rel=1e-12)
@@ -329,7 +329,7 @@ class TestLqNorm:
         assert np.allclose(squared, np.abs(values) ** q, rtol=1e-14, atol=0.0)
         assert np.sum(squared) == pytest.approx(np.sum(np.abs(values) ** q), rel=1e-14)
         assert lq_norm(f, q) == pytest.approx(self.pow_norm([values], q, grid32), rel=1e-14)
-        v = VectorField(f, g)
+        v = VectorField.stack(f, g)
         assert lq_norm(v, q) == pytest.approx(self.pow_norm(to_physical(v), q, grid32),
                                               rel=1e-14)
         if q == 2.0:  # one square either way
@@ -343,7 +343,7 @@ class TestLqNorm:
         assert abs_power(values, q).tobytes() == want.tobytes()
         assert abs_power(values, q, out=values.copy()).tobytes() == want.tobytes()
         assert lq_norm(f, q) == self.pow_norm([values], q, grid32)
-        v = VectorField(f, g)
+        v = VectorField.stack(f, g)
         assert lq_norm(v, q) == self.pow_norm(to_physical(v), q, grid32)
 
     def test_power_rule_leaves_its_input(self, grid16, rng):
