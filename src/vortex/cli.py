@@ -38,7 +38,9 @@ from .harness import (
     gronwall_uniqueness,
     hy_uniformity,
     identity_suite,
+    mc_mean_stderr,
     measure_gn_constant,
+    require_identity_grid,
     sweep,
     zeta_budget,
     zeta_regularity,
@@ -124,14 +126,14 @@ def run_experiment(config: ExperimentConfig):
     """The main Monte-Carlo stats and the configured checks' results, in
     config order, reproducibly.
 
-    zeta_regularity budgets, the two main paths the energy check needs, and
-    the random trial fields of gronwall and identities (which underflow on a
-    short enough domain) are checked before any path runs.  One `sweep`
-    then integrates, once each, the (Hille-Yosida level, path) pairs of the
-    main Monte-Carlo, hy_uniformity and zeta_regularity, and writes the
-    snapshots; energy and those two checks reduce its results.  gronwall
-    steps its own pairs through the same loop; bdg and identities integrate
-    their own processes.
+    zeta_regularity budgets, the two main paths the energy check needs, the
+    identity suite's grid, and the random trial fields of gronwall and
+    identities (which underflow on a short enough domain) are checked
+    before any path runs.  One `sweep` then integrates, once each, the
+    (Hille-Yosida level, path) pairs of the main Monte-Carlo, hy_uniformity
+    and zeta_regularity, and writes the snapshots; energy and those two
+    checks reduce its results.  gronwall steps its own pairs through the
+    same loop; bdg and identities integrate their own processes.
     """
     grid = config.grid
     spec = config.build_noise_spec()
@@ -142,6 +144,11 @@ def run_experiment(config: ExperimentConfig):
     for i, chk in enumerate(config.checks):
         if chk.name == "energy" and n_main < 2:
             raise ConfigError(f"'mc.n_paths' must be >= 2 for the energy check, got {n_main}")
+        if chk.name == "identities":
+            try:
+                require_identity_grid(grid)
+            except ValueError as err:
+                raise ConfigError(f"'checks[{i}]' ({chk.name}): {err}") from err
         if chk.name in ("gronwall", "identities"):
             try:
                 if chk.name == "gronwall":
@@ -261,12 +268,8 @@ def cmd_report(args) -> int:
     table = [r.split(",") for r in rows[1:]]
     summary: dict = {"n_paths": len(table), "checks": checks, "functionals": {}}
     for col in range(1, len(header) - 1):
-        values = [float(r[col]) for r in table] or [0.0]
-        summary["functionals"][header[col]] = {
-            "mean": float(np.mean(values)),
-            "stderr": float(np.std(values, ddof=1) / np.sqrt(len(values)))
-            if len(values) > 1 else 0.0,
-        }
+        mean, stderr = mc_mean_stderr([float(r[col]) for r in table] or [0.0])
+        summary["functionals"][header[col]] = {"mean": mean, "stderr": stderr}
     payload = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     _atomic_write(outdir / "summary.json", payload)
     sys.stdout.write(payload)

@@ -387,6 +387,10 @@ def _single_mode_vector(grid: SpectralGrid, j: tuple[int, int],
                         l2_amplitude: float) -> VectorField:
     """Divergence-free cosine mode along k-perp with prescribed L^2 norm."""
     _require_in_band((j,), grid, "noise.pivot_mode")
+    if max(abs(j[0]), abs(j[1])) > grid.dealias_limit:  # the band of every field a run evolves
+        raise ConfigError(f"'noise.pivot_mode' {tuple(j)} lies outside the dealias band "
+                          f"max(|j1|, |j2|) <= {grid.dealias_limit} of 'grid.dealias_fraction' "
+                          f"{grid.dealias_fraction}: <v, h> = 0 would turn the noise off")
     scale = l2_amplitude / (grid.domain_length / math.sqrt(2.0))
     if not math.isfinite(scale):
         raise ConfigError(f"'noise.pivot_norm' gives a non-finite pivot, got {l2_amplitude}")

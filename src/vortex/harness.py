@@ -18,11 +18,13 @@ the vorticity advection F.
 The measured constants of the Gronwall check (`measure_gn_constant`,
 `estimate_sigma_lipschitz`) draw their random trial fields in the order of
 one `random_divfree_field` call each, and evaluate them a chunk at a time
-in stacked arrays: one Hermitian half, one Leray projection, one batched
-norm sum and one irfft2 per chunk, with chunks sized to TRIAL_CHUNK_BYTES.
+(sized to TRIAL_CHUNK_BYTES) in stacked arrays: `operators.divfree_halves`
+makes them, `spectral.sobolev_norms` norms them and
+`spectral.physical_values` transforms them, each in one call per chunk.
 Each trial's last scalar steps run on Python floats, so the constants
 have the bits of the trials taken one at a time.  Their L^4 sums, and the
-L^q sums of the BDG sups, follow the power rule `spectral.abs_power`.
+L^q sums of the BDG sups over `noise.basis_values`, sum over the stacked
+component axis and follow the power rule `spectral.abs_power`.
 
 Every check is reproducible bit-for-bit from (config, seed): paths use
 counter-based RNG streams keyed by (seed, path, step) and reductions run
@@ -70,7 +72,6 @@ from .operators import (
     divfree_halves,
     grad_norm_l2,
     gradient,
-    l2_norms,
     random_divfree_field,
     random_scalar_field,
     vorticity_values,
@@ -87,8 +88,10 @@ from .spectral import (
     l2_inner,
     l2_norm,
     lq_norm,
+    physical_values,
     regrid,
     sobolev_norm_spectral,
+    sobolev_norms,
     sobolev_weight,
     to_physical,
     to_spectral,
@@ -180,28 +183,25 @@ def measure_gn_constant(grid: SpectralGrid, trials: int, seed: int = 7) -> float
     divergence-free fields, V with the spectrum |k|^-d, d uniform in [1, 3].
 
     The fields are drawn in the order of one random_divfree_field call each
-    and evaluated a chunk at a time: their norms in one batched sum and
-    their L^4 power sums from one irfft2.  Each trial's last steps, the
-    fourth root, the ratio and the running sup, run on scalars, as
-    `lq_norm` takes them, so the constant has the bits of the trials taken
-    one at a time."""
+    and evaluated a chunk at a time: their L^2 norms by `sobolev_norms` and
+    their L^4 power sums from one `physical_values`.  Each trial's last
+    steps, the fourth root, the ratio and the running sup, run on scalars,
+    as `lq_norm` takes them, so the constant has the bits of the trials
+    taken one at a time."""
     rng = np.random.default_rng(seed)
-    n = grid.modes_per_dim
     best = 0.0
     for size in _trial_chunks(grid, trials):
         decays, normals = divfree_draws(grid, rng, size, (1.0, 3.0))
         v = divfree_halves(grid, normals, decays, np.ones(size))
-        l2 = l2_norms(v, grid)
-        grad_sq = half_sums(v, v, gradient_weight(grid))
-        grad = np.sqrt(grad_sq[:, 0] + grad_sq[:, 1]) * grid.domain_length
-        values = np.fft.irfft2(v, s=(n, n))
-        values *= n * n  # in place, as to_physical scales
-        sums = abs_power(values, 4.0, out=values).sum(axis=(2, 3))
-        for a, b, (sx, sy) in zip(l2, grad, sums):
+        l2 = sobolev_norms(v, grid)
+        grad = np.sqrt(half_sums(v, v, gradient_weight(grid)).sum(axis=-1)) * grid.domain_length
+        values = physical_values(v)
+        sums = abs_power(values, 4.0, out=values).sum(axis=(-2, -1)).sum(axis=-1)
+        for a, b, total in zip(l2, grad, sums):
             denom = float(a) * float(b)
             if denom == 0.0:
                 continue
-            l4 = float(((sx + sy) * grid.cell_area) ** 0.25)
+            l4 = float((total * grid.cell_area) ** 0.25)
             best = _sup(best, l4**2 / denom)
     return best
 
@@ -218,13 +218,14 @@ def estimate_sigma_lipschitz(spec: CovarianceSpec, grid: SpectralGrid,
     for size in _trial_chunks(grid, trials, fields_per_trial=2):
         amplitudes, normals = divfree_draws(grid, rng, 2 * size, (0.1, 3.0))
         v = divfree_halves(grid, normals, [2.0] * (2 * size), amplitudes)
-        gaps = l2_norms(v[0::2] - v[1::2], grid)
-        # <v, h> by component, as l2_inner takes it
-        inner = half_sums(v, spec.pivot.half, sobolev_weight(grid, 0.0)) * grid.domain_length**2
-        for gap, (ax, ay), (bx, by) in zip(gaps, inner[0::2], inner[1::2]):
+        gaps = sobolev_norms(v[0::2] - v[1::2], grid)
+        # <v, h>, the sum of the component inner products, as l2_inner takes it
+        inner = (half_sums(v, spec.pivot.half, sobolev_weight(grid, 0.0))
+                 * grid.domain_length**2).sum(axis=-1)
+        for gap, a, b in zip(gaps, inner[0::2], inner[1::2]):
             if gap == 0.0:
                 continue
-            rise = rational_square(float(ax) + float(ay)) - rational_square(float(bx) + float(by))
+            rise = rational_square(float(a)) - rational_square(float(b))
             worst = _sup(worst, abs(rise) / float(gap))
     return worst
 
@@ -558,6 +559,15 @@ def _weighted_residual(u: VectorField, f: ScalarField) -> float:
     return abs(pairing) * fine.cell_area / scale
 
 
+def require_identity_grid(grid: SpectralGrid) -> None:
+    """Refuse a grid whose dealias band holds only the mean mode: every
+    random field of the identity suite would be 0, every residual 0/0."""
+    if grid.dealias_limit < 1:
+        raise ValueError(f"the identity suite needs a nonzero mode in the dealias band; "
+                         f"'grid.dealias_fraction' {grid.dealias_fraction} keeps only the "
+                         f"mean mode of {grid.modes_per_dim} modes per dimension")
+
+
 def identity_suite(grid: SpectralGrid, trials: int, seed: int = 0) -> list[CheckResult]:
     """Worst relative residuals of the operator identities over fresh random
     fields (|k|^-2 spectral decay, random phases, dealiased,
@@ -568,10 +578,7 @@ def identity_suite(grid: SpectralGrid, trials: int, seed: int = 0) -> list[Check
     F(u, curl u), it does no work on u, and it is divergence-free."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if grid.dealias_limit < 1:  # every random field would be 0, every residual 0/0
-        raise ValueError(f"the identity suite needs a nonzero mode in the dealias band; "
-                         f"'grid.dealias_fraction' {grid.dealias_fraction} keeps only the "
-                         f"mean mode of {grid.modes_per_dim} modes per dimension")
+    require_identity_grid(grid)
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(IDENTITY_BOUNDS, 0.0)
     for _ in range(trials):
@@ -647,15 +654,15 @@ def simulate_bdg_sups(frames, q: float, n_paths: int, base_seed: int, t_end: flo
         sups = []
         for amps, e_phys, grid in operators:
             weighted = brown * amps
-            npts = grid.modes_per_dim**2
+            n = grid.modes_per_dim
             norms = np.empty(n_steps + 1)
             for lo in range(0, n_steps + 1, 128):  # time blocks bound the memory
                 hi = min(lo + 128, n_steps + 1)
                 # |x|^q in place: one large temporary per block, not three
                 powers = weighted[lo:hi] @ e_phys  # (block, 2 N^2)
                 abs_power(powers, q, out=powers)
-                norms[lo:hi] = ((powers[:, :npts].sum(axis=1)
-                                 + powers[:, npts:].sum(axis=1)) * grid.cell_area) ** (1.0 / q)
+                sums = powers.reshape(-1, 2, n, n).sum(axis=(-2, -1)).sum(axis=-1)
+                norms[lo:hi] = (sums * grid.cell_area) ** (1.0 / q)
             sups.append((float(norms[: half + 1].max()), float(norms.max())))
         return sups
 

@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralGrid, VectorField, l2_inner, lattice
+from .spectral import SpectralGrid, VectorField, l2_inner, lattice, physical_values
 
 SIGMA_KINDS = ("constant_one", "rational_square", "zero")
 
@@ -198,6 +198,7 @@ class ScatterPlan:
     touched_ksq: np.ndarray
 
 
+@lru_cache(maxsize=8)  # a plan is a few hundred bytes
 def _build_plan(mode_indices, roughness: float, grid: SpectralGrid) -> ScatterPlan:
     require_in_band(mode_indices, grid)
     n = grid.modes_per_dim
@@ -232,7 +233,8 @@ def _build_plan(mode_indices, roughness: float, grid: SpectralGrid) -> ScatterPl
     rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
     velocity = np.concatenate(velocity, axis=1)
     # operators.curl, entry by entry
-    vorticity = 1j * (grid.diff_kx[rows, 0] * velocity[1] - grid.diff_ky[0, cols] * velocity[0])
+    (kx, ky), (vx, vy) = grid.diff_k[:, rows, cols], velocity
+    vorticity = 1j * (kx * vy - ky * vx)
     touched, slot = np.unique(rows * (n // 2 + 1) + cols, return_inverse=True)
     plan = ScatterPlan(np.array(mode, dtype=np.intp), slot.astype(np.intp), velocity,
                        vorticity, touched, grid.ksq.ravel()[touched])
@@ -241,15 +243,10 @@ def _build_plan(mode_indices, roughness: float, grid: SpectralGrid) -> ScatterPl
     return plan
 
 
-@lru_cache(maxsize=8)  # a plan is a few hundred bytes
-def _cached_plan(mode_indices, roughness: float, grid: SpectralGrid) -> ScatterPlan:
-    return _build_plan(mode_indices, roughness, grid)
-
-
 def scatter_plan(spec: CovarianceSpec, grid: SpectralGrid) -> ScatterPlan:
     """The plan of spec's modes on grid; like a basis, it reads only the
     mode list and the roughness."""
-    return _cached_plan(spec.mode_indices, spec.roughness, grid)
+    return _build_plan(spec.mode_indices, spec.roughness, grid)
 
 
 def mode_ksq(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
@@ -271,11 +268,8 @@ def _dense_halves(spec: CovarianceSpec, grid: SpectralGrid,
 
 def basis_values(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
     """The physical values of every basis element e_k, (modes, 2, N, N):
-    one batched irfft2 of the plan's velocity amplitudes."""
-    n = grid.modes_per_dim
-    values = np.fft.irfft2(_dense_halves(spec, grid, scatter_plan(spec, grid).velocity), s=(n, n))
-    values *= n * n  # in place, as to_physical scales
-    return values
+    the `physical_values` of the plan's velocity amplitudes."""
+    return physical_values(_dense_halves(spec, grid, scatter_plan(spec, grid).velocity))
 
 
 class NoiseBasis:

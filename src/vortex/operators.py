@@ -38,7 +38,7 @@ from .spectral import (
     hermitian_amplitudes,
     lattice,
     require_real,
-    sobolev_weight,
+    sobolev_norms,
     to_physical,
 )
 
@@ -61,9 +61,8 @@ def divergence_defect(v: VectorField) -> float:
 
 def curl(v: VectorField) -> ScalarField:
     """Scalar curl of a planar field: coeff(k) = i (k1 vy(k) - k2 vx(k))."""
-    g = v.grid
-    vx, vy = v.half
-    return ScalarField(g, 1j * (g.diff_kx * vy - g.diff_ky * vx))
+    (kx, ky), (vx, vy) = v.grid.diff_k, v.half
+    return ScalarField(v.grid, 1j * (kx * vy - ky * vx))
 
 
 def biot_savart(xi: ScalarField) -> VectorField:
@@ -83,7 +82,7 @@ def biot_savart(xi: ScalarField) -> VectorField:
             "biot_savart requires mean-zero vorticity "
             f"(|mean| = {abs(xi.half[0, 0]):.3e}, field scale {scale:.3e})"
         )
-    v = np.stack(np.broadcast_arrays(1j * g.diff_ky, -1j * g.diff_kx))
+    v = g.diff_k[::-1] * np.array([1j, -1j])[:, None, None]  # i (k2, -k1)
     v *= xi.half  # in place: same bits as the out-of-place products
     v *= g.inv_ksq
     return VectorField(g, v)
@@ -158,7 +157,7 @@ def _random_halves(grid: SpectralGrid, normals: np.ndarray, decays,
     ksq[0, 0] = 1.0  # its |k|^-decay lands on the mean mode, which is cleared
     # in place, to keep few (count, C, N, N) temporaries; each product and
     # sum has the bits of its out-of-place form (re + i im) |k|^-d mask
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
         weighted = normals[:, :, 1] * 1j
         weighted += normals[:, :, 0]
         for field, d in zip(weighted, decays):
@@ -172,7 +171,7 @@ def _random_halves(grid: SpectralGrid, normals: np.ndarray, decays,
         half += weighted[..., : n // 2 + 1]
         half *= 0.5
     half[..., 0, 0] = 0.0
-    norms = np.sqrt(half_sums(half, half, sobolev_weight(grid, 0.0))) * grid.domain_length
+    norms = sobolev_norms(half[..., None, :, :], grid)  # each component's own
     if not np.isfinite(norms).all():
         d = decays[np.argmin(np.isfinite(norms).all(axis=1))]
         raise ValueError(f"decay {d} overflows the |k|^-decay spectrum")
@@ -230,15 +229,8 @@ def divfree_halves(grid: SpectralGrid, normals: np.ndarray, decays,
     the bits of the fields one at a time."""
     raw = _random_halves(grid, normals, [float(d) for d in decays], 1.0)
     v = _leray_halves(grid, raw)
-    norms = l2_norms(v, grid)
+    norms = sobolev_norms(v, grid)
     return v * _scale_to(np.asarray(amplitudes, dtype=float), norms)[:, None, None, None]
-
-
-def l2_norms(v: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """l2_norm of each of the stacked vector fields v (count, 2, N, N/2+1),
-    with its bits: shape (count,)."""
-    components = np.sqrt(half_sums(v, v, sobolev_weight(grid, 0.0))) * grid.domain_length
-    return np.hypot(components[:, 0], components[:, 1])
 
 
 def random_divfree_field(

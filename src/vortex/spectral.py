@@ -15,24 +15,30 @@ axes, so it takes a vector's components in one numpy call, with the bits
 of one component at a time.  Columns 1..N/2-1 stand for themselves and
 their mirror, so norms and inner products weight them twice; columns 0
 and N/2 are their own mirror, and within them row i mirrors row N-i.
-Every grid symbol (`kx`, `ky`, `ksq`, `inv_ksq`, `diff_kx`, `diff_ky`,
-`dealias_mask`, `heat_decay`) is shaped to the half; `k` and `diff_k`
-stack two of them.
+Every grid symbol is shaped to the half: the wavevector `k` and the
+gradient's symbol `diff_k`, each (2, N, N/2+1), and `ksq`, `inv_ksq`,
+`dealias_mask` and `heat_decay`.
 
-`to_physical` is an irfft2 of the half.  `to_spectral` is an rfft2 with
-the two self-conjugate columns mirrored within themselves, so a
-transformed spectrum is Hermitian by construction.  Only those two
-columns can break realness; the entry points that take caller-made
-fields (`operators.biot_savart`, `integrator.trajectory`) check them
-with `require_real`.  A full (N, N) lattice enters only through
-`ScalarField.from_lattice`, which checks it, and leaves only through the
-derived, read-only `coeffs`, which nothing here reads.
+Only this module knows how a stack of halves (..., C, N, N/2+1), C
+components per field, becomes physical values and norms: one batched
+irfft2 (`physical_values`), and the W^{s,2} norms as the hypot over the
+component axis (`sobolev_norms`).  `to_physical`, `sobolev_norm_spectral`
+and `l2_norm` are their one-field cases, with the same bits.
+
+`to_spectral` is an rfft2 with the two self-conjugate columns mirrored
+within themselves, so a transformed spectrum is Hermitian by
+construction.  Only those two columns can break realness; the entry
+points that take caller-made fields (`operators.biot_savart`,
+`integrator.trajectory`) check them with `require_real`.  A full (N, N)
+lattice enters only through `ScalarField.from_lattice`, which checks it,
+and leaves only through the derived, read-only `coeffs`, which nothing
+here reads.
 
 The L^q sums, sum |x|^q, follow one power rule, `abs_power`: for q a
 power of two >= 2 it squares repeatedly, with no abs and no pow, and for
 any other q it takes np.abs(x) ** q.  It serves `lq_norm`, `lq_norm_values`
 and the check-time L^q sums (the Gagliardo-Nirenberg trials, the BDG
-sups).  `half_sums` evaluates the weighted spectral sums over stacked
+sups).  `half_sums` evaluates the weighted spectral sums of stacked
 halves, with the bits of the sums taken one at a time.
 """
 
@@ -94,19 +100,15 @@ class SpectralGrid:
         return j
 
     @cached_property
-    def kx(self) -> np.ndarray:
-        """(N, 1): the row wavenumber of the half spectrum."""
-        return (2.0 * np.pi / self.domain_length) * self.mode_numbers[:, None].astype(float)
-
-    @cached_property
-    def ky(self) -> np.ndarray:
-        """(1, N/2+1): the column wavenumber of the half spectrum, 0..N/2."""
-        h = self.modes_per_dim // 2
-        return (2.0 * np.pi / self.domain_length) * self.mode_numbers[None, : h + 1].astype(float)
+    def k(self) -> np.ndarray:
+        """(2, N, N/2+1): the wavevector (2*pi/L) (j1, j2) of each half-spectrum mode."""
+        j = self.mode_numbers.astype(float)
+        return (2.0 * np.pi / self.domain_length) * np.stack(
+            np.meshgrid(j, j[: self.modes_per_dim // 2 + 1], indexing="ij"))
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        return self.kx**2 + self.ky**2
+        return self.k[0] ** 2 + self.k[1] ** 2
 
     @cached_property
     def inv_ksq(self) -> np.ndarray:
@@ -119,32 +121,19 @@ class SpectralGrid:
         return out
 
     @cached_property
-    def diff_kx(self) -> np.ndarray:
-        """kx with the Nyquist line zeroed; used in odd (derivative) multipliers.
+    def diff_k(self) -> np.ndarray:
+        """k with its Nyquist lines zeroed (row N/2 of k1, column N/2 of k2):
+        the gradient's symbol / i.
 
         A first derivative of a real field is ill-defined on the Nyquist line,
         so spectral differentiation annihilates it (it is removed by the
         dealias mask in every nonlinear pipeline anyway).
         """
-        k = self.kx.copy()
-        k[self.modes_per_dim // 2, :] = 0.0
-        return k
-
-    @cached_property
-    def diff_ky(self) -> np.ndarray:
-        k = self.ky.copy()
-        k[:, self.modes_per_dim // 2] = 0.0
-        return k
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        """(2, N, N/2+1): kx and ky stacked, the wavevector of each mode."""
-        return np.stack(np.broadcast_arrays(self.kx, self.ky))
-
-    @cached_property
-    def diff_k(self) -> np.ndarray:
-        """(2, N, N/2+1): diff_kx and diff_ky stacked, the gradient's symbol / i."""
-        return np.stack(np.broadcast_arrays(self.diff_kx, self.diff_ky))
+        h = self.modes_per_dim // 2
+        out = self.k.copy()
+        out[0, h, :] = 0.0
+        out[1, :, h] = 0.0
+        return out
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -289,17 +278,20 @@ def zero_vector(grid: SpectralGrid) -> VectorField:
 
 
 def to_physical(field: Field) -> np.ndarray:
-    """Evaluate the real field on the grid points: one irfft2 of the half,
-    (N, N) for a scalar and (2, N, N) for a vector.
+    """The real field on the grid points, (N, N) for a scalar and (2, N, N)
+    for a vector: the one-field case of `physical_values`.  Within columns 0
+    and N/2 the transform reads the Hermitian part, so callers that take
+    fields from outside check them once with `require_real`."""
+    return physical_values(field.half)
 
-    Within columns 0 and N/2 the transform reads the Hermitian part, so
-    callers that take fields from outside check them once with
-    `require_real`.
-    """
-    n = field.grid.modes_per_dim
-    real = np.fft.irfft2(field.half, s=(n, n))
-    real *= n * n  # in place: same bits as the out-of-place product
-    return real
+
+def physical_values(halves: np.ndarray) -> np.ndarray:
+    """The real (..., N, N) grid values of stacked (..., N, N/2+1) halves:
+    one batched irfft2, scaled in place by N^2."""
+    n = halves.shape[-2]
+    values = np.fft.irfft2(halves, s=(n, n))
+    values *= n * n  # in place: same bits as the out-of-place product
+    return values
 
 
 def to_spectral(values: np.ndarray, grid: SpectralGrid) -> ScalarField:
@@ -415,12 +407,19 @@ def sobolev_norm_spectral(field: Field, s: float) -> float:
     """W^{s,2} norm via Parseval: (L^2 sum_k (1+|k|^2)^s |c_k|^2)^(1/2).
 
     Must agree with sobolev_norm(field, s, 2) to ~1e-10 relative; used as
-    the fast path inside time stepping.  A vector's norm is the hypot of
-    its component norms.
+    the fast path inside time stepping.  The one-field case of
+    `sobolev_norms`.
     """
-    g = field.grid
-    norms = np.sqrt(half_sums(field.half, field.half, sobolev_weight(g, s))) * g.domain_length
-    return float(np.hypot.reduce(norms, axis=None))
+    return float(sobolev_norms(field.half.reshape((-1,) + field.half.shape[-2:]), field.grid, s))
+
+
+def sobolev_norms(halves: np.ndarray, grid: SpectralGrid, s: float = 0.0) -> np.ndarray:
+    """The W^{s,2} norms, L^2 by default, of stacked fields whose halves are
+    (..., C, N, N/2+1), C components each: the hypot of the C component
+    norms, shape (...).  Each norm has the bits of the fields taken one at
+    a time."""
+    norms = np.sqrt(half_sums(halves, halves, sobolev_weight(grid, s))) * grid.domain_length
+    return np.hypot.reduce(norms, axis=-1)
 
 
 def l2_norm(field: Field) -> float:

@@ -364,6 +364,25 @@ class TestSharedSweep:
         assert calls == []
         assert not (out / "stats.csv").exists()
 
+    def test_identities_on_a_mean_only_band_integrate_nothing(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the suite's grid refusal, raised before the sweep and before any
+        # trial field is drawn
+        calls = self.count_trajectories(monkeypatch)
+        drawn = []
+        monkeypatch.setattr(cli, "random_divfree_field", lambda *a, **k: drawn.append(a))
+        doc = dict(SMALL_CONFIG, grid={"modes_per_dim": 8, "dealias_fraction": 0.2},
+                   noise={"modes": [[0, 0]], "sigma_kind": "constant_one"}, mc={"n_paths": 2},
+                   checks=[{"name": "energy"}, {"name": "identities"}])
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'checks[1]' (identities)" in err and "'grid.dealias_fraction' 0.2" in err
+        assert "Traceback" not in err
+        assert calls == [] and drawn == []
+        assert not (out / "stats.csv").exists()
+
     def test_empty_noise_modes_integrate_nothing(self, tmp_path, monkeypatch, capsys):
         calls = self.count_trajectories(monkeypatch)
         doc = dict(SMALL_CONFIG, noise={"modes": []})
@@ -375,7 +394,7 @@ class TestSharedSweep:
         assert calls == []
         assert not (out / "stats.csv").exists()
 
-    @pytest.mark.parametrize("pivot_mode", [[8, 0], [20, 3]])
+    @pytest.mark.parametrize("pivot_mode", [[8, 0], [20, 3], [6, 0]])
     def test_pivot_mode_outside_the_band_integrates_nothing(self, tmp_path, monkeypatch,
                                                             capsys, pivot_mode):
         calls = self.count_trajectories(monkeypatch)

@@ -237,6 +237,17 @@ class TestBuilders:
                            "'grid.domain_length' 7.73e-153 .*underflows"):
             parse_config(doc).build_initial()
 
+    @pytest.mark.filterwarnings("error")
+    def test_long_domain_refused_without_a_warning(self):
+        # |k|^2 underflows to 0 off the mean mode, so |k|^-decay divides by zero
+        doc = dict(MINIMAL, grid={"modes_per_dim": 16, "domain_length": 1e200},
+                   noise={"coefficient_decay": 0, "sigma_kind": "constant_one"})
+        config = parse_config(doc)
+        config.build_noise_spec()
+        with pytest.raises(ConfigError, match="^'initial.spectral_decay' .*"
+                           "'grid.domain_length' 1e[+]200 .*overflows"):
+            config.build_initial()
+
     # at 5e-153 even (2 pi/L)^2 (N/2)^2 is finite, but the corner |k|^2 is not
     @pytest.mark.parametrize("n, length", [(16, 1e-160), (16, 5e-153)])
     def test_overflowing_wavenumbers_refused(self, n, length):
@@ -264,9 +275,21 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="^'noise.pivot_mode': .*grid band"):
             parse_config(doc).build_noise_spec()
 
+    @pytest.mark.parametrize("grid, pivot_mode", [
+        ({"modes_per_dim": 16}, [6, 0]), ({"modes_per_dim": 16}, [-1, -7]),
+        ({"modes_per_dim": 32, "dealias_fraction": 0.25}, [5, 5]),
+    ])
+    def test_pivot_mode_outside_the_dealias_band_rejected(self, grid, pivot_mode):
+        # every field a run evolves lies in the dealias band, so such a pivot
+        # gives <v, h> = 0 and sigma(v) = 0 at every step
+        doc = dict(MINIMAL, grid=grid, noise={"pivot_mode": pivot_mode, "pivot_norm": 2.0})
+        with pytest.raises(ConfigError, match="^'noise.pivot_mode' .*dealias band.*"
+                                              "'grid.dealias_fraction'"):
+            parse_config(doc).build_noise_spec()
+
     def test_pivot_mode_inside_the_grid_band_keeps_its_norm(self):
         doc = dict(MINIMAL)
-        doc["noise"] = {"pivot_mode": [7, 0], "pivot_norm": 2.0}
+        doc["noise"] = {"pivot_mode": [5, 0], "pivot_norm": 2.0}
         spec = parse_config(doc).build_noise_spec()
         assert l2_norm(spec.pivot) == pytest.approx(2.0, rel=1e-12)
 

@@ -36,9 +36,11 @@ from vortex.spectral import (
     l2_inner,
     l2_norm,
     lq_norm,
+    physical_values,
     regrid,
     require_real,
     sobolev_norm_spectral,
+    sobolev_norms,
     to_physical,
     to_spectral,
 )
@@ -158,9 +160,9 @@ class TestStackedStorage:
              regrid(dealias(b), fine).half)
         # curl and the Leray projection, as written over two components
         assert np.array_equal(bits(curl(v).half),
-                              bits(1j * (grid.diff_kx * b.half - grid.diff_ky * a.half)))
-        kdotu = (grid.kx * a.half + grid.ky * b.half) * grid.inv_ksq
-        same(leray_project(v).half, a.half - grid.kx * kdotu, b.half - grid.ky * kdotu)
+                              bits(1j * (grid.diff_k[0] * b.half - grid.diff_k[1] * a.half)))
+        kdotu = (grid.k[0] * a.half + grid.k[1] * b.half) * grid.inv_ksq
+        same(leray_project(v).half, a.half - grid.k[0] * kdotu, b.half - grid.k[1] * kdotu)
         w = gradient_weight(grid)
         sums = [float(half_sums(f.half, f.half, w)) for f in (a, b)]
         assert grad_norm_l2(v) == float(np.sqrt(sums[0] + sums[1]) * grid.domain_length)
@@ -183,6 +185,47 @@ class TestStackedStorage:
             total = np.sum(abs_power(px, q)) + np.sum(abs_power(py, q))
             assert lq_norm(v, q) == float((total * grid.cell_area) ** (1.0 / q))
         assert lq_norm(v, np.inf) == float(np.max(np.abs(px)) + np.max(np.abs(py)))
+
+    @PROPERTY
+    @given(vector_grid_sizes, st.integers(1, 4), seeds)
+    def test_a_stack_is_transformed_and_normed_field_by_field(self, n, count, seed):
+        # (count, 2, N, N/2+1) Hermitian halves: the stacked transform and
+        # norms equal those of each field, bit for bit
+        grid = SpectralGrid(n)
+        rng = np.random.default_rng(seed)
+        stack = np.stack([[hermitian_lattice(n, rng)[:, : n // 2 + 1] for _ in range(2)]
+                          for _ in range(count)])
+        values = physical_values(stack)
+        assert values.shape == (count, 2, n, n)
+        for s in (-1.0, 0.0, 1.0):
+            norms = sobolev_norms(stack, grid, s)
+            assert norms.shape == (count,)
+            for i, half in enumerate(stack):
+                v = VectorField(grid, half)
+                assert np.array_equal(bits(values[i]), bits(to_physical(v)))
+                assert norms[i] == sobolev_norm_spectral(v, s)
+                assert sobolev_norms(half[:1], grid, s) == sobolev_norm_spectral(v.vx, s)
+        assert np.array_equal(sobolev_norms(stack, grid),
+                              [l2_norm(VectorField(grid, half)) for half in stack])
+
+    @PROPERTY
+    @given(vector_grid_sizes, st.floats(min_value=1e-3, max_value=1e3))
+    def test_the_wavevector_is_the_per_axis_symbols_stacked(self, n, length):
+        # the per-axis symbols the stacked k and diff_k replace, written out
+        grid = SpectralGrid(n, length)
+        h = n // 2
+        kx = (2.0 * np.pi / length) * grid.mode_numbers[:, None].astype(float)
+        ky = (2.0 * np.pi / length) * grid.mode_numbers[None, : h + 1].astype(float)
+        diff_kx, diff_ky = kx.copy(), ky.copy()
+        diff_kx[h, :] = 0.0
+        diff_ky[:, h] = 0.0
+        assert grid.k.shape == grid.diff_k.shape == (2, n, h + 1)
+        assert np.array_equal(bits(grid.k[0][:, :1]), bits(kx))
+        assert np.array_equal(bits(grid.k[1][:1]), bits(ky))
+        assert np.array_equal(bits(grid.k), bits(np.stack(np.broadcast_arrays(kx, ky))))
+        assert np.array_equal(bits(grid.diff_k),
+                              bits(np.stack(np.broadcast_arrays(diff_kx, diff_ky))))
+        assert np.array_equal(bits(grid.ksq), bits(kx**2 + ky**2))
 
     @PROPERTY
     @given(vector_grid_sizes, seeds)

@@ -100,8 +100,8 @@ class TestSpectralGrid:
 
     def test_wavevectors_scale_with_domain(self):
         g = SpectralGrid(16, domain_length=4.0 * np.pi)
-        assert g.kx[1, 0] == pytest.approx(0.5)
-        assert g.ky[0, 1] == pytest.approx(0.5)
+        assert g.k[0][1, 0] == pytest.approx(0.5)
+        assert g.k[1][0, 1] == pytest.approx(0.5)
 
     def test_dealias_mask_two_thirds(self, grid64):
         mask = grid64.dealias_mask
