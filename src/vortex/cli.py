@@ -5,7 +5,9 @@ run     executes the configured Monte-Carlo experiment and writes
 check   runs the operator-identity suite standalone; its --seed, --grid
         and --trials meet the requirements of mc.base_seed,
         grid.modes_per_dim and the identities check's trials;
-report  re-renders a summary from stored outputs.
+report  re-renders a summary from stored outputs as strict JSON: the
+        completed paths' means (null if none), the blow-up count, and the
+        checks, with null for a non-finite number.
 
 Exit status: 0 when every enabled check passes, 1 on any failed check,
 2 on configuration or IO errors.  `run`'s --seed, --paths and --out replace
@@ -262,15 +264,16 @@ def cmd_report(args) -> int:
     stats_path = outdir / "stats.csv"
     if not checks_path.exists() or not stats_path.exists():
         raise ConfigError(f"{outdir} does not contain stats.csv and checks.json")
-    checks = json.loads(checks_path.read_text())
-    rows = stats_path.read_text().strip().split("\n")
-    header = rows[0].split(",")
-    table = [r.split(",") for r in rows[1:]]
-    summary: dict = {"n_paths": len(table), "checks": checks, "functionals": {}}
+    # checks.json writes an unbounded bound as Infinity; strict JSON has null
+    checks = json.loads(checks_path.read_text(), parse_constant=lambda name: None)
+    header, *table = (r.split(",") for r in stats_path.read_text().strip().split("\n"))
+    completed = [r for r in table if r[-1] == "completed"]  # a blow-up row may hold inf
+    summary: dict = {"n_paths": len(table), "n_blowup": sum(r[-1] == "blowup" for r in table),
+                     "checks": checks, "functionals": {}}
     for col in range(1, len(header) - 1):
-        mean, stderr = mc_mean_stderr([float(r[col]) for r in table] or [0.0])
-        summary["functionals"][header[col]] = {"mean": mean, "stderr": stderr}
-    payload = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        moments = mc_mean_stderr([float(r[col]) for r in completed]) if completed else (None,) * 2
+        summary["functionals"][header[col]] = dict(zip(("mean", "stderr"), moments))
+    payload = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _atomic_write(outdir / "summary.json", payload)
     sys.stdout.write(payload)
     return 0 if all(c["passed"] for c in checks) else 1

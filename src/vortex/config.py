@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .integrator import SolverConfig, TrajectoryStats
-from .noise import SIGMA_KINDS, CovarianceSpec, initial_rng, require_in_band
+from .noise import SIGMA_KINDS, CovarianceSpec, initial_rng, mode_entries, require_in_band
 from .operators import random_scalar_field
 from .spectral import TWO_THIRDS, ScalarField, SpectralGrid, VectorField, zero_scalar
 
@@ -394,17 +394,10 @@ def _single_mode_vector(grid: SpectralGrid, j: tuple[int, int],
     scale = l2_amplitude / (grid.domain_length / math.sqrt(2.0))
     if not math.isfinite(scale):
         raise ConfigError(f"'noise.pivot_norm' gives a non-finite pivot, got {l2_amplitude}")
-    n = grid.modes_per_dim
-    k0 = 2.0 * np.pi / grid.domain_length
-    kvec = k0 * np.array([j[0], j[1]])
-    qhat = np.array([-kvec[1], kvec[0]]) / float(np.hypot(kvec[0], kvec[1]))
-    cx = np.zeros((n, n), dtype=np.complex128)
-    cy = np.zeros((n, n), dtype=np.complex128)
-    for idx, amp in (((j[0] % n, j[1] % n), 0.5), ((-j[0] % n, -j[1] % n), 0.5)):
-        cx[idx] += amp * qhat[0] * scale
-        cy[idx] += amp * qhat[1] * scale
-    return VectorField.stack(ScalarField.from_lattice(grid, cx, "noise.pivot_mode"),
-                             ScalarField.from_lattice(grid, cy, "noise.pivot_mode"))
+    flat, profile, _ = mode_entries(j, grid)
+    half = np.zeros((2, grid.ksq.size), dtype=np.complex128)
+    half[:, flat] = profile * scale
+    return VectorField(grid, half.reshape((2,) + grid.ksq.shape))
 
 
 def build_noise_spec(noise: NoiseConfig, grid: SpectralGrid) -> CovarianceSpec:

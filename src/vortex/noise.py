@@ -11,18 +11,21 @@ n = inf means no regularization.
 Each e_k has at most two nonzero spectral coefficients, at +-k, and a
 field stores the rfft2 half of its spectrum (see `spectral`), so e_k has
 one coefficient there, or two when k lies on the self-conjugate column
-j2 = 0, where both +-k are in the half.  A `ScatterPlan` lists them per
-mode, with the velocity and vorticity amplitudes there, and the few
-distinct half-spectrum coefficients they touch.  `apply_G` evaluates
-sigma(v) once and returns the noise increment at those coefficients only,
-velocity and vorticity together, so a time step builds no dense noise
-field: it adds the increment in place.  Since e_k has the single
-frequency |k|, G_n(v) h_k is e_k times the scalar `mode_weights`
-c_k sigma(v) n/(n+|k|^2), so the check-time code (operator norms, BDG
-sums) reads the plan through two helpers only: those weights and the
-physical values of every e_k (`basis_values`).  Nothing at run time reads
-the stacked `NoiseBasis`; it is the one dense full-lattice reference of
-the plan.
+j2 = 0, where both +-k are in the half.  `mode_entries` writes a mode's
+profile there, with k and |k|^2 read from the grid (it also builds a
+config's pivot).  A `ScatterPlan` lists the entries per mode, with the
+velocity and vorticity amplitudes, the distinct coefficients they touch
+and each mode's |k|^2 `ksq`, from which every per-mode number derives: the
+W^{1-g,2} normalisation, ||e_k||_{L^2} and the R_n factor `hy_factor`.
+`apply_G` evaluates sigma(v) once and returns the noise increment at the
+touched coefficients only, velocity and vorticity together, so a time
+step builds no dense noise field: it adds the increment in place.  Since
+e_k has the single frequency |k|, G_n(v) h_k is e_k times the scalar
+`mode_weights` c_k sigma(v) n/(n+|k|^2), so the check-time code (operator
+norms, BDG sums) reads the plan through two helpers only: those weights
+and the physical values of every e_k (`basis_values`).  Nothing at run
+time reads the stacked `NoiseBasis`; it is the one dense full-lattice
+reference of the plan.
 
 Increments come from counter-based Philox streams keyed by (seed, path) with
 the step in the counter.  Each thread keeps one Philox generator and
@@ -188,6 +191,7 @@ class ScatterPlan:
     vorticity: the amplitudes of curl e_k there.
     touched: the distinct flat indices into the (N, N/2+1) half, and
         touched_ksq their |k|^2.
+    ksq: each mode's |k|^2, `grid.ksq` at its coefficients.
     """
 
     mode: np.ndarray
@@ -196,48 +200,49 @@ class ScatterPlan:
     vorticity: np.ndarray
     touched: np.ndarray
     touched_ksq: np.ndarray
+    ksq: np.ndarray
+
+
+def mode_entries(j, grid: SpectralGrid, sine: bool = False):
+    """The divergence-free profile k^perp/|k| cos(k.x) (sin(k.x) if sine) of
+    the nonzero mode j at its nonzero half-spectrum coefficients, and its
+    |k|^2: (flat indices, (2, entries) coefficients, |k|^2), with k and
+    |k|^2 read from the grid there.  One entry, or two on column 0, where
+    both +-k lie in the half.  The cosine of -j is minus that of j."""
+    n = grid.modes_per_dim
+    canonical, (c1, c2) = _canonical(j)  # +c lies in the half, -c too on column 0
+    flat = np.array([c1 % n, -c1 % n][: 1 + (c2 == 0)]) * (n // 2 + 1) + c2
+    (k1, k2), ksq = grid.k.reshape(2, -1)[:, flat[0]], grid.ksq.ravel()[flat[0]]
+    qhat = np.array([-k2, k1]) / math.sqrt(ksq)
+    amp = -0.5j if sine else (0.5 if canonical else -0.5)  # at +c; conj at -c
+    pair = np.array([[amp * qhat[0], np.conj(amp) * qhat[0]],
+                     [amp * qhat[1], np.conj(amp) * qhat[1]]], dtype=np.complex128)
+    return flat, pair[:, : len(flat)], ksq
 
 
 @lru_cache(maxsize=8)  # a plan is a few hundred bytes
 def _build_plan(mode_indices, roughness: float, grid: SpectralGrid) -> ScatterPlan:
     require_in_band(mode_indices, grid)
-    n = grid.modes_per_dim
-    k0 = 2.0 * np.pi / grid.domain_length
-    mode, rows, cols, velocity = [], [], [], []
+    mode, flat, velocity, ksq = [], [], [], []
     for m, j in enumerate(mode_indices):
-        j1, j2 = j
-        if j1 == 0 and j2 == 0:
-            mode.append(m)
-            rows.append(0)
-            cols.append(0)
-            velocity.append(np.array([[1.0 / grid.domain_length], [0.0]], dtype=np.complex128))
-            continue
-        is_cos, (c1, c2) = _canonical(j)
-        kvec = k0 * np.array([c1, c2])
-        knorm = float(np.hypot(kvec[0], kvec[1]))
-        qhat = np.array([-kvec[1], kvec[0]]) / knorm
-        # cos: coeff(+-jc) = qhat/2 ; sin: coeff(+jc) = -i qhat/2, conj at -jc
-        amp = 0.5 if is_cos else -0.5j
-        pair = np.array([[amp * qhat[0], np.conj(amp) * qhat[0]],
-                         [amp * qhat[1], np.conj(amp) * qhat[1]]], dtype=np.complex128)
-        ksq = knorm * knorm
-        norm = (1.0 + ksq) ** ((1.0 - roughness) / 2.0)
-        norm *= grid.domain_length / np.sqrt(2.0)
-        pair /= norm
-        # +jc lies in the half (c2 >= 0); -jc only on column 0
-        on_column_0 = c2 == 0
-        mode += [m, m] if on_column_0 else [m]
-        rows += [c1 % n, -c1 % n] if on_column_0 else [c1 % n]
-        cols += [0, 0] if on_column_0 else [c2]
-        velocity.append(pair if on_column_0 else pair[:, :1])
-    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    velocity = np.concatenate(velocity, axis=1)
+        if tuple(j) == (0, 0):
+            at, amps, kk = [0], [[1.0 / grid.domain_length], [0.0]], grid.ksq[0, 0]
+        else:  # a listed j that is not canonical selects the sine profile
+            at, amps, kk = mode_entries(j, grid, sine=not _canonical(j)[0])
+            # unit W^{1-g,2} norm; cos and sin have L^2 norm L/sqrt 2
+            amps = amps / ((1.0 + kk) ** ((1.0 - roughness) / 2.0)
+                           * (grid.domain_length / np.sqrt(2.0)))
+        mode += [m] * len(at)
+        flat += list(at)
+        velocity.append(np.asarray(amps, dtype=np.complex128))
+        ksq.append(kk)
+    flat, velocity = np.array(flat, dtype=np.intp), np.concatenate(velocity, axis=1)
     # operators.curl, entry by entry
-    (kx, ky), (vx, vy) = grid.diff_k[:, rows, cols], velocity
+    (kx, ky), (vx, vy) = grid.diff_k.reshape(2, -1)[:, flat], velocity
     vorticity = 1j * (kx * vy - ky * vx)
-    touched, slot = np.unique(rows * (n // 2 + 1) + cols, return_inverse=True)
+    touched, slot = np.unique(flat, return_inverse=True)
     plan = ScatterPlan(np.array(mode, dtype=np.intp), slot.astype(np.intp), velocity,
-                       vorticity, touched, grid.ksq.ravel()[touched])
+                       vorticity, touched, grid.ksq.ravel()[touched], np.array(ksq))
     for array in vars(plan).values():  # one copy for all callers
         array.setflags(write=False)
     return plan
@@ -249,10 +254,9 @@ def scatter_plan(spec: CovarianceSpec, grid: SpectralGrid) -> ScatterPlan:
     return _build_plan(spec.mode_indices, spec.roughness, grid)
 
 
-def mode_ksq(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
-    """|k|^2 of each listed mode, in mode order."""
-    k0 = 2.0 * np.pi / grid.domain_length
-    return np.array([k0 * k0 * (j1 * j1 + j2 * j2) for j1, j2 in spec.mode_indices])
+def hy_factor(level: float, ksq):
+    """R_n's multiplier n/(n+|k|^2) at each |k|^2; 1 at n = inf."""
+    return 1.0 if level == math.inf else level / (level + ksq)
 
 
 def _dense_halves(spec: CovarianceSpec, grid: SpectralGrid,
@@ -260,10 +264,9 @@ def _dense_halves(spec: CovarianceSpec, grid: SpectralGrid,
     """(modes, rows, N, N/2+1) halves holding each mode's plan amplitudes,
     one row of `amplitudes` (rows, plan entries) per row, zero elsewhere."""
     plan = scatter_plan(spec, grid)
-    n = grid.modes_per_dim
-    half = np.zeros((spec.n_modes, len(amplitudes), n * (n // 2 + 1)), dtype=np.complex128)
+    half = np.zeros((spec.n_modes, len(amplitudes), grid.ksq.size), dtype=np.complex128)
     half[plan.mode, :, plan.touched[plan.slot]] = amplitudes.T
-    return half.reshape(spec.n_modes, len(amplitudes), n, n // 2 + 1)
+    return half.reshape((spec.n_modes, len(amplitudes)) + grid.ksq.shape)
 
 
 def basis_values(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
@@ -285,7 +288,7 @@ class NoiseBasis:
         full = lattice(_dense_halves(spec, grid, np.vstack((plan.velocity, plan.vorticity))))
         self.vel_stack, self.vor_stack = full[:, :2], full[:, 2]
         self.velocity, self.vorticity = list(self.vel_stack), list(self.vor_stack)
-        self.mode_ksq = mode_ksq(spec, grid)
+        self.mode_ksq = plan.ksq
 
 
 def sigma_eval(v: VectorField, spec: CovarianceSpec) -> float:
@@ -324,17 +327,15 @@ def apply_G(v: VectorField, dW: WienerIncrement, spec: CovarianceSpec) -> np.nda
     out = np.zeros((3, len(plan.touched)), dtype=np.complex128)
     for row, amplitude in zip(out, (*plan.velocity, plan.vorticity)):
         np.add.at(row, plan.slot, entry_weights * amplitude)
-    level = spec.hy_level
-    if level != math.inf:
-        out *= level / (level + plan.touched_ksq)
+    if spec.hy_level != math.inf:  # R_n is the identity there
+        out *= hy_factor(spec.hy_level, plan.touched_ksq)
     return out
 
 
 def mode_weights(spec: CovarianceSpec, v: VectorField) -> np.ndarray:
     """c_k sigma(v) n/(n+|k|^2) per mode: G_n(v) h_k = R_n[c_k sigma(v) e_k]
     is this weight times e_k, since e_k has the single frequency |k|."""
-    n = spec.hy_level
-    hy = 1.0 if n == math.inf else n / (n + mode_ksq(spec, v.grid))
+    hy = hy_factor(spec.hy_level, scatter_plan(spec, v.grid).ksq)
     return np.asarray(spec.coefficients) * sigma_eval(v, spec) * hy
 
 
@@ -352,7 +353,7 @@ def operator_norms(v: VectorField, spec: CovarianceSpec, s: float, q: float) -> 
         raise ValueError("radonifying norm is not defined for q = inf")
     if not q >= 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    amps_sq = (mode_weights(spec, v) ** 2) * (1.0 + mode_ksq(spec, v.grid)) ** s
+    amps_sq = (mode_weights(spec, v) ** 2) * (1.0 + scatter_plan(spec, v.grid).ksq) ** s
     hs = math.sqrt(float(np.sum(amps_sq * _basis_l2_sq(spec, v.grid))))
     values = basis_values(spec, v.grid)
     square_fn = np.einsum("m,mcij->ij", amps_sq, values * values)
@@ -363,7 +364,7 @@ def operator_norms(v: VectorField, spec: CovarianceSpec, s: float, q: float) -> 
 def _basis_l2_sq(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
     """||e_k||^2_{L^2} per mode: unit W^{1-g,2} norm gives (1+|k|^2)^-(1-g),
     which is 1 for the constant mode."""
-    return (1.0 + mode_ksq(spec, grid)) ** -(1.0 - spec.roughness)
+    return (1.0 + scatter_plan(spec, grid).ksq) ** -(1.0 - spec.roughness)
 
 
 def basis_l2_sq_sum(spec: CovarianceSpec, grid: SpectralGrid) -> float:

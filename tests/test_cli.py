@@ -527,3 +527,50 @@ class TestReportCommand:
 
     def test_report_missing_dir(self, tmp_path, capsys):
         assert main(["report", "--dir", str(tmp_path)]) == 2
+
+    @staticmethod
+    def strict(text):
+        """text parsed as strict JSON, which has no NaN or Infinity."""
+        def refused(name):
+            raise AssertionError(f"{name} in summary.json")
+        return json.loads(text, parse_constant=refused)
+
+    def test_report_means_take_the_completed_paths_only(self, tmp_path, capsys):
+        # one completed path and one whose row stopped at an inf blow-up
+        (tmp_path / "stats.csv").write_text(
+            ",".join(cli.STATS_HEADER) + "\n"
+            "0,1.0,2.0,3.0,4.0,5.0,6.0,completed\n"
+            "1,9.0,inf,inf,8.0,inf,inf,blowup\n")
+        (tmp_path / "checks.json").write_text(
+            '[{"name": "energy.status", "observed": 1.0, "bound": 0.0, "passed": false},'
+            ' {"name": "energy.sup_v_l2sq", "observed": NaN, "bound": Infinity,'
+            ' "passed": false}]')
+        assert main(["report", "--dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summary = self.strict(captured.out)
+        assert (tmp_path / "summary.json").read_text() == captured.out
+        assert (summary["n_paths"], summary["n_blowup"]) == (2, 1)
+        assert summary["functionals"]["sup_v_l2sq"] == {"mean": 1.0, "stderr": 0.0}
+        assert summary["functionals"]["int_grad_v"] == {"mean": 2.0, "stderr": 0.0}
+        assert summary["checks"][1] == {"name": "energy.sup_v_l2sq", "observed": None,
+                                        "bound": None, "passed": False}
+
+    def test_report_on_blown_up_paths_writes_strict_json(self, tmp_path, capsys):
+        # every path blows up: no mean exists, so each is null, not inf or NaN
+        doc = dict(SMALL_CONFIG, grid={"modes_per_dim": 16, "domain_length": 1.0053e-152},
+                   initial={"spectral_decay": 0}, mc={"n_paths": 2},
+                   checks=[{"name": "energy"}])
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert main(["report", "--dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summary = self.strict((out / "summary.json").read_text())
+        assert (summary["n_paths"], summary["n_blowup"]) == (2, 2)
+        assert set(summary["functionals"]) == set(cli.STATS_HEADER[1:-1])
+        for moments in summary["functionals"].values():
+            assert moments == {"mean": None, "stderr": None}

@@ -8,12 +8,13 @@ import pytest
 
 from vortex.config import (
     ConfigError,
+    _single_mode_vector,
     build_initial,
     build_noise_spec,
     load_config,
     parse_config,
 )
-from vortex.spectral import l2_norm
+from vortex.spectral import SpectralGrid, l2_norm, to_physical
 
 MINIMAL = {
     "grid": {"modes_per_dim": 16},
@@ -286,6 +287,19 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="^'noise.pivot_mode' .*dealias band.*"
                                               "'grid.dealias_fraction'"):
             parse_config(doc).build_noise_spec()
+
+    @pytest.mark.parametrize("length", [2.0 * math.pi, 7.3])
+    @pytest.mark.parametrize("j", [(1, 0), (-1, 0), (2, -3), (0, -2), (-1, 4)])
+    def test_pivot_is_the_cosine_profile_of_its_mode(self, length, j):
+        # h(x) = pivot_norm sqrt(2)/L k^perp/|k| cos(k.x), k = 2 pi j / L
+        grid = SpectralGrid(16, length)
+        pivot = _single_mode_vector(grid, j, 1.7)
+        k = 2.0 * math.pi / length * np.array(j, dtype=float)
+        xx, yy = grid.meshgrid()
+        profile = np.cos(k[0] * xx + k[1] * yy) * (1.7 * math.sqrt(2.0) / length)
+        want = np.stack([-k[1] * profile, k[0] * profile]) / math.hypot(*k)
+        assert np.max(np.abs(to_physical(pivot) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert l2_norm(pivot) == pytest.approx(1.7, rel=1e-14)
 
     def test_pivot_mode_inside_the_grid_band_keeps_its_norm(self):
         doc = dict(MINIMAL)

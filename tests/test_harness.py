@@ -35,7 +35,7 @@ from vortex.harness import (
     zeta_budget,
     zeta_regularity,
 )
-from vortex import harness, integrator, operators
+from vortex import harness, noise, operators
 from vortex.integrator import SolverConfig, TrajectoryStats, holder_quotient, run_trajectory
 from vortex.noise import CovarianceSpec
 from vortex.operators import (
@@ -449,13 +449,13 @@ class TestGronwall:
 
     def test_one_noise_evaluation_per_solution_step(self, grid16, rng, monkeypatch):
         seen = []
-        original = integrator.apply_G
+        original = noise.apply_G
 
         def counted(v, dW, spec):
             seen.append(v)
             return original(v, dW, spec)
 
-        monkeypatch.setattr(integrator, "apply_G", counted)
+        monkeypatch.setattr(noise, "apply_G", counted)
         v0a = biot_savart(random_scalar_field(grid16, rng))
         v0b = v0a + random_divfree_field(grid16, rng) * 1e-3
         cfg = SolverConfig(dt=5e-3, t_end=0.05)

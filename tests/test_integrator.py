@@ -257,7 +257,7 @@ class TestOneNoiseEvaluation:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(integrator, "apply_G")
+        counted(noise, "apply_G")
         counted(noise, "sigma_eval")
         spec = TestRotationalForm.spec(grid32, rng, "rational_square")
         cfg = SolverConfig(dt=1e-3, t_end=1e-2)
@@ -265,6 +265,19 @@ class TestOneNoiseEvaluation:
         assert run_trajectory(None, xi0, spec, cfg, seed=3).stats.status == "completed"
         assert cfg.n_steps == 10
         assert calls == {"apply_G": 10, "sigma_eval": 10}
+
+    def test_a_fault_planted_in_noise_reaches_the_step(self, grid32, rng, monkeypatch):
+        # the step reads apply_G from `noise`, so a patch there reaches it
+        spec = TestRotationalForm.spec(grid32, rng, "constant_one")
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2)
+        xi0 = random_scalar_field(grid32, rng)
+        clean = run_trajectory(None, xi0, spec, cfg, seed=3).stats
+        original = noise.apply_G
+        monkeypatch.setattr(noise, "apply_G", lambda v, dW, spec: 2.0 * original(v, dW, spec))
+        doubled = run_trajectory(None, xi0, spec, cfg, seed=3).stats
+        assert clean.status == doubled.status == "completed"
+        assert doubled.sup_v_l2sq != clean.sup_v_l2sq
+        assert doubled.int_grad_beta != clean.int_grad_beta
 
     def test_steps_change_only_the_touched_coefficients(self, grid32, rng):
         # without drift or decay the step adds exactly the increment at touched

@@ -20,6 +20,7 @@ from vortex.noise import (
     CovarianceSpec,
     NoiseBasis,
     WienerIncrement,
+    _basis_l2_sq,
     apply_G,
     basis_l2_sq_sum,
     basis_values,
@@ -260,7 +261,7 @@ class TestScatterAgainstDenseOracle:
         assert simulate_bdg_sups([(spec, v)], 4.0, 2, 1, 0.02, 0.01).shape == (2, 1, 2)
 
     def test_trajectory_matches_the_dense_oracle(self, grid32, monkeypatch):
-        from vortex import integrator
+        from vortex import noise
         from vortex.integrator import SolverConfig, run_trajectory
 
         h = _single_mode_vector(grid32, (1, 0), 3.0)
@@ -283,7 +284,7 @@ class TestScatterAgainstDenseOracle:
                              for f in (velocity.vx, velocity.vy, vorticity)])
 
         sparse, sparse_states = run()
-        monkeypatch.setattr(integrator, "apply_G", dense_at_touched)
+        monkeypatch.setattr(noise, "apply_G", dense_at_touched)
         dense, dense_states = run()
         assert sparse.stats.status == dense.stats.status == "completed"
         for name in sparse.stats.FUNCTIONALS:
@@ -294,6 +295,58 @@ class TestScatterAgainstDenseOracle:
             assert a.t == b.t
             for fa, fb in ((a.v, b.v), (a.xi, b.xi), (a.zeta, b.zeta), (a.beta, b.beta)):
                 assert np.array_equal(coefficient_bits(fa), coefficient_bits(fb))
+
+
+class TestOneModeTable:
+    """Each mode's |k|^2 on the plan is the grid's at its coefficients, so the
+    per-mode numbers of the check-time code (`mode_weights`, `_basis_l2_sq`)
+    are those of the increment `apply_G` scatters."""
+
+    BAND4 = tuple(_band_modes(4))  # 80 modes, band 4 at N = 32
+
+    @pytest.mark.parametrize("length", [2.0 * math.pi, 7.3, 0.01])
+    def test_each_mode_ksq_is_the_grid_ksq_at_its_entries(self, length):
+        grid = SpectralGrid(32, length)
+        plan = scatter_plan(make_spec(modes=self.BAND4, coeffs=(1.0,) * 80, hy=10.0), grid)
+        assert len(plan.ksq) == 80
+        assert np.array_equal(bits(plan.ksq[plan.mode]),
+                              bits(grid.ksq.ravel()[plan.touched[plan.slot]]))
+
+    @pytest.mark.parametrize("length", [2.0 * math.pi, 7.3, 0.01])
+    def test_mode_weights_apply_the_factor_apply_G_applies(self, length):
+        grid = SpectralGrid(32, length)
+        # unit coefficients and sigma: each weight is the mode's factor n/(n+|k|^2)
+        spec = make_spec(modes=self.BAND4, coeffs=(1.0,) * 80, hy=10.0)
+        unsmoothed = spec.with_hy_level(math.inf)
+        plan, v = scatter_plan(spec, grid), zero_vector(grid)
+        factors = mode_weights(spec, v)
+        differ = []
+        for m in range(spec.n_modes):
+            dW = WienerIncrement(1.0, np.eye(spec.n_modes)[m])  # the mode alone
+            slots = plan.slot[plan.mode == m]
+            got = apply_G(v, dW, spec)[:, slots]
+            if not np.array_equal(got, apply_G(v, dW, unsmoothed)[:, slots] * factors[m]):
+                differ.append(self.BAND4[m])
+        assert differ == []
+
+    @pytest.mark.parametrize("length", [2.0 * math.pi, 7.3])
+    @pytest.mark.parametrize("level", [math.inf, 10.0])
+    @pytest.mark.parametrize("sigma", ["constant_one", "rational_square"])
+    def test_closed_form_compensator_is_the_scattered_increment_norm(self, length, level,
+                                                                     sigma):
+        # ||G(v) dW||^2 = sum_k dt w_k^2 g_k^2 ||e_k||^2, the e_k orthogonal
+        grid = SpectralGrid(32, length)
+        pivot = _single_mode_vector(grid, (1, 0), 3.0) if sigma == "rational_square" else None
+        coeffs = tuple(0.5 / (1.0 + j1 * j1 + j2 * j2) for j1, j2 in self.BAND4)
+        spec = make_spec(modes=self.BAND4, coeffs=coeffs, sigma=sigma, pivot=pivot, hy=level)
+        v = random_divfree_field(grid, np.random.default_rng(8))
+        assert sigma_eval(v, spec) > 0.0
+        for step in range(3):
+            dW = sample_increment(6, 0, step, spec, 0.01)
+            closed = float(np.sum(dW.dt * mode_weights(spec, v) ** 2 * dW.gaussians ** 2
+                                  * _basis_l2_sq(spec, grid)))
+            velocity, _ = scattered(apply_G(v, dW, spec), spec, grid)
+            assert closed == pytest.approx(l2_norm(velocity) ** 2, rel=1e-14, abs=0.0)
 
 
 class TestSigma:
