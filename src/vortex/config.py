@@ -394,6 +394,10 @@ def _single_mode_vector(grid: SpectralGrid, j: tuple[int, int],
     scale = l2_amplitude / (grid.domain_length / math.sqrt(2.0))
     if not math.isfinite(scale):
         raise ConfigError(f"'noise.pivot_norm' gives a non-finite pivot, got {l2_amplitude}")
+    k0 = 2.0 * math.pi / grid.domain_length
+    if (k0 * j[0]) ** 2 + (k0 * j[1]) ** 2 == 0.0:  # k^perp/|k| needs |k|^2 > 0
+        raise ConfigError(f"'grid.domain_length' {grid.domain_length!r} is so long that "
+                          f"|k|^2 underflows to 0 at 'noise.pivot_mode' {tuple(j)}")
     flat, profile, _ = mode_entries(j, grid)
     half = np.zeros((2, grid.ksq.size), dtype=np.complex128)
     half[:, flat] = profile * scale

@@ -7,13 +7,17 @@ The solutions of the coupled system are integrated in one place: `sweep`
 runs each (Hille-Yosida level, path) a run needs exactly once, and keeps
 per path only scalars (the stats and the zeta Holder quotients).  The
 energy report, `hy_uniformity` and `zeta_regularity` are pure reductions
-over its results.  The Gronwall pair steps its two solutions through the
-integrator's one loop, `trajectory`, and keeps only the weighted
-difference.  The BDG sums integrate the frozen operator G_n(v0) from the
-noise's `mode_weights` and `basis_values`.  The identity suite takes fresh
-random fields and judges the nonlinearities the step runs: the velocity
-drift, reached as `operators.velocity_drift` like the step reaches it, and
-the vorticity advection F.
+over its results.  The Gronwall pairs step their two solutions of a path
+as two rows of the integrator's one loop, `trajectories`, on the path's
+shared draws, and keep only the weighted difference.  The sweep steps
+each level's paths, and `gronwall_uniqueness` its pairs, in batches of
+one `run_trajectory` or `gronwall_pairs` call each, sized like the trial
+chunks below (`_batches`); each path has the bits of its one-path run.
+The BDG sums integrate the frozen operator G_n(v0) from the noise's
+`mode_weights` and `basis_values`.  The identity suite takes fresh random
+fields and judges the nonlinearities the step runs: the velocity drift,
+reached as `operators.velocity_drift` like the step reaches it, and the
+vorticity advection F.
 
 The measured constants of the Gronwall check (`measure_gn_constant`,
 `estimate_sigma_lipschitz`) draw their random trial fields in the order of
@@ -29,11 +33,12 @@ component axis and follow the power rule `spectral.abs_power`.
 Every check is reproducible bit-for-bit from (config, seed): paths use
 counter-based RNG streams keyed by (seed, path, step) and reductions run
 in fixed path order, so results do not depend on the worker count, which
-follows from the grid alone (`path_workers`).
+follows from the grid alone (`path_workers`), or on the batch size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -45,14 +50,13 @@ import numpy as np
 
 from . import operators
 from .integrator import (
-    BlowupError,
     CoupledState,
     SolverConfig,
     TrajectoryStats,
     _sup,
     holder_quotient,
     run_trajectory,
-    trajectory,
+    trajectories,
 )
 from .noise import (
     CovarianceSpec,
@@ -71,6 +75,7 @@ from .operators import (
     divfree_draws,
     divfree_halves,
     grad_norm_l2,
+    grad_norms,
     gradient,
     random_divfree_field,
     random_scalar_field,
@@ -83,7 +88,6 @@ from .spectral import (
     VectorField,
     abs_power,
     bessel_multiplier,
-    gradient_weight,
     half_sums,
     l2_inner,
     l2_norm,
@@ -165,6 +169,13 @@ def mc_mean_stderr(values) -> tuple[float, float]:
 # The estimators below evaluate their random trial fields in chunks.  A
 # field's largest stacked array, its normal draws, takes 32 N^2 bytes; a
 # chunk keeps it near this working set, so the chunk shrinks as the grid grows.
+# The sweep and the Gronwall pairs step their paths in batches of the same
+# size, a path counting as one trial field and a pair as two: 8 paths a batch
+# at N = 32, 2 at 64, and 1 from 128 on, where the pool steps one path per job.
+# Larger batches cost more than they save (2 CPUs, numpy 2.4 with pocketfft):
+# at N = 256 a batch of 4 paths ran at 0.77x the speed of the 4 paths one at a
+# time, and at N = 64 batches of 16 raised the peak RSS of a 16-path
+# `vortex run` from 40 to 46 MB.
 TRIAL_CHUNK_BYTES = 256 * 1024
 
 
@@ -174,6 +185,15 @@ def _trial_chunks(grid: SpectralGrid, trials: int, fields_per_trial: int = 1):
     size = max(1, TRIAL_CHUNK_BYTES // per_trial)
     for lo in range(0, trials, size):
         yield min(size, trials - lo)
+
+
+def _batches(grid: SpectralGrid, n_paths: int, rows_per_path: int = 1) -> list[range]:
+    """The paths 0..n_paths-1 in successive batches of `_trial_chunks` size."""
+    out, first = [], 0
+    for size in _trial_chunks(grid, n_paths, rows_per_path):
+        out.append(range(first, first + size))
+        first += size
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -194,7 +214,7 @@ def measure_gn_constant(grid: SpectralGrid, trials: int, seed: int = 7) -> float
         decays, normals = divfree_draws(grid, rng, size, (1.0, 3.0))
         v = divfree_halves(grid, normals, decays, np.ones(size))
         l2 = sobolev_norms(v, grid)
-        grad = np.sqrt(half_sums(v, v, gradient_weight(grid)).sum(axis=-1)) * grid.domain_length
+        grad = grad_norms(v, grid)
         values = physical_values(v)
         sums = abs_power(values, 4.0, out=values).sum(axis=(-2, -1)).sum(axis=-1)
         for a, b, total in zip(l2, grad, sums):
@@ -336,8 +356,9 @@ def sweep(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
     level runs the largest path count asked of it; a consumer asking fewer
     reads a prefix.  Returns level -> one PathResult per path, in path
     order: path p at level n is run_trajectory's (base_seed, p) solution
-    under spec.with_hy_level(n).  With snapshot_dir and snapshot_stride > 0,
-    the main Monte-Carlo paths write xi every snapshot_stride steps there.
+    under spec.with_hy_level(n), stepped in a batch of the level's paths.
+    With snapshot_dir and snapshot_stride > 0, the main Monte-Carlo paths
+    write xi every snapshot_stride steps there.
     """
     write_any = snapshot_dir is not None and snapshot_stride > 0
     if write_any:
@@ -348,15 +369,17 @@ def sweep(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
         for n in levels:
             counts[n] = max(counts.get(n, 0), paths)
             probes.setdefault(n, set()).update([] if probe is None else [probe])
-    jobs = [(n, p) for n in counts for p in range(counts[n])]
+    jobs = [(n, paths) for n in counts for paths in _batches(xi0.grid, counts[n])]
 
-    def worker(job):
-        level, path = jobs[job]
+    def observer(level, path):
+        """The observer of a path, and the zeta samples it keeps per stride."""
         samples = {probe.stride: ([], []) for probe in probes[level]}
         write = write_any and level == spec.hy_level and path < n_paths
+        if not samples and not write:
+            return None, samples
         step = 0
 
-        def observer(st: CoupledState):
+        def observe(st: CoupledState):
             nonlocal step
             for stride, (zetas, times) in samples.items():
                 if step % stride == 0 or step == cfg.n_steps:
@@ -366,14 +389,21 @@ def sweep(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
                 write_snapshot(st.xi, Path(snapshot_dir) / f"path{path:04d}_step{step:06d}.vspd")
             step += 1
 
-        res = run_trajectory(v0, xi0, spec.with_hy_level(level), cfg, seed=base_seed,
-                             path_index=path, lq_exponent=lq_exponent, observer=observer)
-        return PathResult(res.stats, {
-            probe: holder_quotient(*samples[probe.stride], probe.beta, probe.delta, probe.q)
-            for probe in probes[level]})
+        return observe, samples
+
+    def worker(job):
+        level, paths = jobs[job]
+        observers, samples = zip(*(observer(level, p) for p in paths))
+        done = run_trajectory(v0, xi0, spec.with_hy_level(level), cfg, seed=base_seed,
+                              path_index=paths.start, lq_exponent=lq_exponent,
+                              observer=observers, n_paths=len(paths))
+        return [PathResult(res.stats, {
+            probe: holder_quotient(*kept[probe.stride], probe.beta, probe.delta, probe.q)
+            for probe in probes[level]}) for res, kept in zip(done, samples)]
 
     done = run_paths(worker, len(jobs), path_workers(xi0.grid))
-    return {n: [r for (m, _), r in zip(jobs, done) if m == n] for n in counts}
+    return {n: [r for (m, _), batch in zip(jobs, done) if m == n for r in batch]
+            for n in counts}
 
 
 def _read_levels(name: str, results, levels, n_paths: int, seed: int):
@@ -449,31 +479,51 @@ def zeta_regularity(results: dict[float, list[PathResult]], levels, n_paths: int
 # Gronwall / pathwise uniqueness
 
 
+def gronwall_pairs(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
+                   cfg: SolverConfig, seed: int, paths, a_const: float, lg: float) -> list[dict]:
+    """For each path p of `paths`, two solutions under identical increments:
+    the (seed, p) solution from each initial velocity.  All of them step as
+    one batch of the integrator's loop, `trajectories`, whose rows
+    (v0_a, p) and (v0_b, p) share p's draws.
+
+    Returns per path the weighted-difference series
+    M(t) = exp(-int_0^t psi) ||V(t)||^2 with psi = a ||grad v1||^2 + L_g^2
+    (left-endpoint quadrature), the raw sup of ||V||, and the status,
+    'blowup' if either solution blew up (the series end there) or else
+    'completed'.  The norms are taken over the batch and the scalar tails
+    per pair on floats, so each pair has the bits of its one-pair call.
+    """
+    grid = v0_a.grid
+    xi_a, xi_b = curl(v0_a), curl(v0_b)
+    rows = [row for p in paths for row in ((v0_a, xi_a, p), (v0_b, xi_b, p))]
+    n = len(rows) // 2
+    series, sup_v = [[] for _ in range(n)], [0.0] * n
+    int_psi, psi, completed = [0.0] * n, [0.0] * n, [False] * n
+    for visit in trajectories(rows, spec, cfg, seed):
+        at = {row: i for i, row in enumerate(visit.rows)}
+        both = [k for k in range(n) if 2 * k in at and 2 * k + 1 in at]
+        for row, i in at.items():
+            if row ^ 1 not in at:  # its partner blew up: the pair ends
+                visit.end(i)
+        one = visit.v[[at[2 * k] for k in both]]
+        gaps = sobolev_norms(one - visit.v[[at[2 * k + 1] for k in both]], grid)
+        grads = grad_norms(one, grid)
+        for k, gap, grad in zip(both, gaps, grads):
+            int_psi[k] += cfg.dt * psi[k]
+            vnorm = float(gap)
+            sup_v[k] = _sup(sup_v[k], vnorm)
+            series[k].append(math.exp(-int_psi[k]) * vnorm**2)
+            psi[k] = a_const * float(grad) ** 2 + lg * lg
+            completed[k] = visit.step == cfg.n_steps
+    return [{"m_series": m, "sup_v": sup, "status": "completed" if done else "blowup"}
+            for m, sup, done in zip(series, sup_v, completed)]
+
+
 def gronwall_pair(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
                   cfg: SolverConfig, seed: int, path_index: int, a_const: float,
                   lg: float) -> dict:
-    """Two solutions under identical increments: the `trajectory` of
-    (seed, path_index) from each initial velocity, stepped side by side.
-
-    Returns the weighted-difference series M(t) = exp(-int_0^t psi) ||V(t)||^2
-    with psi = a ||grad v1||^2 + L_g^2 (left-endpoint quadrature), the raw
-    sup of ||V||, and the status, 'blowup' if either solution blew up (the
-    series end there) or else 'completed'.
-    """
-    first, second = (trajectory(v0, curl(v0), spec, cfg, seed, path_index)
-                     for v0 in (v0_a, v0_b))
-    int_psi, psi = 0.0, 0.0
-    m_series, sup_v = [], 0.0
-    try:
-        for (one, _, _), (two, _, _) in zip(first, second):
-            int_psi += cfg.dt * psi
-            vnorm = l2_norm(one.v - two.v)
-            sup_v = max(sup_v, vnorm)
-            m_series.append(math.exp(-int_psi) * vnorm**2)
-            psi = a_const * grad_norm_l2(one.v) ** 2 + lg * lg
-    except BlowupError:
-        return {"m_series": m_series, "sup_v": sup_v, "status": "blowup"}
-    return {"m_series": m_series, "sup_v": sup_v, "status": "completed"}
+    """The Gronwall pair of one path: the one-path case of `gronwall_pairs`."""
+    return gronwall_pairs(v0_a, v0_b, spec, cfg, seed, [path_index], a_const, lg)[0]
 
 
 def gronwall_uniqueness(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
@@ -485,23 +535,25 @@ def gronwall_uniqueness(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSp
     must keep the MC mean of the exponentially weighted squared difference
     below slack * ||V(0)||^2 (the supermartingale property of the weight).
     The Young constant a is calibrated from the measured Gagliardo-Nirenberg
-    ratio, and L_g from the empirical sigma slope.  A pair that blew up
-    fails the check as gronwall.status.
+    ratio, and L_g from the empirical sigma slope.  The pairs step in
+    batches (`_batches`, two rows a pair).  A pair that blew up fails the
+    check as gronwall.status; a NaN difference fails it too.
     """
     grid = v0_a.grid
     identical = np.array_equal(v0_a.half, v0_b.half)
     a_const = measure_gn_constant(grid, gn_trials) ** 2
     lg = estimate_lipschitz_lg(spec, grid, lg_trials)
+    jobs = _batches(grid, n_paths, rows_per_path=2)
 
-    def worker(p):
-        return gronwall_pair(v0_a, v0_b, spec, cfg, base_seed, p, a_const, lg)
+    def worker(job):
+        return gronwall_pairs(v0_a, v0_b, spec, cfg, base_seed, jobs[job], a_const, lg)
 
-    results = run_paths(worker, n_paths, path_workers(grid))
+    results = [r for batch in run_paths(worker, len(jobs), path_workers(grid)) for r in batch]
     failed = _status_failure("gronwall", {"": [r["status"] for r in results]}, base_seed)
     if failed is not None:
         return failed
     if identical:
-        observed = max(r["sup_v"] for r in results)
+        observed = functools.reduce(_sup, (r["sup_v"] for r in results))
         return CheckResult.evaluate(
             "gronwall.identical", observed, 1e-12, n_paths, base_seed,
             extra={"a": a_const, "lg": lg},
@@ -595,7 +647,7 @@ def identity_suite(grid: SpectralGrid, trials: int, seed: int = 0) -> list[Check
         xi_w1 = sobolev_norm_spectral(xi, 1.0)
         zeta_w1 = sobolev_norm_spectral(zeta, 1.0)
 
-        drift = operators.velocity_drift(u, vorticity_values(u))
+        drift = VectorField(grid, operators.velocity_drift(grid, u.half, vorticity_values(u)))
         fuw = bilinear_F(u, curl(u))
         fuxi = bilinear_F(u, xi)
         dual = sobolev_norm_spectral(bessel_multiplier(fuxi, -1.0), 0.0)

@@ -24,9 +24,18 @@ field.  The blow-up guard measures ||v|| of each new state, and the path
 statistics take that value rather than measuring it again.
 
 One loop steps every solution the program integrates: the generator
-`trajectory` yields each visited state.  `run_trajectory` reduces it to
-the path statistics, and the harness's Gronwall pair steps two of them
-side by side, so the checks exercise the same code as a run.
+`trajectories` steps a batch of rows, each an initial velocity and a path
+index, as stacked halves, (P, 2, N, N/2+1) for v and (P, N, N/2+1) for
+zeta, and yields the states each step visits.  Every operation of a step
+is one numpy call for the batch: the drift's two transforms, the Leray
+projection, the heat factor, the curl, the physical values of xi and the
+guards' norms.  What is per row stays per row: its increment and its
+noise.  Every call acts on the stack row by row, so a row has the bits of
+a batch of one.  A row that blows up leaves the batch, so its values
+reach no later call.  `run_trajectory` reduces the loop to the path
+statistics, one path or a batch of paths, and the harness's Gronwall
+pairs step their two solutions of a path as two rows, so the checks
+exercise the same code as a run.
 
 The velocity nonlinearity is `operators.velocity_drift`, the rotational
 form P B(v,v) = P[w (-u_y, u_x)] with u the dealiased v and w its curl,
@@ -43,36 +52,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import noise, operators
 from .noise import CovarianceSpec, sample_increment, scatter_plan
-from .operators import (
-    MEAN_ZERO_RTOL,
-    biot_savart,
-    curl,
-    grad_norm_l2,
-    vorticity_values,
-)
+from .operators import MEAN_ZERO_RTOL, biot_savart, curl, curl_halves, grad_norms
 from .spectral import (
-    Field,
     ScalarField,
+    SpectralGrid,
     VectorField,
     heat_decay,
     l2_norm,
-    lq_norm,
-    lq_norm_values,
+    lq_norms,
+    physical_values,
     require_real,
     sobolev_norm,
     sobolev_norm_spectral,
-    to_physical,
-    zero_scalar,
+    sobolev_norms,
 )
-
-
-class BlowupError(RuntimeError):
-    """Raised when a step exceeds the blow-up threshold (numerical instability)."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ class CoupledState:
     """One time slice: velocity v, vorticity xi and its splitting
     xi = zeta + beta (Ornstein-Uhlenbeck part + remainder).
 
-    run_trajectory evolves v and zeta; xi = curl v and beta = xi - zeta are
+    The loop evolves v and zeta; xi = curl v and beta = xi - zeta are
     derived from them (xi at t = 0 is the given initial vorticity).
     """
 
@@ -151,47 +150,46 @@ class TrajectoryResult:
     stats: TrajectoryStats
 
 
-def _stepped(decay: np.ndarray, base: Field, touched: np.ndarray,
-             g_dw: np.ndarray, drift: np.ndarray | None = None) -> Field:
-    """exp(-|k|^2 dt) [base + drift + g_dw], the noise g_dw of each component
-    given at the flat half-spectrum indices `touched` and added there in
-    place.  drift, an array shaped like base's half, holds the result."""
-    acc = base.half.copy() if drift is None else np.add(drift, base.half, out=drift)
+def _stepped(decay: np.ndarray, base: np.ndarray, touched: np.ndarray,
+             g_dw: np.ndarray, drift: np.ndarray | None = None) -> np.ndarray:
+    """exp(-|k|^2 dt) [base + drift + g_dw] of stacked halves base
+    (..., N, N/2+1), the noise g_dw (..., len(touched)) of each half given at
+    the flat half-spectrum indices `touched` and added there in place.
+    drift, an array shaped like base, holds the result."""
+    acc = base.copy() if drift is None else np.add(drift, base, out=drift)
     acc.reshape(acc.shape[:-2] + (-1,))[..., touched] += g_dw
     acc *= decay  # in place: same bits as the out-of-place product
-    return type(base)(base.grid, acc)
+    return acc
 
 
-def _guarded(field, name: str, cfg: SolverConfig, t: float) -> float:
-    """The field's L2 norm.  Fail closed: a norm above the threshold, inf or
-    NaN is a blow-up."""
-    norm = l2_norm(field)
-    if not norm <= cfg.blowup_threshold:
-        raise BlowupError(f"{name} L2 norm exceeded {cfg.blowup_threshold:g} at t={t:g}")
-    return norm
+def _within(norms: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """The blow-up guard: which L2 norms stay within the threshold.  Fail
+    closed: a norm above it, inf or NaN is a blow-up."""
+    return norms <= cfg.blowup_threshold
 
 
 def velocity_step(
-    v: VectorField,
+    grid: SpectralGrid,
+    v: np.ndarray,
     vorticity: np.ndarray,
     g_dw: np.ndarray,
     touched: np.ndarray,
     cfg: SolverConfig,
-    t: float,
-) -> tuple[VectorField, float]:
-    """One step of dv + [Av + B(v,v)] dt = G(v) dW from time t:
-    v+ = exp(-|k|^2 dt) [v - dt P B(v,v) + G(v) dW], P the Leray projection,
-    taken on both components of the stacked half at once.  Returns v+ and
-    its L2 norm, which the blow-up guard measured.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of dv + [Av + B(v,v)] dt = G(v) dW for stacked velocity
+    halves v (..., 2, N, N/2+1): v+ = exp(-|k|^2 dt) [v - dt P B(v,v) + G(v) dW],
+    P the Leray projection, taken on every component of the stack at once.
+    Returns v+ and its L2 norms, which the blow-up guard reads.
 
-    `g_dw` is `noise.apply_G`'s increment, whose rows 0 and 1 are G(v) dW at the
-    flat half-spectrum indices `touched`.  P B(v,v) is `operators.velocity_drift`,
-    read from the module so that the identity suite judges the same
-    function; `vorticity` holds the w it takes, the physical values of the
-    dealiased curl of v (`operators.vorticity_values`)."""
-    drift = operators.velocity_drift(v, vorticity).half * -cfg.dt
-    new = _stepped(heat_decay(v.grid, cfg.dt), v, touched, g_dw[:2], drift)
-    return new, _guarded(new, "velocity", cfg, t)
+    `g_dw` (..., 2, len(touched)) holds rows 0 and 1 of each half's
+    `noise.apply_G` increment, G(v) dW at the flat half-spectrum indices
+    `touched`.  P B(v,v) is `operators.velocity_drift`, read from the module
+    so that the identity suite judges the same function; `vorticity` holds
+    the w it takes, the physical values of the dealiased curl of v
+    (`operators.vorticity_values`)."""
+    drift = operators.velocity_drift(grid, v, vorticity) * -cfg.dt
+    new = _stepped(heat_decay(grid, cfg.dt), v, touched, g_dw, drift)
+    return new, sobolev_norms(new, grid)
 
 
 def _sup(a: float, b: float) -> float:
@@ -237,99 +235,206 @@ def _inside_dealias_band(v: VectorField, spec: CovarianceSpec) -> bool:
             and bool(np.all(g.dealias_mask.ravel()[scatter_plan(spec, g).touched])))
 
 
-def trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpec,
-               cfg: SolverConfig, seed: int, path_index: int = 0):
-    """The one time-step loop: the (seed, path_index) solution over
-    [0, t_end].  The velocity v and the stochastic convolution zeta step on
-    shared increments; the vorticity xi = curl v and the remainder
-    beta = xi - zeta are derived after each step.
-
-    Yields (state, physical values of its xi, L2 norm of its v) for each
-    visited state in step order, the state after k steps k-th.  Raises
-    BlowupError when the L2 norm of v or xi leaves the threshold or is not
-    finite.  Deterministic given (seed, path_index).
-
-    xi0 must be finite and real with zero mean.
-    v0 = None derives the velocity from xi0 by Biot-Savart; otherwise v0
-    must be real and curl(v0) must match xi0 to 1e-10 relative.  Realness
-    is checked here once, not per transform (see `spectral`).  The state at
-    t = 0 carries xi0 itself.
-    """
-    grid = xi0.grid
+def _start(v0: VectorField | None, xi0: ScalarField) -> VectorField:
+    """The initial velocity of the data (v0, xi0), checked: xi0 finite and
+    real with zero mean; v0 = None derives it by Biot-Savart, otherwise v0
+    must be real and curl(v0) must match xi0 to 1e-10 relative."""
     scale = np.max(np.abs(xi0.half))
     if not np.isfinite(scale):
         raise ValueError("initial vorticity must be finite")
     if scale > 0 and abs(xi0.half[0, 0]) > MEAN_ZERO_RTOL * scale:
         raise ValueError("initial vorticity must have zero mean")
     if v0 is None:
-        v0 = biot_savart(xi0)  # refuses a non-real xi0
-    else:
-        require_real(xi0, "initial vorticity")
-        require_real(v0, "initial velocity")
-        defect = l2_norm(curl(v0) - xi0)
-        if not defect <= 1e-10 * max(1.0, l2_norm(xi0)):
-            raise ValueError(
-                f"curl(v0) does not match xi0 (L2 defect {defect:.3e}); "
-                "pass v0=None to derive it by Biot-Savart"
-            )
-    state = CoupledState(0.0, v0, xi0, zero_scalar(grid), xi0)
-    in_band = _inside_dealias_band(v0, spec)
+        return biot_savart(xi0)  # refuses a non-real xi0
+    require_real(xi0, "initial vorticity")
+    require_real(v0, "initial velocity")
+    defect = l2_norm(curl(v0) - xi0)
+    if not defect <= 1e-10 * max(1.0, l2_norm(xi0)):
+        raise ValueError(
+            f"curl(v0) does not match xi0 (L2 defect {defect:.3e}); "
+            "pass v0=None to derive it by Biot-Savart"
+        )
+    return v0
+
+
+@dataclass(eq=False)
+class Visit:
+    """The states the live rows of a batch visit after `step` steps, stacked
+    in row order: `rows` names each by its index in the batch, `v` holds
+    the velocity halves (P, 2, N, N/2+1) and `velocities` them as fields,
+    `xi` and `zeta` (P, N, N/2+1), `xi_values` (P, N, N) the physical
+    values of xi, and `v_norm` (P,) the L2 norms of v.  A consumer ends the
+    i-th live row here with `end(i)`; it then leaves the batch."""
+
+    step: int
+    t: float
+    grid: SpectralGrid
+    rows: list[int]
+    velocities: list[VectorField]
+    v: np.ndarray
+    xi: np.ndarray
+    zeta: np.ndarray
+    xi_values: np.ndarray
+    v_norm: np.ndarray
+
+    def __post_init__(self):
+        self.ended = np.zeros(len(self.rows), dtype=bool)
+
+    def end(self, i: int) -> None:
+        self.ended[i] = True
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        """The remainder beta = xi - zeta of every live row."""
+        return self.xi - self.zeta
+
+    def state(self, i: int) -> CoupledState:
+        """The CoupledState of the i-th live row, viewing the stacks."""
+        g = self.grid
+        return CoupledState(self.t, self.velocities[i], ScalarField(g, self.xi[i]),
+                            ScalarField(g, self.zeta[i]), ScalarField(g, self.beta[i]))
+
+
+def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
+    """The one time-step loop: the solutions of a batch of rows over
+    [0, t_end], stepped as stacked halves.  Row i is
+    rows[i] = (v0, xi0, path): the solution from that initial data on the
+    increments of (seed, path).  The velocity v and the stochastic
+    convolution zeta step on shared increments; the vorticity xi = curl v
+    and the remainder beta = xi - zeta are derived after each step.
+
+    Yields a `Visit` of the live rows for each step, in step order, the
+    states after k steps k-th; its `end` takes a row out before the next
+    step.  A row leaves the batch when the L2 norm of its v or xi leaves
+    the threshold or is not finite, so its last visit holds its last state
+    and no later numpy call sees its values.  A row that reaches the last
+    visit (step n_steps) completed.  Each row has the bits of a batch of
+    that row alone: every numpy call acts on the stack row by row, and
+    what is per row stays per row: its increment,
+    sample_increment(seed, path, step), drawn once per step for the rows
+    that share a path, and its noise, `noise.apply_G` of its own velocity.
+
+    Each initial pair must satisfy `_start`, checked once per distinct
+    pair; realness is checked there, not per transform (see `spectral`).
+    The state at t = 0 carries the values of xi0 itself, not of curl v0.
+    """
+    grid = rows[0][1].grid
+    starts: dict[tuple[int, int], VectorField] = {}
+    for v0, xi0, _ in rows:
+        if (id(v0), id(xi0)) not in starts:
+            starts[id(v0), id(xi0)] = _start(v0, xi0)
+    velocities = [starts[id(v0), id(xi0)] for v0, xi0, _ in rows]
+    paths = [path for _, _, path in rows]
+    in_band = all(_inside_dealias_band(v0, spec) for v0 in set(starts.values()))
     touched = scatter_plan(spec, grid).touched
     decay = heat_decay(grid, cfg.dt)
-    xi_values = to_physical(xi0)
-    # curl(v0) may differ from xi0 by up to the tolerance above
-    vorticity = vorticity_values(v0)
-    v_norm = l2_norm(v0)
+    live = list(range(len(rows)))
+    v = np.stack([f.half for f in velocities])
+    xi = np.stack([xi0.half for _, xi0, _ in rows])
+    zeta = np.zeros_like(xi)
+    xi_values = physical_values(xi)
+    # curl(v0) may differ from xi0 by up to the tolerance of `_start`
+    vorticity = physical_values(curl_halves(grid, v) * grid.dealias_mask)
+    v_norm = sobolev_norms(v, grid)
 
     for step in range(cfg.n_steps):
-        yield state, xi_values, v_norm
-        dW = sample_increment(seed, path_index, step, spec, cfg.dt)
-        g_dw = noise.apply_G(state.v, dW, spec)
-        v_new, v_norm = velocity_step(state.v, vorticity, g_dw, touched, cfg, state.t)
+        visit = Visit(step, step * cfg.dt, grid, live, velocities, v, xi, zeta,
+                      xi_values, v_norm)
+        yield visit
+        keep = ~visit.ended
+        draws = {}
+        g_dw = []
+        for i, row in enumerate(live):
+            if keep[i]:
+                path = paths[row]
+                if path not in draws:
+                    draws[path] = sample_increment(seed, path, step, spec, cfg.dt)
+                g_dw.append(noise.apply_G(velocities[i], draws[path], spec))
+        if not g_dw:
+            return
+        live, v, zeta, vorticity = _kept(keep, live, v, zeta, vorticity)
+        g_dw = np.stack(g_dw)
+        v, v_norm = velocity_step(grid, v, vorticity, g_dw[:, :2], touched, cfg)
+        keep = _within(v_norm, cfg)
+        live, v, v_norm, zeta, g_dw = _kept(keep, live, v, v_norm, zeta, g_dw)
+        if not live:
+            return
         # the stochastic convolution: zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]
-        zeta_new = _stepped(decay, state.zeta, touched, g_dw[2])
-        xi_new = curl(v_new)
-        _guarded(xi_new, "vorticity", cfg, state.t)
-        xi_values = to_physical(xi_new)
-        vorticity = xi_values if in_band else vorticity_values(v_new)
-        state = CoupledState((step + 1) * cfg.dt, v_new, xi_new, zeta_new,
-                             xi_new - zeta_new)
-    yield state, xi_values, v_norm
+        zeta = _stepped(decay, zeta, touched, g_dw[:, 2])
+        xi = curl_halves(grid, v)
+        keep = _within(sobolev_norms(xi[:, None], grid), cfg)
+        live, v, v_norm, zeta, xi = _kept(keep, live, v, v_norm, zeta, xi)
+        if not live:
+            return
+        xi_values = physical_values(xi)
+        vorticity = xi_values if in_band else physical_values(xi * grid.dealias_mask)
+        velocities = [VectorField(grid, half) for half in v]
+    yield Visit(cfg.n_steps, cfg.n_steps * cfg.dt, grid, live, velocities, v, xi, zeta,
+                xi_values, v_norm)
+
+
+def _kept(keep: np.ndarray, live: list[int], *stacks: np.ndarray):
+    """The rows that `keep` marks, of the live row list and of each stack."""
+    if keep.all():
+        return (live, *stacks)
+    return ([row for row, k in zip(live, keep) if k], *(a[keep] for a in stacks))
 
 
 def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpec,
                    cfg: SolverConfig, seed: int, path_index: int = 0,
-                   lq_exponent: float = 4.0, observer=None) -> TrajectoryResult:
-    """The path functionals and the last visited state of the `trajectory`
-    of (seed, path_index); status 'blowup' if a step blew up or a functional
-    is not finite, which ends the path there.  An observer callable, if
-    given, sees each visited CoupledState once, in step order (its k-th
-    call the state after k steps); callers derive from it whatever else
-    they need of a path, such as recorded states, snapshot files or zeta
-    samples.
+                   lq_exponent: float = 4.0, observer=None, n_paths: int | None = None):
+    """The path functionals and the last visited state of the (seed,
+    path_index) solution from (v0, xi0), a TrajectoryResult; status
+    'blowup' if a step blew up or a functional is not finite, which ends
+    the path there.  An observer callable, if given, sees each visited
+    CoupledState once, in step order (its k-th call the state after k
+    steps); callers derive from it whatever else they need of a path, such
+    as recorded states, snapshot files or zeta samples.
+
+    With n_paths, the paths path_index, ..., path_index + n_paths - 1 step
+    as one batch of `trajectories`, and the call returns their results in
+    path order, each with the bits of its one-path call; observer is then
+    one observer or None per path.  The functionals are taken over the
+    batch, the L^q and gradient norms each in one call, and their scalar
+    tails (roots, squares, sums and suprema) per path on floats.
     """
     grid = xi0.grid
-    stats = TrajectoryStats()
-    try:
-        for k, (state, xi_values, v_norm) in enumerate(
-                trajectory(v0, xi0, spec, cfg, seed, path_index)):
-            if observer is not None:
-                observer(state)
-            # an overflow here is judged below, as a blow-up, not warned of
+    count = 1 if n_paths is None else n_paths
+    observers = [observer] if n_paths is None else list(observer or [None] * count)
+    stats = [TrajectoryStats() for _ in range(count)]
+    last: list = [None] * count
+    rows = [(v0, xi0, path_index + r) for r in range(count)]
+    for visit in trajectories(rows, spec, cfg, seed):
+        beta = visit.beta[:, None]
+        # an overflow here is judged below, as a blow-up, not warned of
+        with np.errstate(over="ignore"):
+            xi_lq = lq_norms(visit.xi_values[:, None], lq_exponent, grid)
+            beta_l2 = sobolev_norms(beta, grid)
+            beta_lq = lq_norms(physical_values(beta), lq_exponent, grid)
+            if visit.step < cfg.n_steps:
+                grad_v = grad_norms(visit.v, grid)
+                grad_beta = grad_norms(beta, grid)
+        for i, row in enumerate(visit.rows):
+            if observers[row] is not None:
+                observers[row](visit.state(i))
+            last[row] = visit, i
+            s = stats[row]
             with np.errstate(over="ignore"):
-                stats.sup_v_l2sq = _sup(stats.sup_v_l2sq, v_norm ** 2)
-                stats.sup_xi_lq = _sup(stats.sup_xi_lq,
-                                       lq_norm_values(xi_values, lq_exponent, grid))
-                stats.sup_beta_l2 = _sup(stats.sup_beta_l2, l2_norm(state.beta))
-                stats.sup_beta_lq = _sup(stats.sup_beta_lq, lq_norm(state.beta, lq_exponent))
-                if k < cfg.n_steps:
-                    stats.int_grad_v += cfg.dt * grad_norm_l2(state.v) ** 2
-                    stats.int_grad_beta += cfg.dt * grad_norm_l2(state.beta) ** 2
+                s.sup_v_l2sq = _sup(s.sup_v_l2sq, float(visit.v_norm[i]) ** 2)
+                s.sup_xi_lq = _sup(s.sup_xi_lq, float(xi_lq[i]))
+                s.sup_beta_l2 = _sup(s.sup_beta_l2, float(beta_l2[i]))
+                s.sup_beta_lq = _sup(s.sup_beta_lq, float(beta_lq[i]))
+                if visit.step < cfg.n_steps:
+                    s.int_grad_v += cfg.dt * float(grad_v[i]) ** 2
+                    s.int_grad_beta += cfg.dt * float(grad_beta[i]) ** 2
             # the guard's rule for the norms, applied to every functional:
             # inf or NaN is a blow-up, never a completed path
-            if not all(map(math.isfinite, map(stats.functional, stats.FUNCTIONALS))):
-                raise BlowupError(f"a path functional is not finite at t={state.t:g}")
-    except BlowupError:
-        stats.status = "blowup"
+            if not all(map(math.isfinite, map(s.functional, s.FUNCTIONALS))):
+                visit.end(i)
 
-    return TrajectoryResult(final=state, stats=stats)
+    results = []
+    for s, (visit, i) in zip(stats, last):
+        if visit.step < cfg.n_steps or visit.ended[i]:
+            s.status = "blowup"
+        results.append(TrajectoryResult(final=visit.state(i), stats=s))
+    return results[0] if n_paths is None else results

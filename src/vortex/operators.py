@@ -7,7 +7,8 @@ projection removes the gradient, so P B(u,u) = P[w (-u_y, u_x)] (Orszag
 1971; Canuto et al., Spectral Methods, 2007, sec. 3.4).  `velocity_drift`
 takes this rotational form: from the physical w it costs one batched
 transform for both components of u and one for both products, where the
-advective form costs eight single transforms.
+advective form costs eight single transforms.  It takes a stack of
+velocity halves, so a step drifts a batch of paths in those two calls.
 It is the one implementation of P B(v,v): the time step and the identity
 suite both call it, through this module's attribute.
 
@@ -37,6 +38,7 @@ from .spectral import (
     half_sums,
     hermitian_amplitudes,
     lattice,
+    physical_values,
     require_real,
     sobolev_norms,
     to_physical,
@@ -61,8 +63,13 @@ def divergence_defect(v: VectorField) -> float:
 
 def curl(v: VectorField) -> ScalarField:
     """Scalar curl of a planar field: coeff(k) = i (k1 vy(k) - k2 vx(k))."""
-    (kx, ky), (vx, vy) = v.grid.diff_k, v.half
-    return ScalarField(v.grid, 1j * (kx * vy - ky * vx))
+    return ScalarField(v.grid, curl_halves(v.grid, v.half))
+
+
+def curl_halves(grid: SpectralGrid, v: np.ndarray) -> np.ndarray:
+    """curl of stacked vector halves v (..., 2, N, N/2+1): (..., N, N/2+1)."""
+    kx, ky = grid.diff_k
+    return 1j * (kx * v[..., 1, :, :] - ky * v[..., 0, :, :])
 
 
 def biot_savart(xi: ScalarField) -> VectorField:
@@ -121,25 +128,34 @@ def vorticity_values(v: VectorField) -> np.ndarray:
     return to_physical(dealias(curl(v)))
 
 
-def velocity_drift(v: VectorField, vorticity: np.ndarray) -> VectorField:
+def velocity_drift(grid: SpectralGrid, v: np.ndarray, vorticity: np.ndarray) -> np.ndarray:
     """P B(v,v) in rotational form, P[w (-u_y, u_x)] with u the dealiased v
     and w = vorticity_values(v) given as physical values; pseudo-spectral
-    and dealiased.  Its curl is F(v, curl v) to rounding."""
-    g = v.grid
-    wu = to_physical(dealias(v))
-    wu *= vorticity  # w u, in u's buffer
-    np.negative(wu[1], out=wu[1])  # w (u_x, -u_y)
-    products = _spectral_of(wu[::-1], g)  # of w (-u_y, u_x)
+    and dealiased.  Its curl is F(v, curl v) to rounding.
+
+    v is a stack of velocity halves (..., 2, N, N/2+1) and vorticity their
+    w (..., N, N); returns the drifts' halves, each with the bits of its
+    field taken alone, so a step drifts a batch of paths in one call."""
+    wu = physical_values(v * grid.dealias_mask)
+    wu *= vorticity[..., None, :, :]  # w u, in u's buffer
+    np.negative(wu[..., 1, :, :], out=wu[..., 1, :, :])  # w (u_x, -u_y)
+    products = _spectral_of(wu[..., ::-1, :, :], grid)  # of w (-u_y, u_x)
     del wu  # before the projection's temporaries
-    return leray_project(VectorField(g, products))
+    return _leray_halves(grid, products)
 
 
 def grad_norm_l2(f: Field) -> float:
     """||grad f||_{L^2} via the spectral sum (L^2 sum_k |k|^2 |f(k)|^2)^(1/2),
-    the sum running over every component of a vector."""
-    g = f.grid
-    total = half_sums(f.half, f.half, gradient_weight(g)).sum()
-    return float(np.sqrt(total) * g.domain_length)
+    the sum running over every component of a vector: the one-field case
+    of `grad_norms`."""
+    return float(grad_norms(f.half.reshape((-1,) + f.half.shape[-2:]), f.grid))
+
+
+def grad_norms(halves: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """grad_norm_l2 of stacked fields whose halves are (..., C, N, N/2+1),
+    C components each: shape (...), each with the bits of its field's."""
+    total = half_sums(halves, halves, gradient_weight(grid)).sum(axis=-1)
+    return np.sqrt(total) * grid.domain_length
 
 
 def _random_halves(grid: SpectralGrid, normals: np.ndarray, decays,

@@ -21,9 +21,10 @@ gradient's symbol `diff_k`, each (2, N, N/2+1), and `ksq`, `inv_ksq`,
 
 Only this module knows how a stack of halves (..., C, N, N/2+1), C
 components per field, becomes physical values and norms: one batched
-irfft2 (`physical_values`), and the W^{s,2} norms as the hypot over the
-component axis (`sobolev_norms`).  `to_physical`, `sobolev_norm_spectral`
-and `l2_norm` are their one-field cases, with the same bits.
+irfft2 (`physical_values`), the W^{s,2} norms as the hypot over the
+component axis (`sobolev_norms`) and the L^q norms of the values
+(`lq_norms`).  `to_physical`, `sobolev_norm_spectral`, `l2_norm` and
+`lq_norm_values` are their one-field cases, with the same bits.
 
 `to_spectral` is an rfft2 with the two self-conjugate columns mirrored
 within themselves, so a transformed spectrum is Hermitian by
@@ -36,10 +37,11 @@ here reads.
 
 The L^q sums, sum |x|^q, follow one power rule, `abs_power`: for q a
 power of two >= 2 it squares repeatedly, with no abs and no pow, and for
-any other q it takes np.abs(x) ** q.  It serves `lq_norm`, `lq_norm_values`
-and the check-time L^q sums (the Gagliardo-Nirenberg trials, the BDG
-sups).  `half_sums` evaluates the weighted spectral sums of stacked
-halves, with the bits of the sums taken one at a time.
+any other q it takes np.abs(x) ** q.  It serves `lq_norms`, whose
+one-field cases are `lq_norm` and `lq_norm_values`, and the check-time
+L^q sums (the Gagliardo-Nirenberg trials, the BDG sups).  `half_sums`
+evaluates the weighted spectral sums of stacked halves, with the bits of
+the sums taken one at a time.
 """
 
 from __future__ import annotations
@@ -368,13 +370,23 @@ def lq_norm(field: Field, q: float) -> float:
 def lq_norm_values(values: np.ndarray, q: float, grid: SpectralGrid) -> float:
     """lq_norm of a field given its physical values on grid, (N, N) or
     (2, N, N), so a caller that already holds them pays no second
-    transform."""
+    transform: the one-field case of `lq_norms`."""
+    return float(lq_norms(values.reshape((-1,) + values.shape[-2:]), q, grid))
+
+
+def lq_norms(values: np.ndarray, q: float, grid: SpectralGrid) -> np.ndarray:
+    """The L^q norms of stacked fields given their physical values
+    (..., C, N, N), C components each, with lq_norm's conventions: shape
+    (...).  The sums run over the whole stack, but each root is taken on
+    its own scalar, since numpy's vectorised power can differ from the
+    scalar one in the last bit; so each norm has the bits of its field's."""
     if not (q == np.inf or q >= 1.0):
         raise ValueError(f"L^q norm requires q >= 1 or q = inf, got {q}")
     if q == np.inf:
-        return float(np.abs(values).max(axis=(-2, -1)).sum())
-    total = abs_power(values, q).sum(axis=(-2, -1)).sum()
-    return float((total * grid.cell_area) ** (1.0 / q))
+        return np.abs(values).max(axis=(-2, -1)).sum(axis=-1)
+    sums = abs_power(values, q).sum(axis=(-2, -1)).sum(axis=-1)
+    roots = [(total * grid.cell_area) ** (1.0 / q) for total in sums.flat]
+    return np.array(roots, dtype=float).reshape(sums.shape)
 
 
 def abs_power(values: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Independent oracles the tests judge the program by: the advective form
 B(u,v) = (u.grad)v of the velocity nonlinearity, whose projection the
-rotational `velocity_drift` must reproduce; the discretised vorticity and
+rotational `velocity_drift` must reproduce, and `stacked_drift`, which
+puts such a one-field drift in the place of `velocity_drift`; the discretised vorticity and
 remainder equations, which `run_trajectory` derives instead of stepping;
 the dense noise sum that `apply_G` scatters, with R_n applied
 over the whole grid; the basis elements read from the dense `NoiseBasis`;
@@ -23,6 +24,20 @@ def bilinear_B(u, v):
     """(u.grad)v, pseudo-spectral and dealiased, one component of v at a
     time through F; not Leray-projected."""
     return VectorField.stack(bilinear_F(u, v.vx), bilinear_F(u, v.vy))
+
+
+def stacked_drift(drift):
+    """A drift of one field, drift(v, w) -> VectorField, in the form
+    `operators.velocity_drift` takes: velocity halves (..., 2, N, N/2+1) and
+    vorticity values (..., N, N) in, drift halves out, row by row."""
+
+    def over_rows(grid, v, w):
+        rows = [drift(VectorField(grid, half), values).half
+                for half, values in zip(v.reshape((-1,) + v.shape[-3:]),
+                                        w.reshape((-1,) + w.shape[-2:]))]
+        return np.stack(rows).reshape(v.shape)
+
+    return over_rows
 
 
 def scattered(noise, spec, grid):

@@ -43,24 +43,34 @@ class TestRunCommand:
         assert all(c["passed"] for c in checks)
 
     def test_byte_identical_reruns_across_thread_counts(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
+        # results do not depend on the worker count or the batch size: on this
+        # grid a batch holds every path and every Gronwall pair by default, and
+        # one path or pair when the batch budget is forced down
+        doc = dict(SMALL_CONFIG, checks=SMALL_CONFIG["checks"] + [
+            {"name": "gronwall", "n_paths": 3, "gn_trials": 50}])
+        cfg = write_config(tmp_path, doc)
         payloads, seen, real = [], [], harness.run_paths
+        default = harness.TRIAL_CHUNK_BYTES
 
         def spy(worker, n_paths, workers):
-            seen.append(workers)
+            seen.append((workers, n_paths))
             return real(worker, n_paths, workers)
 
         monkeypatch.setattr(harness, "run_paths", spy)
-        for threads, sub in ((1, "a"), (3, "b")):
+        for threads, budget, sub in ((1, default, "a"), (3, default, "b"), (1, 1, "c"),
+                                     (3, 1, "d")):
             out = tmp_path / sub
             monkeypatch.setattr(harness, "path_workers", lambda grid, n=threads: n)
+            monkeypatch.setattr(harness, "TRIAL_CHUNK_BYTES", budget)
+            harness.measure_gn_constant.cache_clear()  # its chunks follow the budget too
             code = main(["run", "--config", str(cfg), "--out", str(out),
                          "--seed", "7"])
             assert code == 0
             payloads.append(((out / "stats.csv").read_bytes(),
                              (out / "checks.json").read_bytes()))
-        assert payloads[0] == payloads[1]
-        assert seen == [1, 3]
+        assert payloads[0] == payloads[1] == payloads[2] == payloads[3]
+        # (workers, batches) of the sweep, then of the Gronwall pairs
+        assert seen == [(1, 1), (1, 1), (3, 1), (3, 1), (1, 3), (1, 3), (3, 3), (3, 3)]
 
     def test_blown_gronwall_pair_fails_without_traceback(self, tmp_path, capsys):
         doc = dict(SMALL_CONFIG, solver={"dt": 0.005, "t_end": 0.05, "blowup_threshold": 0.05},
@@ -281,7 +291,8 @@ class TestSharedSweep:
         original = harness.run_trajectory
 
         def counted(v0, xi0, spec, cfg, seed, path_index=0, **kwargs):
-            calls.append((spec.hy_level, path_index))
+            paths = kwargs.get("n_paths") or 1  # a batch integrates several
+            calls.extend((spec.hy_level, path_index + p) for p in range(paths))
             return original(v0, xi0, spec, cfg, seed, path_index, **kwargs)
 
         monkeypatch.setattr(harness, "run_trajectory", counted)

@@ -249,6 +249,16 @@ class TestBuilders:
                            "'grid.domain_length' 1e[+]200 .*overflows"):
             config.build_initial()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("length", [4e162, 1e200])
+    def test_long_domain_pivot_refused_without_a_warning(self, length):
+        # the pivot's |k|^2 underflows to 0, so k^perp/|k| divides by zero
+        doc = dict(MINIMAL, grid={"modes_per_dim": 16, "domain_length": length},
+                   noise={"sigma_kind": "rational_square", "pivot_mode": [1, 1]})
+        with pytest.raises(ConfigError, match="^'grid.domain_length' .*underflows.*"
+                                              "'noise.pivot_mode' [(]1, 1[)]"):
+            parse_config(doc).build_noise_spec()
+
     # at 5e-153 even (2 pi/L)^2 (N/2)^2 is finite, but the corner |k|^2 is not
     @pytest.mark.parametrize("n, length", [(16, 1e-160), (16, 5e-153)])
     def test_overflowing_wavenumbers_refused(self, n, length):

@@ -15,6 +15,7 @@ from oracles import (
     divfree_field,
     gn_constant,
     sigma_lipschitz,
+    stacked_drift,
 )
 from vortex.config import CHECK_PARAMS, _single_mode_vector
 from vortex.harness import (
@@ -25,6 +26,7 @@ from vortex.harness import (
     estimate_lipschitz_lg,
     estimate_sigma_lipschitz,
     gronwall_pair,
+    gronwall_pairs,
     gronwall_uniqueness,
     hy_uniformity,
     identity_suite,
@@ -417,7 +419,7 @@ class TestGronwall:
         cfg = SolverConfig(dt=2e-3, t_end=0.12)
         res = gronwall_pair(v0a, v0b, spec, cfg, seed=4, path_index=1, a_const=0.3, lg=0.5)
         monkeypatch.setattr(operators, "velocity_drift",
-                            lambda v, w: leray_project(bilinear_B(v, v)))
+                            stacked_drift(lambda v, w: leray_project(bilinear_B(v, v))))
         oracle = gronwall_pair(v0a, v0b, spec, cfg, seed=4, path_index=1, a_const=0.3, lg=0.5)
         assert len(res["m_series"]) == len(oracle["m_series"]) == cfg.n_steps + 1
         for a, b in zip(res["m_series"], oracle["m_series"]):
@@ -482,6 +484,41 @@ class TestGronwall:
         assert out.name == "gronwall.status" and not out.passed
         assert (out.observed, out.bound, out.n_samples) == (3.0, 0.0, 3)
         assert out.extra["diagnostic"] == "3 of 3 paths blew up"
+
+    def test_nan_difference_fails_identical_data(self, grid16, rng, monkeypatch):
+        # a NaN difference norm must not read as 0: Python's max(0.0, nan) is
+        # 0.0, both in a pair's running sup and in the sup over the pairs
+        v0 = biot_savart(random_scalar_field(grid16, rng))
+        cfg = SolverConfig(dt=5e-3, t_end=0.02)
+        args = (SMALL_NOISE, cfg, 2, 3, GRONWALL_SLACK, 50)
+        clean = gronwall_uniqueness(v0, v0, *args)  # caches the GN constant
+        assert clean.name == "gronwall.identical" and clean.passed
+        real = harness.sobolev_norms
+
+        def nan_last_pair(halves, grid, s=0.0):
+            norms = real(halves, grid, s)
+            norms[-1] = math.nan  # the last pair's ||V||, the first pair's kept
+            return norms
+
+        monkeypatch.setattr(harness, "sobolev_norms", nan_last_pair)
+        pairs = gronwall_pairs(v0, v0, SMALL_NOISE, cfg, 3, [0, 1], 0.3, 0.0)
+        assert pairs[0]["sup_v"] == 0.0 and math.isnan(pairs[1]["sup_v"])
+        out = gronwall_uniqueness(v0, v0, *args)
+        assert out.name == "gronwall.identical"
+        assert math.isnan(out.observed) and not out.passed
+
+    def test_pairs_batch_has_the_bits_of_one_pair_each(self, grid16, rng):
+        # the pairs of a batch share each path's draws and give, each, the
+        # series, sup and status of its one-pair call
+        v0a = biot_savart(random_scalar_field(grid16, rng))
+        bump = random_divfree_field(grid16, rng)
+        v0b = v0a + bump * (1e-2 / l2_norm(bump))
+        cfg = SolverConfig(dt=5e-3, t_end=0.05)
+        batch = gronwall_pairs(v0a, v0b, SMALL_NOISE, cfg, 6, [2, 0, 5], 0.3, 0.5)
+        for path, got in zip([2, 0, 5], batch):
+            want = gronwall_pair(v0a, v0b, SMALL_NOISE, cfg, 6, path, 0.3, 0.5)
+            assert repr(got) == repr(want)
+        assert len({repr(got["m_series"]) for got in batch}) == 3
 
     def test_perturbed_supermartingale_small_scale(self, grid16, rng):
         xi0 = random_scalar_field(grid16, rng)
@@ -625,9 +662,9 @@ class TestPlantedDriftFaults:
     step and the identity suite: the trajectory changes and the suite FAILs."""
 
     FAULTS = {
-        "sign_flipped": (lambda drift: lambda v, w: -drift(v, w), DRIFT_CHECKS[:1]),
-        "unprojected": (lambda drift: unprojected_drift, DRIFT_CHECKS[2:]),
-        "nan": (lambda drift: lambda v, w: drift(v, w) * math.nan, DRIFT_CHECKS),
+        "sign_flipped": (lambda drift: lambda g, v, w: -drift(g, v, w), DRIFT_CHECKS[:1]),
+        "unprojected": (lambda drift: stacked_drift(unprojected_drift), DRIFT_CHECKS[2:]),
+        "nan": (lambda drift: lambda g, v, w: drift(g, v, w) * math.nan, DRIFT_CHECKS),
     }
 
     @staticmethod

@@ -1,14 +1,21 @@
 """Exponential-Euler steps, the OU/remainder splitting and full trajectories."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import basis_fields, beta_step, bilinear_B, vorticity_step, zeta_step
+from oracles import (
+    basis_fields,
+    beta_step,
+    bilinear_B,
+    stacked_drift,
+    vorticity_step,
+    zeta_step,
+)
 from vortex import integrator, noise, operators
 from vortex.integrator import (
-    BlowupError,
     CoupledState,
     SolverConfig,
     holder_quotient,
@@ -37,6 +44,7 @@ from vortex.spectral import (
     VectorField,
     heat_decay,
     l2_norm,
+    lattice,
     to_physical,
     to_spectral,
     zero_scalar,
@@ -56,12 +64,19 @@ def state_from(grid, v=None, xi=None, zeta=None, beta=None, t=0.0):
                         beta if beta is not None else z)
 
 
+def velocity_stepped(st, dW, spec, cfg):
+    """velocity_step as the loop calls it, on a one-row stack, from a coupled
+    state: the new velocity and its L2 norm."""
+    grid = st.v.grid
+    v, norms = velocity_step(grid, st.v.half[None], vorticity_values(st.v)[None],
+                             apply_G(st.v, dW, spec)[None, :2],
+                             scatter_plan(spec, grid).touched, cfg)
+    return VectorField(grid, v[0]), norms[0]
+
+
 def stepped_velocity(st, dW, spec, cfg):
-    """velocity_step as run_trajectory calls it, from a coupled state; the
-    new velocity only."""
-    v, _ = velocity_step(st.v, vorticity_values(st.v), apply_G(st.v, dW, spec),
-                         scatter_plan(spec, st.v.grid).touched, cfg, st.t)
-    return v
+    """The new velocity of velocity_stepped."""
+    return velocity_stepped(st, dW, spec, cfg)[0]
 
 
 def stepped_zeta(st, dW, spec, cfg):
@@ -69,8 +84,9 @@ def stepped_zeta(st, dW, spec, cfg):
     zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW], added at the touched
     coefficients."""
     grid = st.zeta.grid
-    return integrator._stepped(heat_decay(grid, cfg.dt), st.zeta,
-                               scatter_plan(spec, grid).touched, apply_G(st.v, dW, spec)[2])
+    return ScalarField(grid, integrator._stepped(heat_decay(grid, cfg.dt), st.zeta.half,
+                                                 scatter_plan(spec, grid).touched,
+                                                 apply_G(st.v, dW, spec)[2]))
 
 
 def cos_x1(grid, amplitude=1.0):
@@ -139,8 +155,11 @@ class TestVelocityStep:
         xi = random_scalar_field(grid16, rng)
         st = state_from(grid16, v=biot_savart(xi), xi=xi, beta=xi)
         dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
-        with pytest.raises(BlowupError):
-            stepped_velocity(st, dW, ZERO_NOISE, cfg)
+        _, norm = velocity_stepped(st, dW, ZERO_NOISE, cfg)
+        assert norm > cfg.blowup_threshold
+        assert not integrator._within(norm, cfg)
+        # inf and NaN norms fail closed
+        assert not integrator._within(np.array([math.inf, math.nan]), cfg).any()
 
 
 class TestVorticityStep:
@@ -286,8 +305,8 @@ class TestOneNoiseEvaluation:
         v = random_divfree_field(grid32, rng)
         inc = apply_G(v, sample_increment(2, 0, 0, spec, 0.01), spec)
         base = random_scalar_field(grid32, rng)
-        out = integrator._stepped(np.ones((32, 17)), base, touched, inc[2])
-        got, was = out.half.reshape(-1), base.half.reshape(-1)
+        out = integrator._stepped(np.ones((32, 17)), base.half, touched, inc[2])
+        got, was = out.reshape(-1), base.half.reshape(-1)
         assert np.array_equal(got[touched], was[touched] + inc[2])
         assert np.array_equal(np.delete(got, touched), np.delete(was, touched))
 
@@ -496,7 +515,7 @@ class TestRotationalForm:
         states, oracle_states = [], []
         res = run_trajectory(None, xi0, spec, cfg, seed=13, observer=states.append)
         monkeypatch.setattr(operators, "velocity_drift",
-                            lambda v, w: leray_project(bilinear_B(v, v)))
+                            stacked_drift(lambda v, w: leray_project(bilinear_B(v, v))))
         oracle = run_trajectory(None, xi0, spec, cfg, seed=13, observer=oracle_states.append)
         assert cfg.n_steps == 60 and res.stats.status == oracle.stats.status == "completed"
         outside = ~grid32.dealias_mask
@@ -542,10 +561,11 @@ class TestRotationalForm:
             assert calls.count("fft2") == calls.count("ifft2") == 0
 
 
-def complex_to_physical(field):
-    """The complex-transform reference: ifft2 of the full spectrum, real part."""
-    n = field.grid.modes_per_dim
-    return (np.fft.ifft2(field.coeffs) * (n * n)).real
+def complex_physical_values(halves):
+    """The complex-transform reference of spectral.physical_values: ifft2 of
+    each half's full spectrum, real part."""
+    n = halves.shape[-2]
+    return (np.fft.ifft2(lattice(halves)) * (n * n)).real
 
 
 def complex_spectral_of(values, grid):
@@ -574,7 +594,7 @@ class TestRealTransforms:
         states, oracle_states = [], []
         res = run_trajectory(None, xi0, spec, cfg, seed=13, observer=states.append)
         for module in (spectral, operators, integrator):
-            monkeypatch.setattr(module, "to_physical", complex_to_physical)
+            monkeypatch.setattr(module, "physical_values", complex_physical_values)
         monkeypatch.setattr(operators, "_spectral_of", complex_spectral_of)
 
         def refused(*args, **kwargs):
@@ -618,3 +638,119 @@ class TestRealTransforms:
         with pytest.raises(ValueError, match="^initial velocity must be finite"):
             run_trajectory(VectorField.stack(v0.vx, v0.vy + ScalarField(grid16, nan)), xi0,
                            ZERO_NOISE, cfg, seed=0)
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+class TestBatchedPaths:
+    """run_trajectory with n_paths, and the loop `trajectories` under it,
+    step a batch of rows as one stack; each row gives the repr-identical
+    stats and status, and the bit-identical states, of its one-path run."""
+
+    @staticmethod
+    def same_states(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.t == b.t
+            for name in ("v", "xi", "zeta", "beta"):
+                assert np.array_equal(bits(getattr(a, name).half), bits(getattr(b, name).half))
+
+    # a small xi0 leaves the noise to set the suprema, late in the run
+    @pytest.mark.parametrize("sigma_kind, level, q, amplitude", [
+        ("constant_one", math.inf, 4.0, 0.05), ("constant_one", math.inf, 3.0, 0.05),
+        ("rational_square", math.inf, 3.0, 3.0), ("rational_square", 10.0, 4.0, 3.0),
+        ("constant_one", 1.0, 2.0, 0.05),
+    ])
+    def test_rows_match_one_path_runs(self, grid32, rng, sigma_kind, level, q, amplitude):
+        spec = TestRotationalForm.spec(grid32, rng, sigma_kind).with_hy_level(level)
+        xi0 = random_scalar_field(grid32, rng, amplitude=amplitude)
+        cfg = SolverConfig(dt=2e-3, t_end=0.04)
+        states = [[] for _ in range(4)]
+        batch = run_trajectory(None, xi0, spec, cfg, seed=5, path_index=3, lq_exponent=q,
+                               observer=[s.append for s in states], n_paths=4)
+        assert len(batch) == 4
+        for i, got in enumerate(batch):
+            seen = []
+            want = run_trajectory(None, xi0, spec, cfg, seed=5, path_index=3 + i,
+                                  lq_exponent=q, observer=seen.append)
+            assert got.stats.status == "completed"
+            assert repr(got.stats) == repr(want.stats)
+            self.same_states(states[i] + [got.final], seen + [want.final])
+        assert len({repr(r.stats) for r in batch}) == 4  # the paths differ
+
+    def test_rows_with_different_initial_velocities(self, grid32, rng):
+        # the Gronwall shape: two initial velocities on one path, one on another
+        spec = TestRotationalForm.spec(grid32, rng, "rational_square")
+        cfg = SolverConfig(dt=2e-3, t_end=0.03)
+        v0s = [random_divfree_field(grid32, rng, amplitude=a) for a in (1.0, 2.0, 0.5)]
+        rows = [(v0, curl(v0), path) for v0, path in zip(v0s, (1, 1, 2))]
+        visits = list(integrator.trajectories(rows, spec, cfg, seed=7))
+        assert [vis.step for vis in visits] == list(range(cfg.n_steps + 1))
+        for r, row in enumerate(rows):
+            alone = list(integrator.trajectories([row], spec, cfg, seed=7))
+            for vis, one in zip(visits, alone):
+                assert vis.rows == [0, 1, 2] and one.rows == [0]
+                for name in ("v", "xi", "zeta", "xi_values", "v_norm"):
+                    assert np.array_equal(bits(getattr(vis, name)[r]), bits(getattr(one, name)[0]))
+
+    def test_rows_share_one_draw_per_path_and_step(self, grid32, rng, monkeypatch):
+        drawn = []
+        real = integrator.sample_increment
+        monkeypatch.setattr(integrator, "sample_increment",
+                            lambda seed, path, step, *a: drawn.append((path, step)) or
+                            real(seed, path, step, *a))
+        v0 = random_divfree_field(grid32, rng)
+        cfg = SolverConfig(dt=2e-3, t_end=0.01)
+        rows = [(v0, curl(v0), p) for p in (4, 4, 9)]
+        assert len(list(integrator.trajectories(rows, UNIT_NOISE, cfg, seed=1))) == 6
+        assert drawn == [(p, step) for step in range(5) for p in (4, 9)]
+
+    def test_a_row_that_blows_up_leaves_the_batch(self, grid32, rng):
+        # a threshold between the paths' largest norms: some rows blow up mid-run
+        # and leave the batch, the others complete; no floating-point warning
+        spec = CovarianceSpec(((1, 0), (0, 1), (1, 1)), (2.0, 2.0, 2.0), 0.5, "constant_one")
+        xi0 = random_scalar_field(grid32, rng, amplitude=0.1)
+        calm = SolverConfig(dt=2e-3, t_end=0.04)
+        sups = sorted(run_trajectory(None, xi0, spec, calm, seed=2, path_index=p)
+                      .stats.sup_v_l2sq for p in range(4))
+        threshold = math.sqrt((sups[1] + sups[2]) / 2.0)
+        assert l2_norm(biot_savart(xi0)) < threshold
+        cfg = SolverConfig(dt=2e-3, t_end=0.04, blowup_threshold=threshold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = run_trajectory(None, xi0, spec, cfg, seed=2, n_paths=4)
+        for p, got in enumerate(batch):
+            want = run_trajectory(None, xi0, spec, cfg, seed=2, path_index=p)
+            assert repr(got.stats) == repr(want.stats)
+            self.same_states([got.final], [want.final])
+        assert sorted(r.stats.status for r in batch) == ["blowup"] * 2 + ["completed"] * 2
+        assert all(r.final.t < cfg.t_end for r in batch if r.stats.status == "blowup")
+
+    def test_an_ended_row_leaves_the_batch(self, grid32, rng):
+        # a consumer that ends a row mid-run: the others step on unchanged
+        v0 = random_divfree_field(grid32, rng)
+        cfg = SolverConfig(dt=2e-3, t_end=0.02)
+        rows = [(v0, curl(v0), p) for p in range(3)]
+        visits = []
+        for vis in integrator.trajectories(rows, UNIT_NOISE, cfg, seed=3):
+            visits.append(vis)
+            if vis.step == 4:
+                vis.end(1)
+        assert [vis.rows for vis in visits] == [[0, 1, 2]] * 5 + [[0, 2]] * (cfg.n_steps - 4)
+        for r in (0, 2):
+            alone = list(integrator.trajectories([rows[r]], UNIT_NOISE, cfg, seed=3))
+            for vis, one in zip(visits, alone):
+                i = vis.rows.index(r)
+                assert np.array_equal(bits(vis.v[i]), bits(one.v[0]))
+
+    def test_non_finite_functionals_end_every_row(self):
+        # |xi|^4 overflows on so short a domain: every row ends as a blow-up
+        grid = SpectralGrid(16, domain_length=1.0053e-152)
+        xi0 = random_scalar_field(grid, np.random.default_rng(0), decay=0.0)
+        cfg = SolverConfig(dt=0.005, t_end=0.05)
+        with np.errstate(over="raise"):
+            batch = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=0, n_paths=3)
+        assert [r.stats.status for r in batch] == ["blowup"] * 3
+        assert all(math.isinf(r.stats.sup_xi_lq) for r in batch)

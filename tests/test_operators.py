@@ -180,12 +180,28 @@ class TestBilinearB:
                        random_divfree_field(grid32, rng))
 
 
+def drift(v):
+    """velocity_drift of one field, from its vorticity values."""
+    return VectorField(v.grid, velocity_drift(v.grid, v.half, vorticity_values(v)))
+
+
+class TestVelocityDriftStack:
+    def test_a_stack_drifts_field_by_field(self, grid32, rng):
+        # (3, 2, N, N/2+1) velocity halves: each drift has its field's bits
+        fields = [random_divfree_field(grid32, rng, amplitude=a) for a in (0.5, 2.0, 4.0)]
+        stack = np.stack([v.half for v in fields])
+        values = np.stack([vorticity_values(v) for v in fields])
+        got = velocity_drift(grid32, stack, values)
+        for row, v in zip(got, fields):
+            assert np.array_equal(row.view(np.uint64), drift(v).half.view(np.uint64))
+
+
 class TestRotationalAdvection:
     """velocity_drift, P[w (-u_y, u_x)], against the advective oracle P B(v, v)."""
 
     @staticmethod
     def gap(v):
-        rotational = velocity_drift(v, vorticity_values(v))
+        rotational = drift(v)
         advective = leray_project(bilinear_B(v, v))
         return l2_norm(rotational - advective) / l2_norm(advective)
 
@@ -208,13 +224,13 @@ class TestRotationalAdvection:
 class TestVelocityDrift:
     def test_zero_field(self, grid16):
         v = zero_vector(grid16)
-        assert l2_norm(velocity_drift(v, vorticity_values(v))) == 0.0
+        assert l2_norm(drift(v)) == 0.0
 
     def test_shear_flow_drift_is_a_gradient(self, grid32):
         # u = (0, sin x1), w = cos x1: w (-u_y, u_x) = (-sin x1 cos x1, 0) is the
         # gradient of -sin^2(x1)/2, which the projection removes
         u = sin_x1_field(grid32)
-        assert l2_norm(velocity_drift(u, vorticity_values(u))) <= 1e-15
+        assert l2_norm(drift(u)) <= 1e-15
 
 
 class TestBilinearF:
