@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -131,6 +132,7 @@ def run_experiment(config: ExperimentConfig):
     """The main Monte-Carlo stats and the configured checks' results, in
     config order, reproducibly.
 
+    The cell area of the domain, which a long enough domain overflows,
     zeta_regularity budgets, the two main paths the energy check needs, the
     identity suite's grid, and the random trial fields of gronwall and
     identities (which underflow on a short enough domain) are checked
@@ -143,6 +145,10 @@ def run_experiment(config: ExperimentConfig):
     grid = config.grid
     spec = config.build_noise_spec()
     v0, xi0 = config.build_initial()
+    side = grid.domain_length / grid.modes_per_dim
+    if not math.isfinite(side * side):  # every L^q norm weighs its sum by it
+        raise ConfigError(f"'grid.domain_length' {grid.domain_length!r} is so long that the "
+                          f"cell area (domain_length/modes_per_dim)^2 overflows")
     seed = config.mc.base_seed
     n_main = config.mc.n_paths
     demands, probes, pairs = [], {}, {}

@@ -19,16 +19,19 @@ fields and judges the nonlinearities the step runs: the velocity drift,
 reached as `operators.velocity_drift` like the step reaches it, and the
 vorticity advection F.
 
-The measured constants of the Gronwall check (`measure_gn_constant`,
-`estimate_sigma_lipschitz`) draw their random trial fields in the order of
-one `random_divfree_field` call each, and evaluate them a chunk at a time
-(sized to TRIAL_CHUNK_BYTES) in stacked arrays: `operators.divfree_halves`
-makes them, `spectral.sobolev_norms` norms them and
-`spectral.physical_values` transforms them, each in one call per chunk.
-Each trial's last scalar steps run on Python floats, so the constants
-have the bits of the trials taken one at a time.  Their L^4 sums, and the
-L^q sums of the BDG sups over `noise.basis_values`, sum over the stacked
-component axis and follow the power rule `spectral.abs_power`.
+The Gronwall weight measures one constant, the Gagliardo-Nirenberg ratio
+(`measure_gn_constant`); its noise term is the pathwise quotient
+||G(v1)-G(v2)||^2_HS / ||v1-v2||^2 that Ito's formula produces, taken in
+closed form from sigma and `noise.basis_l2_sq_sum`.  The GN constant
+draws its random trial fields in the order of one `random_divfree_field`
+call each, and evaluates them a chunk at a time (sized to
+TRIAL_CHUNK_BYTES) in stacked arrays: `operators.divfree_halves` makes
+them, `spectral.sobolev_norms` norms them and `spectral.physical_values`
+transforms them, each in one call per chunk.  Each trial's last scalar
+steps run on Python floats, so the constant has the bits of the trials
+taken one at a time.  Its L^4 sums, and the L^q sums of the BDG sups over
+`noise.basis_values`, sum over the stacked component axis and follow the
+power rule `spectral.abs_power`.
 
 Every check is reproducible bit-for-bit from (config, seed): paths use
 counter-based RNG streams keyed by (seed, path, step) and reductions run
@@ -64,8 +67,8 @@ from .noise import (
     basis_values,
     mode_weights,
     operator_norms,
-    rational_square,
     sample_increment,
+    sigma_eval,
 )
 from .operators import (
     bilinear_F,
@@ -88,7 +91,6 @@ from .spectral import (
     VectorField,
     abs_power,
     bessel_multiplier,
-    half_sums,
     l2_inner,
     l2_norm,
     lq_norm,
@@ -96,7 +98,6 @@ from .spectral import (
     regrid,
     sobolev_norm_spectral,
     sobolev_norms,
-    sobolev_weight,
     to_physical,
     to_spectral,
     write_snapshot,
@@ -166,7 +167,7 @@ def mc_mean_stderr(values) -> tuple[float, float]:
 # measured constants
 
 
-# The estimators below evaluate their random trial fields in chunks.  A
+# The GN constant below evaluates its random trial fields in chunks.  A
 # field's largest stacked array, its normal draws, takes 32 N^2 bytes; a
 # chunk keeps it near this working set, so the chunk shrinks as the grid grows.
 # The sweep and the Gronwall pairs step their paths in batches of the same
@@ -224,40 +225,6 @@ def measure_gn_constant(grid: SpectralGrid, trials: int, seed: int = 7) -> float
             l4 = float((total * grid.cell_area) ** 0.25)
             best = _sup(best, l4**2 / denom)
     return best
-
-
-def estimate_sigma_lipschitz(spec: CovarianceSpec, grid: SpectralGrid,
-                             trials: int = 200, seed: int = 11) -> float:
-    """Empirical Lipschitz slope of sigma in L^2 over random field pairs of
-    L^2 norms uniform in [0.1, 3], evaluated a chunk of pairs at a time like
-    measure_gn_constant; sigma and the slope of each pair run on scalars."""
-    if spec.sigma_kind != "rational_square":
-        return 0.0
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for size in _trial_chunks(grid, trials, fields_per_trial=2):
-        amplitudes, normals = divfree_draws(grid, rng, 2 * size, (0.1, 3.0))
-        v = divfree_halves(grid, normals, [2.0] * (2 * size), amplitudes)
-        gaps = sobolev_norms(v[0::2] - v[1::2], grid)
-        # <v, h>, the sum of the component inner products, as l2_inner takes it
-        inner = (half_sums(v, spec.pivot.half, sobolev_weight(grid, 0.0))
-                 * grid.domain_length**2).sum(axis=-1)
-        for gap, a, b in zip(gaps, inner[0::2], inner[1::2]):
-            if gap == 0.0:
-                continue
-            rise = rational_square(float(a)) - rational_square(float(b))
-            worst = _sup(worst, abs(rise) / float(gap))
-    return worst
-
-
-def estimate_lipschitz_lg(spec: CovarianceSpec, grid: SpectralGrid,
-                          trials: int = 200, seed: int = 11) -> float:
-    """Empirical weak-norm Lipschitz constant of the covariance:
-    Lip(sigma) * (sum_k c_k^2 ||e_k||^2_{L^2})^(1/2)."""
-    slope = estimate_sigma_lipschitz(spec, grid, trials, seed)
-    if slope == 0.0:
-        return 0.0
-    return slope * math.sqrt(basis_l2_sq_sum(spec, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -480,20 +447,26 @@ def zeta_regularity(results: dict[float, list[PathResult]], levels, n_paths: int
 
 
 def gronwall_pairs(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
-                   cfg: SolverConfig, seed: int, paths, a_const: float, lg: float) -> list[dict]:
+                   cfg: SolverConfig, seed: int, paths, a_const: float) -> list[dict]:
     """For each path p of `paths`, two solutions under identical increments:
     the (seed, p) solution from each initial velocity.  All of them step as
     one batch of the integrator's loop, `trajectories`, whose rows
     (v0_a, p) and (v0_b, p) share p's draws.
 
     Returns per path the weighted-difference series
-    M(t) = exp(-int_0^t psi) ||V(t)||^2 with psi = a ||grad v1||^2 + L_g^2
-    (left-endpoint quadrature), the raw sup of ||V||, and the status,
-    'blowup' if either solution blew up (the series end there) or else
-    'completed'.  The norms are taken over the batch and the scalar tails
-    per pair on floats, so each pair has the bits of its one-pair call.
+    M(t) = exp(-int_0^t psi) ||V(t)||^2, V = v1 - v2, with
+    psi = a ||grad v1||^2 + q^2 (left-endpoint quadrature), the raw sup of
+    ||V||, and the status, 'blowup' if either solution blew up (the series
+    end there) or else 'completed'.  q^2 = ||G_n(v1) - G_n(v2)||^2_HS / ||V||^2
+    is the noise term of Ito's formula, 0 where V = 0: since G_n(v) h_k is
+    c_k sigma(v) n/(n+|k|^2) e_k, it is (sigma(v1) - sigma(v2))^2 times
+    `basis_l2_sq_sum` over ||V||^2, read from the states and the noise's
+    mode table, never from the increment `apply_G` returns.  The norms are
+    taken over the batch and the scalar tails per pair on floats, so each
+    pair has the bits of its one-pair call.
     """
     grid = v0_a.grid
+    hs_sq = basis_l2_sq_sum(spec, grid)
     xi_a, xi_b = curl(v0_a), curl(v0_b)
     rows = [row for p in paths for row in ((v0_a, xi_a, p), (v0_b, xi_b, p))]
     n = len(rows) // 2
@@ -512,41 +485,38 @@ def gronwall_pairs(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
             int_psi[k] += cfg.dt * psi[k]
             vnorm = float(gap)
             sup_v[k] = _sup(sup_v[k], vnorm)
-            series[k].append(math.exp(-int_psi[k]) * vnorm**2)
-            psi[k] = a_const * float(grad) ** 2 + lg * lg
+            gap_sq = vnorm**2
+            series[k].append(math.exp(-int_psi[k]) * gap_sq)
+            rise = (sigma_eval(visit.velocities[at[2 * k]], spec)
+                    - sigma_eval(visit.velocities[at[2 * k + 1]], spec))
+            q_sq = rise * rise * hs_sq / gap_sq if gap_sq else 0.0
+            psi[k] = a_const * float(grad) ** 2 + q_sq
             completed[k] = visit.step == cfg.n_steps
     return [{"m_series": m, "sup_v": sup, "status": "completed" if done else "blowup"}
             for m, sup, done in zip(series, sup_v, completed)]
 
 
-def gronwall_pair(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
-                  cfg: SolverConfig, seed: int, path_index: int, a_const: float,
-                  lg: float) -> dict:
-    """The Gronwall pair of one path: the one-path case of `gronwall_pairs`."""
-    return gronwall_pairs(v0_a, v0_b, spec, cfg, seed, [path_index], a_const, lg)[0]
-
-
 def gronwall_uniqueness(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
                         cfg: SolverConfig, n_paths: int, base_seed: int, slack: float,
-                        gn_trials: int, lg_trials: int = 200) -> CheckResult:
+                        gn_trials: int) -> CheckResult:
     """Discrete pathwise-uniqueness check.
 
     Identical data must stay identical to machine precision; perturbed data
     must keep the MC mean of the exponentially weighted squared difference
     below slack * ||V(0)||^2 (the supermartingale property of the weight).
-    The Young constant a is calibrated from the measured Gagliardo-Nirenberg
-    ratio, and L_g from the empirical sigma slope.  The pairs step in
-    batches (`_batches`, two rows a pair).  A pair that blew up fails the
-    check as gronwall.status; a NaN difference fails it too.
+    The weight is psi = a ||grad v1||^2 + ||G_n(v1) - G_n(v2)||^2_HS / ||V||^2
+    (`gronwall_pairs`); the Young constant a is calibrated from the measured
+    Gagliardo-Nirenberg ratio.  The pairs step in batches (`_batches`, two
+    rows a pair).  A pair that blew up fails the check as gronwall.status; a
+    NaN difference fails it too.
     """
     grid = v0_a.grid
     identical = np.array_equal(v0_a.half, v0_b.half)
     a_const = measure_gn_constant(grid, gn_trials) ** 2
-    lg = estimate_lipschitz_lg(spec, grid, lg_trials)
     jobs = _batches(grid, n_paths, rows_per_path=2)
 
     def worker(job):
-        return gronwall_pairs(v0_a, v0_b, spec, cfg, base_seed, jobs[job], a_const, lg)
+        return gronwall_pairs(v0_a, v0_b, spec, cfg, base_seed, jobs[job], a_const)
 
     results = [r for batch in run_paths(worker, len(jobs), path_workers(grid)) for r in batch]
     failed = _status_failure("gronwall", {"": [r["status"] for r in results]}, base_seed)
@@ -556,14 +526,14 @@ def gronwall_uniqueness(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSp
         observed = functools.reduce(_sup, (r["sup_v"] for r in results))
         return CheckResult.evaluate(
             "gronwall.identical", observed, 1e-12, n_paths, base_seed,
-            extra={"a": a_const, "lg": lg},
+            extra={"a": a_const},
         )
     v0_gap_sq = l2_norm(v0_a - v0_b) ** 2
     m_final = [r["m_series"][-1] for r in results]
     mean, stderr = mc_mean_stderr(m_final)
     return CheckResult.evaluate(
         "gronwall.perturbed", mean, slack * v0_gap_sq, n_paths, base_seed,
-        extra={"a": a_const, "lg": lg, "stderr": stderr, "v0_gap_sq": v0_gap_sq},
+        extra={"a": a_const, "stderr": stderr, "v0_gap_sq": v0_gap_sq},
     )
 
 

@@ -368,7 +368,10 @@ def _basis_l2_sq(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
 
 
 def basis_l2_sq_sum(spec: CovarianceSpec, grid: SpectralGrid) -> float:
-    """sum_k c_k^2 ||e_k||^2_{L^2}; the covariance factor in the Lipschitz
-    bound ||G(v1)-G(v2)||_{HS(H;L^2)} <= Lip(sigma) (sum c^2 ||e||^2)^(1/2)
-    ||v1-v2||."""
-    return float(sum(c * c * e for c, e in zip(spec.coefficients, _basis_l2_sq(spec, grid))))
+    """S = sum_k (c_k n/(n+|k|^2))^2 ||e_k||^2_{L^2} at spec's Hille-Yosida
+    level n: the R_n-weighted Hilbert-Schmidt constant, with
+    ||G_n(v1) - G_n(v2)||^2_{HS(H;L^2)} = (sigma(v1) - sigma(v2))^2 S, since
+    `mode_weights` is c_k sigma(v) n/(n+|k|^2) and the e_k are orthogonal."""
+    hy = hy_factor(spec.hy_level, scatter_plan(spec, grid).ksq)
+    weights = np.asarray(spec.coefficients) * hy
+    return float(np.sum(weights**2 * _basis_l2_sq(spec, grid)))

@@ -30,7 +30,7 @@ component axis (`sobolev_norms`) and the L^q norms of the values
 within themselves, so a transformed spectrum is Hermitian by
 construction.  Only those two columns can break realness; the entry
 points that take caller-made fields (`operators.biot_savart`,
-`integrator.trajectory`) check them with `require_real`.  A full (N, N)
+`integrator.trajectories`) check them with `require_real`.  A full (N, N)
 lattice enters only through `ScalarField.from_lattice`, which checks it,
 and leaves only through the derived, read-only `coeffs`, which nothing
 here reads.

@@ -148,22 +148,6 @@ def gn_constant(grid, trials, seed=7):
     return best
 
 
-def sigma_lipschitz(spec, grid, trials=200, seed=11):
-    """estimate_sigma_lipschitz one field pair at a time."""
-    if spec.sigma_kind != "rational_square":
-        return 0.0
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        v1 = divfree_field(grid, rng, amplitude=rng.uniform(0.1, 3.0))
-        v2 = divfree_field(grid, rng, amplitude=rng.uniform(0.1, 3.0))
-        gap = l2_norm(v1 - v2)
-        if gap == 0.0:
-            continue
-        worst = _sup(worst, abs(sigma_eval(v1, spec) - sigma_eval(v2, spec)) / gap)
-    return worst
-
-
 def sigma_lipschitz_bound(spec):
     """Analytic Lipschitz constant of sigma in L^2: (3 sqrt 3 / 8) ||h||_{L^2}
     for rational_square, 0 for the constant kinds."""

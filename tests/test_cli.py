@@ -375,6 +375,27 @@ class TestSharedSweep:
         assert calls == []
         assert not (out / "stats.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("initial, sigma", [
+        ({"kind": "zero"}, "constant_one"), ({"kind": "single_mode"}, "zero"),
+    ])
+    def test_long_domain_integrates_nothing(self, tmp_path, monkeypatch, capsys,
+                                            initial, sigma):
+        # the cell area (L/N)^2 overflows while |k|^2 off the mean mode does
+        # not yet underflow: refused before the sweep, without a numpy warning
+        calls = self.count_trajectories(monkeypatch)
+        doc = dict(SMALL_CONFIG, grid={"modes_per_dim": 16, "domain_length": 1e200},
+                   initial=initial, noise={"coefficient_decay": 0, "sigma_kind": sigma},
+                   mc={"n_paths": 2})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'grid.domain_length' 1e+200" in err and "cell area" in err
+        assert "Traceback" not in err
+        assert calls == []
+        assert not (out / "stats.csv").exists()
+
     def test_identities_on_a_mean_only_band_integrate_nothing(self, tmp_path, monkeypatch,
                                                               capsys):
         # the suite's grid refusal, raised before the sweep and before any

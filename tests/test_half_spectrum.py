@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vortex import integrator
 from vortex.config import _single_mode_vector
-from vortex.harness import HolderProbe, gronwall_pair, sweep
+from vortex.harness import HolderProbe, gronwall_pairs, sweep
 from vortex.integrator import SolverConfig, run_trajectory
 from vortex.noise import CovarianceSpec, NoiseBasis, apply_G, sample_increment, scatter_plan
 from vortex.operators import (
@@ -284,8 +284,8 @@ class TestTheStepStaysOnHalves:
 
         for s in (spec, out_of_band):
             assert run_trajectory(None, xi0, s, cfg, seed=1).stats.status == "completed"
-        pair = gronwall_pair(v0, v0 + random_divfree_field(grid32, rng, amplitude=0.1),
-                             spec, cfg, 1, 0, 1.0, 0.5)
+        pair = gronwall_pairs(v0, v0 + random_divfree_field(grid32, rng, amplitude=0.1),
+                              spec, cfg, 1, [0], 1.0)[0]
         assert pair["status"] == "completed"
         probe = HolderProbe(0.1, 0.0, 2.0, 2)
         results = sweep(spec, None, xi0, cfg, 1, 2, demands=[((10.0, math.inf), 2, probe)])

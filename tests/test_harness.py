@@ -2,6 +2,8 @@
 identity suites and stochastic-integral constants."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,18 +16,15 @@ from oracles import (
     discrete_sup_sq_oracle,
     divfree_field,
     gn_constant,
-    sigma_lipschitz,
     stacked_drift,
 )
-from vortex.config import CHECK_PARAMS, _single_mode_vector
+from vortex.cli import _gronwall_initial
+from vortex.config import CHECK_PARAMS, _single_mode_vector, parse_config
 from vortex.harness import (
     CheckResult,
     HolderProbe,
     bdg_report,
     energy_report,
-    estimate_lipschitz_lg,
-    estimate_sigma_lipschitz,
-    gronwall_pair,
     gronwall_pairs,
     gronwall_uniqueness,
     hy_uniformity,
@@ -62,6 +61,12 @@ from vortex.spectral import (
 ZERO_NOISE = CovarianceSpec(((1, 0),), (0.1,), 0.5, "zero")
 SMALL_NOISE = CovarianceSpec(((1, 0), (0, 1), (1, 1), (-1, 0)),
                              (0.2, 0.15, 0.1, 0.1), 0.5, "constant_one")
+
+
+def rational_noise(grid):
+    """SMALL_NOISE's modes under rational_square sigma, the pivot on grid."""
+    return replace(SMALL_NOISE, sigma_kind="rational_square",
+                   pivot=_single_mode_vector(grid, (1, 0), 3.0))
 
 
 # each check's threshold at its config default, from the table that states it
@@ -113,8 +118,7 @@ class TestPathWorkers:
         v0 = biot_savart(xi0)
         cfg = SolverConfig(dt=5e-3, t_end=0.01)
         sweep(SMALL_NOISE, None, xi0, cfg, 1, 2)
-        gronwall_uniqueness(v0, v0, SMALL_NOISE, cfg, 2, 1, GRONWALL_SLACK,
-                            gn_trials=5, lg_trials=2)
+        gronwall_uniqueness(v0, v0, SMALL_NOISE, cfg, 2, 1, GRONWALL_SLACK, gn_trials=5)
         fine = SpectralGrid(32)
         simulate_bdg_sups([(SMALL_NOISE, v0), (SMALL_NOISE, regrid(v0, fine))],
                           2.0, 2, 1, 0.02, 0.01)
@@ -388,8 +392,7 @@ class TestGronwall:
         v0 = biot_savart(xi0)
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
         out = gronwall_uniqueness(v0, v0, SMALL_NOISE, cfg, n_paths=3,
-                                  base_seed=5, slack=GRONWALL_SLACK, gn_trials=200,
-                                  lg_trials=20)
+                                  base_seed=5, slack=GRONWALL_SLACK, gn_trials=200)
         assert out.name == "gronwall.identical"
         assert out.observed == 0.0
         assert out.passed
@@ -401,8 +404,7 @@ class TestGronwall:
         v0b = v0a + bump * (1e-2 / l2_norm(bump))
         cfg = SolverConfig(dt=1e-3, t_end=0.05)
         a = measure_gn_constant(grid16, 200) ** 2
-        res = gronwall_pair(v0a, v0b, ZERO_NOISE, cfg, seed=0, path_index=0,
-                            a_const=a, lg=0.0)
+        res = gronwall_pairs(v0a, v0b, ZERO_NOISE, cfg, seed=0, paths=[0], a_const=a)[0]
         m = res["m_series"]
         for x, y in zip(m, m[1:]):
             assert y <= x * (1 + 1e-6)
@@ -417,10 +419,10 @@ class TestGronwall:
         bump = random_divfree_field(grid32, rng)
         v0b = v0a + bump * (1e-2 / l2_norm(bump))
         cfg = SolverConfig(dt=2e-3, t_end=0.12)
-        res = gronwall_pair(v0a, v0b, spec, cfg, seed=4, path_index=1, a_const=0.3, lg=0.5)
+        res = gronwall_pairs(v0a, v0b, spec, cfg, seed=4, paths=[1], a_const=0.3)[0]
         monkeypatch.setattr(operators, "velocity_drift",
                             stacked_drift(lambda v, w: leray_project(bilinear_B(v, v))))
-        oracle = gronwall_pair(v0a, v0b, spec, cfg, seed=4, path_index=1, a_const=0.3, lg=0.5)
+        oracle = gronwall_pairs(v0a, v0b, spec, cfg, seed=4, paths=[1], a_const=0.3)[0]
         assert len(res["m_series"]) == len(oracle["m_series"]) == cfg.n_steps + 1
         for a, b in zip(res["m_series"], oracle["m_series"]):
             assert abs(a - b) <= 1e-12 * b
@@ -428,26 +430,45 @@ class TestGronwall:
 
     def test_series_is_that_of_two_run_trajectory_paths(self, grid16, rng):
         # the pair steps the run's own loop: the states two run_trajectory
-        # observers see at the same (seed, path) give its series bit for bit
+        # observers see at the same (seed, path) give its series bit for bit,
+        # the noise term q^2 = (sigma(v1) - sigma(v2))^2 S / ||V||^2 included
         v0a = biot_savart(random_scalar_field(grid16, rng))
         bump = random_divfree_field(grid16, rng)
         v0b = v0a + bump * (1e-2 / l2_norm(bump))
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
-        a_const, lg = 0.3, 0.5
-        pair = gronwall_pair(v0a, v0b, SMALL_NOISE, cfg, 6, 2, a_const, lg)
-        seen = [[], []]
-        for v0, states in zip((v0a, v0b), seen):
-            run_trajectory(v0, curl(v0), SMALL_NOISE, cfg, seed=6, path_index=2,
-                           observer=states.append)
-        int_psi, series = 0.0, []
-        for one, two in zip(*seen):
-            series.append(math.exp(-int_psi) * l2_norm(one.v - two.v) ** 2)
-            int_psi += cfg.dt * (a_const * grad_norm_l2(one.v) ** 2 + lg * lg)
-        assert pair["status"] == "completed"
-        assert len(pair["m_series"]) == len(series) == cfg.n_steps + 1
-        assert np.array_equal(np.array(pair["m_series"]).view(np.uint64),
-                              np.array(series).view(np.uint64))
-        assert pair["sup_v"] == max(l2_norm(one.v - two.v) for one, two in zip(*seen))
+        a_const = 0.3
+        for spec in (SMALL_NOISE, rational_noise(grid16)):
+            pair = gronwall_pairs(v0a, v0b, spec, cfg, 6, [2], a_const)[0]
+            seen = [[], []]
+            for v0, states in zip((v0a, v0b), seen):
+                run_trajectory(v0, curl(v0), spec, cfg, seed=6, path_index=2,
+                               observer=states.append)
+            hs_sq = noise.basis_l2_sq_sum(spec, grid16)
+            int_psi, series, rises = 0.0, [], []
+            for one, two in zip(*seen):
+                gap_sq = l2_norm(one.v - two.v) ** 2
+                series.append(math.exp(-int_psi) * gap_sq)
+                rises.append(noise.sigma_eval(one.v, spec) - noise.sigma_eval(two.v, spec))
+                q_sq = rises[-1] * rises[-1] * hs_sq / gap_sq
+                int_psi += cfg.dt * (a_const * grad_norm_l2(one.v) ** 2 + q_sq)
+            # constant sigma has no noise term; rational_square has one every step
+            assert all(r != 0.0 for r in rises) == (spec.sigma_kind == "rational_square")
+            assert pair["status"] == "completed"
+            assert len(pair["m_series"]) == len(series) == cfg.n_steps + 1
+            assert np.array_equal(np.array(pair["m_series"]).view(np.uint64),
+                                  np.array(series).view(np.uint64))
+            assert pair["sup_v"] == max(l2_norm(one.v - two.v) for one, two in zip(*seen))
+
+    def test_identical_data_under_rational_square_is_zero(self, grid16, rng):
+        # V = 0 at every step: the noise term is 0 there, not 0/0
+        v0 = biot_savart(random_scalar_field(grid16, rng))
+        cfg = SolverConfig(dt=5e-3, t_end=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = gronwall_uniqueness(v0, v0, rational_noise(grid16), cfg, n_paths=2,
+                                      base_seed=5, slack=GRONWALL_SLACK, gn_trials=50)
+        assert out.name == "gronwall.identical"
+        assert out.observed == 0.0 and out.passed
 
     def test_one_noise_evaluation_per_solution_step(self, grid16, rng, monkeypatch):
         seen = []
@@ -461,7 +482,7 @@ class TestGronwall:
         v0a = biot_savart(random_scalar_field(grid16, rng))
         v0b = v0a + random_divfree_field(grid16, rng) * 1e-3
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
-        res = gronwall_pair(v0a, v0b, SMALL_NOISE, cfg, 3, 0, 0.3, 0.0)
+        res = gronwall_pairs(v0a, v0b, SMALL_NOISE, cfg, 3, [0], 0.3)[0]
         assert res["status"] == "completed"
         # sigma reads each solution's own velocity: v1 then v2, every step
         assert len(seen) == 2 * cfg.n_steps
@@ -474,13 +495,11 @@ class TestGronwall:
         calm = SolverConfig(dt=5e-3, t_end=0.05)
         cfg = SolverConfig(dt=5e-3, t_end=0.05, blowup_threshold=0.05)
         assert l2_norm(v0a) > cfg.blowup_threshold
-        args = (SMALL_NOISE, calm, 3, 0, 0.3, 0.0)
-        assert gronwall_pair(v0a, v0b, *args)["status"] == "completed"
-        pair = gronwall_pair(v0a, v0b, SMALL_NOISE, cfg, 3, 0, 0.3, 0.0)
+        assert gronwall_pairs(v0a, v0b, SMALL_NOISE, calm, 3, [0], 0.3)[0]["status"] == "completed"
+        pair = gronwall_pairs(v0a, v0b, SMALL_NOISE, cfg, 3, [0], 0.3)[0]
         assert pair["status"] == "blowup" and len(pair["m_series"]) == 1
         out = gronwall_uniqueness(v0a, v0b, SMALL_NOISE, cfg, n_paths=3,
-                                  base_seed=3, slack=GRONWALL_SLACK, gn_trials=50,
-                                  lg_trials=5)
+                                  base_seed=3, slack=GRONWALL_SLACK, gn_trials=50)
         assert out.name == "gronwall.status" and not out.passed
         assert (out.observed, out.bound, out.n_samples) == (3.0, 0.0, 3)
         assert out.extra["diagnostic"] == "3 of 3 paths blew up"
@@ -501,7 +520,7 @@ class TestGronwall:
             return norms
 
         monkeypatch.setattr(harness, "sobolev_norms", nan_last_pair)
-        pairs = gronwall_pairs(v0, v0, SMALL_NOISE, cfg, 3, [0, 1], 0.3, 0.0)
+        pairs = gronwall_pairs(v0, v0, SMALL_NOISE, cfg, 3, [0, 1], 0.3)
         assert pairs[0]["sup_v"] == 0.0 and math.isnan(pairs[1]["sup_v"])
         out = gronwall_uniqueness(v0, v0, *args)
         assert out.name == "gronwall.identical"
@@ -509,16 +528,17 @@ class TestGronwall:
 
     def test_pairs_batch_has_the_bits_of_one_pair_each(self, grid16, rng):
         # the pairs of a batch share each path's draws and give, each, the
-        # series, sup and status of its one-pair call
+        # series, sup and status of its one-pair call, noise term included
         v0a = biot_savart(random_scalar_field(grid16, rng))
         bump = random_divfree_field(grid16, rng)
         v0b = v0a + bump * (1e-2 / l2_norm(bump))
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
-        batch = gronwall_pairs(v0a, v0b, SMALL_NOISE, cfg, 6, [2, 0, 5], 0.3, 0.5)
-        for path, got in zip([2, 0, 5], batch):
-            want = gronwall_pair(v0a, v0b, SMALL_NOISE, cfg, 6, path, 0.3, 0.5)
-            assert repr(got) == repr(want)
-        assert len({repr(got["m_series"]) for got in batch}) == 3
+        for spec in (SMALL_NOISE, rational_noise(grid16)):
+            batch = gronwall_pairs(v0a, v0b, spec, cfg, 6, [2, 0, 5], 0.3)
+            for path, got in zip([2, 0, 5], batch):
+                want = gronwall_pairs(v0a, v0b, spec, cfg, 6, [path], 0.3)[0]
+                assert repr(got) == repr(want)
+            assert len({repr(got["m_series"]) for got in batch}) == 3
 
     def test_perturbed_supermartingale_small_scale(self, grid16, rng):
         xi0 = random_scalar_field(grid16, rng)
@@ -527,25 +547,50 @@ class TestGronwall:
         v0b = v0a + bump * (1e-3 / l2_norm(bump))
         cfg = SolverConfig(dt=2e-3, t_end=0.1)
         out = gronwall_uniqueness(v0a, v0b, SMALL_NOISE, cfg, n_paths=8,
-                                  base_seed=21, slack=GRONWALL_SLACK, gn_trials=300,
-                                  lg_trials=30)
+                                  base_seed=21, slack=GRONWALL_SLACK, gn_trials=300)
         assert out.name == "gronwall.perturbed"
         assert out.passed, (out.observed, out.bound)
+
+
+class TestGronwallUnderRationalSquare:
+    """The `gronwall` check as `vortex run` takes it on N = 32, dt 0.01,
+    T 0.2, mode_band 2 and rational_square sigma, with 4 pairs and 400 GN
+    trials: its noise term is the pathwise quotient, so correct code PASSes
+    at every seed and a noise twice too strong FAILs at some."""
+
+    SEEDS = range(1, 11)
+
+    @staticmethod
+    def check(seed):
+        config = parse_config({
+            "grid": {"modes_per_dim": 32}, "solver": {"dt": 0.01, "t_end": 0.2},
+            "noise": {"mode_band": 2, "sigma_kind": "rational_square"},
+            "mc": {"base_seed": seed},
+            "checks": [{"name": "gronwall", "n_paths": 4, "gn_trials": 400}]})
+        chk = config.checks[0]
+        pair = _gronwall_initial(config.grid, seed, chk.value("perturbation"))
+        return gronwall_uniqueness(*pair, config.build_noise_spec(), config.solver,
+                                   chk.value("n_paths"), seed, chk.value("slack"),
+                                   chk.value("gn_trials"))
+
+    def test_correct_code_passes_every_seed(self):
+        results = {seed: self.check(seed) for seed in self.SEEDS}
+        assert all(r.name == "gronwall.perturbed" for r in results.values())
+        failed = {seed: r.observed / r.bound for seed, r in results.items() if not r.passed}
+        assert failed == {}
+
+    def test_doubled_noise_fails_a_seed(self, monkeypatch):
+        real = noise.apply_G
+        monkeypatch.setattr(noise, "apply_G", lambda v, dW, spec: 2.0 * real(v, dW, spec))
+        results = [self.check(seed) for seed in self.SEEDS]
+        assert all(r.name == "gronwall.perturbed" for r in results)
+        assert not all(r.passed for r in results)
 
 
 class TestMeasuredConstants:
     def test_gn_constant_plausible_range(self, grid16):
         c = measure_gn_constant(grid16, 300)
         assert 0.1 < c < 2.0
-
-    def test_lipschitz_estimates(self, grid16):
-        h = _single_mode_vector(grid16, (1, 0), 1.0)
-        spec = CovarianceSpec(((1, 0),), (0.5,), 0.5, "rational_square", h)
-        slope = estimate_sigma_lipschitz(spec, grid16, trials=100)
-        assert 0.0 < slope <= 3.0 * math.sqrt(3.0) / 8.0 * (1 + 1e-9)
-        lg = estimate_lipschitz_lg(spec, grid16, trials=100)
-        assert lg > 0.0
-        assert estimate_lipschitz_lg(ZERO_NOISE, grid16) == 0.0
 
     @pytest.mark.parametrize("n", [16, 32, 64, 256])
     @pytest.mark.parametrize("fields_per_trial", [1, 2])
@@ -558,7 +603,7 @@ class TestMeasuredConstants:
             assert max(sizes) == 1 or max(sizes) * per_trial <= harness.TRIAL_CHUNK_BYTES
 
     # trial counts that end in a partial chunk on each grid: the chunks hold
-    # 32, 8 and 2 GN trials and 16, 4 and 1 Lipschitz pairs
+    # 32, 8 and 2 GN trials
     @pytest.mark.parametrize("n, trials", [(16, 45), (32, 21), (64, 7)])
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_gn_constant_is_the_per_trial_loop(self, n, trials, seed):
@@ -567,16 +612,6 @@ class TestMeasuredConstants:
         got = measure_gn_constant.__wrapped__(grid, trials, seed)
         assert got.hex() == gn_constant(grid, trials, seed).hex()
 
-    @pytest.mark.parametrize("n, trials", [(16, 23), (32, 9), (64, 3)])
-    @pytest.mark.parametrize("seed", [0, 11, 123])
-    def test_sigma_lipschitz_is_the_per_trial_loop(self, n, trials, seed):
-        grid = SpectralGrid(n)
-        h = _single_mode_vector(grid, (1, 0), 4.0)
-        spec = CovarianceSpec(((1, 0),), (0.5,), 0.5, "rational_square", h)
-        got = estimate_sigma_lipschitz(spec, grid, trials, seed)
-        assert got > 0.0
-        assert got.hex() == sigma_lipschitz(spec, grid, trials, seed).hex()
-
     @pytest.mark.parametrize("decay, amplitude", [(2.0, 1.0), (1.37, 0.3), (-1.0, 2.0)])
     def test_one_divfree_field_is_the_composed_one(self, grid32, decay, amplitude):
         got = random_divfree_field(grid32, np.random.default_rng(5), decay, amplitude)
@@ -584,33 +619,21 @@ class TestMeasuredConstants:
         for a, b in ((got.vx, want.vx), (got.vy, want.vy)):
             assert a.half.tobytes() == b.half.tobytes()
 
-    @staticmethod
-    def nan_in_chunk(monkeypatch, k):
-        # the first field of the k-th chunk gets a NaN coefficient
-        real, calls = harness.divfree_halves, []
-
-        def patched(*args):
-            v = real(*args)
-            calls.append(1)
-            if len(calls) == k:
-                v[0, 0, 1, 1] = math.nan
-            return v
-
-        monkeypatch.setattr(harness, "divfree_halves", patched)
-        return calls
-
     def test_nan_ratio_kept(self, grid16, monkeypatch):
         # a NaN trial among finite ones is the worst case, not dropped, also
         # when it lies in a later chunk and finite trials follow it
+        real, calls = harness.divfree_halves, []
+
+        def nan_in_second_chunk(*args):
+            v = real(*args)
+            calls.append(1)
+            if len(calls) == 2:
+                v[0, 0, 1, 1] = math.nan  # the chunk's first field
+            return v
+
+        monkeypatch.setattr(harness, "divfree_halves", nan_in_second_chunk)
         chunk = next(harness._trial_chunks(grid16, 10**9))
-        calls = self.nan_in_chunk(monkeypatch, 2)
         assert math.isnan(measure_gn_constant.__wrapped__(grid16, 2 * chunk + 3, 7))
-        assert len(calls) == 3
-        h = _single_mode_vector(grid16, (1, 0), 1.0)
-        spec = CovarianceSpec(((1, 0),), (0.5,), 0.5, "rational_square", h)
-        chunk = next(harness._trial_chunks(grid16, 10**9, fields_per_trial=2))
-        calls = self.nan_in_chunk(monkeypatch, 2)
-        assert math.isnan(estimate_sigma_lipschitz(spec, grid16, trials=2 * chunk + 3))
         assert len(calls) == 3
 
 

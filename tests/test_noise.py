@@ -348,6 +348,28 @@ class TestOneModeTable:
             velocity, _ = scattered(apply_G(v, dW, spec), spec, grid)
             assert closed == pytest.approx(l2_norm(velocity) ** 2, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("length", [2.0 * math.pi, 7.3])
+    @pytest.mark.parametrize("level", [math.inf, 10.0])
+    def test_hs_constant_is_the_scattered_difference_norm(self, length, level):
+        # ||G(v1) - G(v2)||^2_HS = (sigma(v1) - sigma(v2))^2 S: the sum over
+        # each mode's unit increment of the scattered difference's norm
+        grid = SpectralGrid(32, length)
+        pivot = _single_mode_vector(grid, (1, 0), 3.0)
+        coeffs = tuple(0.5 / (1.0 + j1 * j1 + j2 * j2) for j1, j2 in self.BAND4)
+        spec = make_spec(modes=self.BAND4, coeffs=coeffs, sigma="rational_square",
+                         pivot=pivot, hy=level)
+        rng = np.random.default_rng(8)
+        v1, v2 = random_divfree_field(grid, rng), random_divfree_field(grid, rng)
+        rise = sigma_eval(v1, spec) - sigma_eval(v2, spec)
+        assert rise != 0.0
+        dt, total = 0.01, 0.0
+        for m in range(spec.n_modes):
+            dW = WienerIncrement(dt, np.eye(spec.n_modes)[m])
+            gap, _ = scattered(apply_G(v1, dW, spec) - apply_G(v2, dW, spec), spec, grid)
+            total += l2_norm(gap) ** 2 / dt
+        closed = rise * rise * basis_l2_sq_sum(spec, grid)
+        assert closed == pytest.approx(total, rel=1e-13, abs=0.0)
+
 
 class TestSigma:
     def test_trivial_kinds(self, grid16):
