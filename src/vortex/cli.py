@@ -83,7 +83,9 @@ def render_stats_csv(stats: list[TrajectoryStats]) -> str:
 
 
 def render_checks_json(checks: list[CheckResult]) -> str:
-    return json.dumps([c.to_dict() for c in checks], indent=2, sort_keys=True) + "\n"
+    """Strict JSON (RFC 8259): `to_dict` writes null for a non-finite number."""
+    return json.dumps([c.to_dict() for c in checks], indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _refuse_populated(outdir: Path, force: bool) -> None:
@@ -134,9 +136,9 @@ def run_experiment(config: ExperimentConfig):
 
     The cell area of the domain, which a long enough domain overflows,
     zeta_regularity budgets, the two main paths the energy check needs, the
-    identity suite's grid, and the random trial fields of gronwall and
-    identities (which underflow on a short enough domain) are checked
-    before any path runs.  One `sweep` then integrates, once each, the
+    two time steps bdg's half horizon needs, the identity suite's grid, and
+    the random trial fields of gronwall and identities (which underflow on
+    a short enough domain) are checked before any path runs.  One `sweep` then integrates, once each, the
     (Hille-Yosida level, path) pairs of the main Monte-Carlo, hy_uniformity
     and zeta_regularity, and writes the snapshots; energy and those two
     checks reduce its results.  gronwall steps its own pairs through the
@@ -155,6 +157,9 @@ def run_experiment(config: ExperimentConfig):
     for i, chk in enumerate(config.checks):
         if chk.name == "energy" and n_main < 2:
             raise ConfigError(f"'mc.n_paths' must be >= 2 for the energy check, got {n_main}")
+        if chk.name == "bdg" and config.solver.n_steps < 2:
+            raise ConfigError(f"'checks[{i}]' (bdg) needs a half horizon: 'solver.t_end' must "
+                              f"be at least 2 steps of 'solver.dt', got {config.solver.n_steps}")
         if chk.name == "identities":
             try:
                 require_identity_grid(grid)
@@ -205,7 +210,7 @@ def run_experiment(config: ExperimentConfig):
                                           chk.value("stability")))
         elif chk.name == "bdg":
             checks.extend(bdg_report(
-                spec, grid, biot_savart(xi0) if v0 is None else v0, chk.value("q"),
+                spec, biot_savart(xi0) if v0 is None else v0, chk.value("q"),
                 chk.value("m_list"), chk.value("n_paths"), seed,
                 config.solver.t_end, config.solver.dt, chk.value("stability"),
             ))
@@ -273,7 +278,7 @@ def cmd_report(args) -> int:
     stats_path = outdir / "stats.csv"
     if not checks_path.exists() or not stats_path.exists():
         raise ConfigError(f"{outdir} does not contain stats.csv and checks.json")
-    # checks.json writes an unbounded bound as Infinity; strict JSON has null
+    # checks.json written by earlier versions holds Infinity for an unbounded bound
     checks = json.loads(checks_path.read_text(), parse_constant=lambda name: None)
     header, *table = (r.split(",") for r in stats_path.read_text().strip().split("\n"))
     completed = [r for r in table if r[-1] == "completed"]  # a blow-up row may hold inf

@@ -13,11 +13,11 @@ shared draws, and keep only the weighted difference.  The sweep steps
 each level's paths, and `gronwall_uniqueness` its pairs, in batches of
 one `run_trajectory` or `gronwall_pairs` call each, sized like the trial
 chunks below (`_batches`); each path has the bits of its one-path run.
-The BDG sums integrate the frozen operator G_n(v0) from the noise's
-`mode_weights` and `basis_values`.  The identity suite takes fresh random
-fields and judges the nonlinearities the step runs: the velocity drift,
-reached as `operators.velocity_drift` like the step reaches it, and the
-vorticity advection F.
+The BDG sups integrate the frozen operator G_n(v0) on the doubled grid
+from the noise's `mode_weights` and `basis_values`.  The identity suite
+takes fresh random fields and judges the nonlinearities the step runs:
+the velocity drift, reached as `operators.velocity_drift` like the step
+reaches it, and the vorticity advection F.
 
 The Gronwall weight measures one constant, the Gagliardo-Nirenberg ratio
 (`measure_gn_constant`); its noise term is the pathwise quotient
@@ -29,9 +29,8 @@ TRIAL_CHUNK_BYTES) in stacked arrays: `operators.divfree_halves` makes
 them, `spectral.sobolev_norms` norms them and `spectral.physical_values`
 transforms them, each in one call per chunk.  Each trial's last scalar
 steps run on Python floats, so the constant has the bits of the trials
-taken one at a time.  Its L^4 sums, and the L^q sums of the BDG sups over
-`noise.basis_values`, sum over the stacked component axis and follow the
-power rule `spectral.abs_power`.
+taken one at a time.  Its L^4 norms, and the L^q norms of the BDG sups,
+go through `spectral.lq_norms`.
 
 Every check is reproducible bit-for-bit from (config, seed): paths use
 counter-based RNG streams keyed by (seed, path, step) and reductions run
@@ -89,11 +88,11 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
-    abs_power,
     bessel_multiplier,
     l2_inner,
     l2_norm,
     lq_norm,
+    lq_norms,
     physical_values,
     regrid,
     sobolev_norm_spectral,
@@ -124,14 +123,27 @@ class CheckResult:
         return cls(name, observed, bound, passed, int(n_samples), int(seed), extra)
 
     def to_dict(self) -> dict:
-        return {
+        """The JSON payload, extra ({} if none) included, with None for every
+        non-finite number at any depth: strict JSON has no Infinity or NaN."""
+        return _finite_or_none({
             "name": self.name,
             "observed": self.observed,
             "bound": self.bound,
             "passed": self.passed,
             "n_samples": self.n_samples,
             "seed": self.seed,
-        }
+            "extra": self.extra or {},
+        })
+
+
+def _finite_or_none(value):
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 # Below this grid a step is mostly per-call Python work, which the GIL
@@ -205,10 +217,9 @@ def measure_gn_constant(grid: SpectralGrid, trials: int, seed: int = 7) -> float
 
     The fields are drawn in the order of one random_divfree_field call each
     and evaluated a chunk at a time: their L^2 norms by `sobolev_norms` and
-    their L^4 power sums from one `physical_values`.  Each trial's last
-    steps, the fourth root, the ratio and the running sup, run on scalars,
-    as `lq_norm` takes them, so the constant has the bits of the trials
-    taken one at a time."""
+    their L^4 norms by `lq_norms` of one `physical_values`.  Each trial's
+    last steps, the ratio and the running sup, run on scalars, so the
+    constant has the bits of the trials taken one at a time."""
     rng = np.random.default_rng(seed)
     best = 0.0
     for size in _trial_chunks(grid, trials):
@@ -216,14 +227,12 @@ def measure_gn_constant(grid: SpectralGrid, trials: int, seed: int = 7) -> float
         v = divfree_halves(grid, normals, decays, np.ones(size))
         l2 = sobolev_norms(v, grid)
         grad = grad_norms(v, grid)
-        values = physical_values(v)
-        sums = abs_power(values, 4.0, out=values).sum(axis=(-2, -1)).sum(axis=-1)
-        for a, b, total in zip(l2, grad, sums):
+        l4 = lq_norms(physical_values(v), 4.0, grid)
+        for a, b, c in zip(l2, grad, l4):
             denom = float(a) * float(b)
             if denom == 0.0:
                 continue
-            l4 = float((total * grid.cell_area) ** 0.25)
-            best = _sup(best, l4**2 / denom)
+            best = _sup(best, float(c) ** 2 / denom)
     return best
 
 
@@ -651,89 +660,78 @@ def identity_suite(grid: SpectralGrid, trials: int, seed: int = 0) -> list[Check
 # stochastic-integral (BDG) constants
 
 
-def simulate_bdg_sups(frames, q: float, n_paths: int, base_seed: int, t_end: float,
-                      dt: float) -> np.ndarray:
+def simulate_bdg_sups(spec: CovarianceSpec, v0: VectorField, q: float, n_paths: int,
+                      base_seed: int, t_end: float, dt: float) -> np.ndarray:
     """sup_t ||X(t)||_{L^q} per path for X(t) = int_0^t Phi dW with the frozen
-    operator Phi = G_n(v0), for each frame (spec, v0) on v0's grid.
-
-    The frames share the mode list, and each path's increments are drawn
-    once and summed on every frame.  Shape (path, frame, 2); the last axis
-    holds the half-horizon sup and the full sup.
+    operator Phi = G_n(v0), on v0's grid: X(t_j) = sum_k w_k B_k(t_j) e_k,
+    w_k the `mode_weights` and B_k the path's Brownian motions, summed from
+    its (base_seed, path, step) increments.  Shape (path, 2): the sup over
+    the first n_steps // 2 steps and the sup over all n_steps.
     """
     n_steps = int(round(t_end / dt))
-    half = n_steps // 2
-    # each mode's weight and physical velocity, both components: (m, 2 N^2)
-    operators = [(mode_weights(spec, v0), basis_values(spec, v0.grid).reshape(spec.n_modes, -1),
-                  v0.grid) for spec, v0 in frames]
-    draw_spec = frames[0][0]
+    grid, n = v0.grid, v0.grid.modes_per_dim
+    amps = mode_weights(spec, v0)
+    # each mode's physical velocity, both components: (m, 2 N^2)
+    e_phys = basis_values(spec, grid).reshape(spec.n_modes, -1)
 
     def worker(path):
-        g = np.stack([
-            sample_increment(base_seed, path, step, draw_spec, dt).gaussians
-            for step in range(n_steps)
-        ])
-        brown = np.vstack([np.zeros(draw_spec.n_modes), np.cumsum(g, axis=0)]) * math.sqrt(dt)
-        sups = []
-        for amps, e_phys, grid in operators:
-            weighted = brown * amps
-            n = grid.modes_per_dim
-            norms = np.empty(n_steps + 1)
-            for lo in range(0, n_steps + 1, 128):  # time blocks bound the memory
-                hi = min(lo + 128, n_steps + 1)
-                # |x|^q in place: one large temporary per block, not three
-                powers = weighted[lo:hi] @ e_phys  # (block, 2 N^2)
-                abs_power(powers, q, out=powers)
-                sums = powers.reshape(-1, 2, n, n).sum(axis=(-2, -1)).sum(axis=-1)
-                norms[lo:hi] = (sums * grid.cell_area) ** (1.0 / q)
-            sups.append((float(norms[: half + 1].max()), float(norms.max())))
-        return sups
+        g = np.stack([sample_increment(base_seed, path, step, spec, dt).gaussians
+                      for step in range(n_steps)])
+        brown = np.vstack([np.zeros(spec.n_modes), np.cumsum(g, axis=0)]) * math.sqrt(dt)
+        weighted = brown * amps
+        norms = np.empty(n_steps + 1)
+        for lo in range(0, n_steps + 1, 128):  # time blocks bound the memory
+            hi = min(lo + 128, n_steps + 1)
+            values = weighted[lo:hi] @ e_phys  # (block, 2 N^2)
+            norms[lo:hi] = lq_norms(values.reshape(-1, 2, n, n), q, grid)
+        return float(norms[: n_steps // 2 + 1].max()), float(norms.max())
 
-    largest = max((v0.grid for _, v0 in frames), key=lambda g: g.modes_per_dim)
-    return np.array(run_paths(worker, n_paths, path_workers(largest)))
+    return np.array(run_paths(worker, n_paths, path_workers(grid)))
 
 
-def bdg_report(spec: CovarianceSpec, grid: SpectralGrid, v0: VectorField, q: float, m_list,
-               n_paths: int, base_seed: int, t_end: float, dt: float,
-               stability: float) -> list[CheckResult]:
-    """Fitted constants C_m = E sup_t ||X||^m_{L^q} / (T ||Phi||^2_R)^{m/2}
-    across two grid sizes (N, 2N) and two horizons (T/2, T); PASS when every
-    constant sits within +-stability of their mean.  Both grids read the
-    same increments, drawn once per path.
+def bdg_report(spec: CovarianceSpec, v0: VectorField, q: float, m_list, n_paths: int,
+               base_seed: int, t_end: float, dt: float, stability: float) -> list[CheckResult]:
+    """Fitted constants C_m = E sup_{t<=T} ||X||^m_{L^q} / (T ||Phi||^2_R)^{m/2}
+    at the times the sups cover, T = (n_steps // 2) dt and t_end (at least
+    2 steps); PASS when both sit within +-stability of their mean.  Since
+    X = sigma(v0) sum_k c_k R_n(k) B_k e_k and sigma(v0) cancels in C_m, this
+    verifies the T^{m/2} scaling of the Brownian sup moments of the fixed
+    field sum_k c_k R_n e_k B_k; it never reads the time step.
 
-    A degenerate Phi = 0 makes the ratio undefined; reported as skipped.
+    The sups and ||Phi||_R are taken on the doubled grid 2N only.  X has the
+    noise band K, so for even q the rectangle rule of |X|^q (band qK) is
+    exact on N points when qK < N and on 2N when qK < 2N: the N grid adds
+    nothing but its quadrature error where qK >= N.  A degenerate Phi = 0
+    makes the ratio undefined; reported as skipped.
     """
     for m in m_list:
         if m < 2 or m % 2 != 0:
             raise ValueError(f"moment order must be even and >= 2, got {m}")
-    norm0 = operator_norms(v0, spec, 0.0, q)["radonifying"]
-    if norm0 == 0.0:
-        return [CheckResult.evaluate(f"bdg.C{m}.skipped", 0.0, 0.0,
-                                     n_paths, base_seed,
-                                     extra={"reason": "Phi = 0"})
-                for m in m_list]
-
-    fine = SpectralGrid(2 * grid.modes_per_dim, grid.domain_length,
-                        grid.dealias_fraction)
+    n_steps = int(round(t_end / dt))
+    if n_steps < 2:
+        raise ValueError(f"bdg needs at least 2 time steps, got {n_steps}")
+    grid = v0.grid
+    fine = SpectralGrid(2 * grid.modes_per_dim, grid.domain_length, grid.dealias_fraction)
     # sigma reads the pivot, so it moves to the fine grid with v0
     fine_spec = spec if spec.pivot is None else replace(spec, pivot=regrid(spec.pivot, fine))
-    frames = [(spec, v0), (fine_spec, regrid(v0, fine))]
-    sups = simulate_bdg_sups(frames, q, n_paths, base_seed, t_end, dt)
-    phi_norms = [norm0, operator_norms(frames[1][1], fine_spec, 0.0, q)["radonifying"]]
-    constants = {m: {} for m in m_list}
-    for i, ((_, vg), phi_norm) in enumerate(zip(frames, phi_norms)):
-        for m in m_list:
-            for col, horizon in ((0, t_end / 2.0), (1, t_end)):
-                mean = float(np.mean(sups[:, i, col] ** m))
-                denom = (horizon * phi_norm**2) ** (m / 2.0)
-                constants[m][(vg.grid.modes_per_dim, horizon)] = mean / denom
+    fine_v0 = regrid(v0, fine)
+    phi_norm = operator_norms(fine_v0, fine_spec, 0.0, q)["radonifying"]
+    if phi_norm == 0.0:
+        return [CheckResult.evaluate(f"bdg.C{m}.skipped", 0.0, 0.0, n_paths, base_seed,
+                                     extra={"reason": "Phi = 0"}) for m in m_list]
+
+    sups = simulate_bdg_sups(fine_spec, fine_v0, q, n_paths, base_seed, t_end, dt)
+    # the time each sup covers; for an even step count t_end / 2 exactly
+    horizons = (t_end * ((n_steps // 2) / n_steps), t_end)
     out = []
     for m in m_list:
-        vals = np.array(list(constants[m].values()))
+        constants = {}
+        for col, horizon in enumerate(horizons):
+            mean = float(np.mean(sups[:, col] ** m))
+            constants[f"T={horizon:g}"] = mean / (horizon * phi_norm**2) ** (m / 2.0)
+        vals = np.array(list(constants.values()))
         center = float(np.mean(vals))
         observed = float(np.max(np.abs(vals - center)) / center)
-        out.append(CheckResult.evaluate(
-            f"bdg.C{m}", observed, stability, n_paths, base_seed,
-            extra={"constants": {f"N={k[0]},T={k[1]:g}": v
-                                 for k, v in constants[m].items()}},
-        ))
+        out.append(CheckResult.evaluate(f"bdg.C{m}", observed, stability, n_paths, base_seed,
+                                        extra={"constants": constants}))
     return out

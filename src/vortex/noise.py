@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralGrid, VectorField, l2_inner, lattice, physical_values
+from .spectral import SpectralGrid, VectorField, l2_inner, lattice, lq_norms, physical_values
 
 SIGMA_KINDS = ("constant_one", "rational_square", "zero")
 
@@ -346,18 +346,17 @@ def operator_norms(v: VectorField, spec: CovarianceSpec, s: float, q: float) -> 
                   J^s G(v)h_k = w_k (1+|k|^2)^(s/2) e_k with w_k the
                   `mode_weights`, and ||e_k||^2_{L^2} is `_basis_l2_sq`.
     radonifying = || (sum_k |J^s G(v)h_k|^2)^(1/2) ||_{L^q}, the square
-                  function evaluated pointwise in physical space.
+                  function evaluated pointwise in physical space and normed
+                  by `spectral.lq_norms`.
     The two agree for q = 2.
     """
     if q == np.inf:
         raise ValueError("radonifying norm is not defined for q = inf")
-    if not q >= 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
     amps_sq = (mode_weights(spec, v) ** 2) * (1.0 + scatter_plan(spec, v.grid).ksq) ** s
     hs = math.sqrt(float(np.sum(amps_sq * _basis_l2_sq(spec, v.grid))))
     values = basis_values(spec, v.grid)
     square_fn = np.einsum("m,mcij->ij", amps_sq, values * values)
-    radonifying = float((np.sum(square_fn ** (q / 2.0)) * v.grid.cell_area) ** (1.0 / q))
+    radonifying = float(lq_norms(np.sqrt(square_fn)[None], q, v.grid))
     return {"hs": hs, "radonifying": radonifying}
 
 

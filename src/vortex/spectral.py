@@ -24,7 +24,7 @@ components per field, becomes physical values and norms: one batched
 irfft2 (`physical_values`), the W^{s,2} norms as the hypot over the
 component axis (`sobolev_norms`) and the L^q norms of the values
 (`lq_norms`).  `to_physical`, `sobolev_norm_spectral`, `l2_norm` and
-`lq_norm_values` are their one-field cases, with the same bits.
+`lq_norm` are their one-field cases, with the same bits.
 
 `to_spectral` is an rfft2 with the two self-conjugate columns mirrored
 within themselves, so a transformed spectrum is Hermitian by
@@ -35,11 +35,12 @@ lattice enters only through `ScalarField.from_lattice`, which checks it,
 and leaves only through the derived, read-only `coeffs`, which nothing
 here reads.
 
-The L^q sums, sum |x|^q, follow one power rule, `abs_power`: for q a
-power of two >= 2 it squares repeatedly, with no abs and no pow, and for
-any other q it takes np.abs(x) ** q.  It serves `lq_norms`, whose
-one-field cases are `lq_norm` and `lq_norm_values`, and the check-time
-L^q sums (the Gagliardo-Nirenberg trials, the BDG sups).  `half_sums`
+`lq_norms` is the one code that turns sums of |x|^q into L^q norms: the
+step's norms, `lq_norm`, and the check-time norms (the Gagliardo-Nirenberg
+trials, the BDG sups, the gamma-radonifying norm of the noise) all go
+through it.  Its sums follow one power rule, `abs_power`: for q a power of
+two >= 2 it squares repeatedly, with no abs and no pow, and for any other
+q it takes np.abs(x) ** q.  `half_sums`
 evaluates the weighted spectral sums of stacked halves, with the bits of
 the sums taken one at a time.
 """
@@ -362,16 +363,10 @@ def lq_norm(field: Field, q: float) -> float:
     Vector fields use the component-sum convention
     (sum_i int |v_i|^q)^(1/q); for q = inf, the sum of component maxima.
     The rectangle rule on the periodic grid is exact for band-limited
-    integrands of matching bandwidth.  |x|^q follows `abs_power`.
+    integrands of matching bandwidth.  The one-field case of `lq_norms`.
     """
-    return lq_norm_values(to_physical(field), q, field.grid)
-
-
-def lq_norm_values(values: np.ndarray, q: float, grid: SpectralGrid) -> float:
-    """lq_norm of a field given its physical values on grid, (N, N) or
-    (2, N, N), so a caller that already holds them pays no second
-    transform: the one-field case of `lq_norms`."""
-    return float(lq_norms(values.reshape((-1,) + values.shape[-2:]), q, grid))
+    values = to_physical(field)
+    return float(lq_norms(values.reshape((-1,) + values.shape[-2:]), q, field.grid))
 
 
 def lq_norms(values: np.ndarray, q: float, grid: SpectralGrid) -> np.ndarray:
@@ -389,25 +384,21 @@ def lq_norms(values: np.ndarray, q: float, grid: SpectralGrid) -> np.ndarray:
     return np.array(roots, dtype=float).reshape(sums.shape)
 
 
-def abs_power(values: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
+def abs_power(values: np.ndarray, q: float) -> np.ndarray:
     """|x|^q elementwise, the power rule of the L^q sums: for q = 2^k,
     k >= 1, k repeated squarings, with no abs and no pow; for any other q,
-    np.abs(x) ** q.  out may be values itself.
+    np.abs(x) ** q.  values is left as it is.
 
     Squaring rounds k times where pow rounds once, so for q = 4 and 8 a
     value can differ from pow's in its last bits, by at most about 1e-15
     relative; for q = 2 both are the same single rounded square."""
     mantissa, exponent = math.frexp(q)  # q = 2^(exponent - 1) when mantissa is 1/2
     if mantissa == 0.5 and exponent >= 2:
-        out = np.square(values, out=out)
+        out = np.square(values)
         for _ in range(exponent - 2):
             np.square(out, out=out)
         return out
-    if out is None:
-        return np.abs(values) ** q
-    np.abs(values, out=out)
-    out **= q
-    return out
+    return np.abs(values) ** q
 
 
 def sobolev_norm(field: Field, s: float, q: float = 2.0) -> float:

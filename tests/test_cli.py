@@ -235,6 +235,35 @@ class TestRunCommand:
         checks = json.loads((out / "checks.json").read_text())
         assert [c["name"] for c in checks] == ["bdg.C2", "bdg.C4"]
 
+    def test_one_step_bdg_is_refused_before_any_path(self, tmp_path, monkeypatch, capsys):
+        # the half-horizon sup would cover no step: refused, not a FAIL of correct code
+        def refused(*args, **kwargs):
+            raise AssertionError("a path ran on a refused config")
+
+        monkeypatch.setattr(cli, "sweep", refused)
+        doc = dict(SMALL_CONFIG, solver={"dt": 0.01, "t_end": 0.01}, checks=[{"name": "bdg"}])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'checks[0]' (bdg)" in err and "solver.t_end" in err
+        assert "Traceback" not in err
+        assert not (out / "stats.csv").exists()
+
+    def test_checks_json_is_strict_and_holds_extra(self, tmp_path):
+        # unceilinged energy functionals have an infinite bound: null, not Infinity
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+
+        def refused(name):
+            raise AssertionError(f"{name} in checks.json")
+
+        checks = json.loads((out / "checks.json").read_text(), parse_constant=refused)
+        assert all("extra" in c for c in checks)
+        bounds = {c["name"]: c["bound"] for c in checks}
+        assert bounds["energy.sup_v_l2sq"] == 100.0 and bounds["energy.int_grad_v"] is None
+        assert all("stderr" in c["extra"] for c in checks)
+
     def test_failed_check_exits_1(self, tmp_path):
         doc = dict(SMALL_CONFIG)
         doc["checks"] = [{"name": "energy", "ceilings": {"sup_v_l2sq": 1e-12}}]

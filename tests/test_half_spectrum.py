@@ -36,7 +36,6 @@ from vortex.spectral import (
     l2_inner,
     l2_norm,
     lq_norm,
-    lq_norm_values,
     lq_norms,
     physical_values,
     regrid,
@@ -220,11 +219,13 @@ class TestStackedStorage:
         stack = np.stack([[hermitian_lattice(16, rng)[:, :9] * rng.uniform(0.1, 10.0)
                            for _ in range(components)] for _ in range(200)])
         values = physical_values(stack)
+        fields = [ScalarField(grid, h[0]) if components == 1 else VectorField(grid, h)
+                  for h in stack]
         for q in (3.0, 4.0, np.inf):
             norms = lq_norms(values, q, grid)
             assert norms.shape == (200,)
-            for v, norm in zip(values, norms):
-                assert norm == lq_norm_values(v[0] if components == 1 else v, q, grid)
+            for field, v, norm in zip(fields, values, norms):
+                assert norm == lq_norm(field, q)
                 if q != np.inf:
                     total = sum(np.sum(abs_power(c, q)) for c in v)
                     assert norm == float((total * grid.cell_area) ** (1.0 / q))

@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 
 from oracles import (
     abs_brownian_sup_moment,
+    basis_fields,
     bilinear_B,
     discrete_sup_sq_oracle,
     divfree_field,
     gn_constant,
+    hille_yosida,
     stacked_drift,
 )
 from vortex.cli import _gronwall_initial
-from vortex.config import CHECK_PARAMS, _single_mode_vector, parse_config
+from vortex.config import CHECK_PARAMS, _band_modes, _single_mode_vector, parse_config
 from vortex.harness import (
     CheckResult,
     HolderProbe,
@@ -54,6 +56,7 @@ from vortex.spectral import (
     VectorField,
     dealias,
     l2_norm,
+    lq_norm,
     regrid,
     to_physical,
 )
@@ -92,7 +95,19 @@ class TestCheckResult:
 
     def test_json_payload_fields(self):
         d = CheckResult.evaluate("x", 1.0, 2.0, 5, 7, extra={"z": 1}).to_dict()
-        assert sorted(d) == ["bound", "n_samples", "name", "observed", "passed", "seed"]
+        assert sorted(d) == ["bound", "extra", "n_samples", "name", "observed", "passed",
+                             "seed"]
+        assert d["extra"] == {"z": 1}
+        assert CheckResult.evaluate("x", 1.0, 2.0, 5, 7).to_dict()["extra"] == {}
+
+    def test_non_finite_numbers_become_null_at_any_depth(self):
+        extra = {"ratio": math.inf, "means": [1.0, -math.inf, (math.nan, 2.0)],
+                 "functionals": {"a": {"ratio": np.float64(math.inf), "means": [0.5]}}}
+        d = CheckResult.evaluate("x", math.nan, math.inf, 5, 7, extra=extra).to_dict()
+        assert d["observed"] is None and d["bound"] is None and d["passed"] is False
+        assert d["extra"] == {"ratio": None, "means": [1.0, None, [None, 2.0]],
+                              "functionals": {"a": {"ratio": None, "means": [0.5]}}}
+        assert extra["ratio"] == math.inf  # the result's own extra is left as it is
 
 
 class TestPathWorkers:
@@ -105,7 +120,7 @@ class TestPathWorkers:
         assert harness.path_workers(SpectralGrid(n)) == want
 
     def test_drivers_take_the_count_from_their_grid(self, grid16, rng, monkeypatch):
-        # the sweep and the Gronwall pairs run on their grid, BDG on its largest frame
+        # the sweep, the Gronwall pairs and the BDG sups run on their grid
         seen, real = [], harness.run_paths
 
         def spy(worker, n_paths, workers):
@@ -119,9 +134,7 @@ class TestPathWorkers:
         cfg = SolverConfig(dt=5e-3, t_end=0.01)
         sweep(SMALL_NOISE, None, xi0, cfg, 1, 2)
         gronwall_uniqueness(v0, v0, SMALL_NOISE, cfg, 2, 1, GRONWALL_SLACK, gn_trials=5)
-        fine = SpectralGrid(32)
-        simulate_bdg_sups([(SMALL_NOISE, v0), (SMALL_NOISE, regrid(v0, fine))],
-                          2.0, 2, 1, 0.02, 0.01)
+        simulate_bdg_sups(SMALL_NOISE, regrid(v0, SpectralGrid(32)), 2.0, 2, 1, 0.02, 0.01)
         assert seen == [16, 16, 32]
 
 
@@ -728,7 +741,7 @@ class TestBdg:
     def test_zero_operator_skipped(self, grid16):
         spec = CovarianceSpec(((1, 0),), (0.3,), 0.5, "zero")
         v0 = biot_savart(random_scalar_field(grid16, np.random.default_rng(0)))
-        out = bdg_report(spec, grid16, v0, 2.0, [2], 4, 0, 0.1, 0.01, BDG_STABILITY)
+        out = bdg_report(spec, v0, 2.0, [2], 4, 0, 0.1, 0.01, BDG_STABILITY)
         assert len(out) == 1
         assert out[0].name.endswith("skipped")
         assert out[0].passed
@@ -740,7 +753,7 @@ class TestBdg:
         spec = CovarianceSpec(((1, 0),), (0.4,), 0.5, "constant_one")
         v0 = biot_savart(random_scalar_field(grid16, np.random.default_rng(1)))
         T, dt, n_paths = 0.5, 1e-3, 600
-        sups = simulate_bdg_sups([(spec, v0)], 2.0, n_paths, 77, T, dt)[:, 0]
+        sups = simulate_bdg_sups(spec, v0, 2.0, n_paths, 77, T, dt)
         from vortex.noise import operator_norms
 
         phi = operator_norms(v0, spec, 0.0, 2.0)["radonifying"]
@@ -749,14 +762,55 @@ class TestBdg:
         stderr = np.std(ratios, ddof=1) / math.sqrt(n_paths)
         assert abs(np.mean(ratios) - target) <= 3.0 * stderr
 
+    @staticmethod
+    def band_two(grid, sigma):
+        """The 24 modes of noise band 2, under sigma (its pivot on grid)."""
+        modes = tuple(_band_modes(2))
+        coeffs = tuple(0.3 / (1.0 + max(map(abs, j))) for j in modes)
+        pivot = _single_mode_vector(grid, (1, 0), 3.0) if sigma == "rational_square" else None
+        return CovarianceSpec(modes, coeffs, 0.5, sigma, pivot)
+
+    @pytest.mark.parametrize("sigma", ["constant_one", "rational_square"])
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_n_and_2n_grids_agree(self, grid16, rng, sigma, q):
+        # X(t) is band-limited to the noise band K = 2, and |X|^q to qK <= 8 < 16,
+        # so the rectangle rule is exact on both grids: the doubled grid that
+        # bdg_report uses adds no information, only rounding
+        spec = self.band_two(grid16, sigma)
+        fine = SpectralGrid(32)
+        fine_spec = spec if spec.pivot is None else replace(spec, pivot=regrid(spec.pivot, fine))
+        v0 = random_divfree_field(grid16, rng)
+        coarse = simulate_bdg_sups(spec, v0, q, 6, 3, 0.1, 0.01)
+        doubled = simulate_bdg_sups(fine_spec, regrid(v0, fine), q, 6, 3, 0.1, 0.01)
+        assert coarse.shape == doubled.shape == (6, 2)
+        np.testing.assert_allclose(doubled, coarse, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("q", [3.0, 4.0])
+    def test_sups_match_a_per_time_lq_norm_oracle(self, grid16, rng, q):
+        # X(t_j) = sum_k c_k sigma(v0) R_n(k) B_k(t_j) e_k built as a field from
+        # the dense basis at every time, normed by lq_norm
+        spec = replace(self.band_two(grid16, "rational_square"), hy_level=5.0)
+        v0 = random_divfree_field(grid16, rng)
+        T, dt, n_paths = 0.05, 0.01, 3
+        sig = noise.sigma_eval(v0, spec)
+        images = [hille_yosida(e * (c * sig), spec.hy_level)
+                  for c, e in zip(spec.coefficients, basis_fields(spec, grid16))]
+        sups = simulate_bdg_sups(spec, v0, q, n_paths, 9, T, dt)
+        for path in range(n_paths):
+            norms, brown = [0.0], np.zeros(spec.n_modes)
+            for step in range(5):
+                brown = brown + noise.sample_increment(9, path, step, spec, dt).gaussians
+                field = sum((f * (b * math.sqrt(dt)) for f, b in zip(images, brown)),
+                            start=images[0] * 0.0)
+                norms.append(lq_norm(field, q))
+            want = (max(norms[:3]), max(norms))
+            np.testing.assert_allclose(sups[path], want, rtol=1e-14, atol=0.0)
+
     def test_shared_draws_match_single_grid_sums(self, grid16, rng, monkeypatch):
-        # both grids read each path's increments, drawn once
+        # each path draws its increment of each step once
         from vortex import harness
-        from vortex.spectral import regrid
 
         v0 = random_divfree_field(grid16, rng)
-        fine = SpectralGrid(32)
-        frames = [(SMALL_NOISE, v0), (SMALL_NOISE, regrid(v0, fine))]
         draws = []
         original = harness.sample_increment
 
@@ -765,31 +819,48 @@ class TestBdg:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(harness, "sample_increment", counted)
-        both = simulate_bdg_sups(frames, 4.0, 5, 3, 0.1, 0.01)
+        sups = simulate_bdg_sups(SMALL_NOISE, v0, 4.0, 5, 3, 0.1, 0.01)
         assert len(draws) == len(set(draws)) == 5 * 10
-        assert both.shape == (5, 2, 2)
-        for i, frame in enumerate(frames):
-            alone = simulate_bdg_sups([frame], 4.0, 5, 3, 0.1, 0.01)
-            assert np.array_equal(both[:, i], alone[:, 0])
+        assert sups.shape == (5, 2)
 
     def test_moment_validation(self, grid16, rng):
         v0 = biot_savart(random_scalar_field(grid16, rng))
         with pytest.raises(ValueError):
-            bdg_report(SMALL_NOISE, grid16, v0, 4.0, [3], 4, 0, 0.1, 0.01, BDG_STABILITY)
+            bdg_report(SMALL_NOISE, v0, 4.0, [3], 4, 0, 0.1, 0.01, BDG_STABILITY)
+
+    def test_one_step_has_no_half_horizon(self, grid16, rng):
+        v0 = biot_savart(random_scalar_field(grid16, rng))
+        with pytest.raises(ValueError, match="at least 2 time steps"):
+            bdg_report(SMALL_NOISE, v0, 4.0, [2], 4, 0, 0.01, 0.01, BDG_STABILITY)
+
+    def test_odd_step_count_scales_by_the_time_each_sup_covers(self, grid16, rng):
+        # on 5 steps the half-horizon sup covers 2 steps, 0.02, not t_end / 2;
+        # the constants are those of the sups over exactly those times
+        v0 = biot_savart(random_scalar_field(grid16, rng))
+        out = bdg_report(SMALL_NOISE, v0, 4.0, [2], 50, 4, 0.05, 0.01, BDG_STABILITY)
+        fine = SpectralGrid(32)
+        fine_v0 = regrid(v0, fine)
+        phi = noise.operator_norms(fine_v0, SMALL_NOISE, 0.0, 4.0)["radonifying"]
+        sups = simulate_bdg_sups(SMALL_NOISE, fine_v0, 4.0, 50, 4, 0.05, 0.01)
+        want = {"T=0.02": float(np.mean(sups[:, 0] ** 2)) / (0.02 * phi**2),
+                "T=0.05": float(np.mean(sups[:, 1] ** 2)) / (0.05 * phi**2)}
+        assert out[0].extra["constants"].keys() == want.keys()
+        for key, value in want.items():
+            assert out[0].extra["constants"][key] == pytest.approx(value, rel=1e-14)
 
     def test_rational_square_sigma_gives_verdicts(self, grid16, rng):
         # sigma reads the pivot, which must follow v0 onto the doubled grid
         spec = CovarianceSpec(SMALL_NOISE.mode_indices, SMALL_NOISE.coefficients, 0.5,
                               "rational_square", _single_mode_vector(grid16, (1, 0), 32.0))
         v0 = random_divfree_field(grid16, rng)
-        out = bdg_report(spec, grid16, v0, 4.0, [2, 4], 16, 5, 0.1, 0.01, BDG_STABILITY)
+        out = bdg_report(spec, v0, 4.0, [2, 4], 16, 5, 0.1, 0.01, BDG_STABILITY)
         assert [r.name for r in out] == ["bdg.C2", "bdg.C4"]
         assert all(math.isfinite(r.observed) for r in out)
-        assert len(out[0].extra["constants"]) == 4
+        assert len(out[0].extra["constants"]) == 2
 
     def test_small_scale_stability(self, grid16, rng):
         v0 = biot_savart(random_scalar_field(grid16, rng))
-        out = bdg_report(SMALL_NOISE, grid16, v0, 4.0, [2], 64, 5, 0.2, 2e-3, BDG_STABILITY)
+        out = bdg_report(SMALL_NOISE, v0, 4.0, [2], 64, 5, 0.2, 2e-3, BDG_STABILITY)
         assert len(out) == 1
         assert out[0].passed, out[0].extra
 

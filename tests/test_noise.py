@@ -258,7 +258,7 @@ class TestScatterAgainstDenseOracle:
         v = random_divfree_field(grid16, np.random.default_rng(1))
         assert operator_norms(v, spec, 0.0, 4.0)["hs"] > 0.0
         assert basis_l2_sq_sum(spec, grid16) > 0.0
-        assert simulate_bdg_sups([(spec, v)], 4.0, 2, 1, 0.02, 0.01).shape == (2, 1, 2)
+        assert simulate_bdg_sups(spec, v, 4.0, 2, 1, 0.02, 0.01).shape == (2, 2)
 
     def test_trajectory_matches_the_dense_oracle(self, grid32, monkeypatch):
         from vortex import noise
