@@ -39,6 +39,7 @@ from .config import CHECK_PARAMS, GRID, MC, ConfigError, ExperimentConfig, load_
 from .harness import (
     CheckResult,
     HolderProbe,
+    bdg_phi_norm,
     bdg_report,
     energy_report,
     gronwall_uniqueness,
@@ -136,9 +137,11 @@ def run_experiment(config: ExperimentConfig):
 
     The cell area of the domain, which a long enough domain overflows,
     zeta_regularity budgets, the two main paths the energy check needs, the
-    two time steps bdg's half horizon needs, the identity suite's grid, and
-    the random trial fields of gronwall and identities (which underflow on
-    a short enough domain) are checked before any path runs.  One `sweep` then integrates, once each, the
+    two time steps bdg's half horizon needs, the identity suite's grid, the
+    random trial fields of gronwall and identities (which underflow on a
+    short enough domain), and bdg's ||Phi||_R (which |x|^q under- or
+    overflows at a large enough q, and which bdg_report then reuses) are
+    checked before any path runs.  One `sweep` then integrates, once each, the
     (Hille-Yosida level, path) pairs of the main Monte-Carlo, hy_uniformity
     and zeta_regularity, and writes the snapshots; energy and those two
     checks reduce its results.  gronwall steps its own pairs through the
@@ -153,13 +156,21 @@ def run_experiment(config: ExperimentConfig):
                           f"cell area (domain_length/modes_per_dim)^2 overflows")
     seed = config.mc.base_seed
     n_main = config.mc.n_paths
-    demands, probes, pairs = [], {}, {}
+    bdg_v0 = None  # the velocity bdg freezes G_n at, made only for a bdg check
+    demands, probes, pairs, phi_norms = [], {}, {}, {}
     for i, chk in enumerate(config.checks):
         if chk.name == "energy" and n_main < 2:
             raise ConfigError(f"'mc.n_paths' must be >= 2 for the energy check, got {n_main}")
-        if chk.name == "bdg" and config.solver.n_steps < 2:
-            raise ConfigError(f"'checks[{i}]' (bdg) needs a half horizon: 'solver.t_end' must "
-                              f"be at least 2 steps of 'solver.dt', got {config.solver.n_steps}")
+        if chk.name == "bdg":
+            if config.solver.n_steps < 2:
+                raise ConfigError(f"'checks[{i}]' (bdg) needs a half horizon: 'solver.t_end' "
+                                  f"must be at least 2 steps of 'solver.dt', got "
+                                  f"{config.solver.n_steps}")
+            bdg_v0 = biot_savart(xi0) if v0 is None else v0
+            try:
+                phi_norms[i] = bdg_phi_norm(spec, bdg_v0, chk.value("q"))
+            except ValueError as err:
+                raise ConfigError(f"'checks[{i}].q' {chk.value('q')!r} (bdg): {err}") from err
         if chk.name == "identities":
             try:
                 require_identity_grid(grid)
@@ -210,9 +221,8 @@ def run_experiment(config: ExperimentConfig):
                                           chk.value("stability")))
         elif chk.name == "bdg":
             checks.extend(bdg_report(
-                spec, biot_savart(xi0) if v0 is None else v0, chk.value("q"),
-                chk.value("m_list"), chk.value("n_paths"), seed,
-                config.solver.t_end, config.solver.dt, chk.value("stability"),
+                spec, bdg_v0, chk.value("q"), chk.value("m_list"), chk.value("n_paths"), seed,
+                config.solver.t_end, config.solver.dt, chk.value("stability"), phi_norms[i],
             ))
     return stats, checks
 

@@ -13,11 +13,13 @@ shared draws, and keep only the weighted difference.  The sweep steps
 each level's paths, and `gronwall_uniqueness` its pairs, in batches of
 one `run_trajectory` or `gronwall_pairs` call each, sized like the trial
 chunks below (`_batches`); each path has the bits of its one-path run.
-The BDG sups integrate the frozen operator G_n(v0) on the doubled grid
-from the noise's `mode_weights` and `basis_values`.  The identity suite
-takes fresh random fields and judges the nonlinearities the step runs:
-the velocity drift, reached as `operators.velocity_drift` like the step
-reaches it, and the vorticity advection F.
+The BDG sups integrate the frozen operator G_n(v0) from the noise's
+`mode_weights` and `basis_values`, on the smallest grid where the L^q
+sums of the noise band are exact for even q (`noise.quadrature_grid`).
+The identity suite takes fresh random fields and judges the
+nonlinearities the step runs: the velocity drift, reached as
+`operators.velocity_drift` like the step reaches it, and the vorticity
+advection F.
 
 The Gronwall weight measures one constant, the Gagliardo-Nirenberg ratio
 (`measure_gn_constant`); its noise term is the pathwise quotient
@@ -44,7 +46,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -66,6 +68,7 @@ from .noise import (
     basis_values,
     mode_weights,
     operator_norms,
+    quadrature_grid,
     sample_increment,
     sigma_eval,
 )
@@ -661,15 +664,20 @@ def identity_suite(grid: SpectralGrid, trials: int, seed: int = 0) -> list[Check
 
 
 def simulate_bdg_sups(spec: CovarianceSpec, v0: VectorField, q: float, n_paths: int,
-                      base_seed: int, t_end: float, dt: float) -> np.ndarray:
+                      base_seed: int, t_end: float, dt: float,
+                      grid: SpectralGrid | None = None) -> np.ndarray:
     """sup_t ||X(t)||_{L^q} per path for X(t) = int_0^t Phi dW with the frozen
-    operator Phi = G_n(v0), on v0's grid: X(t_j) = sum_k w_k B_k(t_j) e_k,
-    w_k the `mode_weights` and B_k the path's Brownian motions, summed from
-    its (base_seed, path, step) increments.  Shape (path, 2): the sup over
-    the first n_steps // 2 steps and the sup over all n_steps.
+    operator Phi = G_n(v0): X(t_j) = sum_k w_k B_k(t_j) e_k, w_k the
+    `mode_weights` read on v0's grid and B_k the path's Brownian motions,
+    summed from its (base_seed, path, step) increments.  The e_k values and
+    the L^q sums are taken on `grid`, v0's own by default; X has the noise
+    band K, so for even q they are exact on any M-point grid with qK < M,
+    such as `noise.quadrature_grid`.  Shape (path, 2): the sup over the first
+    n_steps // 2 steps and the sup over all n_steps.
     """
     n_steps = int(round(t_end / dt))
-    grid, n = v0.grid, v0.grid.modes_per_dim
+    grid = v0.grid if grid is None else grid
+    n = grid.modes_per_dim
     amps = mode_weights(spec, v0)
     # each mode's physical velocity, both components: (m, 2 N^2)
     e_phys = basis_values(spec, grid).reshape(spec.n_modes, -1)
@@ -689,8 +697,24 @@ def simulate_bdg_sups(spec: CovarianceSpec, v0: VectorField, q: float, n_paths: 
     return np.array(run_paths(worker, n_paths, path_workers(grid)))
 
 
+def bdg_phi_norm(spec: CovarianceSpec, v0: VectorField, q: float) -> float:
+    """||Phi||_R of Phi = G_n(v0) on `noise.quadrature_grid`: 0.0 exactly
+    when every `mode_weights` entry is 0, so that Phi = 0.  Raises
+    ValueError when a nonzero Phi gets a norm that is 0 or not finite,
+    which happens where |x|^q under- or overflows: the constants would
+    divide by it."""
+    if not np.any(mode_weights(spec, v0)):
+        return 0.0
+    norm = operator_norms(v0, spec, 0.0, q, quadrature_grid(spec, v0.grid, q))["radonifying"]
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"the gamma-radonifying norm of a nonzero noise operator is {norm} "
+                         f"at q = {q}: |x|^q under- or overflows")
+    return norm
+
+
 def bdg_report(spec: CovarianceSpec, v0: VectorField, q: float, m_list, n_paths: int,
-               base_seed: int, t_end: float, dt: float, stability: float) -> list[CheckResult]:
+               base_seed: int, t_end: float, dt: float, stability: float,
+               phi_norm: float | None = None) -> list[CheckResult]:
     """Fitted constants C_m = E sup_{t<=T} ||X||^m_{L^q} / (T ||Phi||^2_R)^{m/2}
     at the times the sups cover, T = (n_steps // 2) dt and t_end (at least
     2 steps); PASS when both sit within +-stability of their mean.  Since
@@ -698,11 +722,13 @@ def bdg_report(spec: CovarianceSpec, v0: VectorField, q: float, m_list, n_paths:
     verifies the T^{m/2} scaling of the Brownian sup moments of the fixed
     field sum_k c_k R_n e_k B_k; it never reads the time step.
 
-    The sups and ||Phi||_R are taken on the doubled grid 2N only.  X has the
-    noise band K, so for even q the rectangle rule of |X|^q (band qK) is
-    exact on N points when qK < N and on 2N when qK < 2N: the N grid adds
-    nothing but its quadrature error where qK >= N.  A degenerate Phi = 0
-    makes the ratio undefined; reported as skipped.
+    sigma(v0) and the weights are read on v0's grid; the sups and ||Phi||_R
+    are summed on `noise.quadrature_grid`.  X has the noise band K, so for
+    even q the rectangle rule of |X|^q (band qK) is exact on M points when
+    qK < M: Q is the smallest such even M >= 8, capped at 2N, and any finer
+    grid adds only rounding.  For other q, no grid is exact, and Q is 2N.
+    `phi_norm` is `bdg_phi_norm`'s value, computed here when not given.  A
+    degenerate Phi = 0 makes the ratio undefined; reported as skipped.
     """
     for m in m_list:
         if m < 2 or m % 2 != 0:
@@ -710,17 +736,14 @@ def bdg_report(spec: CovarianceSpec, v0: VectorField, q: float, m_list, n_paths:
     n_steps = int(round(t_end / dt))
     if n_steps < 2:
         raise ValueError(f"bdg needs at least 2 time steps, got {n_steps}")
-    grid = v0.grid
-    fine = SpectralGrid(2 * grid.modes_per_dim, grid.domain_length, grid.dealias_fraction)
-    # sigma reads the pivot, so it moves to the fine grid with v0
-    fine_spec = spec if spec.pivot is None else replace(spec, pivot=regrid(spec.pivot, fine))
-    fine_v0 = regrid(v0, fine)
-    phi_norm = operator_norms(fine_v0, fine_spec, 0.0, q)["radonifying"]
+    if phi_norm is None:
+        phi_norm = bdg_phi_norm(spec, v0, q)
     if phi_norm == 0.0:
         return [CheckResult.evaluate(f"bdg.C{m}.skipped", 0.0, 0.0, n_paths, base_seed,
                                      extra={"reason": "Phi = 0"}) for m in m_list]
 
-    sups = simulate_bdg_sups(fine_spec, fine_v0, q, n_paths, base_seed, t_end, dt)
+    sups = simulate_bdg_sups(spec, v0, q, n_paths, base_seed, t_end, dt,
+                             quadrature_grid(spec, v0.grid, q))
     # the time each sup covers; for an even step count t_end / 2 exactly
     horizons = (t_end * ((n_steps // 2) / n_steps), t_end)
     out = []

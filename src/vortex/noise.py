@@ -23,7 +23,8 @@ step builds no dense noise field: it adds the increment in place.  Since
 e_k has the single frequency |k|, G_n(v) h_k is e_k times the scalar
 `mode_weights` c_k sigma(v) n/(n+|k|^2), so the check-time code (operator
 norms, BDG sums) reads the plan through two helpers only: those weights
-and the physical values of every e_k (`basis_values`).  Nothing at run
+and the physical values of every e_k (`basis_values`), the latter on the
+grid where its L^q sums are exact (`quadrature_grid`).  Nothing at run
 time reads the stacked `NoiseBasis`; it is the one dense full-lattice
 reference of the plan.
 
@@ -48,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralGrid, VectorField, l2_inner, lattice, lq_norms, physical_values
+from .spectral import SpectralGrid, VectorField, l2_inner, lq_norms, physical_values
 
 SIGMA_KINDS = ("constant_one", "rational_square", "zero")
 
@@ -275,17 +276,48 @@ def basis_values(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
     return physical_values(_dense_halves(spec, grid, scatter_plan(spec, grid).velocity))
 
 
+def quadrature_grid(spec: CovarianceSpec, grid: SpectralGrid, q: float) -> SpectralGrid:
+    """The grid Q on which the check-time L^q sums of sum_k w_k e_k (the BDG
+    sups and the gamma-radonifying norm) are taken, for fields of `grid`.
+
+    Every e_k has degree at most K = max(|j1|, |j2|) over the modes in each
+    coordinate, so for even q each component's |x|^q, and the square
+    function's q/2-th power, are trigonometric polynomials of degree qK,
+    which the rectangle rule on M points integrates exactly when qK < M
+    (Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11).  For even
+    integer q, Q is the smallest even M >= 8 with qK < M, capped at 2N; for
+    any other q the rule is exact on no grid, and Q is 2N.  Q > 2K, so every
+    mode lies inside Q's band."""
+    cap = 2 * grid.modes_per_dim
+    size = cap
+    if float(q).is_integer() and q % 2 == 0:
+        band = max((max(abs(j1), abs(j2)) for j1, j2 in spec.mode_indices), default=0)
+        if q * band + 2 < cap:  # qK is even: qK + 2 is the smallest even M > qK
+            size = max(8, int(q * band) + 2)
+    return SpectralGrid(size, grid.domain_length, grid.dealias_fraction)
+
+
 class NoiseBasis:
     """The dense full-lattice reference of the scatter plan: each basis
     element's velocity and vorticity on the whole (N, N) lattice, stacked
     (`vel_stack` (modes, 2, N, N), `vor_stack` (modes, N, N)) and per mode
-    (`velocity`, `vorticity`, views into the stacks)."""
+    (`velocity`, `vorticity`, views into the stacks).
+
+    The lattice starts from zeros and receives each plan entry at its half
+    index (i, j) and, for j > 0, the entry's conjugate at (-i mod N, N - j),
+    where `spectral.lattice` puts it; on column 0 both +-k are plan entries."""
 
     def __init__(self, spec: CovarianceSpec, grid: SpectralGrid):
         self.spec = spec
         self.grid = grid
         plan = scatter_plan(spec, grid)
-        full = lattice(_dense_halves(spec, grid, np.vstack((plan.velocity, plan.vorticity))))
+        n = grid.modes_per_dim
+        full = np.zeros((spec.n_modes, 3, n, n), dtype=np.complex128)
+        rows, cols = np.divmod(plan.touched[plan.slot], n // 2 + 1)
+        amps = np.vstack((plan.velocity, plan.vorticity)).T  # (entries, 3)
+        full[plan.mode, :, rows, cols] = amps
+        mirror = cols > 0
+        full[plan.mode[mirror], :, -rows[mirror] % n, n - cols[mirror]] = amps[mirror].conj()
         self.vel_stack, self.vor_stack = full[:, :2], full[:, 2]
         self.velocity, self.vorticity = list(self.vel_stack), list(self.vor_stack)
         self.mode_ksq = plan.ksq
@@ -339,24 +371,30 @@ def mode_weights(spec: CovarianceSpec, v: VectorField) -> np.ndarray:
     return np.asarray(spec.coefficients) * sigma_eval(v, spec) * hy
 
 
-def operator_norms(v: VectorField, spec: CovarianceSpec, s: float, q: float) -> dict[str, float]:
+def operator_norms(v: VectorField, spec: CovarianceSpec, s: float, q: float,
+                   grid: SpectralGrid | None = None) -> dict[str, float]:
     """Hilbert-Schmidt and gamma-radonifying norms of the noise operator.
 
     hs          = (sum_k ||G(v)h_k||^2_{W^{s,2}})^(1/2), in closed form:
                   J^s G(v)h_k = w_k (1+|k|^2)^(s/2) e_k with w_k the
                   `mode_weights`, and ||e_k||^2_{L^2} is `_basis_l2_sq`.
     radonifying = || (sum_k |J^s G(v)h_k|^2)^(1/2) ||_{L^q}, the square
-                  function evaluated pointwise in physical space and normed
-                  by `spectral.lq_norms`.
-    The two agree for q = 2.
+                  function evaluated pointwise in physical space on `grid`
+                  (v's own by default) and normed by `spectral.lq_norms`.
+                  The square function has band 2K, K the largest
+                  max(|j1|, |j2|) of the modes, so for even q its q/2-th
+                  power has band qK, and the sum is exact on any M-point
+                  grid with qK < M, such as `quadrature_grid`.
+    The weights are read on v's grid.  The two norms agree for q = 2.
     """
     if q == np.inf:
         raise ValueError("radonifying norm is not defined for q = inf")
+    grid = v.grid if grid is None else grid
     amps_sq = (mode_weights(spec, v) ** 2) * (1.0 + scatter_plan(spec, v.grid).ksq) ** s
     hs = math.sqrt(float(np.sum(amps_sq * _basis_l2_sq(spec, v.grid))))
-    values = basis_values(spec, v.grid)
+    values = basis_values(spec, grid)
     square_fn = np.einsum("m,mcij->ij", amps_sq, values * values)
-    radonifying = float(lq_norms(np.sqrt(square_fn)[None], q, v.grid))
+    radonifying = float(lq_norms(np.sqrt(square_fn)[None], q, grid))
     return {"hs": hs, "radonifying": radonifying}
 
 

@@ -250,6 +250,39 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (out / "stats.csv").exists()
 
+    def test_bdg_norm_that_underflows_is_refused_before_any_path(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # at q = 1000 |x|^q underflows and ||Phi||_R of a nonzero Phi reads 0,
+        # which the constants would divide by: refused, not a skipped PASS
+        def refused(*args, **kwargs):
+            raise AssertionError("a path ran on a refused config")
+
+        monkeypatch.setattr(cli, "sweep", refused)
+        monkeypatch.setattr(harness, "simulate_bdg_sups", refused)
+        doc = dict(SMALL_CONFIG, solver={"dt": 0.01, "t_end": 0.05},
+                   checks=[{"name": "energy"}, {"name": "bdg", "q": 1000}])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'checks[1].q'" in err
+        assert "Traceback" not in err
+        assert not (out / "stats.csv").exists()
+
+    def test_bdg_norm_is_computed_once(self, tmp_path, monkeypatch):
+        calls, real = [], harness.operator_norms
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "operator_norms", counted)
+        doc = dict(SMALL_CONFIG, solver={"dt": 0.01, "t_end": 0.05},
+                   checks=[{"name": "bdg", "n_paths": 4}])
+        assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "out")]) in (0, 1)
+        assert len(calls) == 1
+
     def test_checks_json_is_strict_and_holds_extra(self, tmp_path):
         # unceilinged energy functionals have an infinite bound: null, not Infinity
         out = tmp_path / "out"

@@ -785,6 +785,70 @@ class TestBdg:
         assert coarse.shape == doubled.shape == (6, 2)
         np.testing.assert_allclose(doubled, coarse, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("modes", [_band_modes(1), _band_modes(2),
+                                       [(0, 0), (1, 0), (0, -1), (2, 1), (-1, 2)]],
+                             ids=["band1", "band2", "mean_mode"])
+    @pytest.mark.parametrize("level", [math.inf, 5.0])
+    @pytest.mark.parametrize("sigma", ["constant_one", "rational_square"])
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_quadrature_grid_agrees_with_the_doubled_grid(self, grid16, rng, modes, level,
+                                                          sigma, q):
+        # the sups and ||Phi||_R on the smallest exact grid Q, the weights read
+        # on v0's grid, against both on 2N with v0 and the pivot moved there
+        coeffs = tuple(0.3 / (1.0 + max(map(abs, j))) for j in modes)
+        pivot = _single_mode_vector(grid16, (1, 0), 3.0) if sigma == "rational_square" else None
+        spec = CovarianceSpec(tuple(modes), coeffs, 0.5, sigma, pivot, level)
+        v0 = random_divfree_field(grid16, rng)
+        quad = noise.quadrature_grid(spec, grid16, q)
+        assert quad.modes_per_dim < 32
+        fine = SpectralGrid(32)
+        fine_spec = spec if pivot is None else replace(spec, pivot=regrid(pivot, fine))
+        fine_v0 = regrid(v0, fine)
+        got = simulate_bdg_sups(spec, v0, q, 6, 3, 0.1, 0.01, quad)
+        want = simulate_bdg_sups(fine_spec, fine_v0, q, 6, 3, 0.1, 0.01)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        phi = noise.operator_norms(v0, spec, 0.0, q, quad)["radonifying"]
+        phi_fine = noise.operator_norms(fine_v0, fine_spec, 0.0, q)["radonifying"]
+        assert phi == pytest.approx(phi_fine, rel=1e-14, abs=0.0)
+        assert harness.bdg_phi_norm(spec, v0, q) == phi
+
+    @pytest.mark.parametrize("q", [2.0, 4.0, 6.0])
+    def test_even_q_moves_neither_v0_nor_the_pivot(self, grid16, rng, monkeypatch, q):
+        import dataclasses
+
+        from vortex import spectral
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a field was moved to another grid")
+
+        for module in (harness, spectral):
+            monkeypatch.setattr(module, "regrid", refused)
+        for module in (harness, dataclasses):
+            monkeypatch.setattr(module, "replace", refused, raising=False)
+        v0 = random_divfree_field(grid16, rng)
+        out = bdg_report(rational_noise(grid16), v0, q, [2, 4], 8, 5, 0.1, 0.01, BDG_STABILITY)
+        assert [r.name for r in out] == ["bdg.C2", "bdg.C4"]
+        assert all(math.isfinite(r.observed) for r in out)
+
+    def test_nonzero_operator_whose_norm_underflows_is_refused(self, grid16, rng):
+        # |x|^1000 underflows, so ||Phi||_R reads 0 for a nonzero Phi: the
+        # constants would divide by it, so it is an error, not a skip
+        v0 = random_divfree_field(grid16, rng)
+        with pytest.raises(ValueError, match="q = 1000"):
+            harness.bdg_phi_norm(SMALL_NOISE, v0, 1000.0)
+        with pytest.raises(ValueError, match="q = 1000"):
+            bdg_report(SMALL_NOISE, v0, 1000.0, [2], 4, 0, 0.1, 0.01, BDG_STABILITY)
+
+    def test_skipped_only_when_every_weight_is_zero(self, grid16):
+        # v0 = 0 gives <v0, h> = 0, so sigma(v0) = 0 under rational_square,
+        # and a q at which a nonzero Phi would be refused skips
+        v0 = VectorField(grid16, np.zeros((2, 16, 9), dtype=np.complex128))
+        spec = rational_noise(grid16)
+        assert not np.any(noise.mode_weights(spec, v0))
+        assert harness.bdg_phi_norm(spec, v0, 1000.0) == 0.0
+        out = bdg_report(spec, v0, 1000.0, [2], 4, 0, 0.1, 0.01, BDG_STABILITY)
+        assert [r.name for r in out] == ["bdg.C2.skipped"]
+
     @pytest.mark.parametrize("q", [3.0, 4.0])
     def test_sups_match_a_per_time_lq_norm_oracle(self, grid16, rng, q):
         # X(t_j) = sum_k c_k sigma(v0) R_n(k) B_k(t_j) e_k built as a field from
@@ -838,10 +902,9 @@ class TestBdg:
         # the constants are those of the sups over exactly those times
         v0 = biot_savart(random_scalar_field(grid16, rng))
         out = bdg_report(SMALL_NOISE, v0, 4.0, [2], 50, 4, 0.05, 0.01, BDG_STABILITY)
-        fine = SpectralGrid(32)
-        fine_v0 = regrid(v0, fine)
-        phi = noise.operator_norms(fine_v0, SMALL_NOISE, 0.0, 4.0)["radonifying"]
-        sups = simulate_bdg_sups(SMALL_NOISE, fine_v0, 4.0, 50, 4, 0.05, 0.01)
+        quad = noise.quadrature_grid(SMALL_NOISE, grid16, 4.0)
+        phi = noise.operator_norms(v0, SMALL_NOISE, 0.0, 4.0, quad)["radonifying"]
+        sups = simulate_bdg_sups(SMALL_NOISE, v0, 4.0, 50, 4, 0.05, 0.01, quad)
         want = {"T=0.02": float(np.mean(sups[:, 0] ** 2)) / (0.02 * phi**2),
                 "T=0.05": float(np.mean(sups[:, 1] ** 2)) / (0.05 * phi**2)}
         assert out[0].extra["constants"].keys() == want.keys()

@@ -15,6 +15,7 @@ from oracles import (
     scattered,
     sigma_lipschitz_bound,
 )
+from vortex import noise
 from vortex.config import _band_modes, _single_mode_vector
 from vortex.noise import (
     CovarianceSpec,
@@ -26,6 +27,7 @@ from vortex.noise import (
     basis_values,
     mode_weights,
     operator_norms,
+    quadrature_grid,
     sample_increment,
     scatter_plan,
     sigma_eval,
@@ -38,6 +40,7 @@ from vortex.spectral import (
     bessel_multiplier,
     l2_inner,
     l2_norm,
+    lattice,
     sobolev_norm,
     sobolev_norm_spectral,
     to_physical,
@@ -131,6 +134,56 @@ class TestNoiseBasis:
                 assert c[-j1 % 16, -j2 % 16] == np.conj(c[j1 % 16, j2 % 16])
                 assert np.count_nonzero(c) <= 2
             assert sobolev_norm(e, 1.0 - spec.roughness, 2.0) == pytest.approx(1.0, abs=1e-12)
+
+
+    # the band-2 modes of the three benchmark workloads' grids, and a mixed
+    # list: the mean mode, column-0 cosines and sines, and band-edge modes
+    @pytest.mark.parametrize("modes", [
+        tuple(_band_modes(2)),
+        ((0, 0), (1, 0), (-1, 0), (3, 0), (0, 1), (0, -2), (2, -3), (-2, 3), (4, 4), (-4, 1)),
+    ], ids=["band2", "mixed"])
+    @pytest.mark.parametrize("n", [10, 16, 32, 64, 256])
+    @pytest.mark.parametrize("length", [2.0 * math.pi, 7.3])
+    def test_lattice_written_from_the_plan_matches_the_mirrored_halves(self, modes, n, length):
+        # the plan's entries and their conjugate mirrors equal the full lattice
+        # of the dense halves, up to the sign of zero imaginary parts
+        grid = SpectralGrid(n, length)
+        spec = make_spec(modes=modes, coeffs=(0.5,) * len(modes), g=0.3)
+        plan = scatter_plan(spec, grid)
+        want = lattice(noise._dense_halves(spec, grid,
+                                           np.vstack((plan.velocity, plan.vorticity))))
+        basis = NoiseBasis(spec, grid)
+        assert np.array_equal(basis.vel_stack, want[:, :2])
+        assert np.array_equal(basis.vor_stack, want[:, 2])
+
+
+class TestQuadratureGrid:
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    def test_band_two_at_q4_takes_ten_points(self, n):
+        grid = SpectralGrid(n, 7.3, 0.5)
+        modes = tuple(_band_modes(2))
+        quad = quadrature_grid(make_spec(modes=modes, coeffs=(0.1,) * len(modes)), grid, 4.0)
+        assert quad == SpectralGrid(10, 7.3, 0.5)
+
+    @pytest.mark.parametrize("q", [3.0, 4.5, 1.0])
+    def test_odd_or_fractional_q_takes_the_doubled_grid(self, grid16, q):
+        assert quadrature_grid(make_spec(), grid16, q).modes_per_dim == 32
+
+    def test_capped_at_the_doubled_grid(self, grid16):
+        # qK = 64 >= 2N: no grid up to 2N is exact, and Q stays 2N
+        spec = make_spec(modes=((8, 0), (1, 1)), coeffs=(1.0, 1.0))
+        assert quadrature_grid(spec, grid16, 8.0).modes_per_dim == 32
+        assert quadrature_grid(spec, grid16, 1e308).modes_per_dim == 32
+
+    def test_smallest_even_grid_above_qk(self, grid32):
+        spec = make_spec(modes=((3, -1), (0, 2)), coeffs=(1.0, 1.0))
+        assert quadrature_grid(spec, grid32, 6.0).modes_per_dim == 20
+        assert quadrature_grid(spec, grid32, 2.0).modes_per_dim == 8
+
+    @pytest.mark.parametrize("modes", [((1, 0), (0, 1)), ((0, 0),)])
+    def test_never_below_eight(self, grid16, modes):
+        spec = make_spec(modes=modes, coeffs=(1.0,) * len(modes))
+        assert quadrature_grid(spec, grid16, 2.0).modes_per_dim == 8
 
 
 def bits(array):
