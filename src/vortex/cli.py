@@ -16,8 +16,8 @@ it is read, so they are read like file values and errors name those
 fields.  Outputs are written atomically and a rerun into a populated
 directory is refused unless --force is given.
 The sweep's paths and the Gronwall pairs step in batches, several paths
-per numpy call: 8 paths at 32 modes per dimension, 2 at 64 and 1 from 128
-on (`harness.TRIAL_CHUNK_BYTES`).  Batches run one after another on grids
+per numpy call on small grids, by the rule stated at
+`harness.TRIAL_CHUNK_BYTES`.  Batches run one after another on grids
 below `harness.POOL_MIN_GRID` modes per dimension and on a thread pool
 from there on; results do not depend on the worker count or the batch
 size.

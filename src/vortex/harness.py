@@ -151,8 +151,11 @@ def _finite_or_none(value):
 
 # Below this grid a step is mostly per-call Python work, which the GIL
 # serialises, so paths run one after another.  In `vortex run` on 2 CPUs one
-# worker beat two by ~20 % at N = 32 and 64, tied at 96, and lost by ~10 % at
-# 128 and by ~40 % at 256.
+# worker beat two by ~20 % at N = 32 and 64 and lost by ~40 % at 256.  On the
+# 4-path, 16-step N = 256 benchmark shape at other N (medians of 24 warm runs,
+# 3 to 5 sessions, 2 shared CPUs), one worker took 0.09-0.13 s against two's
+# 0.10-0.12 s at N = 96, 0.11-0.16 s against 0.11-0.13 s at 112, and
+# 0.19-0.20 s against 0.12-0.14 s at 128.
 POOL_MIN_GRID = 128
 
 
@@ -185,9 +188,11 @@ def mc_mean_stderr(values) -> tuple[float, float]:
 # The GN constant below evaluates its random trial fields in chunks.  A
 # field's largest stacked array, its normal draws, takes 32 N^2 bytes; a
 # chunk keeps it near this working set, so the chunk shrinks as the grid grows.
-# The sweep and the Gronwall pairs step their paths in batches of the same
-# size, a path counting as one trial field and a pair as two: 8 paths a batch
-# at N = 32, 2 at 64, and 1 from 128 on, where the pool steps one path per job.
+# The sweep and the Gronwall pairs step their paths in batches by the same
+# rule, a path counting as one trial field and a pair as two: a batch holds
+# max(1, TRIAL_CHUNK_BYTES // (32 N^2 x fields per trial)) trials, so 8 paths
+# or 4 pairs at N = 32, 2 paths or 1 pair at 64, and one path or pair at every
+# N above 64.  From POOL_MIN_GRID on the pool steps one batch per job.
 # Larger batches cost more than they save (2 CPUs, numpy 2.4 with pocketfft):
 # at N = 256 a batch of 4 paths ran at 0.77x the speed of the 4 paths one at a
 # time, and at N = 64 batches of 16 raised the peak RSS of a 16-path
@@ -463,7 +468,8 @@ def gronwall_pairs(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
     """For each path p of `paths`, two solutions under identical increments:
     the (seed, p) solution from each initial velocity.  All of them step as
     one batch of the integrator's loop, `trajectories`, whose rows
-    (v0_a, p) and (v0_b, p) share p's draws.
+    (v0_a, p) and (v0_b, p) share p's draws.  Pair k is rows 2k and 2k+1,
+    alive while both are: the visit that finds one dead ends the other.
 
     Returns per path the weighted-difference series
     M(t) = exp(-int_0^t psi) ||V(t)||^2, V = v1 - v2, with
@@ -485,24 +491,21 @@ def gronwall_pairs(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
     series, sup_v = [[] for _ in range(n)], [0.0] * n
     int_psi, psi, completed = [0.0] * n, [0.0] * n, [False] * n
     for visit in trajectories(rows, spec, cfg, seed):
-        at = {row: i for i, row in enumerate(visit.rows)}
-        both = [k for k in range(n) if 2 * k in at and 2 * k + 1 in at]
-        for row, i in at.items():
-            if row ^ 1 not in at:  # its partner blew up: the pair ends
-                visit.end(i)
-        one = visit.v[[at[2 * k] for k in both]]
-        gaps = sobolev_norms(one - visit.v[[at[2 * k + 1] for k in both]], grid)
+        alive = visit.alive[0::2] & visit.alive[1::2]
+        visit.end(~alive.repeat(2))  # a pair ends with either of its solutions
+        one, two = visit.v[0::2], visit.v[1::2]
+        gaps = sobolev_norms(one - two, grid)
         grads = grad_norms(one, grid)
-        for k, gap, grad in zip(both, gaps, grads):
+        for k in np.flatnonzero(alive):
             int_psi[k] += cfg.dt * psi[k]
-            vnorm = float(gap)
+            vnorm = float(gaps[k])
             sup_v[k] = _sup(sup_v[k], vnorm)
             gap_sq = vnorm**2
             series[k].append(math.exp(-int_psi[k]) * gap_sq)
-            rise = (sigma_eval(visit.velocities[at[2 * k]], spec)
-                    - sigma_eval(visit.velocities[at[2 * k + 1]], spec))
+            rise = (sigma_eval(VectorField(grid, one[k]), spec)
+                    - sigma_eval(VectorField(grid, two[k]), spec))
             q_sq = rise * rise * hs_sq / gap_sq if gap_sq else 0.0
-            psi[k] = a_const * float(grad) ** 2 + q_sq
+            psi[k] = a_const * float(grads[k]) ** 2 + q_sq
             completed[k] = visit.step == cfg.n_steps
     return [{"m_series": m, "sup_v": sup, "status": "completed" if done else "blowup"}
             for m, sup, done in zip(series, sup_v, completed)]
@@ -672,7 +675,10 @@ def simulate_bdg_sups(spec: CovarianceSpec, v0: VectorField, q: float, n_paths: 
     summed from its (base_seed, path, step) increments.  The e_k values and
     the L^q sums are taken on `grid`, v0's own by default; X has the noise
     band K, so for even q they are exact on any M-point grid with qK < M,
-    such as `noise.quadrature_grid`.  Shape (path, 2): the sup over the first
+    such as `noise.quadrature_grid`.  `lq_norms` takes each time's values
+    divided by the power of two at their largest |x|, and its norm is
+    multiplied back: an exact scaling that keeps |x|^q from under- or
+    overflowing at large q.  Shape (path, 2): the sup over the first
     n_steps // 2 steps and the sup over all n_steps.
     """
     n_steps = int(round(t_end / dt))
@@ -691,7 +697,9 @@ def simulate_bdg_sups(spec: CovarianceSpec, v0: VectorField, q: float, n_paths: 
         for lo in range(0, n_steps + 1, 128):  # time blocks bound the memory
             hi = min(lo + 128, n_steps + 1)
             values = weighted[lo:hi] @ e_phys  # (block, 2 N^2)
-            norms[lo:hi] = lq_norms(values.reshape(-1, 2, n, n), q, grid)
+            _, scale = np.frexp(np.abs(values).max(axis=1))
+            np.ldexp(values, -scale[:, None], out=values)
+            norms[lo:hi] = np.ldexp(lq_norms(values.reshape(-1, 2, n, n), q, grid), scale)
         return float(norms[: n_steps // 2 + 1].max()), float(norms.max())
 
     return np.array(run_paths(worker, n_paths, path_workers(grid)))

@@ -31,8 +31,9 @@ is one numpy call for the batch: the drift's two transforms, the Leray
 projection, the heat factor, the curl, the physical values of xi and the
 guards' norms.  What is per row stays per row: its increment and its
 noise.  Every call acts on the stack row by row, so a row has the bits of
-a batch of one.  A row that blows up leaves the batch, so its values
-reach no later call.  `run_trajectory` reduces the loop to the path
+a batch of one.  A batch keeps its rows to its end, row i at index i of
+every stack; a row that blows up, or that its consumer ends, holds zeros
+from then on, so its values reach no later call.  `run_trajectory` reduces the loop to the path
 statistics, one path or a batch of paths, and the harness's Gronwall
 pairs step their two solutions of a path as two rows, so the checks
 exercise the same code as a run.
@@ -259,39 +260,35 @@ def _start(v0: VectorField | None, xi0: ScalarField) -> VectorField:
 
 @dataclass(eq=False)
 class Visit:
-    """The states the live rows of a batch visit after `step` steps, stacked
-    in row order: `rows` names each by its index in the batch, `v` holds
-    the velocity halves (P, 2, N, N/2+1) and `velocities` them as fields,
-    `xi` and `zeta` (P, N, N/2+1), `xi_values` (P, N, N) the physical
-    values of xi, and `v_norm` (P,) the L2 norms of v.  A consumer ends the
-    i-th live row here with `end(i)`; it then leaves the batch."""
+    """The states of a batch's rows after `step` steps, row i of every
+    stack being row i of the batch: `v` holds the velocity halves
+    (P, 2, N, N/2+1), `xi` and `zeta` (P, N, N/2+1), `xi_values` (P, N, N)
+    the physical values of xi, and `v_norm` (P,) the L2 norms of v.
+    `alive` (P,) marks the rows that hold a state; a finished row holds
+    zeros.  `end` takes an index or a mask and ends those rows here."""
 
     step: int
     t: float
     grid: SpectralGrid
-    rows: list[int]
-    velocities: list[VectorField]
+    alive: np.ndarray
     v: np.ndarray
     xi: np.ndarray
     zeta: np.ndarray
     xi_values: np.ndarray
     v_norm: np.ndarray
 
-    def __post_init__(self):
-        self.ended = np.zeros(len(self.rows), dtype=bool)
-
-    def end(self, i: int) -> None:
-        self.ended[i] = True
+    def end(self, rows) -> None:
+        self.alive[rows] = False
 
     @cached_property
     def beta(self) -> np.ndarray:
-        """The remainder beta = xi - zeta of every live row."""
+        """The remainder beta = xi - zeta of every row."""
         return self.xi - self.zeta
 
     def state(self, i: int) -> CoupledState:
-        """The CoupledState of the i-th live row, viewing the stacks."""
+        """The CoupledState of row i, viewing the stacks."""
         g = self.grid
-        return CoupledState(self.t, self.velocities[i], ScalarField(g, self.xi[i]),
+        return CoupledState(self.t, VectorField(g, self.v[i]), ScalarField(g, self.xi[i]),
                             ScalarField(g, self.zeta[i]), ScalarField(g, self.beta[i]))
 
 
@@ -303,16 +300,17 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
     convolution zeta step on shared increments; the vorticity xi = curl v
     and the remainder beta = xi - zeta are derived after each step.
 
-    Yields a `Visit` of the live rows for each step, in step order, the
-    states after k steps k-th; its `end` takes a row out before the next
-    step.  A row leaves the batch when the L2 norm of its v or xi leaves
-    the threshold or is not finite, so its last visit holds its last state
-    and no later numpy call sees its values.  A row that reaches the last
-    visit (step n_steps) completed.  Each row has the bits of a batch of
-    that row alone: every numpy call acts on the stack row by row, and
-    what is per row stays per row: its increment,
-    sample_increment(seed, path, step), drawn once per step for the rows
-    that share a path, and its noise, `noise.apply_G` of its own velocity.
+    Yields a `Visit` of all P rows for each step while a row is alive, in
+    step order, the states after k steps k-th.  A row dies when the L2 norm
+    of its v or xi leaves the threshold or is not finite, or when a
+    consumer ends it (`Visit.end`); from the next visit on it is not
+    `alive` and holds zeros, written into new arrays, so no visit's array
+    changes and no later numpy call sees its values.  A row alive at the
+    last visit (step n_steps) completed.  Each row has the bits of a batch
+    of that row alone: every numpy call acts on the stack row by row, and
+    what is per row stays per row: its increment, sample_increment(seed,
+    path, step), drawn once per step for the live rows that share a path,
+    and its noise, `noise.apply_G` of its own velocity.
 
     Each initial pair must satisfy `_start`, checked once per distinct
     pair; realness is checked there, not per transform (see `spectral`).
@@ -323,13 +321,12 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
     for v0, xi0, _ in rows:
         if (id(v0), id(xi0)) not in starts:
             starts[id(v0), id(xi0)] = _start(v0, xi0)
-    velocities = [starts[id(v0), id(xi0)] for v0, xi0, _ in rows]
     paths = [path for _, _, path in rows]
     in_band = all(_inside_dealias_band(v0, spec) for v0 in set(starts.values()))
     touched = scatter_plan(spec, grid).touched
     decay = heat_decay(grid, cfg.dt)
-    live = list(range(len(rows)))
-    v = np.stack([f.half for f in velocities])
+    alive = np.ones(len(rows), dtype=bool)
+    v = np.stack([starts[id(v0), id(xi0)].half for v0, xi0, _ in rows])
     xi = np.stack([xi0.half for _, xi0, _ in rows])
     zeta = np.zeros_like(xi)
     xi_values = physical_values(xi)
@@ -337,47 +334,39 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
     vorticity = physical_values(curl_halves(grid, v) * grid.dealias_mask)
     v_norm = sobolev_norms(v, grid)
 
-    for step in range(cfg.n_steps):
-        visit = Visit(step, step * cfg.dt, grid, live, velocities, v, xi, zeta,
-                      xi_values, v_norm)
+    for step in range(cfg.n_steps + 1):
+        visit = Visit(step, step * cfg.dt, grid, alive, v, xi, zeta, xi_values, v_norm)
         yield visit
-        keep = ~visit.ended
+        alive = visit.alive.copy()
+        if step == cfg.n_steps or not alive.any():
+            return
+        v, zeta, vorticity = _zeroed(alive, v, zeta, vorticity)
         draws = {}
-        g_dw = []
-        for i, row in enumerate(live):
-            if keep[i]:
-                path = paths[row]
-                if path not in draws:
-                    draws[path] = sample_increment(seed, path, step, spec, cfg.dt)
-                g_dw.append(noise.apply_G(velocities[i], draws[path], spec))
-        if not g_dw:
-            return
-        live, v, zeta, vorticity = _kept(keep, live, v, zeta, vorticity)
-        g_dw = np.stack(g_dw)
+        g_dw = np.zeros((len(rows), 3, len(touched)), dtype=np.complex128)
+        for i in np.flatnonzero(alive):
+            if paths[i] not in draws:
+                draws[paths[i]] = sample_increment(seed, paths[i], step, spec, cfg.dt)
+            g_dw[i] = noise.apply_G(VectorField(grid, v[i]), draws[paths[i]], spec)
         v, v_norm = velocity_step(grid, v, vorticity, g_dw[:, :2], touched, cfg)
-        keep = _within(v_norm, cfg)
-        live, v, v_norm, zeta, g_dw = _kept(keep, live, v, v_norm, zeta, g_dw)
-        if not live:
-            return
+        alive &= _within(v_norm, cfg)
+        (v,) = _zeroed(alive, v)
         # the stochastic convolution: zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]
         zeta = _stepped(decay, zeta, touched, g_dw[:, 2])
         xi = curl_halves(grid, v)
-        keep = _within(sobolev_norms(xi[:, None], grid), cfg)
-        live, v, v_norm, zeta, xi = _kept(keep, live, v, v_norm, zeta, xi)
-        if not live:
+        alive &= _within(sobolev_norms(xi[:, None], grid), cfg)
+        if not alive.any():
             return
+        v, v_norm, zeta, xi = _zeroed(alive, v, v_norm, zeta, xi)
         xi_values = physical_values(xi)
         vorticity = xi_values if in_band else physical_values(xi * grid.dealias_mask)
-        velocities = [VectorField(grid, half) for half in v]
-    yield Visit(cfg.n_steps, cfg.n_steps * cfg.dt, grid, live, velocities, v, xi, zeta,
-                xi_values, v_norm)
 
 
-def _kept(keep: np.ndarray, live: list[int], *stacks: np.ndarray):
-    """The rows that `keep` marks, of the live row list and of each stack."""
-    if keep.all():
-        return (live, *stacks)
-    return ([row for row, k in zip(live, keep) if k], *(a[keep] for a in stacks))
+def _zeroed(alive: np.ndarray, *stacks: np.ndarray) -> tuple:
+    """Each stack with the rows that `alive` does not mark replaced by
+    zeros, in a new array; the stacks themselves when every row is alive."""
+    if alive.all():
+        return stacks
+    return tuple(np.where(alive.reshape((-1,) + (1,) * (a.ndim - 1)), a, 0) for a in stacks)
 
 
 def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpec,
@@ -414,11 +403,11 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
             if visit.step < cfg.n_steps:
                 grad_v = grad_norms(visit.v, grid)
                 grad_beta = grad_norms(beta, grid)
-        for i, row in enumerate(visit.rows):
-            if observers[row] is not None:
-                observers[row](visit.state(i))
-            last[row] = visit, i
-            s = stats[row]
+        for i in np.flatnonzero(visit.alive):
+            if observers[i] is not None:
+                observers[i](visit.state(i))
+            last[i] = visit
+            s = stats[i]
             with np.errstate(over="ignore"):
                 s.sup_v_l2sq = _sup(s.sup_v_l2sq, float(visit.v_norm[i]) ** 2)
                 s.sup_xi_lq = _sup(s.sup_xi_lq, float(xi_lq[i]))
@@ -433,8 +422,8 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
                 visit.end(i)
 
     results = []
-    for s, (visit, i) in zip(stats, last):
-        if visit.step < cfg.n_steps or visit.ended[i]:
+    for i, (s, visit) in enumerate(zip(stats, last)):
+        if visit.step < cfg.n_steps or not visit.alive[i]:
             s.status = "blowup"
         results.append(TrajectoryResult(final=visit.state(i), stats=s))
     return results[0] if n_paths is None else results

@@ -269,6 +269,21 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (out / "stats.csv").exists()
 
+    def test_bdg_at_large_even_q_passes_with_no_zero_sup(self, tmp_path, monkeypatch, capsys):
+        # at q = 400 |x|^q of every sup below about 0.17 would underflow to 0
+        # without the power-of-two scaling of each time's values
+        seen, real = [], harness.simulate_bdg_sups
+        monkeypatch.setattr(harness, "simulate_bdg_sups",
+                            lambda *a, **k: seen.append(real(*a, **k)) or seen[-1])
+        doc = {"grid": {"modes_per_dim": 16}, "noise": {"sigma_kind": "constant_one"},
+               "solver": {"dt": 0.005, "t_end": 0.05}, "mc": {"n_paths": 2},
+               "checks": [{"name": "bdg", "n_paths": 400, "q": 400}]}
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "PASS bdg.C2" in out and "PASS bdg.C4" in out
+        assert len(seen) == 1 and seen[0].shape == (400, 2) and np.all(seen[0] > 0.0)
+
     def test_bdg_norm_is_computed_once(self, tmp_path, monkeypatch):
         calls, real = [], harness.operator_norms
 

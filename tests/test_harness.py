@@ -499,7 +499,8 @@ class TestGronwall:
         assert res["status"] == "completed"
         # sigma reads each solution's own velocity: v1 then v2, every step
         assert len(seen) == 2 * cfg.n_steps
-        assert seen[0] is v0a and seen[1] is v0b
+        assert np.array_equal(seen[0].half, v0a.half)
+        assert np.array_equal(seen[1].half, v0b.half)
 
     def test_blown_pair_fails_closed(self, grid16, rng):
         v0a = biot_savart(random_scalar_field(grid16, rng))
@@ -886,6 +887,25 @@ class TestBdg:
         sups = simulate_bdg_sups(SMALL_NOISE, v0, 4.0, 5, 3, 0.1, 0.01)
         assert len(draws) == len(set(draws)) == 5 * 10
         assert sups.shape == (5, 2)
+
+    @pytest.mark.parametrize("q", [4.0, 400.0])
+    def test_sups_scale_exactly_and_never_underflow(self, grid16, rng, q):
+        # X is linear in the coefficients, so scaling them by 2^-40 scales
+        # every sup by 2^-40, bit for bit; at q = 400, |x|^q of the smaller
+        # X would underflow to 0 without the power-of-two scaling of each time
+        v0 = random_divfree_field(grid16, rng)
+        tiny = replace(SMALL_NOISE, coefficients=tuple(c * 2.0**-40
+                                                       for c in SMALL_NOISE.coefficients))
+        sups = simulate_bdg_sups(SMALL_NOISE, v0, q, 20, 1, 0.05, 0.005)
+        small = simulate_bdg_sups(tiny, v0, q, 20, 1, 0.05, 0.005)
+        assert np.all(small > 0.0)
+        assert np.array_equal(small, sups * 2.0**-40)
+
+    def test_zero_operator_sups_stay_zero(self, grid16, rng):
+        # every time row is all zero, as the t = 0 row always is: norm 0, no warning
+        v0 = random_divfree_field(grid16, rng)
+        sups = simulate_bdg_sups(ZERO_NOISE, v0, 400.0, 3, 1, 0.05, 0.005)
+        assert sups.shape == (3, 2) and not np.any(sups)
 
     def test_moment_validation(self, grid16, rng):
         v0 = biot_savart(random_scalar_field(grid16, rng))

@@ -691,7 +691,7 @@ class TestBatchedPaths:
         for r, row in enumerate(rows):
             alone = list(integrator.trajectories([row], spec, cfg, seed=7))
             for vis, one in zip(visits, alone):
-                assert vis.rows == [0, 1, 2] and one.rows == [0]
+                assert vis.alive.tolist() == [True] * 3 and one.alive.tolist() == [True]
                 for name in ("v", "xi", "zeta", "xi_values", "v_norm"):
                     assert np.array_equal(bits(getattr(vis, name)[r]), bits(getattr(one, name)[0]))
 
@@ -738,12 +738,71 @@ class TestBatchedPaths:
             visits.append(vis)
             if vis.step == 4:
                 vis.end(1)
-        assert [vis.rows for vis in visits] == [[0, 1, 2]] * 5 + [[0, 2]] * (cfg.n_steps - 4)
+        assert ([vis.alive.tolist() for vis in visits]
+                == [[True] * 3] * 4 + [[True, False, True]] * (cfg.n_steps - 3))
         for r in (0, 2):
             alone = list(integrator.trajectories([rows[r]], UNIT_NOISE, cfg, seed=3))
             for vis, one in zip(visits, alone):
-                i = vis.rows.index(r)
-                assert np.array_equal(bits(vis.v[i]), bits(one.v[0]))
+                assert np.array_equal(bits(vis.v[r]), bits(one.v[0]))
+
+    STACKS = ("v", "xi", "zeta", "xi_values", "v_norm")
+
+    def test_rows_keep_their_places_to_the_last_visit(self, rng):
+        # on a torus of side 4 pi the low modes have |k| < 1 and ||xi|| stays
+        # below ||v||, so rows 3 and 4 blow up at the velocity guard, at steps
+        # 11 and 17; a consumer ends row 1 at step 4.  Every visit holds all
+        # five rows in row order; a finished row is marked dead and holds zeros
+        # from the next visit on; every other row has the bits of its one-path run
+        grid = SpectralGrid(32, domain_length=4 * math.pi)
+        spec = CovarianceSpec(((1, 0), (0, 1), (1, 1)), (2.0, 2.0, 2.0), 0.5, "constant_one")
+        xi0 = random_scalar_field(grid, rng, amplitude=0.1)
+        rows = [(None, xi0, p) for p in range(5)]
+        calm = SolverConfig(dt=2e-3, t_end=0.04)
+        alone = [list(integrator.trajectories([row], spec, calm, seed=2)) for row in rows]
+        peaks = sorted(max(vis.v_norm[0] for vis in one[1:]) for one in alone)
+        cfg = SolverConfig(dt=2e-3, t_end=0.04, blowup_threshold=float(peaks[2] + peaks[3]) / 2)
+        assert [next((vis.step for vis in one if vis.v_norm[0] > cfg.blowup_threshold), None)
+                for one in alone] == [None, None, None, 11, 17]
+        assert all(l2_norm(vis.state(0).xi) <= cfg.blowup_threshold
+                   for one in alone for vis in one)
+        dead_from, zeros_from = {1: 4, 3: 11, 4: 17}, {1: 5, 3: 11, 4: 17}
+        visits = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for vis in integrator.trajectories(rows, spec, cfg, seed=2):
+                visits.append(vis)
+                if vis.step == 4:
+                    vis.end(1)
+        assert [vis.step for vis in visits] == list(range(cfg.n_steps + 1))
+        for vis in visits:
+            assert vis.alive.tolist() == [vis.step < dead_from.get(r, math.inf)
+                                          for r in range(5)]
+            for name in self.STACKS:
+                stack = getattr(vis, name)
+                assert stack.shape[0] == 5
+                for r in range(5):
+                    if vis.step >= zeros_from.get(r, math.inf):
+                        assert not np.any(stack[r])
+                    else:
+                        want = getattr(alone[r][vis.step], name)[0]
+                        assert np.array_equal(bits(stack[r]), bits(want))
+
+    def test_an_ended_rows_last_visit_keeps_its_values(self, grid32, rng):
+        # a finished row is zeroed in new arrays, never in those a visit holds:
+        # its last visit, whose state run_trajectory returns as final, still
+        # holds its values after the loop has stepped on
+        v0 = random_divfree_field(grid32, rng)
+        cfg = SolverConfig(dt=2e-3, t_end=0.02)
+        rows = [(v0, curl(v0), p) for p in range(3)]
+        last = None
+        for vis in integrator.trajectories(rows, UNIT_NOISE, cfg, seed=3):
+            if vis.step == 4:
+                vis.end(1)
+                last = vis, {name: getattr(vis, name)[1].copy() for name in self.STACKS}
+        vis, yielded = last
+        assert np.any(yielded["v"])
+        for name, values in yielded.items():
+            assert np.array_equal(bits(getattr(vis, name)[1]), bits(values))
 
     def test_non_finite_functionals_end_every_row(self):
         # |xi|^4 overflows on so short a domain: every row ends as a blow-up
