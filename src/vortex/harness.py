@@ -92,6 +92,7 @@ from .spectral import (
     SpectralGrid,
     VectorField,
     bessel_multiplier,
+    dealiased_block,
     l2_inner,
     l2_norm,
     lq_norm,
@@ -100,7 +101,6 @@ from .spectral import (
     regrid,
     sobolev_norm_spectral,
     sobolev_norms,
-    to_physical,
     to_spectral,
     write_snapshot,
 )
@@ -225,7 +225,8 @@ def measure_gn_constant(grid: SpectralGrid, trials: int, seed: int = 7) -> float
 
     The fields are drawn in the order of one random_divfree_field call each
     and evaluated a chunk at a time: their L^2 norms by `sobolev_norms` and
-    their L^4 norms by `lq_norms` of one `physical_values`.  Each trial's
+    their L^4 norms by `lq_norms` of one `physical_values`, which takes
+    only the dealias band's columns of the dealiased trials.  Each trial's
     last steps, the ratio and the running sup, run on scalars, so the
     constant has the bits of the trials taken one at a time."""
     rng = np.random.default_rng(seed)
@@ -235,7 +236,7 @@ def measure_gn_constant(grid: SpectralGrid, trials: int, seed: int = 7) -> float
         v = divfree_halves(grid, normals, decays, np.ones(size))
         l2 = sobolev_norms(v, grid)
         grad = grad_norms(v, grid)
-        l4 = lq_norms(physical_values(v), 4.0, grid)
+        l4 = lq_norms(physical_values(dealiased_block(v, grid)), 4.0, grid)
         for a, b, c in zip(l2, grad, l4):
             denom = float(a) * float(b)
             if denom == 0.0:
@@ -576,14 +577,16 @@ def _weighted_residual(u: VectorField, f: ScalarField) -> float:
     where the rectangle rule integrates it exactly while 5c < 2N, as for
     any dealias_fraction below 4/5 (Boyd, Chebyshev and Fourier Spectral
     Methods, 2001, ch. 11).  The padded values are formed from the N-grid
-    coefficients, u and grad f each in one stacked transform.
+    coefficients, u and grad f each in one stacked transform.  Each
+    dealiased factor fills only the columns 0..L of the 2N grid's N+1, L
+    the N grid's `dealias_limit`, so its transform takes that block alone.
     """
     grid = u.grid
     fine = SpectralGrid(2 * grid.modes_per_dim, grid.domain_length,
                         grid.dealias_fraction)
 
     def padded(c: Field) -> np.ndarray:
-        return to_physical(regrid(c, fine))
+        return physical_values(regrid(c, fine).half[..., : grid.dealias_limit + 1])
 
     p = padded(f)
     w = p * p * p

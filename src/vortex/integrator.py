@@ -27,7 +27,8 @@ One loop steps every solution the program integrates: the generator
 `trajectories` steps a batch of rows, each an initial velocity and a path
 index, as stacked halves, (P, 2, N, N/2+1) for v and (P, N, N/2+1) for
 zeta, and yields the states each step visits.  Every operation of a step
-is one numpy call for the batch: the drift's two transforms, the Leray
+is one numpy call for the batch: the drift's two transforms (u and the
+products, each band-pruned to the dealias band's columns), the Leray
 projection, the heat factor, the curl, the physical values of xi and the
 guards' norms.  What is per row stays per row: its increment and its
 noise.  Every call acts on the stack row by row, so a row has the bits of
@@ -47,6 +48,17 @@ product is dealiased and the heat decay is diagonal, so curl v then has
 no coefficient outside the band at any step, and its physical values are
 the dealiased w.  Otherwise each step transforms the dealiased curl once
 more.
+
+The same fact prunes the transforms of the visited states: when v0 and
+every noise mode lie in the band, each state after the first vanishes
+past column L = `grid.dealias_limit`, so xi, and beta for the L^q
+statistic, are transformed as their block of columns 0..L (see
+`spectral.physical_values`).  The first state carries xi0 itself, which
+`_start` lets differ from curl v0 by its tolerance, so it is pruned only
+when xi0 too vanishes past column L.  `Visit.columns` says how many
+columns a transform of a visit's stacks must read.  The masked
+transforms, the dealiased vorticity out of band and curl v0 before the
+loop, take the band's columns always.
 """
 
 from __future__ import annotations
@@ -64,6 +76,7 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    dealiased_block,
     heat_decay,
     l2_norm,
     lq_norms,
@@ -264,12 +277,16 @@ class Visit:
     stack being row i of the batch: `v` holds the velocity halves
     (P, 2, N, N/2+1), `xi` and `zeta` (P, N, N/2+1), `xi_values` (P, N, N)
     the physical values of xi, and `v_norm` (P,) the L2 norms of v.
-    `alive` (P,) marks the rows that hold a state; a finished row holds
-    zeros.  `end` takes an index or a mask and ends those rows here."""
+    Every stack vanishes past its first `columns` half-spectrum columns,
+    so a transform of it, or of beta, may take that block alone (see
+    `spectral.physical_values`).  `alive` (P,) marks the rows that hold a
+    state; a finished row holds zeros.  `end` takes an index or a mask and
+    ends those rows here."""
 
     step: int
     t: float
     grid: SpectralGrid
+    columns: int
     alive: np.ndarray
     v: np.ndarray
     xi: np.ndarray
@@ -323,19 +340,24 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
             starts[id(v0), id(xi0)] = _start(v0, xi0)
     paths = [path for _, _, path in rows]
     in_band = all(_inside_dealias_band(v0, spec) for v0 in set(starts.values()))
+    # the columns every state after the first can fill
+    columns = grid.dealias_limit + 1 if in_band else grid.modes_per_dim // 2 + 1
     touched = scatter_plan(spec, grid).touched
     decay = heat_decay(grid, cfg.dt)
     alive = np.ones(len(rows), dtype=bool)
     v = np.stack([starts[id(v0), id(xi0)].half for v0, xi0, _ in rows])
     xi = np.stack([xi0.half for _, xi0, _ in rows])
     zeta = np.zeros_like(xi)
-    xi_values = physical_values(xi)
-    # curl(v0) may differ from xi0 by up to the tolerance of `_start`
-    vorticity = physical_values(curl_halves(grid, v) * grid.dealias_mask)
+    # the first state carries xi0, which may hold columns past the band
+    # within the tolerance of `_start`, where curl(v0) does not
+    first = columns if not np.any(xi[..., columns:]) else xi.shape[-1]
+    xi_values = physical_values(xi[..., :first])
+    vorticity = physical_values(dealiased_block(curl_halves(grid, v), grid))
     v_norm = sobolev_norms(v, grid)
 
     for step in range(cfg.n_steps + 1):
-        visit = Visit(step, step * cfg.dt, grid, alive, v, xi, zeta, xi_values, v_norm)
+        visit = Visit(step, step * cfg.dt, grid, columns if step else first, alive, v, xi, zeta,
+                      xi_values, v_norm)
         yield visit
         alive = visit.alive.copy()
         if step == cfg.n_steps or not alive.any():
@@ -357,8 +379,8 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
         if not alive.any():
             return
         v, v_norm, zeta, xi = _zeroed(alive, v, v_norm, zeta, xi)
-        xi_values = physical_values(xi)
-        vorticity = xi_values if in_band else physical_values(xi * grid.dealias_mask)
+        xi_values = physical_values(xi[..., :columns])
+        vorticity = xi_values if in_band else physical_values(dealiased_block(xi, grid))
 
 
 def _zeroed(alive: np.ndarray, *stacks: np.ndarray) -> tuple:
@@ -399,7 +421,7 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
         with np.errstate(over="ignore"):
             xi_lq = lq_norms(visit.xi_values[:, None], lq_exponent, grid)
             beta_l2 = sobolev_norms(beta, grid)
-            beta_lq = lq_norms(physical_values(beta), lq_exponent, grid)
+            beta_lq = lq_norms(physical_values(beta[..., :visit.columns]), lq_exponent, grid)
             if visit.step < cfg.n_steps:
                 grad_v = grad_norms(visit.v, grid)
                 grad_beta = grad_norms(beta, grid)

@@ -272,8 +272,11 @@ def _dense_halves(spec: CovarianceSpec, grid: SpectralGrid,
 
 def basis_values(spec: CovarianceSpec, grid: SpectralGrid) -> np.ndarray:
     """The physical values of every basis element e_k, (modes, 2, N, N):
-    the `physical_values` of the plan's velocity amplitudes."""
-    return physical_values(_dense_halves(spec, grid, scatter_plan(spec, grid).velocity))
+    the `physical_values` of the plan's velocity amplitudes, taken as the
+    block of the columns 0..K that the modes touch, K <= their band."""
+    plan = scatter_plan(spec, grid)
+    width = int(np.max(plan.touched % (grid.modes_per_dim // 2 + 1), initial=0)) + 1
+    return physical_values(_dense_halves(spec, grid, plan.velocity)[..., :width])
 
 
 def quadrature_grid(spec: CovarianceSpec, grid: SpectralGrid, q: float) -> SpectralGrid:

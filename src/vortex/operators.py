@@ -7,7 +7,11 @@ projection removes the gradient, so P B(u,u) = P[w (-u_y, u_x)] (Orszag
 1971; Canuto et al., Spectral Methods, 2007, sec. 3.4).  `velocity_drift`
 takes this rotational form: from the physical w it costs one batched
 transform for both components of u and one for both products, where the
-advective form costs eight single transforms.  It takes a stack of
+advective form costs eight single transforms.  Both are band-pruned: u is
+dealiased, so its transform takes only the columns 0..L of its halves, L
+= `grid.dealias_limit`, and the products' column pass computes only
+those columns (see `spectral.physical_values` and
+`spectral.hermitian_amplitudes`).  It takes a stack of
 velocity halves, so a step drifts a batch of paths in those two calls.
 It is the one implementation of P B(v,v): the time step and the identity
 suite both call it, through this module's attribute.
@@ -34,6 +38,7 @@ from .spectral import (
     SpectralGrid,
     VectorField,
     dealias,
+    dealiased_block,
     gradient_weight,
     half_sums,
     hermitian_amplitudes,
@@ -135,8 +140,11 @@ def velocity_drift(grid: SpectralGrid, v: np.ndarray, vorticity: np.ndarray) -> 
 
     v is a stack of velocity halves (..., 2, N, N/2+1) and vorticity their
     w (..., N, N); returns the drifts' halves, each with the bits of its
-    field taken alone, so a step drifts a batch of paths in one call."""
-    wu = physical_values(v * grid.dealias_mask)
+    field taken alone, so a step drifts a batch of paths in one call.
+    Both transforms cover only the dealias band's columns: u is masked and
+    transformed as its block of columns 0..L, L = `grid.dealias_limit`,
+    and the products' column pass stops at L."""
+    wu = physical_values(dealiased_block(v, grid))
     wu *= vorticity[..., None, :, :]  # w u, in u's buffer
     np.negative(wu[..., 1, :, :], out=wu[..., 1, :, :])  # w (u_x, -u_y)
     products = _spectral_of(wu[..., ::-1, :, :], grid)  # of w (-u_y, u_x)

@@ -21,14 +21,26 @@ gradient's symbol `diff_k`, each (2, N, N/2+1), and `ksq`, `inv_ksq`,
 
 Only this module knows how a stack of halves (..., C, N, N/2+1), C
 components per field, becomes physical values and norms: one batched
-irfft2 (`physical_values`), the W^{s,2} norms as the hypot over the
-component axis (`sobolev_norms`) and the L^q norms of the values
-(`lq_norms`).  `to_physical`, `sobolev_norm_spectral`, `l2_norm` and
+inverse real transform (`physical_values`), the W^{s,2} norms as the
+hypot over the component axis (`sobolev_norms`) and the L^q norms of the
+values (`lq_norms`).  `to_physical`, `sobolev_norm_spectral`, `l2_norm` and
 `lq_norm` are their one-field cases, with the same bits.
 
-`to_spectral` is an rfft2 with the two self-conjugate columns mirrored
-within themselves, so a transformed spectrum is Hermitian by
-construction.  Only those two columns can break realness; the entry
+Both transforms are band-pruned (output pruning of the FFT: Markel, IEEE
+Trans. Audio Electroacoust. 19(4), 1971).  A 2-D transform is a length-N
+column pass along axis -2 and a row pass along axis -1, and each column's
+pass is its own 1-D transform.  `physical_values` takes the first m
+columns of a half, (..., N, m), the columns past m zero, and runs its
+column pass over those m only; `hermitian_amplitudes` runs its column
+pass only over the columns it keeps.  Either way no bit changes.  A
+caller passes a block only where the columns it leaves out are known to
+vanish: a dealiased field, or a product under the 2/3 rule (Orszag, J.
+Atmos. Sci. 28, 1971), vanishes past column `dealias_limit`, and
+`dealiased_block` cuts stacked halves to that block as it dealiases them.
+
+`to_spectral` is a forward real transform (`hermitian_amplitudes` at
+width N/2) with the two self-conjugate columns mirrored within
+themselves, so a transformed spectrum is Hermitian by construction.  Only those two columns can break realness; the entry
 points that take caller-made fields (`operators.biot_savart`,
 `integrator.trajectories`) check them with `require_real`.  A full (N, N)
 lattice enters only through `ScalarField.from_lattice`, which checks it,
@@ -289,10 +301,27 @@ def to_physical(field: Field) -> np.ndarray:
 
 
 def physical_values(halves: np.ndarray) -> np.ndarray:
-    """The real (..., N, N) grid values of stacked (..., N, N/2+1) halves:
-    one batched irfft2, scaled in place by N^2."""
-    n = halves.shape[-2]
-    values = np.fft.irfft2(halves, s=(n, n))
+    """The real (..., N, N) grid values of stacked halves, given as their
+    first m columns (..., N, m), m <= N/2+1, the columns past m zero.
+
+    The transform is irfft2's two passes, scaled in place by N^2: the
+    length-N column pass (ifft along axis -2) runs over the m given
+    columns only, and is assigned into a zero (..., N, N/2+1) buffer, which
+    the row pass (irfft along axis -1) reads whole.  Each column is
+    transformed on its own, so a block has the bits of the whole half it
+    stands for.  A caller may pass a block only where the columns it
+    leaves out are known to vanish, as for a dealiased field, whose
+    columns past `dealias_limit` do."""
+    n, m = halves.shape[-2:]
+    if m > n // 2 + 1:
+        raise ValueError(f"a half-spectrum block of {n} rows has at most {n // 2 + 1} "
+                         f"columns, got {m}")
+    if m == n // 2 + 1:
+        columns = np.fft.ifft(halves, axis=-2)
+    else:
+        columns = np.zeros(halves.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+        columns[..., :m] = np.fft.ifft(halves, axis=-2)
+    values = np.fft.irfft(columns, n, axis=-1)
     values *= n * n  # in place: same bits as the out-of-place product
     return values
 
@@ -308,16 +337,26 @@ def to_spectral(values: np.ndarray, grid: SpectralGrid) -> ScalarField:
 
 def hermitian_amplitudes(values: np.ndarray, width: int) -> np.ndarray:
     """(..., N, N/2+1) half-spectrum amplitudes of real (..., N, N) values
-    with max(|j1|, |j2|) <= width, zero outside: one rfft2 scaled by 1/N^2.
-    Within column 0 and, at width N/2, the Nyquist column, row N - i is
-    written as the conjugate of row i, and the four self-conjugate
-    amplitudes are made real, so each half is exactly Hermitian."""
+    with max(|j1|, |j2|) <= width, zero outside, scaled by 1/N^2.
+
+    The transform is rfft2's two passes: the row pass (rfft along axis -1)
+    over every row, then the length-N column pass (fft along axis -2) over
+    the columns 0..width only, so no column outside the band is computed.
+    The band's amplitudes are divided into a zero output allocated once;
+    each column is transformed on its own, so they have the bits of the
+    full rfft2.  Within column 0 and, at width N/2, the Nyquist column,
+    row N - i is written as the conjugate of row i, and the four
+    self-conjugate amplitudes are made real, so each half is exactly
+    Hermitian."""
     n = values.shape[-1]
     h = n // 2
-    out = np.fft.rfft2(values)
-    out[..., width + 1: n - width, :] = 0.0
-    out[..., width + 1:] = 0.0
-    out /= n * n  # in place: same bits as the out-of-place quotient
+    band = np.fft.fft(np.fft.rfft(values, axis=-1)[..., : width + 1], axis=-2)
+    out = np.zeros(band.shape[:-1] + (h + 1,), dtype=np.complex128)
+    # the rows 0..width and N-width..N-1, divided into place: the bits of
+    # the out-of-place quotient
+    for rows in (slice(0, width + 1), slice(n - width, n)):
+        np.divide(band[..., rows, :], n * n, out=out[..., rows, : width + 1])
+    del band
     # coeff(-k) = conj(coeff(k)) within the self-conjugate columns
     for j in (0, h) if width == h else (0,):
         np.conjugate(out[..., h - 1: 0: -1, j], out=out[..., h + 1:, j])
@@ -349,6 +388,14 @@ def require_real(field: Field, name: str) -> None:
 def dealias(field: Field) -> Field:
     """Zero every mode outside the grid's dealias mask (a projection)."""
     return type(field)(field.grid, field.half * field.grid.dealias_mask)
+
+
+def dealiased_block(halves: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """The columns 0..L, L = `dealias_limit`, of stacked halves times the
+    dealias mask, (..., N, L+1): the mask zeroes every column past L, so
+    `physical_values` of the block is that of the dealiased halves."""
+    band = grid.dealias_limit + 1
+    return halves[..., :band] * grid.dealias_mask[:, :band]
 
 
 def bessel_multiplier(field: Field, s: float) -> Field:

@@ -6,9 +6,11 @@ remainder equations, which `run_trajectory` derives instead of stepping;
 the dense noise sum that `apply_G` scatters, with R_n applied
 over the whole grid; the basis elements read from the dense `NoiseBasis`;
 the analytic Lipschitz constant of sigma; the per-trial loops of the
-measured constants, which the harness evaluates a chunk at a time; and the
+measured constants, which the harness evaluates a chunk at a time; the
 running-maximum moments of a Brownian motion that the BDG check is measured
-against."""
+against; and the unpruned transforms, one irfft2 or rfft2 of the whole
+half spectrum, that the band-pruned `physical_values` and
+`hermitian_amplitudes` must match bit for bit."""
 
 import math
 
@@ -177,3 +179,38 @@ def discrete_sup_sq_oracle(horizon, dt):
     s1 = abs_brownian_sup_moment(1.0, horizon)
     s2 = abs_brownian_sup_moment(2.0, horizon)
     return s2 - 2.0 * s1 * beta_star * math.sqrt(dt)
+
+
+def whole_halves(block):
+    """The (..., N, N/2+1) halves of a block of their first columns
+    (..., N, m), the columns past m zero."""
+    n = block.shape[-2]
+    whole = np.zeros(block.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    whole[..., : block.shape[-1]] = block
+    return whole
+
+
+def irfft2_values(halves):
+    """spectral.physical_values unpruned: one irfft2 over every column of
+    the whole halves (a block is first widened by `whole_halves`), scaled in
+    place by N^2."""
+    n = halves.shape[-2]
+    values = np.fft.irfft2(whole_halves(halves), s=(n, n))
+    values *= n * n
+    return values
+
+
+def rfft2_amplitudes(values, width):
+    """spectral.hermitian_amplitudes unpruned: one rfft2 over every column,
+    then the amplitudes outside max(|j1|, |j2|) <= width zeroed, all scaled
+    by 1/N^2 in place, and the self-conjugate columns mirrored."""
+    n = values.shape[-1]
+    h = n // 2
+    out = np.fft.rfft2(values)
+    out[..., width + 1: n - width, :] = 0.0
+    out[..., width + 1:] = 0.0
+    out /= n * n
+    for j in (0, h) if width == h else (0,):
+        np.conjugate(out[..., h - 1: 0: -1, j], out=out[..., h + 1:, j])
+    out.imag[..., ::h, ::h] = 0.0
+    return out

@@ -10,7 +10,9 @@ from oracles import (
     basis_fields,
     beta_step,
     bilinear_B,
+    irfft2_values,
     stacked_drift,
+    whole_halves,
     vorticity_step,
     zeta_step,
 )
@@ -45,6 +47,7 @@ from vortex.spectral import (
     heat_decay,
     l2_norm,
     lattice,
+    lq_norm,
     to_physical,
     to_spectral,
     zero_scalar,
@@ -535,37 +538,74 @@ class TestRotationalForm:
 
     @pytest.mark.parametrize("case, per_step", [("in_band", 4), ("out_of_band", 5)])
     def test_transforms_per_step(self, grid32, rng, monkeypatch, case, per_step):
-        # per step: u (1, both components batched), the products (1, batched),
-        # beta's L^q norm (1) and the new vorticity (1), plus the dealiased
-        # vorticity once more out of band;
-        # before the loop xi0 and curl v0 (2), after it beta's norm (1).
-        # Every one is real-to-complex: no complex transform is left.
+        # per step: beta's L^q norm, u (both components batched), the products
+        # (batched) and the new vorticity, plus the dealiased vorticity once
+        # more out of band; before the loop xi0 and curl v0, after it beta's
+        # norm.  Each is a column pass (the complex length-N transform along
+        # axis -2) over a block of the half's columns and a row pass (the real
+        # transform along axis -1) over every row: no 2-D and no full complex
+        # transform is left.  In band every column pass covers the dealias
+        # band's L + 1 columns; out of band xi and beta take all N/2 + 1,
+        # while the dealiased u, products and vorticity keep L + 1.
         modes = self.MODES + ((12, 0),) if case == "out_of_band" else self.MODES
         spec = self.spec(grid32, rng, "rational_square", modes)
         xi0 = random_scalar_field(grid32, rng)
         calls = []
-        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                     "fftn", "ifftn", "rfftn", "irfftn"):
             original = getattr(np.fft, name)
 
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+            def counted(a, *args, _original=original, _name=name, **kwargs):
+                calls.append((_name, kwargs.get("axis"), np.shape(a)[-1]))
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
+        n_grid = grid32.modes_per_dim
+        band, whole = grid32.dealias_limit + 1, n_grid // 2 + 1
+        xi_width = band if case == "in_band" else whole
+
+        def inverse(width):
+            return [("ifft", -2, width), ("irfft", -1, whole)]
+
+        forward = [("rfft", -1, n_grid), ("fft", -2, band)]
+        step = inverse(xi_width) + inverse(band) + forward + inverse(xi_width)
+        if case == "out_of_band":
+            step += inverse(band)
+        assert len(step) == 2 * per_step
         for n in (5, 10):
             calls.clear()
             cfg = SolverConfig(dt=1e-3, t_end=n * 1e-3)
             assert run_trajectory(None, xi0, spec, cfg, seed=3).stats.status == "completed"
-            assert len(calls) == per_step * n + 3
-            assert calls.count("rfft2") == n
-            assert calls.count("fft2") == calls.count("ifft2") == 0
+            assert calls == inverse(xi_width) + inverse(band) + step * n + inverse(xi_width)
+
+    def test_the_first_visit_transforms_all_of_xi0(self, grid32, rng, monkeypatch):
+        # v0 and every noise mode lie in the band, so no step fills a column
+        # past it; but xi0 = curl v0 plus one tiny coefficient past the band's
+        # columns passes `_start`, and the first visit carries xi0 itself, so
+        # its transforms must read every column
+        v0 = random_divfree_field(grid32, rng)
+        half = curl(v0).half.copy()
+        half[3, grid32.dealias_limit + 2] = 1e-12 * np.max(np.abs(half))
+        xi0 = ScalarField(grid32, half)
+        spec = self.spec(grid32, rng, "rational_square", self.MODES)
+        cfg = SolverConfig(dt=1e-3, t_end=5e-3)
+        first = next(integrator.trajectories([(v0, xi0, 0)], spec, cfg, seed=3))
+        assert first.step == 0 and np.array_equal(first.xi_values[0], irfft2_values(half))
+        res = run_trajectory(v0, xi0, spec, cfg, seed=3)
+        monkeypatch.setattr(integrator, "physical_values", irfft2_values)
+        reference = run_trajectory(v0, xi0, spec, cfg, seed=3)
+        assert res.stats.status == reference.stats.status == "completed"
+        # beta's sup is its value at t = 0, the L^4 norm of xi0 itself
+        assert res.stats.sup_beta_lq == reference.stats.sup_beta_lq == lq_norm(xi0, 4.0)
+        assert res.stats.sup_xi_lq == reference.stats.sup_xi_lq
 
 
 def complex_physical_values(halves):
     """The complex-transform reference of spectral.physical_values: ifft2 of
-    each half's full spectrum, real part."""
+    each half's full spectrum, real part.  Takes a block of a half's first
+    columns, as physical_values does, the columns past it zero."""
     n = halves.shape[-2]
-    return (np.fft.ifft2(lattice(halves)) * (n * n)).real
+    return (np.fft.ifft2(lattice(whole_halves(halves))) * (n * n)).real
 
 
 def complex_spectral_of(values, grid):
@@ -600,8 +640,8 @@ class TestRealTransforms:
         def refused(*args, **kwargs):
             raise AssertionError("a real transform ran in the reference trajectory")
 
-        monkeypatch.setattr(np.fft, "rfft2", refused)
-        monkeypatch.setattr(np.fft, "irfft2", refused)
+        for name in ("rfft", "irfft", "rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, refused)
         oracle = run_trajectory(None, xi0, spec, cfg, seed=13, observer=oracle_states.append)
         assert cfg.n_steps == 60 and res.stats.status == oracle.stats.status == "completed"
         outside = ~grid32.dealias_mask

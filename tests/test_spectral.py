@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import irfft2_values, rfft2_amplitudes
 
 from vortex.operators import random_scalar_field
 from vortex.spectral import (
@@ -14,9 +15,11 @@ from vortex.spectral import (
     VectorField,
     bessel_multiplier,
     dealias,
+    dealiased_block,
     hermitian_amplitudes,
     l2_inner,
     lq_norm,
+    physical_values,
     read_snapshot,
     regrid,
     require_real,
@@ -231,6 +234,71 @@ class TestTransforms:
             ScalarField(grid16, np.zeros((8, 8), dtype=complex))
         with pytest.raises(ValueError, match="shape"):
             to_spectral(np.zeros((8, 8)), grid16)
+
+
+class TestBandBlocks:
+    """Both transforms skip the columns past a band: physical_values takes a
+    block of a half's first columns and hermitian_amplitudes computes only
+    the columns it keeps.  Each column's 1-D transform is its own, so both
+    must equal the unpruned irfft2 / rfft2 reference bit for bit."""
+
+    GRIDS = [SpectralGrid(n) for n in (8, 16, 48, 64, 256)] + [SpectralGrid(48, 1.0, 0.3)]
+
+    @staticmethod
+    def widths(grid):
+        h = grid.modes_per_dim // 2
+        return sorted({0, 1, grid.dealias_limit, h - 1, h})
+
+    @staticmethod
+    def halves(rng, lead, n, width):
+        """Random (lead..., N, N/2+1) halves, zero past column `width`."""
+        shape = lead + (n, n // 2 + 1)
+        out = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out[..., width + 1:] = 0.0
+        return out
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.modes_per_dim}-{g.dealias_limit}")
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=str)
+    def test_physical_values_of_a_block(self, rng, grid, lead):
+        n = grid.modes_per_dim
+        for width in self.widths(grid):
+            halves = self.halves(rng, lead, n, width)
+            want = irfft2_values(halves)
+            assert np.array_equal(physical_values(halves[..., : width + 1]), want)
+            assert np.array_equal(physical_values(halves), want)
+            # a stack with its component axis reversed
+            flipped = self.halves(rng, lead + (2,), n, width)[..., ::-1, :, :]
+            assert np.array_equal(physical_values(flipped[..., : width + 1]),
+                                  irfft2_values(np.ascontiguousarray(flipped)))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.modes_per_dim}-{g.dealias_limit}")
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=str)
+    def test_hermitian_amplitudes_of_a_band(self, rng, grid, lead):
+        n = grid.modes_per_dim
+        for width in self.widths(grid):
+            values = rng.standard_normal(lead + (n, n))
+            assert np.array_equal(hermitian_amplitudes(values, width),
+                                  rfft2_amplitudes(values, width))
+            # velocity_drift passes its products with the components reversed
+            wu = rng.standard_normal(lead + (2, n, n))
+            reversed_stride = wu[..., ::-1, :, :]
+            assert np.array_equal(hermitian_amplitudes(reversed_stride, width),
+                                  rfft2_amplitudes(np.ascontiguousarray(reversed_stride), width))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.modes_per_dim}-{g.dealias_limit}")
+    def test_a_dealiased_block_transforms_as_the_dealiased_halves(self, rng, grid):
+        n = grid.modes_per_dim
+        halves = self.halves(rng, (2, 2), n, n // 2)
+        block = dealiased_block(halves, grid)
+        assert block.shape == (2, 2, n, grid.dealias_limit + 1)
+        assert np.array_equal(physical_values(block),
+                              irfft2_values(halves * grid.dealias_mask))
+
+    def test_a_block_wider_than_the_half_is_refused(self, rng):
+        with pytest.raises(ValueError, match="at most 9 columns, got 10"):
+            physical_values(np.zeros((16, 10), dtype=complex))
+        with pytest.raises(ValueError, match="at most 5 columns"):
+            physical_values(np.zeros((3, 8, 8), dtype=complex))
 
 
 class TestDealias:
