@@ -19,25 +19,30 @@ step touches half the lattice and takes both components in one call.
 Each step evaluates the noise once (`noise.apply_G`, read from the module
 like `operators.velocity_drift`, so a patch there reaches every step), for
 v and zeta together, at the few half-spectrum coefficients the noise modes
-touch; both updates add it there in place, so a step builds no dense noise
-field.  The blow-up guard measures ||v|| of each new state, and the path
-statistics take that value rather than measuring it again.
+touch (`noise.scatter_plan(...).touched`), so a step builds no dense noise
+field.  The velocity update adds it there in place.  zeta starts at zero
+and only the noise feeds it, so it vanishes off those coefficients at
+every step: it is stored and stepped there alone, and scattered into a
+dense half only for an observer's `CoupledState`.  The blow-up guard
+measures ||v|| of each new state, and the path statistics take that value
+rather than measuring it again.
 
 One loop steps every solution the program integrates: the generator
 `trajectories` steps a batch of rows, each an initial velocity and a path
-index, as stacked halves, (P, 2, N, N/2+1) for v and (P, N, N/2+1) for
-zeta, and yields the states each step visits.  Every operation of a step
-is one numpy call for the batch: the drift's two transforms (u and the
-products, each band-pruned to the dealias band's columns), the Leray
-projection, the heat factor, the curl, the physical values of xi and the
-guards' norms.  What is per row stays per row: its increment and its
-noise.  Every call acts on the stack row by row, so a row has the bits of
-a batch of one.  A batch keeps its rows to its end, row i at index i of
-every stack; a row that blows up, or that its consumer ends, holds zeros
-from then on, so its values reach no later call.  `run_trajectory` reduces the loop to the path
-statistics, one path or a batch of paths, and the harness's Gronwall
-pairs step their two solutions of a path as two rows, so the checks
-exercise the same code as a run.
+index, as stacked halves, (P, 2, N, N/2+1) for v, with zeta (P, T) at
+the T touched coefficients, and yields the states each step visits.
+Every operation of a step is one numpy call for the batch: the drift's
+two transforms (u and the products, each band-pruned to the dealias
+band's columns), the Leray projection, the heat factor, the curl, the
+physical values of xi and the guards' norms.  What is per row stays per
+row: its increment and its noise.  Every call acts on the stack row by
+row, so a row has the bits of a batch of one.  A batch keeps its rows to
+its end, row i at index i of every stack; a row that blows up, or that
+its consumer ends, holds zeros from then on, so its values reach no
+later call.  `run_trajectory` reduces the loop to the path statistics,
+one path or a batch of paths, and the harness's Gronwall pairs step
+their two solutions of a path as two rows, so the checks exercise the
+same code as a run.
 
 The velocity nonlinearity is `operators.velocity_drift`, the rotational
 form P B(v,v) = P[w (-u_y, u_x)] with u the dealiased v and w its curl,
@@ -56,7 +61,7 @@ statistic, are transformed as their block of columns 0..L (see
 `spectral.physical_values`).  The first state carries xi0 itself, which
 `_start` lets differ from curl v0 by its tolerance, so it is pruned only
 when xi0 too vanishes past column L.  `Visit.columns` says how many
-columns a transform of a visit's stacks must read.  The masked
+columns a transform of a visit's half stacks must read.  The masked
 transforms, the dealiased vorticity out of band and curl v0 before the
 loop, take the band's columns always.
 """
@@ -164,18 +169,6 @@ class TrajectoryResult:
     stats: TrajectoryStats
 
 
-def _stepped(decay: np.ndarray, base: np.ndarray, touched: np.ndarray,
-             g_dw: np.ndarray, drift: np.ndarray | None = None) -> np.ndarray:
-    """exp(-|k|^2 dt) [base + drift + g_dw] of stacked halves base
-    (..., N, N/2+1), the noise g_dw (..., len(touched)) of each half given at
-    the flat half-spectrum indices `touched` and added there in place.
-    drift, an array shaped like base, holds the result."""
-    acc = base.copy() if drift is None else np.add(drift, base, out=drift)
-    acc.reshape(acc.shape[:-2] + (-1,))[..., touched] += g_dw
-    acc *= decay  # in place: same bits as the out-of-place product
-    return acc
-
-
 def _within(norms: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """The blow-up guard: which L2 norms stay within the threshold.  Fail
     closed: a norm above it, inf or NaN is a blow-up."""
@@ -197,12 +190,15 @@ def velocity_step(
 
     `g_dw` (..., 2, len(touched)) holds rows 0 and 1 of each half's
     `noise.apply_G` increment, G(v) dW at the flat half-spectrum indices
-    `touched`.  P B(v,v) is `operators.velocity_drift`, read from the module
-    so that the identity suite judges the same function; `vorticity` holds
-    the w it takes, the physical values of the dealiased curl of v
-    (`operators.vorticity_values`)."""
-    drift = operators.velocity_drift(grid, v, vorticity) * -cfg.dt
-    new = _stepped(heat_decay(grid, cfg.dt), v, touched, g_dw, drift)
+    `touched`, where it is added in place; the sum is formed and decayed in
+    the drift's array.  P B(v,v) is `operators.velocity_drift`, read from
+    the module so that the identity suite judges the same function;
+    `vorticity` holds the w it takes, the physical values of the dealiased
+    curl of v (`operators.vorticity_values`)."""
+    new = operators.velocity_drift(grid, v, vorticity) * -cfg.dt
+    new += v
+    new.reshape(new.shape[:-2] + (-1,))[..., touched] += g_dw
+    new *= heat_decay(grid, cfg.dt)  # in place: same bits as the out-of-place product
     return new, sobolev_norms(new, grid)
 
 
@@ -275,13 +271,15 @@ def _start(v0: VectorField | None, xi0: ScalarField) -> VectorField:
 class Visit:
     """The states of a batch's rows after `step` steps, row i of every
     stack being row i of the batch: `v` holds the velocity halves
-    (P, 2, N, N/2+1), `xi` and `zeta` (P, N, N/2+1), `xi_values` (P, N, N)
-    the physical values of xi, and `v_norm` (P,) the L2 norms of v.
-    Every stack vanishes past its first `columns` half-spectrum columns,
-    so a transform of it, or of beta, may take that block alone (see
-    `spectral.physical_values`).  `alive` (P,) marks the rows that hold a
-    state; a finished row holds zeros.  `end` takes an index or a mask and
-    ends those rows here."""
+    (P, 2, N, N/2+1), `xi` the vorticity halves (P, N, N/2+1), `zeta`
+    (P, T) the stochastic convolution at the T flat half-spectrum indices
+    `touched`, where the noise adds (zero at every other coefficient),
+    `xi_values` (P, N, N) the physical values of xi, and `v_norm` (P,) the
+    L2 norms of v.  Every half stack, and beta, vanishes past its first
+    `columns` half-spectrum columns, so a transform of it may take that
+    block alone (see `spectral.physical_values`).  `alive` (P,) marks the
+    rows that hold a state; a finished row holds zeros.  `end` takes an
+    index or a mask and ends those rows here."""
 
     step: int
     t: float
@@ -290,6 +288,7 @@ class Visit:
     alive: np.ndarray
     v: np.ndarray
     xi: np.ndarray
+    touched: np.ndarray
     zeta: np.ndarray
     xi_values: np.ndarray
     v_norm: np.ndarray
@@ -299,14 +298,21 @@ class Visit:
 
     @cached_property
     def beta(self) -> np.ndarray:
-        """The remainder beta = xi - zeta of every row."""
-        return self.xi - self.zeta
+        """The remainder beta = xi - zeta of every row, (P, N, N/2+1): xi
+        with zeta subtracted at the touched coefficients, which has the
+        bits of the dense difference, since x - 0 = x."""
+        beta = self.xi.copy()
+        beta.reshape(len(beta), -1)[:, self.touched] -= self.zeta
+        return beta
 
     def state(self, i: int) -> CoupledState:
-        """The CoupledState of row i, viewing the stacks."""
+        """The CoupledState of row i, viewing the stacks; its zeta is a new
+        dense half, zeta scattered into zeros."""
         g = self.grid
+        zeta = np.zeros(g.ksq.shape, dtype=np.complex128)
+        zeta.reshape(-1)[self.touched] = self.zeta[i]
         return CoupledState(self.t, VectorField(g, self.v[i]), ScalarField(g, self.xi[i]),
-                            ScalarField(g, self.zeta[i]), ScalarField(g, self.beta[i]))
+                            ScalarField(g, zeta), ScalarField(g, self.beta[i]))
 
 
 def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
@@ -314,8 +320,10 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
     [0, t_end], stepped as stacked halves.  Row i is
     rows[i] = (v0, xi0, path): the solution from that initial data on the
     increments of (seed, path).  The velocity v and the stochastic
-    convolution zeta step on shared increments; the vorticity xi = curl v
-    and the remainder beta = xi - zeta are derived after each step.
+    convolution zeta step on shared increments, zeta at the noise's
+    touched coefficients alone, where it starts at zero and the noise adds
+    (it vanishes at every other); the vorticity xi = curl v and the
+    remainder beta = xi - zeta are derived after each step.
 
     Yields a `Visit` of all P rows for each step while a row is alive, in
     step order, the states after k steps k-th.  A row dies when the L2 norm
@@ -343,11 +351,12 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
     # the columns every state after the first can fill
     columns = grid.dealias_limit + 1 if in_band else grid.modes_per_dim // 2 + 1
     touched = scatter_plan(spec, grid).touched
-    decay = heat_decay(grid, cfg.dt)
+    # the heat factor where zeta lives, indexed from the cached multiplier
+    decay = heat_decay(grid, cfg.dt).ravel()[touched]
     alive = np.ones(len(rows), dtype=bool)
     v = np.stack([starts[id(v0), id(xi0)].half for v0, xi0, _ in rows])
     xi = np.stack([xi0.half for _, xi0, _ in rows])
-    zeta = np.zeros_like(xi)
+    zeta = np.zeros((len(rows), len(touched)), dtype=np.complex128)
     # the first state carries xi0, which may hold columns past the band
     # within the tolerance of `_start`, where curl(v0) does not
     first = columns if not np.any(xi[..., columns:]) else xi.shape[-1]
@@ -356,13 +365,13 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
     v_norm = sobolev_norms(v, grid)
 
     for step in range(cfg.n_steps + 1):
-        visit = Visit(step, step * cfg.dt, grid, columns if step else first, alive, v, xi, zeta,
-                      xi_values, v_norm)
+        visit = Visit(step, step * cfg.dt, grid, columns if step else first, alive, v, xi,
+                      touched, zeta, xi_values, v_norm)
         yield visit
         alive = visit.alive.copy()
         if step == cfg.n_steps or not alive.any():
             return
-        v, zeta, vorticity = _zeroed(alive, v, zeta, vorticity)
+        v, vorticity = _zeroed(alive, v, vorticity)
         draws = {}
         g_dw = np.zeros((len(rows), 3, len(touched)), dtype=np.complex128)
         for i in np.flatnonzero(alive):
@@ -373,7 +382,7 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
         alive &= _within(v_norm, cfg)
         (v,) = _zeroed(alive, v)
         # the stochastic convolution: zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]
-        zeta = _stepped(decay, zeta, touched, g_dw[:, 2])
+        zeta = (zeta + g_dw[:, 2]) * decay
         xi = curl_halves(grid, v)
         alive &= _within(sobolev_norms(xi[:, None], grid), cfg)
         if not alive.any():

@@ -40,12 +40,12 @@ Atmos. Sci. 28, 1971), vanishes past column `dealias_limit`, and
 
 `to_spectral` is a forward real transform (`hermitian_amplitudes` at
 width N/2) with the two self-conjugate columns mirrored within
-themselves, so a transformed spectrum is Hermitian by construction.  Only those two columns can break realness; the entry
-points that take caller-made fields (`operators.biot_savart`,
-`integrator.trajectories`) check them with `require_real`.  A full (N, N)
-lattice enters only through `ScalarField.from_lattice`, which checks it,
-and leaves only through the derived, read-only `coeffs`, which nothing
-here reads.
+themselves, so a transformed spectrum is Hermitian by construction.
+Only those two columns can break realness; the entry points that take
+caller-made fields (`operators.biot_savart`, `integrator.trajectories`)
+check them with `require_real`.  A full (N, N) lattice enters only
+through `ScalarField.from_lattice`, which checks it, and leaves only
+through the derived, read-only `coeffs`, which nothing here reads.
 
 `lq_norms` is the one code that turns sums of |x|^q into L^q norms: the
 step's norms, `lq_norm`, and the check-time norms (the Gagliardo-Nirenberg

@@ -44,7 +44,6 @@ from vortex.spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
-    heat_decay,
     l2_norm,
     lattice,
     lq_norm,
@@ -82,14 +81,32 @@ def stepped_velocity(st, dW, spec, cfg):
     return velocity_stepped(st, dW, spec, cfg)[0]
 
 
-def stepped_zeta(st, dW, spec, cfg):
-    """run_trajectory's update of the stochastic convolution:
-    zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW], added at the touched
-    coefficients."""
-    grid = st.zeta.grid
-    return ScalarField(grid, integrator._stepped(heat_decay(grid, cfg.dt), st.zeta.half,
-                                                 scatter_plan(spec, grid).touched,
-                                                 apply_G(st.v, dW, spec)[2]))
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+def observed_states(rows, spec, cfg, seed, end_at=None):
+    """The visits of `trajectories` over rows, and the CoupledState of every
+    live row at each of them, per row; a consumer ends the rows end_at
+    (row -> step) at that step."""
+    visits, states = [], [[] for _ in rows]
+    for vis in integrator.trajectories(rows, spec, cfg, seed):
+        visits.append(vis)
+        for r in np.flatnonzero(vis.alive):
+            states[r].append(vis.state(r))
+        for r, step in (end_at or {}).items():
+            if vis.step == step:
+                vis.end(r)
+    return visits, states
+
+
+def assert_zeta_oracle(states, spec, cfg, seed, path):
+    """Each visited zeta of a path is `oracles.zeta_step` of the state
+    before it, on that step's increment, bit for bit."""
+    for step, (before, after) in enumerate(zip(states, states[1:])):
+        dW = sample_increment(seed, path, step, spec, cfg.dt)
+        want = zeta_step(before, dW, spec, cfg)
+        assert np.array_equal(bits(after.zeta.half), bits(want.half)), step
 
 
 def cos_x1(grid, amplitude=1.0):
@@ -192,49 +209,61 @@ class TestVorticityStep:
 
 
 class TestOuStep:
-    """run_trajectory's update of the stochastic convolution zeta."""
+    """The loop's update of the stochastic convolution zeta, judged against
+    the dense oracle `zeta_step`."""
 
-    def test_zero_noise_pure_decay(self, grid32, rng):
+    def test_zero_noise_pure_decay(self, grid32, rng, monkeypatch):
+        # noise for three steps, none after: from then on each step only
+        # decays zeta, exactly by exp(-|k|^2 dt); the loop reads apply_G from
+        # `noise` at every step, so the patch reaches the steps that follow
         cfg = SolverConfig(dt=0.01, t_end=0.1)
-        zeta = random_scalar_field(grid32, rng)
-        st = state_from(grid32, zeta=zeta)
-        dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
-        out = stepped_zeta(st, dW, ZERO_NOISE, cfg)
-        decay = np.exp(-zeta.grid.ksq * cfg.dt)
-        assert np.max(np.abs(out.half - decay * zeta.half)) < 1e-15
+        xi0 = random_scalar_field(grid32, rng)
+        decay = np.exp(-grid32.ksq * cfg.dt)
+        zetas = []
+        original = noise.apply_G
+        for vis in integrator.trajectories([(None, xi0, 0)], UNIT_NOISE, cfg, seed=4):
+            zetas.append(vis.state(0).zeta)
+            if vis.step == 3:
+                monkeypatch.setattr(noise, "apply_G",
+                                    lambda v, dW, spec: 0.0 * original(v, dW, spec))
+        assert len(zetas) == cfg.n_steps + 1
+        assert np.any(zetas[3].half)
+        for before, after in zip(zetas[3:], zetas[4:]):
+            assert np.array_equal(bits(after.half), bits(decay * before.half))
 
     def test_starts_and_stays_zero_without_noise(self, grid16):
+        # zeta is zero at t = 0 under any noise, and stays zero without noise;
+        # every step is the oracle's
         cfg = SolverConfig(dt=0.01, t_end=0.1)
-        st = state_from(grid16)
-        dW = sample_increment(0, 0, 0, ZERO_NOISE, cfg.dt)
-        assert l2_norm(stepped_zeta(st, dW, ZERO_NOISE, cfg)) == 0.0
-        zetas = []
         xi0 = random_scalar_field(grid16, np.random.default_rng(1))
-        run_trajectory(None, xi0, ZERO_NOISE, cfg, seed=0,
-                       observer=lambda st: zetas.append(st.zeta))
-        assert len(zetas) == cfg.n_steps + 1
-        assert not any(np.any(z.half) for z in zetas)
+        for spec in (ZERO_NOISE, UNIT_NOISE):
+            _, (states,) = observed_states([(None, xi0, 0)], spec, cfg, seed=0)
+            assert len(states) == cfg.n_steps + 1
+            assert not np.any(states[0].zeta.half)
+            assert np.any(states[-1].zeta.half) == (spec is UNIT_NOISE)
+            assert_zeta_oracle(states, spec, cfg, seed=0, path=0)
 
     def test_stationary_variance_oracle(self, grid16):
         # single mode |k|^2 = 1, sigma = 1: the projection coefficient is a
         # scalar OU process whose discrete variance is
-        # A^2 dt e^{-2k dt} (1 - e^{-2kMdt}) / (1 - e^{-2k dt})
+        # A^2 dt e^{-2k dt} (1 - e^{-2kMdt}) / (1 - e^{-2k dt});
+        # the 400 paths step as one batch, whose first two the oracle follows
+        from vortex.spectral import l2_inner
+
         spec = CovarianceSpec(((1, 0),), (0.8,), 0.5, "constant_one")
         w = curl(basis_fields(spec, grid16)[0])
         w_norm = l2_norm(w)
         cfg = SolverConfig(dt=5e-3, t_end=0.5)
         kappa, n_paths = 1.0, 400
-        finals = []
-        from vortex.spectral import l2_inner
-
-        for path in range(n_paths):
-            st = state_from(grid16)
-            zeta = st.zeta
-            for step in range(cfg.n_steps):
-                dW = sample_increment(31, path, step, spec, cfg.dt)
-                st = CoupledState(step * cfg.dt, st.v, st.xi, zeta, st.beta)
-                zeta = stepped_zeta(st, dW, spec, cfg)
-            finals.append(l2_inner(zeta, w) / w_norm)
+        followed = [[], []]
+        batch = run_trajectory(None, zero_scalar(grid16), spec, cfg, seed=31,
+                               observer=[s.append for s in followed] + [None] * (n_paths - 2),
+                               n_paths=n_paths)
+        assert all(r.stats.status == "completed" for r in batch)
+        for path, states in enumerate(followed):
+            assert len(states) == cfg.n_steps + 1
+            assert_zeta_oracle(states, spec, cfg, seed=31, path=path)
+        finals = [l2_inner(r.final.zeta, w) / w_norm for r in batch]
         amp = 0.8 * w_norm
         q = math.exp(-2.0 * kappa * cfg.dt)
         target = amp**2 * cfg.dt * q * (1 - q**cfg.n_steps) / (1 - q)
@@ -302,16 +331,18 @@ class TestOneNoiseEvaluation:
         assert doubled.int_grad_beta != clean.int_grad_beta
 
     def test_steps_change_only_the_touched_coefficients(self, grid32, rng):
-        # without drift or decay the step adds exactly the increment at touched
-        spec = UNIT_NOISE
-        touched = scatter_plan(spec, grid32).touched
-        v = random_divfree_field(grid32, rng)
-        inc = apply_G(v, sample_increment(2, 0, 0, spec, 0.01), spec)
-        base = random_scalar_field(grid32, rng)
-        out = integrator._stepped(np.ones((32, 17)), base.half, touched, inc[2])
-        got, was = out.reshape(-1), base.half.reshape(-1)
-        assert np.array_equal(got[touched], was[touched] + inc[2])
-        assert np.array_equal(np.delete(got, touched), np.delete(was, touched))
+        # every step of zeta is the dense oracle's, and zeta vanishes at
+        # every coefficient the noise modes do not touch
+        cfg = SolverConfig(dt=2e-3, t_end=0.02)
+        xi0 = random_scalar_field(grid32, rng)
+        for sigma_kind in ("constant_one", "rational_square"):
+            spec = TestRotationalForm.spec(grid32, rng, sigma_kind)
+            untouched = np.delete(np.arange(grid32.ksq.size),
+                                  scatter_plan(spec, grid32).touched)
+            _, (states,) = observed_states([(None, xi0, 2)], spec, cfg, seed=2)
+            assert len(states) == cfg.n_steps + 1 and np.any(states[-1].zeta.half)
+            assert_zeta_oracle(states, spec, cfg, seed=2, path=2)
+            assert not any(np.any(st.zeta.half.reshape(-1)[untouched]) for st in states)
 
 
 class TestHolderQuotient:
@@ -680,10 +711,6 @@ class TestRealTransforms:
                            ZERO_NOISE, cfg, seed=0)
 
 
-def bits(a):
-    return np.asarray(a).view(np.uint64)
-
-
 class TestBatchedPaths:
     """run_trajectory with n_paths, and the loop `trajectories` under it,
     step a batch of rows as one stack; each row gives the repr-identical
@@ -853,3 +880,74 @@ class TestBatchedPaths:
             batch = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=0, n_paths=3)
         assert [r.stats.status for r in batch] == ["blowup"] * 3
         assert all(math.isinf(r.stats.sup_xi_lq) for r in batch)
+
+
+class TestZetaStorage:
+    """The loop stores zeta as (P, T), its coefficients at the T flat
+    indices `touched` of the noise's scatter plan, where the noise adds; it
+    is zero at every other coefficient.  beta and an observer's dense zeta
+    must have the bits of the dense fields built from it."""
+
+    @staticmethod
+    def dense(zeta, spec, grid):
+        """zeta (P, T) scattered into zeroed (P, N, N/2+1) halves."""
+        out = np.zeros((len(zeta), grid.ksq.size), dtype=np.complex128)
+        out[:, scatter_plan(spec, grid).touched] = zeta
+        return out.reshape((len(zeta),) + grid.ksq.shape)
+
+    @pytest.mark.parametrize("case", ["constant_one", "rational_square", "hy_level",
+                                      "v0_out_of_band"])
+    def test_beta_and_states_match_the_dense_fields(self, grid32, rng, case):
+        # three rows on two paths; a consumer ends row 1 at step 4, and from
+        # the next visit on its zeta holds zeros
+        spec = TestRotationalForm.spec(grid32, rng, "rational_square" if case == "rational_square"
+                                       else "constant_one")
+        if case == "hy_level":
+            spec = spec.with_hy_level(10.0)
+        xi0 = random_scalar_field(grid32, rng, amplitude=3.0)
+        if case == "v0_out_of_band":
+            c = xi0.coeffs.copy()
+            c[12, 3] = c[-12, -3] = 0.05
+            xi0 = ScalarField.from_lattice(grid32, c)
+        cfg = SolverConfig(dt=2e-3, t_end=0.02)
+        rows = [(None, xi0, p) for p in (0, 1, 1)]
+        visits, states = observed_states(rows, spec, cfg, seed=6, end_at={1: 4})
+        touched = scatter_plan(spec, grid32).touched
+        columns = (grid32.modes_per_dim // 2 + 1 if case == "v0_out_of_band"
+                   else grid32.dealias_limit + 1)
+        assert [vis.step for vis in visits] == list(range(cfg.n_steps + 1))
+        for vis in visits:
+            assert vis.zeta.shape == (3, len(touched))
+            if vis.step:
+                assert vis.columns == columns
+            dense = self.dense(vis.zeta, spec, grid32)
+            assert np.array_equal(bits(vis.beta), bits(vis.xi - dense))
+            for r in np.flatnonzero(vis.alive):
+                st = states[r][vis.step]
+                assert np.array_equal(bits(st.zeta.half), bits(dense[r]))
+                assert np.array_equal(bits(st.beta.half), bits(vis.xi[r] - dense[r]))
+            assert np.any(vis.zeta[1]) == (0 < vis.step <= 4)
+        assert np.all(visits[-1].zeta[[0, 2]])
+        for r, (_, _, path) in enumerate(rows):
+            assert_zeta_oracle(states[r], spec, cfg, seed=6, path=path)
+
+    def test_observers_samples_do_not_alias(self, grid32, rng):
+        # each dense zeta an observer sees is its own array: samples of
+        # different visits and rows share no memory, and keep their values
+        # after the loop has stepped on
+        spec = TestRotationalForm.spec(grid32, rng, "constant_one")
+        cfg = SolverConfig(dt=2e-3, t_end=0.02)
+        xi0 = random_scalar_field(grid32, rng)
+        samples = [[], []]
+        run_trajectory(None, xi0, spec, cfg, seed=8,
+                       observer=[lambda st, s=s: s.append(st.zeta) for s in samples], n_paths=2)
+        flat = samples[0] + samples[1]
+        assert len(flat) == 2 * (cfg.n_steps + 1)
+        for i, a in enumerate(flat):
+            for b in flat[i + 1:]:
+                assert not np.shares_memory(a.half, b.half)
+        for path, got in enumerate(samples):
+            want = []
+            run_trajectory(None, xi0, spec, cfg, seed=8, path_index=path,
+                           observer=lambda st: want.append(st.zeta))
+            assert all(np.array_equal(bits(x.half), bits(y.half)) for x, y in zip(got, want))
