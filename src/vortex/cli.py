@@ -17,10 +17,9 @@ fields.  Outputs are written atomically and a rerun into a populated
 directory is refused unless --force is given.
 The sweep's paths and the Gronwall pairs step in batches, several paths
 per numpy call on small grids, by the rule stated at
-`harness.TRIAL_CHUNK_BYTES`.  Batches run one after another on grids
-below `harness.POOL_MIN_GRID` modes per dimension and on a thread pool
-from there on; results do not depend on the worker count or the batch
-size.
+`harness.TRIAL_CHUNK_BYTES`.  The batches are shared out among forked
+worker processes, one per usable CPU up to 4 (`harness.path_workers`);
+results do not depend on the worker count or the batch size.
 """
 
 from __future__ import annotations

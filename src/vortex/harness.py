@@ -36,8 +36,11 @@ go through `spectral.lq_norms`.
 
 Every check is reproducible bit-for-bit from (config, seed): paths use
 counter-based RNG streams keyed by (seed, path, step) and reductions run
-in fixed path order, so results do not depend on the worker count, which
-follows from the grid alone (`path_workers`), or on the batch size.
+in fixed path order, so results do not depend on the worker count or on
+the batch size.  The sweep's batches, the Gronwall pairs' batches and the
+BDG paths fan out through `run_paths`, which runs contiguous shares of
+them in forked worker processes, one per usable CPU up to 4
+(`path_workers`), and returns their pickled results in job order.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -149,28 +154,129 @@ def _finite_or_none(value):
     return value
 
 
-# Below this grid a step is mostly per-call Python work, which the GIL
-# serialises, so paths run one after another.  In `vortex run` on 2 CPUs one
-# worker beat two by ~20 % at N = 32 and 64 and lost by ~40 % at 256.  On the
-# 4-path, 16-step N = 256 benchmark shape at other N (medians of 24 warm runs,
-# 3 to 5 sessions, 2 shared CPUs), one worker took 0.09-0.13 s against two's
-# 0.10-0.12 s at N = 96, 0.11-0.16 s against 0.11-0.13 s at 112, and
-# 0.19-0.20 s against 0.12-0.14 s at 128.
-POOL_MIN_GRID = 128
+def path_workers() -> int:
+    """Processes for the paths: the CPUs this process may run on, at most 4.
+    1 where os.sched_getaffinity does not exist: forking is measured on
+    Linux only, and macOS makes it unsafe once system frameworks run threads."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(4, len(os.sched_getaffinity(0)))
 
 
-def path_workers(grid: SpectralGrid) -> int:
-    """Threads for the paths of a grid: 1 below POOL_MIN_GRID, else up to 4."""
-    return 1 if grid.modes_per_dim < POOL_MIN_GRID else min(4, os.cpu_count() or 1)
+def _pickled_outcome(worker, share: range) -> bytes:
+    """The share's results, a list, or the (exception, traceback text) that
+    stopped it, pickled; what does not pickle travels as a RuntimeError
+    naming it."""
+    try:
+        outcome = [worker(i) for i in share]
+    except BaseException as exc:
+        outcome = (exc, traceback.format_exc())
+    try:
+        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        if isinstance(outcome, tuple):
+            pickle.loads(data)  # some exceptions pickle but do not load
+    except Exception as exc:
+        what = "results" if isinstance(outcome, list) else f"exception {outcome[0]!r}"
+        failure = RuntimeError(f"the {what} of jobs {share.start}..{share.stop - 1} "
+                               f"could not be pickled: {exc!r}")
+        data = pickle.dumps((failure, "" if isinstance(outcome, list) else outcome[1]))
+    return data
 
 
-def run_paths(worker, n_paths: int, workers: int) -> list:
-    """Evaluate worker(0..n_paths-1); results ordered by path index, so the
-    reduction is independent of the worker count."""
-    if workers <= 1 or n_paths <= 1:
-        return [worker(i) for i in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(n_paths)))
+def _settle(k: int) -> None:
+    """Move this process to the k-th CPU it may run on, then let it run on
+    any of them again.  Linux can start a forked child on its parent's CPU
+    and move it only at a later load balancing; until then the two share
+    one CPU, which on 2 CPUs held a ~150 ms share to the serial time."""
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        try:
+            os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+            os.sched_setaffinity(0, cpus)
+        except OSError:  # the CPUs changed meanwhile; placement is only a hint
+            pass
+
+
+def _child(worker, share: range, write: int, inherited: list[int], k: int) -> None:
+    """A forked worker: runs its share, writes the pickled outcome to its
+    pipe and leaves by os._exit, never returning into the caller's stack."""
+    status = 1
+    try:
+        _settle(k)
+        for fd in inherited:
+            os.close(fd)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(_pickled_outcome(worker, share))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def run_paths(worker, n_jobs: int, workers: int) -> list:
+    """worker(0..n_jobs-1) in job order, so results do not depend on the
+    worker count.
+
+    The jobs split into `workers` contiguous shares.  The first runs here;
+    each other runs in a forked child, which pipes back its pickled results,
+    or the exception that stopped it, and exits.  The pipes are read in job
+    order and a child's exception is raised here.  A child that exits
+    without its results raises RuntimeError naming its jobs.  Every child
+    is reaped before this returns, and killed first if it has not finished
+    when this raises.  Fork, not spawn: a worker is a closure over the
+    run's state, which a forked child inherits without pickling it.
+
+    Stopgap, to be deleted: where this module's `run_paths` has been
+    replaced by a wrapper, as the span tracer of the benchmark does, every
+    job runs here instead, one after another, because the wrapper records
+    spans in this process only.  Once a child ships its spans back through
+    its pipe, this branch and `_unwrapped_run_paths` go."""
+    workers = min(workers, n_jobs)
+    if workers <= 1 or run_paths is not _unwrapped_run_paths:
+        return [worker(i) for i in range(n_jobs)]
+    shares = [range(k * n_jobs // workers, (k + 1) * n_jobs // workers) for k in range(workers)]
+    live: dict[int, int] = {}  # pid -> read end of each unreaped child
+    _settle(0)
+    try:
+        for k, share in enumerate(shares[1:], 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(worker, share, write, [read, *live.values()], k)
+            os.close(write)
+            live[pid] = read
+        results = [worker(i) for i in shares[0]]
+        for pid, share in zip(list(live), shares[1:]):
+            read = live[pid]
+            chunks = []
+            while chunk := os.read(read, 1 << 16):
+                chunks.append(chunk)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del live[pid]
+            os.close(read)
+            if status != 0:
+                how = f"was killed by signal {-status}" if status < 0 else f"exited {status}"
+                raise RuntimeError(f"the worker process of jobs {share.start}..{share.stop - 1} "
+                                   f"{how} without returning its results")
+            outcome = pickle.loads(b"".join(chunks))
+            if isinstance(outcome, tuple):
+                exc, text = outcome
+                raise exc from RuntimeError(f"in the worker process of jobs {share.start}.."
+                                            f"{share.stop - 1}:\n{text}")
+            results.extend(outcome)
+        return results
+    finally:
+        for pid, read in live.items():
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+_unwrapped_run_paths = run_paths
 
 
 def mc_mean_stderr(values) -> tuple[float, float]:
@@ -192,7 +298,8 @@ def mc_mean_stderr(values) -> tuple[float, float]:
 # rule, a path counting as one trial field and a pair as two: a batch holds
 # max(1, TRIAL_CHUNK_BYTES // (32 N^2 x fields per trial)) trials, so 8 paths
 # or 4 pairs at N = 32, 2 paths or 1 pair at 64, and one path or pair at every
-# N above 64.  From POOL_MIN_GRID on the pool steps one batch per job.
+# N above 64.  `run_paths` hands each worker process a contiguous share of
+# the batches.
 # Larger batches cost more than they save (2 CPUs, numpy 2.4 with pocketfft):
 # at N = 256 a batch of 4 paths ran at 0.77x the speed of the 4 paths one at a
 # time, and at N = 64 batches of 16 raised the peak RSS of a 16-path
@@ -386,7 +493,7 @@ def sweep(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
             probe: holder_quotient(*kept[probe.stride], probe.beta, probe.delta, probe.q)
             for probe in probes[level]}) for res, kept in zip(done, samples)]
 
-    done = run_paths(worker, len(jobs), path_workers(xi0.grid))
+    done = run_paths(worker, len(jobs), path_workers())
     return {n: [r for (m, _), batch in zip(jobs, done) if m == n for r in batch]
             for n in counts}
 
@@ -534,7 +641,7 @@ def gronwall_uniqueness(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSp
     def worker(job):
         return gronwall_pairs(v0_a, v0_b, spec, cfg, base_seed, jobs[job], a_const)
 
-    results = [r for batch in run_paths(worker, len(jobs), path_workers(grid)) for r in batch]
+    results = [r for batch in run_paths(worker, len(jobs), path_workers()) for r in batch]
     failed = _status_failure("gronwall", {"": [r["status"] for r in results]}, base_seed)
     if failed is not None:
         return failed
@@ -705,7 +812,7 @@ def simulate_bdg_sups(spec: CovarianceSpec, v0: VectorField, q: float, n_paths: 
             norms[lo:hi] = np.ldexp(lq_norms(values.reshape(-1, 2, n, n), q, grid), scale)
         return float(norms[: n_steps // 2 + 1].max()), float(norms.max())
 
-    return np.array(run_paths(worker, n_paths, path_workers(grid)))
+    return np.array(run_paths(worker, n_paths, path_workers()))
 
 
 def bdg_phi_norm(spec: CovarianceSpec, v0: VectorField, q: float) -> float:

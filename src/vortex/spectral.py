@@ -490,8 +490,9 @@ def half_sums(a: np.ndarray, b: np.ndarray, weight: np.ndarray) -> np.ndarray:
     b broadcast against each other.  `weight` is w times each column's
     multiplicity, repeated over the real and imaginary parts
     (`sobolev_weight`, `gradient_weight`).  Each sum runs in the order of
-    the unstacked one, so it has the same bits.  einsum, not a BLAS dot: the
-    path workers would contend for OpenBLAS's own threads."""
+    the unstacked one, so it has the same bits.  einsum, not a BLAS product:
+    a matrix-vector product over the stack sums in another order than the
+    dot of one field, so a batched path would lose its one-path bits."""
     return np.einsum("...ij,...ij,ij->...", a.view(np.float64), b.view(np.float64), weight)
 
 

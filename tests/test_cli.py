@@ -42,35 +42,54 @@ class TestRunCommand:
         checks = json.loads((out / "checks.json").read_text())
         assert all(c["passed"] for c in checks)
 
-    def test_byte_identical_reruns_across_thread_counts(self, tmp_path, monkeypatch):
+    def test_byte_identical_reruns_across_worker_counts(self, tmp_path, monkeypatch):
         # results do not depend on the worker count or the batch size: on this
         # grid a batch holds every path and every Gronwall pair by default, and
-        # one path or pair when the batch budget is forced down
-        doc = dict(SMALL_CONFIG, checks=SMALL_CONFIG["checks"] + [
-            {"name": "gronwall", "n_paths": 3, "gn_trials": 50}])
+        # one path or pair when the batch budget is forced down; w workers fork
+        # min(w, jobs) - 1 children for each of the sweep, the Gronwall pairs
+        # and the BDG paths
+        doc = dict(SMALL_CONFIG, output={"snapshot_stride": 5},
+                   checks=SMALL_CONFIG["checks"] + [
+                       {"name": "gronwall", "n_paths": 3, "gn_trials": 50},
+                       {"name": "bdg", "n_paths": 4}])
         cfg = write_config(tmp_path, doc)
-        payloads, seen, real = [], [], harness.run_paths
+        payloads, asked, forks, real_fork = [], [], [], harness.os.fork
         default = harness.TRIAL_CHUNK_BYTES
 
-        def spy(worker, n_paths, workers):
-            seen.append((workers, n_paths))
-            return real(worker, n_paths, workers)
+        def counted_fork():
+            pid = real_fork()
+            if pid:  # the child leaves by os._exit and records nothing
+                forks[-1] += 1
+            return pid
 
-        monkeypatch.setattr(harness, "run_paths", spy)
-        for threads, budget, sub in ((1, default, "a"), (3, default, "b"), (1, 1, "c"),
-                                     (3, 1, "d")):
-            out = tmp_path / sub
-            monkeypatch.setattr(harness, "path_workers", lambda grid, n=threads: n)
+        def workers_asked(n):
+            asked[-1] += 1
+            return n
+
+        monkeypatch.setattr(harness.os, "fork", counted_fork)
+        runs = [(workers, budget) for workers in (1, 2, 3) for budget in (default, 1)]
+        for workers, budget in runs:
+            out = tmp_path / f"w{workers}b{budget}"
+            asked.append(0)
+            forks.append(0)
+            monkeypatch.setattr(harness, "path_workers", lambda n=workers: workers_asked(n))
             monkeypatch.setattr(harness, "TRIAL_CHUNK_BYTES", budget)
             harness.measure_gn_constant.cache_clear()  # its chunks follow the budget too
             code = main(["run", "--config", str(cfg), "--out", str(out),
                          "--seed", "7"])
             assert code == 0
+            snaps = sorted((out / "snapshots").iterdir())
             payloads.append(((out / "stats.csv").read_bytes(),
-                             (out / "checks.json").read_bytes()))
-        assert payloads[0] == payloads[1] == payloads[2] == payloads[3]
-        # (workers, batches) of the sweep, then of the Gronwall pairs
-        assert seen == [(1, 1), (1, 1), (3, 1), (3, 1), (1, 3), (1, 3), (3, 3), (3, 3)]
+                             (out / "checks.json").read_bytes(),
+                             [(f.name, f.read_bytes()) for f in snaps]))
+        assert len(payloads[0][2]) == 3 * 3  # steps 0, 5 and 10 of each path
+        assert all(got == payloads[0] for got in payloads[1:])
+        # jobs of the sweep, the Gronwall pairs and the BDG paths
+        assert asked == [3] * len(runs)
+        assert forks == [sum(min(workers, jobs) - 1
+                             for jobs in ((1, 1, 4) if budget == default else (3, 3, 4)))
+                         for workers, budget in runs]
+        assert forks == [0, 0, 1, 3, 2, 6]
 
     def test_blown_gronwall_pair_fails_without_traceback(self, tmp_path, capsys):
         doc = dict(SMALL_CONFIG, solver={"dt": 0.005, "t_end": 0.05, "blowup_threshold": 0.05},
@@ -373,6 +392,7 @@ class TestSharedSweep:
             return original(v0, xi0, spec, cfg, seed, path_index, **kwargs)
 
         monkeypatch.setattr(harness, "run_trajectory", counted)
+        monkeypatch.setattr(harness, "path_workers", lambda: 1)  # the spy sees no child
         return calls
 
     def test_each_level_and_path_integrated_once(self, tmp_path, monkeypatch):

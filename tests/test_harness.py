@@ -2,6 +2,9 @@
 identity suites and stochastic-integral constants."""
 
 import math
+import os
+import signal
+import time
 import warnings
 from dataclasses import replace
 
@@ -111,42 +114,106 @@ class TestCheckResult:
 
 
 class TestPathWorkers:
-    @pytest.mark.parametrize("n, cpus, want", [
-        (32, 8, 1), (64, 8, 1), (64, 2, 1), (128, 2, 2), (256, 8, 4), (256, 2, 2),
-        (256, 1, 1), (256, None, 1),
-    ])
-    def test_serial_below_the_pool_grid(self, monkeypatch, n, cpus, want):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        assert harness.path_workers(SpectralGrid(n)) == want
+    @pytest.mark.parametrize("cpus, want", [(1, 1), (2, 2), (8, 4)])
+    def test_usable_cpus_up_to_four(self, monkeypatch, cpus, want):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert harness.path_workers() == want
 
-    def test_drivers_take_the_count_from_their_grid(self, grid16, rng, monkeypatch):
-        # the sweep, the Gronwall pairs and the BDG sups run on their grid
-        seen, real = [], harness.run_paths
+    def test_serial_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        assert harness.path_workers() == 1
 
-        def spy(worker, n_paths, workers):
-            seen.append(workers)
-            return real(worker, n_paths, 1)
 
-        monkeypatch.setattr(harness, "run_paths", spy)
-        monkeypatch.setattr(harness, "path_workers", lambda grid: grid.modes_per_dim)
-        xi0 = random_scalar_field(grid16, rng)
-        v0 = biot_savart(xi0)
-        cfg = SolverConfig(dt=5e-3, t_end=0.01)
-        sweep(SMALL_NOISE, None, xi0, cfg, 1, 2)
-        gronwall_uniqueness(v0, v0, SMALL_NOISE, cfg, 2, 1, GRONWALL_SLACK, gn_trials=5)
-        simulate_bdg_sups(SMALL_NOISE, regrid(v0, SpectralGrid(32)), 2.0, 2, 1, 0.02, 0.01)
-        assert seen == [16, 16, 32]
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestRunPaths:
     def test_order_fixed(self):
         out = run_paths(lambda i: i * i, 7, workers=3)
         assert out == [i * i for i in range(7)]
+        assert_no_child_left()
 
     def test_single_worker_same_result(self):
         a = run_paths(lambda i: i + 1, 5, workers=1)
         b = run_paths(lambda i: i + 1, 5, workers=4)
         assert a == b
+        assert_no_child_left()
+
+    def test_results_come_from_children(self):
+        # jobs 0..1 run here, 2..3 and 4..6 in two children
+        pids = run_paths(lambda i: os.getpid(), 7, workers=3)
+        assert pids[:2] == [os.getpid()] * 2
+        assert len({pids[2], pids[4]} | {os.getpid()}) == 3
+        assert pids[2] == pids[3] and pids[4] == pids[5] == pids[6]
+        assert_no_child_left()
+
+    def test_each_worker_starts_on_its_own_cpu(self, monkeypatch):
+        # moved to the k-th usable CPU, then free to run on all of them
+        calls = []
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3, 5, 7})
+        monkeypatch.setattr(harness.os, "sched_setaffinity",
+                            lambda pid, cpus: calls.append((pid, set(cpus))))
+        for k in range(4):
+            harness._settle(k)
+        every = (0, {3, 5, 7})
+        assert calls == [(0, {3}), every, (0, {5}), every, (0, {7}), every, (0, {3}), every]
+
+    def test_workers_keep_every_cpu(self):
+        masks = run_paths(lambda i: os.sched_getaffinity(0), 4, workers=2)
+        assert masks == [os.sched_getaffinity(0)] * 4
+        assert_no_child_left()
+
+    def test_child_exception_is_raised_here(self):
+        def worker(i):
+            if i == 5:
+                raise ValueError("bad path 5")
+            return i
+
+        with pytest.raises(ValueError, match="^bad path 5$"):
+            run_paths(worker, 7, workers=3)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("die", [lambda: os._exit(3),
+                                     lambda: os.kill(os.getpid(), signal.SIGKILL)])
+    def test_child_without_results_names_its_jobs(self, die):
+        def worker(i):
+            if i == 4:
+                die()
+            return i
+
+        with pytest.raises(RuntimeError, match="jobs 4..6"):
+            run_paths(worker, 7, workers=3)
+        assert_no_child_left()
+
+    def test_failure_in_own_share_reaps_children(self):
+        def worker(i):
+            if i == 0:
+                raise KeyError("here")
+            time.sleep(60.0)  # the children are killed, not waited for
+
+        start = time.perf_counter()
+        with pytest.raises(KeyError):
+            run_paths(worker, 4, workers=2)
+        assert time.perf_counter() - start < 30.0
+        assert_no_child_left()
+
+    def test_unpicklable_result_is_an_error(self):
+        with pytest.raises(RuntimeError, match="jobs 2..3 could not be pickled"):
+            run_paths(lambda i: (lambda: i), 4, workers=2)
+        assert_no_child_left()
+
+    def test_wrapped_run_paths_keeps_every_job_here(self, monkeypatch):
+        # the stopgap for the span tracer: a wrapper records in this process
+        # only, so nothing forks under it
+        monkeypatch.setattr(harness, "run_paths",
+                            lambda worker, n, workers: run_paths(worker, n, workers))
+        pids = harness.run_paths(lambda i: os.getpid(), 5, 3)
+        assert pids == [os.getpid()] * 5
+        assert_no_child_left()
+        monkeypatch.undo()
+        assert len(set(harness.run_paths(lambda i: os.getpid(), 5, 3))) == 3
 
 
 class TestEnergyReport:
@@ -884,6 +951,7 @@ class TestBdg:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(harness, "sample_increment", counted)
+        monkeypatch.setattr(harness, "path_workers", lambda: 1)  # the spy sees no child
         sups = simulate_bdg_sups(SMALL_NOISE, v0, 4.0, 5, 3, 0.1, 0.01)
         assert len(draws) == len(set(draws)) == 5 * 10
         assert sups.shape == (5, 2)
