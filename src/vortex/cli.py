@@ -17,7 +17,8 @@ fields.  Outputs are written atomically and a rerun into a populated
 directory is refused unless --force is given.
 The sweep's paths and the Gronwall pairs step in batches, several paths
 per numpy call on small grids, by the rule stated at
-`harness.TRIAL_CHUNK_BYTES`.  The batches are shared out among forked
+`harness.TRIAL_CHUNK_BYTES`.  A run's jobs, the GN search, the identity
+suites, those batches and the BDG paths, share one fan-out over forked
 worker processes, one per usable CPU up to 4 (`harness.path_workers`);
 results do not depend on the worker count or the batch size.
 """
@@ -25,6 +26,7 @@ results do not depend on the worker count or the batch size.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -33,21 +35,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, harness
 from .config import CHECK_PARAMS, GRID, MC, ConfigError, ExperimentConfig, load_config
 from .harness import (
     CheckResult,
     HolderProbe,
     bdg_phi_norm,
-    bdg_report,
+    bdg_plan,
     energy_report,
-    gronwall_uniqueness,
+    gronwall_plan,
     hy_uniformity,
     identity_suite,
     mc_mean_stderr,
     measure_gn_constant,
     require_identity_grid,
-    sweep,
+    sweep_plan,
     zeta_budget,
     zeta_regularity,
 )
@@ -137,14 +139,24 @@ def run_experiment(config: ExperimentConfig):
     The cell area of the domain, which a long enough domain overflows,
     zeta_regularity budgets, the two main paths the energy check needs, the
     two time steps bdg's half horizon needs, the identity suite's grid, the
-    random trial fields of gronwall and identities (which underflow on a
+    first random fields of gronwall and identities (which underflow on a
     short enough domain), and bdg's ||Phi||_R (which |x|^q under- or
-    overflows at a large enough q, and which bdg_report then reuses) are
-    checked before any path runs.  One `sweep` then integrates, once each, the
-    (Hille-Yosida level, path) pairs of the main Monte-Carlo, hy_uniformity
-    and zeta_regularity, and writes the snapshots; energy and those two
-    checks reduce its results.  gronwall steps its own pairs through the
-    same loop; bdg and identities integrate their own processes.
+    overflows at a large enough q, and which bdg's reduction then reuses)
+    are checked before any job runs.
+
+    Then one `harness.fan_out` runs every job of the run, in this order:
+    one `measure_gn_constant` per distinct gn_trials of the gronwall checks,
+    each identities suite, the batches of the one sweep, the Gronwall pair
+    batches and the BDG paths, so the longest jobs start first and the
+    short BDG paths fill in at the end.  The sweep integrates, once each,
+    the (Hille-Yosida level, path) pairs of the main Monte-Carlo,
+    hy_uniformity and zeta_regularity, and writes the snapshots; energy and
+    those two checks reduce its results, and each other check reduces its
+    own jobs' results (`sweep_plan`, `gronwall_plan`, `bdg_plan`).  The
+    Gagliardo-Nirenberg constant enters only gronwall's reduction, so the
+    pairs need not wait for it.  A trial field of its search that under- or
+    overflows refuses the run as the check's configuration error; it is
+    job 0, so a serial run refuses it before any path runs.
     """
     grid = config.grid
     spec = config.build_noise_spec()
@@ -179,13 +191,10 @@ def run_experiment(config: ExperimentConfig):
             try:
                 if chk.name == "gronwall":
                     pairs[i] = _gronwall_initial(grid, seed, chk.value("perturbation"))
-                    measure_gn_constant(grid, chk.value("gn_trials"))  # cached for the check
                 else:  # the suite's first field
                     random_divfree_field(grid, np.random.default_rng(seed))
             except ValueError as err:  # the |k|^-decay spectrum over- or underflows
-                raise ConfigError(f"'checks[{i}]' ({chk.name}) draws no usable random field "
-                                  f"with 'grid.domain_length' {grid.domain_length!r} "
-                                  f"({err})") from err
+                raise ConfigError(_unusable_fields(i, chk.name, grid, err)) from err
         elif chk.name == "hy_uniformity":
             demands.append((chk.value("levels"), chk.value("n_paths"), None))
         elif chk.name == "zeta_regularity":
@@ -198,32 +207,75 @@ def run_experiment(config: ExperimentConfig):
             demands.append((chk.value("levels"), chk.value("n_paths"), probes[i]))
     out = config.output
     snapshot_dir = Path(out.directory) / "snapshots" if out.directory else None
-    levels = sweep(spec, v0, xi0, config.solver, seed, n_main, config.lq_exponent,
-                   demands, snapshot_dir, out.snapshot_stride)
-    stats = [r.stats for r in levels[spec.hy_level][:n_main]]
 
+    jobs: list = []
+
+    def place(part: list) -> slice:
+        """Appends a driver's jobs to the run's; where their results lie."""
+        jobs.extend(part)
+        return slice(len(jobs) - len(part), len(jobs))
+
+    configured = list(enumerate(config.checks))
+    gn = {}  # gn_trials -> where its constant lies
+    for i, chk in configured:
+        if chk.name == "gronwall" and chk.value("gn_trials") not in gn:
+            gn[chk.value("gn_trials")] = place(
+                [functools.partial(_gn_constant, grid, chk.value("gn_trials"), i)])
+    reductions = {}  # check index -> (where its jobs' results lie, their reduction)
+    for i, chk in configured:
+        if chk.name == "identities":
+            reductions[i] = (place([functools.partial(identity_suite, grid, chk.value("trials"),
+                                                      seed)]), lambda done: done[0])
+    sweep_jobs, finish_sweep = sweep_plan(spec, v0, xi0, config.solver, seed, n_main,
+                                          config.lq_exponent, demands, snapshot_dir,
+                                          out.snapshot_stride)
+    swept = place(sweep_jobs)
+    for i, chk in configured:
+        if chk.name == "gronwall":
+            pair_jobs, finish = gronwall_plan(*pairs[i], spec, config.solver, chk.value("n_paths"),
+                                              seed, chk.value("slack"))
+            at = gn[chk.value("gn_trials")]
+            reductions[i] = (place(pair_jobs), lambda done, finish=finish, at=at:
+                             [finish(done, results[at][0])])
+    for i, chk in configured:
+        if chk.name == "bdg":
+            bdg_jobs, finish = bdg_plan(spec, bdg_v0, chk.value("q"), chk.value("m_list"),
+                                        chk.value("n_paths"), seed, config.solver.t_end,
+                                        config.solver.dt, chk.value("stability"), phi_norms[i])
+            reductions[i] = (place(bdg_jobs), finish)
+
+    results = harness.fan_out(jobs)
+    levels = finish_sweep(results[swept])
+    stats = [r.stats for r in levels[spec.hy_level][:n_main]]
     checks: list[CheckResult] = []
-    for i, chk in enumerate(config.checks):
+    for i, chk in configured:
         if chk.name == "energy":
             checks.extend(energy_report(stats, chk.value("ceilings"), seed))
-        elif chk.name == "identities":
-            checks.extend(identity_suite(grid, chk.value("trials"), seed))
         elif chk.name == "hy_uniformity":
             checks.append(hy_uniformity(levels, chk.value("levels"), chk.value("n_paths"), seed,
                                         chk.value("factor")))
-        elif chk.name == "gronwall":
-            checks.append(gronwall_uniqueness(*pairs[i], spec, config.solver, chk.value("n_paths"),
-                                              seed, chk.value("slack"), chk.value("gn_trials")))
         elif chk.name == "zeta_regularity":
             checks.append(zeta_regularity(levels, chk.value("levels"), chk.value("n_paths"),
                                           seed, probes[i], chk.value("p"),
                                           chk.value("stability")))
-        elif chk.name == "bdg":
-            checks.extend(bdg_report(
-                spec, bdg_v0, chk.value("q"), chk.value("m_list"), chk.value("n_paths"), seed,
-                config.solver.t_end, config.solver.dt, chk.value("stability"), phi_norms[i],
-            ))
+        else:
+            at, reduce = reductions[i]
+            checks.extend(reduce(results[at]))
     return stats, checks
+
+
+def _unusable_fields(i: int, name: str, grid: SpectralGrid, err: ValueError) -> str:
+    return (f"'checks[{i}]' ({name}) draws no usable random field with 'grid.domain_length' "
+            f"{grid.domain_length!r} ({err})")
+
+
+def _gn_constant(grid: SpectralGrid, trials: int, i: int) -> float:
+    """The gronwall check i's job: `measure_gn_constant`, whose trial field
+    that under- or overflows refuses the check's configuration."""
+    try:
+        return measure_gn_constant(grid, trials)
+    except ValueError as err:
+        raise ConfigError(_unusable_fields(i, "gronwall", grid, err)) from err
 
 
 def _gronwall_initial(grid: SpectralGrid, seed: int, eps: float):

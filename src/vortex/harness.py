@@ -9,10 +9,11 @@ per path only scalars (the stats and the zeta Holder quotients).  The
 energy report, `hy_uniformity` and `zeta_regularity` are pure reductions
 over its results.  The Gronwall pairs step their two solutions of a path
 as two rows of the integrator's one loop, `trajectories`, on the path's
-shared draws, and keep only the weighted difference.  The sweep steps
-each level's paths, and `gronwall_uniqueness` its pairs, in batches of
-one `run_trajectory` or `gronwall_pairs` call each, sized like the trial
-chunks below (`_batches`); each path has the bits of its one-path run.
+shared draws, and keep per step only the norms and the noise term that
+the weight is formed from.  The sweep steps each level's paths, and
+`gronwall_uniqueness` its pairs, in batches of one `run_trajectory` or
+`gronwall_pairs` call each, sized like the trial chunks below
+(`_batches`); each path has the bits of its one-path run.
 The BDG sups integrate the frozen operator G_n(v0) from the noise's
 `mode_weights` and `basis_values`, on the smallest grid where the L^q
 sums of the noise band are exact for even q (`noise.quadrature_grid`).
@@ -22,37 +23,43 @@ nonlinearities the step runs: the velocity drift, reached as
 advection F.
 
 The Gronwall weight measures one constant, the Gagliardo-Nirenberg ratio
-(`measure_gn_constant`); its noise term is the pathwise quotient
-||G(v1)-G(v2)||^2_HS / ||v1-v2||^2 that Ito's formula produces, taken in
-closed form from sigma and `noise.basis_l2_sq_sum`.  The GN constant
-draws its random trial fields in the order of one `random_divfree_field`
-call each, and evaluates them a chunk at a time (sized to
-TRIAL_CHUNK_BYTES) in stacked arrays: `operators.divfree_halves` makes
-them, `spectral.sobolev_norms` norms them and `spectral.physical_values`
-transforms them, each in one call per chunk.  Each trial's last scalar
-steps run on Python floats, so the constant has the bits of the trials
-taken one at a time.  Its L^4 norms, and the L^q norms of the BDG sups,
-go through `spectral.lq_norms`.
+(`measure_gn_constant`), which enters only the reduction after the pairs
+(`gronwall_weighted`), so the search and the pairs run side by side; its
+noise term is the pathwise quotient ||G(v1)-G(v2)||^2_HS / ||v1-v2||^2
+that Ito's formula produces, taken in closed form from sigma and
+`noise.basis_l2_sq_sum`.  The GN constant draws its random trial fields
+in the order of one `random_divfree_field` call each, and evaluates them
+a chunk at a time (sized to TRIAL_CHUNK_BYTES) in stacked arrays:
+`operators.divfree_halves` makes them, `spectral.sobolev_norms` norms
+them and `spectral.physical_values` transforms them, each in one call
+per chunk.  Each trial's last scalar steps run on Python floats, so the
+constant has the bits of the trials taken one at a time.  Its L^4 norms,
+and the L^q norms of the BDG sups, go through `spectral.lq_norms`.
 
 Every check is reproducible bit-for-bit from (config, seed): paths use
 counter-based RNG streams keyed by (seed, path, step) and reductions run
 in fixed path order, so results do not depend on the worker count or on
-the batch size.  The sweep's batches, the Gronwall pairs' batches and the
-BDG paths fan out through `run_paths`, which runs contiguous shares of
-them in forked worker processes, one per usable CPU up to 4
-(`path_workers`), and returns their pickled results in job order.
+the batch size.  Each driver is a list of jobs and a reduction of their
+results (`sweep_plan`, `gronwall_plan`, `bdg_plan`; the GN search and
+each identity suite are one job), and the driver function is that
+reduction over one `fan_out`.  A `vortex run` puts the jobs of all its
+checks into a single `fan_out`.  It goes through `run_paths`, whose
+forked worker processes, one per usable CPU up to 4 (`path_workers`),
+each take the next job from a shared queue until none is left; the
+results come back pickled, in job order.
 """
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import math
+import mmap
 import os
 import pickle
 import signal
 import traceback
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -163,24 +170,96 @@ def path_workers() -> int:
     return min(4, len(os.sched_getaffinity(0)))
 
 
-def _pickled_outcome(worker, share: range) -> bytes:
-    """The share's results, a list, or the (exception, traceback text) that
-    stopped it, pickled; what does not pickle travels as a RuntimeError
-    naming it."""
+class _JobQueue:
+    """The job indices of one `run_paths` call, handed out in order to its
+    forked workers.  An anonymous memory file (os.memfd_create), mapped
+    shared, holds the next index in 8 bytes, then one byte per job: 0 until
+    a worker takes it, then 1 + that worker's number.  It is read and
+    bumped under fcntl.lockf, which the kernel releases if the holder dies;
+    a take costs about 2 us."""
+
+    def __init__(self, n_jobs: int):
+        self.n_jobs = n_jobs
+        self.fd = os.memfd_create("run_paths")
+        try:
+            os.ftruncate(self.fd, 8 + n_jobs)
+            self.shared = mmap.mmap(self.fd, 8 + n_jobs)
+        except BaseException:
+            os.close(self.fd)
+            raise
+
+    def _set_next(self, job: int) -> None:
+        self.shared[:8] = job.to_bytes(8, "little")
+
+    def take(self, k: int) -> int | None:
+        """The next job, now worker k's, or None once every job is taken or
+        the queue is stopped."""
+        fcntl.lockf(self.fd, fcntl.LOCK_EX)
+        try:
+            job = int.from_bytes(self.shared[:8], "little")
+            if job >= self.n_jobs:
+                return None
+            self._set_next(job + 1)
+            self.shared[8 + job] = k + 1
+            return job
+        finally:
+            fcntl.lockf(self.fd, fcntl.LOCK_UN)
+
+    def stop(self) -> None:
+        """No worker takes another job."""
+        fcntl.lockf(self.fd, fcntl.LOCK_EX)
+        try:
+            self._set_next(self.n_jobs)
+        finally:
+            fcntl.lockf(self.fd, fcntl.LOCK_UN)
+
+    def last(self, k: int) -> int:
+        """The latest job worker k took, -1 if none: jobs are taken in
+        index order, so it is the one worker k runs, if it runs one."""
+        at = self.shared.rfind(bytes([k + 1]), 8)
+        return at - 8 if at >= 0 else -1
+
+    def owned(self, k: int) -> list[int]:
+        return [job for job, owner in enumerate(self.shared[8:]) if owner == k + 1]
+
+    def close(self) -> None:
+        self.shared.close()
+        os.close(self.fd)
+
+
+def _take_jobs(worker, queue: _JobQueue, k: int, job: int | None, keep):
+    """Runs `job`, then each job worker k takes from the queue, until the
+    queue is empty or a job raises; a job that raises stops the queue.
+    Returns {job: keep(job, result)} and the raising job's (job, exception,
+    traceback text), or None."""
+    kept = {}
+    while job is not None:
+        try:
+            kept[job] = keep(job, worker(job))
+        except Exception as exc:
+            queue.stop()
+            return kept, (job, exc, traceback.format_exc())
+        job = queue.take(k)
+    return kept, None
+
+
+def _pickled_result(job: int, result) -> bytes:
     try:
-        outcome = [worker(i) for i in share]
-    except BaseException as exc:
-        outcome = (exc, traceback.format_exc())
-    try:
-        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-        if isinstance(outcome, tuple):
-            pickle.loads(data)  # some exceptions pickle but do not load
+        return pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
-        what = "results" if isinstance(outcome, list) else f"exception {outcome[0]!r}"
-        failure = RuntimeError(f"the {what} of jobs {share.start}..{share.stop - 1} "
-                               f"could not be pickled: {exc!r}")
-        data = pickle.dumps((failure, "" if isinstance(outcome, list) else outcome[1]))
-    return data
+        raise RuntimeError(f"the result of job {job} could not be pickled: {exc!r}") from None
+
+
+def _pickled_failure(job: int, exc: BaseException, text: str) -> tuple[int, bytes, str]:
+    """The failure with its exception pickled; one that does not pickle, or
+    pickles but does not load, travels as a RuntimeError naming it."""
+    try:
+        data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+        pickle.loads(data)
+    except Exception as err:
+        data = pickle.dumps(RuntimeError(f"the exception {exc!r} of job {job} could not be "
+                                         f"pickled: {err!r}"))
+    return job, data, text
 
 
 def _settle(k: int) -> None:
@@ -197,47 +276,97 @@ def _settle(k: int) -> None:
             pass
 
 
-def _child(worker, share: range, write: int, inherited: list[int], k: int) -> None:
-    """A forked worker: runs its share, writes the pickled outcome to its
-    pipe and leaves by os._exit, never returning into the caller's stack."""
+def _child(worker, queue: _JobQueue, k: int, write: int, inherited: list[int]) -> None:
+    """Forked worker k: takes jobs until the queue is empty or one raises,
+    writes its pickled results and failure to its pipe and leaves by
+    os._exit, never returning into the caller's stack."""
     status = 1
     try:
         _settle(k)
         for fd in inherited:
             os.close(fd)
+        kept, failed = _take_jobs(worker, queue, k, queue.take(k), _pickled_result)
+        outcome = (kept, None if failed is None else _pickled_failure(*failed))
         with os.fdopen(write, "wb") as pipe:
-            pipe.write(_pickled_outcome(worker, share))
+            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
         status = 0
     finally:
         os._exit(status)
 
 
-def run_paths(worker, n_jobs: int, workers: int) -> list:
-    """worker(0..n_jobs-1) in job order, so results do not depend on the
-    worker count.
+def _reap(pid: int, kill: bool = False) -> int:
+    """Waits for a child, SIGKILLed first if kill; its exit code, -signal
+    if a signal ended it."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
-    The jobs split into `workers` contiguous shares.  The first runs here;
-    each other runs in a forked child, which pipes back its pickled results,
-    or the exception that stopped it, and exits.  The pipes are read in job
-    order and a child's exception is raised here.  A child that exits
-    without its results raises RuntimeError naming its jobs.  Every child
-    is reaped before this returns, and killed first if it has not finished
-    when this raises.  Fork, not spawn: a worker is a closure over the
-    run's state, which a forked child inherits without pickling it.
+
+def _gather(queue: _JobQueue, live: dict, results: dict, failures: dict) -> list:
+    """Reads the outcome of each child in `live` (pid -> (worker number,
+    read end)), in turn, into results and failures, and reaps it.  A child
+    whose latest job lies above the lowest failure known by its turn is
+    killed instead: its outcome cannot change what is raised.  Returns the
+    jobs of each child that ended without its outcome, and how it ended."""
+    lost = []
+    for pid, (k, read) in list(live.items()):
+        kill = queue.last(k) > min(failures, default=queue.n_jobs)
+        chunks = []
+        while not kill and (chunk := os.read(read, 1 << 16)):
+            chunks.append(chunk)
+        del live[pid]
+        os.close(read)
+        status = _reap(pid, kill)
+        if kill:
+            continue
+        if status != 0:
+            how = f"was killed by signal {-status}" if status < 0 else f"exited {status}"
+            lost.append((queue.owned(k), how))
+            continue
+        kept, failed = pickle.loads(b"".join(chunks))
+        results.update((job, pickle.loads(data)) for job, data in kept.items())
+        if failed is not None:
+            job, data, text = failed
+            failures[job] = (pickle.loads(data), text)
+    return lost
+
+
+def run_paths(worker, n_jobs: int, workers: int) -> list:
+    """worker(0..n_jobs-1), returned in job order, so results do not depend
+    on the worker count.
+
+    The caller takes job 0 and forks workers - 1 children; then the caller
+    and the children each take the next job from one shared `_JobQueue`
+    until every job is taken, so a long job does not hold up the jobs queued
+    behind it.  A child pipes back its pickled results when the queue is
+    empty, and exits.  Fork, not spawn: a worker is a closure over the run's
+    state, which a forked child inherits without pickling it.
+
+    A job that raises stops the queue: no worker starts another job.  The
+    exception of the lowest-indexed job that raises is raised here; jobs
+    are taken in index order, so every lower job had started and it is the
+    one a serial run raises.  Jobs already running on other workers finish
+    and are thrown away, but a child found running a job above a known
+    failure is killed, since its outcome cannot change what is raised.  A
+    child that exits without its results raises RuntimeError naming the
+    jobs that got no result, when the lowest of them is below any job that
+    raised.  Every child is reaped before this returns or raises.  At most
+    255 workers run, one queue byte naming each.
 
     Stopgap, to be deleted: where this module's `run_paths` has been
     replaced by a wrapper, as the span tracer of the benchmark does, every
     job runs here instead, one after another, because the wrapper records
     spans in this process only.  Once a child ships its spans back through
     its pipe, this branch and `_unwrapped_run_paths` go."""
-    workers = min(workers, n_jobs)
+    workers = min(workers, n_jobs, 255)
     if workers <= 1 or run_paths is not _unwrapped_run_paths:
         return [worker(i) for i in range(n_jobs)]
-    shares = [range(k * n_jobs // workers, (k + 1) * n_jobs // workers) for k in range(workers)]
-    live: dict[int, int] = {}  # pid -> read end of each unreaped child
-    _settle(0)
+    queue = _JobQueue(n_jobs)
+    live: dict[int, tuple[int, int]] = {}  # pid -> (worker number, read end), unreaped
     try:
-        for k, share in enumerate(shares[1:], 1):
+        first = queue.take(0)
+        _settle(0)
+        for k in range(1, workers):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -246,37 +375,37 @@ def run_paths(worker, n_jobs: int, workers: int) -> list:
                 os.close(write)
                 raise
             if pid == 0:
-                _child(worker, share, write, [read, *live.values()], k)
+                _child(worker, queue, k, write, [read, *(r for _, r in live.values())])
             os.close(write)
-            live[pid] = read
-        results = [worker(i) for i in shares[0]]
-        for pid, share in zip(list(live), shares[1:]):
-            read = live[pid]
-            chunks = []
-            while chunk := os.read(read, 1 << 16):
-                chunks.append(chunk)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del live[pid]
-            os.close(read)
-            if status != 0:
-                how = f"was killed by signal {-status}" if status < 0 else f"exited {status}"
-                raise RuntimeError(f"the worker process of jobs {share.start}..{share.stop - 1} "
-                                   f"{how} without returning its results")
-            outcome = pickle.loads(b"".join(chunks))
-            if isinstance(outcome, tuple):
-                exc, text = outcome
-                raise exc from RuntimeError(f"in the worker process of jobs {share.start}.."
-                                            f"{share.stop - 1}:\n{text}")
-            results.extend(outcome)
-        return results
+            live[pid] = (k, read)
+        results, failed = _take_jobs(worker, queue, 0, first, lambda job, result: result)
+        failures = {} if failed is None else {failed[0]: (failed[1], None)}
+        lost = _gather(queue, live, results, failures)
+        lowest = min([*failures, *(job for jobs, _ in lost for job in jobs)], default=None)
+        if lowest is None:
+            return [results[i] for i in range(n_jobs)]
+        if lowest not in failures:
+            raise RuntimeError("; ".join(f"jobs {', '.join(map(str, jobs))} got no result: the "
+                                         f"worker process that took them {how}"
+                                         for jobs, how in lost if jobs))
+        exc, text = failures[lowest]
+        if text is None:  # raised here
+            raise exc
+        raise exc from RuntimeError(f"in the worker process that ran job {lowest}:\n{text}")
     finally:
-        for pid, read in live.items():
+        for pid, (_, read) in live.items():
             os.close(read)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _reap(pid, kill=True)
+        queue.close()
 
 
 _unwrapped_run_paths = run_paths
+
+
+def fan_out(jobs: list) -> list:
+    """The results of `jobs`, zero-argument callables, in job order: one
+    `run_paths` call on `path_workers()` processes."""
+    return run_paths(lambda k: jobs[k](), len(jobs), path_workers())
 
 
 def mc_mean_stderr(values) -> tuple[float, float]:
@@ -298,8 +427,8 @@ def mc_mean_stderr(values) -> tuple[float, float]:
 # rule, a path counting as one trial field and a pair as two: a batch holds
 # max(1, TRIAL_CHUNK_BYTES // (32 N^2 x fields per trial)) trials, so 8 paths
 # or 4 pairs at N = 32, 2 paths or 1 pair at 64, and one path or pair at every
-# N above 64.  `run_paths` hands each worker process a contiguous share of
-# the batches.
+# N above 64.  Each batch is one job of a fan-out: the worker processes of
+# `run_paths` take the batches one at a time, as each finishes its last job.
 # Larger batches cost more than they save (2 CPUs, numpy 2.4 with pocketfft):
 # at N = 256 a batch of 4 paths ran at 0.77x the speed of the 4 paths one at a
 # time, and at N = 64 batches of 16 raised the peak RSS of a 16-path
@@ -324,7 +453,6 @@ def _batches(grid: SpectralGrid, n_paths: int, rows_per_path: int = 1) -> list[r
     return out
 
 
-@lru_cache(maxsize=8)
 def measure_gn_constant(grid: SpectralGrid, trials: int, seed: int = 7) -> float:
     """Gagliardo-Nirenberg constant on the torus: the largest observed ratio
     ||V||^2_{L^4} / (||V||_{L^2} ||grad V||_{L^2}) over random mean-zero
@@ -436,32 +564,19 @@ def zeta_budget(roughness: float, beta: float, delta: float, p: float) -> None:
                          f"must be < (1-g)/2 = {budget:.4g}")
 
 
-def sweep(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
-          cfg: SolverConfig, base_seed: int, n_paths: int, lq_exponent: float = 4.0,
-          demands=(), snapshot_dir=None, snapshot_stride: int = 0,
-          ) -> dict[float, list[PathResult]]:
-    """Integrate each (Hille-Yosida level, path) a run needs exactly once.
-
-    The main level spec.hy_level gets the n_paths main Monte-Carlo paths.
-    Each demand (levels, paths, probe) asks for `paths` paths at each of
-    `levels` and, unless probe is None, for the probe's quotient of each.  A
-    level runs the largest path count asked of it; a consumer asking fewer
-    reads a prefix.  Returns level -> one PathResult per path, in path
-    order: path p at level n is run_trajectory's (base_seed, p) solution
-    under spec.with_hy_level(n), stepped in a batch of the level's paths.
-    With snapshot_dir and snapshot_stride > 0, the main Monte-Carlo paths
-    write xi every snapshot_stride steps there.
-    """
+def sweep_plan(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
+               cfg: SolverConfig, base_seed: int, n_paths: int, lq_exponent: float = 4.0,
+               demands=(), snapshot_dir=None, snapshot_stride: int = 0):
+    """`sweep`'s jobs, one per batch of a level's paths, and the reduction
+    of their results, in job order, to its result."""
     write_any = snapshot_dir is not None and snapshot_stride > 0
-    if write_any:
-        Path(snapshot_dir).mkdir(parents=True, exist_ok=True)
     counts = {spec.hy_level: n_paths}
     probes: dict[float, set[HolderProbe]] = {spec.hy_level: set()}
     for levels, paths, probe in demands:
         for n in levels:
             counts[n] = max(counts.get(n, 0), paths)
             probes.setdefault(n, set()).update([] if probe is None else [probe])
-    jobs = [(n, paths) for n in counts for paths in _batches(xi0.grid, counts[n])]
+    keys = [(n, paths) for n in counts for paths in _batches(xi0.grid, counts[n])]
 
     def observer(level, path):
         """The observer of a path, and the zeta samples it keeps per stride."""
@@ -478,13 +593,14 @@ def sweep(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
                     zetas.append(st.zeta)
                     times.append(st.t)
             if write and step % snapshot_stride == 0:
+                if step == 0:
+                    Path(snapshot_dir).mkdir(parents=True, exist_ok=True)
                 write_snapshot(st.xi, Path(snapshot_dir) / f"path{path:04d}_step{step:06d}.vspd")
             step += 1
 
         return observe, samples
 
-    def worker(job):
-        level, paths = jobs[job]
+    def batch(level, paths):
         observers, samples = zip(*(observer(level, p) for p in paths))
         done = run_trajectory(v0, xi0, spec.with_hy_level(level), cfg, seed=base_seed,
                               path_index=paths.start, lq_exponent=lq_exponent,
@@ -493,9 +609,33 @@ def sweep(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
             probe: holder_quotient(*kept[probe.stride], probe.beta, probe.delta, probe.q)
             for probe in probes[level]}) for res, kept in zip(done, samples)]
 
-    done = run_paths(worker, len(jobs), path_workers())
-    return {n: [r for (m, _), batch in zip(jobs, done) if m == n for r in batch]
-            for n in counts}
+    def finish(done: list) -> dict[float, list[PathResult]]:
+        return {n: [r for (m, _), results in zip(keys, done) if m == n for r in results]
+                for n in counts}
+
+    return [functools.partial(batch, *key) for key in keys], finish
+
+
+def sweep(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
+          cfg: SolverConfig, base_seed: int, n_paths: int, lq_exponent: float = 4.0,
+          demands=(), snapshot_dir=None, snapshot_stride: int = 0,
+          ) -> dict[float, list[PathResult]]:
+    """Integrate each (Hille-Yosida level, path) a run needs exactly once.
+
+    The main level spec.hy_level gets the n_paths main Monte-Carlo paths.
+    Each demand (levels, paths, probe) asks for `paths` paths at each of
+    `levels` and, unless probe is None, for the probe's quotient of each.  A
+    level runs the largest path count asked of it; a consumer asking fewer
+    reads a prefix.  Returns level -> one PathResult per path, in path
+    order: path p at level n is run_trajectory's (base_seed, p) solution
+    under spec.with_hy_level(n), stepped in a batch of the level's paths.
+    With snapshot_dir and snapshot_stride > 0, the main Monte-Carlo paths
+    write xi every snapshot_stride steps there.  The jobs and the reduction
+    of `sweep_plan` over one `fan_out`.
+    """
+    jobs, finish = sweep_plan(spec, v0, xi0, cfg, base_seed, n_paths, lq_exponent, demands,
+                              snapshot_dir, snapshot_stride)
+    return finish(fan_out(jobs))
 
 
 def _read_levels(name: str, results, levels, n_paths: int, seed: int):
@@ -572,32 +712,32 @@ def zeta_regularity(results: dict[float, list[PathResult]], levels, n_paths: int
 
 
 def gronwall_pairs(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
-                   cfg: SolverConfig, seed: int, paths, a_const: float) -> list[dict]:
+                   cfg: SolverConfig, seed: int, paths) -> list[dict]:
     """For each path p of `paths`, two solutions under identical increments:
     the (seed, p) solution from each initial velocity.  All of them step as
     one batch of the integrator's loop, `trajectories`, whose rows
     (v0_a, p) and (v0_b, p) share p's draws.  Pair k is rows 2k and 2k+1,
     alive while both are: the visit that finds one dead ends the other.
 
-    Returns per path the weighted-difference series
-    M(t) = exp(-int_0^t psi) ||V(t)||^2, V = v1 - v2, with
-    psi = a ||grad v1||^2 + q^2 (left-endpoint quadrature), the raw sup of
-    ||V||, and the status, 'blowup' if either solution blew up (the series
-    end there) or else 'completed'.  q^2 = ||G_n(v1) - G_n(v2)||^2_HS / ||V||^2
-    is the noise term of Ito's formula, 0 where V = 0: since G_n(v) h_k is
-    c_k sigma(v) n/(n+|k|^2) e_k, it is (sigma(v1) - sigma(v2))^2 times
-    `basis_l2_sq_sum` over ||V||^2, read from the states and the noise's
-    mode table, never from the increment `apply_G` returns.  The norms are
-    taken over the batch and the scalar tails per pair on floats, so each
-    pair has the bits of its one-pair call.
+    Returns per path the series of each visit's ||V||, V = v1 - v2
+    ("v_norms"), ||grad v1|| ("grad_norms") and noise term q^2 ("q_sq"),
+    as Python floats, and the status, 'blowup' if either solution blew up
+    (the series end there) or else 'completed'.  The Young constant a
+    enters only `gronwall_weighted`, which forms the weight from them.
+    q^2 = ||G_n(v1) - G_n(v2)||^2_HS / ||V||^2 is the noise term of Ito's
+    formula, 0 where V = 0: since G_n(v) h_k is c_k sigma(v) n/(n+|k|^2)
+    e_k, it is (sigma(v1) - sigma(v2))^2 times `basis_l2_sq_sum` over
+    ||V||^2, read from the states and the noise's mode table, never from
+    the increment `apply_G` returns.  The norms are taken over the batch
+    and the scalar tails per pair on floats, so each pair has the bits of
+    its one-pair call.
     """
     grid = v0_a.grid
     hs_sq = basis_l2_sq_sum(spec, grid)
     xi_a, xi_b = curl(v0_a), curl(v0_b)
     rows = [row for p in paths for row in ((v0_a, xi_a, p), (v0_b, xi_b, p))]
     n = len(rows) // 2
-    series, sup_v = [[] for _ in range(n)], [0.0] * n
-    int_psi, psi, completed = [0.0] * n, [0.0] * n, [False] * n
+    out = [{"v_norms": [], "grad_norms": [], "q_sq": [], "status": "blowup"} for _ in range(n)]
     for visit in trajectories(rows, spec, cfg, seed):
         alive = visit.alive[0::2] & visit.alive[1::2]
         visit.end(~alive.repeat(2))  # a pair ends with either of its solutions
@@ -605,18 +745,63 @@ def gronwall_pairs(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
         gaps = sobolev_norms(one - two, grid)
         grads = grad_norms(one, grid)
         for k in np.flatnonzero(alive):
-            int_psi[k] += cfg.dt * psi[k]
             vnorm = float(gaps[k])
-            sup_v[k] = _sup(sup_v[k], vnorm)
             gap_sq = vnorm**2
-            series[k].append(math.exp(-int_psi[k]) * gap_sq)
             rise = (sigma_eval(VectorField(grid, one[k]), spec)
                     - sigma_eval(VectorField(grid, two[k]), spec))
-            q_sq = rise * rise * hs_sq / gap_sq if gap_sq else 0.0
-            psi[k] = a_const * float(grads[k]) ** 2 + q_sq
-            completed[k] = visit.step == cfg.n_steps
-    return [{"m_series": m, "sup_v": sup, "status": "completed" if done else "blowup"}
-            for m, sup, done in zip(series, sup_v, completed)]
+            pair = out[k]
+            pair["v_norms"].append(vnorm)
+            pair["grad_norms"].append(float(grads[k]))
+            pair["q_sq"].append(rise * rise * hs_sq / gap_sq if gap_sq else 0.0)
+            pair["status"] = "completed" if visit.step == cfg.n_steps else "blowup"
+    return out
+
+
+def gronwall_weighted(pair: dict, a_const: float, dt: float) -> dict:
+    """The weighted-difference series M(t) = exp(-int_0^t psi) ||V(t)||^2
+    of one `gronwall_pairs` pair, psi = a ||grad v1||^2 + q^2 by
+    left-endpoint quadrature, the raw sup of ||V|| and the pair's status.
+    It takes the float operations of a loop that forms psi while stepping,
+    in their order, so M has that loop's bits."""
+    int_psi = psi = sup_v = 0.0
+    series = []
+    for vnorm, grad, q_sq in zip(pair["v_norms"], pair["grad_norms"], pair["q_sq"]):
+        int_psi += dt * psi
+        sup_v = _sup(sup_v, vnorm)
+        series.append(math.exp(-int_psi) * vnorm**2)
+        psi = a_const * grad**2 + q_sq
+    return {"m_series": series, "sup_v": sup_v, "status": pair["status"]}
+
+
+def gronwall_plan(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
+                  cfg: SolverConfig, n_paths: int, base_seed: int, slack: float):
+    """`gronwall_uniqueness`'s jobs, one `gronwall_pairs` call per batch of
+    pairs (`_batches`, two rows a pair), and its reduction of their results,
+    in job order, and of the measured Gagliardo-Nirenberg ratio."""
+    jobs = [functools.partial(gronwall_pairs, v0_a, v0_b, spec, cfg, base_seed, paths)
+            for paths in _batches(v0_a.grid, n_paths, rows_per_path=2)]
+
+    def finish(done: list, gn_constant: float) -> CheckResult:
+        a_const = gn_constant**2
+        results = [gronwall_weighted(pair, a_const, cfg.dt) for batch in done for pair in batch]
+        failed = _status_failure("gronwall", {"": [r["status"] for r in results]}, base_seed)
+        if failed is not None:
+            return failed
+        if np.array_equal(v0_a.half, v0_b.half):
+            observed = functools.reduce(_sup, (r["sup_v"] for r in results))
+            return CheckResult.evaluate(
+                "gronwall.identical", observed, 1e-12, n_paths, base_seed,
+                extra={"a": a_const},
+            )
+        v0_gap_sq = l2_norm(v0_a - v0_b) ** 2
+        m_final = [r["m_series"][-1] for r in results]
+        mean, stderr = mc_mean_stderr(m_final)
+        return CheckResult.evaluate(
+            "gronwall.perturbed", mean, slack * v0_gap_sq, n_paths, base_seed,
+            extra={"a": a_const, "stderr": stderr, "v0_gap_sq": v0_gap_sq},
+        )
+
+    return jobs, finish
 
 
 def gronwall_uniqueness(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
@@ -628,36 +813,16 @@ def gronwall_uniqueness(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSp
     must keep the MC mean of the exponentially weighted squared difference
     below slack * ||V(0)||^2 (the supermartingale property of the weight).
     The weight is psi = a ||grad v1||^2 + ||G_n(v1) - G_n(v2)||^2_HS / ||V||^2
-    (`gronwall_pairs`); the Young constant a is calibrated from the measured
-    Gagliardo-Nirenberg ratio.  The pairs step in batches (`_batches`, two
-    rows a pair).  A pair that blew up fails the check as gronwall.status; a
-    NaN difference fails it too.
+    (`gronwall_weighted`); the Young constant a is the square of the
+    Gagliardo-Nirenberg ratio `measure_gn_constant` measures over gn_trials
+    fields.  A pair that blew up fails the check as gronwall.status; a NaN
+    difference fails it too.  The constant is the first job of one
+    `fan_out`, the pair batches of `gronwall_plan` the others.
     """
-    grid = v0_a.grid
-    identical = np.array_equal(v0_a.half, v0_b.half)
-    a_const = measure_gn_constant(grid, gn_trials) ** 2
-    jobs = _batches(grid, n_paths, rows_per_path=2)
-
-    def worker(job):
-        return gronwall_pairs(v0_a, v0_b, spec, cfg, base_seed, jobs[job], a_const)
-
-    results = [r for batch in run_paths(worker, len(jobs), path_workers()) for r in batch]
-    failed = _status_failure("gronwall", {"": [r["status"] for r in results]}, base_seed)
-    if failed is not None:
-        return failed
-    if identical:
-        observed = functools.reduce(_sup, (r["sup_v"] for r in results))
-        return CheckResult.evaluate(
-            "gronwall.identical", observed, 1e-12, n_paths, base_seed,
-            extra={"a": a_const},
-        )
-    v0_gap_sq = l2_norm(v0_a - v0_b) ** 2
-    m_final = [r["m_series"][-1] for r in results]
-    mean, stderr = mc_mean_stderr(m_final)
-    return CheckResult.evaluate(
-        "gronwall.perturbed", mean, slack * v0_gap_sq, n_paths, base_seed,
-        extra={"a": a_const, "stderr": stderr, "v0_gap_sq": v0_gap_sq},
-    )
+    jobs, finish = gronwall_plan(v0_a, v0_b, spec, cfg, n_paths, base_seed, slack)
+    gn_constant, *done = fan_out(
+        [functools.partial(measure_gn_constant, v0_a.grid, gn_trials), *jobs])
+    return finish(done, gn_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -776,21 +941,10 @@ def identity_suite(grid: SpectralGrid, trials: int, seed: int = 0) -> list[Check
 # stochastic-integral (BDG) constants
 
 
-def simulate_bdg_sups(spec: CovarianceSpec, v0: VectorField, q: float, n_paths: int,
-                      base_seed: int, t_end: float, dt: float,
-                      grid: SpectralGrid | None = None) -> np.ndarray:
-    """sup_t ||X(t)||_{L^q} per path for X(t) = int_0^t Phi dW with the frozen
-    operator Phi = G_n(v0): X(t_j) = sum_k w_k B_k(t_j) e_k, w_k the
-    `mode_weights` read on v0's grid and B_k the path's Brownian motions,
-    summed from its (base_seed, path, step) increments.  The e_k values and
-    the L^q sums are taken on `grid`, v0's own by default; X has the noise
-    band K, so for even q they are exact on any M-point grid with qK < M,
-    such as `noise.quadrature_grid`.  `lq_norms` takes each time's values
-    divided by the power of two at their largest |x|, and its norm is
-    multiplied back: an exact scaling that keeps |x|^q from under- or
-    overflowing at large q.  Shape (path, 2): the sup over the first
-    n_steps // 2 steps and the sup over all n_steps.
-    """
+def _bdg_sup_jobs(spec: CovarianceSpec, v0: VectorField, q: float, n_paths: int,
+                  base_seed: int, t_end: float, dt: float,
+                  grid: SpectralGrid | None = None) -> list:
+    """`simulate_bdg_sups`'s jobs, one per path, each giving its row."""
     n_steps = int(round(t_end / dt))
     grid = v0.grid if grid is None else grid
     n = grid.modes_per_dim
@@ -798,7 +952,7 @@ def simulate_bdg_sups(spec: CovarianceSpec, v0: VectorField, q: float, n_paths: 
     # each mode's physical velocity, both components: (m, 2 N^2)
     e_phys = basis_values(spec, grid).reshape(spec.n_modes, -1)
 
-    def worker(path):
+    def path_sups(path):
         g = np.stack([sample_increment(base_seed, path, step, spec, dt).gaussians
                       for step in range(n_steps)])
         brown = np.vstack([np.zeros(spec.n_modes), np.cumsum(g, axis=0)]) * math.sqrt(dt)
@@ -812,7 +966,26 @@ def simulate_bdg_sups(spec: CovarianceSpec, v0: VectorField, q: float, n_paths: 
             norms[lo:hi] = np.ldexp(lq_norms(values.reshape(-1, 2, n, n), q, grid), scale)
         return float(norms[: n_steps // 2 + 1].max()), float(norms.max())
 
-    return np.array(run_paths(worker, n_paths, path_workers()))
+    return [functools.partial(path_sups, path) for path in range(n_paths)]
+
+
+def simulate_bdg_sups(spec: CovarianceSpec, v0: VectorField, q: float, n_paths: int,
+                      base_seed: int, t_end: float, dt: float,
+                      grid: SpectralGrid | None = None) -> np.ndarray:
+    """sup_t ||X(t)||_{L^q} per path for X(t) = int_0^t Phi dW with the frozen
+    operator Phi = G_n(v0): X(t_j) = sum_k w_k B_k(t_j) e_k, w_k the
+    `mode_weights` read on v0's grid and B_k the path's Brownian motions,
+    summed from its (base_seed, path, step) increments.  The e_k values and
+    the L^q sums are taken on `grid`, v0's own by default; X has the noise
+    band K, so for even q they are exact on any M-point grid with qK < M,
+    such as `noise.quadrature_grid`.  `lq_norms` takes each time's values
+    divided by the power of two at their largest |x|, and its norm is
+    multiplied back: an exact scaling that keeps |x|^q from under- or
+    overflowing at large q.  Shape (path, 2): the sup over the first
+    n_steps // 2 steps and the sup over all n_steps.  One `fan_out` job per
+    path.
+    """
+    return np.array(fan_out(_bdg_sup_jobs(spec, v0, q, n_paths, base_seed, t_end, dt, grid)))
 
 
 def bdg_phi_norm(spec: CovarianceSpec, v0: VectorField, q: float) -> float:
@@ -828,6 +1001,47 @@ def bdg_phi_norm(spec: CovarianceSpec, v0: VectorField, q: float) -> float:
         raise ValueError(f"the gamma-radonifying norm of a nonzero noise operator is {norm} "
                          f"at q = {q}: |x|^q under- or overflows")
     return norm
+
+
+def bdg_plan(spec: CovarianceSpec, v0: VectorField, q: float, m_list, n_paths: int,
+             base_seed: int, t_end: float, dt: float, stability: float,
+             phi_norm: float | None = None):
+    """`bdg_report`'s jobs, one `simulate_bdg_sups` path each and none when
+    Phi = 0, and its reduction of their results, in job order.  The moment
+    orders, the step count and ||Phi||_R are checked here, before any job."""
+    for m in m_list:
+        if m < 2 or m % 2 != 0:
+            raise ValueError(f"moment order must be even and >= 2, got {m}")
+    n_steps = int(round(t_end / dt))
+    if n_steps < 2:
+        raise ValueError(f"bdg needs at least 2 time steps, got {n_steps}")
+    if phi_norm is None:
+        phi_norm = bdg_phi_norm(spec, v0, q)
+    if phi_norm == 0.0:
+        return [], lambda done: [
+            CheckResult.evaluate(f"bdg.C{m}.skipped", 0.0, 0.0, n_paths, base_seed,
+                                 extra={"reason": "Phi = 0"}) for m in m_list]
+    jobs = _bdg_sup_jobs(spec, v0, q, n_paths, base_seed, t_end, dt,
+                         quadrature_grid(spec, v0.grid, q))
+
+    def finish(done: list) -> list[CheckResult]:
+        sups = np.array(done)
+        # the time each sup covers; for an even step count t_end / 2 exactly
+        horizons = (t_end * ((n_steps // 2) / n_steps), t_end)
+        out = []
+        for m in m_list:
+            constants = {}
+            for col, horizon in enumerate(horizons):
+                mean = float(np.mean(sups[:, col] ** m))
+                constants[f"T={horizon:g}"] = mean / (horizon * phi_norm**2) ** (m / 2.0)
+            vals = np.array(list(constants.values()))
+            center = float(np.mean(vals))
+            observed = float(np.max(np.abs(vals - center)) / center)
+            out.append(CheckResult.evaluate(f"bdg.C{m}", observed, stability, n_paths,
+                                            base_seed, extra={"constants": constants}))
+        return out
+
+    return jobs, finish
 
 
 def bdg_report(spec: CovarianceSpec, v0: VectorField, q: float, m_list, n_paths: int,
@@ -846,33 +1060,9 @@ def bdg_report(spec: CovarianceSpec, v0: VectorField, q: float, m_list, n_paths:
     qK < M: Q is the smallest such even M >= 8, capped at 2N, and any finer
     grid adds only rounding.  For other q, no grid is exact, and Q is 2N.
     `phi_norm` is `bdg_phi_norm`'s value, computed here when not given.  A
-    degenerate Phi = 0 makes the ratio undefined; reported as skipped.
+    degenerate Phi = 0 makes the ratio undefined; reported as skipped.  The
+    jobs and the reduction of `bdg_plan` over one `fan_out`.
     """
-    for m in m_list:
-        if m < 2 or m % 2 != 0:
-            raise ValueError(f"moment order must be even and >= 2, got {m}")
-    n_steps = int(round(t_end / dt))
-    if n_steps < 2:
-        raise ValueError(f"bdg needs at least 2 time steps, got {n_steps}")
-    if phi_norm is None:
-        phi_norm = bdg_phi_norm(spec, v0, q)
-    if phi_norm == 0.0:
-        return [CheckResult.evaluate(f"bdg.C{m}.skipped", 0.0, 0.0, n_paths, base_seed,
-                                     extra={"reason": "Phi = 0"}) for m in m_list]
-
-    sups = simulate_bdg_sups(spec, v0, q, n_paths, base_seed, t_end, dt,
-                             quadrature_grid(spec, v0.grid, q))
-    # the time each sup covers; for an even step count t_end / 2 exactly
-    horizons = (t_end * ((n_steps // 2) / n_steps), t_end)
-    out = []
-    for m in m_list:
-        constants = {}
-        for col, horizon in enumerate(horizons):
-            mean = float(np.mean(sups[:, col] ** m))
-            constants[f"T={horizon:g}"] = mean / (horizon * phi_norm**2) ** (m / 2.0)
-        vals = np.array(list(constants.values()))
-        center = float(np.mean(vals))
-        observed = float(np.max(np.abs(vals - center)) / center)
-        out.append(CheckResult.evaluate(f"bdg.C{m}", observed, stability, n_paths, base_seed,
-                                        extra={"constants": constants}))
-    return out
+    jobs, finish = bdg_plan(spec, v0, q, m_list, n_paths, base_seed, t_end, dt, stability,
+                            phi_norm)
+    return finish(fan_out(jobs))

@@ -7,6 +7,8 @@ the dense noise sum that `apply_G` scatters, with R_n applied
 over the whole grid; the basis elements read from the dense `NoiseBasis`;
 the analytic Lipschitz constant of sigma; the per-trial loops of the
 measured constants, which the harness evaluates a chunk at a time; the
+Gronwall pairs' loop that forms the weight with the Young constant while
+stepping, which the harness leaves to a reduction after the pairs; the
 running-maximum moments of a Brownian motion that the BDG check is measured
 against; and the unpruned transforms, one irfft2 or rfft2 of the whole
 half spectrum, that the band-pruned `physical_values` and
@@ -16,10 +18,24 @@ import math
 
 import numpy as np
 
-from vortex.integrator import _sup
-from vortex.noise import NoiseBasis, apply_G, scatter_plan, sigma_eval
-from vortex.operators import bilinear_F, grad_norm_l2, leray_project, random_scalar_field
-from vortex.spectral import ScalarField, VectorField, heat_decay, l2_norm, lq_norm
+from vortex.integrator import _sup, trajectories
+from vortex.noise import NoiseBasis, apply_G, basis_l2_sq_sum, scatter_plan, sigma_eval
+from vortex.operators import (
+    bilinear_F,
+    curl,
+    grad_norm_l2,
+    grad_norms,
+    leray_project,
+    random_scalar_field,
+)
+from vortex.spectral import (
+    ScalarField,
+    VectorField,
+    heat_decay,
+    l2_norm,
+    lq_norm,
+    sobolev_norms,
+)
 
 
 def bilinear_B(u, v):
@@ -148,6 +164,38 @@ def gn_constant(grid, trials, seed=7):
             continue
         best = _sup(best, lq_norm(v, 4.0) ** 2 / denom)
     return best
+
+
+def weighted_pairs_in_loop(v0_a, v0_b, spec, cfg, seed, paths, a_const):
+    """The Gronwall pairs with psi = a ||grad v1||^2 + q^2 formed while
+    they step: per pair, the series M(t) = exp(-int_0^t psi) ||V(t)||^2,
+    the sup of ||V|| and the status."""
+    grid = v0_a.grid
+    hs_sq = basis_l2_sq_sum(spec, grid)
+    xi_a, xi_b = curl(v0_a), curl(v0_b)
+    rows = [row for p in paths for row in ((v0_a, xi_a, p), (v0_b, xi_b, p))]
+    n = len(rows) // 2
+    series, sup_v = [[] for _ in range(n)], [0.0] * n
+    int_psi, psi, completed = [0.0] * n, [0.0] * n, [False] * n
+    for visit in trajectories(rows, spec, cfg, seed):
+        alive = visit.alive[0::2] & visit.alive[1::2]
+        visit.end(~alive.repeat(2))
+        one, two = visit.v[0::2], visit.v[1::2]
+        gaps = sobolev_norms(one - two, grid)
+        grads = grad_norms(one, grid)
+        for k in np.flatnonzero(alive):
+            int_psi[k] += cfg.dt * psi[k]
+            vnorm = float(gaps[k])
+            sup_v[k] = _sup(sup_v[k], vnorm)
+            gap_sq = vnorm**2
+            series[k].append(math.exp(-int_psi[k]) * gap_sq)
+            rise = (sigma_eval(VectorField(grid, one[k]), spec)
+                    - sigma_eval(VectorField(grid, two[k]), spec))
+            q_sq = rise * rise * hs_sq / gap_sq if gap_sq else 0.0
+            psi[k] = a_const * float(grads[k]) ** 2 + q_sq
+            completed[k] = visit.step == cfg.n_steps
+    return [{"m_series": m, "sup_v": sup, "status": "completed" if done else "blowup"}
+            for m, sup, done in zip(series, sup_v, completed)]
 
 
 def sigma_lipschitz_bound(spec):

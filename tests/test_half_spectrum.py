@@ -286,7 +286,7 @@ class TestTheStepStaysOnHalves:
         for s in (spec, out_of_band):
             assert run_trajectory(None, xi0, s, cfg, seed=1).stats.status == "completed"
         pair = gronwall_pairs(v0, v0 + random_divfree_field(grid32, rng, amplitude=0.1),
-                              spec, cfg, 1, [0], 1.0)[0]
+                              spec, cfg, 1, [0])[0]
         assert pair["status"] == "completed"
         probe = HolderProbe(0.1, 0.0, 2.0, 2)
         results = sweep(spec, None, xi0, cfg, 1, 2, demands=[((10.0, math.inf), 2, probe)])

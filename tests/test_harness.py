@@ -3,7 +3,9 @@ identity suites and stochastic-integral constants."""
 
 import math
 import os
+import select
 import signal
+import struct
 import time
 import warnings
 from dataclasses import replace
@@ -22,6 +24,7 @@ from oracles import (
     gn_constant,
     hille_yosida,
     stacked_drift,
+    weighted_pairs_in_loop,
 )
 from vortex.cli import _gronwall_initial
 from vortex.config import CHECK_PARAMS, _band_modes, _single_mode_vector, parse_config
@@ -32,6 +35,7 @@ from vortex.harness import (
     energy_report,
     gronwall_pairs,
     gronwall_uniqueness,
+    gronwall_weighted,
     hy_uniformity,
     identity_suite,
     measure_gn_constant,
@@ -82,6 +86,13 @@ GRONWALL_SLACK = CHECK_PARAMS["gronwall"]["slack"][1]
 BDG_STABILITY = CHECK_PARAMS["bdg"]["stability"][1]
 
 
+def weighted_pairs(v0a, v0b, spec, cfg, seed, paths, a_const):
+    """Each `gronwall_pairs` pair weighted with the Young constant a_const:
+    its M series, sup ||V|| and status."""
+    return [gronwall_weighted(pair, a_const, cfg.dt)
+            for pair in gronwall_pairs(v0a, v0b, spec, cfg, seed, paths)]
+
+
 def make_stats(**kw):
     base = dict(sup_v_l2sq=1.0, int_grad_v=2.0, sup_xi_lq=0.5, sup_beta_l2=0.4,
                 int_grad_beta=1.0, sup_beta_lq=0.6, status="completed")
@@ -129,6 +140,44 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class Gate:
+    """A `run_paths` worker that makes a test independent of how fast the
+    forked children start.  Job 0, which the caller runs, first waits
+    until until(announced) holds, announced being the (pid, job) of each
+    job a child has started, in order; with hold, each child's job then
+    waits until job 0 has seen enough, so that no child takes the jobs
+    meant for another."""
+
+    def __init__(self, worker, until, hold=False):
+        self.worker, self.until, self.hold = worker, until, hold
+        self.parent, self.announced = os.getpid(), []
+        (self.heard, self.say), (self.wait, self.go) = os.pipe(), os.pipe()
+
+    def __call__(self, i):
+        if os.getpid() != self.parent:
+            os.write(self.say, struct.pack("ii", os.getpid(), i))
+            if self.hold:
+                os.read(self.wait, 1)
+        elif i == 0:
+            while not self.until(self.announced):
+                assert select.select([self.heard], [], [], 30.0)[0], "no child took a job"
+                self.announced.append(struct.unpack("ii", os.read(self.heard, 8)))
+            os.write(self.go, bytes(1024))  # releases every held job
+        return self.worker(i)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for fd in (self.heard, self.say, self.wait, self.go):
+            os.close(fd)
+
+
+def children(count):
+    """A Gate condition: jobs of `count` distinct children have started."""
+    return lambda announced: len({pid for pid, _ in announced}) >= count
+
+
 class TestRunPaths:
     def test_order_fixed(self):
         out = run_paths(lambda i: i * i, 7, workers=3)
@@ -141,12 +190,17 @@ class TestRunPaths:
         assert a == b
         assert_no_child_left()
 
+    def test_many_short_jobs(self):
+        assert run_paths(lambda i: i, 20000, workers=2) == list(range(20000))
+        assert_no_child_left()
+
     def test_results_come_from_children(self):
-        # jobs 0..1 run here, 2..3 and 4..6 in two children
-        pids = run_paths(lambda i: os.getpid(), 7, workers=3)
-        assert pids[:2] == [os.getpid()] * 2
-        assert len({pids[2], pids[4]} | {os.getpid()}) == 3
-        assert pids[2] == pids[3] and pids[4] == pids[5] == pids[6]
+        # job 0 runs here; each of the two children runs a held job
+        with Gate(lambda i: os.getpid(), children(2), hold=True) as gate:
+            pids = run_paths(gate, 7, workers=3)
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == 3
+        assert {pid for pid, _ in gate.announced} == set(pids) - {os.getpid()}
         assert_no_child_left()
 
     def test_each_worker_starts_on_its_own_cpu(self, monkeypatch):
@@ -175,16 +229,55 @@ class TestRunPaths:
             run_paths(worker, 7, workers=3)
         assert_no_child_left()
 
-    @pytest.mark.parametrize("die", [lambda: os._exit(3),
-                                     lambda: os.kill(os.getpid(), signal.SIGKILL)])
-    def test_child_without_results_names_its_jobs(self, die):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_failing_job_is_raised(self, workers):
+        # the slow job 2 is still running when jobs 5 and 6 fail on other
+        # workers, and its exception is the one a serial run raises
         def worker(i):
-            if i == 4:
-                die()
+            if i == 2:
+                time.sleep(0.2)
+            if i in (2, 5, 6):
+                raise ValueError(f"bad path {i}")
             return i
 
-        with pytest.raises(RuntimeError, match="jobs 4..6"):
-            run_paths(worker, 7, workers=3)
+        with pytest.raises(ValueError, match="^bad path 2$"):
+            run_paths(worker, 9, workers=workers)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("die, how", [(lambda: os._exit(3), "exited 3"),
+                                          (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                           "was killed by signal 9")])
+    def test_child_without_results_names_its_jobs(self, die, how):
+        # the child dies in the first job it takes
+        with Gate(lambda i: i, children(1)) as gate:
+            def worker(i):
+                if os.getpid() != gate.parent:
+                    die()
+                return i
+
+            gate.worker = worker
+            with pytest.raises(RuntimeError) as err:
+                run_paths(gate, 7, workers=2)
+        [(_, job)] = gate.announced
+        assert str(err.value) == (f"jobs {job} got no result: the worker process that "
+                                  f"took them {how}")
+        assert_no_child_left()
+
+    def test_child_killed_mid_run_names_every_job_it_took(self):
+        # the child takes jobs 1, 2 and 3 while job 0 runs here, and is
+        # killed in job 3: the results of 1 and 2 die with it
+        with Gate(lambda i: i, lambda announced: len(announced) == 3) as gate:
+            def worker(i):
+                if os.getpid() != gate.parent and i == 3:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return i
+
+            gate.worker = worker
+            with pytest.raises(RuntimeError) as err:
+                run_paths(gate, 8, workers=2)
+        assert [job for _, job in gate.announced] == [1, 2, 3]
+        assert str(err.value) == ("jobs 1, 2, 3 got no result: the worker process that "
+                                  "took them was killed by signal 9")
         assert_no_child_left()
 
     def test_failure_in_own_share_reaps_children(self):
@@ -200,8 +293,11 @@ class TestRunPaths:
         assert_no_child_left()
 
     def test_unpicklable_result_is_an_error(self):
-        with pytest.raises(RuntimeError, match="jobs 2..3 could not be pickled"):
-            run_paths(lambda i: (lambda: i), 4, workers=2)
+        with Gate(lambda i: (lambda: i), children(1)) as gate:
+            with pytest.raises(RuntimeError) as err:
+                run_paths(gate, 4, workers=2)
+        [(_, job)] = gate.announced
+        assert str(err.value).startswith(f"the result of job {job} could not be pickled")
         assert_no_child_left()
 
     def test_wrapped_run_paths_keeps_every_job_here(self, monkeypatch):
@@ -213,7 +309,9 @@ class TestRunPaths:
         assert pids == [os.getpid()] * 5
         assert_no_child_left()
         monkeypatch.undo()
-        assert len(set(harness.run_paths(lambda i: os.getpid(), 5, 3))) == 3
+        with Gate(lambda i: os.getpid(), children(2), hold=True) as gate:
+            assert len(set(harness.run_paths(gate, 5, 3))) == 3
+        assert_no_child_left()
 
 
 class TestEnergyReport:
@@ -484,7 +582,7 @@ class TestGronwall:
         v0b = v0a + bump * (1e-2 / l2_norm(bump))
         cfg = SolverConfig(dt=1e-3, t_end=0.05)
         a = measure_gn_constant(grid16, 200) ** 2
-        res = gronwall_pairs(v0a, v0b, ZERO_NOISE, cfg, seed=0, paths=[0], a_const=a)[0]
+        res = weighted_pairs(v0a, v0b, ZERO_NOISE, cfg, seed=0, paths=[0], a_const=a)[0]
         m = res["m_series"]
         for x, y in zip(m, m[1:]):
             assert y <= x * (1 + 1e-6)
@@ -499,10 +597,10 @@ class TestGronwall:
         bump = random_divfree_field(grid32, rng)
         v0b = v0a + bump * (1e-2 / l2_norm(bump))
         cfg = SolverConfig(dt=2e-3, t_end=0.12)
-        res = gronwall_pairs(v0a, v0b, spec, cfg, seed=4, paths=[1], a_const=0.3)[0]
+        res = weighted_pairs(v0a, v0b, spec, cfg, seed=4, paths=[1], a_const=0.3)[0]
         monkeypatch.setattr(operators, "velocity_drift",
                             stacked_drift(lambda v, w: leray_project(bilinear_B(v, v))))
-        oracle = gronwall_pairs(v0a, v0b, spec, cfg, seed=4, paths=[1], a_const=0.3)[0]
+        oracle = weighted_pairs(v0a, v0b, spec, cfg, seed=4, paths=[1], a_const=0.3)[0]
         assert len(res["m_series"]) == len(oracle["m_series"]) == cfg.n_steps + 1
         for a, b in zip(res["m_series"], oracle["m_series"]):
             assert abs(a - b) <= 1e-12 * b
@@ -518,7 +616,7 @@ class TestGronwall:
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
         a_const = 0.3
         for spec in (SMALL_NOISE, rational_noise(grid16)):
-            pair = gronwall_pairs(v0a, v0b, spec, cfg, 6, [2], a_const)[0]
+            pair = weighted_pairs(v0a, v0b, spec, cfg, 6, [2], a_const)[0]
             seen = [[], []]
             for v0, states in zip((v0a, v0b), seen):
                 run_trajectory(v0, curl(v0), spec, cfg, seed=6, path_index=2,
@@ -538,6 +636,27 @@ class TestGronwall:
             assert np.array_equal(np.array(pair["m_series"]).view(np.uint64),
                                   np.array(series).view(np.uint64))
             assert pair["sup_v"] == max(l2_norm(one.v - two.v) for one, two in zip(*seen))
+
+    @pytest.mark.parametrize("a_const", [0.05, 0.3])
+    @pytest.mark.parametrize("perturbed", [True, False])
+    def test_weight_formed_after_the_pairs_is_the_in_loop_weight(self, grid16, rng, a_const,
+                                                                 perturbed):
+        # the Young constant enters only the reduction; its M series and sup
+        # of ||V|| keep the bits of the loop that formed psi while stepping
+        v0a = biot_savart(random_scalar_field(grid16, rng))
+        bump = random_divfree_field(grid16, rng)
+        v0b = v0a + bump * (1e-2 / l2_norm(bump)) if perturbed else v0a
+        cfg = SolverConfig(dt=5e-3, t_end=0.05)
+        for spec in (SMALL_NOISE, rational_noise(grid16)):
+            got = weighted_pairs(v0a, v0b, spec, cfg, 6, [2, 0], a_const)
+            want = weighted_pairs_in_loop(v0a, v0b, spec, cfg, 6, [2, 0], a_const)
+            for pair, oracle in zip(got, want, strict=True):
+                assert pair["status"] == oracle["status"] == "completed"
+                assert len(pair["m_series"]) == cfg.n_steps + 1
+                assert np.array_equal(np.array(pair["m_series"]).view(np.uint64),
+                                      np.array(oracle["m_series"]).view(np.uint64))
+                assert pair["sup_v"].hex() == oracle["sup_v"].hex()
+                assert (pair["sup_v"] == 0.0) == (not perturbed)
 
     def test_identical_data_under_rational_square_is_zero(self, grid16, rng):
         # V = 0 at every step: the noise term is 0 there, not 0/0
@@ -562,7 +681,7 @@ class TestGronwall:
         v0a = biot_savart(random_scalar_field(grid16, rng))
         v0b = v0a + random_divfree_field(grid16, rng) * 1e-3
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
-        res = gronwall_pairs(v0a, v0b, SMALL_NOISE, cfg, 3, [0], 0.3)[0]
+        res = weighted_pairs(v0a, v0b, SMALL_NOISE, cfg, 3, [0], 0.3)[0]
         assert res["status"] == "completed"
         # sigma reads each solution's own velocity: v1 then v2, every step
         assert len(seen) == 2 * cfg.n_steps
@@ -576,8 +695,8 @@ class TestGronwall:
         calm = SolverConfig(dt=5e-3, t_end=0.05)
         cfg = SolverConfig(dt=5e-3, t_end=0.05, blowup_threshold=0.05)
         assert l2_norm(v0a) > cfg.blowup_threshold
-        assert gronwall_pairs(v0a, v0b, SMALL_NOISE, calm, 3, [0], 0.3)[0]["status"] == "completed"
-        pair = gronwall_pairs(v0a, v0b, SMALL_NOISE, cfg, 3, [0], 0.3)[0]
+        assert weighted_pairs(v0a, v0b, SMALL_NOISE, calm, 3, [0], 0.3)[0]["status"] == "completed"
+        pair = weighted_pairs(v0a, v0b, SMALL_NOISE, cfg, 3, [0], 0.3)[0]
         assert pair["status"] == "blowup" and len(pair["m_series"]) == 1
         out = gronwall_uniqueness(v0a, v0b, SMALL_NOISE, cfg, n_paths=3,
                                   base_seed=3, slack=GRONWALL_SLACK, gn_trials=50)
@@ -591,7 +710,7 @@ class TestGronwall:
         v0 = biot_savart(random_scalar_field(grid16, rng))
         cfg = SolverConfig(dt=5e-3, t_end=0.02)
         args = (SMALL_NOISE, cfg, 2, 3, GRONWALL_SLACK, 50)
-        clean = gronwall_uniqueness(v0, v0, *args)  # caches the GN constant
+        clean = gronwall_uniqueness(v0, v0, *args)
         assert clean.name == "gronwall.identical" and clean.passed
         real = harness.sobolev_norms
 
@@ -601,7 +720,7 @@ class TestGronwall:
             return norms
 
         monkeypatch.setattr(harness, "sobolev_norms", nan_last_pair)
-        pairs = gronwall_pairs(v0, v0, SMALL_NOISE, cfg, 3, [0, 1], 0.3)
+        pairs = weighted_pairs(v0, v0, SMALL_NOISE, cfg, 3, [0, 1], 0.3)
         assert pairs[0]["sup_v"] == 0.0 and math.isnan(pairs[1]["sup_v"])
         out = gronwall_uniqueness(v0, v0, *args)
         assert out.name == "gronwall.identical"
@@ -615,11 +734,11 @@ class TestGronwall:
         v0b = v0a + bump * (1e-2 / l2_norm(bump))
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
         for spec in (SMALL_NOISE, rational_noise(grid16)):
-            batch = gronwall_pairs(v0a, v0b, spec, cfg, 6, [2, 0, 5], 0.3)
+            batch = gronwall_pairs(v0a, v0b, spec, cfg, 6, [2, 0, 5])
             for path, got in zip([2, 0, 5], batch):
-                want = gronwall_pairs(v0a, v0b, spec, cfg, 6, [path], 0.3)[0]
+                want = gronwall_pairs(v0a, v0b, spec, cfg, 6, [path])[0]
                 assert repr(got) == repr(want)
-            assert len({repr(got["m_series"]) for got in batch}) == 3
+            assert len({repr(got["v_norms"]) for got in batch}) == 3
 
     def test_perturbed_supermartingale_small_scale(self, grid16, rng):
         xi0 = random_scalar_field(grid16, rng)
@@ -690,7 +809,7 @@ class TestMeasuredConstants:
     def test_gn_constant_is_the_per_trial_loop(self, n, trials, seed):
         grid = SpectralGrid(n)
         assert trials % next(harness._trial_chunks(grid, 10**9)) != 0
-        got = measure_gn_constant.__wrapped__(grid, trials, seed)
+        got = measure_gn_constant(grid, trials, seed)
         assert got.hex() == gn_constant(grid, trials, seed).hex()
 
     @pytest.mark.parametrize("decay, amplitude", [(2.0, 1.0), (1.37, 0.3), (-1.0, 2.0)])
@@ -714,7 +833,7 @@ class TestMeasuredConstants:
 
         monkeypatch.setattr(harness, "divfree_halves", nan_in_second_chunk)
         chunk = next(harness._trial_chunks(grid16, 10**9))
-        assert math.isnan(measure_gn_constant.__wrapped__(grid16, 2 * chunk + 3, 7))
+        assert math.isnan(measure_gn_constant(grid16, 2 * chunk + 3, 7))
         assert len(calls) == 3
 
 
