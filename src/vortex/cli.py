@@ -150,13 +150,15 @@ def run_experiment(config: ExperimentConfig):
     batches and the BDG paths, so the longest jobs start first and the
     short BDG paths fill in at the end.  The sweep integrates, once each,
     the (Hille-Yosida level, path) pairs of the main Monte-Carlo,
-    hy_uniformity and zeta_regularity, and writes the snapshots; energy and
-    those two checks reduce its results, and each other check reduces its
-    own jobs' results (`sweep_plan`, `gronwall_plan`, `bdg_plan`).  The
-    Gagliardo-Nirenberg constant enters only gronwall's reduction, so the
-    pairs need not wait for it.  A trial field of its search that under- or
-    overflows refuses the run as the check's configuration error; it is
-    job 0, so a serial run refuses it before any path runs.
+    hy_uniformity and zeta_regularity, and stages the snapshots, which its
+    reduction moves into place; energy and those two checks reduce its
+    results, and each other check reduces its own jobs' results
+    (`sweep_plan`, `gronwall_plan`, `bdg_plan`).  The Gagliardo-Nirenberg
+    constant enters only gronwall's reduction, so the pairs need not wait
+    for it.  A trial field of its search that under- or overflows refuses
+    the run as the check's configuration error; it is job 0, so a serial
+    run refuses it before any path runs, and a forked run removes the
+    snapshots staged meanwhile (`harness.fan_out`).
     """
     grid = config.grid
     spec = config.build_noise_spec()
@@ -226,9 +228,9 @@ def run_experiment(config: ExperimentConfig):
         if chk.name == "identities":
             reductions[i] = (place([functools.partial(identity_suite, grid, chk.value("trials"),
                                                       seed)]), lambda done: done[0])
-    sweep_jobs, finish_sweep = sweep_plan(spec, v0, xi0, config.solver, seed, n_main,
-                                          config.lq_exponent, demands, snapshot_dir,
-                                          out.snapshot_stride)
+    sweep_jobs, finish_sweep, staging = sweep_plan(
+        spec, v0, xi0, config.solver, seed, n_main, config.lq_exponent, demands, snapshot_dir,
+        out.snapshot_stride)
     swept = place(sweep_jobs)
     for i, chk in configured:
         if chk.name == "gronwall":
@@ -244,7 +246,7 @@ def run_experiment(config: ExperimentConfig):
                                         config.solver.dt, chk.value("stability"), phi_norms[i])
             reductions[i] = (place(bdg_jobs), finish)
 
-    results = harness.fan_out(jobs)
+    results = harness.fan_out(jobs, staging)
     levels = finish_sweep(results[swept])
     stats = [r.stats for r in levels[spec.hy_level][:n_main]]
     checks: list[CheckResult] = []

@@ -5,7 +5,10 @@ stochastic-integral moment bounds, and the operator-identity suites.
 
 The solutions of the coupled system are integrated in one place: `sweep`
 runs each (Hille-Yosida level, path) a run needs exactly once, and keeps
-per path only scalars (the stats and the zeta Holder quotients).  The
+per path only scalars (the stats and the zeta Holder quotients, which a
+batch reduces from the zeta `run_trajectory` keeps at the touched
+coefficients, `holder_quotients`).  Its one observer writes the snapshots
+into a staging directory, which its reduction moves into place.  The
 energy report, `hy_uniformity` and `zeta_regularity` are pure reductions
 over its results.  The Gronwall pairs step their two solutions of a path
 as two rows of the integrator's one loop, `trajectories`, on the path's
@@ -57,6 +60,7 @@ import math
 import mmap
 import os
 import pickle
+import shutil
 import signal
 import traceback
 from dataclasses import dataclass
@@ -70,7 +74,6 @@ from .integrator import (
     SolverConfig,
     TrajectoryStats,
     _sup,
-    holder_quotient,
     run_trajectory,
     trajectories,
 )
@@ -82,6 +85,7 @@ from .noise import (
     operator_norms,
     quadrature_grid,
     sample_increment,
+    scatter_plan,
     sigma_eval,
 )
 from .operators import (
@@ -402,10 +406,16 @@ def run_paths(worker, n_jobs: int, workers: int) -> list:
 _unwrapped_run_paths = run_paths
 
 
-def fan_out(jobs: list) -> list:
+def fan_out(jobs: list, staging: Path | None = None) -> list:
     """The results of `jobs`, zero-argument callables, in job order: one
-    `run_paths` call on `path_workers()` processes."""
-    return run_paths(lambda k: jobs[k](), len(jobs), path_workers())
+    `run_paths` call on `path_workers()` processes.  If a job raises, the
+    directory `staging` that the jobs write into is removed with its files."""
+    try:
+        return run_paths(lambda k: jobs[k](), len(jobs), path_workers())
+    except BaseException:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
 def mc_mean_stderr(values) -> tuple[float, float]:
@@ -429,6 +439,7 @@ def mc_mean_stderr(values) -> tuple[float, float]:
 # or 4 pairs at N = 32, 2 paths or 1 pair at 64, and one path or pair at every
 # N above 64.  Each batch is one job of a fan-out: the worker processes of
 # `run_paths` take the batches one at a time, as each finishes its last job.
+# `holder_quotients` norms its pairs of zeta samples in chunks of the same size.
 # Larger batches cost more than they save (2 CPUs, numpy 2.4 with pocketfft):
 # at N = 256 a batch of 4 paths ran at 0.77x the speed of the 4 paths one at a
 # time, and at N = 64 batches of 16 raised the peak RSS of a 16-path
@@ -548,10 +559,49 @@ class HolderProbe:
 
 @dataclass
 class PathResult:
-    """What outlives an integrated path: its stats and one quotient per probe."""
+    """What outlives a path: its stats and one quotient per probe (`holder_quotients`)."""
 
     stats: TrajectoryStats
     quotients: dict[HolderProbe, float]
+
+
+def holder_quotients(zetas: list[np.ndarray], stride: int, cfg: SolverConfig, probe: HolderProbe,
+                     spec: CovarianceSpec, grid: SpectralGrid) -> list[float]:
+    """Each path's worst ||zeta(t) - zeta(r)||_{W^{delta,q}} / (t - r)^beta
+    over the dyadic-gap pairs of its samples every probe.stride steps and at
+    the last, read from zetas[p], its `run_trajectory` samples every `stride`
+    steps, a divisor of probe.stride.  Each gap norms the pairs of every
+    path in stacked passes of `_batches` size, scattered into halves, by
+    `sobolev_norms` at q = 2 and else `lq_norms` of the Bessel-smoothed
+    `physical_values`, so each quotient has the bits of its pairs normed one
+    at a time; a NaN is kept.  Only the samples and one chunk of halves are
+    held, never a dense zeta per sample."""
+    touched = scatter_plan(spec, grid).touched
+    steps = [k for k in range(cfg.n_steps + 1) if k % stride == 0 or k == cfg.n_steps]
+    keep = [k for k, step in enumerate(steps) if step % probe.stride == 0 or step == cfg.n_steps]
+    times = [steps[k] * cfg.dt for k in keep]
+    zeta = np.zeros((len(zetas), len(steps), len(touched)), dtype=np.complex128)
+    for p, z in enumerate(zetas):
+        zeta[p, :len(z)] = z
+    zeta, lived = zeta[:, keep], np.searchsorted(keep, [len(z) for z in zetas])
+    worst, gap = np.zeros(len(zetas)), 1
+    while gap < len(keep):
+        diff = (zeta[:, gap:] - zeta[:, :-gap]).reshape(-1, len(touched))
+        norms = np.empty(len(diff))
+        for rows in _batches(grid, len(diff)):
+            halves = np.zeros((len(rows), 1) + grid.ksq.shape, dtype=np.complex128)
+            halves.reshape(len(rows), -1)[:, touched] = diff[rows]
+            if probe.q == 2.0:
+                norms[rows] = sobolev_norms(halves, grid, probe.delta)
+            else:
+                halves *= (1.0 + grid.ksq) ** (probe.delta / 2.0)
+                norms[rows] = lq_norms(physical_values(halves), probe.q, grid)
+        quotients = (norms.reshape(len(zetas), -1)
+                     / [(t - r) ** probe.beta for r, t in zip(times, times[gap:])])
+        paired = np.arange(gap, len(keep)) < lived[:, None]  # both samples were kept
+        worst = np.maximum(worst, np.where(paired, quotients, 0.0).max(axis=1))
+        gap *= 2
+    return [float(w) for w in worst]
 
 
 def zeta_budget(roughness: float, beta: float, delta: float, p: float) -> None:
@@ -567,9 +617,12 @@ def zeta_budget(roughness: float, beta: float, delta: float, p: float) -> None:
 def sweep_plan(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
                cfg: SolverConfig, base_seed: int, n_paths: int, lq_exponent: float = 4.0,
                demands=(), snapshot_dir=None, snapshot_stride: int = 0):
-    """`sweep`'s jobs, one per batch of a level's paths, and the reduction
-    of their results, in job order, to its result."""
-    write_any = snapshot_dir is not None and snapshot_stride > 0
+    """`sweep`'s jobs, one per batch of a level's paths, the reduction of
+    their results, in job order, to its result, which moves the snapshots
+    into snapshot_dir, and the directory, new beside it, that the jobs
+    write them into (None without snapshots; see `fan_out`)."""
+    staging = (Path(snapshot_dir).with_name(f".{Path(snapshot_dir).name}.{os.urandom(6).hex()}")
+               if snapshot_dir is not None and snapshot_stride > 0 else None)
     counts = {spec.hy_level: n_paths}
     probes: dict[float, set[HolderProbe]] = {spec.hy_level: set()}
     for levels, paths, probe in demands:
@@ -578,42 +631,42 @@ def sweep_plan(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
             probes.setdefault(n, set()).update([] if probe is None else [probe])
     keys = [(n, paths) for n in counts for paths in _batches(xi0.grid, counts[n])]
 
-    def observer(level, path):
-        """The observer of a path, and the zeta samples it keeps per stride."""
-        samples = {probe.stride: ([], []) for probe in probes[level]}
-        write = write_any and level == spec.hy_level and path < n_paths
-        if not samples and not write:
-            return None, samples
-        step = 0
+    def snapshots(level, path):
+        """The observer that writes a main path's snapshots, or None."""
+        if staging is None or level != spec.hy_level or path >= n_paths:
+            return None
+        steps = iter(range(cfg.n_steps + 1))
 
         def observe(st: CoupledState):
-            nonlocal step
-            for stride, (zetas, times) in samples.items():
-                if step % stride == 0 or step == cfg.n_steps:
-                    zetas.append(st.zeta)
-                    times.append(st.t)
-            if write and step % snapshot_stride == 0:
+            step = next(steps)
+            if step % snapshot_stride == 0:
                 if step == 0:
-                    Path(snapshot_dir).mkdir(parents=True, exist_ok=True)
-                write_snapshot(st.xi, Path(snapshot_dir) / f"path{path:04d}_step{step:06d}.vspd")
-            step += 1
+                    staging.mkdir(parents=True, exist_ok=True)
+                write_snapshot(st.xi, staging / f"path{path:04d}_step{step:06d}.vspd")
 
-        return observe, samples
+        return observe
 
     def batch(level, paths):
-        observers, samples = zip(*(observer(level, p) for p in paths))
+        stride = math.gcd(*(p.stride for p in probes[level]))  # 0 without probes
         done = run_trajectory(v0, xi0, spec.with_hy_level(level), cfg, seed=base_seed,
                               path_index=paths.start, lq_exponent=lq_exponent,
-                              observer=observers, n_paths=len(paths))
-        return [PathResult(res.stats, {
-            probe: holder_quotient(*kept[probe.stride], probe.beta, probe.delta, probe.q)
-            for probe in probes[level]}) for res, kept in zip(done, samples)]
+                              observer=[snapshots(level, p) for p in paths],
+                              n_paths=len(paths), zeta_stride=stride)
+        quotients = {probe: holder_quotients([r.zeta for r in done], stride, cfg, probe, spec,
+                                             xi0.grid) for probe in probes[level]}
+        return [PathResult(r.stats, {probe: q[i] for probe, q in quotients.items()})
+                for i, r in enumerate(done)]
 
     def finish(done: list) -> dict[float, list[PathResult]]:
+        if staging is not None and staging.exists():
+            Path(snapshot_dir).mkdir(exist_ok=True)
+            for staged in staging.iterdir():
+                staged.replace(Path(snapshot_dir) / staged.name)
+            staging.rmdir()
         return {n: [r for (m, _), results in zip(keys, done) if m == n for r in results]
                 for n in counts}
 
-    return [functools.partial(batch, *key) for key in keys], finish
+    return [functools.partial(batch, *key) for key in keys], finish, staging
 
 
 def sweep(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
@@ -633,9 +686,9 @@ def sweep(spec: CovarianceSpec, v0: VectorField | None, xi0: ScalarField,
     write xi every snapshot_stride steps there.  The jobs and the reduction
     of `sweep_plan` over one `fan_out`.
     """
-    jobs, finish = sweep_plan(spec, v0, xi0, cfg, base_seed, n_paths, lq_exponent, demands,
-                              snapshot_dir, snapshot_stride)
-    return finish(fan_out(jobs))
+    jobs, finish, staging = sweep_plan(spec, v0, xi0, cfg, base_seed, n_paths, lq_exponent,
+                                       demands, snapshot_dir, snapshot_stride)
+    return finish(fan_out(jobs, staging))
 
 
 def _read_levels(name: str, results, levels, n_paths: int, seed: int):

@@ -22,10 +22,11 @@ v and zeta together, at the few half-spectrum coefficients the noise modes
 touch (`noise.scatter_plan(...).touched`), so a step builds no dense noise
 field.  The velocity update adds it there in place.  zeta starts at zero
 and only the noise feeds it, so it vanishes off those coefficients at
-every step: it is stored and stepped there alone, and scattered into a
-dense half only for an observer's `CoupledState`.  The blow-up guard
-measures ||v|| of each new state, and the path statistics take that value
-rather than measuring it again.
+every step: it is stored and stepped there alone, `run_trajectory` keeps
+it there at the steps its caller names, and it is scattered into a dense
+half only for a `CoupledState`, an observer's or a path's last.  The
+blow-up guard measures ||v|| of each new state, and the path statistics
+take that value rather than measuring it again.
 
 One loop steps every solution the program integrates: the generator
 `trajectories` steps a batch of rows, each an initial velocity and a path
@@ -87,8 +88,6 @@ from .spectral import (
     lq_norms,
     physical_values,
     require_real,
-    sobolev_norm,
-    sobolev_norm_spectral,
     sobolev_norms,
 )
 
@@ -165,8 +164,12 @@ class TrajectoryStats:
 
 @dataclass
 class TrajectoryResult:
+    """A path's last visited state, its stats and its zeta samples (S, T),
+    see `run_trajectory`."""
+
     final: CoupledState
     stats: TrajectoryStats
+    zeta: np.ndarray
 
 
 def _within(norms: np.ndarray, cfg: SolverConfig) -> np.ndarray:
@@ -205,36 +208,6 @@ def velocity_step(
 def _sup(a: float, b: float) -> float:
     """max(a, b) that keeps a NaN from either side, as a Python float."""
     return float(np.maximum(a, b))
-
-
-def holder_quotient(
-    snapshots: list[ScalarField],
-    times: list[float],
-    exponent: float,
-    space_order: float = 0.0,
-    q: float = 2.0,
-) -> float:
-    """Worst Holder quotient over all dyadic-gap pairs of the stored stride.
-
-    q = 2 uses the exact spectral W^{s,2} norm; other q fall back to
-    physical-space quadrature of the Bessel-smoothed difference.
-    """
-    if len(snapshots) != len(times):
-        raise ValueError("snapshot/time length mismatch")
-    worst = 0.0
-    m = len(snapshots)
-    gap = 1
-    while gap < m:
-        for i in range(0, m - gap):
-            j = i + gap
-            diff = snapshots[j] - snapshots[i]
-            if q == 2.0:
-                norm = sobolev_norm_spectral(diff, space_order)
-            else:
-                norm = sobolev_norm(diff, space_order, q)
-            worst = _sup(worst, norm / (times[j] - times[i]) ** exponent)
-        gap *= 2
-    return worst
 
 
 def _inside_dealias_band(v: VectorField, spec: CovarianceSpec) -> bool:
@@ -402,14 +375,17 @@ def _zeroed(alive: np.ndarray, *stacks: np.ndarray) -> tuple:
 
 def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpec,
                    cfg: SolverConfig, seed: int, path_index: int = 0,
-                   lq_exponent: float = 4.0, observer=None, n_paths: int | None = None):
+                   lq_exponent: float = 4.0, observer=None, n_paths: int | None = None,
+                   zeta_stride: int = 0):
     """The path functionals and the last visited state of the (seed,
     path_index) solution from (v0, xi0), a TrajectoryResult; status
     'blowup' if a step blew up or a functional is not finite, which ends
-    the path there.  An observer callable, if given, sees each visited
-    CoupledState once, in step order (its k-th call the state after k
-    steps); callers derive from it whatever else they need of a path, such
-    as recorded states, snapshot files or zeta samples.
+    the path there.  With zeta_stride > 0, its `zeta` (S, T) keeps zeta at
+    the T touched coefficients every zeta_stride steps and at the last, at
+    the S such steps the path lives to.  An observer callable, if given,
+    sees each visited CoupledState once, in step order (its k-th call the
+    state after k steps); callers derive from it whatever else they need of
+    a dense state, such as recorded states or snapshot files.
 
     With n_paths, the paths path_index, ..., path_index + n_paths - 1 step
     as one batch of `trajectories`, and the call returns their results in
@@ -423,6 +399,7 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
     observers = [observer] if n_paths is None else list(observer or [None] * count)
     stats = [TrajectoryStats() for _ in range(count)]
     last: list = [None] * count
+    kept: list = [[] for _ in range(count)]
     rows = [(v0, xi0, path_index + r) for r in range(count)]
     for visit in trajectories(rows, spec, cfg, seed):
         beta = visit.beta[:, None]
@@ -437,6 +414,8 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
         for i in np.flatnonzero(visit.alive):
             if observers[i] is not None:
                 observers[i](visit.state(i))
+            if zeta_stride and (visit.step % zeta_stride == 0 or visit.step == cfg.n_steps):
+                kept[i].append(visit.zeta[i])
             last[i] = visit
             s = stats[i]
             with np.errstate(over="ignore"):
@@ -456,5 +435,6 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
     for i, (s, visit) in enumerate(zip(stats, last)):
         if visit.step < cfg.n_steps or not visit.alive[i]:
             s.status = "blowup"
-        results.append(TrajectoryResult(final=visit.state(i), stats=s))
+        zeta = np.array(kept[i], np.complex128).reshape(len(kept[i]), len(visit.touched))
+        results.append(TrajectoryResult(visit.state(i), s, zeta))
     return results[0] if n_paths is None else results

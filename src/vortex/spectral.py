@@ -448,18 +448,9 @@ def abs_power(values: np.ndarray, q: float) -> np.ndarray:
     return np.abs(values) ** q
 
 
-def sobolev_norm(field: Field, s: float, q: float = 2.0) -> float:
-    """W^{s,q} norm: the L^q norm of the Bessel-smoothed field."""
-    return lq_norm(bessel_multiplier(field, s), q)
-
-
 def sobolev_norm_spectral(field: Field, s: float) -> float:
-    """W^{s,2} norm via Parseval: (L^2 sum_k (1+|k|^2)^s |c_k|^2)^(1/2).
-
-    Must agree with sobolev_norm(field, s, 2) to ~1e-10 relative; used as
-    the fast path inside time stepping.  The one-field case of
-    `sobolev_norms`.
-    """
+    """W^{s,2} norm via Parseval: (L^2 sum_k (1+|k|^2)^s |c_k|^2)^(1/2),
+    the one-field case of `sobolev_norms`."""
     return float(sobolev_norms(field.half.reshape((-1,) + field.half.shape[-2:]), field.grid, s))
 
 

@@ -12,7 +12,10 @@ stepping, which the harness leaves to a reduction after the pairs; the
 running-maximum moments of a Brownian motion that the BDG check is measured
 against; and the unpruned transforms, one irfft2 or rfft2 of the whole
 half spectrum, that the band-pruned `physical_values` and
-`hermitian_amplitudes` must match bit for bit."""
+`hermitian_amplitudes` must match bit for bit; and the W^{s,q} norm of one
+dense field and the Holder quotient of a list of dense zeta samples, pair
+by pair, that the sweep's stacked `holder_quotients` must match bit for
+bit."""
 
 import math
 
@@ -31,9 +34,11 @@ from vortex.operators import (
 from vortex.spectral import (
     ScalarField,
     VectorField,
+    bessel_multiplier,
     heat_decay,
     l2_norm,
     lq_norm,
+    sobolev_norm_spectral,
     sobolev_norms,
 )
 
@@ -262,3 +267,30 @@ def rfft2_amplitudes(values, width):
         np.conjugate(out[..., h - 1: 0: -1, j], out=out[..., h + 1:, j])
     out.imag[..., ::h, ::h] = 0.0
     return out
+
+
+def sobolev_norm(field, s, q=2.0):
+    """W^{s,q} norm: the L^q norm of the Bessel-smoothed field."""
+    return lq_norm(bessel_multiplier(field, s), q)
+
+
+def holder_quotient(snapshots, times, exponent, space_order=0.0, q=2.0):
+    """Worst Holder quotient over all dyadic-gap pairs of the stored stride,
+    one dense difference at a time: q = 2 by the spectral W^{s,2} norm,
+    other q by physical-space quadrature of the Bessel-smoothed difference."""
+    if len(snapshots) != len(times):
+        raise ValueError("snapshot/time length mismatch")
+    worst = 0.0
+    m = len(snapshots)
+    gap = 1
+    while gap < m:
+        for i in range(0, m - gap):
+            j = i + gap
+            diff = snapshots[j] - snapshots[i]
+            if q == 2.0:
+                norm = sobolev_norm_spectral(diff, space_order)
+            else:
+                norm = sobolev_norm(diff, space_order, q)
+            worst = _sup(worst, norm / (times[j] - times[i]) ** exponent)
+        gap *= 2
+    return worst

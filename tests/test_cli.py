@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import select
 
 import numpy as np
 import pytest
@@ -70,9 +71,9 @@ class TestRunCommand:
             asked[-1] += 1
             return n
 
-        def counted_fan_out(jobs):
+        def counted_fan_out(jobs, staging=None):
             fanned[-1].append(len(jobs))
-            return real_fan_out(jobs)
+            return real_fan_out(jobs, staging)
 
         monkeypatch.setattr(harness.os, "fork", counted_fork)
         monkeypatch.setattr(harness, "fan_out", counted_fan_out)
@@ -513,6 +514,45 @@ class TestSharedSweep:
         assert "decay 2.9046439964507584 underflows" in err and "Traceback" not in err
         assert len(forks) == 1
         assert not (out / "stats.csv").exists()
+        with pytest.raises(ChildProcessError):  # no worker process is left
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_forked_refusal_after_a_snapshot_writes_nothing(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # the GN search, job 0, refuses the run here only once the forked
+        # child, which runs the sweep's batch, has written a snapshot: the
+        # staged snapshots go with the refusal, and the output directory
+        # holds what it held before
+        read, write = os.pipe()
+        real_write = harness.write_snapshot
+
+        def signalling(field, path):
+            real_write(field, path)
+            os.write(write, b"w")
+
+        def refusing(grid, trials):
+            assert select.select([read], [], [], 60)[0], "no snapshot was written"
+            raise ValueError("refused once a snapshot exists")
+
+        monkeypatch.setattr(harness, "write_snapshot", signalling)
+        monkeypatch.setattr(cli, "measure_gn_constant", refusing)
+        monkeypatch.setattr(harness, "path_workers", lambda: 2)
+        doc = dict(SMALL_CONFIG, output={"snapshot_stride": 1},
+                   checks=[{"name": "energy"},
+                           {"name": "gronwall", "n_paths": 2, "gn_trials": 50}])
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("written before the run\n")
+        before = sorted(out.rglob("*"))
+        try:
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        finally:
+            os.close(read)
+            os.close(write)
+        err = capsys.readouterr().err
+        assert "'checks[1]' (gronwall)" in err and "refused once a snapshot exists" in err
+        assert sorted(out.rglob("*")) == before
         with pytest.raises(ChildProcessError):  # no worker process is left
             os.waitpid(-1, os.WNOHANG)
 

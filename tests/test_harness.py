@@ -23,6 +23,7 @@ from oracles import (
     divfree_field,
     gn_constant,
     hille_yosida,
+    holder_quotient,
     stacked_drift,
     weighted_pairs_in_loop,
 )
@@ -36,6 +37,7 @@ from vortex.harness import (
     gronwall_pairs,
     gronwall_uniqueness,
     gronwall_weighted,
+    holder_quotients,
     hy_uniformity,
     identity_suite,
     measure_gn_constant,
@@ -45,8 +47,8 @@ from vortex.harness import (
     zeta_budget,
     zeta_regularity,
 )
-from vortex import harness, noise, operators
-from vortex.integrator import SolverConfig, TrajectoryStats, holder_quotient, run_trajectory
+from vortex import harness, integrator, noise, operators
+from vortex.integrator import SolverConfig, TrajectoryStats, run_trajectory
 from vortex.noise import CovarianceSpec
 from vortex.operators import (
     biot_savart,
@@ -457,12 +459,14 @@ class TestZetaRegularity:
         assert quotients[1] <= 1.5 * quotients[0]
 
     def test_nan_quotient_fails(self, grid16, rng, monkeypatch):
-        # one NaN pair per path: the quotient keeps it, and the check FAILs
-        def nan_last(zetas, times, *args):
-            zetas = zetas[:-1] + [zetas[-1] * np.nan]
-            return holder_quotient(zetas, times, *args)
+        # a NaN last sample of each path: the quotient keeps it, and the check FAILs
+        reduce = harness.holder_quotients
 
-        monkeypatch.setattr(harness, "holder_quotient", nan_last)
+        def nan_last(zetas, *args):
+            zetas = [np.concatenate([z[:-1], z[-1:] * np.nan]) for z in zetas]
+            return reduce(zetas, *args)
+
+        monkeypatch.setattr(harness, "holder_quotients", nan_last)
         xi0 = random_scalar_field(grid16, rng)
         cfg = SolverConfig(dt=2e-3, t_end=0.064)
         out = swept_zeta(SMALL_NOISE, xi0, cfg, [10.0, math.inf], n_paths=2, base_seed=11,
@@ -470,6 +474,72 @@ class TestZetaRegularity:
         assert out.name == "zeta_regularity"
         assert not out.passed and out.observed == math.inf
         assert all(math.isnan(m) for m in out.extra["quotient_means"])
+
+
+class TestHolderQuotients:
+    """The sweep's stacked reduction of run_trajectory's zeta samples,
+    judged by the oracle that norms each pair of dense observed zetas."""
+
+    @staticmethod
+    def batch(spec, xi0, cfg, n_paths, stride):
+        """A batch's results, zeta kept every `stride` steps, and the dense
+        states an observer of each path sees."""
+        seen = [[] for _ in range(n_paths)]
+        done = run_trajectory(None, xi0, spec, cfg, seed=3, n_paths=n_paths,
+                              observer=[s.append for s in seen], zeta_stride=stride)
+        return done, seen
+
+    @staticmethod
+    def sampled(states, stride, n_steps):
+        """The observed states at the steps a probe samples, k-th after k steps."""
+        return [st for k, st in enumerate(states) if k % stride == 0 or k == n_steps]
+
+    def oracle(self, states, stride, n_steps, probe):
+        kept = self.sampled(states, stride, n_steps)
+        return holder_quotient([st.zeta for st in kept], [st.t for st in kept],
+                               probe.beta, probe.delta, probe.q)
+
+    @pytest.mark.parametrize("stride", [1, 3, 8])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+    def test_bits_of_the_dense_oracle(self, grid32, rng, q, delta, stride):
+        # 20 steps, not a multiple of 3 or 8: the last state is a sample too
+        cfg = SolverConfig(dt=5e-3, t_end=0.1)
+        xi0 = random_scalar_field(grid32, rng)
+        probe = HolderProbe(0.2, delta, q, stride)
+        done, seen = self.batch(SMALL_NOISE, xi0, cfg, 4, stride)
+        touched = noise.scatter_plan(SMALL_NOISE, grid32).touched
+        for res, states in zip(done, seen):
+            kept = self.sampled(states, stride, cfg.n_steps)
+            assert np.array_equal(res.zeta, [st.zeta.half.ravel()[touched] for st in kept])
+        got = holder_quotients([r.zeta for r in done], stride, cfg, probe, SMALL_NOISE, grid32)
+        assert got == [self.oracle(states, stride, cfg.n_steps, probe) for states in seen]
+        assert all(quotient > 0 for quotient in got)
+        # the sweep keeps zeta every gcd of its probes' strides: each probe
+        # reads its own samples among them, with the same bits
+        every_step, _ = self.batch(SMALL_NOISE, xi0, cfg, 4, 1)
+        assert holder_quotients([r.zeta for r in every_step], 1, cfg, probe, SMALL_NOISE,
+                                grid32) == got
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_a_blown_up_row_leaves_the_others_their_bits(self, grid16, q):
+        # a threshold 1.3x the initial norms blows 3 of the 6 paths up; each
+        # path's quotient is the oracle's of the states it lived to, and a
+        # path that completes has the quotient of its one-path run
+        spec = CovarianceSpec(((1, 0), (0, 1), (1, 1), (-1, 0)), (2.0, 1.5, 1.0, 1.0),
+                              0.5, "constant_one").with_hy_level(10.0)
+        xi0 = random_scalar_field(grid16, np.random.default_rng(3))
+        threshold = 1.3 * max(l2_norm(biot_savart(xi0)), l2_norm(xi0))
+        cfg = SolverConfig(dt=2e-3, t_end=0.128, blowup_threshold=threshold)
+        probe = HolderProbe(0.2, 0.5, q, 3)
+        done, seen = self.batch(spec, xi0, cfg, 6, 3)
+        assert [r.stats.status for r in done].count("blowup") == 3
+        got = holder_quotients([r.zeta for r in done], 3, cfg, probe, spec, grid16)
+        assert got == [self.oracle(states, 3, cfg.n_steps, probe) for states in seen]
+        for p, (res, quotient) in enumerate(zip(done, got)):
+            alone = run_trajectory(None, xi0, spec, cfg, seed=3, path_index=p, zeta_stride=3)
+            assert np.array_equal(alone.zeta, res.zeta)
+            assert holder_quotients([alone.zeta], 3, cfg, probe, spec, grid16) == [quotient]
 
 
 class TestSweep:
@@ -532,6 +602,26 @@ class TestSweep:
         assert zeta.extra["quotient_means"] == quotient_means
         scales = [m ** (1.0 / 32.0) for m in moments]
         assert zeta.observed == max(scales) / min(scales)
+
+    def test_a_probed_sweep_builds_only_the_final_dense_states(self, grid16, rng,
+                                                                monkeypatch):
+        # the quotients read zeta at its touched coefficients: with no
+        # snapshots, the one dense state of a path is run_trajectory's final
+        calls = []
+        state = integrator.Visit.state
+
+        def counted(visit, i):
+            calls.append(i)
+            return state(visit, i)
+
+        monkeypatch.setattr(integrator.Visit, "state", counted)
+        monkeypatch.setattr(harness, "path_workers", lambda: 1)  # the spy sees no child
+        cfg = SolverConfig(dt=5e-3, t_end=0.05)
+        probe = HolderProbe(0.2, 0.0, 2.0, 3)
+        results = sweep(SMALL_NOISE, None, random_scalar_field(grid16, rng), cfg, 1, 2,
+                        demands=[([10.0, math.inf], 3, probe)])
+        assert sum(map(len, results.values())) == 6
+        assert len(calls) == 6
 
     def test_blown_up_paths_fail_both_drivers(self, grid16):
         # a threshold just above the initial norms blows 5 of 6 paths up at

@@ -10,6 +10,7 @@ from oracles import (
     basis_fields,
     beta_step,
     bilinear_B,
+    holder_quotient,
     irfft2_values,
     stacked_drift,
     whole_halves,
@@ -20,7 +21,6 @@ from vortex import integrator, noise, operators
 from vortex.integrator import (
     CoupledState,
     SolverConfig,
-    holder_quotient,
     run_trajectory,
     velocity_step,
 )

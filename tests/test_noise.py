@@ -14,6 +14,7 @@ from oracles import (
     hille_yosida,
     scattered,
     sigma_lipschitz_bound,
+    sobolev_norm,
 )
 from vortex import noise
 from vortex.config import _band_modes, _single_mode_vector
@@ -41,7 +42,6 @@ from vortex.spectral import (
     l2_inner,
     l2_norm,
     lattice,
-    sobolev_norm,
     sobolev_norm_spectral,
     to_physical,
     zero_vector,
