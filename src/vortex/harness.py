@@ -29,7 +29,7 @@ The Gronwall weight measures one constant, the Gagliardo-Nirenberg ratio
 (`measure_gn_constant`), which enters only the reduction after the pairs
 (`gronwall_weighted`), so the search and the pairs run side by side; its
 noise term is the pathwise quotient ||G(v1)-G(v2)||^2_HS / ||v1-v2||^2
-that Ito's formula produces, taken in closed form from sigma and
+that Ito's formula produces, taken in closed form from `Visit.sigma` and
 `noise.basis_l2_sq_sum`.  The GN constant draws its random trial fields
 in the order of one `random_divfree_field` call each, and evaluates them
 a chunk at a time (sized to TRIAL_CHUNK_BYTES) in stacked arrays:
@@ -73,7 +73,6 @@ from .integrator import (
     CoupledState,
     SolverConfig,
     TrajectoryStats,
-    _sup,
     run_trajectory,
     trajectories,
 )
@@ -86,7 +85,6 @@ from .noise import (
     quadrature_grid,
     sample_increment,
     scatter_plan,
-    sigma_eval,
 )
 from .operators import (
     bilinear_F,
@@ -153,6 +151,11 @@ class CheckResult:
             "seed": self.seed,
             "extra": self.extra or {},
         })
+
+
+def _sup(a: float, b: float) -> float:
+    """max(a, b) that keeps a NaN from either side, as a Python float."""
+    return float(np.maximum(a, b))
 
 
 def _finite_or_none(value):
@@ -572,14 +575,16 @@ def holder_quotients(zetas: list[np.ndarray], stride: int, cfg: SolverConfig, pr
     the last, read from zetas[p], its `run_trajectory` samples every `stride`
     steps, a divisor of probe.stride.  Each gap norms the pairs of every
     path in stacked passes of `_batches` size, scattered into halves, by
-    `sobolev_norms` at q = 2 and else `lq_norms` of the Bessel-smoothed
-    `physical_values`, so each quotient has the bits of its pairs normed one
-    at a time; a NaN is kept.  Only the samples and one chunk of halves are
-    held, never a dense zeta per sample."""
+    `sobolev_norms` at q = 2 and else `lq_norms` of the `physical_values` of
+    the Bessel-smoothed columns zeta touches, so each quotient has the bits
+    of its pairs normed one at a time; a NaN is kept.  Only the samples and
+    one chunk of halves are held, never a dense zeta per sample."""
     touched = scatter_plan(spec, grid).touched
     steps = [k for k in range(cfg.n_steps + 1) if k % stride == 0 or k == cfg.n_steps]
     keep = [k for k, step in enumerate(steps) if step % probe.stride == 0 or step == cfg.n_steps]
     times = [steps[k] * cfg.dt for k in keep]
+    # zeta vanishes past the largest column it touches: a transform takes that block
+    width = int(np.max(touched % (grid.modes_per_dim // 2 + 1))) + 1
     zeta = np.zeros((len(zetas), len(steps), len(touched)), dtype=np.complex128)
     for p, z in enumerate(zetas):
         zeta[p, :len(z)] = z
@@ -595,7 +600,7 @@ def holder_quotients(zetas: list[np.ndarray], stride: int, cfg: SolverConfig, pr
                 norms[rows] = sobolev_norms(halves, grid, probe.delta)
             else:
                 halves *= (1.0 + grid.ksq) ** (probe.delta / 2.0)
-                norms[rows] = lq_norms(physical_values(halves), probe.q, grid)
+                norms[rows] = lq_norms(physical_values(halves[..., :width]), probe.q, grid)
         quotients = (norms.reshape(len(zetas), -1)
                      / [(t - r) ** probe.beta for r, t in zip(times, times[gap:])])
         paired = np.arange(gap, len(keep)) < lived[:, None]  # both samples were kept
@@ -780,10 +785,10 @@ def gronwall_pairs(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
     q^2 = ||G_n(v1) - G_n(v2)||^2_HS / ||V||^2 is the noise term of Ito's
     formula, 0 where V = 0: since G_n(v) h_k is c_k sigma(v) n/(n+|k|^2)
     e_k, it is (sigma(v1) - sigma(v2))^2 times `basis_l2_sq_sum` over
-    ||V||^2, read from the states and the noise's mode table, never from
-    the increment `apply_G` returns.  The norms are taken over the batch
-    and the scalar tails per pair on floats, so each pair has the bits of
-    its one-pair call.
+    ||V||^2, read from the loop's sigma of each row (`Visit.sigma`) and the
+    noise's mode table, never from the increment `apply_G` returns.  The
+    norms are taken over the batch and the scalar tails per pair on floats,
+    so each pair has the bits of its one-pair call.
     """
     grid = v0_a.grid
     hs_sq = basis_l2_sq_sum(spec, grid)
@@ -800,8 +805,7 @@ def gronwall_pairs(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
         for k in np.flatnonzero(alive):
             vnorm = float(gaps[k])
             gap_sq = vnorm**2
-            rise = (sigma_eval(VectorField(grid, one[k]), spec)
-                    - sigma_eval(VectorField(grid, two[k]), spec))
+            rise = float(visit.sigma[2 * k] - visit.sigma[2 * k + 1])
             pair = out[k]
             pair["v_norms"].append(vnorm)
             pair["grad_norms"].append(float(grads[k]))

@@ -15,35 +15,35 @@ so mean-zero vorticity is preserved exactly.
 
 Every field is its rfft2 half spectrum, the velocity's two components
 stacked in one (2, N, N/2+1) array (see `spectral`), so each pass of a
-step touches half the lattice and takes both components in one call.
-Each step evaluates the noise once (`noise.apply_G`, read from the module
-like `operators.velocity_drift`, so a patch there reaches every step), for
-v and zeta together, at the few half-spectrum coefficients the noise modes
-touch (`noise.scatter_plan(...).touched`), so a step builds no dense noise
-field.  The velocity update adds it there in place.  zeta starts at zero
-and only the noise feeds it, so it vanishes off those coefficients at
-every step: it is stored and stepped there alone, `run_trajectory` keeps
-it there at the steps its caller names, and it is scattered into a dense
-half only for a `CoupledState`, an observer's or a path's last.  The
-blow-up guard measures ||v|| of each new state, and the path statistics
-take that value rather than measuring it again.
+step touches half the lattice and takes both components in one call.  Each
+step evaluates the batch's noise once (`noise.apply_G`, read from the
+module like `operators.velocity_drift`, so a patch there reaches every
+step), for v and zeta together, at the few half-spectrum coefficients the
+noise modes touch (`noise.scatter_plan(...).touched`), so a step builds no
+dense noise field; the velocity update adds it there in place.  zeta
+starts at zero and only the noise feeds it, so it vanishes off those
+coefficients at every step: it is stored and stepped there alone,
+`run_trajectory` keeps it there at the steps its caller names, and it is
+scattered into a dense half only for a `CoupledState`, an observer's or a
+path's last.  The blow-up guard measures ||v|| of each new state, and the
+path statistics take that value rather than measuring it again.
 
 One loop steps every solution the program integrates: the generator
 `trajectories` steps a batch of rows, each an initial velocity and a path
-index, as stacked halves, (P, 2, N, N/2+1) for v, with zeta (P, T) at
-the T touched coefficients, and yields the states each step visits.
-Every operation of a step is one numpy call for the batch: the drift's
-two transforms (u and the products, each band-pruned to the dealias
-band's columns), the Leray projection, the heat factor, the curl, the
-physical values of xi and the guards' norms.  What is per row stays per
-row: its increment and its noise.  Every call acts on the stack row by
-row, so a row has the bits of a batch of one.  A batch keeps its rows to
-its end, row i at index i of every stack; a row that blows up, or that
-its consumer ends, holds zeros from then on, so its values reach no
-later call.  `run_trajectory` reduces the loop to the path statistics,
-one path or a batch of paths, and the harness's Gronwall pairs step
-their two solutions of a path as two rows, so the checks exercise the
-same code as a run.
+index, as stacked halves, (P, 2, N, N/2+1) for v, with zeta (P, T) at the
+T touched coefficients, and yields the states each step visits.  Every
+operation of a step is one numpy call for the batch: the drift's two
+transforms (u and the products, each band-pruned to the dealias band's
+columns), the Leray projection, the heat factor, the curl, the physical
+values of xi, the guards' norms, sigma(v) and the noise; only the draws
+are taken per path, one `sample_increment` each.  Every call acts on the
+stack row by row, so a row has the bits of a batch of one.  A batch keeps
+its rows to its end, row i at index i of every stack; a row that blows up,
+or that its consumer ends, holds zeros from then on, so its values reach
+no later call.  `run_trajectory` reduces the loop to the path statistics,
+(P,) arrays over one path or a batch of paths, and the Gronwall pairs step
+the two solutions of a path as two rows, so the checks exercise the same
+code as a run.
 
 The velocity nonlinearity is `operators.velocity_drift`, the rotational
 form P B(v,v) = P[w (-u_y, u_x)] with u the dealiased v and w its curl,
@@ -76,7 +76,7 @@ from functools import cached_property
 import numpy as np
 
 from . import noise, operators
-from .noise import CovarianceSpec, sample_increment, scatter_plan
+from .noise import CovarianceSpec, sample_increment, scatter_plan, sigma_values
 from .operators import MEAN_ZERO_RTOL, biot_savart, curl, curl_halves, grad_norms
 from .spectral import (
     ScalarField,
@@ -147,14 +147,8 @@ class TrajectoryStats:
     sup_beta_lq: float = 0.0
     status: str = "completed"
 
-    FUNCTIONALS = (
-        "sup_v_l2sq",
-        "int_grad_v",
-        "sup_xi_lq",
-        "sup_beta_l2",
-        "int_grad_beta",
-        "sup_beta_lq",
-    )
+    FUNCTIONALS = ("sup_v_l2sq", "int_grad_v", "sup_xi_lq", "sup_beta_l2", "int_grad_beta",
+                   "sup_beta_lq")
 
     def functional(self, name: str) -> float:
         if name not in self.FUNCTIONALS:
@@ -205,11 +199,6 @@ def velocity_step(
     return new, sobolev_norms(new, grid)
 
 
-def _sup(a: float, b: float) -> float:
-    """max(a, b) that keeps a NaN from either side, as a Python float."""
-    return float(np.maximum(a, b))
-
-
 def _inside_dealias_band(v: VectorField, spec: CovarianceSpec) -> bool:
     """v and every noise mode lie inside the dealias band, so no step
     creates a coefficient outside it (see the module docstring)."""
@@ -247,10 +236,11 @@ class Visit:
     (P, 2, N, N/2+1), `xi` the vorticity halves (P, N, N/2+1), `zeta`
     (P, T) the stochastic convolution at the T flat half-spectrum indices
     `touched`, where the noise adds (zero at every other coefficient),
-    `xi_values` (P, N, N) the physical values of xi, and `v_norm` (P,) the
-    L2 norms of v.  Every half stack, and beta, vanishes past its first
-    `columns` half-spectrum columns, so a transform of it may take that
-    block alone (see `spectral.physical_values`).  `alive` (P,) marks the
+    `xi_values` (P, N, N) the physical values of xi, `v_norm` (P,) the
+    L2 norms of v, and `sigma` (P,) the noise intensity sigma(v).
+    Every half stack, and beta, vanishes past its first `columns`
+    half-spectrum columns, so a transform of it may take that block alone
+    (see `spectral.physical_values`).  `alive` (P,) marks the
     rows that hold a state; a finished row holds zeros.  `end` takes an
     index or a mask and ends those rows here."""
 
@@ -265,6 +255,7 @@ class Visit:
     zeta: np.ndarray
     xi_values: np.ndarray
     v_norm: np.ndarray
+    sigma: np.ndarray
 
     def end(self, rows) -> None:
         self.alive[rows] = False
@@ -305,10 +296,10 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
     `alive` and holds zeros, written into new arrays, so no visit's array
     changes and no later numpy call sees its values.  A row alive at the
     last visit (step n_steps) completed.  Each row has the bits of a batch
-    of that row alone: every numpy call acts on the stack row by row, and
-    what is per row stays per row: its increment, sample_increment(seed,
-    path, step), drawn once per step for the live rows that share a path,
-    and its noise, `noise.apply_G` of its own velocity.
+    of that row alone: every numpy call acts on the stack row by row.  The
+    increment of a row is sample_increment(seed, path, step), drawn once per
+    step for the live rows that share a path; the noise of every live row is
+    one `noise.apply_G` call per step, on the rows' `Visit.sigma` and draws.
 
     Each initial pair must satisfy `_start`, checked once per distinct
     pair; realness is checked there, not per transform (see `spectral`).
@@ -320,6 +311,7 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
         if (id(v0), id(xi0)) not in starts:
             starts[id(v0), id(xi0)] = _start(v0, xi0)
     paths = [path for _, _, path in rows]
+    sharing = {p: np.flatnonzero(np.equal(paths, p)) for p in dict.fromkeys(paths)}
     in_band = all(_inside_dealias_band(v0, spec) for v0 in set(starts.values()))
     # the columns every state after the first can fill
     columns = grid.dealias_limit + 1 if in_band else grid.modes_per_dim // 2 + 1
@@ -339,18 +331,18 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
 
     for step in range(cfg.n_steps + 1):
         visit = Visit(step, step * cfg.dt, grid, columns if step else first, alive, v, xi,
-                      touched, zeta, xi_values, v_norm)
+                      touched, zeta, xi_values, v_norm, sigma_values(v, spec))
         yield visit
         alive = visit.alive.copy()
         if step == cfg.n_steps or not alive.any():
             return
-        v, vorticity = _zeroed(alive, v, vorticity)
-        draws = {}
-        g_dw = np.zeros((len(rows), 3, len(touched)), dtype=np.complex128)
-        for i in np.flatnonzero(alive):
-            if paths[i] not in draws:
-                draws[paths[i]] = sample_increment(seed, paths[i], step, spec, cfg.dt)
-            g_dw[i] = noise.apply_G(VectorField(grid, v[i]), draws[paths[i]], spec)
+        # a dead row's sigma is zero, and so is its noise
+        v, vorticity, sigma = _zeroed(alive, v, vorticity, visit.sigma)
+        gaussians = np.zeros((len(rows), spec.n_modes))
+        for path, members in sharing.items():
+            if alive[members].any():
+                gaussians[members] = sample_increment(seed, path, step, spec, cfg.dt).gaussians
+        g_dw = noise.apply_G(sigma, gaussians, cfg.dt, spec, grid)
         v, v_norm = velocity_step(grid, v, vorticity, g_dw[:, :2], touched, cfg)
         alive &= _within(v_norm, cfg)
         (v,) = _zeroed(alive, v)
@@ -373,6 +365,18 @@ def _zeroed(alive: np.ndarray, *stacks: np.ndarray) -> tuple:
     return tuple(np.where(alive.reshape((-1,) + (1,) * (a.ndim - 1)), a, 0) for a in stacks)
 
 
+def _squares(norms: np.ndarray) -> np.ndarray:
+    """x ** 2 of each norm on Python floats, whose pow can differ from
+    numpy's square in the last bit; inf where it overflows."""
+    squares = []
+    for x in norms.ravel().tolist():
+        try:
+            squares.append(x**2)
+        except OverflowError:
+            squares.append(math.inf)
+    return np.reshape(squares, norms.shape)
+
+
 def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpec,
                    cfg: SolverConfig, seed: int, path_index: int = 0,
                    lq_exponent: float = 4.0, observer=None, n_paths: int | None = None,
@@ -390,14 +394,15 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
     With n_paths, the paths path_index, ..., path_index + n_paths - 1 step
     as one batch of `trajectories`, and the call returns their results in
     path order, each with the bits of its one-path call; observer is then
-    one observer or None per path.  The functionals are taken over the
-    batch, the L^q and gradient norms each in one call, and their scalar
-    tails (roots, squares, sums and suprema) per path on floats.
+    one observer or None per path.  The functionals are (P,) arrays over
+    the batch, each norm taken in one call and squared on Python floats
+    (`_squares`); a dead row's stay as they were.
     """
     grid = xi0.grid
     count = 1 if n_paths is None else n_paths
     observers = [observer] if n_paths is None else list(observer or [None] * count)
-    stats = [TrajectoryStats() for _ in range(count)]
+    table = np.zeros((6, count))  # TrajectoryStats.FUNCTIONALS, a column per path
+    sups, ints = [0, 2, 3, 5], [1, 4]  # the rows of its suprema and of its integrals
     last: list = [None] * count
     kept: list = [[] for _ in range(count)]
     rows = [(v0, xi0, path_index + r) for r in range(count)]
@@ -405,36 +410,27 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
         beta = visit.beta[:, None]
         # an overflow here is judged below, as a blow-up, not warned of
         with np.errstate(over="ignore"):
-            xi_lq = lq_norms(visit.xi_values[:, None], lq_exponent, grid)
-            beta_l2 = sobolev_norms(beta, grid)
-            beta_lq = lq_norms(physical_values(beta[..., :visit.columns]), lq_exponent, grid)
+            norms = [_squares(visit.v_norm), lq_norms(visit.xi_values[:, None], lq_exponent, grid),
+                     sobolev_norms(beta, grid),
+                     lq_norms(physical_values(beta[..., :visit.columns]), lq_exponent, grid)]
+            table[sups] = np.where(visit.alive, np.maximum(table[sups], norms), table[sups])
             if visit.step < cfg.n_steps:
-                grad_v = grad_norms(visit.v, grid)
-                grad_beta = grad_norms(beta, grid)
+                grads = _squares(np.stack((grad_norms(visit.v, grid), grad_norms(beta, grid))))
+                table[ints] = np.where(visit.alive, table[ints] + cfg.dt * grads, table[ints])
         for i in np.flatnonzero(visit.alive):
             if observers[i] is not None:
                 observers[i](visit.state(i))
             if zeta_stride and (visit.step % zeta_stride == 0 or visit.step == cfg.n_steps):
                 kept[i].append(visit.zeta[i])
             last[i] = visit
-            s = stats[i]
-            with np.errstate(over="ignore"):
-                s.sup_v_l2sq = _sup(s.sup_v_l2sq, float(visit.v_norm[i]) ** 2)
-                s.sup_xi_lq = _sup(s.sup_xi_lq, float(xi_lq[i]))
-                s.sup_beta_l2 = _sup(s.sup_beta_l2, float(beta_l2[i]))
-                s.sup_beta_lq = _sup(s.sup_beta_lq, float(beta_lq[i]))
-                if visit.step < cfg.n_steps:
-                    s.int_grad_v += cfg.dt * float(grad_v[i]) ** 2
-                    s.int_grad_beta += cfg.dt * float(grad_beta[i]) ** 2
-            # the guard's rule for the norms, applied to every functional:
-            # inf or NaN is a blow-up, never a completed path
-            if not all(map(math.isfinite, map(s.functional, s.FUNCTIONALS))):
-                visit.end(i)
+        # the guard's rule for the norms, applied to every functional:
+        # inf or NaN is a blow-up, never a completed path
+        visit.end(~np.isfinite(table).all(axis=0))
 
     results = []
-    for i, (s, visit) in enumerate(zip(stats, last)):
-        if visit.step < cfg.n_steps or not visit.alive[i]:
-            s.status = "blowup"
+    for i, visit in enumerate(last):
+        status = "blowup" if visit.step < cfg.n_steps or not visit.alive[i] else "completed"
+        stats = TrajectoryStats(*table[:, i].tolist(), status)
         zeta = np.array(kept[i], np.complex128).reshape(len(kept[i]), len(visit.touched))
-        results.append(TrajectoryResult(visit.state(i), s, zeta))
+        results.append(TrajectoryResult(visit.state(i), stats, zeta))
     return results[0] if n_paths is None else results

@@ -17,10 +17,11 @@ config's pivot).  A `ScatterPlan` lists the entries per mode, with the
 velocity and vorticity amplitudes, the distinct coefficients they touch
 and each mode's |k|^2 `ksq`, from which every per-mode number derives: the
 W^{1-g,2} normalisation, ||e_k||_{L^2} and the R_n factor `hy_factor`.
-`apply_G` evaluates sigma(v) once and returns the noise increment at the
-touched coefficients only, velocity and vorticity together, so a time
-step builds no dense noise field: it adds the increment in place.  Since
-e_k has the single frequency |k|, G_n(v) h_k is e_k times the scalar
+`sigma_values` takes sigma(v) of a stack of velocities in one call, and
+`apply_G` the noise increments of a batch from those and the rows' draws,
+at the touched coefficients only, velocity and vorticity together, so a
+time step builds no dense noise field: it adds them in place.  Since e_k
+has the single frequency |k|, G_n(v) h_k is e_k times the scalar
 `mode_weights` c_k sigma(v) n/(n+|k|^2), so the check-time code (operator
 norms, BDG sums) reads the plan through two helpers only: those weights
 and the physical values of every e_k (`basis_values`), the latter on the
@@ -49,7 +50,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralGrid, VectorField, l2_inner, lq_norms, physical_values
+from .spectral import (SpectralGrid, VectorField, half_sums, lq_norms, physical_values,
+                       sobolev_weight)
 
 SIGMA_KINDS = ("constant_one", "rational_square", "zero")
 
@@ -326,42 +328,40 @@ class NoiseBasis:
         self.mode_ksq = plan.ksq
 
 
-def sigma_eval(v: VectorField, spec: CovarianceSpec) -> float:
-    """Noise intensity sigma(v); rational_square maps into [0, 1)."""
-    if spec.sigma_kind == "zero":
-        return 0.0
-    if spec.sigma_kind == "constant_one":
-        return 1.0
-    return rational_square(l2_inner(v, spec.pivot))
+def sigma_values(halves: np.ndarray, spec: CovarianceSpec) -> np.ndarray:
+    """sigma(v) of stacked velocity halves (..., 2, N, N/2+1), shape (...):
+    1 for constant_one, 0 for zero, and for rational_square s^2 / (1 + s^2)
+    with s = <v, h> one `half_sums` against the pivot h, which has the bits
+    of `l2_inner` of each field; NaN where s^2 overflows, as on floats."""
+    if spec.sigma_kind != "rational_square":
+        return np.full(halves.shape[:-3], float(spec.sigma_kind == "constant_one"))
+    grid = spec.pivot.grid
+    s = (half_sums(halves, spec.pivot.half, sobolev_weight(grid, 0.0))
+         * grid.domain_length**2).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return s * s / (1.0 + s * s)
 
 
-def rational_square(s: float) -> float:
-    """The rational_square sigma of <v, h> = s: s^2 / (1 + s^2)."""
-    return s * s / (1.0 + s * s)
-
-
-def apply_G(v: VectorField, dW: WienerIncrement, spec: CovarianceSpec) -> np.ndarray:
-    """R_n [ sum_k c_k sigma(v) g_k sqrt(dt) e_k ] and its curl, at the
-    coefficients `scatter_plan(spec, v.grid).touched` only; every other
+def apply_G(sigma: np.ndarray, gaussians: np.ndarray, dt: float, spec: CovarianceSpec,
+            grid: SpectralGrid) -> np.ndarray:
+    """R_n [ sum_k c_k sigma g_k sqrt(dt) e_k ] and its curl for each row of a
+    batch, sigma (P,) its `sigma_values` and gaussians (P, modes) its draws,
+    at the coefficients `scatter_plan(spec, grid).touched` only; every other
     coefficient of both is zero.  Linear in the increment.
 
-    Returns one (3, len(touched)) array whose rows are the x and y velocity
-    components and the vorticity.  sigma(v) is evaluated once.  Each mode's
-    weight c_k sigma(v) g_k sqrt(dt) times its amplitudes is added, in mode
-    order, into the slots its plan entries name; at a finite level n the
-    slots are then multiplied by n/(n+|k|^2).
-    """
-    if len(dW.gaussians) != spec.n_modes:
-        raise ValueError(
-            f"increment has {len(dW.gaussians)} draws for {spec.n_modes} modes"
-        )
-    plan = scatter_plan(spec, v.grid)
-    sig = sigma_eval(v, spec)
-    weights = np.asarray(spec.coefficients) * (sig * np.sqrt(dW.dt)) * dW.gaussians
-    entry_weights = weights[plan.mode]
-    out = np.zeros((3, len(plan.touched)), dtype=np.complex128)
-    for row, amplitude in zip(out, (*plan.velocity, plan.vorticity)):
-        np.add.at(row, plan.slot, entry_weights * amplitude)
+    Returns (P, 3, len(touched)): per row the x and y velocity components
+    and the vorticity.  Each mode's weight c_k sigma g_k sqrt(dt) times its
+    amplitudes is added, in mode order, into the slots its plan entries
+    name, by one `np.add.at`, which sums each row's slots in that order, so
+    a row has the bits of a batch of one; at a finite level n the slots are
+    then multiplied by n/(n+|k|^2)."""
+    if gaussians.shape[-1] != spec.n_modes:
+        raise ValueError(f"increment has {gaussians.shape[-1]} draws for {spec.n_modes} modes")
+    plan = scatter_plan(spec, grid)
+    weights = np.asarray(spec.coefficients) * (sigma[:, None] * np.sqrt(dt)) * gaussians
+    out = np.zeros((len(sigma), 3, len(plan.touched)), dtype=np.complex128)
+    np.add.at(out, (slice(None), slice(None), plan.slot),
+              weights[:, None, plan.mode] * np.vstack((plan.velocity, plan.vorticity)))
     if spec.hy_level != math.inf:  # R_n is the identity there
         out *= hy_factor(spec.hy_level, plan.touched_ksq)
     return out
@@ -371,7 +371,7 @@ def mode_weights(spec: CovarianceSpec, v: VectorField) -> np.ndarray:
     """c_k sigma(v) n/(n+|k|^2) per mode: G_n(v) h_k = R_n[c_k sigma(v) e_k]
     is this weight times e_k, since e_k has the single frequency |k|."""
     hy = hy_factor(spec.hy_level, scatter_plan(spec, v.grid).ksq)
-    return np.asarray(spec.coefficients) * sigma_eval(v, spec) * hy
+    return np.asarray(spec.coefficients) * float(sigma_values(v.half, spec)) * hy
 
 
 def operator_norms(v: VectorField, spec: CovarianceSpec, s: float, q: float,

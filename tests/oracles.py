@@ -1,28 +1,31 @@
 """Independent oracles the tests judge the program by: the advective form
 B(u,v) = (u.grad)v of the velocity nonlinearity, whose projection the
 rotational `velocity_drift` must reproduce, and `stacked_drift`, which
-puts such a one-field drift in the place of `velocity_drift`; the discretised vorticity and
-remainder equations, which `run_trajectory` derives instead of stepping;
-the dense noise sum that `apply_G` scatters, with R_n applied
-over the whole grid; the basis elements read from the dense `NoiseBasis`;
-the analytic Lipschitz constant of sigma; the per-trial loops of the
-measured constants, which the harness evaluates a chunk at a time; the
-Gronwall pairs' loop that forms the weight with the Young constant while
-stepping, which the harness leaves to a reduction after the pairs; the
-running-maximum moments of a Brownian motion that the BDG check is measured
-against; and the unpruned transforms, one irfft2 or rfft2 of the whole
-half spectrum, that the band-pruned `physical_values` and
-`hermitian_amplitudes` must match bit for bit; and the W^{s,q} norm of one
-dense field and the Holder quotient of a list of dense zeta samples, pair
-by pair, that the sweep's stacked `holder_quotients` must match bit for
-bit."""
+puts such a one-field drift in the place of `velocity_drift`; the
+discretised vorticity and remainder equations, which `run_trajectory`
+derives instead of stepping; the dense noise sum that `apply_G` scatters,
+with R_n applied over the whole grid; sigma and the noise increment of
+one field, on Python floats and one component at a time, which every row
+of the batched `sigma_values` and `apply_G` must match bit for bit; the
+basis elements read from the dense `NoiseBasis`; the analytic Lipschitz
+constant of sigma; the per-trial loops of the measured constants, which
+the harness evaluates a chunk at a time; the Gronwall pairs' loop that
+forms the weight with the Young constant while stepping, which the
+harness leaves to a reduction after the pairs; the running-maximum
+moments of a Brownian motion that the BDG check is measured against; and
+the unpruned transforms, one irfft2 or rfft2 of the whole half spectrum,
+that the band-pruned `physical_values` and `hermitian_amplitudes` must
+match bit for bit; and the W^{s,q} norm of one dense field and the Holder
+quotient of a list of dense zeta samples, pair by pair, that the sweep's
+stacked `holder_quotients` must match bit for bit."""
 
 import math
 
 import numpy as np
 
-from vortex.integrator import _sup, trajectories
-from vortex.noise import NoiseBasis, apply_G, basis_l2_sq_sum, scatter_plan, sigma_eval
+from vortex.harness import _sup
+from vortex.integrator import trajectories
+from vortex.noise import NoiseBasis, basis_l2_sq_sum, hy_factor, scatter_plan
 from vortex.operators import (
     bilinear_F,
     curl,
@@ -36,6 +39,7 @@ from vortex.spectral import (
     VectorField,
     bessel_multiplier,
     heat_decay,
+    l2_inner,
     l2_norm,
     lq_norm,
     sobolev_norm_spectral,
@@ -90,20 +94,50 @@ def hille_yosida(field, n):
     return ScalarField(field.grid, field.half * (n / (n + field.grid.ksq)))
 
 
+def sigma_of(v, spec):
+    """sigma(v) of one field on Python floats: 0, 1, or s^2 / (1 + s^2) with
+    s = l2_inner(v, pivot) for rational_square."""
+    if spec.sigma_kind == "zero":
+        return 0.0
+    if spec.sigma_kind == "constant_one":
+        return 1.0
+    s = l2_inner(v, spec.pivot)
+    return s * s / (1.0 + s * s)
+
+
+def apply_G_of(v, dW, spec):
+    """apply_G of one field, (3, len(touched)): the weights
+    c_k sigma_of(v) g_k sqrt(dt) times each plan amplitude added into the
+    slots in mode order, one component at a time, then R_n."""
+    plan = scatter_plan(spec, v.grid)
+    weights = np.asarray(spec.coefficients) * (sigma_of(v, spec) * np.sqrt(dW.dt)) * dW.gaussians
+    out = np.zeros((3, len(plan.touched)), dtype=np.complex128)
+    for row, amplitude in zip(out, (*plan.velocity, plan.vorticity)):
+        np.add.at(row, plan.slot, weights[plan.mode] * amplitude)
+    if spec.hy_level != math.inf:
+        out *= hy_factor(spec.hy_level, plan.touched_ksq)
+    return out
+
+
 def dense_apply_G(v, dW, spec):
-    """The dense oracle of apply_G: a fixed-order sum over the whole stacked
-    full-lattice basis, then R_n over the whole grid; the velocity increment
-    and its vorticity, as dense fields."""
-    basis = NoiseBasis(spec, v.grid)
-    weights = (np.asarray(spec.coefficients) * (sigma_eval(v, spec) * np.sqrt(dW.dt))
-               * dW.gaussians)
+    """The dense oracle of apply_G at the velocity v: `dense_noise` at
+    sigma_of(v)."""
+    return dense_noise(sigma_of(v, spec), dW.gaussians, dW.dt, spec, v.grid)
+
+
+def dense_noise(sigma, gaussians, dt, spec, grid):
+    """The dense noise of one row at intensity sigma: a fixed-order sum over
+    the whole stacked full-lattice basis, then R_n over the whole grid; the
+    velocity increment and its vorticity, as dense fields."""
+    basis = NoiseBasis(spec, grid)
+    weights = np.asarray(spec.coefficients) * (sigma * np.sqrt(dt)) * gaussians
     totals = []
     for stack in (basis.vel_stack, basis.vor_stack):
         total = np.zeros(stack.shape[1:], dtype=np.complex128)
         for w, element in zip(weights, stack):
             total += w * element
         totals.append(total)
-    g = v.grid
+    g = grid
     velocity = VectorField.stack(ScalarField.from_lattice(g, totals[0][0]),
                            ScalarField.from_lattice(g, totals[0][1]))
     return (hille_yosida(velocity, spec.hy_level),
@@ -126,14 +160,14 @@ def vorticity_step(state, dW, spec, cfg):
     from the coupled state; preserves mean zero."""
     decay = heat_decay(state.xi.grid, cfg.dt)
     adv = bilinear_F(state.v, state.xi)
-    _, noise = scattered(apply_G(state.v, dW, spec), spec, state.v.grid)
+    _, noise = scattered(apply_G_of(state.v, dW, spec), spec, state.v.grid)
     return _mean_free_step(decay, state.xi, -cfg.dt * adv, noise)
 
 
 def zeta_step(state, dW, spec, cfg):
     """One step of the stochastic convolution, with the dense noise:
     zeta+ = exp(-|k|^2 dt)[zeta + curl(G_n(v)) dW]."""
-    _, noise = scattered(apply_G(state.v, dW, spec), spec, state.v.grid)
+    _, noise = scattered(apply_G_of(state.v, dW, spec), spec, state.v.grid)
     return ScalarField(state.zeta.grid,
                        heat_decay(state.zeta.grid, cfg.dt) * (state.zeta.half + noise.half))
 
@@ -194,8 +228,8 @@ def weighted_pairs_in_loop(v0_a, v0_b, spec, cfg, seed, paths, a_const):
             sup_v[k] = _sup(sup_v[k], vnorm)
             gap_sq = vnorm**2
             series[k].append(math.exp(-int_psi[k]) * gap_sq)
-            rise = (sigma_eval(VectorField(grid, one[k]), spec)
-                    - sigma_eval(VectorField(grid, two[k]), spec))
+            rise = (sigma_of(VectorField(grid, one[k]), spec)
+                    - sigma_of(VectorField(grid, two[k]), spec))
             q_sq = rise * rise * hs_sq / gap_sq if gap_sq else 0.0
             psi[k] = a_const * float(grads[k]) ** 2 + q_sq
             completed[k] = visit.step == cfg.n_steps

@@ -228,6 +228,24 @@ class TestRunCommand:
         assert [r[-1] for r in rows] == ["blowup", "blowup"]
         assert any(not math.isfinite(float(x)) for x in rows[0][1:-1])
 
+    @pytest.mark.parametrize("amplitude, noise", [
+        (3e154, {"sigma_kind": "constant_one"}), (8e154, {"sigma_kind": "constant_one"}),
+        (3e154, {"sigma_kind": "rational_square", "pivot_norm": 1e10}),
+    ])
+    def test_norms_whose_squares_overflow_fail_closed(self, tmp_path, capsys, amplitude, noise):
+        # ||v|| is finite but its square overflows on floats: the paths end
+        # as blowup at their first state, energy FAILs and no traceback or
+        # warning prints; under the large pivot <v, h>^2 overflows too
+        doc = dict(SMALL_CONFIG, initial={"amplitude": amplitude}, noise=noise,
+                   mc={"n_paths": 2}, checks=[{"name": "energy"}])
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "FAIL energy.status" in captured.out and "Traceback" not in captured.err
+        rows = [r.split(",") for r in (out / "stats.csv").read_text().split()[1:]]
+        assert [(r[1], r[-1]) for r in rows] == [("inf", "blowup")] * 2
+
     def test_overflowing_noise_coefficient_exits_2(self, tmp_path, monkeypatch, capsys):
         calls = TestSharedSweep.count_trajectories(monkeypatch)
         doc = dict(SMALL_CONFIG, grid={"modes_per_dim": 16, "domain_length": 1000},

@@ -13,7 +13,14 @@ from vortex import integrator
 from vortex.config import _single_mode_vector
 from vortex.harness import HolderProbe, gronwall_pairs, sweep
 from vortex.integrator import SolverConfig, run_trajectory
-from vortex.noise import CovarianceSpec, NoiseBasis, apply_G, sample_increment, scatter_plan
+from vortex.noise import (
+    CovarianceSpec,
+    NoiseBasis,
+    apply_G,
+    sample_increment,
+    scatter_plan,
+    sigma_values,
+)
 from vortex.operators import (
     biot_savart,
     curl,
@@ -272,7 +279,7 @@ class TestTheStepStaysOnHalves:
     def test_no_full_lattice_is_read(self, grid32, rng, monkeypatch):
         # the derived (N, N) view is for readers outside the program; a
         # trajectory in and out of the dealias band, a Gronwall pair, a sweep
-        # over levels, apply_G and the dense reference basis never read it
+        # over levels, sigma, apply_G and the dense reference basis never read it
         xi0 = random_scalar_field(grid32, rng)
         v0 = biot_savart(xi0)
         spec = rational_spec(grid32)
@@ -291,7 +298,8 @@ class TestTheStepStaysOnHalves:
         probe = HolderProbe(0.1, 0.0, 2.0, 2)
         results = sweep(spec, None, xi0, cfg, 1, 2, demands=[((10.0, math.inf), 2, probe)])
         assert sorted(results) == [10.0, math.inf]
-        apply_G(v0, sample_increment(1, 0, 0, spec, cfg.dt), spec)
+        draws = sample_increment(1, 0, 0, spec, cfg.dt).gaussians
+        apply_G(sigma_values(v0.half[None], spec), draws[None], cfg.dt, spec, grid32)
         NoiseBasis(spec, grid32)
         assert reads == []
         xi0.coeffs  # the counter is live

@@ -24,6 +24,7 @@ from oracles import (
     gn_constant,
     hille_yosida,
     holder_quotient,
+    sigma_of,
     stacked_drift,
     weighted_pairs_in_loop,
 )
@@ -521,6 +522,24 @@ class TestHolderQuotients:
         assert holder_quotients([r.zeta for r in every_step], 1, cfg, probe, SMALL_NOISE,
                                 grid32) == got
 
+    @pytest.mark.parametrize("q", [3.0, 4.0])
+    def test_transforms_only_the_columns_zeta_touches(self, grid32, rng, monkeypatch, q):
+        # zeta vanishes past the largest column of the default band's modes,
+        # column 2: each transform takes columns 0..2 alone, with the bits of
+        # the oracle's whole dense differences
+        spec = replace(SMALL_NOISE, mode_indices=tuple(_band_modes(2)),
+                       coefficients=(0.2,) * 24)
+        cfg = SolverConfig(dt=5e-3, t_end=0.1)
+        xi0 = random_scalar_field(grid32, rng)
+        probe = HolderProbe(0.2, 0.5, q, 2)
+        done, seen = self.batch(spec, xi0, cfg, 3, 2)
+        widths, real = [], harness.physical_values
+        monkeypatch.setattr(harness, "physical_values",
+                            lambda halves: widths.append(halves.shape[-1]) or real(halves))
+        got = holder_quotients([r.zeta for r in done], 2, cfg, probe, spec, grid32)
+        assert widths and set(widths) == {3}
+        assert got == [self.oracle(states, 2, cfg.n_steps, probe) for states in seen]
+
     @pytest.mark.parametrize("q", [2.0, 3.0])
     def test_a_blown_up_row_leaves_the_others_their_bits(self, grid16, q):
         # a threshold 1.3x the initial norms blows 3 of the 6 paths up; each
@@ -716,7 +735,7 @@ class TestGronwall:
             for one, two in zip(*seen):
                 gap_sq = l2_norm(one.v - two.v) ** 2
                 series.append(math.exp(-int_psi) * gap_sq)
-                rises.append(noise.sigma_eval(one.v, spec) - noise.sigma_eval(two.v, spec))
+                rises.append(sigma_of(one.v, spec) - sigma_of(two.v, spec))
                 q_sq = rises[-1] * rises[-1] * hs_sq / gap_sq
                 int_psi += cfg.dt * (a_const * grad_norm_l2(one.v) ** 2 + q_sq)
             # constant sigma has no noise term; rational_square has one every step
@@ -759,24 +778,28 @@ class TestGronwall:
         assert out.name == "gronwall.identical"
         assert out.observed == 0.0 and out.passed
 
-    def test_one_noise_evaluation_per_solution_step(self, grid16, rng, monkeypatch):
+    def test_one_noise_evaluation_per_pair_step(self, grid16, rng, monkeypatch):
         seen = []
         original = noise.apply_G
 
-        def counted(v, dW, spec):
-            seen.append(v)
-            return original(v, dW, spec)
+        def counted(sigma, gaussians, *args):
+            seen.append((sigma, gaussians))
+            return original(sigma, gaussians, *args)
 
         monkeypatch.setattr(noise, "apply_G", counted)
         v0a = biot_savart(random_scalar_field(grid16, rng))
         v0b = v0a + random_divfree_field(grid16, rng) * 1e-3
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
-        res = weighted_pairs(v0a, v0b, SMALL_NOISE, cfg, 3, [0], 0.3)[0]
+        spec = rational_noise(grid16)
+        res = weighted_pairs(v0a, v0b, spec, cfg, 3, [0], 0.3)[0]
         assert res["status"] == "completed"
-        # sigma reads each solution's own velocity: v1 then v2, every step
-        assert len(seen) == 2 * cfg.n_steps
-        assert np.array_equal(seen[0].half, v0a.half)
-        assert np.array_equal(seen[1].half, v0b.half)
+        # one call a step for both solutions: sigma of each one's own
+        # velocity, v1 then v2, on the path's one draw
+        assert len(seen) == cfg.n_steps
+        assert seen[0][0].tolist() == [sigma_of(v0a, spec), sigma_of(v0b, spec)]
+        for step, (_, gaussians) in enumerate(seen):
+            draws = noise.sample_increment(3, 0, step, spec, cfg.dt).gaussians
+            assert np.array_equal(gaussians, [draws, draws])
 
     def test_blown_pair_fails_closed(self, grid16, rng):
         v0a = biot_savart(random_scalar_field(grid16, rng))
@@ -871,7 +894,7 @@ class TestGronwallUnderRationalSquare:
 
     def test_doubled_noise_fails_a_seed(self, monkeypatch):
         real = noise.apply_G
-        monkeypatch.setattr(noise, "apply_G", lambda v, dW, spec: 2.0 * real(v, dW, spec))
+        monkeypatch.setattr(noise, "apply_G", lambda *args: 2.0 * real(*args))
         results = [self.check(seed) for seed in self.SEEDS]
         assert all(r.name == "gronwall.perturbed" for r in results)
         assert not all(r.passed for r in results)
@@ -1133,7 +1156,7 @@ class TestBdg:
         spec = replace(self.band_two(grid16, "rational_square"), hy_level=5.0)
         v0 = random_divfree_field(grid16, rng)
         T, dt, n_paths = 0.05, 0.01, 3
-        sig = noise.sigma_eval(v0, spec)
+        sig = sigma_of(v0, spec)
         images = [hille_yosida(e * (c * sig), spec.hy_level)
                   for c, e in zip(spec.coefficients, basis_fields(spec, grid16))]
         sups = simulate_bdg_sups(spec, v0, q, n_paths, 9, T, dt)

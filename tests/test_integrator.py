@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 
 from oracles import (
+    apply_G_of,
     basis_fields,
     beta_step,
     bilinear_B,
     holder_quotient,
     irfft2_values,
+    sigma_of,
     stacked_drift,
     whole_halves,
     vorticity_step,
     zeta_step,
 )
 from vortex import integrator, noise, operators
+from vortex.config import _band_modes
 from vortex.integrator import (
     CoupledState,
     SolverConfig,
@@ -27,7 +30,6 @@ from vortex.integrator import (
 from vortex.noise import (
     CovarianceSpec,
     WienerIncrement,
-    apply_G,
     sample_increment,
     scatter_plan,
 )
@@ -71,7 +73,7 @@ def velocity_stepped(st, dW, spec, cfg):
     state: the new velocity and its L2 norm."""
     grid = st.v.grid
     v, norms = velocity_step(grid, st.v.half[None], vorticity_values(st.v)[None],
-                             apply_G(st.v, dW, spec)[None, :2],
+                             apply_G_of(st.v, dW, spec)[None, :2],
                              scatter_plan(spec, grid).touched, cfg)
     return VectorField(grid, v[0]), norms[0]
 
@@ -224,8 +226,7 @@ class TestOuStep:
         for vis in integrator.trajectories([(None, xi0, 0)], UNIT_NOISE, cfg, seed=4):
             zetas.append(vis.state(0).zeta)
             if vis.step == 3:
-                monkeypatch.setattr(noise, "apply_G",
-                                    lambda v, dW, spec: 0.0 * original(v, dW, spec))
+                monkeypatch.setattr(noise, "apply_G", lambda *args: 0.0 * original(*args))
         assert len(zetas) == cfg.n_steps + 1
         assert np.any(zetas[3].half)
         for before, after in zip(zetas[3:], zetas[4:]):
@@ -293,29 +294,33 @@ class TestBetaStep:
 
 
 class TestOneNoiseEvaluation:
-    """A path-step evaluates sigma(v) and the noise once, for v and zeta
-    together, and adds it only at the coefficients the noise modes touch."""
+    """A batch evaluates sigma(v) of its rows once per visit and their noise
+    once per step, for v and zeta together, and adds it only at the
+    coefficients the noise modes touch."""
 
     def test_one_apply_G_and_one_sigma_per_step(self, grid32, rng, monkeypatch):
-        calls = {"apply_G": 0, "sigma_eval": 0}
+        # a batch of three paths: one sigma_values call per visit and one
+        # apply_G call per step, each on all three rows
+        rows = {"apply_G": [], "sigma_values": []}
 
         def counted(module, name):
             original = getattr(module, name)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+            def wrapper(*args):
+                rows[name].append(len(args[0]))
+                return original(*args)
 
             monkeypatch.setattr(module, name, wrapper)
 
         counted(noise, "apply_G")
-        counted(noise, "sigma_eval")
+        counted(integrator, "sigma_values")
         spec = TestRotationalForm.spec(grid32, rng, "rational_square")
         cfg = SolverConfig(dt=1e-3, t_end=1e-2)
         xi0 = random_scalar_field(grid32, rng)
-        assert run_trajectory(None, xi0, spec, cfg, seed=3).stats.status == "completed"
+        batch = run_trajectory(None, xi0, spec, cfg, seed=3, n_paths=3)
+        assert [r.stats.status for r in batch] == ["completed"] * 3
         assert cfg.n_steps == 10
-        assert calls == {"apply_G": 10, "sigma_eval": 10}
+        assert rows == {"apply_G": [3] * 10, "sigma_values": [3] * 11}
 
     def test_a_fault_planted_in_noise_reaches_the_step(self, grid32, rng, monkeypatch):
         # the step reads apply_G from `noise`, so a patch there reaches it
@@ -324,7 +329,7 @@ class TestOneNoiseEvaluation:
         xi0 = random_scalar_field(grid32, rng)
         clean = run_trajectory(None, xi0, spec, cfg, seed=3).stats
         original = noise.apply_G
-        monkeypatch.setattr(noise, "apply_G", lambda v, dW, spec: 2.0 * original(v, dW, spec))
+        monkeypatch.setattr(noise, "apply_G", lambda *args: 2.0 * original(*args))
         doubled = run_trajectory(None, xi0, spec, cfg, seed=3).stats
         assert clean.status == doubled.status == "completed"
         assert doubled.sup_v_l2sq != clean.sup_v_l2sq
@@ -517,6 +522,30 @@ class TestDerivedFields:
             res = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=0)
         assert math.isinf(res.stats.sup_xi_lq)
         assert res.stats.status == "blowup"
+
+    def test_squares_are_python_float_powers(self):
+        # the functionals square on Python floats: x ** 2, which differs from
+        # numpy's square in the last bit for some x (16 of these 20000), and
+        # inf where it overflows; a NaN stays NaN
+        x = np.random.default_rng(0).uniform(0.5, 2.0, 20000)
+        want = np.array([value**2 for value in x.tolist()])
+        assert np.any(np.square(x) != want)
+        got = integrator._squares(np.append(x, [3e154, math.nan]).reshape(2, -1))
+        assert np.array_equal(bits(got.ravel()[:-2]), bits(want))
+        assert got[1, -2] == math.inf and math.isnan(got[1, -1])
+
+    def test_norms_whose_squares_overflow_are_a_blowup(self, grid16):
+        # ||v||, ||grad v|| and ||grad beta|| are finite, but their squares
+        # overflow on floats: the path ends as a blow-up at its first state,
+        # with those functionals inf, and raises no floating-point error
+        xi0 = random_scalar_field(grid16, np.random.default_rng(0), amplitude=3e154)
+        cfg = SolverConfig(dt=0.005, t_end=0.05)
+        with np.errstate(over="raise"):
+            res = run_trajectory(None, xi0, UNIT_NOISE, cfg, seed=0)
+        assert res.stats.status == "blowup" and res.final.t == 0.0
+        assert math.isfinite(l2_norm(res.final.v))
+        for name in ("sup_v_l2sq", "int_grad_v", "int_grad_beta"):
+            assert math.isinf(res.stats.functional(name)), name
 
 
 class TestRotationalForm:
@@ -773,6 +802,45 @@ class TestBatchedPaths:
         rows = [(v0, curl(v0), p) for p in (4, 4, 9)]
         assert len(list(integrator.trajectories(rows, UNIT_NOISE, cfg, seed=1))) == 6
         assert drawn == [(p, step) for step in range(5) for p in (4, 9)]
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_sigma_and_noise_rows_match_one_row_evaluations(self, rng, monkeypatch, n):
+        # under rational_square sigma, with row 1 ended at step 1: each live
+        # row of Visit.sigma, and of the one apply_G call of each step, has the
+        # bits of the one-field sigma and increment; the ended row's noise is 0
+        grid = SpectralGrid(n)
+        spec = CovarianceSpec(tuple(_band_modes(2)), tuple(0.3 + 0.05 * i for i in range(24)),
+                              0.5, "rational_square",
+                              random_divfree_field(grid, rng, amplitude=4.0), 10.0)
+        v0s = [random_divfree_field(grid, rng, amplitude=a) for a in (0.5, 1.0, 2.0)]
+        rows = [(v0, curl(v0), path) for v0, path in zip(v0s, (3, 3, 8))]
+        cfg = SolverConfig(dt=2e-3, t_end=6e-3)
+        calls, real = [], noise.apply_G
+
+        def recorded(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(noise, "apply_G", recorded)
+        visits = []
+        for vis in integrator.trajectories(rows, spec, cfg, seed=4):
+            visits.append(vis)
+            assert vis.sigma.shape == (3,)
+            for r in np.flatnonzero(vis.alive):
+                assert bits(vis.sigma[r]) == bits(sigma_of(VectorField(grid, vis.v[r]), spec))
+            if vis.step == 1:
+                vis.end(1)
+        assert len(calls) == cfg.n_steps == 3
+        for step, (vis, out) in enumerate(zip(visits, calls)):
+            assert out.shape == (3, 3, len(scatter_plan(spec, grid).touched))
+            for r, (_, _, path) in enumerate(rows):
+                if not vis.alive[r]:
+                    assert not np.any(out[r])
+                    continue
+                dW = sample_increment(4, path, step, spec, cfg.dt)
+                want = apply_G_of(VectorField(grid, vis.v[r]), dW, spec)
+                assert np.array_equal(bits(out[r]), bits(want)), (step, r)
+        assert [vis.alive.tolist() for vis in visits[1:]] == [[True, False, True]] * 3
 
     def test_a_row_that_blows_up_leaves_the_batch(self, grid32, rng):
         # a threshold between the paths' largest norms: some rows blow up mid-run

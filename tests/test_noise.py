@@ -11,9 +11,11 @@ import pytest
 from oracles import (
     basis_fields,
     dense_apply_G,
+    dense_noise,
     hille_yosida,
     scattered,
     sigma_lipschitz_bound,
+    sigma_of,
     sobolev_norm,
 )
 from vortex import noise
@@ -31,7 +33,7 @@ from vortex.noise import (
     quadrature_grid,
     sample_increment,
     scatter_plan,
-    sigma_eval,
+    sigma_values,
 )
 from vortex.operators import curl, divergence_defect, random_divfree_field
 from vortex.spectral import (
@@ -46,6 +48,12 @@ from vortex.spectral import (
     to_physical,
     zero_vector,
 )
+
+
+def apply_G_one(v, dW, spec):
+    """apply_G on a batch of the one row v, (3, len(touched))."""
+    return apply_G(sigma_values(v.half[None], spec), dW.gaussians[None], dW.dt, spec,
+                   v.grid)[0]
 
 
 def make_spec(grid=None, modes=((1, 0), (0, 1), (-1, 0), (1, 1)),
@@ -124,7 +132,7 @@ class TestNoiseBasis:
             with pytest.raises(ValueError, match="grid band"):
                 build(spec, grid)
         with pytest.raises(ValueError, match="grid band"):
-            apply_G(zero_vector(grid), dW, spec)
+            apply_G_one(zero_vector(grid), dW, spec)
 
     def test_band_edge_modes_are_real_unit_fields(self, grid16):
         spec = make_spec(modes=((7, 0), (-7, 0), (7, -7), (-7, 7), (0, -7)),
@@ -223,7 +231,7 @@ class TestScatterAgainstDenseOracle:
         v = random_divfree_field(grid, np.random.default_rng(n))
         for step in range(3):
             dW = sample_increment(5, 1, step, spec, 0.01)
-            got = scattered(apply_G(v, dW, spec), spec, grid)
+            got = scattered(apply_G_one(v, dW, spec), spec, grid)
             want = dense_apply_G(v, dW, spec)
             for a, b in zip(got, want):
                 assert np.array_equal(coefficient_bits(a), coefficient_bits(b))
@@ -231,7 +239,7 @@ class TestScatterAgainstDenseOracle:
     def test_returns_the_touched_coefficients_only(self, grid16):
         spec = make_spec(modes=SCATTER_MODES, coeffs=(1.0,) * len(SCATTER_MODES), hy=10.0)
         plan = scatter_plan(spec, grid16)
-        out = apply_G(zero_vector(grid16), sample_increment(1, 0, 0, spec, 0.01), spec)
+        out = apply_G_one(zero_vector(grid16), sample_increment(1, 0, 0, spec, 0.01), spec)
         # rows vx, vy and the vorticity, one column per touched coefficient of
         # the half: pairs j, -j share one, or two on column 0
         assert out.shape == (3, len(plan.touched)) == (3, 8)
@@ -261,7 +269,7 @@ class TestScatterAgainstDenseOracle:
         monkeypatch.setattr(NoiseBasis, "__init__", lambda *a, **k: builds.append(a))
         spec = make_spec(modes=SCATTER_MODES[:4], coeffs=(1.0,) * 4, hy=10.0)
         dW = sample_increment(1, 0, 0, spec, 0.01)
-        apply_G(zero_vector(grid32), dW, spec)
+        apply_G_one(zero_vector(grid32), dW, spec)
         assert builds == []
 
     @pytest.mark.parametrize("level", [math.inf, 3.0])
@@ -280,7 +288,7 @@ class TestScatterAgainstDenseOracle:
                 assert np.array_equal(bits(a), bits(b))
         # a weight times e_k is R_n[c_k sigma(v) e_k] over the whole grid, and
         # the curl of e_k is the stacked vorticity field
-        sig = sigma_eval(v, spec)
+        sig = sigma_of(v, spec)
         weights = mode_weights(spec, v)
         assert len(weights) == len(fields)
         for w, c, e, vorticity in zip(weights, coeffs, fields, NoiseBasis(spec, grid16).vorticity):
@@ -329,12 +337,12 @@ class TestScatterAgainstDenseOracle:
                                  observer=states.append)
             return res, states[::5]  # the states after 0, 5, 10, 15 and 20 steps
 
-        def dense_at_touched(v, dW, spec):
-            # the dense oracle read at the coefficients the step adds to
-            touched = scatter_plan(spec, v.grid).touched
-            velocity, vorticity = dense_apply_G(v, dW, spec)
-            return np.stack([f.half.reshape(-1)[touched]
-                             for f in (velocity.vx, velocity.vy, vorticity)])
+        def dense_at_touched(sigma, gaussians, dt, spec, grid):
+            # the dense oracle of each row read at the coefficients the step adds to
+            touched = scatter_plan(spec, grid).touched
+            rows = [dense_noise(s, g, dt, spec, grid) for s, g in zip(sigma, gaussians)]
+            return np.stack([[f.half.reshape(-1)[touched] for f in (u.vx, u.vy, w)]
+                             for u, w in rows])
 
         sparse, sparse_states = run()
         monkeypatch.setattr(noise, "apply_G", dense_at_touched)
@@ -377,8 +385,8 @@ class TestOneModeTable:
         for m in range(spec.n_modes):
             dW = WienerIncrement(1.0, np.eye(spec.n_modes)[m])  # the mode alone
             slots = plan.slot[plan.mode == m]
-            got = apply_G(v, dW, spec)[:, slots]
-            if not np.array_equal(got, apply_G(v, dW, unsmoothed)[:, slots] * factors[m]):
+            got = apply_G_one(v, dW, spec)[:, slots]
+            if not np.array_equal(got, apply_G_one(v, dW, unsmoothed)[:, slots] * factors[m]):
                 differ.append(self.BAND4[m])
         assert differ == []
 
@@ -393,12 +401,12 @@ class TestOneModeTable:
         coeffs = tuple(0.5 / (1.0 + j1 * j1 + j2 * j2) for j1, j2 in self.BAND4)
         spec = make_spec(modes=self.BAND4, coeffs=coeffs, sigma=sigma, pivot=pivot, hy=level)
         v = random_divfree_field(grid, np.random.default_rng(8))
-        assert sigma_eval(v, spec) > 0.0
+        assert sigma_of(v, spec) > 0.0
         for step in range(3):
             dW = sample_increment(6, 0, step, spec, 0.01)
             closed = float(np.sum(dW.dt * mode_weights(spec, v) ** 2 * dW.gaussians ** 2
                                   * _basis_l2_sq(spec, grid)))
-            velocity, _ = scattered(apply_G(v, dW, spec), spec, grid)
+            velocity, _ = scattered(apply_G_one(v, dW, spec), spec, grid)
             assert closed == pytest.approx(l2_norm(velocity) ** 2, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("length", [2.0 * math.pi, 7.3])
@@ -413,36 +421,50 @@ class TestOneModeTable:
                          pivot=pivot, hy=level)
         rng = np.random.default_rng(8)
         v1, v2 = random_divfree_field(grid, rng), random_divfree_field(grid, rng)
-        rise = sigma_eval(v1, spec) - sigma_eval(v2, spec)
+        rise = sigma_of(v1, spec) - sigma_of(v2, spec)
         assert rise != 0.0
         dt, total = 0.01, 0.0
         for m in range(spec.n_modes):
             dW = WienerIncrement(dt, np.eye(spec.n_modes)[m])
-            gap, _ = scattered(apply_G(v1, dW, spec) - apply_G(v2, dW, spec), spec, grid)
+            gap, _ = scattered(apply_G_one(v1, dW, spec) - apply_G_one(v2, dW, spec), spec, grid)
             total += l2_norm(gap) ** 2 / dt
         closed = rise * rise * basis_l2_sq_sum(spec, grid)
         assert closed == pytest.approx(total, rel=1e-13, abs=0.0)
 
 
 class TestSigma:
+    """`sigma_values` of stacked velocities, judged by the one-field
+    `sigma_of` on floats."""
+
     def test_trivial_kinds(self, grid16):
-        v = zero_vector(grid16)
-        assert sigma_eval(v, make_spec(sigma="zero")) == 0.0
-        assert sigma_eval(v, make_spec(sigma="constant_one")) == 1.0
+        v = np.zeros((3, 2, 16, 9), dtype=np.complex128)
+        assert sigma_values(v, make_spec(sigma="zero")).tolist() == [0.0] * 3
+        assert sigma_values(v, make_spec(sigma="constant_one")).tolist() == [1.0] * 3
 
     def test_rational_square_values(self, grid32):
         h = _single_mode_vector(grid32, (1, 0), 1.0)
         spec = make_spec(sigma="rational_square", pivot=h)
-        assert sigma_eval(zero_vector(grid32), spec) == 0.0
+        assert sigma_values(zero_vector(grid32).half, spec) == 0.0
         # <h, h> = 1, so sigma = 1/2
-        assert sigma_eval(h, spec) == pytest.approx(0.5, rel=1e-12)
+        assert sigma_values(h.half, spec) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 32, 256])
+    def test_stacked_rows_have_the_one_field_bits(self, n, rng):
+        grid = SpectralGrid(n)
+        spec = make_spec(sigma="rational_square", pivot=random_divfree_field(grid, rng))
+        fields = [random_divfree_field(grid, rng, amplitude=a) for a in (0.3, 1.0, 5.0, 0.0)]
+        got = sigma_values(np.stack([v.half for v in fields]).reshape(2, 2, 2, n, n // 2 + 1),
+                           spec)
+        assert got.shape == (2, 2)
+        want = np.array([sigma_of(v, spec) for v in fields]).reshape(2, 2)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_range(self, grid32, rng):
         h = _single_mode_vector(grid32, (1, 0), 1.0)
         spec = make_spec(sigma="rational_square", pivot=h)
         for _ in range(25):
             v = random_divfree_field(grid32, rng, amplitude=rng.uniform(0.0, 50.0))
-            val = sigma_eval(v, spec)
+            val = sigma_values(v.half, spec)
             assert 0.0 <= val < 1.0
 
     def test_empirical_lipschitz_below_analytic(self, grid32, rng):
@@ -456,7 +478,8 @@ class TestSigma:
             v2 = random_divfree_field(grid32, rng, amplitude=rng.uniform(0.05, 4.0))
             gap = l2_norm(v1 - v2)
             if gap > 0:
-                worst = max(worst, abs(sigma_eval(v1, spec) - sigma_eval(v2, spec)) / gap)
+                s1, s2 = sigma_values(np.stack((v1.half, v2.half)), spec)
+                worst = max(worst, abs(s1 - s2) / gap)
         assert worst <= analytic * (1 + 1e-9)
 
 
@@ -482,7 +505,7 @@ class TestHilleYosida:
 
     @staticmethod
     def increment(spec, level, v, dW):
-        return scattered(apply_G(v, dW, spec.with_hy_level(level)), spec, v.grid)[0]
+        return scattered(apply_G_one(v, dW, spec.with_hy_level(level)), spec, v.grid)[0]
 
     def test_monotone_convergence_to_identity(self, grid32, rng):
         spec = make_spec()
@@ -512,14 +535,14 @@ class TestApplyG:
     def test_zero_sigma(self, grid32):
         spec = make_spec(sigma="zero")
         dW = sample_increment(1, 0, 0, spec, 0.01)
-        out = apply_G(zero_vector(grid32), dW, spec)
+        out = apply_G_one(zero_vector(grid32), dW, spec)
         assert not np.any(out)
 
     def test_single_mode_exact(self, grid32):
         spec = make_spec(modes=((1, 0),), coeffs=(0.7,))
         (e,) = basis_fields(spec, grid32)
         dW = WienerIncrement(0.04, np.array([1.0]))
-        out, _ = scattered(apply_G(zero_vector(grid32), dW, spec), spec, grid32)
+        out, _ = scattered(apply_G_one(zero_vector(grid32), dW, spec), spec, grid32)
         expected = e * (0.7 * math.sqrt(0.04))
         assert l2_norm(out - expected) <= 1e-14
 
@@ -527,14 +550,14 @@ class TestApplyG:
         spec = make_spec()
         v = random_divfree_field(grid32, rng)
         dW = sample_increment(3, 1, 4, spec, 0.01)
-        vel, vor = scattered(apply_G(v, dW, spec), spec, grid32)
+        vel, vor = scattered(apply_G_one(v, dW, spec), spec, grid32)
         assert l2_norm(curl(vel) - vor) <= 1e-13
 
     def test_length_mismatch(self, grid32):
         spec = make_spec()
         dW = WienerIncrement(0.01, np.zeros(2))
         with pytest.raises(ValueError, match="draws"):
-            apply_G(zero_vector(grid32), dW, spec)
+            apply_G_one(zero_vector(grid32), dW, spec)
 
     def test_mode_variance_oracle(self, grid32):
         # empirical Var of the basis projection over 2000 increments must sit
@@ -548,7 +571,7 @@ class TestApplyG:
         proj = np.zeros((n_draws, spec.n_modes))
         for i in range(n_draws):
             dW = sample_increment(99, 0, i, spec, dt)
-            out, _ = scattered(apply_G(v, dW, spec), spec, grid32)
+            out, _ = scattered(apply_G_one(v, dW, spec), spec, grid32)
             out_s = bessel_multiplier(out, s)
             proj[i] = [l2_inner(out_s, e) for e in smoothed]
         for k, c in enumerate(spec.coefficients):
@@ -570,7 +593,7 @@ class TestApplyG:
         for i in range(800):
             dW = sample_increment(5, 0, i, spec_inf, dt)
             for spec, samples in ((spec_inf, samples_inf), (spec_n, samples_n)):
-                velocity, _ = scattered(apply_G(v, dW, spec), spec, grid32)
+                velocity, _ = scattered(apply_G_one(v, dW, spec), spec, grid32)
                 samples.append(l2_norm(velocity) ** 2)
         ratio = np.mean(samples_n) / np.mean(samples_inf)
         assert ratio == pytest.approx(ratio_expected, rel=1e-10)
@@ -620,7 +643,7 @@ class TestOperatorNorms:
         spec = make_spec(modes=SCATTER_MODES, coeffs=coeffs, g=0.3, sigma="rational_square",
                          pivot=h, hy=level)
         v = random_divfree_field(grid32, np.random.default_rng(8), amplitude=2.0)
-        sig = sigma_eval(v, spec)
+        sig = sigma_of(v, spec)
         images = [hille_yosida(e * (c * sig), level)
                   for c, e in zip(coeffs, basis_fields(spec, grid32))]
         for s in (0.0, 1.0 - spec.roughness, 1.0):
