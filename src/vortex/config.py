@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .integrator import SolverConfig, TrajectoryStats
-from .noise import SIGMA_KINDS, CovarianceSpec, initial_rng, mode_entries, require_in_band
+from .noise import (SIGMA_KINDS, CovarianceSpec, initial_rng, mode_entries,
+                    require_in_dealias_band)
 from .operators import random_scalar_field
 from .spectral import TWO_THIRDS, ScalarField, SpectralGrid, VectorField, zero_scalar
 
@@ -375,22 +376,20 @@ def _band_modes(band: int) -> list[tuple[int, int]]:
     return out
 
 
-def _require_in_band(modes, grid: SpectralGrid, field: str) -> None:
+def _require_in_dealias_band(modes, grid: SpectralGrid, field: str) -> None:
+    """The modes of the noise, its pivot and the initial data lie in the
+    dealias band, as every field a run evolves must."""
     try:
-        require_in_band(modes, grid)
+        require_in_dealias_band(modes, grid, f"'{field}'")
     except ValueError as err:
-        raise ConfigError(
-            f"'{field}': {err} of grid.modes_per_dim {grid.modes_per_dim}") from err
+        raise ConfigError(f"{err} of 'grid.dealias_fraction' {grid.dealias_fraction} "
+                          f"and 'grid.modes_per_dim' {grid.modes_per_dim}") from err
 
 
 def _single_mode_vector(grid: SpectralGrid, j: tuple[int, int],
                         l2_amplitude: float) -> VectorField:
     """Divergence-free cosine mode along k-perp with prescribed L^2 norm."""
-    _require_in_band((j,), grid, "noise.pivot_mode")
-    if max(abs(j[0]), abs(j[1])) > grid.dealias_limit:  # the band of every field a run evolves
-        raise ConfigError(f"'noise.pivot_mode' {tuple(j)} lies outside the dealias band "
-                          f"max(|j1|, |j2|) <= {grid.dealias_limit} of 'grid.dealias_fraction' "
-                          f"{grid.dealias_fraction}: <v, h> = 0 would turn the noise off")
+    _require_in_dealias_band((j,), grid, "noise.pivot_mode")
     scale = l2_amplitude / (grid.domain_length / math.sqrt(2.0))
     if not math.isfinite(scale):
         raise ConfigError(f"'noise.pivot_norm' gives a non-finite pivot, got {l2_amplitude}")
@@ -407,10 +406,11 @@ def _single_mode_vector(grid: SpectralGrid, j: tuple[int, int],
 def build_noise_spec(noise: NoiseConfig, grid: SpectralGrid) -> CovarianceSpec:
     if noise.modes is None:
         # the band's corner is its outermost mode; check it before enumerating
-        _require_in_band(((noise.mode_band, noise.mode_band),), grid, "noise.mode_band")
+        _require_in_dealias_band(((noise.mode_band, noise.mode_band),), grid,
+                                 "noise.mode_band")
         modes = tuple(_band_modes(noise.mode_band))
     else:
-        _require_in_band(noise.modes, grid, "noise.modes")
+        _require_in_dealias_band(noise.modes, grid, "noise.modes")
         modes = noise.modes
     k0 = 2.0 * np.pi / grid.domain_length
     coeffs = []
@@ -446,6 +446,7 @@ def build_initial(initial: InitialConfig, grid: SpectralGrid,
     if initial.kind == "zero":
         return None, zero_scalar(grid)
     if initial.kind == "single_mode":
+        _require_in_dealias_band(((1, 0),), grid, "initial.kind")
         n = grid.modes_per_dim
         c = np.zeros((n, n), dtype=np.complex128)
         c[1, 0] = initial.amplitude / 2.0

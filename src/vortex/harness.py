@@ -73,6 +73,7 @@ from .integrator import (
     CoupledState,
     SolverConfig,
     TrajectoryStats,
+    _squares,
     run_trajectory,
     trajectories,
 )
@@ -801,10 +802,10 @@ def gronwall_pairs(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,
         visit.end(~alive.repeat(2))  # a pair ends with either of its solutions
         one, two = visit.v[0::2], visit.v[1::2]
         gaps = sobolev_norms(one - two, grid)
+        gaps_sq = _squares(gaps)
         grads = grad_norms(one, grid)
         for k in np.flatnonzero(alive):
-            vnorm = float(gaps[k])
-            gap_sq = vnorm**2
+            vnorm, gap_sq = float(gaps[k]), float(gaps_sq[k])
             rise = float(visit.sigma[2 * k] - visit.sigma[2 * k + 1])
             pair = out[k]
             pair["v_norms"].append(vnorm)
@@ -819,15 +820,20 @@ def gronwall_weighted(pair: dict, a_const: float, dt: float) -> dict:
     of one `gronwall_pairs` pair, psi = a ||grad v1||^2 + q^2 by
     left-endpoint quadrature, the raw sup of ||V|| and the pair's status.
     It takes the float operations of a loop that forms psi while stepping,
-    in their order, so M has that loop's bits."""
+    in their order, so M has that loop's bits.  The norms are squared by
+    `_squares`, inf where the square overflows, and an infinite M or psi
+    makes the status 'blowup', as a path's infinite functional does."""
     int_psi = psi = sup_v = 0.0
-    series = []
-    for vnorm, grad, q_sq in zip(pair["v_norms"], pair["grad_norms"], pair["q_sq"]):
+    series, overflow = [], False
+    v_sq, grad_sq = (_squares(np.array(pair[key])).tolist() for key in ("v_norms", "grad_norms"))
+    for vnorm, vnorm_sq, g_sq, q_sq in zip(pair["v_norms"], v_sq, grad_sq, pair["q_sq"]):
         int_psi += dt * psi
         sup_v = _sup(sup_v, vnorm)
-        series.append(math.exp(-int_psi) * vnorm**2)
-        psi = a_const * grad**2 + q_sq
-    return {"m_series": series, "sup_v": sup_v, "status": pair["status"]}
+        series.append(math.exp(-int_psi) * vnorm_sq)
+        psi = a_const * g_sq + q_sq
+        overflow |= math.isinf(series[-1]) or math.isinf(psi)
+    return {"m_series": series, "sup_v": sup_v,
+            "status": "blowup" if overflow else pair["status"]}
 
 
 def gronwall_plan(v0_a: VectorField, v0_b: VectorField, spec: CovarianceSpec,

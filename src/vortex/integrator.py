@@ -24,8 +24,8 @@ dense noise field; the velocity update adds it there in place.  zeta
 starts at zero and only the noise feeds it, so it vanishes off those
 coefficients at every step: it is stored and stepped there alone,
 `run_trajectory` keeps it there at the steps its caller names, and it is
-scattered into a dense half only for a `CoupledState`, an observer's or a
-path's last.  The blow-up guard measures ||v|| of each new state, and the
+scattered into a dense half only when an observer reads the zeta of a
+`CoupledState`.  The blow-up guard measures ||v|| of each new state, and the
 path statistics take that value rather than measuring it again.
 
 One loop steps every solution the program integrates: the generator
@@ -46,25 +46,12 @@ the two solutions of a path as two rows, so the checks exercise the same
 code as a run.
 
 The velocity nonlinearity is `operators.velocity_drift`, the rotational
-form P B(v,v) = P[w (-u_y, u_x)] with u the dealiased v and w its curl,
-so each step transforms the vorticity to physical space once and shares
-it between the nonlinearity and the L^q statistic.  The sharing is exact
-when v0 and every noise mode lie inside the dealias band: the projected
-product is dealiased and the heat decay is diagonal, so curl v then has
-no coefficient outside the band at any step, and its physical values are
-the dealiased w.  Otherwise each step transforms the dealiased curl once
-more.
-
-The same fact prunes the transforms of the visited states: when v0 and
-every noise mode lie in the band, each state after the first vanishes
-past column L = `grid.dealias_limit`, so xi, and beta for the L^q
-statistic, are transformed as their block of columns 0..L (see
-`spectral.physical_values`).  The first state carries xi0 itself, which
-`_start` lets differ from curl v0 by its tolerance, so it is pruned only
-when xi0 too vanishes past column L.  `Visit.columns` says how many
-columns a transform of a visit's half stacks must read.  The masked
-transforms, the dealiased vorticity out of band and curl v0 before the
-loop, take the band's columns always.
+form P B(v,v) = P[w (-u_y, u_x)] with u the dealiased v and w its curl.
+Every evolved field lives in the dealias band: `trajectories` refuses
+initial data and noise modes outside it, so no step creates a coefficient
+there, each step shares the physical values of xi between the nonlinearity
+and the L^q statistic, and every transform of a visit takes the block of
+columns 0..L, L = `grid.dealias_limit` (see `spectral.physical_values`).
 """
 
 from __future__ import annotations
@@ -76,7 +63,8 @@ from functools import cached_property
 import numpy as np
 
 from . import noise, operators
-from .noise import CovarianceSpec, sample_increment, scatter_plan, sigma_values
+from .noise import (CovarianceSpec, require_in_dealias_band, sample_increment, scatter_plan,
+                    sigma_values)
 from .operators import MEAN_ZERO_RTOL, biot_savart, curl, curl_halves, grad_norms
 from .spectral import (
     ScalarField,
@@ -115,20 +103,33 @@ class SolverConfig:
         return int(round(self.t_end / self.dt))
 
 
-@dataclass(frozen=True)
 class CoupledState:
-    """One time slice: velocity v, vorticity xi and its splitting
-    xi = zeta + beta (Ornstein-Uhlenbeck part + remainder).
+    """One time slice of row i of a `Visit`: velocity v, vorticity xi and
+    its splitting xi = zeta + beta (Ornstein-Uhlenbeck part + remainder).
 
     The loop evolves v and zeta; xi = curl v and beta = xi - zeta are
-    derived from them (xi at t = 0 is the given initial vorticity).
+    derived from them (xi at t = 0 is the given initial vorticity).  t, v
+    and xi view the visit's stacks; zeta's dense half and beta are built on
+    their first read.
     """
 
-    t: float
-    v: VectorField
-    xi: ScalarField
-    zeta: ScalarField
-    beta: ScalarField
+    def __init__(self, visit: Visit, i: int):
+        self.t = visit.t
+        self.v = VectorField(visit.grid, visit.v[i])
+        self.xi = ScalarField(visit.grid, visit.xi[i])
+        self._visit, self._row = visit, i
+
+    @cached_property
+    def zeta(self) -> ScalarField:
+        """A new dense half: the row's zeta scattered into zeros."""
+        visit = self._visit
+        zeta = np.zeros(visit.grid.ksq.shape, dtype=np.complex128)
+        zeta.reshape(-1)[visit.touched] = visit.zeta[self._row]
+        return ScalarField(visit.grid, zeta)
+
+    @cached_property
+    def beta(self) -> ScalarField:
+        return ScalarField(self._visit.grid, self._visit.beta[self._row])
 
 
 @dataclass
@@ -158,10 +159,8 @@ class TrajectoryStats:
 
 @dataclass
 class TrajectoryResult:
-    """A path's last visited state, its stats and its zeta samples (S, T),
-    see `run_trajectory`."""
+    """A path's stats and its zeta samples (S, T), see `run_trajectory`."""
 
-    final: CoupledState
     stats: TrajectoryStats
     zeta: np.ndarray
 
@@ -199,33 +198,32 @@ def velocity_step(
     return new, sobolev_norms(new, grid)
 
 
-def _inside_dealias_band(v: VectorField, spec: CovarianceSpec) -> bool:
-    """v and every noise mode lie inside the dealias band, so no step
-    creates a coefficient outside it (see the module docstring)."""
-    g = v.grid
-    return (not np.any(v.half[..., ~g.dealias_mask])
-            and bool(np.all(g.dealias_mask.ravel()[scatter_plan(spec, g).touched])))
-
-
 def _start(v0: VectorField | None, xi0: ScalarField) -> VectorField:
     """The initial velocity of the data (v0, xi0), checked: xi0 finite and
     real with zero mean; v0 = None derives it by Biot-Savart, otherwise v0
-    must be real and curl(v0) must match xi0 to 1e-10 relative."""
+    must be real and curl(v0) must match xi0 to 1e-10 relative.  Both must
+    vanish outside the dealias band."""
     scale = np.max(np.abs(xi0.half))
     if not np.isfinite(scale):
         raise ValueError("initial vorticity must be finite")
     if scale > 0 and abs(xi0.half[0, 0]) > MEAN_ZERO_RTOL * scale:
         raise ValueError("initial vorticity must have zero mean")
     if v0 is None:
-        return biot_savart(xi0)  # refuses a non-real xi0
-    require_real(xi0, "initial vorticity")
-    require_real(v0, "initial velocity")
-    defect = l2_norm(curl(v0) - xi0)
-    if not defect <= 1e-10 * max(1.0, l2_norm(xi0)):
-        raise ValueError(
-            f"curl(v0) does not match xi0 (L2 defect {defect:.3e}); "
-            "pass v0=None to derive it by Biot-Savart"
-        )
+        v0 = biot_savart(xi0)  # refuses a non-real xi0
+    else:
+        require_real(xi0, "initial vorticity")
+        require_real(v0, "initial velocity")
+        defect = l2_norm(curl(v0) - xi0)
+        if not defect <= 1e-10 * max(1.0, l2_norm(xi0)):
+            raise ValueError(
+                f"curl(v0) does not match xi0 (L2 defect {defect:.3e}); "
+                "pass v0=None to derive it by Biot-Savart"
+            )
+    grid = xi0.grid
+    for field, name in ((xi0, "initial vorticity"), (v0, "initial velocity")):
+        if np.any(field.half[..., ~grid.dealias_mask]):
+            raise ValueError(f"{name} has a coefficient outside the dealias band "
+                             f"max(|j1|, |j2|) <= {grid.dealias_limit}")
     return v0
 
 
@@ -238,16 +236,15 @@ class Visit:
     `touched`, where the noise adds (zero at every other coefficient),
     `xi_values` (P, N, N) the physical values of xi, `v_norm` (P,) the
     L2 norms of v, and `sigma` (P,) the noise intensity sigma(v).
-    Every half stack, and beta, vanishes past its first `columns`
-    half-spectrum columns, so a transform of it may take that block alone
-    (see `spectral.physical_values`).  `alive` (P,) marks the
-    rows that hold a state; a finished row holds zeros.  `end` takes an
-    index or a mask and ends those rows here."""
+    Every half stack, and beta, vanishes outside the dealias band, so a
+    transform of it takes the block of its columns 0..L alone, L =
+    `grid.dealias_limit` (see `spectral.physical_values`).  `alive` (P,)
+    marks the rows that hold a state; a finished row holds zeros.  `end`
+    takes an index or a mask and ends those rows here."""
 
     step: int
     t: float
     grid: SpectralGrid
-    columns: int
     alive: np.ndarray
     v: np.ndarray
     xi: np.ndarray
@@ -270,13 +267,8 @@ class Visit:
         return beta
 
     def state(self, i: int) -> CoupledState:
-        """The CoupledState of row i, viewing the stacks; its zeta is a new
-        dense half, zeta scattered into zeros."""
-        g = self.grid
-        zeta = np.zeros(g.ksq.shape, dtype=np.complex128)
-        zeta.reshape(-1)[self.touched] = self.zeta[i]
-        return CoupledState(self.t, VectorField(g, self.v[i]), ScalarField(g, self.xi[i]),
-                            ScalarField(g, zeta), ScalarField(g, self.beta[i]))
+        """The CoupledState of row i."""
+        return CoupledState(self, i)
 
 
 def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
@@ -303,7 +295,8 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
 
     Each initial pair must satisfy `_start`, checked once per distinct
     pair; realness is checked there, not per transform (see `spectral`).
-    The state at t = 0 carries the values of xi0 itself, not of curl v0.
+    Every noise mode must lie in the dealias band.  The state at t = 0
+    carries the values of xi0 itself, not of curl v0.
     """
     grid = rows[0][1].grid
     starts: dict[tuple[int, int], VectorField] = {}
@@ -312,26 +305,22 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
             starts[id(v0), id(xi0)] = _start(v0, xi0)
     paths = [path for _, _, path in rows]
     sharing = {p: np.flatnonzero(np.equal(paths, p)) for p in dict.fromkeys(paths)}
-    in_band = all(_inside_dealias_band(v0, spec) for v0 in set(starts.values()))
-    # the columns every state after the first can fill
-    columns = grid.dealias_limit + 1 if in_band else grid.modes_per_dim // 2 + 1
+    require_in_dealias_band(spec.mode_indices, grid, "noise")
     touched = scatter_plan(spec, grid).touched
+    band = grid.dealias_limit + 1  # the columns a half can fill
     # the heat factor where zeta lives, indexed from the cached multiplier
     decay = heat_decay(grid, cfg.dt).ravel()[touched]
     alive = np.ones(len(rows), dtype=bool)
     v = np.stack([starts[id(v0), id(xi0)].half for v0, xi0, _ in rows])
     xi = np.stack([xi0.half for _, xi0, _ in rows])
     zeta = np.zeros((len(rows), len(touched)), dtype=np.complex128)
-    # the first state carries xi0, which may hold columns past the band
-    # within the tolerance of `_start`, where curl(v0) does not
-    first = columns if not np.any(xi[..., columns:]) else xi.shape[-1]
-    xi_values = physical_values(xi[..., :first])
+    xi_values = physical_values(xi[..., :band])
     vorticity = physical_values(dealiased_block(curl_halves(grid, v), grid))
     v_norm = sobolev_norms(v, grid)
 
     for step in range(cfg.n_steps + 1):
-        visit = Visit(step, step * cfg.dt, grid, columns if step else first, alive, v, xi,
-                      touched, zeta, xi_values, v_norm, sigma_values(v, spec))
+        visit = Visit(step, step * cfg.dt, grid, alive, v, xi, touched, zeta, xi_values,
+                      v_norm, sigma_values(v, spec))
         yield visit
         alive = visit.alive.copy()
         if step == cfg.n_steps or not alive.any():
@@ -353,8 +342,7 @@ def trajectories(rows, spec: CovarianceSpec, cfg: SolverConfig, seed: int):
         if not alive.any():
             return
         v, v_norm, zeta, xi = _zeroed(alive, v, v_norm, zeta, xi)
-        xi_values = physical_values(xi[..., :columns])
-        vorticity = xi_values if in_band else physical_values(dealiased_block(xi, grid))
+        vorticity = xi_values = physical_values(xi[..., :band])
 
 
 def _zeroed(alive: np.ndarray, *stacks: np.ndarray) -> tuple:
@@ -381,12 +369,12 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
                    cfg: SolverConfig, seed: int, path_index: int = 0,
                    lq_exponent: float = 4.0, observer=None, n_paths: int | None = None,
                    zeta_stride: int = 0):
-    """The path functionals and the last visited state of the (seed,
-    path_index) solution from (v0, xi0), a TrajectoryResult; status
-    'blowup' if a step blew up or a functional is not finite, which ends
-    the path there.  With zeta_stride > 0, its `zeta` (S, T) keeps zeta at
-    the T touched coefficients every zeta_stride steps and at the last, at
-    the S such steps the path lives to.  An observer callable, if given,
+    """The path functionals of the (seed, path_index) solution from
+    (v0, xi0), a TrajectoryResult; status 'blowup' if a step blew up or a
+    functional is not finite, which ends the path there.  With
+    zeta_stride > 0, its `zeta` (S, T) keeps zeta at the T touched
+    coefficients every zeta_stride steps and at the last, at the S such
+    steps the path lives to.  An observer callable, if given,
     sees each visited CoupledState once, in step order (its k-th call the
     state after k steps); callers derive from it whatever else they need of
     a dense state, such as recorded states or snapshot files.
@@ -403,7 +391,7 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
     observers = [observer] if n_paths is None else list(observer or [None] * count)
     table = np.zeros((6, count))  # TrajectoryStats.FUNCTIONALS, a column per path
     sups, ints = [0, 2, 3, 5], [1, 4]  # the rows of its suprema and of its integrals
-    last: list = [None] * count
+    band = grid.dealias_limit + 1  # the columns of beta a transform takes
     kept: list = [[] for _ in range(count)]
     rows = [(v0, xi0, path_index + r) for r in range(count)]
     for visit in trajectories(rows, spec, cfg, seed):
@@ -412,7 +400,7 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
         with np.errstate(over="ignore"):
             norms = [_squares(visit.v_norm), lq_norms(visit.xi_values[:, None], lq_exponent, grid),
                      sobolev_norms(beta, grid),
-                     lq_norms(physical_values(beta[..., :visit.columns]), lq_exponent, grid)]
+                     lq_norms(physical_values(beta[..., :band]), lq_exponent, grid)]
             table[sups] = np.where(visit.alive, np.maximum(table[sups], norms), table[sups])
             if visit.step < cfg.n_steps:
                 grads = _squares(np.stack((grad_norms(visit.v, grid), grad_norms(beta, grid))))
@@ -422,15 +410,15 @@ def run_trajectory(v0: VectorField | None, xi0: ScalarField, spec: CovarianceSpe
                 observers[i](visit.state(i))
             if zeta_stride and (visit.step % zeta_stride == 0 or visit.step == cfg.n_steps):
                 kept[i].append(visit.zeta[i])
-            last[i] = visit
         # the guard's rule for the norms, applied to every functional:
         # inf or NaN is a blow-up, never a completed path
         visit.end(~np.isfinite(table).all(axis=0))
 
+    # a row completed if it is alive at the visit of the last step
+    completed = visit.alive & (visit.step == cfg.n_steps)
     results = []
-    for i, visit in enumerate(last):
-        status = "blowup" if visit.step < cfg.n_steps or not visit.alive[i] else "completed"
-        stats = TrajectoryStats(*table[:, i].tolist(), status)
+    for i in range(count):
+        stats = TrajectoryStats(*table[:, i].tolist(), "completed" if completed[i] else "blowup")
         zeta = np.array(kept[i], np.complex128).reshape(len(kept[i]), len(visit.touched))
-        results.append(TrajectoryResult(visit.state(i), stats, zeta))
+        results.append(TrajectoryResult(stats, zeta))
     return results[0] if n_paths is None else results

@@ -30,7 +30,7 @@ time reads the stacked `NoiseBasis`; it is the one dense full-lattice
 reference of the plan.
 
 Increments come from counter-based Philox streams keyed by (seed, path) with
-the step in the counter.  Each thread keeps one Philox generator and
+the step in the counter.  A process keeps one Philox generator and
 `sample_increment` resets its key and counter, so a draw equals that of a
 freshly built generator without the cost of building one; `initial_rng`
 still returns a fresh generator.  A step draws one Gaussian per mode, in
@@ -44,7 +44,6 @@ prefix property only when it is in shell order.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -139,28 +138,21 @@ def initial_rng(seed: int) -> np.random.Generator:
     return _philox(seed, _INITIAL_STREAM, 0)
 
 
-_THREAD = threading.local()
-
-
-def _thread_philox(seed: int, path_index: int, step_index: int) -> np.random.Generator:
-    """This thread's one Philox generator, reset to the key and counter that
-    _philox(seed, path_index, step_index) starts from, with an empty buffer:
-    it draws what a fresh one would, without building a generator."""
-    if not hasattr(_THREAD, "philox"):
-        fresh = _philox(0, 0, 0)
-        _THREAD.philox = fresh, fresh.bit_generator.state  # the state stays fresh
-    rng, state = _THREAD.philox
-    state["state"]["key"][:] = (seed, path_index)
-    state["state"]["counter"][:] = (0, 0, step_index, 0)
-    rng.bit_generator.state = state
-    return rng
+# the process's one Philox generator, and a fresh generator's state, its buffer empty
+_PHILOX = _philox(0, 0, 0)
+_FRESH = _PHILOX.bit_generator.state
 
 
 def sample_increment(seed: int, path_index: int, step_index: int,
                      spec: CovarianceSpec, dt: float) -> WienerIncrement:
-    """Deterministic given (seed, path, step); independent across all three."""
-    rng = _thread_philox(seed, path_index, step_index)
-    return WienerIncrement(dt, rng.standard_normal(spec.n_modes))
+    """Deterministic given (seed, path, step); independent across all three.
+    The process's generator is reset to the key and counter that
+    _philox(seed, path_index, step_index) starts from, with an empty buffer,
+    so it draws what a fresh one would, without building a generator."""
+    _FRESH["state"]["key"][:] = (seed, path_index)
+    _FRESH["state"]["counter"][:] = (0, 0, step_index, 0)
+    _PHILOX.bit_generator.state = _FRESH
+    return WienerIncrement(dt, _PHILOX.standard_normal(spec.n_modes))
 
 
 def _canonical(j: tuple[int, int]) -> tuple[bool, tuple[int, int]]:
@@ -180,6 +172,15 @@ def require_in_band(mode_indices, grid: SpectralGrid) -> None:
             raise ValueError(
                 f"noise mode {tuple(j)} lies outside the grid band max(|j1|, |j2|) < {half}"
             )
+
+
+def require_in_dealias_band(mode_indices, grid: SpectralGrid, name: str) -> None:
+    """Every mode must lie inside the dealias band, where every field a run
+    evolves lives (see `integrator`); `name` opens the message."""
+    for j in mode_indices:
+        if max(abs(j[0]), abs(j[1])) > grid.dealias_limit:
+            raise ValueError(f"{name} mode {tuple(j)} lies outside the dealias band "
+                             f"max(|j1|, |j2|) <= {grid.dealias_limit}")
 
 
 @dataclass(frozen=True)

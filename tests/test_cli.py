@@ -413,6 +413,21 @@ class TestRunCommand:
             "path0000_step000010.vspd",
         ]
 
+    def test_a_run_builds_no_dense_zeta(self, tmp_path, monkeypatch):
+        # the snapshot writer, the run's one observer, reads xi alone, so no
+        # state scatters its zeta into a dense half
+        from vortex import integrator
+
+        built, dense = [], integrator.CoupledState.zeta.func
+        monkeypatch.setattr(integrator.CoupledState, "zeta",
+                            property(lambda st: built.append(st) or dense(st)))
+        monkeypatch.setattr(harness, "path_workers", lambda: 1)  # the spy sees no child
+        doc = dict(SMALL_CONFIG, output={"snapshot_stride": 5})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        assert len(list((out / "snapshots").glob("*.vspd"))) == 9
+        assert built == []
+
 
 class TestSharedSweep:
     @staticmethod
@@ -479,7 +494,7 @@ class TestSharedSweep:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "noise.modes" in err and "grid band" in err
+        assert "noise.modes" in err and "dealias band" in err
         assert calls == []
         assert not (out / "stats.csv").exists()
 

@@ -186,17 +186,46 @@ class TestBuilders:
         spec = parse_config(doc).build_noise_spec()
         assert spec.mode_indices == ((3, 0), (0, 3))
 
-    @pytest.mark.parametrize("noise, field", [
-        ({"modes": [[-4, 0], [1, 0]]}, "noise.modes"),
-        ({"modes": [[1, 0], [3, 4]]}, "noise.modes"),
-        ({"mode_band": 4}, "noise.mode_band"),
+    # every field a run evolves lies in the dealias band, max(|j1|, |j2|) <= 2
+    # at N = 8 and <= 5 at N = 16, so the noise must too; [-4, 0] would land
+    # on the Nyquist line
+    @pytest.mark.parametrize("n, noise, mode", [
+        (8, {"modes": [[-4, 0], [1, 0]]}, "(-4, 0)"),
+        (8, {"modes": [[1, 0], [3, 4]]}, "(3, 4)"),
+        (8, {"mode_band": 4}, "(4, 4)"),
+        (16, {"modes": [[1, 0], [6, 0]]}, "(6, 0)"),
+        (16, {"mode_band": 6}, "(6, 6)"),
     ])
-    def test_modes_outside_the_grid_band_rejected(self, noise, field):
-        doc = dict(MINIMAL, grid={"modes_per_dim": 8})
+    def test_modes_outside_the_dealias_band_rejected(self, n, noise, mode):
+        doc = dict(MINIMAL, grid={"modes_per_dim": n})
         doc["noise"] = dict(noise, sigma_kind="constant_one")
-        with pytest.raises(ConfigError, match="grid band") as err:
+        field = "noise.modes" if "modes" in noise else "noise.mode_band"
+        limit = {8: 2, 16: 5}[n]
+        with pytest.raises(ConfigError) as err:
             parse_config(doc).build_noise_spec()
-        assert field in str(err.value)
+        assert str(err.value) == (
+            f"'{field}' mode {mode} lies outside the dealias band max(|j1|, |j2|) <= {limit} "
+            f"of 'grid.dealias_fraction' {2.0 / 3.0} and 'grid.modes_per_dim' {n}")
+
+    def test_modes_on_the_dealias_band_edge_accepted(self):
+        doc = dict(MINIMAL, noise={"modes": [[5, -5], [0, 5]], "mode_band": 5,
+                                   "sigma_kind": "rational_square", "pivot_mode": [-5, 5]})
+        assert parse_config(doc).build_noise_spec().mode_indices == ((5, -5), (0, 5))
+        doc["noise"] = {"mode_band": 5}
+        assert parse_config(doc).build_noise_spec().n_modes == 120
+
+    def test_single_mode_outside_the_dealias_band_rejected(self):
+        # at N = 8 and dealias_fraction 0.2 the band keeps the mean mode alone,
+        # so single_mode's (1, 0) lies outside it
+        doc = dict(MINIMAL, grid={"modes_per_dim": 8, "dealias_fraction": 0.2},
+                   noise={"modes": [[0, 0]], "sigma_kind": "constant_one"},
+                   initial={"kind": "single_mode"})
+        config = parse_config(doc)
+        config.build_noise_spec()
+        with pytest.raises(ConfigError, match="^'initial.kind' mode [(]1, 0[)] lies outside "
+                                              "the dealias band .* <= 0 of "
+                                              "'grid.dealias_fraction' 0.2"):
+            config.build_initial()
 
     @pytest.mark.parametrize("length, noise, field", [
         # on a long domain |k| is small, so |k|^-decay overflows
@@ -278,24 +307,19 @@ class TestBuilders:
         spec = parse_config(doc).build_noise_spec()
         assert l2_norm(spec.pivot) == pytest.approx(1.7, rel=1e-12)
 
-    @pytest.mark.parametrize("pivot_mode", [[8, 0], [20, 3], [-3, -8]])
-    def test_pivot_mode_outside_the_grid_band_rejected(self, pivot_mode):
-        # [8, 0] would land on the Nyquist line, [20, 3] alias to (4, 3)
-        doc = dict(MINIMAL)
-        doc["noise"] = {"pivot_mode": pivot_mode, "pivot_norm": 2.0}
-        with pytest.raises(ConfigError, match="^'noise.pivot_mode': .*grid band"):
-            parse_config(doc).build_noise_spec()
-
     @pytest.mark.parametrize("grid, pivot_mode", [
+        ({"modes_per_dim": 16}, [8, 0]), ({"modes_per_dim": 16}, [20, 3]),
+        ({"modes_per_dim": 16}, [-3, -8]),
         ({"modes_per_dim": 16}, [6, 0]), ({"modes_per_dim": 16}, [-1, -7]),
         ({"modes_per_dim": 32, "dealias_fraction": 0.25}, [5, 5]),
     ])
     def test_pivot_mode_outside_the_dealias_band_rejected(self, grid, pivot_mode):
         # every field a run evolves lies in the dealias band, so such a pivot
-        # gives <v, h> = 0 and sigma(v) = 0 at every step
+        # gives <v, h> = 0 and sigma(v) = 0 at every step; [8, 0] would land
+        # on the Nyquist line, [20, 3] alias to (4, 3)
         doc = dict(MINIMAL, grid=grid, noise={"pivot_mode": pivot_mode, "pivot_norm": 2.0})
-        with pytest.raises(ConfigError, match="^'noise.pivot_mode' .*dealias band.*"
-                                              "'grid.dealias_fraction'"):
+        with pytest.raises(ConfigError, match="^'noise.pivot_mode' mode .* lies outside the "
+                                              "dealias band .*'grid.dealias_fraction'"):
             parse_config(doc).build_noise_spec()
 
     @pytest.mark.parametrize("length", [2.0 * math.pi, 7.3])

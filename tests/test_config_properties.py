@@ -1,15 +1,21 @@
 """Property tests of config reading: a valid document with any of its keys
 set to any JSON value is read, or refused with a ConfigError; what is read
-dumps to a resolved document that reads back to the same config."""
+dumps to a resolved document that reads back to the same config, and
+builds initial data and noise that the integrator's loop accepts.  A mode
+past the dealias band is refused, naming its field."""
 
 import copy
 import json
 import math
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortex.config import CHECK_PARAMS, SECTIONS, TOP, ConfigError, parse_config
+from vortex.integrator import trajectories
+from vortex.spectral import SpectralGrid
 
 VALID = {
     "grid": {"modes_per_dim": 16, "domain_length": 6.0, "dealias_fraction": 0.5},
@@ -87,3 +93,61 @@ class TestMutatedDocuments:
             return
         resolved = json.loads(json.dumps(cfg.resolved()))
         assert parse_config(resolved) == cfg
+
+
+def built(doc):
+    """The config of doc and the noise spec and initial data it builds."""
+    cfg = parse_config(doc)
+    return cfg, cfg.build_noise_spec(), cfg.build_initial()
+
+
+class TestTheDealiasBand:
+    """The config's band rule and the loop's guard agree: what the config
+    accepts, the loop starts; a mode past the dealias band, in any of the
+    four fields that name one, is refused by the config."""
+
+    @PROPERTY
+    @given(mutated_documents())
+    def test_an_accepted_document_starts_a_trajectory(self, doc):
+        try:
+            cfg, spec, (v0, xi0) = built(doc)
+        except ConfigError:
+            return
+        first = next(trajectories([(v0, xi0, 0)], spec, cfg.solver, cfg.mc.base_seed))
+        assert first.step == 0 and first.alive.all()
+
+    @st.composite
+    @staticmethod
+    def outside(draw):
+        """VALID on a small grid with one mode past its dealias limit L:
+        (document, field)."""
+        n = draw(st.integers(4, 16).map(lambda m: 2 * m))
+        field = draw(st.sampled_from(["noise.modes", "noise.mode_band", "noise.pivot_mode",
+                                      "initial.kind"]))
+        # single_mode's (1, 0) lies past L only when L = 0, which needs
+        # dealias_fraction * N/2 < 1
+        top = 1.99 / n if field == "initial.kind" else 2.0 / 3.0
+        fraction = draw(st.floats(1e-6, top))
+        limit = SpectralGrid(n, 6.0, fraction).dealias_limit
+        past = st.integers(-3 * n, 3 * n)
+        mode = draw(st.tuples(past, past).filter(lambda j: max(map(abs, j)) > limit))
+        doc = copy.deepcopy(VALID)
+        doc["grid"] = {"modes_per_dim": n, "domain_length": 6.0, "dealias_fraction": fraction}
+        doc["noise"].update(modes=[[0, 0]], sigma_kind="constant_one")
+        if field == "noise.modes":
+            doc["noise"]["modes"] = [[0, 0], list(mode)]
+        elif field == "noise.mode_band":
+            doc["noise"]["modes"] = None
+            doc["noise"]["mode_band"] = draw(st.integers(limit + 1, 3 * n))
+        elif field == "noise.pivot_mode":
+            doc["noise"].update(sigma_kind="rational_square", pivot_mode=list(mode))
+        else:
+            doc["initial"]["kind"] = "single_mode"
+        return doc, field
+
+    @PROPERTY
+    @given(outside())
+    def test_a_mode_past_the_band_is_refused(self, case):
+        doc, field = case
+        with pytest.raises(ConfigError, match=f"^'{field}' mode .* lies outside the dealias"):
+            built(doc)

@@ -622,25 +622,18 @@ class TestSweep:
         scales = [m ** (1.0 / 32.0) for m in moments]
         assert zeta.observed == max(scales) / min(scales)
 
-    def test_a_probed_sweep_builds_only_the_final_dense_states(self, grid16, rng,
-                                                                monkeypatch):
+    def test_a_probed_sweep_builds_no_dense_state(self, grid16, rng, monkeypatch):
         # the quotients read zeta at its touched coefficients: with no
-        # snapshots, the one dense state of a path is run_trajectory's final
+        # snapshots, no path builds a state
         calls = []
-        state = integrator.Visit.state
-
-        def counted(visit, i):
-            calls.append(i)
-            return state(visit, i)
-
-        monkeypatch.setattr(integrator.Visit, "state", counted)
+        monkeypatch.setattr(integrator.Visit, "state", lambda visit, i: calls.append(i))
         monkeypatch.setattr(harness, "path_workers", lambda: 1)  # the spy sees no child
         cfg = SolverConfig(dt=5e-3, t_end=0.05)
         probe = HolderProbe(0.2, 0.0, 2.0, 3)
         results = sweep(SMALL_NOISE, None, random_scalar_field(grid16, rng), cfg, 1, 2,
                         demands=[([10.0, math.inf], 3, probe)])
         assert sum(map(len, results.values())) == 6
-        assert len(calls) == 6
+        assert calls == []
 
     def test_blown_up_paths_fail_both_drivers(self, grid16):
         # a threshold just above the initial norms blows 5 of 6 paths up at
@@ -696,12 +689,12 @@ class TestGronwall:
         for x, y in zip(m, m[1:]):
             assert y <= x * (1 + 1e-6)
 
-    @pytest.mark.parametrize("modes", [((1, 0), (0, 1), (1, 1)), ((1, 0), (12, 0))])
-    def test_pair_matches_advective_form(self, grid32, rng, monkeypatch, modes):
+    def test_pair_matches_advective_form(self, grid32, rng, monkeypatch):
         # the pair steps with the rotational velocity_drift; P B(v,v) of the
         # advective bilinear_B is the oracle
         pivot = random_divfree_field(grid32, rng, amplitude=4.0)
-        spec = CovarianceSpec(modes, (1.0,) * len(modes), 0.5, "rational_square", pivot)
+        spec = CovarianceSpec(((1, 0), (0, 1), (1, 1)), (1.0,) * 3, 0.5, "rational_square",
+                              pivot)
         v0a = biot_savart(random_scalar_field(grid32, rng, amplitude=3.0))
         bump = random_divfree_field(grid32, rng)
         v0b = v0a + bump * (1e-2 / l2_norm(bump))
@@ -714,6 +707,39 @@ class TestGronwall:
         for a, b in zip(res["m_series"], oracle["m_series"]):
             assert abs(a - b) <= 1e-12 * b
         assert abs(res["sup_v"] - oracle["sup_v"]) <= 1e-12 * oracle["sup_v"]
+
+    def test_pair_with_a_mode_outside_the_dealias_band_is_refused(self, grid32, rng):
+        # the pair steps the run's loop, which refuses such a noise mode
+        spec = CovarianceSpec(((1, 0), (12, 0)), (1.0, 1.0), 0.5, "constant_one")
+        v0 = biot_savart(random_scalar_field(grid32, rng))
+        cfg = SolverConfig(dt=2e-3, t_end=0.01)
+        with pytest.raises(ValueError, match="^noise mode [(]12, 0[)] lies outside the dealias"):
+            gronwall_pairs(v0, v0 * 1.01, spec, cfg, 4, [1])
+
+    def test_a_finite_norm_whose_square_overflows_fails(self, grid16):
+        # ||grad v1|| is finite, near 1.4e154, but its square overflows: the
+        # square is inf, not an OverflowError, and the blown-up pair FAILs
+        # the check as gronwall.status
+        v0a = random_divfree_field(grid16, np.random.default_rng(0), amplitude=7.5e153)
+        v0b = v0a * (1.0 + 1e-3)
+        spec = CovarianceSpec(((1, 0), (0, 1)), (1.0, 1.0), 0.5, "constant_one")
+        cfg = SolverConfig(dt=0.005, t_end=0.05, blowup_threshold=1e300)
+        (pair,) = gronwall_pairs(v0a, v0b, spec, cfg, 0, [0])
+        assert 1e154 < pair["grad_norms"][0] < math.inf
+        out = gronwall_uniqueness(v0a, v0b, spec, cfg, n_paths=1, base_seed=0,
+                                  slack=GRONWALL_SLACK, gn_trials=50)
+        assert out.name == "gronwall.status" and not out.passed
+        assert out.extra["diagnostic"] == "1 of 1 paths blew up"
+
+    def test_an_overflowing_weight_is_a_blowup(self):
+        # psi = inf would weigh every later M by exp(-inf) = 0, which passes
+        # any bound: a completed pair whose square overflows is a blow-up
+        pair = {"v_norms": [1.0, 0.5], "grad_norms": [2e154, 1.0], "q_sq": [0.0, 0.0],
+                "status": "completed"}
+        out = gronwall_weighted(pair, 0.3, 0.01)
+        assert out["m_series"] == [1.0, 0.0] and out["status"] == "blowup"
+        pair["grad_norms"][0] = 1e150
+        assert gronwall_weighted(pair, 0.3, 0.01)["status"] == "completed"
 
     def test_series_is_that_of_two_run_trajectory_paths(self, grid16, rng):
         # the pair steps the run's own loop: the states two run_trajectory
@@ -1005,8 +1031,12 @@ class TestPlantedDriftFaults:
 
     @staticmethod
     def run(grid):
+        """The trajectory's result and its last velocity."""
         xi0 = random_scalar_field(grid, np.random.default_rng(5), amplitude=3.0)
-        return run_trajectory(None, xi0, SMALL_NOISE, SolverConfig(dt=2e-3, t_end=0.02), seed=1)
+        states = []
+        res = run_trajectory(None, xi0, SMALL_NOISE, SolverConfig(dt=2e-3, t_end=0.02), seed=1,
+                             observer=states.append)
+        return res, states[-1].v
 
     @staticmethod
     def suite():
@@ -1019,15 +1049,15 @@ class TestPlantedDriftFaults:
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_fault_changes_the_step_and_fails_the_suite(self, grid16, monkeypatch, fault):
-        correct = self.run(grid16)
+        _, correct_v = self.run(grid16)
         plant, failing = self.FAULTS[fault]
         monkeypatch.setattr(operators, "velocity_drift", plant(operators.velocity_drift))
-        faulty = self.run(grid16)
+        faulty, faulty_v = self.run(grid16)
         if fault == "nan":
             assert faulty.stats.status == "blowup"
         else:
-            gap = l2_norm(faulty.final.v - correct.final.v)
-            assert gap > 1e-3 * l2_norm(correct.final.v)
+            gap = l2_norm(faulty_v - correct_v)
+            assert gap > 1e-3 * l2_norm(correct_v)
         results = self.suite()
         for name in DRIFT_CHECKS:
             assert results[name].passed == (name not in failing), (name, results[name].observed)
